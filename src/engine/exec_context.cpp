@@ -19,44 +19,51 @@ namespace {
 // kMaxShiftH (the shifted-GEMM border-repair height bound) comes from
 // plan.hpp: one definition shared with the compiler and the blob stamp.
 
-/// One row of an image's im2col unfold: dst[oh*wo + ow] = the (c, kh, kw)
-/// tap of output position (oh, ow), zero where the tap lands in padding.
-/// Identical values to the matching row of im2col_view — the quantized
-/// conv path assembles rows one at a time (into an L2-resident staging
-/// buffer) instead of materializing the whole float unfold.
-void unfold_row_view(const float* src, const ConvGeom& g, size_t c, size_t kh,
-                     size_t kw, float* dst) {
-  const size_t ho = g.out_h(), wo = g.out_w();
-  const size_t hw = g.in_h * g.in_w;
-  const long base = static_cast<long>(kw) - static_cast<long>(g.pad);
-  size_t lo = 0;
-  if (base < 0) lo = (static_cast<size_t>(-base) + g.stride - 1) / g.stride;
-  size_t hi = 0;
-  const long top = static_cast<long>(g.in_w) - base;
-  if (top > 0)
-    hi = std::min(wo, (static_cast<size_t>(top) + g.stride - 1) / g.stride);
-  lo = std::min(lo, hi);
-  for (size_t oh = 0; oh < ho; ++oh) {
-    const long ih =
-        static_cast<long>(oh * g.stride + kh) - static_cast<long>(g.pad);
-    float* d = dst + oh * wo;
-    if (ih < 0 || ih >= static_cast<long>(g.in_h)) {
-      std::memset(d, 0, wo * sizeof(float));
-      continue;
-    }
-    const float* srow = src + c * hw + static_cast<size_t>(ih) * g.in_w;
-    if (lo > 0) std::memset(d, 0, lo * sizeof(float));
-    if (g.stride == 1) {
-      std::memcpy(d + lo, srow + (static_cast<long>(lo) + base),
-                  (hi - lo) * sizeof(float));
-    } else {
-      const float* s = srow + (static_cast<long>(lo * g.stride) + base);
-      for (size_t ow = lo; ow < hi; ++ow, s += g.stride) d[ow] = *s;
-    }
-    if (hi < wo) std::memset(d + hi, 0, (wo - hi) * sizeof(float));
+/// Runs fn(ci, i0, i1) for every chunk ci = [i0, i1) of an n-image batch
+/// split over a `grid`-chunk partition (the plan's frozen grid, so the
+/// split never depends on the runtime thread count). A single chunk runs
+/// inline with no dispatcher: no std::function conversion, so it performs
+/// zero heap allocations; multi-chunk dispatch costs one closure
+/// allocation per call.
+template <typename F>
+void for_each_chunk(size_t n, size_t grid, const F& fn) {
+  const size_t nch = std::min(grid, n);
+  const size_t chunk = (n + nch - 1) / nch;
+  const size_t nchunks = (n + chunk - 1) / chunk;
+  if (nchunks == 1) {
+    fn(size_t{0}, size_t{0}, n);
+    return;
   }
+  parallel_for_chunked(
+      0, nchunks,
+      [&](size_t lo, size_t hi) {
+        for (size_t ci = lo; ci < hi; ++ci)
+          fn(ci, ci * chunk, std::min(n, ci * chunk + chunk));
+      },
+      /*min_per_worker=*/1);
 }
 
+/// dst[i] = act(src[i] + *bias) (no add when bias is null): the conv
+/// epilogue fused into the NCHW scatter, with bias_act_inplace's exact
+/// per-element float ops.
+void bias_act_copy(const float* src, float* dst, size_t n, const float* bias,
+                   Act act) {
+  if (bias == nullptr) {
+    std::memcpy(dst, src, n * sizeof(float));
+    act_inplace(act, dst, n);
+    return;
+  }
+  const float b = *bias;
+  if (act == Act::kRelu) {
+    for (size_t i = 0; i < n; ++i) {
+      const float v = src[i] + b;
+      dst[i] = v > 0.0f ? v : 0.0f;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) dst[i] = src[i] + b;
+  act_inplace(act, dst, n);
+}
 
 /// Single-image shifted-GEMM convolution (stride 1, pad = (K-1)/2, output
 /// size == input size). For each kernel offset (kh, kw) the valid output
@@ -137,6 +144,18 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
   if (plan_->quantized()) {
     qws_.assign(plan_->qws_bytes(), 0);
     qbs_.assign(plan_->qbs_floats(), 0.0f);
+    // One padded-image slice per chunk, sized for the widest chunk any
+    // quantized conv runs (its own grid, as run_conv partitions it).
+    for (const Step& st : plan_->steps()) {
+      if (st.kind != OpKind::kConv || st.shift_gemm) continue;
+      const ConvGeom& g = st.geom;
+      const size_t nch = plan_->step_chunks(st);
+      const size_t imgs = (plan_->batch() + nch - 1) / nch;
+      qimg_stride_ = std::max(qimg_stride_, imgs * g.in_c *
+                                                (g.in_h + 2 * g.pad) *
+                                                (g.in_w + 2 * g.pad));
+    }
+    qimg_.assign(plan_->chunks() * qimg_stride_, 0);
   }
   if constexpr (asan_enabled()) {
     // Arena-slot lifetime enforcement: record, per physical slot, the last
@@ -164,119 +183,76 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
 
 void ExecContext::run_conv(const Step& st, const float* in, float* out,
                            size_t n) {
-  // The batch partition is frozen in the Plan (chunks()), so results are
-  // bit-identical for any runtime thread count; each chunk owns one im2col
-  // + result scratch slice at the arena tail of THIS context.
+  // The batch partition is frozen in the Plan (step_chunks()), so results
+  // are bit-identical for any runtime thread count; each chunk owns one
+  // slice of every scratch region of THIS context.
   const Plan& p = *plan_;
-  const size_t nch = std::min(p.step_chunks(st), n);
-  const size_t chunk = (n + nch - 1) / nch;
-  const size_t nchunks = (n + chunk - 1) / chunk;
   const float* bias = st.bias.empty() ? nullptr : st.bias.data();
   const ConvGeom& g = st.geom;
-  const auto process = [&](size_t lo, size_t hi) {
-        for (size_t ci = lo; ci < hi; ++ci) {
-          const size_t i0 = ci * chunk;
-          const size_t i1 = std::min(n, i0 + chunk);
-          if (st.shift_gemm) {
-            for (size_t i = i0; i < i1; ++i)
-              conv2d_image_shift(st, st.be, in + i * st.in_sz,
-                                 out + i * st.out_sz);
-            continue;
-          }
-          // Chunk-batched: unfold the chunk's images side by side, run one
-          // GEMM + fused epilogue, then scatter the channel rows to NCHW.
-          const size_t imgs = i1 - i0;
-          const size_t cols = g.col_cols();
-          const size_t ld = imgs * cols;
-          float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
-          float* res =
-              workspace_.data() + p.result_offset() + ci * p.result_floats();
-          if (st.quantized) {
-            // Quantize the chunk's im2col matrix with one max-abs scale
-            // PER IMAGE (image j owns columns [j*cols, (j+1)*cols)); the
-            // scales depend only on image content, so the result is
-            // independent of both the thread count and the chunk grid.
-            // Then run the real int8 GEMM: int32 accumulate, float store.
-            const size_t rows = g.col_rows();
-            int8_t* qcol = qws_.data() + ci * p.col_floats();
-            float* bscales = qbs_.data() + ci * 2 * p.qbs_stride();
-            float* binv = bscales + p.qbs_stride();
-            const float levels =
-                static_cast<float>((1 << (st.qbits - 1)) - 1);
-            // Provably non-negative inputs (post-ReLU) take the asymmetric
-            // grid: zero-point at the bottom of the range, twice the
-            // resolution of the symmetric grid on [0, max].
-            const float span = st.in_nonneg ? 2.0f * levels : levels;
-            const float zp = st.in_nonneg ? -levels : 0.0f;
-            // Per-image dynamic range from the *input image*, not the col
-            // matrix: every col entry is an input pixel or a padding zero,
-            // so the image max always bounds the col max (it can exceed it
-            // only when stride > kernel skips pixels — still a valid, just
-            // coarser, grid). One contiguous scan of in_sz floats instead
-            // of K*K times that over the unfolded matrix; this scan was
-            // the hottest part of the int8 path. Knowing the scale before
-            // unfolding also lets each image quantize right after its own
-            // im2col, while the stripe is still cache-hot, instead of
-            // re-reading the whole chunk's col matrix in a second pass.
-            thread_local std::vector<float> imax;
-            imax.resize(imgs);
-            kernels::max_abs_col_blocks(in + i0 * st.in_sz, /*rows=*/1,
-                                        /*ld=*/0, st.in_sz, imgs,
-                                        imax.data());
-            for (size_t j = 0; j < imgs; ++j) {
-              const float scale = imax[j] > 0.0f ? imax[j] / span : 1.0f;
-              for (size_t jj = j * cols; jj < (j + 1) * cols; ++jj) {
-                bscales[jj] = scale;
-                binv[jj] = 1.0f / scale;
-              }
-            }
-            // Assemble and quantize the unfold ROW-major through a staging
-            // buffer of one row (ld floats — L2-resident), instead of
-            // materializing the full float col matrix: the float taps are
-            // quantized while still in cache, so the only full-matrix
-            // traffic is the int8 write.
-            thread_local std::vector<float> rowbuf;
-            rowbuf.resize(ld);
-            size_t r = 0;
-            for (size_t ch = 0; ch < g.in_c; ++ch)
-              for (size_t kh = 0; kh < g.kernel; ++kh)
-                for (size_t kw = 0; kw < g.kernel; ++kw, ++r) {
-                  for (size_t j = 0; j < imgs; ++j)
-                    unfold_row_view(in + (i0 + j) * st.in_sz, g, ch, kh, kw,
-                                    rowbuf.data() + j * cols);
-                  kernels::quantize_cols_i8(rowbuf.data(), qcol + r * ld, ld,
-                                            binv, static_cast<int32_t>(zp),
-                                            static_cast<int32_t>(levels));
-                }
-            kernels::QgemmParams params;
-            params.a_scales = st.qw_scales.data();  // per-output-channel
-            params.b_scales = bscales;              // per-image
-            params.b_zp = static_cast<int32_t>(zp);
-            st.be->qgemm(st.qw.data(), rows, qcol, ld, res, ld, st.out_c,
-                         rows, ld, params);
-          } else {
-            for (size_t j = 0; j < imgs; ++j)
-              im2col_view(in + (i0 + j) * st.in_sz, g, col + j * cols, ld);
-            kernels::gemm_dispatch(st.be, st.tile, st.w.data(), g.col_rows(),
-                                   false, col, ld, false, res, ld, st.out_c,
-                                   g.col_rows(), ld, 1.0f, 0.0f);
-          }
-          bias_act_inplace(res, st.out_c, ld, bias, st.act);
-          for (size_t j = 0; j < imgs; ++j)
-            for (size_t o = 0; o < st.out_c; ++o)
-              std::memcpy(out + (i0 + j) * st.out_sz + o * cols,
-                          res + o * ld + j * cols, cols * sizeof(float));
-        }
-  };
-  if (nchunks == 1) {
-    // Single-chunk plans (batch <= threads at compile, or a 1-core host)
-    // bypass the dispatcher entirely: no std::function conversion, so
-    // run() performs zero heap allocations. Multi-chunk dispatch costs one
-    // closure allocation per conv step.
-    process(0, 1);
-    return;
-  }
-  parallel_for_chunked(0, nchunks, process, /*min_per_worker=*/1);
+  for_each_chunk(n, p.step_chunks(st), [&](size_t ci, size_t i0, size_t i1) {
+    if (st.shift_gemm) {
+      for (size_t i = i0; i < i1; ++i)
+        conv2d_image_shift(st, st.be, in + i * st.in_sz, out + i * st.out_sz);
+      return;
+    }
+    // Chunk-batched: one GEMM over the chunk's images side by side, then
+    // the bias/activation epilogue fused into the scatter back to NCHW.
+    const size_t imgs = i1 - i0;
+    const size_t cols = g.col_cols();
+    const size_t ld = imgs * cols;
+    const size_t rows = g.col_rows();
+    float* res = workspace_.data() + p.result_offset() + ci * p.result_floats();
+    if (st.quantized) {
+      // Quantize each image ONCE, with its own max-abs scale, into a
+      // zero-point-padded int8 copy; qconv then packs the unfold's B
+      // panels straight from those bytes. The scales depend only on image
+      // content, so the result is independent of the thread count and the
+      // chunk grid. The image max bounds every unfold entry (each is a
+      // pixel or a padding zero; it exceeds the unfold's max only when
+      // stride > kernel skips pixels — still a valid, just coarser, grid).
+      const int32_t levels = (1 << (st.qbits - 1)) - 1;
+      // Provably non-negative inputs (post-ReLU) take the asymmetric grid:
+      // zero-point at the bottom of the range, twice the resolution of the
+      // symmetric grid on [0, max].
+      const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
+      const int32_t zp = st.in_nonneg ? -levels : 0;
+      kernels::QconvShape qs;
+      qs.in_c = g.in_c;
+      qs.in_h = g.in_h + 2 * g.pad;
+      qs.in_w = g.in_w + 2 * g.pad;
+      qs.kernel = g.kernel;
+      qs.stride = g.stride;
+      qs.images = imgs;
+      int8_t* qimg = qimg_.data() + ci * qimg_stride_;
+      float* bscales = qbs_.data() + ci * p.qbs_stride();
+      for (size_t j = 0; j < imgs; ++j) {
+        const float* img = in + (i0 + j) * st.in_sz;
+        const float amax = kernels::max_abs_f32(img, st.in_sz);
+        const float scale = amax > 0.0f ? amax / span : 1.0f;
+        std::fill(bscales + j * cols, bscales + (j + 1) * cols, scale);
+        kernels::quantize_pad_i8(img, g.in_c, g.in_h, g.in_w, g.pad,
+                                 1.0f / scale, zp, levels,
+                                 qimg + j * qs.image_bytes());
+      }
+      kernels::QgemmParams params;
+      params.a_scales = st.qw_scales.data();  // per-output-channel
+      params.b_scales = bscales;              // per-image
+      params.b_zp = zp;
+      kernels::qconv(st.be, st.qw.data(), rows, qimg, qs, res, ld, st.out_c,
+                     params, qws_.data() + ci * p.col_floats());
+    } else {
+      float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
+      for (size_t j = 0; j < imgs; ++j)
+        im2col_view(in + (i0 + j) * st.in_sz, g, col + j * cols, ld);
+      kernels::gemm_dispatch(st.be, st.tile, st.w.data(), rows, false, col, ld,
+                             false, res, ld, st.out_c, rows, ld, 1.0f, 0.0f);
+    }
+    for (size_t j = 0; j < imgs; ++j)
+      for (size_t o = 0; o < st.out_c; ++o)
+        bias_act_copy(res + o * ld + j * cols,
+                      out + (i0 + j) * st.out_sz + o * cols, cols,
+                      bias != nullptr ? bias + o : nullptr, st.act);
+  });
 }
 
 void ExecContext::run(const Tensor& x, Tensor& out) {
@@ -375,39 +351,47 @@ void ExecContext::run_rows(const float* x, size_t n, float* out) {
                      st.window, dst, /*argmax=*/nullptr);
         act_inplace(st.act, dst, n * st.out_sz);
         break;
-      case OpKind::kAdd: {
-        const size_t total = n * st.out_sz;
-        if (st.act == Act::kRelu) {
-          // The residual hot path: merge + block ReLU in one pass.
-          for (size_t i = 0; i < total; ++i) {
-            const float v = dst[i] + src[i];
-            dst[i] = v > 0.0f ? v : 0.0f;
+      case OpKind::kAdd:
+        // Elementwise steps split by image over the plan's chunk grid.
+        for_each_chunk(n, p.chunks(), [&](size_t, size_t i0, size_t i1) {
+          const float* a = src + i0 * st.out_sz;
+          float* d = dst + i0 * st.out_sz;
+          const size_t total = (i1 - i0) * st.out_sz;
+          if (st.act == Act::kRelu) {
+            // The residual hot path: merge + block ReLU in one pass.
+            for (size_t i = 0; i < total; ++i) {
+              const float v = d[i] + a[i];
+              d[i] = v > 0.0f ? v : 0.0f;
+            }
+          } else {
+            for (size_t i = 0; i < total; ++i) d[i] += a[i];
+            act_inplace(st.act, d, total);
           }
-        } else {
-          for (size_t i = 0; i < total; ++i) dst[i] += src[i];
-          act_inplace(st.act, dst, total);
-        }
+        });
         break;
-      }
       case OpKind::kScaleShift: {
         const size_t hw = st.geom.in_h * st.geom.in_w;
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t ch = 0; ch < st.out_c; ++ch) {
-            const float s = st.scale.at(ch), b = st.shift.at(ch);
-            const float* pp = src + (i * st.out_c + ch) * hw;
-            float* q = dst + (i * st.out_c + ch) * hw;
-            for (size_t j = 0; j < hw; ++j) q[j] = pp[j] * s + b;
+        for_each_chunk(n, p.chunks(), [&](size_t, size_t i0, size_t i1) {
+          for (size_t i = i0; i < i1; ++i) {
+            for (size_t ch = 0; ch < st.out_c; ++ch) {
+              const float s = st.scale.at(ch), b = st.shift.at(ch);
+              const float* pp = src + (i * st.out_c + ch) * hw;
+              float* q = dst + (i * st.out_c + ch) * hw;
+              for (size_t j = 0; j < hw; ++j) q[j] = pp[j] * s + b;
+            }
           }
-        }
-        act_inplace(st.act, dst, n * st.out_sz);
+          act_inplace(st.act, dst + i0 * st.out_sz, (i1 - i0) * st.out_sz);
+        });
         break;
       }
-      case OpKind::kActivation: {
-        const size_t total = n * st.out_sz;
-        std::memcpy(dst, src, total * sizeof(float));
-        act_inplace(st.act, dst, total);
+      case OpKind::kActivation:
+        for_each_chunk(n, p.chunks(), [&](size_t, size_t i0, size_t i1) {
+          const size_t total = (i1 - i0) * st.out_sz;
+          std::memcpy(dst + i0 * st.out_sz, src + i0 * st.out_sz,
+                      total * sizeof(float));
+          act_inplace(st.act, dst + i0 * st.out_sz, total);
+        });
         break;
-      }
     }
     // Kill slots whose last toucher just retired: any later read of them
     // is a lifetime bug and now faults as use-after-poison.

@@ -69,8 +69,12 @@ class ExecContext {
   std::shared_ptr<const Plan> plan_;
   std::vector<float> workspace_;
   std::vector<int8_t> qws_;  ///< int8 activation scratch (quantized plans)
-  std::vector<float> qbs_;   ///< per-image scale/inverse scratch (2 slices
-                             ///< of Plan::qbs_stride() per chunk)
+  std::vector<float> qbs_;   ///< per-image column scales (one slice of
+                             ///< Plan::qbs_stride() per chunk)
+  /// Zero-point-padded int8 images of quantized conv chunks (one slice of
+  /// qimg_stride_ bytes per chunk), what qconv packs its B panels from.
+  std::vector<int8_t> qimg_;
+  size_t qimg_stride_ = 0;
   /// ASan builds only (core/asan.hpp): index of the last step that reads
   /// or writes each arena slot (entry 0 = the external input, unused; the
   /// final step's output extends to steps().size() — the logit copy reads

@@ -767,11 +767,11 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   plan->res_off_ = plan->col_off_ + plan->nchunks_ * plan->col_sz_;
 
   // Quantized plans additionally size int8 activation scratch: per-chunk
-  // quantized-im2col slices (same geometry as the float col scratch) and,
-  // for linear steps, a whole-batch quantized-input region. Conv chunks
-  // and linear steps never overlap in time, so one buffer serves both.
-  // The qbs region carries the per-image column scales (and inverses)
-  // handed to the qgemm requantization.
+  // quantized-im2col slices (same geometry as the float col scratch; the
+  // unfold qconv's shared fallback materializes) and, for linear steps, a
+  // whole-batch quantized-input region. Conv chunks and linear steps never
+  // overlap in time, so one buffer serves both. The qbs region carries the
+  // per-image column scales handed to the qgemm requantization.
   if (quantize) {
     size_t max_lin = 0;
     for (const BuildStep& st : cc.steps)

@@ -339,8 +339,8 @@ class Plan {
   size_t qws_bytes() const { return qws_sz_; }
   /// Per-image scale-slice stride of the qgemm scratch.
   size_t qbs_stride() const { return qbs_sz_; }
-  /// Total per-image scale/inverse scratch floats (0 on float plans).
-  size_t qbs_floats() const { return quant_ ? nchunks_ * 2 * qbs_sz_ : 0; }
+  /// Total per-image scale scratch floats (0 on float plans).
+  size_t qbs_floats() const { return quant_ ? nchunks_ * qbs_sz_ : 0; }
 
   // --- Weight storage (what save/load serializes) ---------------------------
   /// The single arena holding every weight payload the steps view.

@@ -13,6 +13,11 @@
 //            per-tensor scales and zero-points, int32 accumulation,
 //            requantized to float on store.
 //
+// plus one optional quantized-conv entry, qconv: the same product with B
+// the implicit im2col unfold of zero-point-padded int8 images, packed
+// straight from the images (no unfold is materialized). Backends without
+// it run the shared fallback — unfold into caller scratch, then qgemm.
+//
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
 //            registered, the portable fallback and the equivalence oracle.
@@ -28,7 +33,7 @@
 // Selection: set_default_backend("name") wins, else the ALF_BACKEND
 // environment variable, else the best available (simd when usable, scalar
 // otherwise). Adding an ISA or dtype is a one-file drop-in: implement the
-// two entry points and register_backend() it.
+// two entry points (qconv optionally) and register_backend() it.
 //
 // Every backend must be deterministic: for a fixed backend the result is
 // bit-identical for any thread count (accumulation order per C element
@@ -116,8 +121,32 @@ struct QgemmParams {
   const float* b_scales = nullptr;
 };
 
-/// One kernel backend: a named pair of GEMM entry points. Instances are
-/// immutable statics with program lifetime; the registry stores pointers.
+/// Geometry of one qconv call: `images` int8 images laid out back to back,
+/// each [in_c, in_h, in_w] where in_h/in_w are the *padded* extents (the
+/// caller writes the conv's zero padding as explicit zero-point bytes, so
+/// a pad tap reads quantize(0.0f) exactly like the float unfold's zero).
+/// The implicit B matrix is the im2col unfold of those images side by
+/// side: B[(c*K + kh)*K + kw][img*out_h*out_w + oh*out_w + ow] =
+/// x[img][c][oh*stride + kh][ow*stride + kw].
+struct QconvShape {
+  size_t in_c = 0;
+  size_t in_h = 0, in_w = 0;  ///< padded plane extents
+  size_t kernel = 1;
+  size_t stride = 1;
+  size_t images = 1;
+
+  size_t out_h() const { return (in_h - kernel) / stride + 1; }
+  size_t out_w() const { return (in_w - kernel) / stride + 1; }
+  size_t image_bytes() const { return in_c * in_h * in_w; }
+  /// Reduction length (rows of B).
+  size_t k() const { return in_c * kernel * kernel; }
+  /// Output columns (columns of B and C).
+  size_t n() const { return images * out_h() * out_w(); }
+};
+
+/// One kernel backend: a named pair of GEMM entry points (plus the
+/// optional quantized-conv entry). Instances are immutable statics with
+/// program lifetime; the registry stores pointers.
 struct KernelBackend {
   const char* name;
 
@@ -159,7 +188,24 @@ struct KernelBackend {
                      size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
                      size_t k, size_t n, float alpha, float beta,
                      const TileParams& tile) = nullptr;
+
+  /// Optional quantized conv: exactly qgemm(a, lda, unfold(x), s.n(), c,
+  /// ldc, m, s.k(), s.n(), p) with the unfold of `x` per QconvShape, but B
+  /// panels (and column sums) are packed straight from the padded images.
+  /// `scratch` is caller-owned [s.k(), s.n()] int8 workspace for entries
+  /// that do materialize the unfold (the shared fallback); gathering
+  /// kernels ignore it. Null = run the fallback (see kernels::qconv).
+  void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
+                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const QgemmParams& p, int8_t* scratch) = nullptr;
 };
+
+/// Runs one quantized conv through `be`: its qconv entry when it has one,
+/// else the shared fallback, which copies the unfold of `x` into `scratch`
+/// ([s.k(), s.n()] bytes) and calls be->qgemm. Bit-identical either way.
+void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
+           const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+           size_t m, const QgemmParams& p, int8_t* scratch);
 
 /// Routes one f32 GEMM through `be` with the tuned blocking `tile`: the
 /// tiled entry when the backend has one and the tile is non-default, the
@@ -234,28 +280,26 @@ const KernelBackend* best_quantized_backend();
 // --- Quantization helpers --------------------------------------------------
 //
 // The engine's dynamic activation quantization is pure element-wise work
-// (scale, round, clamp, narrow) over the full im2col matrix of every
-// lowered step — at small M it rivals the GEMM itself, so it lives here
-// where a wide-ISA TU can serve it. Rounding is round-to-nearest-even
-// (rintf semantics — what float->int conversion hardware implements), and
-// the scalar fallback uses the identical expression, so results never
-// depend on which path ran.
+// (scale, round, clamp, narrow) over every input activation of a lowered
+// step, so it lives here where a wide-ISA TU can serve it. Rounding is
+// round-to-nearest-even (rintf semantics — what float->int conversion
+// hardware implements), and the scalar fallback uses the identical
+// expression, so results never depend on which path ran.
 
 /// dst[i] = clamp(rint(src[i] * inv) + zp, -levels, levels) as int8.
 void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
                      int32_t zp, int32_t levels);
 
-/// Same with a per-element inverse scale (the conv path's per-image column
-/// blocks): dst[i] = clamp(rint(src[i] * inv[i]) + zp, -levels, levels).
-void quantize_cols_i8(const float* src, int8_t* dst, size_t n,
-                      const float* inv, int32_t zp, int32_t levels);
+/// The same quantization of `planes` [h, w] float planes into their
+/// zero-point-padded copy [planes, h + 2*pad, w + 2*pad]: every border
+/// byte is zp, i.e. quantize(0.0f) — what a qconv reads for a pad tap.
+void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
+                     size_t pad, float inv, int32_t zp, int32_t levels,
+                     int8_t* dst);
 
-/// Per-column-block max-abs over a row-major [rows x ld] panel:
-/// out[j] = max |src[r*ld + j*block + c]| over r < rows, c < block.
-/// The engine's per-image dynamic-range scan of an im2col matrix (image j
-/// owns one `block`-wide column stripe). max is order-independent, so the
-/// vectorized and baseline paths agree exactly.
-void max_abs_col_blocks(const float* src, size_t rows, size_t ld,
-                        size_t block, size_t nblocks, float* out);
+/// max |src[i]| over i < n (0 for n == 0): the engine's per-image
+/// dynamic-range scan. max is order-independent, so the vectorized and
+/// baseline paths agree exactly.
+float max_abs_f32(const float* src, size_t n);
 
 }  // namespace alf::kernels

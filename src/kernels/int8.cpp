@@ -17,11 +17,13 @@
 // quantized kernel the feature mask allows — int8-vnni, then int8-avx2,
 // then the simd TU's wide instantiation of the portable body, then the
 // baseline instantiation — all bit-identical, so the pick only moves
-// speed. The f32 gemm entry likewise forwards to the best float backend so
-// a plan compiled with a quantized backend still runs its non-lowered
-// steps (pooling epilogues, repair passes, any layer the lowering keeps in
-// float) at full speed. set_cpu_feature_mask() flushes both caches via
-// reset_int8_dispatch_cache().
+// speed. The same resolve step picks its qconv: the chosen kernel's
+// gathering entry when it has one, else the shared unfold fallback over
+// the resolved qgemm. The f32 gemm entry likewise forwards to the best
+// float backend so a plan compiled with a quantized backend still runs its
+// non-lowered steps (pooling epilogues, repair passes, any layer the
+// lowering keeps in float) at full speed. set_cpu_feature_mask() flushes
+// every cached pick via reset_int8_dispatch_cache().
 #include <atomic>
 #include <cmath>
 
@@ -36,6 +38,7 @@ using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
                         float);
 
 std::atomic<detail::QgemmFn> g_qgemm{nullptr};
+std::atomic<detail::QconvFn> g_qconv{nullptr};
 std::atomic<GemmFn> g_float_gemm{nullptr};
 
 /// Same subset rule auto-selection uses in backend.cpp.
@@ -76,8 +79,34 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
   fn(a, lda, trans_a, b, ldb, trans_b, c, ldc, m, k, n, alpha, beta);
 }
 
+void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
+                  const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+                  size_t m, const QgemmParams& p, int8_t* scratch) {
+  const size_t ho = s.out_h(), wo = s.out_w(), n = s.n();
+  const size_t plane = s.in_h * s.in_w, img_cols = ho * wo;
+  int8_t* row = scratch;
+  for (size_t ch = 0; ch < s.in_c; ++ch)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, row += n)
+        for (size_t img = 0; img < s.images; ++img) {
+          const int8_t* src =
+              x + img * s.image_bytes() + ch * plane + kh * s.in_w + kw;
+          int8_t* dst = row + img * img_cols;
+          for (size_t oh = 0; oh < ho; ++oh, dst += wo) {
+            const int8_t* srow = src + oh * s.stride * s.in_w;
+            if (s.stride == 1) {
+              std::memcpy(dst, srow, wo);
+            } else {
+              for (size_t ow = 0; ow < wo; ++ow) dst[ow] = srow[ow * s.stride];
+            }
+          }
+        }
+  qgemm(a, lda, scratch, n, c, ldc, m, s.k(), n, p);
+}
+
 void reset_int8_dispatch_cache() {
   g_qgemm.store(nullptr, std::memory_order_release);
+  g_qconv.store(nullptr, std::memory_order_release);
   g_float_gemm.store(nullptr, std::memory_order_release);
 }
 
@@ -85,25 +114,59 @@ void reset_int8_dispatch_cache() {
 
 namespace {
 
-/// qgemm entry of the generic backend: resolve-once dispatch to the best
-/// allowed kernel. A race on first use just resolves the same value twice.
+void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
+                    float* c, size_t ldc, size_t m, size_t k, size_t n,
+                    const QgemmParams& p);
+
+void qconv_generic(const int8_t* a, size_t lda, const int8_t* x,
+                   const QconvShape& s, float* c, size_t ldc, size_t m,
+                   const QgemmParams& p, int8_t* scratch) {
+  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, scratch);
+}
+
+struct Resolved {
+  detail::QgemmFn qgemm;
+  detail::QconvFn qconv;
+};
+
+/// Resolves both quantized entries of the generic backend to the best
+/// allowed kernels, in one step so they always agree on the backend. A
+/// race on first use just resolves the same values twice.
+Resolved resolve_quantized() {
+  const KernelBackend* best = best_quantized_backend();
+  detail::QgemmFn gemm;
+  detail::QconvFn conv = nullptr;
+  if (best != int8_backend()) {
+    gemm = best->qgemm;
+    conv = best->qconv;
+  } else {
+    // No dot-product kernel allowed: the wide instantiation of the
+    // portable body still beats baseline codegen when usable.
+    const KernelBackend* simd = usable_simd();
+    gemm = simd != nullptr ? simd->qgemm : &detail::qgemm_int8;
+  }
+  if (conv == nullptr) conv = &qconv_generic;
+  g_qconv.store(conv, std::memory_order_release);
+  g_qgemm.store(gemm, std::memory_order_release);
+  return {gemm, conv};
+}
+
+/// qgemm entry of the generic backend: resolve-once dispatch.
 void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                     float* c, size_t ldc, size_t m, size_t k, size_t n,
                     const QgemmParams& p) {
   detail::QgemmFn fn = g_qgemm.load(std::memory_order_acquire);
-  if (fn == nullptr) {
-    const KernelBackend* best = best_quantized_backend();
-    if (best != int8_backend()) {
-      fn = best->qgemm;
-    } else {
-      // No dot-product kernel allowed: the wide instantiation of the
-      // portable body still beats baseline codegen when usable.
-      const KernelBackend* simd = usable_simd();
-      fn = simd != nullptr ? simd->qgemm : &detail::qgemm_int8;
-    }
-    g_qgemm.store(fn, std::memory_order_release);
-  }
+  if (fn == nullptr) fn = resolve_quantized().qgemm;
   fn(a, lda, b, ldb, c, ldc, m, k, n, p);
+}
+
+/// qconv entry of the generic backend: resolve-once dispatch.
+void qconv_dispatch(const int8_t* a, size_t lda, const int8_t* x,
+                    const QconvShape& s, float* c, size_t ldc, size_t m,
+                    const QgemmParams& p, int8_t* scratch) {
+  detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
+  if (fn == nullptr) fn = resolve_quantized().qconv;
+  fn(a, lda, x, s, c, ldc, m, p, scratch);
 }
 
 }  // namespace
@@ -112,15 +175,26 @@ const KernelBackend* int8_backend() {
   static const KernelBackend be{.name = "int8",
                                 .quantized_datapath = true,
                                 .gemm = &detail::gemm_forward_best_float,
-                                .qgemm = &qgemm_dispatch};
+                                .qgemm = &qgemm_dispatch,
+                                .qconv = &qconv_dispatch};
   return &be;
+}
+
+void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
+           const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+           size_t m, const QgemmParams& p, int8_t* scratch) {
+  if (be->qconv != nullptr)
+    be->qconv(a, lda, x, s, c, ldc, m, p, scratch);
+  else
+    detail::qconv_unfold(be->qgemm, a, lda, x, s, c, ldc, m, p, scratch);
 }
 
 namespace {
 
-// Baseline bodies of the quantize helpers: the same rint-based expression
-// as the AVX2 path's scalar tail, so the two agree bit for bit. Compiled
-// in this TU (never with wide flags) so they execute on any CPU.
+// Baseline bodies of the quantize helpers: the same expressions as the
+// AVX2 paths (rint-based rounding, order-free max), so they agree bit for
+// bit. Compiled in this TU (never with wide flags) so they execute on any
+// CPU.
 
 void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
                           int32_t zp, int32_t levels) {
@@ -131,28 +205,20 @@ void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
   }
 }
 
-void quantize_cols_i8_base(const float* src, int8_t* dst, size_t n,
-                           const float* inv, int32_t zp, int32_t levels) {
-  for (size_t i = 0; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv[i])) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
+void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
+                          size_t w, size_t pad, float inv, int32_t zp,
+                          int32_t levels, int8_t* dst) {
+  detail::quantize_pad_planes(
+      src, planes, h, w, pad, zp, dst,
+      [&](const float* s, int8_t* d, size_t n) {
+        quantize_row_i8_base(s, d, n, inv, zp, levels);
+      });
 }
 
-void max_abs_col_blocks_base(const float* src, size_t rows, size_t ld,
-                             size_t block, size_t nblocks, float* out) {
-  for (size_t j = 0; j < nblocks; ++j) out[j] = 0.0f;
-  for (size_t r = 0; r < rows; ++r) {
-    const float* row = src + r * ld;
-    for (size_t j = 0; j < nblocks; ++j) {
-      const float* p = row + j * block;
-      float m = out[j];
-      for (size_t cidx = 0; cidx < block; ++cidx)
-        m = std::max(m, std::fabs(p[cidx]));
-      out[j] = m;
-    }
-  }
+float max_abs_f32_base(const float* src, size_t n) {
+  float m = 0.0f;
+  for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(src[i]));
+  return m;
 }
 
 }  // namespace
@@ -167,22 +233,20 @@ void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
   fn(src, dst, n, inv, zp, levels);
 }
 
-void quantize_cols_i8(const float* src, int8_t* dst, size_t n,
-                      const float* inv, int32_t zp, int32_t levels) {
-  static const detail::QuantizeColsFn fn =
-      detail::quantize_cols_i8_vec() != nullptr
-          ? detail::quantize_cols_i8_vec()
-          : &quantize_cols_i8_base;
-  fn(src, dst, n, inv, zp, levels);
+void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
+                     size_t pad, float inv, int32_t zp, int32_t levels,
+                     int8_t* dst) {
+  static const detail::QuantizePadFn fn =
+      detail::quantize_pad_i8_vec() != nullptr ? detail::quantize_pad_i8_vec()
+                                               : &quantize_pad_i8_base;
+  fn(src, planes, h, w, pad, inv, zp, levels, dst);
 }
 
-void max_abs_col_blocks(const float* src, size_t rows, size_t ld, size_t block,
-                        size_t nblocks, float* out) {
-  static const detail::MaxAbsBlocksFn fn =
-      detail::max_abs_col_blocks_vec() != nullptr
-          ? detail::max_abs_col_blocks_vec()
-          : &max_abs_col_blocks_base;
-  fn(src, rows, ld, block, nblocks, out);
+float max_abs_f32(const float* src, size_t n) {
+  static const detail::MaxAbsFn fn = detail::max_abs_f32_vec() != nullptr
+                                         ? detail::max_abs_f32_vec()
+                                         : &max_abs_f32_base;
+  return fn(src, n);
 }
 
 }  // namespace alf::kernels

@@ -17,6 +17,17 @@
 // parallel axis) and each worker packs its own A rows into kMr-row panels
 // and sweeps all B panels with an 8-accumulator 4x16 register tile.
 //
+// Both also implement qconv, the same product with B the implicit unfold
+// of zero-point-padded int8 images: A is packed once, then the column
+// panels are the parallel axis — each worker gathers one B panel (and its
+// column sums) straight from the images into an L1-resident buffer and
+// sweeps every A panel against it, so the unfold never exists in memory.
+// The gather (one shared 16-column row loader) takes a single 16-byte load
+// when the panel's columns are consecutive bytes — stride 1 inside one
+// output row — two 8-byte loads for two such half-rows, one shuffle pair
+// for stride 2 inside one row, and a per-column byte gather otherwise
+// (which also covers panels straddling two images).
+//
 // Bit-identity with the scalar oracle (qgemm_int8_body) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
 // integer, and store_tile() replicates the oracle's float expressions
@@ -77,8 +88,8 @@ inline int32_t load_i32(const void* p) {
 /// encoding the kernel packed: signed for avx2, +128-shifted unsigned for
 /// vnni). `azp_eff` is the zero point in that same encoding and `rowsum`
 /// (nullable when bzp == 0) the per-row sums of a', indexed from the tile's
-/// first row. `colsum` (nullable when azp_eff == 0) has global column
-/// indices.
+/// first row. `colsum` (nullable when azp_eff == 0) likewise, indexed from
+/// the tile's first column.
 inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
                        size_t cols, size_t k, const int32_t* colsum,
                        const int32_t* rowsum, int32_t azp_eff, int32_t bzp,
@@ -94,11 +105,10 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
     if (azp_eff != 0) {
       const __m256i az = _mm256_set1_epi32(azp_eff);
       corr0 = _mm256_mullo_epi32(
-          az, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(colsum + j0)));
+          az, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum)));
       corr1 = _mm256_mullo_epi32(
-          az, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(colsum + j0 + 8)));
+          az,
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum + 8)));
     }
     __m256 bs0 = _mm256_setzero_ps(), bs1 = _mm256_setzero_ps();
     if (p.b_scales != nullptr) {
@@ -143,7 +153,7 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
     const int32_t* arow = acc + r * kNr;
     for (size_t j = 0; j < cols; ++j) {
       int32_t v = arow[j] + row_corr;
-      if (azp_eff != 0) v -= azp_eff * colsum[j0 + j];
+      if (azp_eff != 0) v -= azp_eff * colsum[j];
       crow[j] = p.b_scales == nullptr
                     ? scale * static_cast<float>(v)
                     : sa * p.b_scales[j0 + j] * static_cast<float>(v);
@@ -151,17 +161,219 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
   }
 }
 
-/// Row partition shared by both drivers: identical gating to the other
-/// backends, so call sites see one consistent threading policy.
+/// Work partition shared by every driver: `units` rows (qgemm) or column
+/// panels (qconv) of `madds_per_unit` each, with the same gating and
+/// per-worker floor as the other backends, so call sites see one
+/// consistent threading policy.
 template <typename F>
-void partition_rows(size_t m, size_t k, size_t n, const F& process_rows) {
-  const size_t madds_per_row = std::max<size_t>(1, k * n);
-  const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
-  if (in_parallel_region() || m <= min_rows || parallel_threads() <= 1) {
-    process_rows(0, m);
+void partition(size_t units, size_t madds_per_unit, const F& process) {
+  const size_t min_units = std::max<size_t>(
+      1, kMaddsPerWorker / std::max<size_t>(1, madds_per_unit));
+  if (in_parallel_region() || units <= min_units || parallel_threads() <= 1) {
+    process(0, units);
     return;
   }
-  parallel_for_chunked(0, m, process_rows, min_rows);
+  parallel_for_chunked(0, units, process, min_units);
+}
+
+// --- qconv B gather ----------------------------------------------------------
+
+/// How one kNr-column panel of a qconv's implicit unfold reads its rows.
+enum class PanelMode { kGather, kContiguous, kHalves, kStride2 };
+
+/// Column map of one B panel: off[t] is the byte offset (into the padded
+/// images) of column t's (c, kh, kw) = (0, 0, 0) tap; row kk adds the tap
+/// offset koff[kk] to every column.
+struct ConvPanel {
+  size_t cols = 0;
+  PanelMode mode = PanelMode::kGather;
+  size_t off[kNr] = {};
+};
+
+ConvPanel map_panel(const QconvShape& s, size_t j0, size_t n) {
+  ConvPanel pn;
+  pn.cols = std::min(kNr, n - j0);
+  const size_t wo = s.out_w(), img_cols = s.out_h() * wo;
+  size_t img = j0 / img_cols, oh = (j0 % img_cols) / wo, ow = j0 % wo;
+  for (size_t t = 0; t < pn.cols; ++t) {
+    pn.off[t] = img * s.image_bytes() + oh * s.stride * s.in_w + ow * s.stride;
+    ++ow;
+    if (ow < wo) continue;
+    ow = 0;
+    ++oh;
+    if (oh < s.out_h()) continue;
+    oh = 0;
+    ++img;
+  }
+  if (pn.cols < kNr) return pn;
+  const auto run = [&](size_t t0, size_t len, size_t step) {
+    for (size_t t = t0 + 1; t < t0 + len; ++t)
+      if (pn.off[t] != pn.off[t0] + (t - t0) * step) return false;
+    return true;
+  };
+  if (run(0, kNr, 1))
+    pn.mode = PanelMode::kContiguous;
+  else if (run(0, kNr / 2, 1) && run(kNr / 2, kNr / 2, 1))
+    pn.mode = PanelMode::kHalves;
+  else if (run(0, kNr, 2))
+    pn.mode = PanelMode::kStride2;
+  return pn;
+}
+
+/// The shared 16-column gather: row `x` (images + the row's tap offset) of
+/// one panel as 16 bytes, zero past the panel's last column. Every load
+/// stays inside the bytes the panel's columns address.
+template <PanelMode Mode>
+inline __m128i gather_row16(const int8_t* x, const ConvPanel& pn) {
+  if constexpr (Mode == PanelMode::kContiguous) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + pn.off[0]));
+  } else if constexpr (Mode == PanelMode::kHalves) {
+    return _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + pn.off[0])),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + pn.off[8])));
+  } else if constexpr (Mode == PanelMode::kStride2) {
+    // Columns at off0 + 2t, t < 16: the even bytes of [off0, off0 + 16)
+    // and the odd bytes of [off0 + 15, off0 + 31) — both inside the
+    // 31-byte span the columns cover.
+    const int8_t* p = x + pn.off[0];
+    const __m128i even = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1,
+                                       -1, -1, -1, -1, -1);
+    const __m128i odd = _mm_setr_epi8(1, 3, 5, 7, 9, 11, 13, 15, -1, -1, -1,
+                                      -1, -1, -1, -1, -1);
+    const __m128i lo = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), even);
+    const __m128i hi = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 15)), odd);
+    return _mm_unpacklo_epi64(lo, hi);
+  } else {
+    alignas(16) int8_t tmp[kNr] = {};
+    for (size_t t = 0; t < pn.cols; ++t) tmp[t] = x[pn.off[t]];
+    return _mm_load_si128(reinterpret_cast<const __m128i*>(tmp));
+  }
+}
+
+/// Packs one B panel of G-row groups from the padded images: `emit` turns
+/// G gathered rows into the kernel's interleaved group layout at `dst`
+/// (G * kNr elements per group; rows past k are zero). When `colsum` is
+/// non-null it receives the panel's 16 column sums, accumulated from the
+/// same gathered rows (int16 lanes, widened every 256 rows — 256 int8
+/// values always fit an int16).
+template <PanelMode Mode, size_t G, typename T, typename Emit>
+void pack_conv_panel_mode(const int8_t* x, const ConvPanel& pn,
+                          const size_t* koff, size_t k, const Emit& emit,
+                          T* dst, int32_t* colsum) {
+  const size_t kg = (k + G - 1) / G;
+  __m256i s16 = _mm256_setzero_si256();
+  __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+  const auto flush = [&] {
+    lo = _mm256_add_epi32(lo,
+                          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(s16)));
+    hi = _mm256_add_epi32(
+        hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(s16, 1)));
+    s16 = _mm256_setzero_si256();
+  };
+  for (size_t q = 0; q < kg; ++q) {
+    __m128i rows[G];
+    for (size_t g = 0; g < G; ++g) {
+      const size_t kk = q * G + g;
+      rows[g] = kk < k ? gather_row16<Mode>(x + koff[kk], pn)
+                       : _mm_setzero_si128();
+      if (colsum != nullptr)
+        s16 = _mm256_add_epi16(s16, _mm256_cvtepi8_epi16(rows[g]));
+    }
+    emit(rows, dst + q * G * kNr);
+    if (colsum != nullptr && (q + 1) % (256 / G) == 0) flush();
+  }
+  if (colsum != nullptr) {
+    flush();
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + 8), hi);
+  }
+}
+
+template <size_t G, typename T, typename Emit>
+void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
+                     size_t k, const Emit& emit, T* dst, int32_t* colsum) {
+  switch (pn.mode) {
+    case PanelMode::kContiguous:
+      pack_conv_panel_mode<PanelMode::kContiguous, G>(x, pn, koff, k, emit,
+                                                      dst, colsum);
+      return;
+    case PanelMode::kHalves:
+      pack_conv_panel_mode<PanelMode::kHalves, G>(x, pn, koff, k, emit, dst,
+                                                  colsum);
+      return;
+    case PanelMode::kStride2:
+      pack_conv_panel_mode<PanelMode::kStride2, G>(x, pn, koff, k, emit, dst,
+                                                   colsum);
+      return;
+    case PanelMode::kGather:
+      pack_conv_panel_mode<PanelMode::kGather, G>(x, pn, koff, k, emit, dst,
+                                                  colsum);
+      return;
+  }
+}
+
+/// The qconv driver shared by both kernels. `pack_a(r0, r1, dst, rowsum)`
+/// packs A rows into the kernel's kMr-row panels (row sums in the kernel's
+/// A encoding, when bzp != 0), `emit` one B group, and `micro` runs one
+/// register tile over `kg` groups. A is packed once by the caller; column
+/// panels are then partitioned across workers, each gathering its panel
+/// into a private buffer — the integer result of every C element is
+/// exact, so the partition never shows in the output.
+template <size_t G, typename TA, typename TB, typename PackA, typename Emit,
+          typename Micro>
+void qconv_driver(const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+                  size_t m, const QgemmParams& p, int32_t azp_eff,
+                  const PackA& pack_a, const Emit& emit, const Micro& micro) {
+  const size_t k = s.k(), n = s.n();
+  const int32_t bzp = p.b_zp;
+  const size_t kg = (k + G - 1) / G;
+  const size_t rpan = (m + kMr - 1) / kMr;
+  const size_t a_panel = kg * G * kMr;
+  const size_t b_panel = kg * G * kNr;
+  // Caller-thread scratch reached by the workers through plain pointers
+  // (see qgemm_int8_body); the caller blocks until they finish.
+  thread_local std::vector<TA> apack_tls;
+  thread_local std::vector<int32_t> rowsum_tls;
+  thread_local std::vector<size_t> koff_tls;
+  apack_tls.resize(rpan * a_panel);
+  TA* const apack = apack_tls.data();
+  int32_t* rowsum = nullptr;
+  if (bzp != 0) {
+    rowsum_tls.resize(m);
+    rowsum = rowsum_tls.data();
+  }
+  pack_a(size_t{0}, m, apack, rowsum);
+  koff_tls.resize(k);
+  size_t* const koff = koff_tls.data();
+  for (size_t ch = 0, kk = 0; ch < s.in_c; ++ch)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, ++kk)
+        koff[kk] = ch * s.in_h * s.in_w + kh * s.in_w + kw;
+
+  const auto process_panels = [=, &emit, &micro](size_t p0, size_t p1) {
+    thread_local std::vector<TB> bpanel_tls;
+    bpanel_tls.resize(b_panel);
+    TB* const bpanel = bpanel_tls.data();
+    alignas(32) int32_t colsum[kNr] = {};
+    alignas(32) int32_t acc[kMr * kNr];
+    for (size_t jp = p0; jp < p1; ++jp) {
+      const size_t j0 = jp * kNr;
+      const ConvPanel pn = map_panel(s, j0, n);
+      pack_conv_panel<G>(x, pn, koff, k, emit, bpanel,
+                         azp_eff != 0 ? colsum : nullptr);
+      for (size_t rp = 0; rp < rpan; ++rp) {
+        const size_t i0 = rp * kMr;
+        const size_t pr = std::min(kMr, m - i0);
+        micro(apack + rp * a_panel, bpanel, kg, acc);
+        store_tile(acc, i0, pr, j0, pn.cols, k, colsum,
+                   rowsum != nullptr ? rowsum + i0 : nullptr, azp_eff, bzp, p,
+                   c, ldc);
+      }
+    }
+  };
+  partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
 }
 
 // --- AVX2 vpmaddwd kernel --------------------------------------------------
@@ -234,14 +446,16 @@ inline void colsum_s8(const int8_t* b, size_t ldb, size_t k, size_t n,
   }
 }
 
+inline __m128i load16(const int8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
 /// Packs one full 2-k x 16-col B tile into the [16 cols][2 k] int16 pair
 /// layout: sign-extend both rows, interleave words, then fix the lane
 /// order (unpack interleaves per 128-bit lane).
-inline void pack_b_pair16(const int8_t* r0, const int8_t* r1, int16_t* dst) {
-  const __m256i a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0)));
-  const __m256i b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1)));
+inline void pack_b_pair16(__m128i r0, __m128i r1, int16_t* dst) {
+  const __m256i a = _mm256_cvtepi8_epi16(r0);
+  const __m256i b = _mm256_cvtepi8_epi16(r1);
   const __m256i lo = _mm256_unpacklo_epi16(a, b);
   const __m256i hi = _mm256_unpackhi_epi16(a, b);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
@@ -252,12 +466,8 @@ inline void pack_b_pair16(const int8_t* r0, const int8_t* r1, int16_t* dst) {
 
 /// Packs one full 4-k x 16-col B tile into the [16 cols][4 k] byte-quad
 /// layout — a 4x16 byte transpose in two unpack stages.
-inline void pack_b_quad16(const int8_t* r0, const int8_t* r1,
-                          const int8_t* r2, const int8_t* r3, int8_t* dst) {
-  const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0));
-  const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1));
-  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2));
-  const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3));
+inline void pack_b_quad16(__m128i a, __m128i b, __m128i c, __m128i d,
+                          int8_t* dst) {
   const __m128i ab_lo = _mm_unpacklo_epi8(a, b);  // a0 b0 a1 b1 .. (cols 0-7)
   const __m128i ab_hi = _mm_unpackhi_epi8(a, b);  // cols 8-15
   const __m128i cd_lo = _mm_unpacklo_epi8(c, d);
@@ -267,6 +477,39 @@ inline void pack_b_quad16(const int8_t* r0, const int8_t* r1,
   _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(ab_lo, cd_lo));  // cols 4-7
   _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(ab_hi, cd_hi));  // cols 8-11
   _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(ab_hi, cd_hi));  // 12-15
+}
+
+/// Packs A rows [r0, r1) into kMr-row panels of [k/2][kMr rows][2 k]
+/// int16 (zero-padded past k and past r1), and — when `rowsum` is
+/// non-null — their signed row sums, indexed from r0.
+void pack_a_pairs(const int8_t* a, size_t lda, size_t r0, size_t r1,
+                  size_t k, int16_t* apack, int32_t* rowsum) {
+  const size_t kp = (k + 1) / 2;
+  const size_t rpan = (r1 - r0 + kMr - 1) / kMr;
+  for (size_t rp = 0; rp < rpan; ++rp) {
+    int16_t* panel = apack + rp * kp * 2 * kMr;
+    const size_t i0 = r0 + rp * kMr;
+    const size_t pr = std::min(kMr, r1 - i0);
+    for (size_t q = 0; q < kp; ++q) {
+      const size_t k0 = 2 * q;
+      const size_t ks = std::min<size_t>(2, k - k0);
+      int16_t* dst = panel + q * (2 * kMr);
+      std::memset(dst, 0, 2 * kMr * sizeof(int16_t));
+      for (size_t r = 0; r < pr; ++r) {
+        const int8_t* arow = a + (i0 + r) * lda + k0;
+        for (size_t s = 0; s < ks; ++s)
+          dst[r * 2 + s] = static_cast<int16_t>(arow[s]);
+      }
+    }
+    if (rowsum != nullptr) {
+      for (size_t r = 0; r < pr; ++r) {
+        const int8_t* arow = a + (i0 + r) * lda;
+        int32_t s = 0;
+        for (size_t kk = 0; kk < k; ++kk) s += static_cast<int32_t>(arow[kk]);
+        rowsum[i0 - r0 + r] = s;
+      }
+    }
+  }
 }
 
 void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
@@ -305,7 +548,7 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
         // Full tile: vector transpose (16-byte loads stay in bounds —
         // j0 + kNr <= n <= ldb).
         const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_pair16(brow, brow + ldb, dst);
+        pack_b_pair16(load16(brow), load16(brow + ldb), dst);
         continue;
       }
       std::memset(dst, 0, 2 * kNr * sizeof(int16_t));
@@ -330,31 +573,7 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
       rowsum_tls.resize(rows);
       rowsum = rowsum_tls.data();
     }
-    for (size_t rp = 0; rp < rpan; ++rp) {
-      int16_t* panel = apack + rp * a_panel_words;
-      const size_t i0 = r0 + rp * kMr;
-      const size_t pr = std::min(kMr, r1 - i0);
-      for (size_t q = 0; q < kp; ++q) {
-        const size_t k0 = 2 * q;
-        const size_t ks = std::min<size_t>(2, k - k0);
-        int16_t* dst = panel + q * (2 * kMr);
-        std::memset(dst, 0, 2 * kMr * sizeof(int16_t));
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda + k0;
-          for (size_t s = 0; s < ks; ++s)
-            dst[r * 2 + s] = static_cast<int16_t>(arow[s]);
-        }
-      }
-      if (rowsum != nullptr) {
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda;
-          int32_t s = 0;
-          for (size_t kk = 0; kk < k; ++kk)
-            s += static_cast<int32_t>(arow[kk]);
-          rowsum[i0 - r0 + r] = s;
-        }
-      }
-    }
+    pack_a_pairs(a, lda, r0, r1, k, apack, rowsum);
     alignas(32) int32_t acc[kMr * kNr];
     for (size_t jp = 0; jp < npan; ++jp) {
       const size_t j0 = jp * kNr;
@@ -364,13 +583,29 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
         const size_t i0 = r0 + rp * kMr;
         const size_t pr = std::min(kMr, r1 - i0);
         qgemm_micro_avx2(apack + rp * a_panel_words, bpanel, kp, acc);
-        store_tile(acc, i0, pr, j0, cols, k, colsum,
+        store_tile(acc, i0, pr, j0, cols, k,
+                   colsum != nullptr ? colsum + j0 : nullptr,
                    rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp, bzp,
                    p, c, ldc);
       }
     }
   };
-  partition_rows(m, k, n, process_rows);
+  partition(m, k * n, process_rows);
+}
+
+void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
+                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const QgemmParams& p, int8_t* /*scratch*/) {
+  const size_t k = s.k();
+  qconv_driver<2, int16_t, int16_t>(
+      x, s, c, ldc, m, p, p.a_zp,
+      [&](size_t r0, size_t r1, int16_t* dst, int32_t* rowsum) {
+        pack_a_pairs(a, lda, r0, r1, k, dst, rowsum);
+      },
+      [](const __m128i* rows, int16_t* dst) {
+        pack_b_pair16(rows[0], rows[1], dst);
+      },
+      &qgemm_micro_avx2);
 }
 
 // --- Quantize helpers ------------------------------------------------------
@@ -412,6 +647,17 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
         quant_8(_mm256_loadu_ps(src + i + 8), vinv, vzp, vlo, vhi);
     store_16xi8(a, b, dst + i);
   }
+  if (i + 8 <= n) {
+    // Half step: the engine quantizes image rows, and 8-wide maps would
+    // otherwise fall entirely to the scalar tail.
+    const __m256i a =
+        quant_8(_mm256_loadu_ps(src + i), vinv, vzp, vlo, vhi);
+    __m256i w = _mm256_packs_epi32(a, a);
+    w = _mm256_permute4x64_epi64(w, 0xD8);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_castsi256_si128(_mm256_packs_epi16(w, w)));
+    i += 8;
+  }
   for (; i < n; ++i) {
     int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv)) + zp;
     v = std::min(levels, std::max(-levels, v));
@@ -419,49 +665,40 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
   }
 }
 
-void quantize_cols_i8_avx2(const float* src, int8_t* dst, size_t n,
-                           const float* inv, int32_t zp, int32_t levels) {
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  const __m256i vlo = _mm256_set1_epi32(-levels);
-  const __m256i vhi = _mm256_set1_epi32(levels);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i a = quant_8(_mm256_loadu_ps(src + i),
-                              _mm256_loadu_ps(inv + i), vzp, vlo, vhi);
-    const __m256i b = quant_8(_mm256_loadu_ps(src + i + 8),
-                              _mm256_loadu_ps(inv + i + 8), vzp, vlo, vhi);
-    store_16xi8(a, b, dst + i);
-  }
-  for (; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv[i])) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
+void quantize_pad_i8_avx2(const float* src, size_t planes, size_t h,
+                          size_t w, size_t pad, float inv, int32_t zp,
+                          int32_t levels, int8_t* dst) {
+  detail::quantize_pad_planes(
+      src, planes, h, w, pad, zp, dst,
+      [&](const float* s, int8_t* d, size_t n) {
+        quantize_row_i8_avx2(s, d, n, inv, zp, levels);
+      });
 }
 
-void max_abs_col_blocks_avx2(const float* src, size_t rows, size_t ld,
-                             size_t block, size_t nblocks, float* out) {
-  const __m256 absmask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  const size_t vend = block & ~size_t{7};
-  for (size_t jb = 0; jb < nblocks; ++jb) {
-    const float* base = src + jb * block;
-    __m256 vmax = _mm256_setzero_ps();
-    float smax = 0.0f;
-    for (size_t r = 0; r < rows; ++r) {
-      const float* p = base + r * ld;
-      for (size_t c = 0; c < vend; c += 8)
-        vmax = _mm256_max_ps(
-            vmax, _mm256_and_ps(_mm256_loadu_ps(p + c), absmask));
-      for (size_t c = vend; c < block; ++c)
-        smax = std::max(smax, std::fabs(p[c]));
-    }
-    __m128 m = _mm_max_ps(_mm256_castps256_ps128(vmax),
-                          _mm256_extractf128_ps(vmax, 1));
-    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-    m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-    out[jb] = std::max(smax, _mm_cvtss_f32(m));
+float max_abs_f32_avx2(const float* src, size_t n) {
+  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const auto abs8 = [&](size_t i) {
+    return _mm256_and_ps(_mm256_loadu_ps(src + i), absmask);
+  };
+  // Four independent max chains: max is order-independent, so splitting
+  // the reduction only shortens its dependency chain.
+  __m256 m0 = _mm256_setzero_ps(), m1 = m0, m2 = m0, m3 = m0;
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    m0 = _mm256_max_ps(m0, abs8(i));
+    m1 = _mm256_max_ps(m1, abs8(i + 8));
+    m2 = _mm256_max_ps(m2, abs8(i + 16));
+    m3 = _mm256_max_ps(m3, abs8(i + 24));
   }
+  for (; i + 8 <= n; i += 8) m0 = _mm256_max_ps(m0, abs8(i));
+  m0 = _mm256_max_ps(_mm256_max_ps(m0, m1), _mm256_max_ps(m2, m3));
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(m0),
+                        _mm256_extractf128_ps(m0, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  float r = _mm_cvtss_f32(m);
+  for (; i < n; ++i) r = std::max(r, std::fabs(src[i]));
+  return r;
 }
 
 // --- VNNI vpdpbusd kernel --------------------------------------------------
@@ -487,6 +724,42 @@ VnniMicroFn vnni_micro() {
       (detected_cpu_features() & kCpuAvxVnni) != 0 ? &qgemm_micro_vnni_vex
                                                    : &qgemm_micro_vnni_evex;
   return fn;
+}
+
+/// Packs A rows [r0, r1) into kMr-row panels of [k/4][kMr rows][4 k]
+/// unsigned bytes (s8 + 128, zero-padded past k and past r1), and — when
+/// `rowsum` is non-null — the row sums of that unsigned encoding, indexed
+/// from r0.
+void pack_a_quads(const int8_t* a, size_t lda, size_t r0, size_t r1,
+                  size_t k, uint8_t* apack, int32_t* rowsum) {
+  const size_t kq = (k + 3) / 4;
+  const size_t rpan = (r1 - r0 + kMr - 1) / kMr;
+  for (size_t rp = 0; rp < rpan; ++rp) {
+    uint8_t* panel = apack + rp * kq * 4 * kMr;
+    const size_t i0 = r0 + rp * kMr;
+    const size_t pr = std::min(kMr, r1 - i0);
+    for (size_t q = 0; q < kq; ++q) {
+      const size_t k0 = 4 * q;
+      const size_t ks = std::min<size_t>(4, k - k0);
+      uint8_t* dst = panel + q * (4 * kMr);
+      std::memset(dst, 0, 4 * kMr);
+      for (size_t r = 0; r < pr; ++r) {
+        const int8_t* arow = a + (i0 + r) * lda + k0;
+        for (size_t s = 0; s < ks; ++s)
+          dst[r * 4 + s] =
+              static_cast<uint8_t>(static_cast<uint8_t>(arow[s]) ^ 0x80u);
+      }
+    }
+    if (rowsum != nullptr) {
+      for (size_t r = 0; r < pr; ++r) {
+        const int8_t* arow = a + (i0 + r) * lda;
+        int32_t s = 0;
+        for (size_t kk = 0; kk < k; ++kk) s += static_cast<int32_t>(arow[kk]);
+        // Row sum of the *unsigned* packed row: signed sum + 128k.
+        rowsum[i0 - r0 + r] = s + 128 * static_cast<int32_t>(k);
+      }
+    }
+  }
 }
 
 void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
@@ -525,7 +798,8 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
         // Full tile: 4x16 byte transpose (16-byte loads stay in bounds —
         // j0 + kNr <= n <= ldb).
         const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_quad16(brow, brow + ldb, brow + 2 * ldb, brow + 3 * ldb, dst);
+        pack_b_quad16(load16(brow), load16(brow + ldb), load16(brow + 2 * ldb),
+                      load16(brow + 3 * ldb), dst);
         continue;
       }
       std::memset(dst, 0, 4 * kNr);
@@ -549,33 +823,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
       rowsum_tls.resize(rows);
       rowsum = rowsum_tls.data();
     }
-    for (size_t rp = 0; rp < rpan; ++rp) {
-      uint8_t* panel = apack + rp * a_panel_bytes;
-      const size_t i0 = r0 + rp * kMr;
-      const size_t pr = std::min(kMr, r1 - i0);
-      for (size_t q = 0; q < kq; ++q) {
-        const size_t k0 = 4 * q;
-        const size_t ks = std::min<size_t>(4, k - k0);
-        uint8_t* dst = panel + q * (4 * kMr);
-        std::memset(dst, 0, 4 * kMr);
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda + k0;
-          for (size_t s = 0; s < ks; ++s)
-            dst[r * 4 + s] =
-                static_cast<uint8_t>(static_cast<uint8_t>(arow[s]) ^ 0x80u);
-        }
-      }
-      if (rowsum != nullptr) {
-        for (size_t r = 0; r < pr; ++r) {
-          const int8_t* arow = a + (i0 + r) * lda;
-          int32_t s = 0;
-          for (size_t kk = 0; kk < k; ++kk)
-            s += static_cast<int32_t>(arow[kk]);
-          // Row sum of the *unsigned* packed row: signed sum + 128k.
-          rowsum[i0 - r0 + r] = s + 128 * static_cast<int32_t>(k);
-        }
-      }
-    }
+    pack_a_quads(a, lda, r0, r1, k, apack, rowsum);
     alignas(32) int32_t acc[kMr * kNr];
     for (size_t jp = 0; jp < npan; ++jp) {
       const size_t j0 = jp * kNr;
@@ -585,13 +833,30 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
         const size_t i0 = r0 + rp * kMr;
         const size_t pr = std::min(kMr, r1 - i0);
         micro(apack + rp * a_panel_bytes, bpanel, kq, acc);
-        store_tile(acc, i0, pr, j0, cols, k, colsum,
+        store_tile(acc, i0, pr, j0, cols, k, colsum + j0,
                    rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp_eff,
                    bzp, p, c, ldc);
       }
     }
   };
-  partition_rows(m, k, n, process_rows);
+  partition(m, k * n, process_rows);
+}
+
+void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
+                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const QgemmParams& p, int8_t* /*scratch*/) {
+  const size_t k = s.k();
+  // Same +128 A encoding as qgemm_vnni: azp_eff is never zero, so the
+  // gather always accumulates column sums.
+  qconv_driver<4, uint8_t, int8_t>(
+      x, s, c, ldc, m, p, p.a_zp + 128,
+      [&](size_t r0, size_t r1, uint8_t* dst, int32_t* rowsum) {
+        pack_a_quads(a, lda, r0, r1, k, dst, rowsum);
+      },
+      [](const __m128i* rows, int8_t* dst) {
+        pack_b_quad16(rows[0], rows[1], rows[2], rows[3], dst);
+      },
+      vnni_micro());
 }
 
 #endif  // ALF_INT8_VNNI
@@ -610,18 +875,18 @@ QuantizeRowFn quantize_row_i8_vec() {
   return nullptr;
 }
 
-QuantizeColsFn quantize_cols_i8_vec() {
+QuantizePadFn quantize_pad_i8_vec() {
 #if defined(ALF_INT8_DOT)
   if ((detected_cpu_features() & kCpuAvx2) != 0)
-    return &quantize_cols_i8_avx2;
+    return &quantize_pad_i8_avx2;
 #endif
   return nullptr;
 }
 
-MaxAbsBlocksFn max_abs_col_blocks_vec() {
+MaxAbsFn max_abs_f32_vec() {
 #if defined(ALF_INT8_DOT)
   if ((detected_cpu_features() & kCpuAvx2) != 0)
-    return &max_abs_col_blocks_avx2;
+    return &max_abs_f32_avx2;
 #endif
   return nullptr;
 }
@@ -637,6 +902,7 @@ const KernelBackend* int8_avx2_backend() {
         .required_features = kCpuAvx2,
         .gemm = &detail::gemm_forward_best_float,
         .qgemm = &qgemm_avx2,
+        .qconv = &qconv_avx2,
     };
     return &be;
   }
@@ -656,6 +922,7 @@ const KernelBackend* int8_vnni_backend() {
                                  : static_cast<uint32_t>(kCpuAvx512Vnni),
         .gemm = &detail::gemm_forward_best_float,
         .qgemm = &qgemm_vnni,
+        .qconv = &qconv_vnni,
     };
     return &be;
   }

@@ -46,8 +46,9 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
                              size_t n, float alpha, float beta);
 
 /// Flushes the cached kernel picks of the generic "int8" backend (best
-/// qgemm variant + best float forward). Called by set_cpu_feature_mask so
-/// dispatch re-resolves under the new mask. Defined in int8.cpp.
+/// qgemm and qconv variants + best float forward). Called by
+/// set_cpu_feature_mask so dispatch re-resolves under the new mask.
+/// Defined in int8.cpp.
 void reset_int8_dispatch_cache();
 
 /// The vectorized int8 qgemm kernels (defined in int8_dot.cpp, compiled
@@ -58,21 +59,53 @@ void reset_int8_dispatch_cache();
 using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
                          float*, size_t, size_t, size_t, size_t,
                          const QgemmParams&);
+using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
+                         const QconvShape&, float*, size_t, size_t,
+                         const QgemmParams&, int8_t*);
 
-/// Vectorized bodies of the public quantize_row_i8 / quantize_cols_i8
-/// helpers. Defined in int8_dot.cpp (the -mavx2 TU); the getters return
-/// nullptr when the build or the detected CPU lacks AVX2, and int8.cpp
-/// substitutes its baseline loops — same rint-based expression, so both
-/// paths agree bit for bit.
+/// The shared qconv fallback (defined in int8.cpp): copies the unfold of
+/// the padded images `x` into `scratch` as a row-major [s.k(), s.n()]
+/// panel, then runs `qgemm` over it — what every backend without a native
+/// qconv entry executes, and the seam the generic int8 backend resolves to
+/// when no gathering kernel is allowed.
+void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
+                  const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+                  size_t m, const QgemmParams& p, int8_t* scratch);
+
+/// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
+/// max_abs_f32 helpers. Defined in int8_dot.cpp (the -mavx2 TU);
+/// the getters return nullptr when the build or the detected CPU lacks
+/// AVX2, and int8.cpp substitutes its baseline loops — same expressions,
+/// so both paths agree bit for bit.
 using QuantizeRowFn = void (*)(const float*, int8_t*, size_t, float,
                                int32_t, int32_t);
-using QuantizeColsFn = void (*)(const float*, int8_t*, size_t, const float*,
-                                int32_t, int32_t);
-using MaxAbsBlocksFn = void (*)(const float*, size_t, size_t, size_t, size_t,
-                                float*);
+using QuantizePadFn = void (*)(const float*, size_t, size_t, size_t, size_t,
+                               float, int32_t, int32_t, int8_t*);
+using MaxAbsFn = float (*)(const float*, size_t);
 QuantizeRowFn quantize_row_i8_vec();
-QuantizeColsFn quantize_cols_i8_vec();
-MaxAbsBlocksFn max_abs_col_blocks_vec();
+QuantizePadFn quantize_pad_i8_vec();
+MaxAbsFn max_abs_f32_vec();
+
+/// Loop of quantize_pad_i8, shared by its baseline and AVX2 bodies:
+/// `row(src, dst, w)` quantizes one image row in place of a per-row
+/// dispatch, and every border byte gets zp.
+template <typename Row>
+inline void quantize_pad_planes(const float* src, size_t planes, size_t h,
+                                size_t w, size_t pad, int32_t zp, int8_t* dst,
+                                const Row& row) {
+  const size_t pw = w + 2 * pad;
+  const int8_t z = static_cast<int8_t>(zp);
+  for (size_t c = 0; c < planes; ++c) {
+    std::fill(dst, dst + pad * pw, z);  // top border rows
+    dst += pad * pw;
+    for (size_t y = 0; y < h; ++y, src += w, dst += pw) {
+      for (size_t i = 0; i < pad; ++i) dst[i] = dst[pad + w + i] = z;
+      row(src, dst + pad, w);
+    }
+    std::fill(dst, dst + pad * pw, z);  // bottom border rows
+    dst += pad * pw;
+  }
+}
 
 /// Body of the int8 GEMM, inline so each backend TU instantiates it under
 /// its own ISA flags. Row-parallel (same per-worker floor as the float

@@ -15,7 +15,9 @@
 #include "engine/engine.hpp"
 #include "grad_check.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/internal.hpp"
 #include "models/zoo.hpp"
+#include "nn/batchnorm.hpp"
 
 // Heap instrumentation for Engine::run's zero-allocation contract. The
 // replacement operators serve the whole test binary; counting is gated so
@@ -400,23 +402,28 @@ TEST(Engine, PreActivationResidualBodyDoesNotFuseAcrossBlockInput) {
 }
 
 TEST(Engine, SingleChunkRunPerformsZeroHeapAllocations) {
-  Rng rng(42);
-  ModelConfig mc;
-  mc.base_width = 8;
-  mc.in_hw = kHw;
-  auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  set_parallel_threads(1);  // single-chunk partition at compile
-  Engine eng = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
-  Tensor x = random_input({8, mc.in_channels, kHw, kHw}, rng);
-  Tensor out({8, eng.classes()});
-  eng.run(x, out);  // warm
+  // Float and int8 plans alike: the int8 path's padded images, scales and
+  // kernel scratch are all sized before the first counted run.
+  for (const char* backend : {"", "int8"}) {
+    Rng rng(42);
+    ModelConfig mc;
+    mc.base_width = 8;
+    mc.in_hw = kHw;
+    auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+    set_parallel_threads(1);  // single-chunk partition at compile
+    Engine eng = Engine::compile(*model, 8, mc.in_channels, kHw, kHw,
+                                 {.backend = backend, .bits = 8, .name = ""});
+    Tensor x = random_input({8, mc.in_channels, kHw, kHw}, rng);
+    Tensor out({8, eng.classes()});
+    eng.run(x, out);  // warm
 
-  g_alloc_count.store(0);
-  g_alloc_tracking.store(true);
-  eng.run(x, out);
-  g_alloc_tracking.store(false);
-  set_parallel_threads(0);
-  EXPECT_EQ(g_alloc_count.load(), size_t{0});
+    g_alloc_count.store(0);
+    g_alloc_tracking.store(true);
+    eng.run(x, out);
+    g_alloc_tracking.store(false);
+    set_parallel_threads(0);
+    EXPECT_EQ(g_alloc_count.load(), size_t{0}) << "backend '" << backend << "'";
+  }
 }
 
 TEST(Engine, PlanStrNamesEveryStep) {
@@ -550,6 +557,84 @@ TEST(Engine, Int8EngineBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(max_abs_diff(ref, got), 0.0f) << threads << " threads";
   }
   set_parallel_threads(0);
+}
+
+/// The quantized conv the engine replaced, computed the slow way: float
+/// im2col of each image, per-image max-abs quantization of the unfold, the
+/// scalar qgemm oracle, then bias + activation — NCHW [n, Co, Ho, Wo].
+std::vector<float> int8_conv_oracle(const Step& st, const float* x, size_t n) {
+  const ConvGeom& g = st.geom;
+  const size_t k = g.col_rows(), cols = g.col_cols();
+  const int32_t levels = (1 << (st.qbits - 1)) - 1;
+  const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
+  const int32_t zp = st.in_nonneg ? -levels : 0;
+  std::vector<float> out(n * st.out_sz), col(k * cols);
+  std::vector<int8_t> qcol(k * cols);
+  for (size_t i = 0; i < n; ++i) {
+    const float* img = x + i * st.in_sz;
+    float amax = 0.0f;
+    for (size_t e = 0; e < st.in_sz; ++e)
+      amax = std::max(amax, std::fabs(img[e]));
+    const float scale = amax > 0.0f ? amax / span : 1.0f;
+    const float inv = 1.0f / scale;
+    im2col_view(img, g, col.data());
+    for (size_t e = 0; e < col.size(); ++e) {
+      const int32_t q = static_cast<int32_t>(std::rintf(col[e] * inv)) + zp;
+      qcol[e] = static_cast<int8_t>(std::min(levels, std::max(-levels, q)));
+    }
+    const std::vector<float> bs(cols, scale);
+    kernels::QgemmParams p;
+    p.a_scales = st.qw_scales.data();
+    p.b_scales = bs.data();
+    p.b_zp = zp;
+    float* y = out.data() + i * st.out_sz;
+    kernels::detail::qgemm_int8(st.qw.data(), k, qcol.data(), cols, y, cols,
+                                st.out_c, k, cols, p);
+    bias_act_inplace(y, st.out_c, cols,
+                     st.bias.empty() ? nullptr : st.bias.data(), st.act);
+  }
+  return out;
+}
+
+TEST(Engine, Int8OneConvPlanMatchesQconvOracle) {
+  // A 7x7 map makes qconv panels straddle images; a leading ReLU puts the
+  // conv on the asymmetric (zp = -levels) grid. The plan is compiled for
+  // batch 32 on a multi-chunk grid and run at 1, 7 and 32 images.
+  for (const bool relu_first : {false, true}) {
+    Rng rng(61);
+    Sequential model("one_conv");
+    if (relu_first) model.emplace<Activation>("relu0", Act::kRelu);
+    // BN folds into a bias; the trailing ReLU fuses into the epilogue.
+    model.emplace<Conv2d>("conv", 5, 6, 3, 1, 1, Init::kHe, rng);
+    model.emplace<BatchNorm2d>("conv_bn", 6);
+    model.emplace<Activation>("conv_relu", Act::kRelu);
+    warm_bn(model, 5, 7, rng);
+    set_parallel_threads(4);
+    const auto plan = Plan::compile(model, 32, 5, 7, 7,
+                                    {.backend = "int8", .bits = 8, .name = ""});
+    set_parallel_threads(0);
+    ASSERT_GT(plan->chunks(), size_t{1});
+    const Step& conv = plan->steps().back();
+    ASSERT_EQ(conv.kind, OpKind::kConv);
+    ASSERT_TRUE(conv.quantized);
+    EXPECT_EQ(conv.in_nonneg, relu_first);
+    EXPECT_FALSE(conv.bias.empty());
+    EXPECT_EQ(conv.act, Act::kRelu);
+    Tensor x = random_input({32, 5, 7, 7}, rng);
+    std::vector<float> conv_in(x.data(), x.data() + x.numel());
+    if (relu_first)
+      for (float& v : conv_in) v = v > 0.0f ? v : 0.0f;
+    ExecContext ctx(plan);
+    for (const size_t n : {1, 7, 32}) {
+      const std::vector<float> want = int8_conv_oracle(conv, conv_in.data(), n);
+      std::vector<float> got(n * plan->classes());
+      ctx.run_rows(x.data(), n, got.data());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "n=" << n << " relu_first=" << relu_first;
+    }
+  }
 }
 
 TEST(Engine, NarrowBitWidthsDegradeGracefully) {

@@ -1,7 +1,8 @@
 // Kernel-backend seam: registry selection and env override, cross-backend
 // equivalence (simd vs scalar within 1e-4 of the matrix scale), per-backend
 // bit-identity across thread counts, the real int8 qgemm against the
-// fake-quant float reference, and the packed-int8 export round trip.
+// fake-quant float reference, every qconv against the unfold-then-qgemm
+// oracle, and the packed-int8 export round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/internal.hpp"
 #include "quant/quantize.hpp"
 #include "tensor/ops.hpp"
 
@@ -484,6 +486,135 @@ TEST(QgemmBitIdentity, WideNAcrossThreadCounts) {
           << name << " qgemm not bit-identical at " << threads << " threads";
     }
     set_parallel_threads(0);
+  }
+}
+
+/// The engine's activation quantization expression (rint, +zp, clamp).
+int8_t quantize_ref(float v, float inv, int32_t zp, int32_t levels) {
+  const int32_t q = static_cast<int32_t>(std::rintf(v * inv)) + zp;
+  return static_cast<int8_t>(std::min(levels, std::max(-levels, q)));
+}
+
+TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
+  // qconv packs B straight from zero-point-padded int8 images; the oracle
+  // is the path it replaced: float im2col_view, per-image quantize, then
+  // the scalar qgemm. Every panel gather mode is covered — contiguous
+  // (W=32, 16), two 8-wide halves (W=8 s1), stride 2 in one row (3x3 and
+  // 1x1 s2 onto 16-wide maps), per-column gathers (8-wide s2, 7x7 and 5x5
+  // maps whose panels straddle images) — at both activation grids, two
+  // bit widths, 1-9 images and two thread counts. The 64-channel case has
+  // k = 576 > 256 rows, and its all-zero second image makes every byte
+  // the zero point, so column sums overflow int16 unless widened in time.
+  // C carries a poisoned gutter (ldc > n) that no entry may touch.
+  struct Geo {
+    size_t c, hw, k, s, pad;
+  };
+  const Geo geos[] = {{5, 32, 3, 1, 1}, {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
+                      {4, 32, 3, 2, 1}, {3, 32, 1, 2, 0}, {7, 8, 3, 2, 1},
+                      {9, 8, 1, 2, 0},  {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
+                      {64, 8, 3, 1, 1}};
+  const kernels::KernelBackend fallback{
+      .name = "qconv-fallback",
+      .quantized_datapath = true,
+      .gemm = kernels::scalar_backend()->gemm,
+      .qgemm = kernels::best_quantized_backend()->qgemm};
+  std::vector<const kernels::KernelBackend*> cands{&fallback};
+  for (const std::string& name : kernels::backend_names()) {
+    const kernels::KernelBackend* be = kernels::find_backend(name);
+    if (!be->quantized_datapath) continue;
+    EXPECT_NE(be->qconv, nullptr) << name << " has no native qconv";
+    cands.push_back(be);
+  }
+  Rng rng(59);
+  const size_t m = 13;  // not a multiple of the 4-row register tile
+  for (const Geo& geo : geos) {
+    const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
+    kernels::QconvShape s;
+    s.in_c = geo.c;
+    s.in_h = s.in_w = geo.hw + 2 * geo.pad;
+    s.kernel = geo.k;
+    s.stride = geo.s;
+    const size_t k = g.col_rows(), cols = g.col_cols();
+    const auto a = random_i8(m * k, rng);
+    std::vector<float> as(m);
+    for (size_t i = 0; i < m; ++i)
+      as[i] = 0.02f + 0.003f * static_cast<float>(i);
+    for (const size_t imgs : {1, 2, 5, 9}) {
+      s.images = imgs;
+      const size_t n = imgs * cols, ldc = n + 5;
+      std::vector<float> x(imgs * g.in_c * g.in_h * g.in_w);
+      for (size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform(-1.0, 1.0)) *
+               (1.0f + static_cast<float>(i / (x.size() / imgs)));
+      if (imgs > 1)
+        std::fill(x.begin() + x.size() / imgs, x.begin() + 2 * x.size() / imgs,
+                  0.0f);
+      for (const int bits : {8, 4}) {
+        for (const bool nonneg : {false, true}) {
+          const int32_t levels = (1 << (bits - 1)) - 1;
+          const int32_t zp = nonneg ? -levels : 0;
+          const float span = static_cast<float>(nonneg ? 2 * levels : levels);
+          std::vector<float> bs(n), col(k * n);
+          std::vector<int8_t> qcol(k * n), xpad(imgs * s.image_bytes());
+          for (size_t j = 0; j < imgs; ++j) {
+            std::vector<float> img(x.begin() + j * x.size() / imgs,
+                                   x.begin() + (j + 1) * x.size() / imgs);
+            if (nonneg)
+              for (float& v : img) v = std::fabs(v);
+            float amax = 0.0f;
+            for (const float v : img) amax = std::max(amax, std::fabs(v));
+            const float scale = amax > 0.0f ? amax / span : 1.0f;
+            const float inv = 1.0f / scale;
+            std::fill(bs.begin() + j * cols, bs.begin() + (j + 1) * cols,
+                      scale);
+            im2col_view(img.data(), g, col.data() + j * cols, n);
+            for (size_t r = 0; r < k; ++r)
+              for (size_t c = j * cols; c < (j + 1) * cols; ++c)
+                qcol[r * n + c] = quantize_ref(col[r * n + c], inv, zp, levels);
+            int8_t* dst = xpad.data() + j * s.image_bytes();
+            for (size_t ch = 0; ch < g.in_c; ++ch)
+              for (size_t y = 0; y < s.in_h; ++y)
+                for (size_t xx = 0; xx < s.in_w; ++xx) {
+                  const bool inside = y >= geo.pad && y < geo.pad + g.in_h &&
+                                      xx >= geo.pad && xx < geo.pad + g.in_w;
+                  *dst++ = inside ? quantize_ref(
+                                        img[(ch * g.in_h + y - geo.pad) *
+                                                g.in_w +
+                                            xx - geo.pad],
+                                        inv, zp, levels)
+                                  : static_cast<int8_t>(zp);
+                }
+          }
+          kernels::QgemmParams p;
+          p.a_scales = as.data();
+          p.b_scales = bs.data();
+          p.b_zp = zp;
+          // The engine's weights are symmetric; a weight zero point turns
+          // on int8-avx2's column sums, which only a_zp != 0 needs.
+          p.a_zp = bits == 4 ? 3 : 0;
+          std::vector<float> ref(m * ldc, -7.0f);
+          kernels::detail::qgemm_int8(a.data(), k, qcol.data(), n, ref.data(),
+                                      ldc, m, k, n, p);
+          std::vector<int8_t> scratch(k * n);
+          for (const kernels::KernelBackend* be : cands) {
+            for (const int threads : {1, 3}) {
+              set_parallel_threads(threads);
+              std::vector<float> got(m * ldc, -7.0f);
+              kernels::qconv(be, a.data(), k, xpad.data(), s, got.data(), ldc,
+                             m, p, scratch.data());
+              ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                    ref.size() * sizeof(float)),
+                        0)
+                  << be->name << " c=" << geo.c << " hw=" << geo.hw
+                  << " k=" << geo.k << " s=" << geo.s << " imgs=" << imgs
+                  << " bits=" << bits << " zp=" << zp
+                  << " threads=" << threads;
+            }
+          }
+          set_parallel_threads(0);
+        }
+      }
+    }
   }
 }
 
