@@ -51,15 +51,9 @@ struct Problem {
 };
 
 /// Human-readable tag of one tuner candidate, e.g.
-/// "im2col/simd/t64x256x256/c1" — what the "winner" column reports.
+/// "scalar/t0x256x256/c1" — what the "winner" column reports.
 std::string describe_choice(const AlgoChoice& c) {
-  std::string out;
-  switch (c.strategy) {
-    case AlgoChoice::Strategy::kAuto: out = "auto"; break;
-    case AlgoChoice::Strategy::kShiftGemm: out = "shift"; break;
-    case AlgoChoice::Strategy::kIm2col: out = "im2col"; break;
-  }
-  out += "/" + (c.backend.empty() ? std::string("default") : c.backend);
+  std::string out = c.backend.empty() ? std::string("default") : c.backend;
   if (!c.tile.is_default()) {
     char t[40];
     std::snprintf(t, sizeof(t), "/t%ux%ux%u", c.tile.mc, c.tile.kc,

@@ -9,7 +9,7 @@
 //
 // Engine is now a thin compatibility facade over the split that serving
 // needed: an immutable, shareable Plan (steps, folded weights, packed and
-// int8 weight blobs, strategy choices, arena layout — see plan.hpp) plus
+// int8 weight blobs, per-step choices, arena layout — see plan.hpp) plus
 // one per-worker ExecContext (arena storage and scratch — see
 // exec_context.hpp). An Engine owns one of each, so everything that
 // compiled against the welded class keeps working; multi-tenant serving

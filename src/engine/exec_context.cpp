@@ -16,9 +16,6 @@
 namespace alf {
 namespace {
 
-// kMaxShiftH (the shifted-GEMM border-repair height bound) comes from
-// plan.hpp: one definition shared with the compiler and the blob stamp.
-
 /// Runs fn(ci, i0, i1) for every chunk ci = [i0, i1) of an n-image batch
 /// split over a `grid`-chunk partition (the plan's frozen grid, so the
 /// split never depends on the runtime thread count). A single chunk runs
@@ -65,74 +62,17 @@ void bias_act_copy(const float* src, float* dst, size_t n, const float* bias,
   act_inplace(act, dst, n);
 }
 
-/// Single-image shifted-GEMM convolution (stride 1, pad = (K-1)/2, output
-/// size == input size). For each kernel offset (kh, kw) the valid output
-/// range is a contiguous window of the flattened [H*W] plane, so the
-/// contribution is one GEMM of w9[kh,kw] [Co, Ci] against the raw input
-/// planes at a flat offset — no im2col materialization at all. Column
-/// wrap-around at the left/right borders is repaired afterwards by
-/// recomputing the `pad` edge columns directly from `w`.
-void conv2d_image_shift(const Step& st, const kernels::KernelBackend* be,
-                        const float* x_img, float* out_img) {
-  const ConvGeom& g = st.geom;
-  const size_t hh = g.in_h, ww = g.in_w, hw = hh * ww;
-  const size_t ci = g.in_c, co = st.out_c, k = g.kernel;
-  const long pad = static_cast<long>(g.pad);
-  if (k == 1) {
-    kernels::gemm_dispatch(be, st.tile, st.w.data(), ci, false, x_img, hw,
-                           false, out_img, hw, co, ci, hw, 1.0f, 0.0f);
-    bias_act_inplace(out_img, co, hw, st.bias.empty() ? nullptr : st.bias.data(),
-                     st.act);
-    return;
-  }
-  std::memset(out_img, 0, co * hw * sizeof(float));
-  for (size_t kh = 0; kh < k; ++kh) {
-    for (size_t kw = 0; kw < k; ++kw) {
-      const long shift = (static_cast<long>(kh) - pad) * static_cast<long>(ww) +
-                         (static_cast<long>(kw) - pad);
-      const size_t c0 = shift < 0 ? static_cast<size_t>(-shift) : 0;
-      const size_t c1 = shift > 0 ? hw - static_cast<size_t>(shift) : hw;
-      if (c0 >= c1) continue;
-      const float* a = st.w9.data() + (kh * k + kw) * co * ci;
-      kernels::gemm_dispatch(be, st.tile, a, ci, false,
-                             x_img + static_cast<long>(c0) + shift, hw, false,
-                             out_img + c0, hw, co, ci, c1 - c0, 1.0f, 1.0f);
-    }
-  }
-  // Repair the `pad` left/right border columns (their shifted reads wrapped
-  // into the neighboring row): direct convolution, overwriting. The y loop
-  // is innermost over a contiguous column buffer so the accumulations are
-  // independent (no loop-carried dependency chain).
-  const size_t p = g.pad;
-  float tmp[kMaxShiftH];
-  for (size_t o = 0; o < co; ++o) {
-    const float* wrow = st.w.data() + o * ci * k * k;
-    float* oplane = out_img + o * hw;
-    for (size_t e = 0; e < 2 * p; ++e) {
-      const size_t x = e < p ? e : ww - 2 * p + e;
-      for (size_t y = 0; y < hh; ++y) tmp[y] = 0.0f;
-      for (size_t c = 0; c < ci; ++c) {
-        const float* xplane = x_img + c * hw;
-        for (size_t dy = 0; dy < k; ++dy) {
-          const size_t y0 = p > dy ? p - dy : 0;
-          const size_t y1 = std::min(hh, hh + p - dy);
-          for (size_t dx = 0; dx < k; ++dx) {
-            const long ix = static_cast<long>(x + dx) - pad;
-            if (ix < 0 || ix >= static_cast<long>(ww)) continue;
-            const float wv = wrow[(c * k + dy) * k + dx];
-            const float* src = xplane +
-                               (static_cast<long>(dy) - pad) *
-                                   static_cast<long>(ww) +
-                               ix;
-            for (size_t y = y0; y < y1; ++y) tmp[y] += wv * src[y * ww];
-          }
-        }
-      }
-      for (size_t y = 0; y < hh; ++y) oplane[y * ww + x] = tmp[y];
-    }
-  }
-  bias_act_inplace(out_img, co, hw, st.bias.empty() ? nullptr : st.bias.data(),
-                   st.act);
+/// The kernels' view of `imgs` images of one conv step, each padded by the
+/// conv's own padding (the caller writes the border explicitly).
+kernels::ConvShape conv_shape(const ConvGeom& g, size_t imgs) {
+  kernels::ConvShape s;
+  s.in_c = g.in_c;
+  s.in_h = g.in_h + 2 * g.pad;
+  s.in_w = g.in_w + 2 * g.pad;
+  s.kernel = g.kernel;
+  s.stride = g.stride;
+  s.images = imgs;
+  return s;
 }
 
 }  // namespace
@@ -147,13 +87,11 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
     // One padded-image slice per chunk, sized for the widest chunk any
     // quantized conv runs (its own grid, as run_conv partitions it).
     for (const Step& st : plan_->steps()) {
-      if (st.kind != OpKind::kConv || st.shift_gemm) continue;
-      const ConvGeom& g = st.geom;
+      if (st.kind != OpKind::kConv) continue;
       const size_t nch = plan_->step_chunks(st);
       const size_t imgs = (plan_->batch() + nch - 1) / nch;
-      qimg_stride_ = std::max(qimg_stride_, imgs * g.in_c *
-                                                (g.in_h + 2 * g.pad) *
-                                                (g.in_w + 2 * g.pad));
+      qimg_stride_ = std::max(qimg_stride_,
+                              imgs * conv_shape(st.geom, 1).image_size());
     }
     qimg_.assign(plan_->chunks() * qimg_stride_, 0);
   }
@@ -185,23 +123,22 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
                            size_t n) {
   // The batch partition is frozen in the Plan (step_chunks()), so results
   // are bit-identical for any runtime thread count; each chunk owns one
-  // slice of every scratch region of THIS context.
+  // slice of every scratch region of THIS context. Every path computes the
+  // chunk's images side by side as one [Co, imgs*Ho*Wo] product into the
+  // result scratch, then fuses the bias/activation epilogue into the
+  // scatter back to NCHW.
   const Plan& p = *plan_;
   const float* bias = st.bias.empty() ? nullptr : st.bias.data();
   const ConvGeom& g = st.geom;
+  const bool gathered = st.gathered_conv();
   for_each_chunk(n, p.step_chunks(st), [&](size_t ci, size_t i0, size_t i1) {
-    if (st.shift_gemm) {
-      for (size_t i = i0; i < i1; ++i)
-        conv2d_image_shift(st, st.be, in + i * st.in_sz, out + i * st.out_sz);
-      return;
-    }
-    // Chunk-batched: one GEMM over the chunk's images side by side, then
-    // the bias/activation epilogue fused into the scatter back to NCHW.
     const size_t imgs = i1 - i0;
     const size_t cols = g.col_cols();
     const size_t ld = imgs * cols;
     const size_t rows = g.col_rows();
     float* res = workspace_.data() + p.result_offset() + ci * p.result_floats();
+    float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
+    const kernels::ConvShape cs = conv_shape(g, imgs);
     if (st.quantized) {
       // Quantize each image ONCE, with its own max-abs scale, into a
       // zero-point-padded int8 copy; qconv then packs the unfold's B
@@ -216,13 +153,6 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
       // symmetric grid on [0, max].
       const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
       const int32_t zp = st.in_nonneg ? -levels : 0;
-      kernels::QconvShape qs;
-      qs.in_c = g.in_c;
-      qs.in_h = g.in_h + 2 * g.pad;
-      qs.in_w = g.in_w + 2 * g.pad;
-      qs.kernel = g.kernel;
-      qs.stride = g.stride;
-      qs.images = imgs;
       int8_t* qimg = qimg_.data() + ci * qimg_stride_;
       float* bscales = qbs_.data() + ci * p.qbs_stride();
       for (size_t j = 0; j < imgs; ++j) {
@@ -232,16 +162,27 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
         std::fill(bscales + j * cols, bscales + (j + 1) * cols, scale);
         kernels::quantize_pad_i8(img, g.in_c, g.in_h, g.in_w, g.pad,
                                  1.0f / scale, zp, levels,
-                                 qimg + j * qs.image_bytes());
+                                 qimg + j * cs.image_size());
       }
       kernels::QgemmParams params;
       params.a_scales = st.qw_scales.data();  // per-output-channel
       params.b_scales = bscales;              // per-image
       params.b_zp = zp;
-      kernels::qconv(st.be, st.qw.data(), rows, qimg, qs, res, ld, st.out_c,
+      kernels::qconv(st.be, st.qw.data(), rows, qimg, cs, res, ld, st.out_c,
                      params, qws_.data() + ci * p.col_floats());
+    } else if (gathered) {
+      // Each image is copied once into a zero-padded float buffer in the
+      // chunk's col slice (read in place from the activation slot when the
+      // conv has no padding); the backend's conv gathers B panels from it.
+      const float* x = in + i0 * st.in_sz;
+      if (g.pad != 0) {
+        for (size_t j = 0; j < imgs; ++j)
+          kernels::pad_f32(in + (i0 + j) * st.in_sz, g.in_c, g.in_h, g.in_w,
+                           g.pad, col + j * cs.image_size());
+        x = col;
+      }
+      st.be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c);
     } else {
-      float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
       for (size_t j = 0; j < imgs; ++j)
         im2col_view(in + (i0 + j) * st.in_sz, g, col + j * cols, ld);
       kernels::gemm_dispatch(st.be, st.tile, st.w.data(), rows, false, col, ld,

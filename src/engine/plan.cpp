@@ -133,9 +133,6 @@ void Plan::bind_weight_views(std::vector<Step>& steps,
         st.shift =
             TensorView(reinterpret_cast<const float*>(p), dims, sec.rank);
         break;
-      case WeightField::kW9:
-        st.w9 = TensorView(reinterpret_cast<const float*>(p), dims, sec.rank);
-        break;
       case WeightField::kQw:
         st.qw = ConstSpan<int8_t>(reinterpret_cast<const int8_t*>(p),
                                   static_cast<size_t>(sec.bytes));
@@ -172,15 +169,13 @@ struct BuildStep {
   Tensor w;
   Tensor bias;
   Tensor scale, shift;
-  bool shift_gemm = false;
-  Tensor w9;
   bool quantized = false;
   std::vector<int8_t> qw;
   std::vector<float> qw_scales;
   int qbits = 8;
   bool in_nonneg = false;
   // Per-step algorithm decision (tuner/forced/heuristic), applied by
-  // compile() after strategy selection and copied into the final Step.
+  // compile() and copied into the final Step.
   const kernels::KernelBackend* be = nullptr;
   kernels::TileParams tile;
   uint32_t chunk = 0;
@@ -198,13 +193,13 @@ TuneMode resolve_tune_mode(TuneMode mode) {
   return TuneMode::kHeuristic;
 }
 
-/// The geometric constraints the shifted-GEMM runtime hard-requires
-/// (beyond these it would read out of bounds or overflow the border-repair
-/// stack buffer). The compile-time heuristic ADDS a profitability test on
-/// top; a forced kShiftGemm choice is honored exactly up to this bound.
-bool shift_hard_eligible(const ConvGeom& g) {
-  return g.stride == 1 && g.kernel % 2 == 1 && g.pad == (g.kernel - 1) / 2 &&
-         g.in_w > 2 * g.pad && (g.kernel == 1 || g.in_h <= kMaxShiftH);
+/// Whether a conv runs its step backend's gathered conv entry instead of
+/// the im2col branch: the one rule behind Step::gathered_conv(), the col
+/// scratch sizing and the tile application below.
+bool runs_gathered(OpKind kind, bool quantized,
+                   const kernels::KernelBackend* be) {
+  return kind == OpKind::kConv && !quantized && be != nullptr &&
+         be->conv != nullptr;
 }
 
 /// Walk state of Plan::compile. Activations are tracked as *virtual*
@@ -560,55 +555,12 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     if (cache != nullptr) cache->save();
   }
 
-  // Conv strategy selection. The heuristic (Strategy::kAuto) lowers
-  // eligible convs (stride 1, odd kernel, same-size padding) to the
-  // shifted-GEMM form; narrow maps stay on the chunk-batched im2col path,
-  // where their border fraction (2*pad / W) makes the repair pass cost
-  // more than im2col saves. A kShiftGemm choice overrides the
-  // profitability test but never the hard geometry bound (an ineligible
-  // force falls back to im2col); kIm2col always sticks. Quantized plans
-  // keep every conv on the im2col path — one qgemm per chunk with one
-  // activation scale, instead of K*K partial GEMMs plus a float repair
-  // pass. Packing the per-offset w9 slices happens here, after BN folding
-  // has finished rewriting `w`.
-  for (size_t i = 0; i < cc.steps.size(); ++i) {
-    BuildStep& st = cc.steps[i];
-    if (quantize || st.kind != OpKind::kConv) continue;
-    const ConvGeom& g = st.geom;
-    bool want;
-    switch (choices[i].strategy) {
-      case AlgoChoice::Strategy::kShiftGemm:
-        want = shift_hard_eligible(g);
-        break;
-      case AlgoChoice::Strategy::kIm2col:
-        want = false;
-        break;
-      case AlgoChoice::Strategy::kAuto:
-      default:
-        want = shift_hard_eligible(g) &&
-               !(g.kernel > 1 &&
-                 (g.in_w < 16 * g.pad || g.in_h > kMaxShiftH));
-        break;
-    }
-    if (!want) continue;
-    st.shift_gemm = true;
-    if (g.kernel == 1) continue;  // 1x1 multiplies `w` against x directly
-    const size_t k = g.kernel, ci = g.in_c, co = st.out_c;
-    st.w9 = Tensor({k * k, co, ci});
-    for (size_t o = 0; o < co; ++o)
-      for (size_t c = 0; c < ci; ++c)
-        for (size_t kh = 0; kh < k; ++kh)
-          for (size_t kw = 0; kw < k; ++kw)
-            st.w9.at(((kh * k + kw) * co + o) * ci + c) =
-                st.w.at(o, (c * k + kh) * k + kw);
-  }
-
-  // Apply the rest of each choice: per-step backend, tile, chunk grid.
-  // Every step carries a backend pointer (the plan backend when the choice
-  // leaves it open); a named backend must exist and share the plan's
-  // datapath — the packed weight panels have one ABI per datapath. Tiles
-  // only stick on backends exposing a tiled GEMM entry; chunk overrides
-  // only on chunk-batched (non-shift) convs.
+  // Apply each choice: per-step backend, tile, chunk grid. Every step
+  // carries a backend pointer (the plan backend when the choice leaves it
+  // open); a named backend must exist and share the plan's datapath — the
+  // packed weight panels have one ABI per datapath. Tiles only stick on
+  // backends exposing a tiled GEMM entry, and never on a gathered conv,
+  // which issues no GEMM. Chunk overrides apply to every conv.
   for (size_t i = 0; i < cc.steps.size(); ++i) {
     BuildStep& st = cc.steps[i];
     st.be = backend;
@@ -624,8 +576,10 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
           << "' is on the wrong datapath for this plan";
       st.be = b;
     }
-    if (st.be->gemm_tiled != nullptr) st.tile = ch.tile;
-    if (st.kind == OpKind::kConv && !st.shift_gemm) st.chunk = ch.chunk;
+    if (st.be->gemm_tiled != nullptr &&
+        !runs_gathered(st.kind, quantize, st.be))
+      st.tile = ch.tile;
+    if (st.kind == OpKind::kConv) st.chunk = ch.chunk;
   }
 
   // int8 lowering: export the (BN-folded) weights of every conv/linear
@@ -742,12 +696,14 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   for (size_t v = 1; v < nvirt; ++v) max_act = std::max(max_act, cc.vnumel[v]);
   plan->slot_stride_ = batch * max_act;
   plan->nchunks_ = nchunks;
-  // Chunk-batched convs unfold a whole chunk of images into one im2col
-  // matrix and land the GEMM in a result scratch before the NCHW scatter;
-  // both regions are per-chunk slices at the arena tail. A step with a
-  // tuned chunk override runs a *coarser* grid (fewer, larger chunks), so
-  // its scratch need is computed from its own effective grid — the sizing
-  // below takes the max over every step's grid, and the runtime partition
+  // Convs compute a whole chunk of images as one product into a result
+  // scratch before the NCHW scatter, reading B from a col scratch: the
+  // chunk's zero-padded images for a gathered conv (nothing when it has no
+  // padding), its im2col unfold otherwise (conv_col_floats). Both regions
+  // are per-chunk slices at the arena tail. A step with a tuned chunk
+  // override runs a *coarser* grid (fewer, larger chunks), so its scratch
+  // need is computed from its own effective grid — the sizing below takes
+  // the max over every step's grid, and the runtime partition
   // (Plan::step_chunks) can never outgrow it.
   const auto eff_imgs = [&](const BuildStep& st) {
     const size_t nch =
@@ -756,9 +712,11 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   };
   size_t max_col = 0, max_res = 0;
   for (const BuildStep& st : cc.steps) {
-    if (st.kind != OpKind::kConv || st.shift_gemm) continue;
+    if (st.kind != OpKind::kConv) continue;
     max_col = std::max(
-        max_col, st.geom.col_rows() * st.geom.col_cols() * eff_imgs(st));
+        max_col, conv_col_floats(st.geom,
+                                 runs_gathered(st.kind, st.quantized, st.be),
+                                 eff_imgs(st)));
     max_res = std::max(max_res, st.out_sz * eff_imgs(st));
   }
   plan->col_sz_ = max_col;
@@ -767,8 +725,8 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   plan->res_off_ = plan->col_off_ + plan->nchunks_ * plan->col_sz_;
 
   // Quantized plans additionally size int8 activation scratch: per-chunk
-  // quantized-im2col slices (same geometry as the float col scratch; the
-  // unfold qconv's shared fallback materializes) and, for linear steps, a
+  // quantized-im2col slices (the col scratch geometry; the unfold qconv's
+  // shared fallback materializes) and, for linear steps, a
   // whole-batch quantized-input region. Conv chunks and linear steps never
   // overlap in time, so one buffer serves both. The qbs region carries the
   // per-image column scales handed to the qgemm requantization.
@@ -780,7 +738,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     plan->qws_sz_ = std::max(plan->nchunks_ * plan->col_sz_, max_lin);
     size_t max_cols = batch;  // linear steps use one scale per batch row
     for (const BuildStep& st : cc.steps)
-      if (st.kind == OpKind::kConv && !st.shift_gemm)
+      if (st.kind == OpKind::kConv)
         max_cols = std::max(max_cols, st.geom.col_cols() * eff_imgs(st));
     plan->qbs_sz_ = max_cols;
   }
@@ -832,7 +790,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     stage_tensor(i, WeightField::kBias, bs.bias);
     stage_tensor(i, WeightField::kScale, bs.scale);
     stage_tensor(i, WeightField::kShift, bs.shift);
-    stage_tensor(i, WeightField::kW9, bs.w9);
     const size_t qw_len = bs.qw.size();
     stage(i, WeightField::kQw, bs.qw.data(), qw_len, 1, &qw_len, 1);
     const size_t qs_len = bs.qw_scales.size();
@@ -864,7 +821,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     st.window = bs.window;
     st.in_features = bs.in_features;
     st.out_features = bs.out_features;
-    st.shift_gemm = bs.shift_gemm;
     st.quantized = bs.quantized;
     st.qbits = bs.qbits;
     st.in_nonneg = bs.in_nonneg;
@@ -881,6 +837,14 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   return plan;
 }
 
+bool Step::gathered_conv() const { return runs_gathered(kind, quantized, be); }
+
+size_t Plan::conv_col_floats(const ConvGeom& g, bool gathered, size_t imgs) {
+  if (!gathered) return g.col_rows() * g.col_cols() * imgs;
+  if (g.pad == 0) return 0;
+  return imgs * g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
+}
+
 const char* Plan::backend_name() const {
   return backend_ != nullptr ? backend_->name : "?";
 }
@@ -890,7 +854,7 @@ std::string Plan::str() const {
   char line[320];
   std::snprintf(line, sizeof(line),
                 "engine plan: %zu steps, %zu activation slots x %zu floats, "
-                "%zu x %zu im2col scratch (batch %zu, backend %s%s)\n",
+                "%zu x %zu col scratch (batch %zu, backend %s%s)\n",
                 steps_.size(), slots_, slot_stride_, nchunks_, col_sz_,
                 batch_, backend_name(), quant_ ? " quantized" : "");
   s += line;
@@ -917,7 +881,7 @@ std::string Plan::str() const {
       std::snprintf(geom, sizeof(geom), "  [%zux%zux%zu] %s%s", st.out_c,
                     st.geom.out_h(), st.geom.out_w(),
                     st.quantized ? "qgemm-int8"
-                                 : (st.shift_gemm ? "shift-gemm" : "im2col"),
+                                 : (st.gathered_conv() ? "gather" : "im2col"),
                     algo);
     } else if (st.kind == OpKind::kLinear) {
       std::snprintf(geom, sizeof(geom), "  [%zu -> %zu]%s%s", st.in_features,

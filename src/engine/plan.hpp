@@ -1,7 +1,7 @@
 // Plan: the immutable half of the compiled-model split.
 //
 // Engine::compile used to weld what was compiled (steps, folded weights,
-// packed/int8 weight blobs, strategy choices, arena layout) to what runs
+// packed/int8 weight blobs, per-step choices, arena layout) to what runs
 // it (one mutable workspace arena). That limits a compiled model to one
 // in-flight batch. The split here mirrors the compiled-blob-vs-execution-
 // context separation every serious inference stack converges on:
@@ -11,7 +11,7 @@
 //                 number of ExecContexts (one per server worker) execute
 //                 it concurrently, race-free by construction because a
 //                 run only ever writes its own context.
-//   ExecContext — per-worker storage: arena, im2col/qgemm scratch
+//   ExecContext — per-worker storage: arena, col/qgemm scratch
 //                 (exec_context.hpp).
 //   Engine      — thin compatibility facade owning one Plan + one
 //                 context (engine.hpp); pre-split call sites compile
@@ -42,13 +42,6 @@ namespace kernels {
 struct KernelBackend;
 }  // namespace kernels
 
-/// Height bound for the shifted-GEMM border-repair stack buffer; taller
-/// maps fall back to the chunk-batched strategy at compile time. One
-/// definition shared by the compiler (plan.cpp), the runtime
-/// (exec_context.cpp), and the blob header stamp (plan_io.cpp) — a plan
-/// packed under a different bound must not load.
-constexpr size_t kMaxShiftH = 512;
-
 /// Alignment of every weight section inside the plan arena (cache-line,
 /// and a multiple of every element type the kernels read).
 constexpr size_t kWeightAlign = 64;
@@ -63,11 +56,10 @@ enum class WeightField : uint32_t {
   kBias,       ///< folded bias (rank 1)
   kScale,      ///< kScaleShift per-channel scale (rank 1)
   kShift,      ///< kScaleShift per-channel shift (rank 1)
-  kW9,         ///< shift-GEMM [K*K, Co, Ci] pack (rank 3)
   kQw,         ///< int8 weight panel (rank 2)
   kQwScales,   ///< per-output-channel weight scales (rank 1)
 };
-constexpr size_t kWeightFieldCount = 7;
+constexpr size_t kWeightFieldCount = 6;
 
 /// One row of the plan's section table: where inside the arena one step's
 /// weight payload lives, and the shape it must be read as. This is the
@@ -122,7 +114,7 @@ class WeightArena {
 
 /// Kernel selector of one compiled step.
 enum class OpKind {
-  kConv,          ///< im2col+GEMM conv, folded-BN bias + activation epilogue
+  kConv,          ///< conv as one GEMM per chunk, folded-BN bias + act epilogue
   kLinear,        ///< fully-connected, bias + activation epilogue
   kGlobalAvgPool, ///< [N,C,H,W] -> [N,C]
   kMaxPool,       ///< non-overlapping window max
@@ -134,8 +126,8 @@ enum class OpKind {
 /// Printable kind tag.
 const char* op_kind_name(OpKind kind);
 
-/// How Plan::compile selects per-step algorithms (conv strategy, kernel
-/// backend, tile parameters, chunk grid).
+/// How Plan::compile selects per-step algorithms (kernel backend, tile
+/// parameters, chunk grid).
 enum class TuneMode {
   /// Resolve from the ALF_TUNE environment variable ("off" / "cached" /
   /// "full"); unset or unrecognized means kHeuristic.
@@ -154,18 +146,15 @@ enum class TuneMode {
 /// what the plan carries per step, and what a blob persists (plan_io.cpp).
 /// The all-default AlgoChoice reproduces the heuristic path exactly.
 struct AlgoChoice {
-  /// Conv execution strategy; kAuto applies the compile-time predicate.
-  /// Quantized convs always run im2col (Plan::verify enforces it).
-  enum class Strategy : uint8_t { kAuto = 0, kShiftGemm = 1, kIm2col = 2 };
-  Strategy strategy = Strategy::kAuto;
   /// Per-step kernel backend name; "" = the plan's backend. Must share the
   /// plan backend's datapath (float plans pick float backends, quantized
   /// plans pick quantized ones — the packed panels have one ABI).
   std::string backend;
   /// f32 GEMM cache blocking; all-zero = the backend's built-in constants.
+  /// Only sticks where a GEMM consumes it: convs on the im2col branch.
   kernels::TileParams tile;
-  /// Conv chunk-grid override (e.g. 1 = unfold the whole batch as one
-  /// im2col GEMM); 0 = the plan's compile-time grid. Numerics-neutral:
+  /// Conv chunk-grid override (e.g. 1 = the whole batch as one conv
+  /// product); 0 = the plan's compile-time grid. Numerics-neutral:
   /// results are bit-identical across batch packings by contract.
   uint32_t chunk = 0;
 };
@@ -199,16 +188,12 @@ struct Step {
   TensorView bias;  ///< folded bias [Co]/[out]; empty = no bias
   TensorView scale, shift;  ///< kScaleShift per-channel affine
 
-  /// Conv execution strategy, chosen at compile time per layer:
-  /// - shift_gemm (wide maps and all 1x1s): no im2col at all — K*K GEMMs of
-  ///   per-offset weight slices against shifted views of the input planes,
-  ///   then the `pad` border columns are recomputed directly. `w9` holds
-  ///   the compile-time repacking [K*K, Co, Ci] of `w` (empty for 1x1).
-  /// - chunk-batched im2col (narrow maps, strided convs): all images of a
-  ///   batch chunk unfold side by side into one [Ci*K*K, G*Ho*Wo] matrix,
-  ///   one GEMM computes the chunk, and the result scatters back to NCHW.
-  /// Both exploit what only a compiled plan has: pre-packed weights and
-  /// arena scratch sized once for the whole batch.
+  /// Retired shift-GEMM strategy: always false and empty (Plan::verify
+  /// rejects anything else). Kept declared for code that still reads them.
+  /// Every conv computes all images of a batch chunk side by side as one
+  /// [Co, G*Ho*Wo] product, then scatters back to NCHW — gathered by the
+  /// step backend's conv entry when it has one (gathered_conv()), else
+  /// over an im2col unfold in plan scratch.
   bool shift_gemm = false;
   TensorView w9;
 
@@ -242,6 +227,10 @@ struct Step {
   kernels::TileParams tile;
   /// Conv chunk-grid override; 0 = the plan's grid (Plan::chunks()).
   uint32_t chunk = 0;
+
+  /// True for a float conv whose step backend has a conv entry: it runs
+  /// be->conv over padded images instead of the im2col branch.
+  bool gathered_conv() const;
 };
 
 /// Typed error thrown by Plan::verify() when a compiled plan violates one
@@ -281,7 +270,7 @@ struct EngineOptions {
   std::vector<AlgoChoice> force_choices;
 };
 
-/// Compiled model: flat step list, folded/packed weights, strategy choices,
+/// Compiled model: flat step list, folded/packed weights, per-step choices,
 /// pinned kernel backend, and the arena layout every ExecContext allocates.
 /// Immutable after compile() and shared by const pointer: concurrent runs
 /// on distinct contexts never touch Plan state, so a ModelServer hosts one
@@ -323,6 +312,7 @@ class Plan {
   /// Total float arena of one context (activation slots + conv scratch).
   size_t workspace_floats() const { return res_off_ + nchunks_ * res_sz_; }
   size_t col_offset() const { return col_off_; }
+  /// Per-chunk col scratch: sized by conv_col_floats() over every conv.
   size_t col_floats() const { return col_sz_; }
   size_t result_offset() const { return res_off_; }
   size_t result_floats() const { return res_sz_; }
@@ -335,6 +325,14 @@ class Plan {
   size_t step_chunks(const Step& st) const {
     return st.chunk != 0 ? std::min<size_t>(st.chunk, nchunks_) : nchunks_;
   }
+  /// Per-chunk col scratch a conv of geometry `g` needs for `imgs` images:
+  /// its zero-padded images when the conv is gathered (none when it has no
+  /// padding — the activation slot is read in place), the full im2col
+  /// unfold otherwise (the float im2col branch; for quantized convs, the
+  /// int8 unfold fallback's byte slice of the qws scratch). Compile sizes
+  /// col_floats() by it and verify() checks every conv against it.
+  static size_t conv_col_floats(const ConvGeom& g, bool gathered,
+                                size_t imgs);
   /// int8 activation scratch bytes of one context (0 on float plans).
   size_t qws_bytes() const { return qws_sz_; }
   /// Per-image scale-slice stride of the qgemm scratch.
@@ -396,8 +394,8 @@ class Plan {
   size_t classes_ = 0;
   size_t slots_ = 0;        ///< number of activation slots
   size_t slot_stride_ = 0;  ///< floats per activation slot
-  size_t col_off_ = 0;      ///< arena offset of the im2col scratch block
-  size_t col_sz_ = 0;       ///< floats per per-chunk im2col scratch slice
+  size_t col_off_ = 0;      ///< arena offset of the col scratch block
+  size_t col_sz_ = 0;       ///< floats per per-chunk col scratch slice
   size_t res_off_ = 0;      ///< arena offset of the GEMM-result scratch
   size_t res_sz_ = 0;       ///< floats per per-chunk result scratch slice
   size_t nchunks_ = 0;      ///< fixed batch partition (determinism)

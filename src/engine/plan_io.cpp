@@ -109,7 +109,6 @@ void PlanIo::save(const Plan& p, const std::string& path) {
     r.name_len = st.name.size();
     names += st.name;
     r.qbits = st.qbits;
-    r.shift_gemm = st.shift_gemm ? 1 : 0;
     r.quantized = st.quantized ? 1 : 0;
     r.in_nonneg = st.in_nonneg ? 1 : 0;
     // The per-step algorithm choice (v2). The actual backend name is
@@ -156,7 +155,6 @@ void PlanIo::save(const Plan& p, const std::string& path) {
     if (st.be != nullptr) hdr.cpu_features |= st.be->required_features;
   hdr.quantized = p.quant_ ? 1 : 0;
   hdr.qbits = plan_qbits(p);
-  hdr.max_shift_h = kMaxShiftH;
   hdr.batch = p.batch_;
   hdr.in_c = p.in_c_;
   hdr.in_h = p.in_h_;
@@ -289,10 +287,9 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
             "packed-panel layout v" + std::to_string(hdr.panel_layout) +
                 " (this build's kernels consume v" +
                 std::to_string(kernels::kPanelLayoutVersion) + ")");
-  if (hdr.max_shift_h != kMaxShiftH ||
-      hdr.weight_align != kWeightAlign)
-    io_fail(Code::kBadVersion, "packing-geometry stamps disagree with this "
-                               "build (max_shift_h/weight_align)");
+  if (hdr.weight_align != kWeightAlign)
+    io_fail(Code::kBadVersion, "packing-geometry stamp disagrees with this "
+                               "build (weight_align)");
   const uint64_t steps_bytes = uint64_t{hdr.nsteps} * sizeof(StepRecord);
   const uint64_t sections_bytes =
       uint64_t{hdr.nsections} * sizeof(SectionRecord);
@@ -329,6 +326,10 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     if (r.name_off + r.name_len > hdr.names_bytes)
       io_fail(Code::kBadSection,
               "step " + std::to_string(i) + ": name outside the name blob");
+    if (r.shift_gemm != 0)
+      io_fail(Code::kBadSection,
+              "step " + std::to_string(i) +
+                  ": selects the retired shift-GEMM strategy");
     s.kind = static_cast<OpKind>(r.kind);
     s.act = static_cast<Act>(r.act);
     s.name.assign(names + r.name_off, static_cast<size_t>(r.name_len));
@@ -343,7 +344,6 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     s.in_features = r.in_features;
     s.out_features = r.out_features;
     s.qbits = r.qbits;
-    s.shift_gemm = r.shift_gemm != 0;
     s.quantized = r.quantized != 0;
     s.in_nonneg = r.in_nonneg != 0;
     if (std::memchr(r.backend_name, 0, sizeof(r.backend_name)) == nullptr)

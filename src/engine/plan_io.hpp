@@ -22,8 +22,8 @@
 // Integrity and compatibility are checked in this order, all before any
 // kernel touches data: magic -> endianness/header size -> format version
 // -> header CRC -> file size vs header -> packing-geometry stamps
-// (kernels::kPanelLayoutVersion, kMaxShiftH, kWeightAlign) -> region
-// offsets -> meta CRC (steps + names + sections) -> per-record structural
+// (kernels::kPanelLayoutVersion, kWeightAlign) -> region offsets -> meta
+// CRC (steps + names + sections) -> per-record structural
 // validation -> CPU-feature mask vs this host -> backend liveness ->
 // per-section payload CRCs -> Plan::verify() on the assembled plan.
 // Every rejection throws PlanIoError with a typed code.
@@ -38,7 +38,12 @@
 // Versioning policy: kFormatVersion bumps on ANY layout change (no
 // in-place migration — blobs are cheap to regenerate with alf_planc);
 // kernels::kPanelLayoutVersion bumps when a kernel changes its packed
-// panel ABI, so stale blobs are rejected rather than mis-read.
+// panel ABI, so stale blobs are rejected rather than mis-read. Panel
+// layout v2 retired the shift-GEMM strategy without a format change: its
+// header stamp became reserved (written 0), its step flag must be 0, and
+// its weight-field code left the section table (renumbering the int8
+// fields — safe, because a panel layout v1 blob fails the panel stamp
+// before any record is read).
 #pragma once
 
 #include <cstddef>
@@ -107,7 +112,7 @@ struct FileHeader {
   uint32_t cpu_features;  ///< backend->required_features at save
   uint32_t quantized;
   uint32_t qbits;         ///< grid width of lowered steps (0 on float plans)
-  uint32_t max_shift_h;   ///< kMaxShiftH at save (shift-GEMM geometry)
+  uint32_t reserved1;     ///< 0 (was the shift-GEMM height stamp)
   uint64_t batch, in_c, in_h, in_w, classes;
   // Arena layout (Plan's ExecContext geometry, verbatim).
   uint64_t slots, slot_stride, col_off, col_sz, res_off, res_sz, nchunks,
@@ -136,7 +141,8 @@ struct StepRecord {
   uint64_t name_off;   ///< into the names region
   uint64_t name_len;
   int32_t qbits;
-  uint8_t shift_gemm, quantized, in_nonneg, reserved0;
+  uint8_t shift_gemm;  ///< retired strategy flag: 0, any other value rejected
+  uint8_t quantized, in_nonneg, reserved0;
   // v2: the step's algorithm choice. backend_name is NUL-terminated; ""
   // means "the plan's backend". Tile fields of 0 select the backend's
   // built-in blocking; chunk 0 the plan's compile-time grid.

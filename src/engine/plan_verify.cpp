@@ -19,13 +19,14 @@
 //      bug that makes two overlapping live ranges share a slot shows up
 //      here as a dead read or a size break in the chain.
 //   2. Arena geometry. slot_stride_ must cover every activation the steps
-//      move at the compiled batch; the im2col/result scratch offsets must
-//      tile the workspace exactly; every chunk-batched conv's unfold and
-//      GEMM result must fit its per-chunk scratch slice.
+//      move at the compiled batch; the col/result scratch offsets must
+//      tile the workspace exactly; every conv's col input (padded images
+//      when gathered, the unfold otherwise — Plan::conv_col_floats) and
+//      product must fit its per-chunk scratch slices.
 //   3. Weight panels. Float steps must carry a weight matrix of exactly
 //      the GEMM shape the kernel will read ([Co, Ci*K*K] conv rows,
-//      [out, in] linear); shift-GEMM steps the packed [K*K, Co, Ci]
-//      repacking and a geometry the strategy supports.
+//      [out, in] linear). The retired shift-GEMM strategy stays off: no
+//      step may set shift_gemm or carry a w9 pack.
 //   4. int8 lowering. A quantized step must carry the full quantized
 //      panel, one finite positive scale per output channel, a grid width
 //      in [2, 8] — and have released its float weights. Quantized plans
@@ -86,9 +87,9 @@ void Plan::verify() const {
   // --- Arena layout arithmetic ------------------------------------------
   if (slots_ < 1) fail("plan has no activation slots");
   if (col_off_ != slots_ * slot_stride_)
-    fail("im2col scratch offset does not abut the activation slots");
+    fail("col scratch offset does not abut the activation slots");
   if (res_off_ != col_off_ + nchunks_ * col_sz_)
-    fail("result scratch offset does not abut the im2col scratch");
+    fail("result scratch offset does not abut the col scratch");
   // Effective whole-chunk image count of one step: a tuned chunk override
   // coarsens the grid (fewer, larger chunks), so scratch bounds are
   // checked against each step's own partition — the same arithmetic the
@@ -153,24 +154,16 @@ void Plan::verify() const {
           fail(tag(i, st) + ": in_sz disagrees with conv geometry");
         if (st.out_sz != st.out_c * g.out_h() * g.out_w())
           fail(tag(i, st) + ": out_sz disagrees with conv geometry");
-        if (st.quantized) {
-          if (st.shift_gemm)
-            fail(tag(i, st) + ": quantized conv on the shift-GEMM path");
-        } else if (st.shift_gemm) {
-          if (g.stride != 1 || g.kernel % 2 == 0 || g.pad != (g.kernel - 1) / 2)
-            fail(tag(i, st) + ": shift-GEMM needs stride-1 same-size conv");
-          if (g.kernel > 1 &&
-              (st.w9.rank() != 3 || st.w9.dim(0) != g.kernel * g.kernel ||
-               st.w9.dim(1) != st.out_c || st.w9.dim(2) != g.in_c))
-            fail(tag(i, st) + ": shift-GEMM weight pack has the wrong shape");
-        } else {
-          // Chunk-batched im2col: the whole-chunk unfold and GEMM result
-          // must fit the per-chunk scratch slices.
-          if (g.col_rows() * g.col_cols() * step_imgs(st) > col_sz_)
-            fail(tag(i, st) + ": im2col unfold overflows the col scratch");
-          if (st.out_sz * step_imgs(st) > res_sz_)
-            fail(tag(i, st) + ": GEMM result overflows the result scratch");
-        }
+        // The whole-chunk col input and product must fit the per-chunk
+        // scratch slices.
+        if (conv_col_floats(g, st.gathered_conv(), step_imgs(st)) > col_sz_)
+          fail(tag(i, st) + ": col input (" +
+               (st.gathered_conv() ? "padded images" : "im2col unfold") +
+               ") overflows the col scratch");
+        if (st.out_sz * step_imgs(st) > res_sz_)
+          fail(tag(i, st) + ": GEMM result overflows the result scratch");
+        if (st.gathered_conv() && !st.tile.is_default())
+          fail(tag(i, st) + ": tuned tile on a gathered conv (no GEMM)");
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_c ||
              st.w.dim(1) != g.col_rows()))
@@ -253,10 +246,17 @@ void Plan::verify() const {
         fail(tag(i, st) + ": float weights not released after int8 lowering");
     }
 
+    // The retired shift-GEMM strategy: no step may select it or carry its
+    // weight pack (the runtime has no such path).
+    if (st.shift_gemm)
+      fail(tag(i, st) + ": selects the retired shift-GEMM strategy");
+    if (!st.w9.empty())
+      fail(tag(i, st) + ": carries a retired shift-GEMM weight pack");
+
     // Per-step algorithm choice. Conv/linear steps dispatch their GEMMs
     // through st.be, so it must be a live registry entry on the plan's
     // datapath; a tuned tile needs a backend that can actually consume it;
-    // chunk overrides only make sense on chunk-batched convs.
+    // chunk overrides only make sense on convs.
     if (lowerable) {
       if (st.be == nullptr) fail(tag(i, st) + ": no step backend pinned");
       if (kernels::find_backend(st.be->name) != st.be)
@@ -270,8 +270,8 @@ void Plan::verify() const {
         (st.be == nullptr || st.be->gemm_tiled == nullptr))
       fail(tag(i, st) + ": tuned tile on a backend without a tiled GEMM");
     if (st.chunk != 0) {
-      if (st.kind != OpKind::kConv || st.shift_gemm)
-        fail(tag(i, st) + ": chunk override on a non-chunk-batched step");
+      if (st.kind != OpKind::kConv)
+        fail(tag(i, st) + ": chunk override on a non-conv step");
       if (st.chunk > batch_)
         fail(tag(i, st) + ": chunk override exceeds the batch");
     }
@@ -293,7 +293,7 @@ void Plan::verify() const {
     for (const Step& st : steps_) {
       if (st.kind == OpKind::kLinear && qws_sz_ < batch_ * st.in_features)
         fail("int8 activation scratch smaller than a linear input panel");
-      if (st.kind == OpKind::kConv && !st.shift_gemm &&
+      if (st.kind == OpKind::kConv &&
           qbs_sz_ < st.geom.col_cols() * step_imgs(st))
         fail("per-image scale scratch smaller than a conv's GEMM columns");
     }
@@ -323,8 +323,6 @@ void Plan::verify() const {
         return {st.scale.data(), st.scale.numel() * sizeof(float)};
       case WeightField::kShift:
         return {st.shift.data(), st.shift.numel() * sizeof(float)};
-      case WeightField::kW9:
-        return {st.w9.data(), st.w9.numel() * sizeof(float)};
       case WeightField::kQw:
         return {st.qw.data(), st.qw.size()};
       case WeightField::kQwScales:

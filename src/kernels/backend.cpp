@@ -202,6 +202,14 @@ void set_default_backend(const std::string& name) {
   g_default.store(be, std::memory_order_release);
 }
 
+void pad_f32(const float* src, size_t planes, size_t h, size_t w, size_t pad,
+             float* dst) {
+  detail::pad_planes(src, planes, h, w, pad, 0.0f, dst,
+                     [](const float* s, float* d, size_t n) {
+                       std::memcpy(d, s, n * sizeof(float));
+                     });
+}
+
 const KernelBackend* best_quantized_backend() {
   for (const char* name : {"int8-vnni", "int8-avx2"}) {
     const KernelBackend* be = find_backend(name);

@@ -1,11 +1,11 @@
 // Dispatchable kernel-backend layer: the compute substrate behind every
 // GEMM in the library.
 //
-// tensor/ops.cpp::gemm/gemm_view, the nn/ layers and the engine's two conv
-// strategies all route their matrix products through one KernelBackend
-// chosen at startup (or, for a compiled model, once at Plan::compile time —
-// the Plan pins the backend pointer for its lifetime). A backend bundles
-// the two entry points the library needs:
+// tensor/ops.cpp::gemm/gemm_view, the nn/ layers and the engine's convs
+// all route their matrix products through one KernelBackend chosen at
+// startup (or, for a compiled model, once at Plan::compile time — the Plan
+// pins the backend pointer for its lifetime). A backend bundles the two
+// entry points the library needs:
 //
 //   gemm   — f32 C = alpha * op(A) * op(B) + beta * C over row-major views
 //            (the gemm_view shape: lda/ldb/ldc strides, trans flags).
@@ -13,17 +13,24 @@
 //            per-tensor scales and zero-points, int32 accumulation,
 //            requantized to float on store.
 //
-// plus one optional quantized-conv entry, qconv: the same product with B
-// the implicit im2col unfold of zero-point-padded int8 images, packed
-// straight from the images (no unfold is materialized). Backends without
-// it run the shared fallback — unfold into caller scratch, then qgemm.
+// plus two optional conv entries, one per datapath, each the same product
+// with B the implicit im2col unfold of padded images, packed straight from
+// the images (no unfold is materialized):
+//
+//   conv   — f32, over zero-padded float images; exactly gemm over the
+//            unfold. Backends without it leave the engine on its im2col
+//            branch (unfold into plan scratch, then gemm).
+//   qconv  — int8, over zero-point-padded images; exactly qgemm over the
+//            unfold. Backends without it run the shared fallback — unfold
+//            into caller scratch, then qgemm.
 //
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
 //            registered, the portable fallback and the equivalence oracle.
 //   simd   — explicitly vectorized 4x16 inner tile over portable GCC/Clang
 //            vector extensions (no intrinsics), with A-panel packing so the
-//            trans_a/trans_b variants read contiguously. Compiled with
+//            trans_a/trans_b variants read contiguously; its conv entry
+//            gathers B panels from the padded images. Compiled with
 //            wider vector ISA flags when CMake's ALF_SIMD is ON; selected
 //            at runtime only if the CPU supports what was compiled in.
 //   int8   — the quantized datapath: qgemm is the real kernel; its f32
@@ -33,7 +40,7 @@
 // Selection: set_default_backend("name") wins, else the ALF_BACKEND
 // environment variable, else the best available (simd when usable, scalar
 // otherwise). Adding an ISA or dtype is a one-file drop-in: implement the
-// two entry points (qconv optionally) and register_backend() it.
+// two entry points (conv/qconv optionally) and register_backend() it.
 //
 // Every backend must be deterministic: for a fixed backend the result is
 // bit-identical for any thread count (accumulation order per C element
@@ -74,12 +81,13 @@ enum CpuFeature : uint32_t {
 };
 
 /// ABI version of the packed weight-panel layouts every backend consumes:
-/// conv int8 panels as [Co, Ci*K*K] rows, linear int8 panels as the
-/// transposed [in, out] B panel, shift-GEMM float packs as [K*K, Co, Ci].
-/// Plan blobs stamp this (engine/plan_io.cpp); bump it whenever a kernel
-/// changes what it expects packed, so stale blobs are rejected at load
-/// with a clear message instead of mis-read by the kernels.
-constexpr uint32_t kPanelLayoutVersion = 1;
+/// conv weights (float and int8) as [Co, Ci*K*K] rows, linear int8 panels
+/// as the transposed [in, out] B panel. Plan blobs stamp this
+/// (engine/plan_io.cpp) and so does the tuner's algo cache; bump it
+/// whenever a kernel changes what it expects packed, so stale blobs are
+/// rejected at load with a clear message instead of mis-read by the
+/// kernels.
+constexpr uint32_t kPanelLayoutVersion = 2;
 
 /// Features the host CPU can actually execute (cached cpuid probe; 0 on
 /// non-x86 hosts).
@@ -121,14 +129,15 @@ struct QgemmParams {
   const float* b_scales = nullptr;
 };
 
-/// Geometry of one qconv call: `images` int8 images laid out back to back,
-/// each [in_c, in_h, in_w] where in_h/in_w are the *padded* extents (the
-/// caller writes the conv's zero padding as explicit zero-point bytes, so
-/// a pad tap reads quantize(0.0f) exactly like the float unfold's zero).
-/// The implicit B matrix is the im2col unfold of those images side by
-/// side: B[(c*K + kh)*K + kw][img*out_h*out_w + oh*out_w + ow] =
+/// Geometry of one conv/qconv call: `images` images laid out back to
+/// back, each [in_c, in_h, in_w] where in_h/in_w are the *padded* extents
+/// (the caller writes the conv's zero padding explicitly — 0.0f for conv,
+/// zero-point bytes for qconv, so a pad tap reads quantize(0.0f) exactly
+/// like the float unfold's zero). The implicit B matrix is the im2col
+/// unfold of those images side by side:
+/// B[(c*K + kh)*K + kw][img*out_h*out_w + oh*out_w + ow] =
 /// x[img][c][oh*stride + kh][ow*stride + kw].
-struct QconvShape {
+struct ConvShape {
   size_t in_c = 0;
   size_t in_h = 0, in_w = 0;  ///< padded plane extents
   size_t kernel = 1;
@@ -137,7 +146,8 @@ struct QconvShape {
 
   size_t out_h() const { return (in_h - kernel) / stride + 1; }
   size_t out_w() const { return (in_w - kernel) / stride + 1; }
-  size_t image_bytes() const { return in_c * in_h * in_w; }
+  /// Elements of one padded image (bytes for qconv, floats for conv).
+  size_t image_size() const { return in_c * in_h * in_w; }
   /// Reduction length (rows of B).
   size_t k() const { return in_c * kernel * kernel; }
   /// Output columns (columns of B and C).
@@ -145,7 +155,7 @@ struct QconvShape {
 };
 
 /// One kernel backend: a named pair of GEMM entry points (plus the
-/// optional quantized-conv entry). Instances are immutable statics with
+/// optional conv entries). Instances are immutable statics with
 /// program lifetime; the registry stores pointers.
 struct KernelBackend {
   const char* name;
@@ -182,29 +192,38 @@ struct KernelBackend {
   /// cache blocking chosen per call; a zero TileParams field selects this
   /// backend's default, so gemm_tiled(..., {}) == gemm(...). Null when the
   /// backend's blocking is fixed (the int8 dot kernels have a hard panel
-  /// ABI) — the tuner then only ever offers the default-tile candidate.
-  /// Declared LAST so existing aggregate initializers stay valid.
+  /// ABI, simd's float convs gather through `conv` instead of a GEMM) —
+  /// the tuner then only ever offers the default-tile candidate.
   void (*gemm_tiled)(const float* a, size_t lda, bool trans_a, const float* b,
                      size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
                      size_t k, size_t n, float alpha, float beta,
                      const TileParams& tile) = nullptr;
 
   /// Optional quantized conv: exactly qgemm(a, lda, unfold(x), s.n(), c,
-  /// ldc, m, s.k(), s.n(), p) with the unfold of `x` per QconvShape, but B
+  /// ldc, m, s.k(), s.n(), p) with the unfold of `x` per ConvShape, but B
   /// panels (and column sums) are packed straight from the padded images.
   /// `scratch` is caller-owned [s.k(), s.n()] int8 workspace for entries
   /// that do materialize the unfold (the shared fallback); gathering
   /// kernels ignore it. Null = run the fallback (see kernels::qconv).
   void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
-                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, int8_t* scratch) = nullptr;
+
+  /// Optional f32 conv, the float twin of qconv: byte for byte
+  /// gemm(a, lda, false, unfold(x), s.n(), false, c, ldc, m, s.k(), s.n(),
+  /// 1, 0) with the unfold of the zero-padded float images `x` per
+  /// ConvShape, but B panels gathered straight from the images. A is the
+  /// [m, s.k()] row-major weight matrix. Null = the engine keeps the conv
+  /// on its im2col branch (unfold into plan scratch, then gemm).
+  void (*conv)(const float* a, size_t lda, const float* x,
+               const ConvShape& s, float* c, size_t ldc, size_t m) = nullptr;
 };
 
 /// Runs one quantized conv through `be`: its qconv entry when it has one,
 /// else the shared fallback, which copies the unfold of `x` into `scratch`
 /// ([s.k(), s.n()] bytes) and calls be->qgemm. Bit-identical either way.
 void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
-           const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+           const int8_t* x, const ConvShape& s, float* c, size_t ldc,
            size_t m, const QgemmParams& p, int8_t* scratch);
 
 /// Routes one f32 GEMM through `be` with the tuned blocking `tile`: the
@@ -296,6 +315,11 @@ void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
                      size_t pad, float inv, int32_t zp, int32_t levels,
                      int8_t* dst);
+
+/// Copies `planes` [h, w] float planes into their zero-padded copy
+/// [planes, h + 2*pad, w + 2*pad] — the images a conv entry gathers from.
+void pad_f32(const float* src, size_t planes, size_t h, size_t w, size_t pad,
+             float* dst);
 
 /// max |src[i]| over i < n (0 for n == 0): the engine's per-image
 /// dynamic-range scan. max is order-independent, so the vectorized and

@@ -80,28 +80,10 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
 }
 
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+                  const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, int8_t* scratch) {
-  const size_t ho = s.out_h(), wo = s.out_w(), n = s.n();
-  const size_t plane = s.in_h * s.in_w, img_cols = ho * wo;
-  int8_t* row = scratch;
-  for (size_t ch = 0; ch < s.in_c; ++ch)
-    for (size_t kh = 0; kh < s.kernel; ++kh)
-      for (size_t kw = 0; kw < s.kernel; ++kw, row += n)
-        for (size_t img = 0; img < s.images; ++img) {
-          const int8_t* src =
-              x + img * s.image_bytes() + ch * plane + kh * s.in_w + kw;
-          int8_t* dst = row + img * img_cols;
-          for (size_t oh = 0; oh < ho; ++oh, dst += wo) {
-            const int8_t* srow = src + oh * s.stride * s.in_w;
-            if (s.stride == 1) {
-              std::memcpy(dst, srow, wo);
-            } else {
-              for (size_t ow = 0; ow < wo; ++ow) dst[ow] = srow[ow * s.stride];
-            }
-          }
-        }
-  qgemm(a, lda, scratch, n, c, ldc, m, s.k(), n, p);
+  unfold_padded(x, s, scratch);
+  qgemm(a, lda, scratch, s.n(), c, ldc, m, s.k(), s.n(), p);
 }
 
 void reset_int8_dispatch_cache() {
@@ -119,7 +101,7 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                     const QgemmParams& p);
 
 void qconv_generic(const int8_t* a, size_t lda, const int8_t* x,
-                   const QconvShape& s, float* c, size_t ldc, size_t m,
+                   const ConvShape& s, float* c, size_t ldc, size_t m,
                    const QgemmParams& p, int8_t* scratch) {
   detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, scratch);
 }
@@ -162,7 +144,7 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 /// qconv entry of the generic backend: resolve-once dispatch.
 void qconv_dispatch(const int8_t* a, size_t lda, const int8_t* x,
-                    const QconvShape& s, float* c, size_t ldc, size_t m,
+                    const ConvShape& s, float* c, size_t ldc, size_t m,
                     const QgemmParams& p, int8_t* scratch) {
   detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
   if (fn == nullptr) fn = resolve_quantized().qconv;
@@ -181,7 +163,7 @@ const KernelBackend* int8_backend() {
 }
 
 void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
-           const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+           const int8_t* x, const ConvShape& s, float* c, size_t ldc,
            size_t m, const QgemmParams& p, int8_t* scratch) {
   if (be->qconv != nullptr)
     be->qconv(a, lda, x, s, c, ldc, m, p, scratch);
@@ -208,8 +190,8 @@ void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
 void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
                           size_t w, size_t pad, float inv, int32_t zp,
                           int32_t levels, int8_t* dst) {
-  detail::quantize_pad_planes(
-      src, planes, h, w, pad, zp, dst,
+  detail::pad_planes(
+      src, planes, h, w, pad, static_cast<int8_t>(zp), dst,
       [&](const float* s, int8_t* d, size_t n) {
         quantize_row_i8_base(s, d, n, inv, zp, levels);
       });

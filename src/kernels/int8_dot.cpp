@@ -65,13 +65,16 @@ namespace alf::kernels {
 
 namespace {
 
+using detail::ConvPanel;
+using detail::PanelMode;
+using detail::partition;
+
 constexpr size_t kMr = 4;   // register-tile rows
 constexpr size_t kNr = 16;  // register-tile columns (two ymm of int32)
+static_assert(kNr == detail::kPanelCols, "qconv gathers whole B panels");
 /// Below this madd count the pack/correction overhead loses to the plain
 /// body; delegate there (bit-identical, so the cutoff is invisible).
 constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
-/// Same per-worker floor as the other backends (core/parallel chunking).
-constexpr size_t kMaddsPerWorker = size_t{1} << 16;
 
 inline int32_t load_i32(const void* p) {
   int32_t v = 0;
@@ -161,64 +164,7 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
   }
 }
 
-/// Work partition shared by every driver: `units` rows (qgemm) or column
-/// panels (qconv) of `madds_per_unit` each, with the same gating and
-/// per-worker floor as the other backends, so call sites see one
-/// consistent threading policy.
-template <typename F>
-void partition(size_t units, size_t madds_per_unit, const F& process) {
-  const size_t min_units = std::max<size_t>(
-      1, kMaddsPerWorker / std::max<size_t>(1, madds_per_unit));
-  if (in_parallel_region() || units <= min_units || parallel_threads() <= 1) {
-    process(0, units);
-    return;
-  }
-  parallel_for_chunked(0, units, process, min_units);
-}
-
 // --- qconv B gather ----------------------------------------------------------
-
-/// How one kNr-column panel of a qconv's implicit unfold reads its rows.
-enum class PanelMode { kGather, kContiguous, kHalves, kStride2 };
-
-/// Column map of one B panel: off[t] is the byte offset (into the padded
-/// images) of column t's (c, kh, kw) = (0, 0, 0) tap; row kk adds the tap
-/// offset koff[kk] to every column.
-struct ConvPanel {
-  size_t cols = 0;
-  PanelMode mode = PanelMode::kGather;
-  size_t off[kNr] = {};
-};
-
-ConvPanel map_panel(const QconvShape& s, size_t j0, size_t n) {
-  ConvPanel pn;
-  pn.cols = std::min(kNr, n - j0);
-  const size_t wo = s.out_w(), img_cols = s.out_h() * wo;
-  size_t img = j0 / img_cols, oh = (j0 % img_cols) / wo, ow = j0 % wo;
-  for (size_t t = 0; t < pn.cols; ++t) {
-    pn.off[t] = img * s.image_bytes() + oh * s.stride * s.in_w + ow * s.stride;
-    ++ow;
-    if (ow < wo) continue;
-    ow = 0;
-    ++oh;
-    if (oh < s.out_h()) continue;
-    oh = 0;
-    ++img;
-  }
-  if (pn.cols < kNr) return pn;
-  const auto run = [&](size_t t0, size_t len, size_t step) {
-    for (size_t t = t0 + 1; t < t0 + len; ++t)
-      if (pn.off[t] != pn.off[t0] + (t - t0) * step) return false;
-    return true;
-  };
-  if (run(0, kNr, 1))
-    pn.mode = PanelMode::kContiguous;
-  else if (run(0, kNr / 2, 1) && run(kNr / 2, kNr / 2, 1))
-    pn.mode = PanelMode::kHalves;
-  else if (run(0, kNr, 2))
-    pn.mode = PanelMode::kStride2;
-  return pn;
-}
 
 /// The shared 16-column gather: row `x` (images + the row's tap offset) of
 /// one panel as 16 bytes, zero past the panel's last column. Every load
@@ -323,7 +269,7 @@ void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
 /// exact, so the partition never shows in the output.
 template <size_t G, typename TA, typename TB, typename PackA, typename Emit,
           typename Micro>
-void qconv_driver(const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, int32_t azp_eff,
                   const PackA& pack_a, const Emit& emit, const Micro& micro) {
   const size_t k = s.k(), n = s.n();
@@ -347,10 +293,7 @@ void qconv_driver(const int8_t* x, const QconvShape& s, float* c, size_t ldc,
   pack_a(size_t{0}, m, apack, rowsum);
   koff_tls.resize(k);
   size_t* const koff = koff_tls.data();
-  for (size_t ch = 0, kk = 0; ch < s.in_c; ++ch)
-    for (size_t kh = 0; kh < s.kernel; ++kh)
-      for (size_t kw = 0; kw < s.kernel; ++kw, ++kk)
-        koff[kk] = ch * s.in_h * s.in_w + kh * s.in_w + kw;
+  detail::conv_tap_offsets(s, koff);
 
   const auto process_panels = [=, &emit, &micro](size_t p0, size_t p1) {
     thread_local std::vector<TB> bpanel_tls;
@@ -360,7 +303,7 @@ void qconv_driver(const int8_t* x, const QconvShape& s, float* c, size_t ldc,
     alignas(32) int32_t acc[kMr * kNr];
     for (size_t jp = p0; jp < p1; ++jp) {
       const size_t j0 = jp * kNr;
-      const ConvPanel pn = map_panel(s, j0, n);
+      const ConvPanel pn = detail::map_panel(s, j0, n);
       pack_conv_panel<G>(x, pn, koff, k, emit, bpanel,
                          azp_eff != 0 ? colsum : nullptr);
       for (size_t rp = 0; rp < rpan; ++rp) {
@@ -594,7 +537,7 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 }
 
 void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
-                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, int8_t* /*scratch*/) {
   const size_t k = s.k();
   qconv_driver<2, int16_t, int16_t>(
@@ -668,8 +611,8 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
 void quantize_pad_i8_avx2(const float* src, size_t planes, size_t h,
                           size_t w, size_t pad, float inv, int32_t zp,
                           int32_t levels, int8_t* dst) {
-  detail::quantize_pad_planes(
-      src, planes, h, w, pad, zp, dst,
+  detail::pad_planes(
+      src, planes, h, w, pad, static_cast<int8_t>(zp), dst,
       [&](const float* s, int8_t* d, size_t n) {
         quantize_row_i8_avx2(s, d, n, inv, zp, levels);
       });
@@ -843,7 +786,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 }
 
 void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
-                const QconvShape& s, float* c, size_t ldc, size_t m,
+                const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, int8_t* /*scratch*/) {
   const size_t k = s.k();
   // Same +128 A encoding as qgemm_vnni: azp_eff is never zero, so the

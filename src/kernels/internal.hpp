@@ -1,6 +1,17 @@
 // Internals shared between the built-in kernel backends. Not installed on
 // the public include path of the library's users (tests include it via the
 // source tree to reach the raw kernels directly).
+//
+// Linkage rule: the kernel TUs build under different ISA flags (int8.cpp
+// at the baseline, simd.cpp with -mavx2 -mfma, int8_dot.cpp with -mavx2),
+// and the bodies defined in this header are compiled into more than one
+// of them. So every definition here sits in an unnamed namespace: each TU
+// keeps its own copy, built with its own flags. With external linkage an
+// inline body is a weak symbol in every object that uses it and the
+// linker keeps one of them, so a kernel meant to run its AVX2 build could
+// run the baseline one, or AVX2 code could reach a CPU without AVX2.
+// Check: `nm -C` on the kernel objects shows no symbol of this header as
+// weak (W) in two of them.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +71,7 @@ using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
                          float*, size_t, size_t, size_t, size_t,
                          const QgemmParams&);
 using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
-                         const QconvShape&, float*, size_t, size_t,
+                         const ConvShape&, float*, size_t, size_t,
                          const QgemmParams&, int8_t*);
 
 /// The shared qconv fallback (defined in int8.cpp): copies the unfold of
@@ -69,7 +80,7 @@ using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
 /// qconv entry executes, and the seam the generic int8 backend resolves to
 /// when no gathering kernel is allowed.
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const int8_t* x, const QconvShape& s, float* c, size_t ldc,
+                  const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, int8_t* scratch);
 
 /// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
@@ -86,30 +97,138 @@ QuantizeRowFn quantize_row_i8_vec();
 QuantizePadFn quantize_pad_i8_vec();
 MaxAbsFn max_abs_f32_vec();
 
-/// Loop of quantize_pad_i8, shared by its baseline and AVX2 bodies:
-/// `row(src, dst, w)` quantizes one image row in place of a per-row
-/// dispatch, and every border byte gets zp.
-template <typename Row>
-inline void quantize_pad_planes(const float* src, size_t planes, size_t h,
-                                size_t w, size_t pad, int32_t zp, int8_t* dst,
-                                const Row& row) {
+namespace {
+
+/// Columns of one B panel of a conv's implicit unfold: the 16-column
+/// register tile both gathering kernels (simd's conv, the int8 qconv
+/// driver) sweep.
+constexpr size_t kPanelCols = 16;
+
+/// Multiply-adds a worker must receive before a kernel splits its work
+/// over the pool: the per-worker floor every backend partitions by.
+constexpr size_t kMaddsPerWorker = size_t{1} << 16;
+
+/// Work partition of the gathering drivers (and of the int8 qgemm rows):
+/// `units` rows or column panels of `madds_per_unit` each, with the same
+/// gating and per-worker floor as the other backends, so call sites see
+/// one consistent threading policy.
+template <typename F>
+inline void partition(size_t units, size_t madds_per_unit, const F& process) {
+  const size_t min_units = std::max<size_t>(
+      1, kMaddsPerWorker / std::max<size_t>(1, madds_per_unit));
+  if (in_parallel_region() || units <= min_units || parallel_threads() <= 1) {
+    process(0, units);
+    return;
+  }
+  parallel_for_chunked(0, units, process, min_units);
+}
+
+/// How one kPanelCols-column panel of a conv's implicit unfold reads its
+/// rows: one contiguous run, two runs of half a panel each, one run at
+/// stride 2 (the int8 gather has a shuffle for it), or column by column.
+enum class PanelMode { kGather, kContiguous, kHalves, kStride2 };
+
+/// Column map of one B panel: off[t] is the element offset (into the
+/// padded images) of column t's (c, kh, kw) = (0, 0, 0) tap; row kk adds
+/// the tap offset koff[kk] (conv_tap_offsets) to every column.
+struct ConvPanel {
+  size_t cols = 0;
+  PanelMode mode = PanelMode::kGather;
+  size_t off[kPanelCols] = {};
+};
+
+inline ConvPanel map_panel(const ConvShape& s, size_t j0, size_t n) {
+  ConvPanel pn;
+  pn.cols = std::min(kPanelCols, n - j0);
+  const size_t wo = s.out_w(), img_cols = s.out_h() * wo;
+  size_t img = j0 / img_cols, oh = (j0 % img_cols) / wo, ow = j0 % wo;
+  for (size_t t = 0; t < pn.cols; ++t) {
+    pn.off[t] = img * s.image_size() + oh * s.stride * s.in_w + ow * s.stride;
+    ++ow;
+    if (ow < wo) continue;
+    ow = 0;
+    ++oh;
+    if (oh < s.out_h()) continue;
+    oh = 0;
+    ++img;
+  }
+  if (pn.cols < kPanelCols) return pn;
+  const auto run = [&](size_t t0, size_t len, size_t step) {
+    for (size_t t = t0 + 1; t < t0 + len; ++t)
+      if (pn.off[t] != pn.off[t0] + (t - t0) * step) return false;
+    return true;
+  };
+  constexpr size_t kHalf = kPanelCols / 2;
+  if (run(0, kPanelCols, 1))
+    pn.mode = PanelMode::kContiguous;
+  else if (run(0, kHalf, 1) && run(kHalf, kHalf, 1))
+    pn.mode = PanelMode::kHalves;
+  else if (run(0, kPanelCols, 2))
+    pn.mode = PanelMode::kStride2;
+  return pn;
+}
+
+/// Row offsets of a conv's implicit unfold: koff[kk] is where unfold row
+/// kk = (c*K + kh)*K + kw starts inside one padded image, so entry
+/// (kk, column t of a panel) is x[koff[kk] + off[t]]. koff has s.k()
+/// entries.
+inline void conv_tap_offsets(const ConvShape& s, size_t* koff) {
+  for (size_t ch = 0, kk = 0; ch < s.in_c; ++ch)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, ++kk)
+        koff[kk] = ch * s.in_h * s.in_w + kh * s.in_w + kw;
+}
+
+/// Materializes the implicit unfold of the padded images `x` as a
+/// row-major [s.k(), s.n()] matrix at `dst` (what im2col_view writes for
+/// the unpadded images side by side).
+template <typename T>
+inline void unfold_padded(const T* x, const ConvShape& s, T* dst) {
+  const size_t ho = s.out_h(), wo = s.out_w(), n = s.n();
+  const size_t plane = s.in_h * s.in_w, img_cols = ho * wo;
+  T* row = dst;
+  for (size_t ch = 0; ch < s.in_c; ++ch)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, row += n)
+        for (size_t img = 0; img < s.images; ++img) {
+          const T* src = x + img * s.image_size() + ch * plane +
+                         kh * s.in_w + kw;
+          T* d = row + img * img_cols;
+          for (size_t oh = 0; oh < ho; ++oh, d += wo) {
+            const T* srow = src + oh * s.stride * s.in_w;
+            if (s.stride == 1) {
+              std::memcpy(d, srow, wo * sizeof(T));
+            } else {
+              for (size_t ow = 0; ow < wo; ++ow) d[ow] = srow[ow * s.stride];
+            }
+          }
+        }
+}
+
+/// Border loop of every padded image copy: `planes` [h, w] float planes
+/// into [planes, h + 2*pad, w + 2*pad] elements of T, where
+/// `row(src, dst, w)` converts one image row (a copy for pad_f32, a
+/// quantization for quantize_pad_i8) and every border element is `fill`.
+template <typename T, typename Row>
+inline void pad_planes(const float* src, size_t planes, size_t h, size_t w,
+                       size_t pad, T fill, T* dst, const Row& row) {
   const size_t pw = w + 2 * pad;
-  const int8_t z = static_cast<int8_t>(zp);
   for (size_t c = 0; c < planes; ++c) {
-    std::fill(dst, dst + pad * pw, z);  // top border rows
+    std::fill(dst, dst + pad * pw, fill);  // top border rows
     dst += pad * pw;
     for (size_t y = 0; y < h; ++y, src += w, dst += pw) {
-      for (size_t i = 0; i < pad; ++i) dst[i] = dst[pad + w + i] = z;
+      for (size_t i = 0; i < pad; ++i) dst[i] = dst[pad + w + i] = fill;
       row(src, dst + pad, w);
     }
-    std::fill(dst, dst + pad * pw, z);  // bottom border rows
+    std::fill(dst, dst + pad * pw, fill);  // bottom border rows
     dst += pad * pw;
   }
 }
 
-/// Body of the int8 GEMM, inline so each backend TU instantiates it under
-/// its own ISA flags. Row-parallel (same per-worker floor as the float
-/// backends); per-thread int32 accumulator row reused across calls.
+/// Body of the int8 GEMM, compiled into each backend TU that uses it under
+/// that TU's ISA flags (internal linkage, see the rule at the top).
+/// Row-parallel (same per-worker floor as the float backends); per-thread
+/// int32 accumulator row reused across calls.
 ///
 /// Zero points use the classic decomposition so the inner loop is always
 /// the pure sum of raw products:
@@ -119,7 +238,6 @@ inline void quantize_pad_planes(const float* src, size_t planes, size_t h,
 inline void qgemm_int8_body(const int8_t* a, size_t lda, const int8_t* b,
                             size_t ldb, float* c, size_t ldc, size_t m,
                             size_t k, size_t n, const QgemmParams& p) {
-  constexpr size_t kMaddsPerWorker = size_t{1} << 16;
   const int32_t azp = p.a_zp, bzp = p.b_zp;
   // Column sums of B are shared by every row; integer, so computing them
   // up front (outside the row partition) keeps determinism trivial. The
@@ -206,13 +324,9 @@ inline void qgemm_int8_body(const int8_t* a, size_t lda, const int8_t* b,
     }
   };
 
-  const size_t madds_per_row = std::max<size_t>(1, k * n);
-  const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
-  if (in_parallel_region() || m <= min_rows || parallel_threads() <= 1) {
-    process_rows(0, m);
-    return;
-  }
-  parallel_for_chunked(0, m, process_rows, min_rows);
+  partition(m, k * n, process_rows);
 }
+
+}  // namespace
 
 }  // namespace alf::kernels::detail

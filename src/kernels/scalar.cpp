@@ -18,10 +18,6 @@ namespace {
 constexpr size_t kBlockK = 128;
 constexpr size_t kBlockN = 512;
 
-// Target multiply-adds per worker chunk; row-blocks smaller than this are
-// not worth a task handoff.
-constexpr size_t kMaddsPerWorker = size_t{1} << 16;
-
 }  // namespace
 
 namespace detail {
@@ -95,18 +91,10 @@ void gemm_scalar_blocked(const float* pa, size_t lda, bool trans_a,
   };
 
   // Hand a worker at least kMaddsPerWorker of arithmetic; small products
-  // (and any gemm issued from inside a parallel region, e.g. the per-image
-  // conv GEMMs) run inline — without even the dispatch round trip, which
-  // costs a std::function allocation per call and dominates the many small
-  // GEMMs the engine's shifted convolutions issue.
-  const size_t madds_per_row = std::max<size_t>(1, k * n);
-  const size_t min_rows =
-      std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
-  if (in_parallel_region() || m <= min_rows || parallel_threads() <= 1) {
-    process_rows(0, m);
-    return;
-  }
-  parallel_for_chunked(0, m, process_rows, min_rows);
+  // (and any gemm issued from inside a parallel region, e.g. a chunk's
+  // conv GEMM) run inline — without even the dispatch round trip, which
+  // costs a std::function allocation per call.
+  partition(m, k * n, process_rows);
 }
 
 void gemm_scalar(const float* pa, size_t lda, bool trans_a, const float* pb,

@@ -22,6 +22,19 @@
 // partition, so results are bit-identical for any thread count. The row
 // range is the only parallel axis.
 //
+// The conv entry runs the same product with B the implicit im2col unfold
+// of zero-padded images (kernels/backend.hpp ConvShape), without ever
+// materializing it: A is packed once per call, the column panels are the
+// parallel axis, and each worker gathers one kKc-deep block of one B panel
+// at a time straight from the images into an L1 buffer — a contiguous or
+// two-half load per row where the panel's columns allow, a per-column
+// gather otherwise (which also covers panels straddling two images) — and
+// sweeps every A panel against it with the same micro-kernel. Per C
+// element that is exactly gemm_simd's order (a register sum per kKc block,
+// added into zeroed C block by block — the first block adds to a +0.0
+// held in registers instead of a zeroed C), so conv equals gemm over the
+// materialized unfold byte for byte.
+//
 // Build/ISA: CMake's ALF_SIMD=ON compiles this file with wider vector
 // flags (-mavx2 -mfma) when the compiler supports them; simd_backend()
 // then gates registration on runtime CPU support, so a binary built on a
@@ -30,6 +43,7 @@
 // absent entirely.
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -53,8 +67,8 @@ constexpr size_t kNc = 256;  // cols per B block (kKc x kNc = 256KB in L2)
 // kernel; delegate to the scalar backend (also covers degenerate shapes).
 constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
 
-// Same per-worker arithmetic floor as the scalar backend.
-constexpr size_t kMaddsPerWorker = size_t{1} << 16;
+using detail::kMaddsPerWorker;
+static_assert(kNr == detail::kPanelCols, "conv gathers whole B panels");
 
 inline v8 loadu(const float* p) {
   v8 v;
@@ -88,7 +102,11 @@ void pack_a(const float* a, size_t lda, bool trans_a, size_t i0, size_t rows,
 
 /// The register tile over packed panels: C[0:pr, 16 cols] += alpha *
 /// apanel * bpanel. `bpanel` walks one packed B panel — 16 contiguous
-/// floats (one cache line) per k step.
+/// floats (one cache line) per k step. kFirst marks C's first k block of
+/// a beta == 0 product: C is taken as +0.0 instead of loaded, the same
+/// `0.0f + alpha * acc` a zeroed C would give (the add is not folded away:
+/// the build honors signed zeros), so the conv entry skips zeroing C.
+template <bool kFirst = false>
 inline void micro_4x16p(const float* apanel, size_t kb, const float* bpanel,
                         float alpha, float* c, size_t ldc, size_t pr) {
   v8 acc[kMr][2] = {};
@@ -106,13 +124,16 @@ inline void micro_4x16p(const float* apanel, size_t kb, const float* bpanel,
   const v8 va = splat(alpha);
   for (size_t r = 0; r < pr; ++r) {
     float* crow = c + r * ldc;
-    storeu(crow, loadu(crow) + va * acc[r][0]);
-    storeu(crow + 8, loadu(crow + 8) + va * acc[r][1]);
+    const v8 c0 = kFirst ? v8{} : loadu(crow);
+    const v8 c1 = kFirst ? v8{} : loadu(crow + 8);
+    storeu(crow, c0 + va * acc[r][0]);
+    storeu(crow + 8, c1 + va * acc[r][1]);
   }
 }
 
 /// Column tail (n % 16): same vector accumulation over the zero-padded
 /// last panel, spilled to a stack row so only the live columns store.
+template <bool kFirst = false>
 inline void micro_4x16p_partial(const float* apanel, size_t kb,
                                 const float* bpanel, float alpha, float* c,
                                 size_t ldc, size_t pr, size_t cols) {
@@ -133,28 +154,22 @@ inline void micro_4x16p_partial(const float* apanel, size_t kb,
     storeu(tmp, acc[r][0]);
     storeu(tmp + 8, acc[r][1]);
     float* crow = c + r * ldc;
-    for (size_t j = 0; j < cols; ++j) crow[j] += alpha * tmp[j];
+    for (size_t j = 0; j < cols; ++j)
+      crow[j] = (kFirst ? 0.0f : crow[j]) + alpha * tmp[j];
   }
 }
 
-/// The packed kernel body with the (mc, kc, nc) cache-block extents as
-/// parameters. gemm_simd pins the historical constants; the tiled entry
-/// substitutes tuner-chosen ones (mc rounded up to the kMr register rows,
-/// nc down to whole kNr panels — the register tile itself is fixed). For
-/// one (kc) choice the k-block grid is global, so each tile candidate is
-/// individually bit-stable across thread counts.
-void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
-                       const float* pb, size_t ldb, bool trans_b, float* pc,
-                       size_t ldc, size_t m, size_t k, size_t n, float alpha,
-                       float beta, size_t mc, size_t kc, size_t nc) {
+/// The packed kernel: B packed once by the caller, rows partitioned over
+/// the workers, (kMc, kKc, kNc) cache blocking. The k-block grid is
+/// global, so results are bit-stable across thread counts.
+void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
+               size_t ldb, bool trans_b, float* pc, size_t ldc, size_t m,
+               size_t k, size_t n, float alpha, float beta) {
   if (m * k * n < kScalarCutoffMadds || n < kNr / 2 || k == 0) {
     detail::gemm_scalar(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
                         alpha, beta);
     return;
   }
-  mc = (std::max<size_t>(mc, kMr) + kMr - 1) & ~(kMr - 1);
-  kc = std::max<size_t>(kc, 1);
-  nc = std::max<size_t>(nc & ~(kNr - 1), kNr);
 
   const size_t madds_per_row = std::max<size_t>(1, k * n);
   const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
@@ -201,12 +216,12 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
     }
   }
 
-  const size_t pan_per_block = nc / kNr;  // B panels per column block
+  constexpr size_t pan_per_block = kNc / kNr;  // B panels per column block
   const auto process_rows = [=](size_t r0, size_t r1) {
     // Per-thread A packing scratch, persistent across calls (pool workers
     // live for the process).
     thread_local std::vector<float> apack_tls;
-    apack_tls.resize(mc * kc);
+    apack_tls.resize(kMc * kKc);
     float* const apack = apack_tls.data();
 
     for (size_t i = r0; i < r1; ++i) {
@@ -219,10 +234,10 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
     }
     for (size_t bj = 0; bj < npan; bj += pan_per_block) {
       const size_t pe = std::min(npan, bj + pan_per_block);
-      for (size_t k0 = 0; k0 < k; k0 += kc) {
-        const size_t kb = std::min(k, k0 + kc) - k0;
-        for (size_t i0 = r0; i0 < r1; i0 += mc) {
-          const size_t rows = std::min(r1, i0 + mc) - i0;
+      for (size_t k0 = 0; k0 < k; k0 += kKc) {
+        const size_t kb = std::min(k, k0 + kKc) - k0;
+        for (size_t i0 = r0; i0 < r1; i0 += kMc) {
+          const size_t rows = std::min(r1, i0 + kMc) - i0;
           pack_a(pa, lda, trans_a, i0, rows, k0, kb, apack);
           for (size_t jp = bj; jp < pe; ++jp) {
             const float* bpanel = bp + jp * panel_stride + k0 * kNr;
@@ -251,20 +266,101 @@ void gemm_simd_blocked(const float* pa, size_t lda, bool trans_a,
   parallel_for_chunked(0, m, process_rows, min_rows);
 }
 
-void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
-               size_t ldb, bool trans_b, float* pc, size_t ldc, size_t m,
-               size_t k, size_t n, float alpha, float beta) {
-  gemm_simd_blocked(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
-                    alpha, beta, kMc, kKc, kNc);
+/// Gathers rows [k0, k0 + kb) of one B panel of a conv's implicit unfold
+/// into `dst` ([kb][kNr], zero past the panel's last column) — the layout
+/// gemm_simd packs its B panels in.
+void gather_block(const float* x, const detail::ConvPanel& pn,
+                  const size_t* koff, size_t kb, float* dst) {
+  using detail::PanelMode;
+  switch (pn.mode) {
+    case PanelMode::kContiguous:
+      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
+        const float* p = x + koff[kk] + pn.off[0];
+        storeu(dst, loadu(p));
+        storeu(dst + 8, loadu(p + 8));
+      }
+      return;
+    case PanelMode::kHalves:
+      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
+        storeu(dst, loadu(x + koff[kk] + pn.off[0]));
+        storeu(dst + 8, loadu(x + koff[kk] + pn.off[8]));
+      }
+      return;
+    case PanelMode::kStride2:  // no float shuffle: gathered column by column
+    case PanelMode::kGather:
+      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
+        const float* p = x + koff[kk];
+        size_t t = 0;
+        for (; t < pn.cols; ++t) dst[t] = p[pn.off[t]];
+        for (; t < kNr; ++t) dst[t] = 0.0f;
+      }
+      return;
+  }
 }
 
-void gemm_simd_tiled(const float* pa, size_t lda, bool trans_a,
-                     const float* pb, size_t ldb, bool trans_b, float* pc,
-                     size_t ldc, size_t m, size_t k, size_t n, float alpha,
-                     float beta, const TileParams& t) {
-  gemm_simd_blocked(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
-                    alpha, beta, t.mc != 0 ? t.mc : kMc,
-                    t.kc != 0 ? t.kc : kKc, t.nc != 0 ? t.nc : kNc);
+/// f32 conv over the implicit unfold of zero-padded images: byte for byte
+/// gemm_simd(a, lda, false, unfold(x), n, false, c, ldc, m, k, n, 1, 0).
+void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
+               float* c, size_t ldc, size_t m) {
+  const size_t k = s.k(), n = s.n();
+  if (m * k * n < kScalarCutoffMadds || n < kNr / 2) {
+    // gemm_simd sends these shapes to the scalar body; so does conv, over
+    // the unfold materialized in kernel-local scratch.
+    thread_local std::vector<float> col_tls;
+    col_tls.resize(k * n);
+    detail::unfold_padded(x, s, col_tls.data());
+    detail::gemm_scalar(a, lda, false, col_tls.data(), n, false, c, ldc, m, k,
+                        n, 1.0f, 0.0f);
+    return;
+  }
+  // A is packed once, k block by k block (block k0 at apack + k0 * mr);
+  // workers reach the caller's thread_local scratch through plain pointers
+  // (see qgemm_int8_body).
+  const size_t mr = (m + kMr - 1) / kMr * kMr;
+  thread_local std::vector<float> apack_tls;
+  thread_local std::vector<size_t> koff_tls;
+  apack_tls.resize(mr * k);
+  koff_tls.resize(k);
+  float* const apack = apack_tls.data();
+  for (size_t k0 = 0; k0 < k; k0 += kKc)
+    pack_a(a, lda, false, 0, m, k0, std::min(k, k0 + kKc) - k0,
+           apack + k0 * mr);
+  size_t* const koff = koff_tls.data();
+  detail::conv_tap_offsets(s, koff);
+
+  const auto process_panels = [=](size_t p0, size_t p1) {
+    alignas(64) float bblock[kKc * kNr];
+    // One k block of the panel against every A panel; the first block
+    // stores into C, the later ones add to it (see micro_4x16p).
+    const auto sweep = [&](auto first, const detail::ConvPanel& pn,
+                           size_t j0, size_t k0, size_t kb) {
+      constexpr bool kFirst = decltype(first)::value;
+      const float* ablock = apack + k0 * mr;
+      for (size_t i0 = 0; i0 < m; i0 += kMr) {
+        const size_t pr = std::min(kMr, m - i0);
+        float* cpan = c + i0 * ldc + j0;
+        if (pn.cols == kNr)
+          micro_4x16p<kFirst>(ablock + i0 * kb, kb, bblock, 1.0f, cpan, ldc,
+                              pr);
+        else
+          micro_4x16p_partial<kFirst>(ablock + i0 * kb, kb, bblock, 1.0f,
+                                      cpan, ldc, pr, pn.cols);
+      }
+    };
+    for (size_t jp = p0; jp < p1; ++jp) {
+      const size_t j0 = jp * kNr;
+      const detail::ConvPanel pn = detail::map_panel(s, j0, n);
+      for (size_t k0 = 0; k0 < k; k0 += kKc) {
+        const size_t kb = std::min(k, k0 + kKc) - k0;
+        gather_block(x, pn, koff + k0, kb, bblock);
+        if (k0 == 0)
+          sweep(std::true_type{}, pn, j0, k0, kb);
+        else
+          sweep(std::false_type{}, pn, j0, k0, kb);
+      }
+    }
+  };
+  detail::partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
 }
 
 /// The shared int8 body instantiated under this file's (possibly wider)
@@ -295,7 +391,7 @@ const KernelBackend* simd_backend() {
 #endif
                                 .gemm = &gemm_simd,
                                 .qgemm = &qgemm_simd,
-                                .gemm_tiled = &gemm_simd_tiled};
+                                .conv = &conv_simd};
   return &be;
 }
 

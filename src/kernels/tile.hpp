@@ -3,7 +3,8 @@
 // The built-in backends tuned their blocking constants (scalar's
 // kBlockK/kBlockN, simd's kMc/kKc/kNc) for a generic L2; the per-shape
 // autotuner (src/tune/) instead measures a small grid of alternatives per
-// conv/linear shape and records the winner in the plan. A backend that can
+// conv shape that still runs a GEMM (a backend without a gathered conv
+// entry) and records the winner in the plan. A backend that can
 // re-block per call exposes a `gemm_tiled` entry (kernels/backend.hpp)
 // taking this struct; a zero field means "this backend's default", so the
 // all-zero TileParams is always a valid candidate and reproduces the

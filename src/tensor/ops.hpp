@@ -30,8 +30,7 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 /// an [M, N] block with leading dimension ldc (ldc >= n; pass n for a dense
 /// result). Lets callers target slices of a larger buffer — one image of a
 /// batch tensor, an engine arena slot, or a column window of an output map
-/// (the engine's shifted-GEMM convolutions rely on ldc > n). Same
-/// blocking/threading/determinism as the Tensor form.
+/// (ldc > n). Same blocking/threading/determinism as the Tensor form.
 void gemm_view(const float* a, size_t lda, bool trans_a, const float* b,
                size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
                size_t k, size_t n, float alpha = 1.0f, float beta = 0.0f);

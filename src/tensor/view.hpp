@@ -1,9 +1,9 @@
 // Non-owning weight views: how compiled plans reference their payloads.
 //
 // A compiled Plan (engine/plan.hpp) stores every weight payload — folded
-// float matrices, shift-GEMM packs, int8 panels, per-channel scales — in
-// ONE page-aligned arena, and its steps address them through the two view
-// types here instead of owning containers. The payoff is that a plan's
+// float matrices, int8 panels, per-channel scales — in ONE page-aligned
+// arena, and its steps address them through the two view types here
+// instead of owning containers. The payoff is that a plan's
 // weights are relocatable: alf::plan::save writes the arena as a single
 // blob section and load mmaps it back read-only, rebinding the views by
 // (offset, dims) fixup with no copy, no re-quantize, no re-pack

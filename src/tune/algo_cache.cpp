@@ -32,11 +32,10 @@ std::string resolve_path(const std::string& path) {
 
 /// Serializes one AlgoChoice as the tail of an `entry` line. The backend
 /// name "-" stands for "" (plan backend) so the line always has exactly
-/// eight fields after the key.
+/// six fields after the key.
 std::string format_choice(const AlgoChoice& c, double best_ms) {
   std::ostringstream os;
-  os << static_cast<int>(c.strategy) << ' '
-     << (c.backend.empty() ? "-" : c.backend) << ' ' << c.tile.mc << ' '
+  os << (c.backend.empty() ? "-" : c.backend) << ' ' << c.tile.mc << ' '
      << c.tile.kc << ' ' << c.tile.nc << ' ' << c.chunk << ' ' << best_ms;
   return os.str();
 }
@@ -49,7 +48,7 @@ std::string host_stamp() {
   std::snprintf(cpu, sizeof(cpu), "0x%08x", kernels::allowed_cpu_features());
   os << "cpu " << cpu << '\n';
   os << "geom panel=" << kernels::kPanelLayoutVersion
-     << " shift=" << kMaxShiftH << " align=" << kWeightAlign << '\n';
+     << " align=" << kWeightAlign << '\n';
   // Sorted so the stamp is independent of registration order.
   std::vector<std::string> names = kernels::backend_names();
   std::sort(names.begin(), names.end());
@@ -89,8 +88,11 @@ void AlgoCache::parse_locked(const std::string& text) {
     throw TuneError(TuneError::Code::kBadVersion,
                     "unsupported version in " + path_);
 
-  // Stamp lines (cpu/geom/backends), verbatim. A stamp that differs from
-  // this host's is NOT an error — the entries just don't apply here.
+  // Stamp lines (cpu/geom/backends), verbatim; the writer puts them before
+  // every entry. A stamp that differs from this host's is NOT an error —
+  // the entries just don't apply here, so they are discarded unread (a
+  // different packing geometry may also mean a different entry grammar).
+  const std::string host = host_stamp();
   std::string file_stamp;
   std::map<std::string, AlgoEntry> parsed;
   while (std::getline(in, line)) {
@@ -106,15 +108,13 @@ void AlgoCache::parse_locked(const std::string& text) {
     if (tag != "entry")
       throw TuneError(TuneError::Code::kParse,
                       "unknown line '" + tag + "' in " + path_);
+    if (file_stamp != host) break;
     std::string key, backend;
-    int strategy = 0;
     uint32_t mc = 0, kc = 0, nc = 0, chunk = 0;
     double ms = 0.0;
-    if (!(ls >> key >> strategy >> backend >> mc >> kc >> nc >> chunk >> ms) ||
-        strategy < 0 || strategy > 2)
+    if (!(ls >> key >> backend >> mc >> kc >> nc >> chunk >> ms))
       throw TuneError(TuneError::Code::kParse, "bad entry line in " + path_);
     AlgoEntry e;
-    e.choice.strategy = static_cast<AlgoChoice::Strategy>(strategy);
     e.choice.backend = backend == "-" ? std::string() : backend;
     e.choice.tile = {mc, kc, nc};
     e.choice.chunk = chunk;
@@ -122,13 +122,13 @@ void AlgoCache::parse_locked(const std::string& text) {
     parsed.emplace(std::move(key), std::move(e));
   }
 
-  if (file_stamp == host_stamp()) {
+  if (file_stamp == host) {
     stamp_ = file_stamp;
     entries_.insert(parsed.begin(), parsed.end());
   } else {
     // Stale for this host: discard, re-tune. Keep the current stamp so
     // fresh inserts are recorded under it.
-    stamp_ = host_stamp();
+    stamp_ = host;
   }
 }
 

@@ -1,7 +1,7 @@
 // AlgoCache: the persistent per-shape algorithm cache behind the tuner.
 //
-// The tuner (tune/tuner.hpp) measures candidate (strategy, backend, tile,
-// chunk) choices per distinct conv/linear shape; this cache is where the
+// The tuner (tune/tuner.hpp) measures candidate (backend, tile, chunk)
+// choices per distinct conv/linear shape; this cache is where the
 // winners live between processes, so a shape is measured once per machine
 // and every later Plan::compile replays the decision with zero
 // microbenchmark runs.
@@ -10,9 +10,9 @@
 //
 //   ALFALGO 1
 //   cpu 0x<allowed-feature-mask>
-//   geom panel=<kPanelLayoutVersion> shift=<kMaxShiftH> align=<kWeightAlign>
+//   geom panel=<kPanelLayoutVersion> align=<kWeightAlign>
 //   backends <sorted,comma,joined,registry names>
-//   entry <shape-key> <strategy> <backend|-> <mc> <kc> <nc> <chunk> <best_ms>
+//   entry <shape-key> <backend|-> <mc> <kc> <nc> <chunk> <best_ms>
 //   ...
 //   crc 0x<crc32 of everything above>
 //
@@ -21,7 +21,8 @@
 //     typed TuneError — never a silent partial read.
 //   - A *stale* file (stamp lines disagree with this host's CPU-feature
 //     mask, packing geometry, or backend set) is structurally fine but its
-//     decisions are meaningless here: every entry is discarded and the
+//     decisions are meaningless here: every entry is discarded unread (the
+//     entry grammar may differ under another packing geometry) and the
 //     shapes re-measured. Nothing is migrated.
 //
 // The stamps are also enforced per lookup against the LIVE process state,

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
-#include <string_view>
 
 #include "core/rng.hpp"
 #include "engine/exec_context.hpp"
@@ -20,16 +19,6 @@ namespace alf::tune {
 namespace {
 
 std::atomic<int> g_reps{3};
-
-/// Hard shift-GEMM eligibility: the geometric constraints the runtime
-/// relies on (stride-1, odd-kernel, same-pad, border-repair stack bound),
-/// as opposed to the compile-time *heuristic* (which additionally wants
-/// wide maps). A forced kShiftGemm choice outside these falls back to
-/// im2col at compile; the tuner never emits such a candidate.
-bool shift_eligible(const ConvGeom& g) {
-  return g.stride == 1 && g.kernel % 2 == 1 && g.pad == (g.kernel - 1) / 2 &&
-         g.in_h <= kMaxShiftH && (g.pad == 0 || g.in_w > 2 * g.pad);
-}
 
 /// Backends a candidate may name for this shape: registered, executable
 /// under the current feature mask, and on the shape's datapath (float
@@ -48,13 +37,12 @@ std::vector<const kernels::KernelBackend*> usable_backends(bool quantized) {
   return out;
 }
 
-/// Tile grid offered on a backend's im2col GEMMs. Values are (mc, kc, nc)
-/// in the backend's own blocking terms; {0,0,0} (the default constants) is
-/// always offered first by the caller.
+/// Tile grid offered on a backend's im2col conv GEMMs. Values are
+/// (mc, kc, nc) in the backend's own blocking terms; {0,0,0} (the default
+/// constants) is always offered first by the caller. A backend with a conv
+/// entry gathers instead of issuing a GEMM, so it has nothing to tile.
 std::vector<kernels::TileParams> tile_grid(const kernels::KernelBackend* be) {
-  if (be->gemm_tiled == nullptr) return {};
-  if (std::string_view(be->name) == "simd")
-    return {{128, 256, 256}, {64, 512, 256}, {64, 256, 512}};
+  if (be->gemm_tiled == nullptr || be->conv != nullptr) return {};
   return {{0, 256, 256}};  // scalar-style (k, n) blocking
 }
 
@@ -92,25 +80,19 @@ std::vector<AlgoChoice> candidates(const TuneShape& shape) {
     return out;
   }
 
-  // Conv. Chunk-grid variants only make sense when the plan actually
-  // splits the batch (chunk=1 unfolds the whole batch as one GEMM).
+  // Conv: backend x chunk grid, plus tiles where a GEMM consumes them.
+  // Chunk-grid variants only make sense when the plan actually splits the
+  // batch (chunk=1 runs the whole batch as one conv product).
   std::vector<uint32_t> chunk_set = {0};
   if (shape.batch > 1 && shape.chunks > 1) chunk_set.push_back(1);
 
   for (const kernels::KernelBackend* be : backends) {
-    if (!shape.quantized && shift_eligible(shape.geom)) {
-      AlgoChoice c;
-      c.strategy = AlgoChoice::Strategy::kShiftGemm;
-      c.backend = be->name;
-      out.push_back(std::move(c));
-    }
     std::vector<kernels::TileParams> tiles = {{}};
     if (!shape.quantized)
       for (const kernels::TileParams& t : tile_grid(be)) tiles.push_back(t);
     for (const kernels::TileParams& t : tiles) {
       for (uint32_t chunk : chunk_set) {
         AlgoChoice c;
-        c.strategy = AlgoChoice::Strategy::kIm2col;
         c.backend = be->name;
         c.tile = t;
         c.chunk = chunk;

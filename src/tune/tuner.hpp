@@ -1,6 +1,6 @@
-// Per-shape autotuner: enumerate candidate (strategy, backend, tile,
-// chunk) choices for one conv/linear shape, microbenchmark each on
-// realistic data, and return the winner.
+// Per-shape autotuner: enumerate candidate (backend, tile, chunk) choices
+// for one conv/linear shape, microbenchmark each on realistic data, and
+// return the winner.
 //
 // The tuner plugs into Plan::compile (TuneMode::kCached / kFull): compile
 // extracts a TuneShape per GEMM-bearing step, asks choose(), and bakes the
@@ -55,7 +55,8 @@ struct TuneShape {
 std::string shape_key(const TuneShape& shape);
 
 /// Legal candidates for the shape under the current feature mask: the
-/// heuristic default first, then per-backend strategy/tile/chunk variants.
+/// heuristic default first, then per-backend chunk variants (convs) and
+/// tiles (only on backends whose convs issue a GEMM: no conv entry).
 /// Every candidate is bit-reproducible on its own; candidates may differ
 /// from each other in float rounding (different k-blocking), which is why
 /// the choice is cached — one choice, one result.

@@ -596,43 +596,76 @@ std::vector<float> int8_conv_oracle(const Step& st, const float* x, size_t n) {
   return out;
 }
 
+/// The float conv the engine runs, computed one image at a time: im2col
+/// of the image, the step backend's gemm over that unfold, then bias +
+/// activation — NCHW [n, Co, Ho, Wo]. A gathered conv must equal its
+/// backend's gemm over the unfold byte for byte, and per-element
+/// accumulation does not depend on how many images share one product.
+std::vector<float> float_conv_oracle(const Step& st, const float* x,
+                                     size_t n) {
+  const ConvGeom& g = st.geom;
+  const size_t k = g.col_rows(), cols = g.col_cols();
+  std::vector<float> out(n * st.out_sz), col(k * cols);
+  for (size_t i = 0; i < n; ++i) {
+    im2col_view(x + i * st.in_sz, g, col.data());
+    float* y = out.data() + i * st.out_sz;
+    st.be->gemm(st.w.data(), k, false, col.data(), cols, false, y, cols,
+                st.out_c, k, cols, 1.0f, 0.0f);
+    bias_act_inplace(y, st.out_c, cols,
+                     st.bias.empty() ? nullptr : st.bias.data(), st.act);
+  }
+  return out;
+}
+
 TEST(Engine, Int8OneConvPlanMatchesQconvOracle) {
-  // A 7x7 map makes qconv panels straddle images; a leading ReLU puts the
-  // conv on the asymmetric (zp = -levels) grid. The plan is compiled for
-  // batch 32 on a multi-chunk grid and run at 1, 7 and 32 images.
-  for (const bool relu_first : {false, true}) {
-    Rng rng(61);
-    Sequential model("one_conv");
-    if (relu_first) model.emplace<Activation>("relu0", Act::kRelu);
-    // BN folds into a bias; the trailing ReLU fuses into the epilogue.
-    model.emplace<Conv2d>("conv", 5, 6, 3, 1, 1, Init::kHe, rng);
-    model.emplace<BatchNorm2d>("conv_bn", 6);
-    model.emplace<Activation>("conv_relu", Act::kRelu);
-    warm_bn(model, 5, 7, rng);
-    set_parallel_threads(4);
-    const auto plan = Plan::compile(model, 32, 5, 7, 7,
-                                    {.backend = "int8", .bits = 8, .name = ""});
-    set_parallel_threads(0);
-    ASSERT_GT(plan->chunks(), size_t{1});
-    const Step& conv = plan->steps().back();
-    ASSERT_EQ(conv.kind, OpKind::kConv);
-    ASSERT_TRUE(conv.quantized);
-    EXPECT_EQ(conv.in_nonneg, relu_first);
-    EXPECT_FALSE(conv.bias.empty());
-    EXPECT_EQ(conv.act, Act::kRelu);
-    Tensor x = random_input({32, 5, 7, 7}, rng);
-    std::vector<float> conv_in(x.data(), x.data() + x.numel());
-    if (relu_first)
-      for (float& v : conv_in) v = v > 0.0f ? v : 0.0f;
-    ExecContext ctx(plan);
-    for (const size_t n : {1, 7, 32}) {
-      const std::vector<float> want = int8_conv_oracle(conv, conv_in.data(), n);
-      std::vector<float> got(n * plan->classes());
-      ctx.run_rows(x.data(), n, got.data());
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
-          << "n=" << n << " relu_first=" << relu_first;
+  // A 7x7 map makes conv/qconv panels straddle images; a leading ReLU puts
+  // an int8 conv on the asymmetric (zp = -levels) grid. The plan is
+  // compiled for batch 32 on a multi-chunk grid and run at 1, 7 and 32
+  // images. Float plans ride along: the default backend (simd's gathered
+  // conv when the host has it) and scalar (the im2col branch) must match
+  // their backend's gemm over the unfold.
+  for (const char* backend : {"int8", "", "scalar"}) {
+    for (const bool relu_first : {false, true}) {
+      Rng rng(61);
+      Sequential model("one_conv");
+      if (relu_first) model.emplace<Activation>("relu0", Act::kRelu);
+      // BN folds into a bias; the trailing ReLU fuses into the epilogue.
+      model.emplace<Conv2d>("conv", 5, 6, 3, 1, 1, Init::kHe, rng);
+      model.emplace<BatchNorm2d>("conv_bn", 6);
+      model.emplace<Activation>("conv_relu", Act::kRelu);
+      warm_bn(model, 5, 7, rng);
+      set_parallel_threads(4);
+      const auto plan = Plan::compile(
+          model, 32, 5, 7, 7, {.backend = backend, .bits = 8, .name = ""});
+      set_parallel_threads(0);
+      ASSERT_GT(plan->chunks(), size_t{1});
+      const Step& conv = plan->steps().back();
+      ASSERT_EQ(conv.kind, OpKind::kConv);
+      ASSERT_EQ(conv.quantized, plan->quantized());
+      if (std::string(backend) == "scalar") {
+        EXPECT_FALSE(conv.gathered_conv());
+      }
+      EXPECT_EQ(conv.in_nonneg, relu_first);
+      EXPECT_FALSE(conv.bias.empty());
+      EXPECT_EQ(conv.act, Act::kRelu);
+      Tensor x = random_input({32, 5, 7, 7}, rng);
+      std::vector<float> conv_in(x.data(), x.data() + x.numel());
+      if (relu_first)
+        for (float& v : conv_in) v = v > 0.0f ? v : 0.0f;
+      ExecContext ctx(plan);
+      for (const size_t n : {1, 7, 32}) {
+        const std::vector<float> want =
+            conv.quantized ? int8_conv_oracle(conv, conv_in.data(), n)
+                           : float_conv_oracle(conv, conv_in.data(), n);
+        std::vector<float> got(n * plan->classes());
+        ctx.run_rows(x.data(), n, got.data());
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "backend='" << backend << "' (" << conv.be->name
+            << ") n=" << n << " relu_first=" << relu_first;
+      }
     }
   }
 }
@@ -679,6 +712,7 @@ struct PlanTestPeer {
   static size_t& slots(Plan& p) { return p.slots_; }
   static size_t& slot_stride(Plan& p) { return p.slot_stride_; }
   static size_t& col_off(Plan& p) { return p.col_off_; }
+  static size_t& col_sz(Plan& p) { return p.col_sz_; }
   static size_t& res_off(Plan& p) { return p.res_off_; }
   static size_t& res_sz(Plan& p) { return p.res_sz_; }
   static size_t& classes(Plan& p) { return p.classes_; }
@@ -825,6 +859,42 @@ TEST(PlanVerify, RejectsArenaLayoutBreaks) {
     PlanTestPeer::res_sz(PlanTestPeer::mut(plan)) = 0;
     expect_verify_rejects(plan, "scratch");
   }
+}
+
+TEST(PlanVerify, RejectsUndersizedColScratch) {
+  // Gathered convs need their padded images, im2col convs their unfold;
+  // a col slice too small for either is caught whichever path step 0
+  // (a padded 3x3 conv) takes.
+  auto plan = verify_fixture();
+  Plan& p = PlanTestPeer::mut(plan);
+  PlanTestPeer::col_sz(p) = 0;
+  PlanTestPeer::res_off(p) = plan->col_offset();
+  expect_verify_rejects(plan, "col input");
+}
+
+TEST(PlanVerify, RejectsRetiredShiftGemmFlag) {
+  auto plan = verify_fixture();
+  PlanTestPeer::steps(PlanTestPeer::mut(plan))[0].shift_gemm = true;
+  expect_verify_rejects(plan, "retired shift-GEMM strategy");
+}
+
+TEST(PlanVerify, RejectsRetiredShiftGemmPack) {
+  auto plan = verify_fixture();
+  Step& st = PlanTestPeer::steps(PlanTestPeer::mut(plan))[0];
+  ASSERT_EQ(st.kind, OpKind::kConv);
+  st.w9 = TensorView(st.w.data(), {9, st.out_c, st.geom.in_c});
+  expect_verify_rejects(plan, "retired shift-GEMM weight pack");
+}
+
+TEST(PlanVerify, RejectsTunedTileOnGatheredConv) {
+  const kernels::KernelBackend* simd = kernels::find_backend("simd");
+  if (simd == nullptr || simd->conv == nullptr)
+    GTEST_SKIP() << "no float backend with a conv entry on this host";
+  auto plan = verify_fixture("simd");
+  Step& st = PlanTestPeer::steps(PlanTestPeer::mut(plan))[0];
+  ASSERT_TRUE(st.gathered_conv());
+  st.tile = {64, 256, 256};
+  expect_verify_rejects(plan, "tuned tile on a gathered conv");
 }
 
 TEST(PlanVerify, RejectsWrongWeightPanelShape) {

@@ -2,7 +2,8 @@
 // equivalence (simd vs scalar within 1e-4 of the matrix scale), per-backend
 // bit-identity across thread counts, the real int8 qgemm against the
 // fake-quant float reference, every qconv against the unfold-then-qgemm
-// oracle, and the packed-int8 export round trip.
+// oracle, every float conv against its own gemm over the unfold, and the
+// packed-int8 export round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -207,7 +208,7 @@ TEST(KernelEquivalence, SimdMatchesScalarAllVariants) {
 TEST(KernelEquivalence, StridedCOutput) {
   const kernels::KernelBackend* simd = kernels::simd_backend();
   if (simd == nullptr) GTEST_SKIP() << "simd backend unavailable on this CPU";
-  // ldc > n (the engine's shifted-GEMM writes column windows): untouched
+  // ldc > n (a caller writing a column window of a wider C): untouched
   // gutter columns must stay exactly as initialized.
   Rng rng(11);
   const size_t m = 33, k = 40, n = 21, ldc = 30;
@@ -529,7 +530,7 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
   const size_t m = 13;  // not a multiple of the 4-row register tile
   for (const Geo& geo : geos) {
     const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
-    kernels::QconvShape s;
+    kernels::ConvShape s;
     s.in_c = geo.c;
     s.in_h = s.in_w = geo.hw + 2 * geo.pad;
     s.kernel = geo.k;
@@ -555,7 +556,7 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
           const int32_t zp = nonneg ? -levels : 0;
           const float span = static_cast<float>(nonneg ? 2 * levels : levels);
           std::vector<float> bs(n), col(k * n);
-          std::vector<int8_t> qcol(k * n), xpad(imgs * s.image_bytes());
+          std::vector<int8_t> qcol(k * n), xpad(imgs * s.image_size());
           for (size_t j = 0; j < imgs; ++j) {
             std::vector<float> img(x.begin() + j * x.size() / imgs,
                                    x.begin() + (j + 1) * x.size() / imgs);
@@ -571,7 +572,7 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
             for (size_t r = 0; r < k; ++r)
               for (size_t c = j * cols; c < (j + 1) * cols; ++c)
                 qcol[r * n + c] = quantize_ref(col[r * n + c], inv, zp, levels);
-            int8_t* dst = xpad.data() + j * s.image_bytes();
+            int8_t* dst = xpad.data() + j * s.image_size();
             for (size_t ch = 0; ch < g.in_c; ++ch)
               for (size_t y = 0; y < s.in_h; ++y)
                 for (size_t xx = 0; xx < s.in_w; ++xx) {
@@ -613,6 +614,81 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
           }
           set_parallel_threads(0);
         }
+      }
+    }
+  }
+}
+
+TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
+  // A float conv entry gathers B panels from zero-padded images; it must
+  // equal the same backend's gemm over im2col_view's unfold byte for byte.
+  // The geometries cover every panel read: contiguous rows (3x3 s1 at
+  // W=32/16, the 1x1 s1 ALF expansion), two halves (W=8), per-column
+  // gathers (strided convs, 7x7 and 5x5 maps whose panels straddle
+  // images), and a shape under the kernels' scalar cutoff. m = 6, 11 and
+  // 22 are the fixture's ALF code-conv row counts (none a multiple of the
+  // 4-row tile); m = 64 over the 64-channel map makes k = 576, three k
+  // blocks. C carries a poisoned gutter (ldc > n) no entry may touch.
+  struct Geo {
+    size_t c, hw, k, s, pad;
+  };
+  const Geo geos[] = {{5, 32, 3, 1, 1}, {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
+                      {4, 32, 3, 2, 1}, {7, 8, 3, 2, 1},  {3, 32, 1, 2, 0},
+                      {11, 8, 1, 1, 0}, {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
+                      {1, 2, 3, 1, 1},  {64, 8, 3, 1, 1}};
+  std::vector<const kernels::KernelBackend*> cands;
+  for (const std::string& name : kernels::backend_names()) {
+    const kernels::KernelBackend* be = kernels::find_backend(name);
+    if (!be->quantized_datapath && be->conv != nullptr) cands.push_back(be);
+  }
+  if (const kernels::KernelBackend* simd = kernels::find_backend("simd")) {
+    EXPECT_NE(simd->conv, nullptr);
+  }
+  if (cands.empty()) GTEST_SKIP() << "no float backend has a conv entry";
+  Rng rng(67);
+  for (const Geo& geo : geos) {
+    const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
+    kernels::ConvShape s;
+    s.in_c = geo.c;
+    s.in_h = s.in_w = geo.hw + 2 * geo.pad;
+    s.kernel = geo.k;
+    s.stride = geo.s;
+    const size_t k = g.col_rows(), cols = g.col_cols();
+    const size_t img_floats = geo.c * geo.hw * geo.hw;
+    for (const size_t m : {6, 11, 22, 64}) {
+      const Tensor a = random2d(m, k, rng);
+      for (const size_t imgs : {1, 2, 5, 9}) {
+        s.images = imgs;
+        const size_t n = imgs * cols, ldc = n + 5;
+        std::vector<float> x(imgs * img_floats), col(k * n);
+        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<float> xpad(imgs * s.image_size(), 0.0f);
+        for (size_t j = 0; j < imgs; ++j) {
+          const float* img = x.data() + j * img_floats;
+          im2col_view(img, g, col.data() + j * cols, n);
+          for (size_t ch = 0; ch < geo.c; ++ch)
+            for (size_t y = 0; y < geo.hw; ++y)
+              std::memcpy(xpad.data() + j * s.image_size() +
+                              (ch * s.in_h + y + geo.pad) * s.in_w + geo.pad,
+                          img + (ch * geo.hw + y) * geo.hw,
+                          geo.hw * sizeof(float));
+        }
+        for (const kernels::KernelBackend* be : cands) {
+          for (const int threads : {1, 3}) {
+            set_parallel_threads(threads);
+            std::vector<float> ref(m * ldc, -7.0f), got(m * ldc, -7.0f);
+            be->gemm(a.data(), k, false, col.data(), n, false, ref.data(), ldc,
+                     m, k, n, 1.0f, 0.0f);
+            be->conv(a.data(), k, xpad.data(), s, got.data(), ldc, m);
+            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << be->name << " c=" << geo.c << " hw=" << geo.hw
+                << " k=" << geo.k << " s=" << geo.s << " m=" << m
+                << " imgs=" << imgs << " threads=" << threads;
+          }
+        }
+        set_parallel_threads(0);
       }
     }
   }

@@ -300,7 +300,7 @@ TEST_F(PlanIoHostile, RejectsWrongPanelLayoutStamp) {
 }
 
 TEST_F(PlanIoHostile, RejectsWrongGeometryStamp) {
-  header()->max_shift_h = static_cast<uint32_t>(kMaxShiftH) * 2;
+  header()->weight_align = static_cast<uint32_t>(kWeightAlign) * 2;
   expect_rejects("geometry.plan", PlanIoError::Code::kBadVersion,
                  /*restamp=*/true);
 }
@@ -364,6 +364,18 @@ TEST_F(PlanIoHostile, RejectsBogusStepRecord) {
                                                     header()->steps_off);
   steps[0].kind = 250;  // past kActivation
   expect_rejects("step_kind.plan", PlanIoError::Code::kBadSection,
+                 /*restamp=*/true);
+}
+
+TEST_F(PlanIoHostile, RejectsRetiredShiftGemmStep) {
+  // A current-version blob (checksums intact) whose step selects the
+  // retired shift-GEMM strategy: the runtime has no such path, so the
+  // loader refuses it instead of running the step some other way.
+  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
+                                                    header()->steps_off);
+  ASSERT_EQ(steps[0].kind, static_cast<uint32_t>(OpKind::kConv));
+  steps[0].shift_gemm = 1;
+  expect_rejects("shift_gemm.plan", PlanIoError::Code::kBadSection,
                  /*restamp=*/true);
 }
 

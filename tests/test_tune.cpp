@@ -55,8 +55,8 @@ struct TempDir {
   }
 };
 
-/// Tiny tunable model: two conv shapes (one shift-eligible, one strided)
-/// plus a linear head — covers every TuneShape kind cheaply.
+/// Tiny tunable model: two conv shapes (one stride 1, one strided) plus a
+/// linear head — covers every TuneShape kind cheaply.
 std::unique_ptr<Sequential> tiny_model(Rng& rng) {
   auto m = std::make_unique<Sequential>("tiny");
   m->emplace<Conv2d>("c1", 3, 6, 3, 1, 1, Init::kHe, rng);
@@ -131,31 +131,42 @@ TEST(Tune, CandidateEnumeration) {
   const auto cands = tune::candidates(shape);
   ASSERT_FALSE(cands.empty());
   // The heuristic default leads, so choose() can never regress it.
-  EXPECT_EQ(cands[0].strategy, AlgoChoice::Strategy::kAuto);
   EXPECT_TRUE(cands[0].backend.empty());
   EXPECT_TRUE(cands[0].tile.is_default());
-  bool has_shift = false, has_im2col = false, has_tile = false;
+  EXPECT_EQ(cands[0].chunk, 0u);
+  // Float convs vary backend and chunk grid; tiles only where the conv
+  // still issues a GEMM (a backend without a conv entry).
+  size_t named = 0;
+  bool has_tile = false, has_chunk = false;
   for (const AlgoChoice& c : cands) {
-    has_shift |= c.strategy == AlgoChoice::Strategy::kShiftGemm;
-    has_im2col |= c.strategy == AlgoChoice::Strategy::kIm2col;
     has_tile |= !c.tile.is_default();
-    // Float shape: every named backend must be on the float datapath.
-    if (!c.backend.empty()) {
-      const kernels::KernelBackend* be = kernels::find_backend(c.backend);
-      ASSERT_NE(be, nullptr);
-      EXPECT_FALSE(be->quantized_datapath);
+    has_chunk |= c.chunk != 0;
+    if (c.backend.empty()) continue;
+    ++named;
+    const kernels::KernelBackend* be = kernels::find_backend(c.backend);
+    ASSERT_NE(be, nullptr);
+    EXPECT_FALSE(be->quantized_datapath);
+    if (!c.tile.is_default()) {
+      EXPECT_EQ(be->conv, nullptr) << c.backend << " gathers; nothing to tile";
+      EXPECT_NE(be->gemm_tiled, nullptr) << c.backend;
     }
   }
-  EXPECT_TRUE(has_shift);   // 3x3 stride-1 same-pad is shift-eligible
-  EXPECT_TRUE(has_im2col);
-  EXPECT_TRUE(has_tile);    // scalar always exposes a tiled GEMM
+  // Every usable float backend at both grids, plus scalar's tile variants.
+  size_t float_backends = 0;
+  for (const std::string& name : kernels::backend_names())
+    if (!kernels::find_backend(name)->quantized_datapath &&
+        (kernels::find_backend(name)->required_features &
+         ~kernels::allowed_cpu_features()) == 0)
+      ++float_backends;
+  EXPECT_EQ(named, 2 * float_backends + 2);
+  EXPECT_TRUE(has_tile);   // scalar has a tiled GEMM and no conv entry
+  EXPECT_TRUE(has_chunk);  // the plan splits the batch into 2 chunks
 
-  // Quantized shapes only offer quantized backends, im2col only.
+  // Quantized shapes only offer quantized backends, never a tile.
   shape.quantized = true;
   shape.qbits = 8;
   shape.plan_backend = "int8";
   for (const AlgoChoice& c : tune::candidates(shape)) {
-    EXPECT_NE(c.strategy, AlgoChoice::Strategy::kShiftGemm);
     EXPECT_TRUE(c.tile.is_default());
     if (!c.backend.empty()) {
       const kernels::KernelBackend* be = kernels::find_backend(c.backend);
@@ -226,18 +237,21 @@ TEST(Tune, StaleGeometryStampDiscardsEntriesWithoutError) {
   {
     AlgoCache cache(cpath);
     AlgoChoice c;
-    c.strategy = AlgoChoice::Strategy::kIm2col;
     c.tile = {64, 256, 256};
     cache.insert("conv:stale", c, 2.5);
     cache.save();
   }
   // Forge a different packing geometry (as if kPanelLayoutVersion bumped):
   // structurally valid file, wrong host. Entries are discarded, not
-  // migrated, and no error is raised.
+  // migrated, and no error is raised — not even for an entry in another
+  // layout's grammar (panel layout v1 entries carried a strategy column).
   std::string text = read_text(cpath);
   const size_t pos = text.find("geom panel=");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::strlen("geom panel="), "geom panel=99");
+  const size_t crc = text.rfind("crc 0x");
+  ASSERT_NE(crc, std::string::npos);
+  text.insert(crc, "entry conv:v1 2 - 64 256 256 0 2.5\n");
   write_text(cpath, restamp_cache(text));
   AlgoCache stale(cpath);
   AlgoChoice out;
@@ -374,7 +388,6 @@ TEST(Tune, TunedChoicesSurviveBlobSaveLoad) {
   // bit-identical output, zero re-tuning at load.
   TempDir td;
   AlgoChoice ch;
-  ch.strategy = AlgoChoice::Strategy::kIm2col;
   ch.backend = "scalar";
   ch.tile = {0, 256, 256};
   ch.chunk = 1;
@@ -412,7 +425,6 @@ TEST(Tune, TunedChoicesSurviveBlobSaveLoad) {
 
 TEST(Tune, PlanDumpShowsFullChoice) {
   AlgoChoice ch;
-  ch.strategy = AlgoChoice::Strategy::kIm2col;
   ch.backend = "scalar";
   ch.tile = {0, 128, 512};
   ch.chunk = 2;
@@ -420,28 +432,13 @@ TEST(Tune, PlanDumpShowsFullChoice) {
   opts.force_choices = {ch};
   auto p = compile_tiny(opts);
   const std::string dump = p->str();
-  // Strategy, backend, tile and chunk are all visible per step.
+  // Path, backend, tile and chunk are all visible per step.
   EXPECT_NE(dump.find("im2col"), std::string::npos);
   EXPECT_NE(dump.find("tile=0x128x512"), std::string::npos);
   EXPECT_NE(dump.find("chunk=2"), std::string::npos);
   if (kernels::default_backend() != kernels::find_backend("scalar")) {
     EXPECT_NE(dump.find("be=scalar"), std::string::npos);
   }
-}
-
-TEST(Tune, ForcedShiftOnIneligibleGeometryFallsBackToIm2col) {
-  // Strided conv can never run the shifted strategy; a forced kShiftGemm
-  // must fall back instead of compiling an unrunnable plan.
-  Rng rng(5);
-  auto model = std::make_unique<Sequential>("stride");
-  model->emplace<Conv2d>("conv", 3, 4, 3, 2, 1, Init::kHe, rng);
-  AlgoChoice ch;
-  ch.strategy = AlgoChoice::Strategy::kShiftGemm;
-  EngineOptions opts;
-  opts.force_choices = {ch};
-  auto p = Plan::compile(*model, 2, 3, 12, 12, opts);
-  EXPECT_FALSE(p->steps()[0].shift_gemm);
-  p->verify();
 }
 
 }  // namespace
