@@ -26,6 +26,7 @@ constexpr FeatureName kFeatureNames[] = {
     {"fma", kCpuFma},
     {"avxvnni", kCpuAvxVnni},
     {"avx512vnni", kCpuAvx512Vnni},
+    {"avx512f", kCpuAvx512f},
 };
 
 uint32_t probe_cpu_features() {
@@ -35,6 +36,7 @@ uint32_t probe_cpu_features() {
   if (__builtin_cpu_supports("fma")) f |= kCpuFma;
   if (__builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512vl"))
     f |= kCpuAvx512Vnni;
+  if (__builtin_cpu_supports("avx512f")) f |= kCpuAvx512f;
   // VEX-encoded AVX-VNNI: cpuid leaf 7 subleaf 1, EAX bit 4. It only needs
   // YMM state, which a usable AVX2 already proves, so no extra xgetbv.
   if ((f & kCpuAvx2) != 0) {

@@ -28,8 +28,9 @@
 //   scalar — the cache-blocked kernel the library grew up with; always
 //            registered, the portable fallback and the equivalence oracle.
 //   simd   — explicitly vectorized 4x16 inner tile over portable GCC/Clang
-//            vector extensions (no intrinsics), with A-panel packing so the
-//            trans_a/trans_b variants read contiguously; its conv entry
+//            vector extensions (no intrinsics), 8x16 on 512-bit registers
+//            when the feature mask allows AVX-512F, with A-panel packing so
+//            the trans_a/trans_b variants read contiguously; its conv entry
 //            gathers B panels from the padded images. Compiled with
 //            wider vector ISA flags when CMake's ALF_SIMD is ON; selected
 //            at runtime only if the CPU supports what was compiled in.
@@ -78,6 +79,7 @@ enum CpuFeature : uint32_t {
   kCpuFma = 1u << 1,
   kCpuAvxVnni = 1u << 2,      ///< VEX-encoded AVX-VNNI (vpdpbusd)
   kCpuAvx512Vnni = 1u << 3,   ///< EVEX AVX512-VNNI (paired with AVX512VL)
+  kCpuAvx512f = 1u << 4,      ///< 512-bit registers (the zmm register tiles)
 };
 
 /// ABI version of the packed weight-panel layouts every backend consumes:
@@ -95,9 +97,12 @@ uint32_t detected_cpu_features();
 
 /// detected_cpu_features() minus anything disabled via the ALF_CPU_DISABLE
 /// environment variable (comma-separated names: "avx2,fma,avxvnni,
-/// avx512vnni") or set_cpu_feature_mask(). This — not the raw detection —
-/// is what auto-selection consults, so dispatch decisions are testable on
-/// hardware that has (or lacks) any given ISA.
+/// avx512vnni,avx512f") or set_cpu_feature_mask(). This — not the raw
+/// detection — is what auto-selection consults, so dispatch decisions are
+/// testable on hardware that has (or lacks) any given ISA. It also picks
+/// the register tile inside `simd` and `int8-vnni`: masking avx512f keeps
+/// them on their 4x16 ymm tiles (byte-identical to the 8x16 zmm ones, so
+/// no backend's auto-selection depends on it).
 uint32_t allowed_cpu_features();
 
 /// Test/benchmark seam: caps allowed_cpu_features() to `detected & mask`

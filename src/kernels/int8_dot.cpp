@@ -16,6 +16,11 @@
 // range is partitioned exactly like every other backend (rows are the only
 // parallel axis) and each worker packs its own A rows into kMr-row panels
 // and sweeps all B panels with an 8-accumulator 4x16 register tile.
+// int8-vnni also has an 8x16 tile over 512-bit vpdpbusd, which reads two
+// consecutive A panels against one B panel with one zmm accumulator per
+// row; it runs when the feature mask allows AVX-512F and AVX512-VNNI
+// (detail::zmm_tile), a trailing odd panel keeps the 4x16 tile, and both
+// store through store_tile. The packed layouts are the same for both.
 //
 // Both also implement qconv, the same product with B the implicit unfold
 // of zero-point-padded int8 images: A is packed once, then the column
@@ -35,7 +40,8 @@
 // thread partition for free.
 //
 // This TU is compiled with -mavx2 when CMake's ALF_SIMD is ON (see
-// set_source_files_properties); without it — or on non-x86 hosts — the
+// set_source_files_properties); the VNNI and AVX-512 kernels carry
+// per-function target attributes. Without it — or on non-x86 hosts — the
 // factories return nullptr and the generic int8 backend stays on the
 // portable body.
 #include <cmath>
@@ -164,6 +170,35 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
   }
 }
 
+/// An 8x16 register tile over two consecutive kMr-row panels of an A pack:
+/// (panel, panel stride, B panel, k groups, acc). It writes the two 4x16
+/// int32 tiles the 4x16 kernel would produce for those panels, back to back
+/// (integer sums are exact, so the order inside the tile never shows).
+template <typename TA, typename TB>
+using WideMicroFn = void (*)(const TA*, size_t, const TB*, size_t, int32_t*);
+
+/// Runs `rpan` packed A row panels (`a_panel` elements apart) against one
+/// B panel over `kg` k groups and hands each 4x16 int32 tile to
+/// `store(rp, tile)`. With `wide` non-null, panel pairs run the 8x16 tile
+/// and a trailing odd panel runs `micro`.
+template <typename TA, typename TB, typename Micro, typename Store>
+inline void sweep_panels(const TA* apack, size_t a_panel, size_t rpan,
+                         const TB* bpanel, size_t kg, const Micro& micro,
+                         WideMicroFn<TA, TB> wide, const Store& store) {
+  alignas(64) int32_t acc[2 * kMr * kNr];
+  size_t rp = 0;
+  if (wide != nullptr)
+    for (; rp + 1 < rpan; rp += 2) {
+      wide(apack + rp * a_panel, a_panel, bpanel, kg, acc);
+      store(rp, acc);
+      store(rp + 1, acc + kMr * kNr);
+    }
+  for (; rp < rpan; ++rp) {
+    micro(apack + rp * a_panel, bpanel, kg, acc);
+    store(rp, acc);
+  }
+}
+
 // --- qconv B gather ----------------------------------------------------------
 
 /// The shared 16-column gather: row `x` (images + the row's tap offset) of
@@ -262,16 +297,18 @@ void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
 
 /// The qconv driver shared by both kernels. `pack_a(r0, r1, dst, rowsum)`
 /// packs A rows into the kernel's kMr-row panels (row sums in the kernel's
-/// A encoding, when bzp != 0), `emit` one B group, and `micro` runs one
-/// register tile over `kg` groups. A is packed once by the caller; column
-/// panels are then partitioned across workers, each gathering its panel
-/// into a private buffer — the integer result of every C element is
-/// exact, so the partition never shows in the output.
+/// A encoding, when bzp != 0), `emit` one B group, and `micro` / `wide`
+/// (nullable) run the register tiles over `kg` groups (see sweep_panels).
+/// A is packed once by the caller; column panels are then partitioned
+/// across workers, each gathering its panel into a private buffer — the
+/// integer result of every C element is exact, so the partition never
+/// shows in the output.
 template <size_t G, typename TA, typename TB, typename PackA, typename Emit,
           typename Micro>
 void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, int32_t azp_eff,
-                  const PackA& pack_a, const Emit& emit, const Micro& micro) {
+                  const PackA& pack_a, const Emit& emit, const Micro& micro,
+                  WideMicroFn<TA, TB> wide) {
   const size_t k = s.k(), n = s.n();
   const int32_t bzp = p.b_zp;
   const size_t kg = (k + G - 1) / G;
@@ -300,20 +337,19 @@ void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
     bpanel_tls.resize(b_panel);
     TB* const bpanel = bpanel_tls.data();
     alignas(32) int32_t colsum[kNr] = {};
-    alignas(32) int32_t acc[kMr * kNr];
     for (size_t jp = p0; jp < p1; ++jp) {
       const size_t j0 = jp * kNr;
       const ConvPanel pn = detail::map_panel(s, j0, n);
       pack_conv_panel<G>(x, pn, koff, k, emit, bpanel,
                          azp_eff != 0 ? colsum : nullptr);
-      for (size_t rp = 0; rp < rpan; ++rp) {
-        const size_t i0 = rp * kMr;
-        const size_t pr = std::min(kMr, m - i0);
-        micro(apack + rp * a_panel, bpanel, kg, acc);
-        store_tile(acc, i0, pr, j0, pn.cols, k, colsum,
-                   rowsum != nullptr ? rowsum + i0 : nullptr, azp_eff, bzp, p,
-                   c, ldc);
-      }
+      sweep_panels(apack, a_panel, rpan, bpanel, kg, micro, wide,
+                   [&](size_t rp, const int32_t* acc) {
+                     const size_t i0 = rp * kMr;
+                     store_tile(acc, i0, std::min(kMr, m - i0), j0, pn.cols,
+                                k, colsum,
+                                rowsum != nullptr ? rowsum + i0 : nullptr,
+                                azp_eff, bzp, p, c, ldc);
+                   });
     }
   };
   partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
@@ -548,7 +584,7 @@ void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
       [](const __m128i* rows, int16_t* dst) {
         pack_b_pair16(rows[0], rows[1], dst);
       },
-      &qgemm_micro_avx2);
+      &qgemm_micro_avx2, WideMicroFn<int16_t, int16_t>{nullptr});
 }
 
 // --- Quantize helpers ------------------------------------------------------
@@ -669,6 +705,50 @@ VnniMicroFn vnni_micro() {
   return fn;
 }
 
+/// The 8x16 tile over 512-bit vpdpbusd: one zmm accumulator per row, the
+/// two ymm of a 4x16 row in one register. `ap` is the first of two
+/// consecutive A panels (`a_panel` bytes apart), `bp` the same packed B
+/// panel the 4x16 kernels read — each 64-byte quad group is one zmm of
+/// 16 columns x 4 k. `acc` receives rows 0-3 then rows 4-7, each in the
+/// 4x16 kernels' [4 rows][16 cols] layout.
+__attribute__((target("avx512f,avx512vnni"))) void qgemm_micro_vnni_zmm(
+    const uint8_t* ap, size_t a_panel, const int8_t* bp, size_t kq,
+    int32_t* acc) {
+  const uint8_t* ap1 = ap + a_panel;
+  __m512i c0 = _mm512_setzero_si512(), c1 = _mm512_setzero_si512();
+  __m512i c2 = _mm512_setzero_si512(), c3 = _mm512_setzero_si512();
+  __m512i c4 = _mm512_setzero_si512(), c5 = _mm512_setzero_si512();
+  __m512i c6 = _mm512_setzero_si512(), c7 = _mm512_setzero_si512();
+  for (size_t q = 0; q < kq; ++q) {
+    const __m512i b = _mm512_loadu_si512(bp);
+    bp += 64;
+    c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(load_i32(ap)), b);
+    c1 = _mm512_dpbusd_epi32(c1, _mm512_set1_epi32(load_i32(ap + 4)), b);
+    c2 = _mm512_dpbusd_epi32(c2, _mm512_set1_epi32(load_i32(ap + 8)), b);
+    c3 = _mm512_dpbusd_epi32(c3, _mm512_set1_epi32(load_i32(ap + 12)), b);
+    c4 = _mm512_dpbusd_epi32(c4, _mm512_set1_epi32(load_i32(ap1)), b);
+    c5 = _mm512_dpbusd_epi32(c5, _mm512_set1_epi32(load_i32(ap1 + 4)), b);
+    c6 = _mm512_dpbusd_epi32(c6, _mm512_set1_epi32(load_i32(ap1 + 8)), b);
+    c7 = _mm512_dpbusd_epi32(c7, _mm512_set1_epi32(load_i32(ap1 + 12)), b);
+    ap += 16;
+    ap1 += 16;
+  }
+  _mm512_storeu_si512(acc + 0, c0);
+  _mm512_storeu_si512(acc + 16, c1);
+  _mm512_storeu_si512(acc + 32, c2);
+  _mm512_storeu_si512(acc + 48, c3);
+  _mm512_storeu_si512(acc + 64, c4);
+  _mm512_storeu_si512(acc + 80, c5);
+  _mm512_storeu_si512(acc + 96, c6);
+  _mm512_storeu_si512(acc + 112, c7);
+}
+
+/// The 8x16 tile when the feature mask allows it (detail::zmm_tile, read
+/// per call), else null: the 4x16 kernel alone.
+WideMicroFn<uint8_t, int8_t> vnni_wide() {
+  return detail::zmm_tile(kCpuAvx512Vnni) ? &qgemm_micro_vnni_zmm : nullptr;
+}
+
 /// Packs A rows [r0, r1) into kMr-row panels of [k/4][kMr rows][4 k]
 /// unsigned bytes (s8 + 128, zero-padded past k and past r1), and — when
 /// `rowsum` is non-null — the row sums of that unsigned encoding, indexed
@@ -713,6 +793,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
     return;
   }
   const VnniMicroFn micro = vnni_micro();
+  const WideMicroFn<uint8_t, int8_t> wide = vnni_wide();
   // A is packed unsigned (s8 + 128 == byte XOR 0x80), so the effective A
   // zero point is a_zp + 128 — never zero, so the column-sum correction is
   // always on. B stays signed; padding bytes are 0 on both sides, so
@@ -767,19 +848,18 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
       rowsum = rowsum_tls.data();
     }
     pack_a_quads(a, lda, r0, r1, k, apack, rowsum);
-    alignas(32) int32_t acc[kMr * kNr];
     for (size_t jp = 0; jp < npan; ++jp) {
       const size_t j0 = jp * kNr;
       const size_t cols = std::min(kNr, n - j0);
-      const int8_t* bpanel = bpack + jp * b_panel_bytes;
-      for (size_t rp = 0; rp < rpan; ++rp) {
-        const size_t i0 = r0 + rp * kMr;
-        const size_t pr = std::min(kMr, r1 - i0);
-        micro(apack + rp * a_panel_bytes, bpanel, kq, acc);
-        store_tile(acc, i0, pr, j0, cols, k, colsum + j0,
-                   rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp_eff,
-                   bzp, p, c, ldc);
-      }
+      sweep_panels(apack, a_panel_bytes, rpan, bpack + jp * b_panel_bytes, kq,
+                   micro, wide, [&](size_t rp, const int32_t* acc) {
+                     const size_t i0 = r0 + rp * kMr;
+                     store_tile(acc, i0, std::min(kMr, r1 - i0), j0, cols, k,
+                                colsum + j0,
+                                rowsum != nullptr ? rowsum + (i0 - r0)
+                                                  : nullptr,
+                                azp_eff, bzp, p, c, ldc);
+                   });
     }
   };
   partition(m, k * n, process_rows);
@@ -799,7 +879,7 @@ void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
       [](const __m128i* rows, int8_t* dst) {
         pack_b_quad16(rows[0], rows[1], rows[2], rows[3], dst);
       },
-      vnni_micro());
+      vnni_micro(), vnni_wide());
 }
 
 #endif  // ALF_INT8_VNNI

@@ -108,6 +108,18 @@ constexpr size_t kPanelCols = 16;
 /// over the pool: the per-worker floor every backend partitions by.
 constexpr size_t kMaddsPerWorker = size_t{1} << 16;
 
+/// The register-tile pick of `simd`'s float kernel and `int8-vnni`'s
+/// vpdpbusd kernel: true when the feature mask allows AVX-512F plus
+/// `extra` (AVX512-VNNI for int8), which runs the 8x16 zmm tile; false
+/// keeps the 4x16 ymm tile. Both tiles give every C element the same
+/// operations in the same order, so the pick only moves speed. Read on
+/// every kernel call and never cached, so ALF_CPU_DISABLE=avx512f and
+/// set_cpu_feature_mask() steer it.
+inline bool zmm_tile(uint32_t extra = 0) {
+  const uint32_t need = kCpuAvx512f | extra;
+  return (allowed_cpu_features() & need) == need;
+}
+
 /// Work partition of the gathering drivers (and of the int8 qgemm rows):
 /// `units` rows or column panels of `madds_per_unit` each, with the same
 /// gating and per-worker floor as the other backends, so call sites see

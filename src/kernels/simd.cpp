@@ -3,7 +3,13 @@
 // The inner kernel is a 4x16 register tile — four C rows times two 8-float
 // vectors — expressed in portable GCC/Clang vector extensions (no
 // intrinsics): the k-loop broadcasts one packed A element per row and FMAs
-// it against two B vectors, keeping 8 vector accumulators live.
+// it against two B vectors, keeping 8 vector accumulators live. When the
+// feature mask allows AVX-512F (detail::zmm_tile), full-width panels run
+// an 8x16 tile instead: two consecutive 4-row A panels against one 16-float
+// zmm of B, one zmm accumulator per row. It is the same vector-extension
+// code at twice the width, compiled under a per-function target attribute,
+// so each C element gets the same fused multiply-adds in the same order
+// and the two tiles agree byte for byte (test_kernels checks both).
 //
 // Both operands are packed. op(B) is packed once per call (by the calling
 // thread, before the row partition) into kNr-column-interleaved panels —
@@ -39,11 +45,11 @@
 // flags (-mavx2 -mfma) when the compiler supports them; simd_backend()
 // then gates registration on runtime CPU support, so a binary built on a
 // new machine still boots on an old one (the registry falls back to
-// "scalar"). Without vector extensions (non-GCC/Clang) the backend is
-// absent entirely.
+// "scalar"). The 8x16 tile exists only in that build, and only its
+// function carries AVX-512 (a target attribute, never a TU flag). Without
+// vector extensions (non-GCC/Clang) the backend is absent entirely.
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -159,6 +165,83 @@ inline void micro_4x16p_partial(const float* apanel, size_t kb,
   }
 }
 
+#if defined(__AVX2__) && defined(__x86_64__)
+#define ALF_ZMM_TILE 1
+
+typedef float v16 __attribute__((vector_size(64)));
+
+/// Stores one C row of the 512-bit tile: crow = c + alpha * acc, with c
+/// taken as +0.0 on the first k block (see micro_4x16p).
+template <bool kFirst>
+__attribute__((target("avx512f"), always_inline)) inline void store_row16(
+    float* crow, float alpha, v16 acc) {
+  v16 c0 = {};
+  if (!kFirst) __builtin_memcpy(&c0, crow, sizeof(c0));
+  const v16 out = c0 + alpha * acc;
+  __builtin_memcpy(crow, &out, sizeof(out));
+}
+
+/// The 512-bit tile: C[0:pr, 16 cols] += alpha * A * bpanel for pr <= 8
+/// rows, read from two consecutive 4-row panels of the A pack (rows past pr
+/// are the pack's zero padding, computed and discarded). One zmm
+/// accumulator per row holds what micro_4x16p keeps in two ymm, and every
+/// lane sees the same expressions in the same order — `acc += a * b` per k
+/// step, then `c + alpha * acc` — so the compiler contracts both tiles into
+/// the same fused multiply-adds and the results are bit-equal. Named
+/// accumulators keep the sums in registers through the store; an array
+/// the k loop indexes went to the stack, zeroed there on every call.
+template <bool kFirst = false>
+__attribute__((target("avx512f"))) void micro_8x16z(
+    const float* apanel, size_t kb, const float* bpanel, float alpha,
+    float* c, size_t ldc, size_t pr) {
+  const float* a0 = apanel;            // rows 0-3
+  const float* a1 = apanel + kb * kMr;  // rows 4-7: the next panel
+  v16 c0 = {}, c1 = {}, c2 = {}, c3 = {}, c4 = {}, c5 = {}, c6 = {}, c7 = {};
+  for (size_t kk = 0; kk < kb; ++kk, a0 += kMr, a1 += kMr) {
+    v16 b;
+    __builtin_memcpy(&b, bpanel, sizeof(b));
+    bpanel += kNr;
+    c0 += a0[0] * b;
+    c1 += a0[1] * b;
+    c2 += a0[2] * b;
+    c3 += a0[3] * b;
+    c4 += a1[0] * b;
+    c5 += a1[1] * b;
+    c6 += a1[2] * b;
+    c7 += a1[3] * b;
+  }
+  const v16 rows[2 * kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
+  for (size_t r = 0; r < pr; ++r)
+    store_row16<kFirst>(c + r * ldc, alpha, rows[r]);
+}
+#endif
+
+/// Runs one B panel (`cols` live columns) against the A rows [0, rows)
+/// packed at `apack` (kMr-row panels, kb * kMr floats apart), into the C
+/// rows at `c`. With `zmm`, full-width panel pairs run the 8x16 tile; a
+/// trailing odd panel and column tails run the 4x16 ones.
+template <bool kFirst = false>
+inline void sweep_panel(const float* apack, size_t rows, size_t kb,
+                        const float* bpanel, size_t cols, float alpha,
+                        float* c, size_t ldc, [[maybe_unused]] bool zmm) {
+  size_t p = 0;
+#if defined(ALF_ZMM_TILE)
+  if (zmm && cols == kNr)
+    for (; p + kMr < rows; p += 2 * kMr)
+      micro_8x16z<kFirst>(apack + p * kb, kb, bpanel, alpha, c + p * ldc,
+                          ldc, std::min(2 * kMr, rows - p));
+#endif
+  for (; p < rows; p += kMr) {
+    const size_t pr = std::min(kMr, rows - p);
+    if (cols == kNr)
+      micro_4x16p<kFirst>(apack + p * kb, kb, bpanel, alpha, c + p * ldc, ldc,
+                          pr);
+    else
+      micro_4x16p_partial<kFirst>(apack + p * kb, kb, bpanel, alpha,
+                                  c + p * ldc, ldc, pr, cols);
+  }
+}
+
 /// The packed kernel: B packed once by the caller, rows partitioned over
 /// the workers, (kMc, kKc, kNc) cache blocking. The k-block grid is
 /// global, so results are bit-stable across thread counts.
@@ -217,6 +300,7 @@ void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
   }
 
   constexpr size_t pan_per_block = kNc / kNr;  // B panels per column block
+  const bool zmm = detail::zmm_tile();
   const auto process_rows = [=](size_t r0, size_t r1) {
     // Per-thread A packing scratch, persistent across calls (pool workers
     // live for the process).
@@ -240,19 +324,10 @@ void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
           const size_t rows = std::min(r1, i0 + kMc) - i0;
           pack_a(pa, lda, trans_a, i0, rows, k0, kb, apack);
           for (size_t jp = bj; jp < pe; ++jp) {
-            const float* bpanel = bp + jp * panel_stride + k0 * kNr;
             const size_t j0 = jp * kNr;
-            const size_t cols = std::min(kNr, n - j0);
-            for (size_t p = 0; p < rows; p += kMr) {
-              const size_t pr = std::min(kMr, rows - p);
-              const float* apanel = apack + p * kb;
-              float* cpan = pc + (i0 + p) * ldc + j0;
-              if (cols == kNr)
-                micro_4x16p(apanel, kb, bpanel, alpha, cpan, ldc, pr);
-              else
-                micro_4x16p_partial(apanel, kb, bpanel, alpha, cpan, ldc, pr,
-                                    cols);
-            }
+            sweep_panel(apack, rows, kb, bp + jp * panel_stride + k0 * kNr,
+                        std::min(kNr, n - j0), alpha, pc + i0 * ldc + j0, ldc,
+                        zmm);
           }
         }
       }
@@ -328,35 +403,24 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
   size_t* const koff = koff_tls.data();
   detail::conv_tap_offsets(s, koff);
 
+  const bool zmm = detail::zmm_tile();
+
   const auto process_panels = [=](size_t p0, size_t p1) {
     alignas(64) float bblock[kKc * kNr];
-    // One k block of the panel against every A panel; the first block
-    // stores into C, the later ones add to it (see micro_4x16p).
-    const auto sweep = [&](auto first, const detail::ConvPanel& pn,
-                           size_t j0, size_t k0, size_t kb) {
-      constexpr bool kFirst = decltype(first)::value;
-      const float* ablock = apack + k0 * mr;
-      for (size_t i0 = 0; i0 < m; i0 += kMr) {
-        const size_t pr = std::min(kMr, m - i0);
-        float* cpan = c + i0 * ldc + j0;
-        if (pn.cols == kNr)
-          micro_4x16p<kFirst>(ablock + i0 * kb, kb, bblock, 1.0f, cpan, ldc,
-                              pr);
-        else
-          micro_4x16p_partial<kFirst>(ablock + i0 * kb, kb, bblock, 1.0f,
-                                      cpan, ldc, pr, pn.cols);
-      }
-    };
     for (size_t jp = p0; jp < p1; ++jp) {
       const size_t j0 = jp * kNr;
       const detail::ConvPanel pn = detail::map_panel(s, j0, n);
+      // One k block of the panel against every A panel; the first block
+      // stores into C, the later ones add to it (see micro_4x16p).
       for (size_t k0 = 0; k0 < k; k0 += kKc) {
         const size_t kb = std::min(k, k0 + kKc) - k0;
+        const float* ablock = apack + k0 * mr;
         gather_block(x, pn, koff + k0, kb, bblock);
         if (k0 == 0)
-          sweep(std::true_type{}, pn, j0, k0, kb);
+          sweep_panel<true>(ablock, m, kb, bblock, pn.cols, 1.0f, c + j0, ldc,
+                            zmm);
         else
-          sweep(std::false_type{}, pn, j0, k0, kb);
+          sweep_panel(ablock, m, kb, bblock, pn.cols, 1.0f, c + j0, ldc, zmm);
       }
     }
   };

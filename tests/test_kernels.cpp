@@ -3,11 +3,13 @@
 // bit-identity across thread counts, the real int8 qgemm against the
 // fake-quant float reference, every qconv against the unfold-then-qgemm
 // oracle, every float conv against its own gemm over the unfold, and the
-// packed-int8 export round trip.
+// packed-int8 export round trip. The byte-identity tests run each case on
+// both register-tile widths (see tile_masks).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -54,6 +56,37 @@ double max_abs(const std::vector<float>& x) {
   for (const float v : x) m = std::max(m, static_cast<double>(std::fabs(v)));
   return m;
 }
+
+/// One register-tile width of the byte-identity tests, as the feature mask
+/// that selects it: `simd` and `int8-vnni` run their 8x16 zmm tiles under
+/// the full mask and their 4x16 ymm tiles with avx512f struck out.
+struct TileMask {
+  const char* name;
+  uint32_t mask;
+};
+
+/// The widths to run every byte-identity case under: 256-bit first, then
+/// 512-bit when this host (and ALF_CPU_DISABLE) allows AVX-512F. Without
+/// it only the 512-bit input is skipped, with a note in the test log.
+std::vector<TileMask> tile_masks() {
+  std::vector<TileMask> masks{
+      {"ymm", ~static_cast<uint32_t>(kernels::kCpuAvx512f)}};
+  kernels::set_cpu_feature_mask(~0u);
+  if ((kernels::allowed_cpu_features() & kernels::kCpuAvx512f) != 0)
+    masks.push_back({"zmm", ~0u});
+  else
+    std::printf("[  NOTE    ] AVX-512F unavailable: 512-bit tile input "
+                "skipped, 256-bit tiles only\n");
+  return masks;
+}
+
+/// Runs the enclosing scope under one tile mask; lifts the cap on exit.
+struct MaskScope {
+  explicit MaskScope(uint32_t mask) { kernels::set_cpu_feature_mask(mask); }
+  ~MaskScope() { kernels::set_cpu_feature_mask(~0u); }
+  MaskScope(const MaskScope&) = delete;
+  MaskScope& operator=(const MaskScope&) = delete;
+};
 
 TEST(KernelRegistry, BuiltinsPresent) {
   ASSERT_NE(kernels::scalar_backend(), nullptr);
@@ -136,18 +169,41 @@ TEST(KernelRegistry, EnvForcingSelectsVectorQgemmBackends) {
 TEST(KernelDispatch, FeatureMaskGatesAutoSelection) {
   // Auto-selection must never hand out a backend whose required features
   // the mask forbids. With everything masked off, the quantized pick falls
-  // back to the baseline "int8" dispatcher and the process default (when
-  // not name-forced) to "scalar".
+  // back to the baseline "int8" dispatcher, and the process default (when
+  // not name-forced) to the first backend that requires nothing: "simd"
+  // when it is registered with no required features (an ALF_SIMD=OFF
+  // build compiles it at the baseline ISA), "scalar" otherwise.
   kernels::set_cpu_feature_mask(0);
   EXPECT_EQ(kernels::allowed_cpu_features(), 0u);
   const kernels::KernelBackend* best = kernels::best_quantized_backend();
   EXPECT_EQ(best->required_features, 0u);
   EXPECT_STREQ(best->name, "int8");
   if (std::getenv("ALF_BACKEND") == nullptr) {
+    const kernels::KernelBackend* simd = kernels::find_backend("simd");
+    const bool baseline_simd =
+        simd != nullptr && simd->required_features == 0u;
     kernels::set_default_backend("");
     EXPECT_EQ(kernels::default_backend()->required_features, 0u);
-    EXPECT_STREQ(kernels::default_backend()->name, "scalar");
+    EXPECT_STREQ(kernels::default_backend()->name,
+                 baseline_simd ? "simd" : "scalar");
   }
+
+  // avx512f only picks register tiles inside simd and int8-vnni; no
+  // backend requires it, so masking it changes no auto-selection.
+  kernels::set_cpu_feature_mask(~0u);
+  kernels::set_default_backend("");
+  const kernels::KernelBackend* def_full = kernels::default_backend();
+  const kernels::KernelBackend* best_full = kernels::best_quantized_backend();
+  kernels::set_cpu_feature_mask(~static_cast<uint32_t>(kernels::kCpuAvx512f));
+  EXPECT_EQ(kernels::allowed_cpu_features() & kernels::kCpuAvx512f, 0u);
+  kernels::set_default_backend("");
+  EXPECT_EQ(kernels::default_backend(), def_full);
+  EXPECT_EQ(kernels::best_quantized_backend(), best_full);
+  for (const std::string& name : kernels::backend_names())
+    EXPECT_EQ(kernels::find_backend(name)->required_features &
+                  kernels::kCpuAvx512f,
+              0u)
+        << name;
 
   // With only AVX2+FMA allowed, the VNNI kernel stays forbidden but the
   // AVX2 one (when this host registered it) becomes the best pick.
@@ -187,6 +243,9 @@ TEST(KernelEquivalence, SimdMatchesScalarAllVariants) {
   const Shape shapes[] = {{37, 53, 29},  {64, 64, 64},   {16, 27, 1024},
                           {128, 576, 60}, {4, 3, 17},    {100, 1, 40},
                           {1, 130, 257}};
+  // Each case also runs under every tile mask, and simd must equal itself
+  // byte for byte across them (8x16 zmm vs 4x16 ymm register tiles).
+  const std::vector<TileMask> masks = tile_masks();
   for (const auto& s : shapes) {
     for (const bool ta : {false, true}) {
       for (const bool tb : {false, true}) {
@@ -194,12 +253,26 @@ TEST(KernelEquivalence, SimdMatchesScalarAllVariants) {
         Tensor b = tb ? random2d(s.n, s.k, rng) : random2d(s.k, s.n, rng);
         const auto ref =
             run_gemm(scalar, a, ta, b, tb, s.m, s.k, s.n, 1.3f, 0.5f, 0.25f);
-        const auto got =
-            run_gemm(simd, a, ta, b, tb, s.m, s.k, s.n, 1.3f, 0.5f, 0.25f);
-        const double tol = 1e-4 * std::max(1.0, max_abs(ref));
-        EXPECT_LE(max_abs_diff(ref, got), tol)
-            << "m=" << s.m << " k=" << s.k << " n=" << s.n << " ta=" << ta
-            << " tb=" << tb;
+        std::vector<float> first;
+        for (const TileMask& tm : masks) {
+          const MaskScope scope(tm.mask);
+          const auto got =
+              run_gemm(simd, a, ta, b, tb, s.m, s.k, s.n, 1.3f, 0.5f, 0.25f);
+          const double tol = 1e-4 * std::max(1.0, max_abs(ref));
+          EXPECT_LE(max_abs_diff(ref, got), tol)
+              << "m=" << s.m << " k=" << s.k << " n=" << s.n << " ta=" << ta
+              << " tb=" << tb << " tile=" << tm.name;
+          if (first.empty()) {
+            first = got;
+            continue;
+          }
+          EXPECT_EQ(std::memcmp(first.data(), got.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "simd " << tm.name << " tile differs from " << masks[0].name
+              << " at m=" << s.m << " k=" << s.k << " n=" << s.n
+              << " ta=" << ta << " tb=" << tb;
+        }
       }
     }
   }
@@ -416,6 +489,8 @@ TEST(QgemmBitIdentity, VectorBackendsMatchScalarOracle) {
                           {17, 64, 129}, {8, 192, 512}, {4, 80, 2048}};
   const int32_t zps[][2] = {
       {0, 0}, {-127, 0}, {0, -127}, {-127, -127}, {5, -3}};
+  // int8-vnni runs under every tile mask (8x16 zmm and 4x16 ymm tiles).
+  const std::vector<TileMask> masks = tile_masks();
   for (const char* name : {"int8-avx2", "int8-vnni"}) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
     if (be == nullptr) continue;  // host lacks the ISA; registration skipped
@@ -440,17 +515,20 @@ TEST(QgemmBitIdentity, VectorBackendsMatchScalarOracle) {
           }
           const size_t ldc = sh.n + 3;  // strided C with poisoned padding
           std::vector<float> ref(sh.m * ldc, -7.0f);
-          std::vector<float> got(sh.m * ldc, -7.0f);
           oracle->qgemm(a.data(), sh.k, b.data(), sh.n, ref.data(), ldc,
                         sh.m, sh.k, sh.n, p);
-          be->qgemm(a.data(), sh.k, b.data(), sh.n, got.data(), ldc, sh.m,
-                    sh.k, sh.n, p);
-          ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                ref.size() * sizeof(float)),
-                    0)
-              << name << " m=" << sh.m << " k=" << sh.k << " n=" << sh.n
-              << " azp=" << zp[0] << " bzp=" << zp[1]
-              << " per_channel=" << per_channel;
+          for (const TileMask& tm : masks) {
+            const MaskScope scope(tm.mask);
+            std::vector<float> got(sh.m * ldc, -7.0f);
+            be->qgemm(a.data(), sh.k, b.data(), sh.n, got.data(), ldc, sh.m,
+                      sh.k, sh.n, p);
+            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << name << " m=" << sh.m << " k=" << sh.k << " n=" << sh.n
+                << " azp=" << zp[0] << " bzp=" << zp[1]
+                << " per_channel=" << per_channel << " tile=" << tm.name;
+          }
         }
       }
     }
@@ -526,8 +604,13 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
     EXPECT_NE(be->qconv, nullptr) << name << " has no native qconv";
     cands.push_back(be);
   }
+  // Every candidate runs under every tile mask, over the first 13 and the
+  // first 11 rows of A (the oracle's rows are independent). Neither is a
+  // multiple of the 4-row panel: 13 rows make four panels (the 8x16 tile's
+  // second pair has one live row), 11 rows three (a trailing odd panel).
+  const std::vector<TileMask> masks = tile_masks();
   Rng rng(59);
-  const size_t m = 13;  // not a multiple of the 4-row register tile
+  const size_t m = 13;
   for (const Geo& geo : geos) {
     const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
     kernels::ConvShape s;
@@ -598,18 +681,23 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
                                       ldc, m, k, n, p);
           std::vector<int8_t> scratch(k * n);
           for (const kernels::KernelBackend* be : cands) {
-            for (const int threads : {1, 3}) {
-              set_parallel_threads(threads);
-              std::vector<float> got(m * ldc, -7.0f);
-              kernels::qconv(be, a.data(), k, xpad.data(), s, got.data(), ldc,
-                             m, p, scratch.data());
-              ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                    ref.size() * sizeof(float)),
-                        0)
-                  << be->name << " c=" << geo.c << " hw=" << geo.hw
-                  << " k=" << geo.k << " s=" << geo.s << " imgs=" << imgs
-                  << " bits=" << bits << " zp=" << zp
-                  << " threads=" << threads;
+            for (const TileMask& tm : masks) {
+              const MaskScope scope(tm.mask);
+              for (const size_t rows : {m, m - 2}) {
+                for (const int threads : {1, 3}) {
+                  set_parallel_threads(threads);
+                  std::vector<float> got(rows * ldc, -7.0f);
+                  kernels::qconv(be, a.data(), k, xpad.data(), s, got.data(),
+                                 ldc, rows, p, scratch.data());
+                  ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                        got.size() * sizeof(float)),
+                            0)
+                      << be->name << " m=" << rows << " c=" << geo.c
+                      << " hw=" << geo.hw << " k=" << geo.k << " s=" << geo.s
+                      << " imgs=" << imgs << " bits=" << bits << " zp=" << zp
+                      << " tile=" << tm.name << " threads=" << threads;
+                }
+              }
             }
           }
           set_parallel_threads(0);
@@ -645,6 +733,7 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
     EXPECT_NE(simd->conv, nullptr);
   }
   if (cands.empty()) GTEST_SKIP() << "no float backend has a conv entry";
+  const std::vector<TileMask> masks = tile_masks();
   Rng rng(67);
   for (const Geo& geo : geos) {
     const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
@@ -676,16 +765,26 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
         for (const kernels::KernelBackend* be : cands) {
           for (const int threads : {1, 3}) {
             set_parallel_threads(threads);
-            std::vector<float> ref(m * ldc, -7.0f), got(m * ldc, -7.0f);
-            be->gemm(a.data(), k, false, col.data(), n, false, ref.data(), ldc,
-                     m, k, n, 1.0f, 0.0f);
-            be->conv(a.data(), k, xpad.data(), s, got.data(), ldc, m);
-            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                  ref.size() * sizeof(float)),
-                      0)
-                << be->name << " c=" << geo.c << " hw=" << geo.hw
-                << " k=" << geo.k << " s=" << geo.s << " m=" << m
-                << " imgs=" << imgs << " threads=" << threads;
+            // The reference runs gemm on the 256-bit tile; conv must equal
+            // it under every tile mask.
+            std::vector<float> ref(m * ldc, -7.0f);
+            {
+              const MaskScope scope(masks[0].mask);
+              be->gemm(a.data(), k, false, col.data(), n, false, ref.data(),
+                       ldc, m, k, n, 1.0f, 0.0f);
+            }
+            for (const TileMask& tm : masks) {
+              const MaskScope scope(tm.mask);
+              std::vector<float> got(m * ldc, -7.0f);
+              be->conv(a.data(), k, xpad.data(), s, got.data(), ldc, m);
+              ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                    ref.size() * sizeof(float)),
+                        0)
+                  << be->name << " c=" << geo.c << " hw=" << geo.hw
+                  << " k=" << geo.k << " s=" << geo.s << " m=" << m
+                  << " imgs=" << imgs << " tile=" << tm.name
+                  << " threads=" << threads;
+            }
           }
         }
         set_parallel_threads(0);
