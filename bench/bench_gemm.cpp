@@ -51,7 +51,7 @@ struct Problem {
 };
 
 /// Human-readable tag of one tuner candidate, e.g.
-/// "scalar/t0x256x256/c1" — what the "winner" column reports.
+/// "scalar/t0x256x256" — what the "winner" column reports.
 std::string describe_choice(const AlgoChoice& c) {
   std::string out = c.backend.empty() ? std::string("default") : c.backend;
   if (!c.tile.is_default()) {
@@ -60,7 +60,6 @@ std::string describe_choice(const AlgoChoice& c) {
                   c.tile.nc);
     out += t;
   }
-  if (c.chunk != 0) out += "/c" + std::to_string(c.chunk);
   return out;
 }
 

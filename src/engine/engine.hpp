@@ -73,7 +73,7 @@ class Engine {
   /// logits into `out` [n, classes] (preallocated by the caller). Performs
   /// zero heap allocations when the batch runs as a single chunk (1-core
   /// host, 1 compile-time thread, or n == 1); multi-chunk runs pay one
-  /// pool-dispatch closure per conv step.
+  /// pool-dispatch closure per run.
   void run(const Tensor& x, Tensor& out) { ctx_.run(x, out); }
 
   /// Convenience overload that allocates the output tensor.

@@ -8,14 +8,27 @@
 // worker pool hands one context per hosted plan to every worker and runs N
 // batches of the same compiled model concurrently.
 //
+// Execution order: a run cuts its n images over the Plan's frozen chunk
+// grid once, and one parallel region hands each chunk to a worker, which
+// carries those images through every per-image step (conv, residual add,
+// scale-shift, activation, both pools) in plan order. A batch therefore
+// forks and joins the worker pool once, not once per step, and a chunk's
+// activations stay on one core from step to step. In every arena slot the
+// chunk starting at image i0 keeps its images back to back from row i0
+// (Plan::slot_stride), so chunks running different steps never overlap,
+// even in a slot the allocator reuses for another activation size. The
+// batch-level head — the trailing kLinear steps — runs after the region,
+// once over all n rows packed densely: run per chunk, a small chunk could
+// take a different GEMM path and round differently.
+//
 // Concurrency contract: a context is single-threaded (one run at a time;
-// the run itself may fan out over the process worker pool exactly as
-// before), but any number of contexts may run the SAME Plan from different
-// threads simultaneously — runs read the Plan and write only their own
-// context, and the kernel backends keep per-thread scratch only. Results
-// are bit-identical across contexts, thread counts, and batch packings:
-// the chunk grid is frozen in the Plan and every per-image quantization
-// scale depends only on image content.
+// the run itself fans out over the process worker pool), but any number
+// of contexts may run the SAME Plan from different threads simultaneously
+// — runs read the Plan and write only their own context, and the kernel
+// backends keep per-thread scratch only. Results are bit-identical across
+// contexts, thread counts, and batch packings: the chunk grid is frozen in
+// the Plan and every per-image quantization scale depends only on image
+// content.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +52,8 @@ class ExecContext {
 
   /// Executes the plan on x [n, Ci, H, W] with n <= plan().batch(); writes
   /// the logits into `out` [n, classes] (preallocated by the caller).
-  /// Performs zero heap allocations when the batch runs as a single chunk.
+  /// Performs zero heap allocations when the batch runs as a single chunk;
+  /// a multi-chunk run allocates one dispatch closure for its one region.
   void run(const Tensor& x, Tensor& out);
 
   /// Convenience overload that allocates the output tensor.
@@ -63,10 +77,19 @@ class ExecContext {
   const float* workspace_data() const { return workspace_.data(); }
 
  private:
-  /// Executes one batched conv step (fixed compile-time chunk grid).
-  void run_conv(const Step& st, const float* in, float* out, size_t n);
+  /// Runs per-image step `st` on the `imgs` images of chunk `ci`, read
+  /// back to back from `src` and written back to back to `dst`.
+  void run_image_step(const Step& st, const float* src, float* dst,
+                      size_t imgs, size_t ci);
+  /// The conv case of run_image_step: the chunk's images as one product
+  /// in chunk ci's scratch slices.
+  void run_conv(const Step& st, const float* in, float* out, size_t imgs,
+                size_t ci);
+  /// Runs a kLinear step once over n dense rows.
+  void run_linear(const Step& st, const float* src, float* dst, size_t n);
 
   std::shared_ptr<const Plan> plan_;
+  size_t head_ = 0;  ///< Plan::head(): first step of the batch-level head
   std::vector<float> workspace_;
   std::vector<int8_t> qws_;  ///< int8 activation scratch (quantized plans)
   std::vector<float> qbs_;   ///< per-image column scales (one slice of
@@ -78,10 +101,12 @@ class ExecContext {
   /// ASan builds only (core/asan.hpp): index of the last step that reads
   /// or writes each arena slot (entry 0 = the external input, unused; the
   /// final step's output extends to steps().size() — the logit copy reads
-  /// it). run_rows poisons a slot the moment its last toucher retires and
-  /// unpoisons exactly the rows a step is about to write, so a kernel
-  /// reading a DEAD slot — stale activations the allocator recycled —
-  /// faults as use-after-poison instead of silently producing numbers.
+  /// it). In run_rows each chunk unpoisons exactly the rows a step is
+  /// about to write and poisons its own rows of a slot the moment the
+  /// slot's last toucher retires, so a kernel reading a DEAD slot — stale
+  /// activations the allocator recycled — faults as use-after-poison
+  /// instead of silently producing numbers. Shadow granules shared by two
+  /// image rows are never poisoned (two chunks would race on them).
   /// Empty in uninstrumented builds.
   std::vector<size_t> slot_last_touch_;
 };

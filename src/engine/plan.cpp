@@ -178,7 +178,6 @@ struct BuildStep {
   // compile() and copied into the final Step.
   const kernels::KernelBackend* be = nullptr;
   kernels::TileParams tile;
-  uint32_t chunk = 0;
 };
 
 /// How Plan::compile actually selects per-step algorithms once kDefault
@@ -478,6 +477,14 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   cc.w = in_w;
   cc.lower(model);
   ALF_CHECK(!cc.steps.empty()) << "engine: model compiled to an empty plan";
+  // Runs execute the per-image steps chunk by chunk and the linear head
+  // once over the whole batch (exec_context.cpp), so nothing but linear
+  // layers may follow the first one.
+  for (size_t i = 1; i < cc.steps.size(); ++i)
+    ALF_CHECK(cc.steps[i - 1].kind != OpKind::kLinear ||
+              cc.steps[i].kind == OpKind::kLinear)
+        << "engine: step '" << cc.steps[i].name
+        << "' follows a linear layer; only linear layers may";
 
   // Non-negativity propagation over the (still virtual-buffer-addressed)
   // plan: a buffer is provably non-negative when its producer ends in
@@ -555,12 +562,12 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     if (cache != nullptr) cache->save();
   }
 
-  // Apply each choice: per-step backend, tile, chunk grid. Every step
-  // carries a backend pointer (the plan backend when the choice leaves it
-  // open); a named backend must exist and share the plan's datapath — the
-  // packed weight panels have one ABI per datapath. Tiles only stick on
-  // backends exposing a tiled GEMM entry, and never on a gathered conv,
-  // which issues no GEMM. Chunk overrides apply to every conv.
+  // Apply each choice: per-step backend and tile. Every step carries a
+  // backend pointer (the plan backend when the choice leaves it open); a
+  // named backend must exist and share the plan's datapath — the packed
+  // weight panels have one ABI per datapath. Tiles only stick on backends
+  // exposing a tiled GEMM entry, and never on a gathered conv, which
+  // issues no GEMM.
   for (size_t i = 0; i < cc.steps.size(); ++i) {
     BuildStep& st = cc.steps[i];
     st.be = backend;
@@ -579,7 +586,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     if (st.be->gemm_tiled != nullptr &&
         !runs_gathered(st.kind, quantize, st.be))
       st.tile = ch.tile;
-    if (st.kind == OpKind::kConv) st.chunk = ch.chunk;
   }
 
   // int8 lowering: export the (BN-folded) weights of every conv/linear
@@ -700,24 +706,18 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   // scratch before the NCHW scatter, reading B from a col scratch: the
   // chunk's zero-padded images for a gathered conv (nothing when it has no
   // padding), its im2col unfold otherwise (conv_col_floats). Both regions
-  // are per-chunk slices at the arena tail. A step with a tuned chunk
-  // override runs a *coarser* grid (fewer, larger chunks), so its scratch
-  // need is computed from its own effective grid — the sizing below takes
-  // the max over every step's grid, and the runtime partition
-  // (Plan::step_chunks) can never outgrow it.
-  const auto eff_imgs = [&](const BuildStep& st) {
-    const size_t nch =
-        st.chunk != 0 ? std::min<size_t>(st.chunk, nchunks) : nchunks;
-    return (batch + nch - 1) / nch;
-  };
+  // are per-chunk slices at the arena tail, sized for the widest chunk any
+  // run cuts (n <= batch images over min(nchunks, n) chunks never exceed
+  // ceil(batch / nchunks) images).
+  const size_t chunk_imgs = (batch + nchunks - 1) / nchunks;
   size_t max_col = 0, max_res = 0;
   for (const BuildStep& st : cc.steps) {
     if (st.kind != OpKind::kConv) continue;
     max_col = std::max(
         max_col, conv_col_floats(st.geom,
                                  runs_gathered(st.kind, st.quantized, st.be),
-                                 eff_imgs(st)));
-    max_res = std::max(max_res, st.out_sz * eff_imgs(st));
+                                 chunk_imgs));
+    max_res = std::max(max_res, st.out_sz * chunk_imgs);
   }
   plan->col_sz_ = max_col;
   plan->res_sz_ = max_res;
@@ -739,7 +739,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     size_t max_cols = batch;  // linear steps use one scale per batch row
     for (const BuildStep& st : cc.steps)
       if (st.kind == OpKind::kConv)
-        max_cols = std::max(max_cols, st.geom.col_cols() * eff_imgs(st));
+        max_cols = std::max(max_cols, st.geom.col_cols() * chunk_imgs);
     plan->qbs_sz_ = max_cols;
   }
 
@@ -826,7 +826,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     st.in_nonneg = bs.in_nonneg;
     st.be = bs.be;
     st.tile = bs.tile;
-    st.chunk = bs.chunk;
   }
   bind_weight_views(plan->steps_, plan->sections_, plan->arena_);
 #ifndef NDEBUG
@@ -838,6 +837,12 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
 }
 
 bool Step::gathered_conv() const { return runs_gathered(kind, quantized, be); }
+
+size_t Plan::head() const {
+  size_t i = 0;
+  while (i < steps_.size() && steps_[i].kind != OpKind::kLinear) ++i;
+  return i;
+}
 
 size_t Plan::conv_col_floats(const ConvGeom& g, bool gathered, size_t imgs) {
   if (!gathered) return g.col_rows() * g.col_cols() * imgs;
@@ -861,8 +866,8 @@ std::string Plan::str() const {
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& st = steps_[i];
     // Per-step algorithm decision: backend (when it differs from the
-    // plan's), tile blocking and chunk-grid override — the full choice a
-    // tuned plan (or a loaded blob) carries, so dumps diff meaningfully.
+    // plan's) and tile blocking — the full choice a tuned plan (or a
+    // loaded blob) carries, so dumps diff meaningfully.
     char algo[96] = "";
     if (st.kind == OpKind::kConv || st.kind == OpKind::kLinear) {
       size_t off = 0;
@@ -870,11 +875,8 @@ std::string Plan::str() const {
         off += static_cast<size_t>(std::snprintf(
             algo + off, sizeof(algo) - off, " be=%s", st.be->name));
       if (!st.tile.is_default() && off < sizeof(algo))
-        off += static_cast<size_t>(
-            std::snprintf(algo + off, sizeof(algo) - off, " tile=%ux%ux%u",
-                          st.tile.mc, st.tile.kc, st.tile.nc));
-      if (st.chunk != 0 && off < sizeof(algo))
-        std::snprintf(algo + off, sizeof(algo) - off, " chunk=%u", st.chunk);
+        std::snprintf(algo + off, sizeof(algo) - off, " tile=%ux%ux%u",
+                      st.tile.mc, st.tile.kc, st.tile.nc);
     }
     char geom[144] = "";
     if (st.kind == OpKind::kConv) {

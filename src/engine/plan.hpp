@@ -20,7 +20,9 @@
 // The Plan carries not just the step list but the arena *layout* (slot
 // count/stride, scratch offsets, the fixed chunk grid), so every context
 // allocates exactly the same geometry and results are bit-identical
-// across contexts, workers, and thread counts.
+// across contexts, workers, and thread counts. One grid serves the whole
+// plan: a run splits its batch over it once and each chunk carries its
+// images through every per-image step (exec_context.hpp).
 #pragma once
 
 #include <algorithm>
@@ -127,7 +129,7 @@ enum class OpKind {
 const char* op_kind_name(OpKind kind);
 
 /// How Plan::compile selects per-step algorithms (kernel backend, tile
-/// parameters, chunk grid).
+/// parameters).
 enum class TuneMode {
   /// Resolve from the ALF_TUNE environment variable ("off" / "cached" /
   /// "full"); unset or unrecognized means kHeuristic.
@@ -153,10 +155,6 @@ struct AlgoChoice {
   /// f32 GEMM cache blocking; all-zero = the backend's built-in constants.
   /// Only sticks where a GEMM consumes it: convs on the im2col branch.
   kernels::TileParams tile;
-  /// Conv chunk-grid override (e.g. 1 = the whole batch as one conv
-  /// product); 0 = the plan's compile-time grid. Numerics-neutral:
-  /// results are bit-identical across batch packings by contract.
-  uint32_t chunk = 0;
 };
 
 /// One stateless kernel invocation. Weight fields are non-owning views
@@ -225,8 +223,6 @@ struct Step {
   const kernels::KernelBackend* be = nullptr;
   /// f32 GEMM cache blocking for this step (all-zero = backend defaults).
   kernels::TileParams tile;
-  /// Conv chunk-grid override; 0 = the plan's grid (Plan::chunks()).
-  uint32_t chunk = 0;
 
   /// True for a float conv whose step backend has a conv entry: it runs
   /// be->conv over padded images instead of the im2col branch.
@@ -308,6 +304,10 @@ class Plan {
 
   // --- Arena layout (what one ExecContext allocates) ------------------------
   size_t activation_slots() const { return slots_; }
+  /// Floats per activation slot: batch() rows of slot_stride() / batch()
+  /// floats, one per image. A chunk starting at image i0 keeps its images
+  /// back to back from row i0, whatever size the slot's current
+  /// activation has, so no two chunks ever share a float of a slot.
   size_t slot_stride() const { return slot_stride_; }
   /// Total float arena of one context (activation slots + conv scratch).
   size_t workspace_floats() const { return res_off_ + nchunks_ * res_sz_; }
@@ -316,15 +316,19 @@ class Plan {
   size_t col_floats() const { return col_sz_; }
   size_t result_offset() const { return res_off_; }
   size_t result_floats() const { return res_sz_; }
-  /// Fixed batch partition (chosen at compile for determinism).
+  /// Fixed batch partition (chosen at compile for determinism). A run of
+  /// n images cuts them into chunks of ceil(n / min(chunks(), n)) images
+  /// (the last one may be shorter), and every per-image step runs on that
+  /// one grid.
   size_t chunks() const { return nchunks_; }
-  /// The chunk grid one step actually runs under: its tuned override when
-  /// set, the plan grid otherwise. The scratch sizing (compile) and the
-  /// runtime (run_conv) both consult this, so a per-step override can only
-  /// ever widen a chunk into scratch that was sized for it.
-  size_t step_chunks(const Step& st) const {
-    return st.chunk != 0 ? std::min<size_t>(st.chunk, nchunks_) : nchunks_;
-  }
+  /// The chunk grid a step runs under: always chunks() (kept for callers
+  /// that ask per step).
+  size_t step_chunks(const Step&) const { return nchunks_; }
+  /// Index of the first kLinear step, steps().size() when there is none.
+  /// Steps before it are per-image and run chunk by chunk; from it on every
+  /// step is a kLinear (compile() and verify() enforce this) that runs once
+  /// over all rows of the batch.
+  size_t head() const;
   /// Per-chunk col scratch a conv of geometry `g` needs for `imgs` images:
   /// its zero-padded images when the conv is gathered (none when it has no
   /// padding — the activation slot is read in place), the full im2col

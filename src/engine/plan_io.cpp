@@ -119,7 +119,6 @@ void PlanIo::save(const Plan& p, const std::string& path) {
     r.tile_mc = st.tile.mc;
     r.tile_kc = st.tile.kc;
     r.tile_nc = st.tile.nc;
-    r.chunk = st.chunk;
   }
   std::vector<SectionRecord> xrecs(sections.size());
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -330,6 +329,10 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
       io_fail(Code::kBadSection,
               "step " + std::to_string(i) +
                   ": selects the retired shift-GEMM strategy");
+    if (r.chunk != 0)
+      io_fail(Code::kBadSection,
+              "step " + std::to_string(i) +
+                  ": carries a retired per-step chunk-grid override");
     s.kind = static_cast<OpKind>(r.kind);
     s.act = static_cast<Act>(r.act);
     s.name.assign(names + r.name_off, static_cast<size_t>(r.name_len));
@@ -351,7 +354,6 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
               "step " + std::to_string(i) + ": unterminated backend name");
     step_backends[i] = r.backend_name;
     s.tile = kernels::TileParams{r.tile_mc, r.tile_kc, r.tile_nc};
-    s.chunk = r.chunk;
   }
 
   // --- Section records: structural pass, then payload checksums ----------

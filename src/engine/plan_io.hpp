@@ -86,9 +86,10 @@ class PlanIoError : public std::runtime_error {
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'P', 'L', 'A', 'N', '\0'};
 // v2: StepRecord grew the per-step algorithm choice (backend name, tile
-// blocking, chunk override) so tuned plans replay their decisions on load
-// with zero re-tuning. v1 blobs are rejected (reject-don't-migrate; blobs
-// are cheap to regenerate with alf_planc).
+// blocking, and a chunk override that is retired and must now be 0) so
+// tuned plans replay their decisions on load with zero re-tuning. v1
+// blobs are rejected (reject-don't-migrate; blobs are cheap to regenerate
+// with alf_planc).
 constexpr uint32_t kFormatVersion = 2;
 /// Arena file offset alignment: one page, so the mmap'd arena base meets
 /// kArenaAlign without copying.
@@ -145,7 +146,9 @@ struct StepRecord {
   uint8_t quantized, in_nonneg, reserved0;
   // v2: the step's algorithm choice. backend_name is NUL-terminated; ""
   // means "the plan's backend". Tile fields of 0 select the backend's
-  // built-in blocking; chunk 0 the plan's compile-time grid.
+  // built-in blocking. `chunk` is the retired per-step chunk-grid
+  // override: save writes 0 and load rejects anything else (every step
+  // runs on the plan's one grid).
   char backend_name[16];
   uint32_t tile_mc, tile_kc, tile_nc, chunk;
 };

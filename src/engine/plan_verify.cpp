@@ -19,10 +19,15 @@
 //      bug that makes two overlapping live ranges share a slot shows up
 //      here as a dead read or a size break in the chain.
 //   2. Arena geometry. slot_stride_ must cover every activation the steps
-//      move at the compiled batch; the col/result scratch offsets must
-//      tile the workspace exactly; every conv's col input (padded images
-//      when gathered, the unfold otherwise — Plan::conv_col_floats) and
-//      product must fit its per-chunk scratch slices.
+//      move at the compiled batch — which also keeps the chunk layout's
+//      per-chunk ranges inside the slot, since a chunk ending at image i1
+//      stays below i1 * (slot_stride_ / batch_); the col/result scratch
+//      offsets must tile the workspace exactly; every conv's col input
+//      (padded images when gathered, the unfold otherwise —
+//      Plan::conv_col_floats) and product must fit its per-chunk scratch
+//      slices. Only kLinear steps may follow the first kLinear: the
+//      runtime runs everything before it per chunk and the head once over
+//      the whole batch.
 //   3. Weight panels. Float steps must carry a weight matrix of exactly
 //      the GEMM shape the kernel will read ([Co, Ci*K*K] conv rows,
 //      [out, in] linear). The retired shift-GEMM strategy stays off: no
@@ -90,14 +95,9 @@ void Plan::verify() const {
     fail("col scratch offset does not abut the activation slots");
   if (res_off_ != col_off_ + nchunks_ * col_sz_)
     fail("result scratch offset does not abut the col scratch");
-  // Effective whole-chunk image count of one step: a tuned chunk override
-  // coarsens the grid (fewer, larger chunks), so scratch bounds are
-  // checked against each step's own partition — the same arithmetic the
-  // compile-time sizing and the runtime (Plan::step_chunks) use.
-  const auto step_imgs = [&](const Step& st) {
-    const size_t nch = step_chunks(st);
-    return (batch_ + nch - 1) / nch;
-  };
+  // Images in the widest chunk of any run: the per-chunk scratch bound.
+  const size_t chunk_imgs = (batch_ + nchunks_ - 1) / nchunks_;
+  const size_t head_at = head();
 
   // --- Step replay -------------------------------------------------------
   // slot 0 is the external input; arena slots are 1..slots_.
@@ -113,6 +113,8 @@ void Plan::verify() const {
            " out of range (slot 0 is the read-only input)");
     if (st.in_sz < 1 || st.out_sz < 1)
       fail(tag(i, st) + ": empty activation");
+    if (i > head_at && st.kind != OpKind::kLinear)
+      fail(tag(i, st) + ": follows the linear head (only kLinear may)");
 
     // Reads: the input slot must be live with the expected size. A stale
     // or size-mismatched read is exactly what an overlapping slot
@@ -156,11 +158,11 @@ void Plan::verify() const {
           fail(tag(i, st) + ": out_sz disagrees with conv geometry");
         // The whole-chunk col input and product must fit the per-chunk
         // scratch slices.
-        if (conv_col_floats(g, st.gathered_conv(), step_imgs(st)) > col_sz_)
+        if (conv_col_floats(g, st.gathered_conv(), chunk_imgs) > col_sz_)
           fail(tag(i, st) + ": col input (" +
                (st.gathered_conv() ? "padded images" : "im2col unfold") +
                ") overflows the col scratch");
-        if (st.out_sz * step_imgs(st) > res_sz_)
+        if (st.out_sz * chunk_imgs > res_sz_)
           fail(tag(i, st) + ": GEMM result overflows the result scratch");
         if (st.gathered_conv() && !st.tile.is_default())
           fail(tag(i, st) + ": tuned tile on a gathered conv (no GEMM)");
@@ -255,8 +257,7 @@ void Plan::verify() const {
 
     // Per-step algorithm choice. Conv/linear steps dispatch their GEMMs
     // through st.be, so it must be a live registry entry on the plan's
-    // datapath; a tuned tile needs a backend that can actually consume it;
-    // chunk overrides only make sense on convs.
+    // datapath; a tuned tile needs a backend that can actually consume it.
     if (lowerable) {
       if (st.be == nullptr) fail(tag(i, st) + ": no step backend pinned");
       if (kernels::find_backend(st.be->name) != st.be)
@@ -269,12 +270,6 @@ void Plan::verify() const {
     if (!st.tile.is_default() &&
         (st.be == nullptr || st.be->gemm_tiled == nullptr))
       fail(tag(i, st) + ": tuned tile on a backend without a tiled GEMM");
-    if (st.chunk != 0) {
-      if (st.kind != OpKind::kConv)
-        fail(tag(i, st) + ": chunk override on a non-conv step");
-      if (st.chunk > batch_)
-        fail(tag(i, st) + ": chunk override exceeds the batch");
-    }
 
     // Write: the output slot now holds this step's activation.
     slot[st.out] = SlotState{true, st.out_sz};
@@ -294,7 +289,7 @@ void Plan::verify() const {
       if (st.kind == OpKind::kLinear && qws_sz_ < batch_ * st.in_features)
         fail("int8 activation scratch smaller than a linear input panel");
       if (st.kind == OpKind::kConv &&
-          qbs_sz_ < st.geom.col_cols() * step_imgs(st))
+          qbs_sz_ < st.geom.col_cols() * chunk_imgs)
         fail("per-image scale scratch smaller than a conv's GEMM columns");
     }
     if (qbs_sz_ < batch_)

@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
-#include <mutex>
+#include <algorithm>
+#include <vector>
 
 #include "core/check.hpp"
 #include "core/parallel.hpp"
@@ -80,41 +81,46 @@ Tensor conv2d_backward(const Tensor& x, const Tensor& w_mat,
   Tensor grad_x(x.shape());
   const size_t out_sz = out_c * ho * wo;
 
-  // Data-parallel over the batch; each worker accumulates its weight
-  // gradient locally and merges under a mutex (cheap vs. the GEMMs).
+  // Data-parallel over a fixed split of the batch into parts, independent
+  // of the thread count: each part accumulates its own weight gradient,
+  // and the parts are added into grad_w in part order after the region,
+  // so the float rounding never depends on which worker finished first.
+  constexpr size_t kGradParts = 8;
+  const size_t per_part =
+      std::max<size_t>(1, (n + kGradParts - 1) / kGradParts);
+  const size_t parts = (n + per_part - 1) / per_part;
+  std::vector<Tensor> part_gw(grad_w != nullptr ? parts : 0);
   const kernels::KernelBackend* be = kernels::default_backend();
-  std::mutex grad_w_mutex;
   parallel_for_chunked(
-      0, n,
-      [&](size_t lo, size_t hi) {
+      0, parts,
+      [&](size_t plo, size_t phi) {
         Tensor col({g.col_rows(), g.col_cols()});
         Tensor gcol({g.col_rows(), g.col_cols()});
-        Tensor local_gw;
-        if (grad_w != nullptr) local_gw = Tensor(grad_w->shape());
-        for (size_t i = lo; i < hi; ++i) {
-          im2col(x, i, g, col);
-          // gout_i is read in place from the batch gradient.
-          const float* gout_i = grad_out.data() + i * out_sz;
-          if (grad_w != nullptr) {
-            // dW += gout_i [Co, HoWo] * col^T [HoWo, CiKK]
-            be->gemm(gout_i, ho * wo, false, col.data(), g.col_cols(), true,
-                     local_gw.data(), g.col_rows(), out_c, ho * wo,
-                     g.col_rows(), 1.0f, 1.0f);
+        for (size_t part = plo; part < phi; ++part) {
+          if (grad_w != nullptr) part_gw[part] = Tensor(grad_w->shape());
+          const size_t end = std::min(n, (part + 1) * per_part);
+          for (size_t i = part * per_part; i < end; ++i) {
+            im2col(x, i, g, col);
+            // gout_i is read in place from the batch gradient.
+            const float* gout_i = grad_out.data() + i * out_sz;
+            if (grad_w != nullptr) {
+              // dW += gout_i [Co, HoWo] * col^T [HoWo, CiKK]
+              be->gemm(gout_i, ho * wo, false, col.data(), g.col_cols(), true,
+                       part_gw[part].data(), g.col_rows(), out_c, ho * wo,
+                       g.col_rows(), 1.0f, 1.0f);
+            }
+            // dcol = W^T [CiKK, Co] * gout_i [Co, HoWo]
+            be->gemm(w_mat.data(), g.col_rows(), true, gout_i, ho * wo, false,
+                     gcol.data(), ho * wo, g.col_rows(), out_c, ho * wo, 1.0f,
+                     0.0f);
+            // grad_x is zero-initialized and each image slice is owned by
+            // exactly one part, so col2im accumulates into it directly.
+            col2im(gcol, g, grad_x, i);
           }
-          // dcol = W^T [CiKK, Co] * gout_i [Co, HoWo]
-          be->gemm(w_mat.data(), g.col_rows(), true, gout_i, ho * wo, false,
-                   gcol.data(), ho * wo, g.col_rows(), out_c, ho * wo, 1.0f,
-                   0.0f);
-          // grad_x is zero-initialized and each image slice is owned by
-          // exactly one worker, so col2im accumulates into it directly.
-          col2im(gcol, g, grad_x, i);
-        }
-        if (grad_w != nullptr) {
-          const std::lock_guard<std::mutex> lock(grad_w_mutex);
-          *grad_w += local_gw;
         }
       },
       /*min_per_worker=*/1);
+  for (const Tensor& gw : part_gw) *grad_w += gw;
   return grad_x;
 }
 

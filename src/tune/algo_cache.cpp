@@ -32,11 +32,11 @@ std::string resolve_path(const std::string& path) {
 
 /// Serializes one AlgoChoice as the tail of an `entry` line. The backend
 /// name "-" stands for "" (plan backend) so the line always has exactly
-/// six fields after the key.
+/// five fields after the key.
 std::string format_choice(const AlgoChoice& c, double best_ms) {
   std::ostringstream os;
   os << (c.backend.empty() ? "-" : c.backend) << ' ' << c.tile.mc << ' '
-     << c.tile.kc << ' ' << c.tile.nc << ' ' << c.chunk << ' ' << best_ms;
+     << c.tile.kc << ' ' << c.tile.nc << ' ' << best_ms;
   return os.str();
 }
 
@@ -58,6 +58,9 @@ std::string host_stamp() {
     os << names[i];
   }
   os << '\n';
+  // What an entry decides; a file whose entries carry other dimensions
+  // (e.g. the retired per-step chunk grid) is stale, not corrupt.
+  os << "choice backend,tile\n";
   return os.str();
 }
 
@@ -88,10 +91,11 @@ void AlgoCache::parse_locked(const std::string& text) {
     throw TuneError(TuneError::Code::kBadVersion,
                     "unsupported version in " + path_);
 
-  // Stamp lines (cpu/geom/backends), verbatim; the writer puts them before
-  // every entry. A stamp that differs from this host's is NOT an error —
-  // the entries just don't apply here, so they are discarded unread (a
-  // different packing geometry may also mean a different entry grammar).
+  // Stamp lines (cpu/geom/backends/choice), verbatim; the writer puts them
+  // before every entry. A stamp that differs from this host's is NOT an
+  // error — the entries just don't apply here, so they are discarded
+  // unread (another packing geometry or choice set may also mean another
+  // entry grammar).
   const std::string host = host_stamp();
   std::string file_stamp;
   std::map<std::string, AlgoEntry> parsed;
@@ -100,7 +104,8 @@ void AlgoCache::parse_locked(const std::string& text) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
-    if (tag == "cpu" || tag == "geom" || tag == "backends") {
+    if (tag == "cpu" || tag == "geom" || tag == "backends" ||
+        tag == "choice") {
       file_stamp += line;
       file_stamp += '\n';
       continue;
@@ -110,14 +115,13 @@ void AlgoCache::parse_locked(const std::string& text) {
                       "unknown line '" + tag + "' in " + path_);
     if (file_stamp != host) break;
     std::string key, backend;
-    uint32_t mc = 0, kc = 0, nc = 0, chunk = 0;
+    uint32_t mc = 0, kc = 0, nc = 0;
     double ms = 0.0;
-    if (!(ls >> key >> backend >> mc >> kc >> nc >> chunk >> ms))
+    if (!(ls >> key >> backend >> mc >> kc >> nc >> ms))
       throw TuneError(TuneError::Code::kParse, "bad entry line in " + path_);
     AlgoEntry e;
     e.choice.backend = backend == "-" ? std::string() : backend;
     e.choice.tile = {mc, kc, nc};
-    e.choice.chunk = chunk;
     e.best_ms = ms;
     parsed.emplace(std::move(key), std::move(e));
   }

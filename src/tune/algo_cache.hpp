@@ -1,7 +1,7 @@
 // AlgoCache: the persistent per-shape algorithm cache behind the tuner.
 //
-// The tuner (tune/tuner.hpp) measures candidate (backend, tile, chunk)
-// choices per distinct conv/linear shape; this cache is where the
+// The tuner (tune/tuner.hpp) measures candidate (backend, tile) choices
+// per distinct conv/linear shape; this cache is where the
 // winners live between processes, so a shape is measured once per machine
 // and every later Plan::compile replays the decision with zero
 // microbenchmark runs.
@@ -12,7 +12,8 @@
 //   cpu 0x<allowed-feature-mask>
 //   geom panel=<kPanelLayoutVersion> align=<kWeightAlign>
 //   backends <sorted,comma,joined,registry names>
-//   entry <shape-key> <backend|-> <mc> <kc> <nc> <chunk> <best_ms>
+//   choice backend,tile
+//   entry <shape-key> <backend|-> <mc> <kc> <nc> <best_ms>
 //   ...
 //   crc 0x<crc32 of everything above>
 //
@@ -20,10 +21,13 @@
 //   - A damaged file (bad magic/version/crc, malformed line) throws a
 //     typed TuneError — never a silent partial read.
 //   - A *stale* file (stamp lines disagree with this host's CPU-feature
-//     mask, packing geometry, or backend set) is structurally fine but its
-//     decisions are meaningless here: every entry is discarded unread (the
-//     entry grammar may differ under another packing geometry) and the
-//     shapes re-measured. Nothing is migrated.
+//     mask, packing geometry, backend set, or the choice dimensions an
+//     entry carries) is structurally fine but its decisions are
+//     meaningless here: every entry is discarded unread (the entry grammar
+//     may differ under another stamp) and the shapes re-measured. Nothing
+//     is migrated. Files from before the per-step chunk override was
+//     retired lack the `choice` line, so their entries (which carried a
+//     chunk column) are dropped this way.
 //
 // The stamps are also enforced per lookup against the LIVE process state,
 // so narrowing the feature mask mid-process (set_cpu_feature_mask, the

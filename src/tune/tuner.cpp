@@ -71,7 +71,7 @@ std::vector<AlgoChoice> candidates(const TuneShape& shape) {
 
   if (!shape.is_conv) {
     // Linear: backend choice only. Tiles are not plumbed through the
-    // linear runtime path, and the chunk grid does not apply.
+    // linear runtime path.
     for (const kernels::KernelBackend* be : backends) {
       AlgoChoice c;
       c.backend = be->name;
@@ -80,24 +80,16 @@ std::vector<AlgoChoice> candidates(const TuneShape& shape) {
     return out;
   }
 
-  // Conv: backend x chunk grid, plus tiles where a GEMM consumes them.
-  // Chunk-grid variants only make sense when the plan actually splits the
-  // batch (chunk=1 runs the whole batch as one conv product).
-  std::vector<uint32_t> chunk_set = {0};
-  if (shape.batch > 1 && shape.chunks > 1) chunk_set.push_back(1);
-
+  // Conv: backend, plus tiles where a GEMM consumes them.
   for (const kernels::KernelBackend* be : backends) {
     std::vector<kernels::TileParams> tiles = {{}};
     if (!shape.quantized)
       for (const kernels::TileParams& t : tile_grid(be)) tiles.push_back(t);
     for (const kernels::TileParams& t : tiles) {
-      for (uint32_t chunk : chunk_set) {
-        AlgoChoice c;
-        c.backend = be->name;
-        c.tile = t;
-        c.chunk = chunk;
-        out.push_back(std::move(c));
-      }
+      AlgoChoice c;
+      c.backend = be->name;
+      c.tile = t;
+      out.push_back(std::move(c));
     }
   }
   return out;

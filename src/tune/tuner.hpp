@@ -1,6 +1,7 @@
-// Per-shape autotuner: enumerate candidate (backend, tile, chunk) choices
-// for one conv/linear shape, microbenchmark each on realistic data, and
-// return the winner.
+// Per-shape autotuner: enumerate candidate (backend, tile) choices for one
+// conv/linear shape, microbenchmark each on realistic data, and return the
+// winner. The chunk grid is not a candidate dimension: a plan runs all its
+// per-image steps on its one grid (engine/exec_context.hpp).
 //
 // The tuner plugs into Plan::compile (TuneMode::kCached / kFull): compile
 // extracts a TuneShape per GEMM-bearing step, asks choose(), and bakes the
@@ -43,7 +44,7 @@ struct TuneShape {
   int qbits = 8;
   bool in_nonneg = false;   ///< asymmetric activation grid (quantized)
   size_t batch = 1;         ///< plan batch size
-  size_t chunks = 1;        ///< the plan's compile-time chunk grid
+  size_t chunks = 1;        ///< the plan's compile-time chunk grid (key only)
   std::string plan_backend; ///< plan backend name (datapath anchor)
 };
 
@@ -55,8 +56,8 @@ struct TuneShape {
 std::string shape_key(const TuneShape& shape);
 
 /// Legal candidates for the shape under the current feature mask: the
-/// heuristic default first, then per-backend chunk variants (convs) and
-/// tiles (only on backends whose convs issue a GEMM: no conv entry).
+/// heuristic default first, then every usable backend, plus tiles (only on
+/// backends whose convs issue a GEMM: no conv entry).
 /// Every candidate is bit-reproducible on its own; candidates may differ
 /// from each other in float rounding (different k-blocking), which is why
 /// the choice is cached — one choice, one result.

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "alf/deploy.hpp"
 #include "core/check.hpp"
@@ -18,6 +21,9 @@
 #include "kernels/internal.hpp"
 #include "models/zoo.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 
 // Heap instrumentation for Engine::run's zero-allocation contract. The
 // replacement operators serve the whole test binary; counting is gated so
@@ -69,6 +75,60 @@ float max_abs_diff(const Tensor& a, const Tensor& b) {
 
 constexpr size_t kHw = 16;
 constexpr float kTol = 1e-5f;
+constexpr size_t kInC = 3;  // ModelConfig's default input channels
+
+/// ResNet-20 at test scale, dense or with ALF blocks (every third code
+/// filter masked off, so the deployed plan holds code convs and 1x1
+/// expansions of several widths: its slots are reused across more
+/// activation sizes than the dense plan's).
+std::unique_ptr<Sequential> resnet20_for_test(bool alf, Rng& rng) {
+  ModelConfig mc;
+  mc.base_width = 8;
+  mc.in_hw = kHw;
+  std::unique_ptr<Sequential> model;
+  if (alf) {
+    std::vector<AlfConv*> blocks;
+    model = build_resnet20(mc, rng,
+                           make_alf_conv_maker(AlfConfig{}, &rng, &blocks));
+    for (AlfConv* b : blocks)
+      for (size_t i = 0; i < b->mask().numel(); i += 3) b->mask().at(i) = 0.0f;
+  } else {
+    model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
+  }
+  warm_bn(*model, kInC, kHw, rng);
+  return model;
+}
+
+/// Byte-for-byte equality of two logit vectors (memcmp: -0.0f != 0.0f),
+/// naming the first differing element.
+::testing::AssertionResult same_bytes(const std::vector<float>& a,
+                                      const std::vector<float>& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  for (size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+  return ::testing::AssertionSuccess();
+}
+
+/// Logits of the first n images of x under `plan`, on `threads` threads.
+std::vector<float> run_n(const std::shared_ptr<const Plan>& plan,
+                         const Tensor& x, size_t n, int threads) {
+  set_parallel_threads(threads);
+  ExecContext ctx(plan);
+  std::vector<float> out(n * plan->classes());
+  ctx.run_rows(x.data(), n, out.data());
+  return out;
+}
+
+std::shared_ptr<const Plan> compile_at(const Sequential& model, size_t batch,
+                                       int threads,
+                                       const EngineOptions& opts = {}) {
+  set_parallel_threads(threads);
+  return Plan::compile(model, batch, kInC, kHw, kHw, opts);
+}
 
 TEST(Engine, ResNet20MatchesLayerTree) {
   Rng rng(31);
@@ -144,29 +204,27 @@ TEST(Engine, AlfDeployedModelMatchesEvalForward) {
 }
 
 TEST(Engine, BitIdenticalAcrossThreadCounts) {
-  Rng rng(34);
-  ModelConfig mc;
-  mc.base_width = 8;
-  mc.in_hw = kHw;
-  auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  warm_bn(*model, mc.in_channels, kHw, rng);
-  Tensor x = random_input({6, mc.in_channels, kHw, kHw}, rng);
-
-  set_parallel_threads(4);
-  Engine eng = Engine::compile(*model, 6, mc.in_channels, kHw, kHw);
-  Tensor out4 = eng.run(x);
-  set_parallel_threads(1);
-  Tensor out1 = eng.run(x);
-  // A plan compiled under a different thread setting partitions the batch
-  // differently but must still produce the same bits per element.
-  Engine eng1 = Engine::compile(*model, 6, mc.in_channels, kHw, kHw);
-  Tensor out1c = eng1.run(x);
-  set_parallel_threads(0);
-
-  for (size_t i = 0; i < out4.numel(); ++i) {
-    EXPECT_EQ(out4.at(i), out1.at(i)) << i;
-    EXPECT_EQ(out4.at(i), out1c.at(i)) << i;
+  // A plan compiled at 4 threads cuts every batch into chunks that run
+  // concurrently, each through every step; at 1 thread the same chunks
+  // run one after another. A plan compiled at 1 thread has a single chunk.
+  // All must produce the same bits, at every n and on dense and ALF plans.
+  constexpr size_t kBatch = 6;
+  for (const bool alf : {false, true}) {
+    Rng rng(34);
+    auto model = resnet20_for_test(alf, rng);
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    const auto plan4 = compile_at(*model, kBatch, 4);
+    const auto plan1 = compile_at(*model, kBatch, 1);
+    ASSERT_GT(plan4->chunks(), size_t{1});
+    for (size_t n = 1; n <= kBatch; ++n) {
+      const std::vector<float> want = run_n(plan4, x, n, 4);
+      EXPECT_TRUE(same_bytes(run_n(plan4, x, n, 1), want))
+          << "alf " << alf << " n " << n;
+      EXPECT_TRUE(same_bytes(run_n(plan1, x, n, 4), want))
+          << "alf " << alf << " n " << n;
+    }
   }
+  set_parallel_threads(0);
 }
 
 TEST(Engine, RepeatedRunsReuseArenaWithNoGrowth) {
@@ -267,31 +325,74 @@ TEST(Engine, SmallerBatchesRunOnTheSamePlan) {
 
 TEST(Engine, PartialBatchesBitIdenticalToExactlySizedPlan) {
   // A partial batch on a big-batch plan (the BatchServer's steady state)
-  // must produce the same bits as a plan compiled exactly for that n —
-  // including n == 1 and n == batch-1, where the compile-time chunk grid
-  // of the two plans differs the most.
-  Rng rng(43);
-  ModelConfig mc;
-  mc.base_width = 8;
-  mc.in_hw = kHw;
-  auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  warm_bn(*model, mc.in_channels, kHw, rng);
-
-  for (const int threads : {1, 4}) {
-    set_parallel_threads(threads);
-    Engine big = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
-    for (const size_t n : {size_t{1}, size_t{7}, size_t{8}}) {
-      Engine exact = Engine::compile(*model, n, mc.in_channels, kHw, kHw);
-      Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
-      const Tensor from_big = big.run(x);
-      const Tensor from_exact = exact.run(x);
-      ASSERT_TRUE(same_shape(from_big, from_exact));
-      for (size_t i = 0; i < from_big.numel(); ++i)
-        EXPECT_EQ(from_big.at(i), from_exact.at(i))
-            << "threads " << threads << " n " << n << " elem " << i;
+  // must produce the same bits as a plan compiled exactly for that n, at
+  // every n: the two plans cut the batch into different chunks and lay
+  // them out at different rows of differently sized slots.
+  constexpr size_t kBatch = 8;
+  for (const bool alf : {false, true}) {
+    Rng rng(43);
+    auto model = resnet20_for_test(alf, rng);
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    for (const int threads : {1, 4}) {
+      const auto big = compile_at(*model, kBatch, threads);
+      for (size_t n = 1; n <= kBatch; ++n) {
+        const auto exact = compile_at(*model, n, threads);
+        EXPECT_TRUE(
+            same_bytes(run_n(big, x, n, threads), run_n(exact, x, n, threads)))
+            << "alf " << alf << " threads " << threads << " n " << n;
+      }
     }
   }
   set_parallel_threads(0);
+}
+
+TEST(Engine, LinearHeadRunsOnceOverAllRows) {
+  // The head runs after the per-image region, once over all n rows. At
+  // n = 7 on a 4-chunk grid the chunks hold 2, 2, 2 and 1 images; a head
+  // run per chunk would hand the backend 2-row products (2 x 64 x 10, under
+  // simd's scalar cutoff) instead of one 7-row product, and round
+  // differently. The head's input rows are what the same model without
+  // its Linear returns.
+  const auto build = [](bool with_fc) {
+    Rng rng(57);
+    auto m = std::make_unique<Sequential>("head");
+    m->emplace<Conv2d>("conv", kInC, 64, 3, 1, 1, Init::kHe, rng);
+    m->emplace<Activation>("relu", Act::kRelu);
+    m->emplace<GlobalAvgPool>("gap");
+    m->emplace<Flatten>("flatten");
+    if (with_fc) m->emplace<Linear>("fc", 64, 10, Init::kHe, rng);
+    return m;
+  };
+  constexpr size_t kBatch = 8, kN = 7, kFeat = 64;
+  Rng rng(58);
+  Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+  const auto full = compile_at(*build(true), kBatch, 4);
+  const auto body = compile_at(*build(false), kBatch, 4);
+  ASSERT_EQ(full->chunks(), size_t{4});
+  const std::vector<float> rows = run_n(body, x, kN, 4);
+  ASSERT_EQ(rows.size(), kN * kFeat);
+  const Step& fc = full->steps().back();
+  ASSERT_EQ(fc.kind, OpKind::kLinear);
+  ASSERT_EQ(fc.in_features, kFeat);
+  std::vector<float> want(kN * fc.out_features);
+  linear_forward_view(rows.data(), kN, kFeat, fc.w.data(), fc.out_features,
+                      fc.bias.empty() ? nullptr : fc.bias.data(), fc.act,
+                      want.data(), fc.be);
+  EXPECT_TRUE(same_bytes(run_n(full, x, kN, 4), want));
+  EXPECT_TRUE(same_bytes(run_n(full, x, kN, 1), want));
+  set_parallel_threads(0);
+}
+
+TEST(Engine, OnlyLinearLayersMayFollowTheHead) {
+  // Everything after the first Linear runs once over the whole batch,
+  // outside the per-chunk region, so compile refuses per-image layers
+  // there instead of running them with the wrong row layout.
+  Rng rng(59);
+  Sequential m("conv_after_fc");
+  m.emplace<Flatten>("flatten");
+  m.emplace<Linear>("fc", kInC * kHw * kHw, 8, Init::kHe, rng);
+  m.emplace<Conv2d>("conv", 8, 4, 1, 1, 0, Init::kHe, rng);
+  EXPECT_THROW(Plan::compile(m, 4, kInC, kHw, kHw), CheckError);
 }
 
 TEST(Engine, MisShapedOutputTensorFailsLoudly) {
@@ -537,24 +638,26 @@ TEST(Engine, Int8EngineAgreesWithFloatEngineOnTop1) {
 }
 
 TEST(Engine, Int8EngineBitIdenticalAcrossThreadCounts) {
-  Rng rng(47);
-  ModelConfig mc;
-  mc.base_width = 8;
-  mc.in_hw = kHw;
-  auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  warm_bn(*model, mc.in_channels, kHw, rng);
-  Tensor x = random_input({6, mc.in_channels, kHw, kHw}, rng);
-
-  set_parallel_threads(1);
-  Engine eng = Engine::compile(*model, 6, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 8, .name = ""});
-  const Tensor ref = eng.run(x);
-  for (const int threads : {2, 4}) {
-    set_parallel_threads(threads);
-    // The chunk grid (and thus every activation scale) is fixed at compile
-    // time, so a plan compiled at 1 thread must reproduce exactly.
-    const Tensor got = eng.run(x);
-    EXPECT_EQ(max_abs_diff(ref, got), 0.0f) << threads << " threads";
+  // Every activation scale depends only on its image, so int8 plans too
+  // are bit-identical across grids, thread counts and n, dense and ALF.
+  constexpr size_t kBatch = 6;
+  const EngineOptions int8 = {.backend = "int8", .bits = 8, .name = ""};
+  for (const bool alf : {false, true}) {
+    Rng rng(47);
+    auto model = resnet20_for_test(alf, rng);
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    const auto plan1 = compile_at(*model, kBatch, 1, int8);
+    const auto plan4 = compile_at(*model, kBatch, 4, int8);
+    ASSERT_GT(plan4->chunks(), size_t{1});
+    for (size_t n = 1; n <= kBatch; ++n) {
+      const std::vector<float> ref = run_n(plan1, x, n, 1);
+      for (const int threads : {1, 2, 4}) {
+        EXPECT_TRUE(same_bytes(run_n(plan1, x, n, threads), ref))
+            << "alf " << alf << " n " << n << " threads " << threads;
+        EXPECT_TRUE(same_bytes(run_n(plan4, x, n, threads), ref))
+            << "alf " << alf << " n " << n << " threads " << threads;
+      }
+    }
   }
   set_parallel_threads(0);
 }
@@ -870,6 +973,24 @@ TEST(PlanVerify, RejectsUndersizedColScratch) {
   PlanTestPeer::col_sz(p) = 0;
   PlanTestPeer::res_off(p) = plan->col_offset();
   expect_verify_rejects(plan, "col input");
+}
+
+TEST(PlanVerify, RejectsPerImageStepAfterLinearHead) {
+  // An activation over the logits, appended after the fc head: slots and
+  // sizes chain correctly, but the runtime runs everything from the head
+  // on once over the batch, never per image.
+  auto plan = verify_fixture();
+  auto& steps = PlanTestPeer::steps(PlanTestPeer::mut(plan));
+  Step act;
+  act.kind = OpKind::kActivation;
+  act.name = "logit_act";
+  act.act = Act::kRelu;
+  act.in = steps.back().out;
+  act.out = steps.back().in;
+  act.in_sz = act.out_sz = steps.back().out_sz;
+  act.be = steps.back().be;
+  steps.push_back(act);
+  expect_verify_rejects(plan, "follows the linear head");
 }
 
 TEST(PlanVerify, RejectsRetiredShiftGemmFlag) {

@@ -166,6 +166,14 @@ TEST(KernelRegistry, EnvForcingSelectsVectorQgemmBackends) {
   kernels::set_default_backend("");
 }
 
+/// True when backend `name` is registered and allowed_cpu_features()
+/// covers everything it requires — what auto-selection may pick.
+bool mask_admits(const char* name) {
+  const kernels::KernelBackend* be = kernels::find_backend(name);
+  return be != nullptr &&
+         (be->required_features & ~kernels::allowed_cpu_features()) == 0;
+}
+
 TEST(KernelDispatch, FeatureMaskGatesAutoSelection) {
   // Auto-selection must never hand out a backend whose required features
   // the mask forbids. With everything masked off, the quantized pick falls
@@ -217,12 +225,13 @@ TEST(KernelDispatch, FeatureMaskGatesAutoSelection) {
     EXPECT_STREQ(avx_best->name, "int8-avx2");
   }
 
-  // Lift the cap: the best pick must be the widest registered kernel.
+  // Lift the cap: the best pick must be the widest registered kernel the
+  // allowed features still admit (ALF_CPU_DISABLE outlives the lift).
   kernels::set_cpu_feature_mask(~0u);
   const kernels::KernelBackend* full = kernels::best_quantized_backend();
-  if (kernels::find_backend("int8-vnni") != nullptr) {
+  if (mask_admits("int8-vnni")) {
     EXPECT_STREQ(full->name, "int8-vnni");
-  } else if (kernels::find_backend("int8-avx2") != nullptr) {
+  } else if (mask_admits("int8-avx2")) {
     EXPECT_STREQ(full->name, "int8-avx2");
   } else {
     EXPECT_STREQ(full->name, "int8");
@@ -835,9 +844,10 @@ TEST(Int8Backend, FloatGemmForwardsToBestFloatBackend) {
   const size_t m = 20, k = 24, n = 28;
   Tensor a = random2d(m, k, rng);
   Tensor b = random2d(k, n, rng);
-  const kernels::KernelBackend* simd = kernels::simd_backend();
+  // The forward goes to simd when the allowed features admit it (an
+  // ALF_CPU_DISABLE mask may not), to scalar otherwise.
   const kernels::KernelBackend* want =
-      simd != nullptr ? simd : kernels::scalar_backend();
+      mask_admits("simd") ? kernels::simd_backend() : kernels::scalar_backend();
   const auto ref = run_gemm(want, a, false, b, false, m, k, n);
   const auto got =
       run_gemm(kernels::int8_backend(), a, false, b, false, m, k, n);

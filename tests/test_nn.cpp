@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "grad_check.hpp"
 #include "core/check.hpp"
+#include "core/parallel.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -98,6 +100,39 @@ TEST(Conv2d, KnownValue) {
   Tensor y = conv.forward(x, false);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_FLOAT_EQ(y.at(0), 10.0f);
+}
+
+TEST(Conv2d, BackwardIsReproducibleAcrossRunsAndThreadCounts) {
+  // The weight gradient is summed over a fixed split of the batch, part
+  // by part in part order, so its bits depend neither on which worker
+  // finishes first nor on how many workers there are.
+  Rng rng(5);
+  const ConvGeom g{8, 10, 10, 3, 1, 1};
+  constexpr size_t kOut = 16, kN = 16;
+  const Tensor x = random_input({kN, g.in_c, g.in_h, g.in_w}, rng);
+  const Tensor w = random_input({kOut, g.col_rows()}, rng);
+  const Tensor gout = random_input({kN, kOut, g.out_h(), g.out_w()}, rng);
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+  };
+  set_parallel_threads(4);
+  Tensor gw0(w.shape());
+  const Tensor gx0 = conv2d_backward(x, w, g, kOut, gout, &gw0);
+  for (int rep = 0; rep < 20; ++rep) {
+    Tensor gw(w.shape());
+    const Tensor gx = conv2d_backward(x, w, g, kOut, gout, &gw);
+    EXPECT_TRUE(same(gw, gw0)) << "grad_w, repeat " << rep;
+    EXPECT_TRUE(same(gx, gx0)) << "grad_x, repeat " << rep;
+  }
+  for (const int threads : {1, 2, 4}) {
+    set_parallel_threads(threads);
+    Tensor gw(w.shape());
+    const Tensor gx = conv2d_backward(x, w, g, kOut, gout, &gw);
+    EXPECT_TRUE(same(gw, gw0)) << "grad_w, " << threads << " threads";
+    EXPECT_TRUE(same(gx, gx0)) << "grad_x, " << threads << " threads";
+  }
+  set_parallel_threads(0);
 }
 
 TEST(BatchNorm, NormalizesBatch) {

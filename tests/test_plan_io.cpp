@@ -379,6 +379,19 @@ TEST_F(PlanIoHostile, RejectsRetiredShiftGemmStep) {
                  /*restamp=*/true);
 }
 
+TEST_F(PlanIoHostile, RejectsRetiredChunkOverride) {
+  // A current-version blob (checksums intact) whose step carries a
+  // per-step chunk-grid override: every step now runs on the plan's one
+  // grid, so the loader refuses the record instead of ignoring it.
+  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
+                                                    header()->steps_off);
+  ASSERT_EQ(steps[0].kind, static_cast<uint32_t>(OpKind::kConv));
+  ASSERT_EQ(steps[0].chunk, 0u);  // save writes the reserved field as 0
+  steps[0].chunk = 1;
+  expect_rejects("chunk.plan", PlanIoError::Code::kBadSection,
+                 /*restamp=*/true);
+}
+
 TEST_F(PlanIoHostile, RejectsUnknownStepBackendStamp) {
   // v2: a step may pin its own backend (tuned plans). An unknown per-step
   // name must be refused exactly like an unknown plan backend.

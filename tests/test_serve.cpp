@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -738,11 +740,49 @@ TEST(BatchServer, UnboundedQueueByDefault) {
 // when instrumented (and really is not when not), results are unaffected,
 // and a deliberate dead-slot read dies with a use-after-poison report.
 
+/// toy_model with a residual block. The block holds three slots live at
+/// once, and one of them (the body's middle activation) dies before the
+/// linear head, so a chunk retires it inside the per-image region.
+std::unique_ptr<Sequential> residual_model(Rng& rng) {
+  auto m = std::make_unique<Sequential>("toy_res");
+  m->emplace<Conv2d>("c1", kInC, 8, 3, 1, 1, Init::kHe, rng);
+  m->emplace<Activation>("c1_relu", Act::kRelu);
+  auto body = std::make_unique<Sequential>("blk_body");
+  body->emplace<Conv2d>("blk1", 8, 8, 3, 1, 1, Init::kHe, rng);
+  body->emplace<Activation>("blk1_relu", Act::kRelu);
+  body->emplace<Conv2d>("blk2", 8, 8, 3, 1, 1, Init::kHe, rng);
+  m->emplace<ResidualBlock>("blk", std::move(body), nullptr);
+  m->emplace<GlobalAvgPool>("gap");
+  m->emplace<Flatten>("flatten");
+  m->emplace<Linear>("fc", 8, kClasses, Init::kHe, rng);
+  return m;
+}
+
+/// True when every shadow granule inside each image row of every slot is
+/// poisoned (the granules straddling two rows never are: two chunks may
+/// own the rows on either side).
+bool row_interiors_poisoned(const Plan& plan, const ExecContext& ctx) {
+  const size_t row = plan.slot_stride() / plan.batch();
+  for (size_t s = 0; s < plan.activation_slots(); ++s)
+    for (size_t r = 0; r < plan.batch(); ++r) {
+      const auto* lo = reinterpret_cast<const char*>(
+          ctx.workspace_data() + s * plan.slot_stride() + r * row);
+      const char* hi = lo + row * sizeof(float);
+      const char* g = lo + (8 - reinterpret_cast<uintptr_t>(lo) % 8) % 8;
+      for (; g + 8 <= hi; g += 8)
+        if (!asan_is_poisoned(g)) return false;
+    }
+  return true;
+}
+
 TEST(ExecContext, ArenaIsPoisonedBetweenRunsExactlyWhenInstrumented) {
   Rng rng(61);
-  auto model = toy_model(rng);
+  auto model = residual_model(rng);
   warm_bn(*model, rng);
+  set_parallel_threads(4);  // a multi-chunk grid: chunks retire slots
   auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
+  set_parallel_threads(0);
+  ASSERT_GT(plan->chunks(), size_t{1});
   ExecContext ctx(plan);
   // Freshly constructed: every activation slot starts dead.
   EXPECT_EQ(asan_is_poisoned(ctx.workspace_data()), asan_enabled());
@@ -756,12 +796,16 @@ TEST(ExecContext, ArenaIsPoisonedBetweenRunsExactlyWhenInstrumented) {
   for (size_t i = 0; i < want.numel(); ++i)
     ASSERT_EQ(got.at(i), want.at(i)) << i;
   // Between runs the whole slot region is dead again — first byte of
-  // every activation slot, not just the arena base.
+  // every activation slot, not just the arena base, and every row each
+  // chunk re-poisoned when the slot's last toucher retired.
   for (size_t s = 0; s < plan->activation_slots(); ++s)
     EXPECT_EQ(
         asan_is_poisoned(ctx.workspace_data() + s * plan->slot_stride()),
         asan_enabled())
         << "slot " << s + 1;
+  if (asan_enabled()) {
+    EXPECT_TRUE(row_interiors_poisoned(*plan, ctx));
+  }
   // The conv scratch past the slots is never poisoned (GEMMs may read
   // their result region before first writing it).
   EXPECT_FALSE(asan_is_poisoned(ctx.workspace_data() + plan->col_offset()));
@@ -774,21 +818,78 @@ TEST(ExecContextDeathTest, DeadSlotReadFaultsUnderAsan) {
     GTEST_SKIP() << "arena poisoning is armed only in ASan builds";
   }
   Rng rng(62);
-  auto model = toy_model(rng);
-  warm_bn(*model, rng);
+  auto model = residual_model(rng);
+  set_parallel_threads(4);
   auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
+  set_parallel_threads(0);
+  ASSERT_GT(plan->chunks(), size_t{1});
+  ASSERT_EQ(plan->activation_slots(), size_t{3});
   ExecContext ctx(plan);
   Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
   (void)ctx.run(x);
   // Every slot is dead after the run; touching one is exactly the bug the
   // poisoning exists to catch, and must die with a use-after-poison
-  // report, not return stale activations.
-  EXPECT_DEATH(
-      {
-        volatile float stale = ctx.workspace_data()[0];
-        (void)stale;
-      },
-      "use-after-poison");
+  // report, not return stale activations — in the first chunk's rows and
+  // in the last chunk's, which another worker retired, and in the slot
+  // that died inside the per-image region as well as in those the head
+  // retired.
+  const size_t last_row = (kBatch - 1) * (plan->slot_stride() / kBatch);
+  for (size_t s = 0; s < plan->activation_slots(); ++s)
+    for (const size_t row_at : {size_t{0}, last_row + 2}) {
+      const size_t at = s * plan->slot_stride() + row_at;
+      EXPECT_DEATH(
+          {
+            volatile float stale = ctx.workspace_data()[at];
+            (void)stale;
+          },
+          "use-after-poison")
+          << "slot " << s + 1 << " float " << at;
+    }
+}
+
+TEST(ExecContext, OddSizedRowsRunCleanOnAMultiChunkGrid) {
+  // Rows of an odd number of floats put two chunks' rows in one 8-byte
+  // ASan shadow granule. The engine never poisons such a granule, so four
+  // workers poisoning and unpoisoning their own rows never touch one
+  // shadow byte together, and nothing faults. Results match a one-chunk
+  // plan (every conv is big enough for the GEMM path at one image, so
+  // float plans round alike at every chunk size); in ASan builds every
+  // row interior is dead again after a run.
+  constexpr size_t kOddBatch = 7, kOddHw = 7;
+  Rng rng(63);
+  Sequential model("odd");
+  model.emplace<Conv2d>("c1", kInC, 9, 3, 1, 1, Init::kHe, rng);  // 9x7x7
+  model.emplace<Activation>("c1_relu", Act::kRelu);
+  model.emplace<Conv2d>("c2", 9, 3, 3, 1, 1, Init::kHe, rng);  // 3x7x7
+  model.emplace<GlobalAvgPool>("gap");
+  model.emplace<Flatten>("flatten");
+  model.emplace<Linear>("fc", 3, kClasses, Init::kHe, rng);
+  Tensor x = random_input({kOddBatch, kInC, kOddHw, kOddHw}, rng);
+  for (const char* backend : {"", "int8"}) {
+    EngineOptions opts;
+    opts.backend = backend;
+    set_parallel_threads(1);
+    auto one = Plan::compile(model, kOddBatch, kInC, kOddHw, kOddHw, opts);
+    set_parallel_threads(4);
+    auto plan = Plan::compile(model, kOddBatch, kInC, kOddHw, kOddHw, opts);
+    ASSERT_EQ(plan->chunks(), size_t{4});
+    ASSERT_EQ(plan->slot_stride() / kOddBatch % 2, size_t{1});
+    ExecContext ctx(plan), ref(one);
+    for (int pass = 0; pass < 2; ++pass)
+      for (size_t n = 1; n <= kOddBatch; ++n) {
+        std::vector<float> got(n * kClasses), want(n * kClasses);
+        ctx.run_rows(x.data(), n, got.data());
+        ref.run_rows(x.data(), n, want.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << "backend '" << backend << "' n " << n;
+      }
+    set_parallel_threads(0);
+    if (asan_enabled()) {
+      EXPECT_TRUE(row_interiors_poisoned(*plan, ctx));
+    }
+  }
 }
 
 }  // namespace

@@ -133,14 +133,12 @@ TEST(Tune, CandidateEnumeration) {
   // The heuristic default leads, so choose() can never regress it.
   EXPECT_TRUE(cands[0].backend.empty());
   EXPECT_TRUE(cands[0].tile.is_default());
-  EXPECT_EQ(cands[0].chunk, 0u);
-  // Float convs vary backend and chunk grid; tiles only where the conv
-  // still issues a GEMM (a backend without a conv entry).
+  // Float convs vary the backend; tiles only where the conv still issues
+  // a GEMM (a backend without a conv entry).
   size_t named = 0;
-  bool has_tile = false, has_chunk = false;
+  bool has_tile = false;
   for (const AlgoChoice& c : cands) {
     has_tile |= !c.tile.is_default();
-    has_chunk |= c.chunk != 0;
     if (c.backend.empty()) continue;
     ++named;
     const kernels::KernelBackend* be = kernels::find_backend(c.backend);
@@ -151,16 +149,15 @@ TEST(Tune, CandidateEnumeration) {
       EXPECT_NE(be->gemm_tiled, nullptr) << c.backend;
     }
   }
-  // Every usable float backend at both grids, plus scalar's tile variants.
+  // Every usable float backend, plus scalar's tile variant.
   size_t float_backends = 0;
   for (const std::string& name : kernels::backend_names())
     if (!kernels::find_backend(name)->quantized_datapath &&
         (kernels::find_backend(name)->required_features &
          ~kernels::allowed_cpu_features()) == 0)
       ++float_backends;
-  EXPECT_EQ(named, 2 * float_backends + 2);
-  EXPECT_TRUE(has_tile);   // scalar has a tiled GEMM and no conv entry
-  EXPECT_TRUE(has_chunk);  // the plan splits the batch into 2 chunks
+  EXPECT_EQ(named, float_backends + 1);
+  EXPECT_TRUE(has_tile);  // scalar has a tiled GEMM and no conv entry
 
   // Quantized shapes only offer quantized backends, never a tile.
   shape.quantized = true;
@@ -245,7 +242,8 @@ TEST(Tune, StaleGeometryStampDiscardsEntriesWithoutError) {
   // structurally valid file, wrong host. Entries are discarded, not
   // migrated, and no error is raised — not even for an entry in another
   // layout's grammar (panel layout v1 entries carried a strategy column).
-  std::string text = read_text(cpath);
+  const std::string saved = read_text(cpath);
+  std::string text = saved;
   const size_t pos = text.find("geom panel=");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, std::strlen("geom panel="), "geom panel=99");
@@ -257,6 +255,23 @@ TEST(Tune, StaleGeometryStampDiscardsEntriesWithoutError) {
   AlgoChoice out;
   EXPECT_FALSE(stale.lookup("conv:stale", &out));
   EXPECT_EQ(stale.size(), size_t{0});
+
+  // A file from before the per-step chunk override was retired: this
+  // host's cpu/geom/backends stamp, no `choice` line, and entries with a
+  // chunk column — here a chunk-1 override. Stale, never applied, and
+  // never a TuneError.
+  std::string parent = saved;
+  const size_t choice = parent.find("choice ");
+  ASSERT_NE(choice, std::string::npos);
+  parent.erase(choice, parent.find('\n', choice) + 1 - choice);
+  const size_t entry = parent.find("entry conv:stale ");
+  ASSERT_NE(entry, std::string::npos);
+  parent.replace(entry, parent.find('\n', entry) - entry,
+                 "entry conv:stale - 0 0 0 1 2.5");
+  write_text(cpath, restamp_cache(parent));
+  AlgoCache old_format(cpath);
+  EXPECT_FALSE(old_format.lookup("conv:stale", &out));
+  EXPECT_EQ(old_format.size(), size_t{0});
 }
 
 TEST(Tune, CorruptCacheFilesRejectedWithTypedErrors) {
@@ -383,14 +398,13 @@ TEST(Tune, CacheAppliedChoiceBitIdenticalToForcedChoice) {
 }
 
 TEST(Tune, TunedChoicesSurviveBlobSaveLoad) {
-  // A plan carrying explicit non-default choices (named backend, tile,
-  // chunk override) round-trips through the v2 blob: identical dump,
-  // bit-identical output, zero re-tuning at load.
+  // A plan carrying explicit non-default choices (named backend, tile)
+  // round-trips through the v2 blob: identical dump, bit-identical output,
+  // zero re-tuning at load.
   TempDir td;
   AlgoChoice ch;
   ch.backend = "scalar";
   ch.tile = {0, 256, 256};
-  ch.chunk = 1;
   EngineOptions opts;
   opts.backend = "scalar";
   opts.name = "tuned";
@@ -411,7 +425,6 @@ TEST(Tune, TunedChoicesSurviveBlobSaveLoad) {
     ASSERT_NE(st.be, nullptr);
     EXPECT_STREQ(st.be->name, "scalar");
     EXPECT_EQ(st.tile.kc, 256u);
-    EXPECT_EQ(st.chunk, 1u);
     saw_choice = true;
   }
   EXPECT_TRUE(saw_choice);
@@ -427,15 +440,13 @@ TEST(Tune, PlanDumpShowsFullChoice) {
   AlgoChoice ch;
   ch.backend = "scalar";
   ch.tile = {0, 128, 512};
-  ch.chunk = 2;
   EngineOptions opts;
   opts.force_choices = {ch};
   auto p = compile_tiny(opts);
   const std::string dump = p->str();
-  // Path, backend, tile and chunk are all visible per step.
+  // Path, backend and tile are all visible per step.
   EXPECT_NE(dump.find("im2col"), std::string::npos);
   EXPECT_NE(dump.find("tile=0x128x512"), std::string::npos);
-  EXPECT_NE(dump.find("chunk=2"), std::string::npos);
   if (kernels::default_backend() != kernels::find_backend("scalar")) {
     EXPECT_NE(dump.find("be=scalar"), std::string::npos);
   }
