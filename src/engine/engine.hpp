@@ -21,10 +21,12 @@
 // code-conv + 1x1-expansion pair), folds inference-mode BatchNorm into the
 // preceding conv/linear weights and bias, fuses trailing activations into
 // the kernel epilogues, and binds every step to a slot of one preallocated
-// workspace arena. Activation slots are reused by a linear-scan register
-// allocator (ping-pong for straight-line stretches, a third slot across
-// residual shortcuts); per-chunk im2col scratch lives at the end of the
-// arena so the batched conv steps never allocate.
+// workspace arena. At run time a conv's epilogue also runs the 1x1
+// expansion and residual add it is followed by (Plan::folds()).
+// Activation slots are reused by a linear-scan register allocator
+// (ping-pong for straight-line stretches, a third slot across residual
+// shortcuts); per-chunk im2col scratch lives at the end of the arena so
+// the batched conv steps never allocate.
 //
 // All kernels are the free functions the nn/ layers themselves forward
 // through (conv2d_image_forward, linear_forward_view, pooling views), so
@@ -71,9 +73,8 @@ class Engine {
 
   /// Executes the plan on x [n, Ci, H, W] with n <= batch(); writes the
   /// logits into `out` [n, classes] (preallocated by the caller). Performs
-  /// zero heap allocations when the batch runs as a single chunk (1-core
-  /// host, 1 compile-time thread, or n == 1); multi-chunk runs pay one
-  /// pool-dispatch closure per run.
+  /// zero heap allocations once warm, whether the batch runs as one chunk
+  /// or several (ExecContext::run).
   void run(const Tensor& x, Tensor& out) { ctx_.run(x, out); }
 
   /// Convenience overload that allocates the output tensor.

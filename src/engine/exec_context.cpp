@@ -27,9 +27,11 @@ size_t chunk_images(size_t n, size_t grid) {
 }
 
 /// Runs fn(ci, i0, i1) for every chunk ci = [i0, i1) of an n-image batch
-/// cut by chunk_images(). A single chunk runs inline with no dispatcher:
-/// no std::function conversion, so it performs zero heap allocations;
-/// multi-chunk dispatch costs one closure allocation per call.
+/// cut by chunk_images(). A single chunk runs inline with no dispatcher.
+/// A multi-chunk dispatch hands the pool a closure holding one pointer,
+/// which std::function keeps in its small-object buffer (libstdc++'s holds
+/// 16 bytes; three captured references would not fit and would allocate),
+/// so neither form performs a heap allocation.
 template <typename F>
 void for_each_chunk(size_t n, size_t grid, const F& fn) {
   const size_t chunk = chunk_images(n, grid);
@@ -38,11 +40,15 @@ void for_each_chunk(size_t n, size_t grid, const F& fn) {
     fn(size_t{0}, size_t{0}, n);
     return;
   }
+  const struct {
+    size_t n, chunk;
+    const F* fn;
+  } cut{n, chunk, &fn};
   parallel_for_chunked(
       0, nchunks,
-      [&](size_t lo, size_t hi) {
+      [c = &cut](size_t lo, size_t hi) {
         for (size_t ci = lo; ci < hi; ++ci)
-          fn(ci, ci * chunk, std::min(n, ci * chunk + chunk));
+          (*c->fn)(ci, ci * c->chunk, std::min(c->n, ci * c->chunk + c->chunk));
       },
       /*min_per_worker=*/1);
 }
@@ -72,28 +78,6 @@ void asan_rows(bool poison, const float* slot, size_t row, size_t lo,
     else
       asan_unpoison(reinterpret_cast<const void*>(a), b - a);
   }
-}
-
-/// dst[i] = act(src[i] + *bias) (no add when bias is null): the conv
-/// epilogue fused into the NCHW scatter, with bias_act_inplace's exact
-/// per-element float ops.
-void bias_act_copy(const float* src, float* dst, size_t n, const float* bias,
-                   Act act) {
-  if (bias == nullptr) {
-    std::memcpy(dst, src, n * sizeof(float));
-    act_inplace(act, dst, n);
-    return;
-  }
-  const float b = *bias;
-  if (act == Act::kRelu) {
-    for (size_t i = 0; i < n; ++i) {
-      const float v = src[i] + b;
-      dst[i] = v > 0.0f ? v : 0.0f;
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) dst[i] = src[i] + b;
-  act_inplace(act, dst, n);
 }
 
 /// The kernels' view of `imgs` images of one conv step, each padded by the
@@ -155,15 +139,34 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
   }
 }
 
-void ExecContext::run_conv(const Step& st, const float* in, float* out,
-                           size_t imgs, size_t ci) {
-  // The chunk's images sit back to back at `in` and go back to back to
-  // `out`; chunk ci owns slice ci of every scratch region of THIS context.
-  // Every path computes the images side by side as one [Co, imgs*Ho*Wo]
-  // product into the result scratch, then fuses the bias/activation
-  // epilogue into the scatter back to NCHW.
+void ExecContext::run_conv(size_t si, const float* in, float* out,
+                           const float* residual, size_t imgs, size_t ci) {
+  // The chunk's images sit back to back at `in`; chunk ci owns slice ci of
+  // every scratch region of THIS context. Every path computes the images
+  // side by side as one [Co, imgs*Ho*Wo] product whose epilogue stores it
+  // straight to NCHW; the result scratch is workspace for the paths that
+  // finish the whole product before storing it.
   const Plan& p = *plan_;
-  const float* bias = st.bias.empty() ? nullptr : st.bias.data();
+  const Step& st = p.steps()[si];
+  const StepFold& f = p.folds()[si];
+  // The epilogue: the bias and activation of the conv that leaves the
+  // output (the expansion when one is folded), then a folded add's.
+  const Step& top = p.steps()[f.exp != 0 ? f.exp : si];
+  kernels::ConvEpilogue ep;
+  ep.out = out;
+  ep.bias = top.bias.empty() ? nullptr : top.bias.data();
+  ep.residual = residual;
+  ep.act = f.add != 0 ? p.steps()[f.add].act : top.act;
+  if (f.exp != 0) {
+    ep.co = top.out_c;
+    ep.inner_act = st.act;
+    if (top.quantized) {
+      ep.exp_qw = top.qw.data();
+      ep.exp_scales = top.qw_scales.data();
+    } else {
+      ep.exp_w = top.w.data();
+    }
+  }
   const ConvGeom& g = st.geom;
   const size_t cols = g.col_cols();
   const size_t ld = imgs * cols;
@@ -201,7 +204,7 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
     params.b_scales = bscales;              // per-image
     params.b_zp = zp;
     kernels::qconv(st.be, st.qw.data(), rows, qimg, cs, res, ld, st.out_c,
-                   params, qws_.data() + ci * p.col_floats());
+                   params, qws_.data() + ci * p.col_floats(), &ep);
   } else if (st.gathered_conv()) {
     // Each image is copied once into a zero-padded float buffer in the
     // chunk's col slice (read in place from the activation slot when the
@@ -213,17 +216,14 @@ void ExecContext::run_conv(const Step& st, const float* in, float* out,
                          col + j * cs.image_size());
       x = col;
     }
-    st.be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c);
+    st.be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c, &ep);
   } else {
     for (size_t j = 0; j < imgs; ++j)
       im2col_view(in + j * st.in_sz, g, col + j * cols, ld);
     kernels::gemm_dispatch(st.be, st.tile, st.w.data(), rows, false, col, ld,
                            false, res, ld, st.out_c, rows, ld, 1.0f, 0.0f);
+    kernels::conv_epilogue(st.be, res, ld, st.out_c, cs, ep);
   }
-  for (size_t j = 0; j < imgs; ++j)
-    for (size_t o = 0; o < st.out_c; ++o)
-      bias_act_copy(res + o * ld + j * cols, out + j * st.out_sz + o * cols,
-                    cols, bias != nullptr ? bias + o : nullptr, st.act);
 }
 
 void ExecContext::run_linear(const Step& st, const float* src, float* dst,
@@ -270,14 +270,12 @@ void ExecContext::run_linear(const Step& st, const float* src, float* dst,
 }
 
 void ExecContext::run_image_step(const Step& st, const float* src, float* dst,
-                                 size_t imgs, size_t ci) {
+                                 size_t imgs) {
   const size_t total = imgs * st.out_sz;
   switch (st.kind) {
     case OpKind::kConv:
-      run_conv(st, src, dst, imgs, ci);
-      break;
     case OpKind::kLinear:
-      ALF_CHECK(false) << "kLinear runs batch-level, never per chunk";
+      ALF_CHECK(false) << "convs run through run_conv, kLinear batch-level";
       break;
     case OpKind::kGlobalAvgPool:
       global_avg_pool_view(src, imgs, st.geom.in_c,
@@ -341,6 +339,7 @@ void ExecContext::run_rows(const float* x, size_t n, float* out) {
       << "engine compiled for batch <= " << p.batch() << ", got " << n;
 
   const std::vector<Step>& steps = p.steps();
+  const std::vector<StepFold>& folds = p.folds();
   const size_t stride = p.slot_stride();
   const size_t row = stride / p.batch();  // floats per image row of a slot
   const auto slot = [&](size_t s) {
@@ -362,22 +361,46 @@ void ExecContext::run_rows(const float* x, size_t n, float* out) {
   // order. A chunk starting at image i0 keeps its images back to back from
   // row i0 of every slot it touches, so chunks at different steps never
   // share a float even where a slot is reused for another activation size.
+  //
+  // A conv runs the steps folded into it (Plan::folds()) in its epilogue
+  // and writes only the slot the last of them leaves; the run skips those
+  // steps. The code slot of a folded expansion is never written.
   if (head_ > 0) {
     for_each_chunk(n, p.chunks(), [&](size_t ci, size_t i0, size_t i1) {
+      const auto rows_of = [&](size_t s, size_t sz) -> const float* {
+        return s == 0 ? x + i0 * sz : slot(s) + i0 * row;
+      };
       for (size_t si = 0; si < head_; ++si) {
+        const StepFold& f = folds[si];
+        if (f.folded) continue;
         const Step& st = steps[si];
-        const float* src =
-            st.in == 0 ? x + i0 * st.in_sz : slot(st.in) + i0 * row;
-        float* dst = slot(st.out) + i0 * row;
+        // The step whose output this one leaves: its last folded step.
+        const size_t last = f.add != 0 ? f.add : f.exp != 0 ? f.exp : si;
+        const Step& fin = steps[last];
+        const float* src = rows_of(st.in, st.in_sz);
+        float* dst = slot(fin.out) + i0 * row;
         // Open exactly the rows this step writes; the rest of the slot
         // (unused batch tail included) stays poisoned, so overreads fault
-        // too. For kAdd the destination rows are already open — its
-        // producer unpoisoned them — and the unpoison is idempotent.
+        // too. For kAdd, run alone or folded, the destination rows are
+        // already open — the body's producer unpoisoned them — and the
+        // unpoison is idempotent.
         if constexpr (asan_enabled())
-          asan_rows(false, slot(st.out), row, i0 * row,
-                    i0 * row + (i1 - i0) * st.out_sz);
-        run_image_step(st, src, dst, i1 - i0, ci);
-        if constexpr (asan_enabled()) retire(si, i0, i1);
+          asan_rows(false, slot(fin.out), row, i0 * row,
+                    i0 * row + (i1 - i0) * fin.out_sz);
+        if (st.kind != OpKind::kConv) {
+          run_image_step(st, src, dst, i1 - i0);
+        } else {
+          // A folded add's residual: the shortcut (add.in) when the conv
+          // wrote the body, else the body itself, which the projection
+          // conv updates in place.
+          const Step& top = steps[f.exp != 0 ? f.exp : si];
+          const float* res = f.add == 0          ? nullptr
+                             : top.out == fin.out ? rows_of(fin.in, fin.in_sz)
+                                                  : dst;
+          run_conv(si, src, dst, res, i1 - i0, ci);
+        }
+        if constexpr (asan_enabled())
+          for (size_t s = si; s <= last; ++s) retire(s, i0, i1);
       }
     });
   }

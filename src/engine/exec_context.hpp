@@ -11,7 +11,10 @@
 // Execution order: a run cuts its n images over the Plan's frozen chunk
 // grid once, and one parallel region hands each chunk to a worker, which
 // carries those images through every per-image step (conv, residual add,
-// scale-shift, activation, both pools) in plan order. A batch therefore
+// scale-shift, activation, both pools) in plan order. A conv stores its
+// result straight into its NCHW slot through its kernel's epilogue, which
+// also runs the steps folded into it (Plan::folds(): a 1x1 expansion, a
+// residual add); the run skips those steps. A batch therefore
 // forks and joins the worker pool once, not once per step, and a chunk's
 // activations stay on one core from step to step. In every arena slot the
 // chunk starting at image i0 keeps its images back to back from row i0
@@ -52,8 +55,8 @@ class ExecContext {
 
   /// Executes the plan on x [n, Ci, H, W] with n <= plan().batch(); writes
   /// the logits into `out` [n, classes] (preallocated by the caller).
-  /// Performs zero heap allocations when the batch runs as a single chunk;
-  /// a multi-chunk run allocates one dispatch closure for its one region.
+  /// Performs zero heap allocations once warm, single- or multi-chunk (the
+  /// kernels' per-thread scratch grows on a thread's first run only).
   void run(const Tensor& x, Tensor& out);
 
   /// Convenience overload that allocates the output tensor.
@@ -77,14 +80,16 @@ class ExecContext {
   const float* workspace_data() const { return workspace_.data(); }
 
  private:
-  /// Runs per-image step `st` on the `imgs` images of chunk `ci`, read
-  /// back to back from `src` and written back to back to `dst`.
+  /// Runs per-image non-conv step `st` on the `imgs` images of a chunk,
+  /// read back to back from `src` and written back to back to `dst`.
   void run_image_step(const Step& st, const float* src, float* dst,
-                      size_t imgs, size_t ci);
-  /// The conv case of run_image_step: the chunk's images as one product
-  /// in chunk ci's scratch slices.
-  void run_conv(const Step& st, const float* in, float* out, size_t imgs,
-                size_t ci);
+                      size_t imgs);
+  /// Runs conv step `si` and the steps folded into it on the `imgs` images
+  /// of chunk `ci`: read back to back from `in`, one product in chunk ci's
+  /// scratch slices, stored back to back to `out` by the kernel's epilogue
+  /// (`residual`: a folded add's other operand, or null).
+  void run_conv(size_t si, const float* in, float* out,
+                const float* residual, size_t imgs, size_t ci);
   /// Runs a kLinear step once over n dense rows.
   void run_linear(const Step& st, const float* src, float* dst, size_t n);
 

@@ -828,6 +828,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     st.tile = bs.tile;
   }
   bind_weight_views(plan->steps_, plan->sections_, plan->arena_);
+  plan->derive_folds();
 #ifndef NDEBUG
   // Debug builds validate every freshly compiled plan; release builds
   // rely on the test suite calling verify() explicitly (plan_verify.cpp).
@@ -837,6 +838,56 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
 }
 
 bool Step::gathered_conv() const { return runs_gathered(kind, quantized, be); }
+
+bool Plan::read_later(const std::vector<Step>& steps, size_t slot,
+                      size_t from) {
+  for (size_t j = from; j < steps.size(); ++j) {
+    if (steps[j].in == slot) return true;
+    if (steps[j].out == slot) return steps[j].kind == OpKind::kAdd;
+  }
+  return steps.back().out == slot;
+}
+
+bool Plan::reads_input_in_place(const Step& st) {
+  return st.gathered_conv() && st.geom.pad == 0;
+}
+
+void Plan::derive_folds() {
+  const std::vector<Step>& st = steps_;
+  folds_.assign(st.size(), StepFold{});
+  const size_t end = head();
+  for (size_t i = 0; i < end; ++i) {
+    const Step& s = st[i];
+    if (s.kind != OpKind::kConv) continue;
+    size_t last = i;  // the conv whose output the group leaves so far
+    if (i + 1 < end) {
+      const Step& e = st[i + 1];
+      if (e.kind == OpKind::kConv && e.geom.kernel == 1 &&
+          e.geom.stride == 1 && e.geom.pad == 0 && e.in == s.out &&
+          s.bias.empty() && !read_later(st, s.out, i + 2) &&
+          (s.quantized || s.be == e.be) &&
+          !(e.out == s.in && reads_input_in_place(s))) {
+        folds_[i].exp = i + 1;
+        folds_[i + 1].folded = true;
+        last = i + 1;
+      }
+    }
+    const size_t a = last + 1;
+    // An expansion's code slot is never written: no add operand may be it.
+    if (a < end && st[a].kind == OpKind::kAdd &&
+        st[last].act == Act::kNone &&
+        (last == i || (st[a].in != s.out && st[a].out != s.out)) &&
+        !(st[a].out == s.in && reads_input_in_place(s))) {
+      const size_t out = st[last].out;
+      if (out == st[a].out ||
+          (out == st[a].in && !read_later(st, st[a].in, a + 1))) {
+        folds_[i].add = a;
+        folds_[a].folded = true;
+      }
+    }
+    i = folds_[i].add != 0 ? folds_[i].add : last;
+  }
+}
 
 size_t Plan::head() const {
   size_t i = 0;
@@ -889,11 +940,24 @@ std::string Plan::str() const {
       std::snprintf(geom, sizeof(geom), "  [%zu -> %zu]%s%s", st.in_features,
                     st.out_features, st.quantized ? " qgemm-int8" : "", algo);
     }
-    std::snprintf(line, sizeof(line), "  %2zu %-11s %-28s s%zu -> s%zu%s%s%s\n",
-                  i, op_kind_name(st.kind), st.name.c_str(), st.in, st.out,
-                  geom, st.bias.empty() ? "" : " +bias",
+    // Folds: the host conv names the steps its epilogue also runs, each
+    // folded step the conv that runs it.
+    std::string fold;
+    const StepFold& f = folds_[i];
+    if (f.exp != 0) fold += " =>exp@" + std::to_string(f.exp);
+    if (f.add != 0) fold += " =>add@" + std::to_string(f.add);
+    if (f.folded) {
+      size_t host = i;
+      while (host > 0 && folds_[host].folded) --host;
+      fold = " (folded into " + std::to_string(host) + ")";
+    }
+    std::snprintf(line, sizeof(line),
+                  "  %2zu %-11s %-28s s%zu -> s%zu%s%s%s%s\n", i,
+                  op_kind_name(st.kind), st.name.c_str(), st.in, st.out, geom,
+                  st.bias.empty() ? "" : " +bias",
                   st.act == Act::kNone ? "" : (std::string(" +") +
-                                               act_name(st.act)).c_str());
+                                               act_name(st.act)).c_str(),
+                  fold.c_str());
     s += line;
   }
   return s;

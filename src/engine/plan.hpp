@@ -189,9 +189,9 @@ struct Step {
   /// Retired shift-GEMM strategy: always false and empty (Plan::verify
   /// rejects anything else). Kept declared for code that still reads them.
   /// Every conv computes all images of a batch chunk side by side as one
-  /// [Co, G*Ho*Wo] product, then scatters back to NCHW — gathered by the
-  /// step backend's conv entry when it has one (gathered_conv()), else
-  /// over an im2col unfold in plan scratch.
+  /// [Co, G*Ho*Wo] product whose epilogue stores each panel straight to
+  /// NCHW — gathered by the step backend's conv entry when it has one
+  /// (gathered_conv()), else over an im2col unfold in plan scratch.
   bool shift_gemm = false;
   TensorView w9;
 
@@ -227,6 +227,30 @@ struct Step {
   /// True for a float conv whose step backend has a conv entry: it runs
   /// be->conv over padded images instead of the im2col branch.
   bool gathered_conv() const;
+};
+
+/// What else a step runs (Plan::folds()). A conv finishes its output in
+/// its kernel's epilogue (kernels/backend.hpp ConvEpilogue), which can also
+/// run the step after it, and the one after that:
+///   (a) `exp`: a 1x1/s1/p0 conv that alone reads this conv's output. This
+///       conv has no bias; its activation becomes the epilogue's inner
+///       activation, the expansion's bias and activation the epilogue's.
+///       On the float datapath both steps share a step backend.
+///   (b) `add`: the residual add right after this conv (or after its
+///       expansion) when that conv's activation is none. If the conv wrote
+///       the block's body (add.out), the residual is add.in; if it is the
+///       projection (its output add.in, which nothing else reads), it
+///       writes add.out in place, with add.out as the residual.
+/// Neither fold lets the epilogue write the slot the conv is still reading
+/// (a float conv gathered straight from its unpadded input slot).
+/// Folded steps keep their place in steps() — the hwmodel, the bench
+/// harness and the blob still see every layer — and are marked `folded`:
+/// the run loop skips them. The table is derived from the step list by one
+/// function at compile and at load, never serialized.
+struct StepFold {
+  size_t exp = 0;       ///< index of the expansion this conv runs; 0 = none
+  size_t add = 0;       ///< index of the add this conv runs; 0 = none
+  bool folded = false;  ///< runs inside an earlier conv's epilogue
 };
 
 /// Typed error thrown by Plan::verify() when a compiled plan violates one
@@ -287,6 +311,9 @@ class Plan {
   Plan& operator=(const Plan&) = delete;
 
   const std::vector<Step>& steps() const { return steps_; }
+  /// One entry per step: what each conv's epilogue also runs, and which
+  /// steps it runs (see StepFold).
+  const std::vector<StepFold>& folds() const { return folds_; }
   /// Model name (EngineOptions::name at compile, blob header at load).
   const std::string& name() const { return name_; }
   size_t batch() const { return batch_; }
@@ -314,6 +341,10 @@ class Plan {
   size_t col_offset() const { return col_off_; }
   /// Per-chunk col scratch: sized by conv_col_floats() over every conv.
   size_t col_floats() const { return col_sz_; }
+  /// Per-chunk result scratch: workspace for the conv paths that compute
+  /// a whole product before the epilogue stores it (the im2col branch, the
+  /// int8 unfold fallback, simd's small shapes). Gathering kernels store
+  /// straight to the activation slots and leave it untouched.
   size_t result_offset() const { return res_off_; }
   size_t result_floats() const { return res_sz_; }
   /// Fixed batch partition (chosen at compile for determinism). A run of
@@ -386,7 +417,21 @@ class Plan {
                                 const std::vector<WeightSection>& sections,
                                 const WeightArena& arena);
 
+  /// Sets folds_ from steps_ (the rules at StepFold) — the one derivation
+  /// compile and load both run; verify() re-checks what it produced.
+  void derive_folds();
+  /// True when a step at index >= `from` reads the value `slot` holds
+  /// before a step overwrites it (kAdd reads the slot it accumulates into;
+  /// the final slot is read by the logit copy).
+  static bool read_later(const std::vector<Step>& steps, size_t slot,
+                         size_t from);
+  /// True when a conv reads its input slot while its epilogue stores: a
+  /// float conv gathered straight from the slot. Every other conv path
+  /// first copies its input (padded, quantized or unfolded) to scratch.
+  static bool reads_input_in_place(const Step& st);
+
   std::vector<Step> steps_;
+  std::vector<StepFold> folds_;  ///< derived from steps_, never serialized
   std::string name_;
   WeightArena arena_;                     ///< all weight payload bytes
   std::vector<WeightSection> sections_;   ///< arena layout of the payloads

@@ -466,6 +466,8 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
       map.release(), file_bytes, static_cast<size_t>(hdr.arena_off),
       static_cast<size_t>(hdr.arena_bytes));
   Plan::bind_weight_views(p->steps_, p->sections_, p->arena_);
+  // Folds are re-derived from the loaded steps, never read from the blob.
+  p->derive_folds();
   // The full static validator runs on EVERY loaded plan (not only debug
   // builds): the blob passed checksums, but geometry could still lie.
   p->verify();

@@ -39,6 +39,12 @@
 //   5. Backend pinning. The plan's backend pointer must be live in the
 //      kernel registry under its own name, and the plan's quantized flag
 //      must match the backend's datapath.
+//   6. Folds (StepFold). Every fold must be one the rules allow: an
+//      adjacent 1x1/s1/p0 expansion that alone reads a bias-free conv's
+//      output (same step backend on the float datapath), an adjacent add
+//      whose body or projection the conv produced with no activation, and
+//      no epilogue writing the slot its conv still reads. Each folded step
+//      is run by exactly one conv, and every step so marked is.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -274,6 +280,59 @@ void Plan::verify() const {
     // Write: the output slot now holds this step's activation.
     slot[st.out] = SlotState{true, st.out_sz};
   }
+
+  // --- Folds -------------------------------------------------------------
+  if (folds_.size() != steps_.size())
+    fail("fold table does not cover the step list");
+  std::vector<bool> claimed(steps_.size(), false);
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    const StepFold& f = folds_[i];
+    const Step& s = steps_[i];
+    if (f.exp == 0 && f.add == 0) continue;
+    if (s.kind != OpKind::kConv || f.folded || i >= head_at)
+      fail(tag(i, s) + ": runs folded steps but is not a per-image conv");
+    size_t last = i;
+    if (f.exp != 0) {
+      if (f.exp != i + 1)
+        fail(tag(i, s) + ": folds an expansion that does not follow it");
+      const Step& e = steps_[f.exp];
+      if (e.kind != OpKind::kConv || e.geom.kernel != 1 ||
+          e.geom.stride != 1 || e.geom.pad != 0)
+        fail(tag(i, s) + ": folded expansion is not a 1x1/s1/p0 conv");
+      if (e.in != s.out || read_later(steps_, s.out, f.exp + 1))
+        fail(tag(i, s) + ": folded expansion is not the only reader");
+      if (!s.bias.empty())
+        fail(tag(i, s) + ": folds an expansion after a biased conv");
+      if (!s.quantized && s.be != e.be)
+        fail(tag(i, s) + ": folds an expansion on another step backend");
+      claimed[f.exp] = true;
+      last = f.exp;
+    }
+    if (f.add != 0) {
+      if (f.add != last + 1)
+        fail(tag(i, s) + ": folds an add that does not follow it");
+      const Step& a = steps_[f.add];
+      if (a.kind != OpKind::kAdd)
+        fail(tag(i, s) + ": folds a step that is not a residual add");
+      if (steps_[last].act != Act::kNone)
+        fail(tag(i, s) + ": folds an add after an activation");
+      const size_t out = steps_[last].out;
+      if (out != a.out &&
+          (out != a.in || read_later(steps_, a.in, f.add + 1)))
+        fail(tag(i, s) + ": folded add's operand is not this conv's output");
+      if (f.exp != 0 && (a.in == s.out || a.out == s.out))
+        fail(tag(i, s) + ": folded add reads the unwritten code slot");
+      claimed[f.add] = true;
+      last = f.add;
+    }
+    if (steps_[last].out == s.in && reads_input_in_place(s))
+      fail(tag(i, s) + ": epilogue writes the slot the conv reads in place");
+  }
+  for (size_t i = 0; i < steps_.size(); ++i)
+    if (folds_[i].folded != claimed[i])
+      fail(tag(i, steps_[i]) + (claimed[i]
+                                    ? ": run by a conv but not marked folded"
+                                    : ": marked folded but no conv runs it"));
 
   // --- Final output ------------------------------------------------------
   if (steps_.back().out_sz != classes_)

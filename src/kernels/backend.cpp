@@ -212,6 +212,11 @@ void pad_f32(const float* src, size_t planes, size_t h, size_t w, size_t pad,
                      });
 }
 
+void conv_epilogue(const KernelBackend* be, float* c, size_t ldc, size_t m,
+                   const ConvShape& s, const ConvEpilogue& ep) {
+  detail::finish_result(c, ldc, m, s, ep, be->gemm);
+}
+
 const KernelBackend* best_quantized_backend() {
   for (const char* name : {"int8-vnni", "int8-avx2"}) {
     const KernelBackend* be = find_backend(name);

@@ -24,6 +24,11 @@
 //            unfold. Backends without it run the shared fallback — unfold
 //            into caller scratch, then qgemm.
 //
+// Both conv entries take an optional ConvEpilogue: each 16-column panel of
+// the product is then finished while it is in L1 — an optional 1x1
+// expansion, bias, residual add and activation — and stored straight into
+// the NCHW activation, so no result matrix or scatter pass exists.
+//
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
 //            registered, the portable fallback and the equivalence oracle.
@@ -60,6 +65,7 @@
 #include <vector>
 
 #include "kernels/tile.hpp"
+#include "nn/activations.hpp"
 
 namespace alf::kernels {
 
@@ -159,6 +165,37 @@ struct ConvShape {
   size_t n() const { return images * out_h() * out_w(); }
 };
 
+/// What a conv/qconv entry does with its [m, s.n()] product instead of
+/// storing it to C: per output element, in this order,
+///   v = C (+ bias[r]) (+ residual), then act(v), stored to
+///   out[img][r][oh*out_w + ow]
+/// for column j = img*out_h*out_w + oh*out_w + ow — the float ops of a
+/// bias/activation epilogue followed by a residual add step, so a plan
+/// that folds them computes the same bits. A panel that straddles two
+/// images splits its store. `residual` has out's layout and may be out
+/// itself (each element is read before it is written).
+///
+/// With `co` != 0 the conv's m result rows first pass through `inner_act`
+/// and a 1x1 expansion to co rows, and bias/residual/act/out refer to
+/// those co rows:
+///   - float (`exp_w`, [co, m] row-major): the backend's own GEMM over the
+///     activated result, exactly what a separate 1x1 conv step computes;
+///   - int8 (`exp_qw` [co, m] with per-row `exp_scales`): the float result
+///     (never quantized) times the dequantized weights qw[o][r]*scale[o],
+///     summed as an fmaf chain in r order from +0 — bit-identical across
+///     every int8 kernel.
+struct ConvEpilogue {
+  float* out = nullptr;             ///< NCHW [images][rows][out_h*out_w]
+  const float* bias = nullptr;      ///< one per output row; null = none
+  const float* residual = nullptr;  ///< NCHW like out; null = none
+  Act act = Act::kNone;
+  size_t co = 0;                    ///< expansion rows; 0 = no expansion
+  Act inner_act = Act::kNone;       ///< on the conv result, before expanding
+  const float* exp_w = nullptr;     ///< float expansion weights [co, m]
+  const int8_t* exp_qw = nullptr;   ///< int8 expansion weights [co, m]
+  const float* exp_scales = nullptr;  ///< their per-row scales [co]
+};
+
 /// One kernel backend: a named pair of GEMM entry points (plus the
 /// optional conv entries). Instances are immutable statics with
 /// program lifetime; the registry stores pointers.
@@ -209,27 +246,44 @@ struct KernelBackend {
   /// panels (and column sums) are packed straight from the padded images.
   /// `scratch` is caller-owned [s.k(), s.n()] int8 workspace for entries
   /// that do materialize the unfold (the shared fallback); gathering
-  /// kernels ignore it. Null = run the fallback (see kernels::qconv).
+  /// kernels ignore it. With `ep` non-null the product goes through the
+  /// epilogue instead of to C, and C ([m, s.n()] at ldc) is workspace the
+  /// entry may use. Null = run the fallback (see kernels::qconv).
   void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* scratch) = nullptr;
+                const QgemmParams& p, int8_t* scratch,
+                const ConvEpilogue* ep) = nullptr;
 
   /// Optional f32 conv, the float twin of qconv: byte for byte
   /// gemm(a, lda, false, unfold(x), s.n(), false, c, ldc, m, s.k(), s.n(),
   /// 1, 0) with the unfold of the zero-padded float images `x` per
   /// ConvShape, but B panels gathered straight from the images. A is the
-  /// [m, s.k()] row-major weight matrix. Null = the engine keeps the conv
-  /// on its im2col branch (unfold into plan scratch, then gemm).
+  /// [m, s.k()] row-major weight matrix. `ep` as for qconv. Null = the
+  /// engine keeps the conv on its im2col branch (unfold into plan scratch,
+  /// gemm, then conv_epilogue).
   void (*conv)(const float* a, size_t lda, const float* x,
-               const ConvShape& s, float* c, size_t ldc, size_t m) = nullptr;
+               const ConvShape& s, float* c, size_t ldc, size_t m,
+               const ConvEpilogue* ep) = nullptr;
 };
+
+/// Applies `ep` to a finished [m, s.n()] conv product at `c` (ldc), panel
+/// by panel: the epilogue of every path that computes the whole product
+/// before storing it (the engine's im2col branch, the int8 unfold
+/// fallback). `c` is consumed (the inner activation runs in place). A float
+/// expansion runs be->gemm over each panel's column slice, which equals the
+/// full-width gemm when `be` orders each element's sum independently of n
+/// (scalar does; simd has a conv entry and finishes its own panels).
+void conv_epilogue(const KernelBackend* be, float* c, size_t ldc, size_t m,
+                   const ConvShape& s, const ConvEpilogue& ep);
 
 /// Runs one quantized conv through `be`: its qconv entry when it has one,
 /// else the shared fallback, which copies the unfold of `x` into `scratch`
-/// ([s.k(), s.n()] bytes) and calls be->qgemm. Bit-identical either way.
+/// ([s.k(), s.n()] bytes), calls be->qgemm and then conv_epilogue when
+/// `ep` is set. Bit-identical either way.
 void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
            const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-           size_t m, const QgemmParams& p, int8_t* scratch);
+           size_t m, const QgemmParams& p, int8_t* scratch,
+           const ConvEpilogue* ep = nullptr);
 
 /// Routes one f32 GEMM through `be` with the tuned blocking `tile`: the
 /// tiled entry when the backend has one and the tile is non-default, the

@@ -33,9 +33,7 @@ namespace alf::kernels {
 
 namespace {
 
-using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
-                        bool, float*, size_t, size_t, size_t, size_t, float,
-                        float);
+using detail::GemmFn;
 
 std::atomic<detail::QgemmFn> g_qgemm{nullptr};
 std::atomic<detail::QconvFn> g_qconv{nullptr};
@@ -81,9 +79,11 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
 
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, int8_t* scratch) {
+                  size_t m, const QgemmParams& p, int8_t* scratch,
+                  const ConvEpilogue* ep) {
   unfold_padded(x, s, scratch);
   qgemm(a, lda, scratch, s.n(), c, ldc, m, s.k(), s.n(), p);
+  if (ep != nullptr) finish_result(c, ldc, m, s, *ep, nullptr);
 }
 
 void reset_int8_dispatch_cache() {
@@ -102,8 +102,10 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_generic(const int8_t* a, size_t lda, const int8_t* x,
                    const ConvShape& s, float* c, size_t ldc, size_t m,
-                   const QgemmParams& p, int8_t* scratch) {
-  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, scratch);
+                   const QgemmParams& p, int8_t* scratch,
+                   const ConvEpilogue* ep) {
+  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, scratch,
+                       ep);
 }
 
 struct Resolved {
@@ -145,10 +147,11 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 /// qconv entry of the generic backend: resolve-once dispatch.
 void qconv_dispatch(const int8_t* a, size_t lda, const int8_t* x,
                     const ConvShape& s, float* c, size_t ldc, size_t m,
-                    const QgemmParams& p, int8_t* scratch) {
+                    const QgemmParams& p, int8_t* scratch,
+                    const ConvEpilogue* ep) {
   detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
   if (fn == nullptr) fn = resolve_quantized().qconv;
-  fn(a, lda, x, s, c, ldc, m, p, scratch);
+  fn(a, lda, x, s, c, ldc, m, p, scratch, ep);
 }
 
 }  // namespace
@@ -164,11 +167,12 @@ const KernelBackend* int8_backend() {
 
 void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
            const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-           size_t m, const QgemmParams& p, int8_t* scratch) {
+           size_t m, const QgemmParams& p, int8_t* scratch,
+           const ConvEpilogue* ep) {
   if (be->qconv != nullptr)
-    be->qconv(a, lda, x, s, c, ldc, m, p, scratch);
+    be->qconv(a, lda, x, s, c, ldc, m, p, scratch, ep);
   else
-    detail::qconv_unfold(be->qgemm, a, lda, x, s, c, ldc, m, p, scratch);
+    detail::qconv_unfold(be->qgemm, a, lda, x, s, c, ldc, m, p, scratch, ep);
 }
 
 namespace {

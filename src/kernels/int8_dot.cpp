@@ -98,11 +98,12 @@ inline int32_t load_i32(const void* p) {
 /// vnni). `azp_eff` is the zero point in that same encoding and `rowsum`
 /// (nullable when bzp == 0) the per-row sums of a', indexed from the tile's
 /// first row. `colsum` (nullable when azp_eff == 0) likewise, indexed from
-/// the tile's first column.
+/// the tile's first column. `ctile` is where the tile's element (i0, j0)
+/// goes; its rows are ldc floats apart.
 inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
                        size_t cols, size_t k, const int32_t* colsum,
                        const int32_t* rowsum, int32_t azp_eff, int32_t bzp,
-                       const QgemmParams& p, float* c, size_t ldc) {
+                       const QgemmParams& p, float* ctile, size_t ldc) {
   const int32_t kzz = static_cast<int32_t>(k) * azp_eff * bzp;
   if (cols == kNr) {
     // Full tile: the whole epilogue in two ymm per row. The integer
@@ -146,7 +147,7 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
         s0 = _mm256_mul_ps(sav, bs0);
         s1 = _mm256_mul_ps(sav, bs1);
       }
-      float* crow = c + i * ldc + j0;
+      float* crow = ctile + r * ldc;
       _mm256_storeu_ps(crow, _mm256_mul_ps(s0, _mm256_cvtepi32_ps(v0)));
       _mm256_storeu_ps(crow + 8,
                        _mm256_mul_ps(s1, _mm256_cvtepi32_ps(v1)));
@@ -158,7 +159,7 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
     const int32_t row_corr = kzz - (rowsum != nullptr ? bzp * rowsum[r] : 0);
     const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
     const float scale = sa * p.b_scale;
-    float* crow = c + i * ldc + j0;
+    float* crow = ctile + r * ldc;
     const int32_t* arow = acc + r * kNr;
     for (size_t j = 0; j < cols; ++j) {
       int32_t v = arow[j] + row_corr;
@@ -295,6 +296,46 @@ void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
   }
 }
 
+/// The int8 expansion of one panel (backend.hpp ConvEpilogue): exp[o][j]
+/// = the FMA chain over r in order, from +0, of wdeq[o][r] * v[r][j], for
+/// all co rows and 16 columns ([m][kNr] in, [co][kNr] out). Four output
+/// rows run side by side; every element keeps expand_fmaf's chain, and a
+/// vector FMA rounds once like std::fmaf, so the two agree bit for bit.
+__attribute__((target("avx2,fma"))) void expand_fma(const float* wdeq,
+                                                    size_t co, size_t m,
+                                                    const float* v,
+                                                    float* exp) {
+  size_t o = 0;
+  for (; o + kMr <= co; o += kMr) {
+    __m256 acc[kMr][2];
+    for (size_t i = 0; i < kMr; ++i)
+      acc[i][0] = acc[i][1] = _mm256_setzero_ps();
+    for (size_t r = 0; r < m; ++r) {
+      const __m256 v0 = _mm256_loadu_ps(v + r * kNr);
+      const __m256 v1 = _mm256_loadu_ps(v + r * kNr + 8);
+      for (size_t i = 0; i < kMr; ++i) {
+        const __m256 w = _mm256_set1_ps(wdeq[(o + i) * m + r]);
+        acc[i][0] = _mm256_fmadd_ps(w, v0, acc[i][0]);
+        acc[i][1] = _mm256_fmadd_ps(w, v1, acc[i][1]);
+      }
+    }
+    for (size_t i = 0; i < kMr; ++i) {
+      _mm256_storeu_ps(exp + (o + i) * kNr, acc[i][0]);
+      _mm256_storeu_ps(exp + (o + i) * kNr + 8, acc[i][1]);
+    }
+  }
+  for (; o < co; ++o) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    for (size_t r = 0; r < m; ++r) {
+      const __m256 w = _mm256_set1_ps(wdeq[o * m + r]);
+      a0 = _mm256_fmadd_ps(w, _mm256_loadu_ps(v + r * kNr), a0);
+      a1 = _mm256_fmadd_ps(w, _mm256_loadu_ps(v + r * kNr + 8), a1);
+    }
+    _mm256_storeu_ps(exp + o * kNr, a0);
+    _mm256_storeu_ps(exp + o * kNr + 8, a1);
+  }
+}
+
 /// The qconv driver shared by both kernels. `pack_a(r0, r1, dst, rowsum)`
 /// packs A rows into the kernel's kMr-row panels (row sums in the kernel's
 /// A encoding, when bzp != 0), `emit` one B group, and `micro` / `wide`
@@ -302,14 +343,17 @@ void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
 /// A is packed once by the caller; column panels are then partitioned
 /// across workers, each gathering its panel into a private buffer — the
 /// integer result of every C element is exact, so the partition never
-/// shows in the output.
+/// shows in the output. With an epilogue, store_tile writes each panel's
+/// rows to a private [m][kNr] buffer instead of C, which is then finished
+/// in L1: the inner activation and the FMA expansion when there is one,
+/// then the epilogue store.
 template <size_t G, typename TA, typename TB, typename PackA, typename Emit,
           typename Micro>
 void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, int32_t azp_eff,
                   const PackA& pack_a, const Emit& emit, const Micro& micro,
-                  WideMicroFn<TA, TB> wide) {
-  const size_t k = s.k(), n = s.n();
+                  WideMicroFn<TA, TB> wide, const ConvEpilogue* ep) {
+  const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
   const int32_t bzp = p.b_zp;
   const size_t kg = (k + G - 1) / G;
   const size_t rpan = (m + kMr - 1) / kMr;
@@ -320,6 +364,7 @@ void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
   thread_local std::vector<TA> apack_tls;
   thread_local std::vector<int32_t> rowsum_tls;
   thread_local std::vector<size_t> koff_tls;
+  thread_local std::vector<float> wdeq_tls;
   apack_tls.resize(rpan * a_panel);
   TA* const apack = apack_tls.data();
   int32_t* rowsum = nullptr;
@@ -331,11 +376,26 @@ void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
   koff_tls.resize(k);
   size_t* const koff = koff_tls.data();
   detail::conv_tap_offsets(s, koff);
+  // The expansion's dequantized weights, the same float(qw) * scale
+  // product expand_fmaf forms.
+  const size_t co = ep != nullptr ? ep->co : 0;
+  wdeq_tls.resize(co * m);
+  float* const wdeq = wdeq_tls.data();
+  for (size_t o = 0; o < co; ++o)
+    for (size_t r = 0; r < m; ++r)
+      wdeq[o * m + r] =
+          static_cast<float>(ep->exp_qw[o * m + r]) * ep->exp_scales[o];
 
   const auto process_panels = [=, &emit, &micro](size_t p0, size_t p1) {
     thread_local std::vector<TB> bpanel_tls;
+    thread_local std::vector<float> out_tls;
     bpanel_tls.resize(b_panel);
     TB* const bpanel = bpanel_tls.data();
+    float* buf = nullptr;
+    if (ep != nullptr) {
+      out_tls.resize((m + co) * kNr);
+      buf = out_tls.data();
+    }
     alignas(32) int32_t colsum[kNr] = {};
     for (size_t jp = p0; jp < p1; ++jp) {
       const size_t j0 = jp * kNr;
@@ -348,8 +408,19 @@ void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                      store_tile(acc, i0, std::min(kMr, m - i0), j0, pn.cols,
                                 k, colsum,
                                 rowsum != nullptr ? rowsum + i0 : nullptr,
-                                azp_eff, bzp, p, c, ldc);
+                                azp_eff, bzp, p,
+                                buf != nullptr ? buf + i0 * kNr
+                                               : c + i0 * ldc + j0,
+                                buf != nullptr ? kNr : ldc);
                    });
+      if (buf == nullptr) continue;
+      if (co == 0) {
+        detail::store_panel(*ep, m, plane, buf, kNr, j0, pn.cols);
+        continue;
+      }
+      detail::act_rows(ep->inner_act, buf, kNr, m, pn.cols);
+      expand_fma(wdeq, co, m, buf, buf + m * kNr);
+      detail::store_panel(*ep, co, plane, buf + m * kNr, kNr, j0, pn.cols);
     }
   };
   partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
@@ -565,7 +636,7 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
         store_tile(acc, i0, pr, j0, cols, k,
                    colsum != nullptr ? colsum + j0 : nullptr,
                    rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp, bzp,
-                   p, c, ldc);
+                   p, c + i0 * ldc + j0, ldc);
       }
     }
   };
@@ -574,7 +645,8 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* /*scratch*/) {
+                const QgemmParams& p, int8_t* /*scratch*/,
+                const ConvEpilogue* ep) {
   const size_t k = s.k();
   qconv_driver<2, int16_t, int16_t>(
       x, s, c, ldc, m, p, p.a_zp,
@@ -584,7 +656,7 @@ void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
       [](const __m128i* rows, int16_t* dst) {
         pack_b_pair16(rows[0], rows[1], dst);
       },
-      &qgemm_micro_avx2, WideMicroFn<int16_t, int16_t>{nullptr});
+      &qgemm_micro_avx2, WideMicroFn<int16_t, int16_t>{nullptr}, ep);
 }
 
 // --- Quantize helpers ------------------------------------------------------
@@ -858,7 +930,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                                 colsum + j0,
                                 rowsum != nullptr ? rowsum + (i0 - r0)
                                                   : nullptr,
-                                azp_eff, bzp, p, c, ldc);
+                                azp_eff, bzp, p, c + i0 * ldc + j0, ldc);
                    });
     }
   };
@@ -867,7 +939,8 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* /*scratch*/) {
+                const QgemmParams& p, int8_t* /*scratch*/,
+                const ConvEpilogue* ep) {
   const size_t k = s.k();
   // Same +128 A encoding as qgemm_vnni: azp_eff is never zero, so the
   // gather always accumulates column sums.
@@ -879,7 +952,7 @@ void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
       [](const __m128i* rows, int8_t* dst) {
         pack_b_quad16(rows[0], rows[1], rows[2], rows[3], dst);
       },
-      vnni_micro(), vnni_wide());
+      vnni_micro(), vnni_wide(), ep);
 }
 
 #endif  // ALF_INT8_VNNI
@@ -918,11 +991,13 @@ MaxAbsFn max_abs_f32_vec() {
 
 const KernelBackend* int8_avx2_backend() {
 #if defined(ALF_INT8_DOT)
-  if ((detected_cpu_features() & kCpuAvx2) != 0) {
+  // FMA too: the qconv epilogue's expansion (expand_fma) executes it.
+  constexpr uint32_t kNeeds = kCpuAvx2 | kCpuFma;
+  if ((detected_cpu_features() & kNeeds) == kNeeds) {
     static const KernelBackend be{
         .name = "int8-avx2",
         .quantized_datapath = true,
-        .required_features = kCpuAvx2,
+        .required_features = kNeeds,
         .gemm = &detail::gemm_forward_best_float,
         .qgemm = &qgemm_avx2,
         .qconv = &qconv_avx2,

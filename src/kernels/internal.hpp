@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -72,16 +73,21 @@ using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
                          const QgemmParams&);
 using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
                          const ConvShape&, float*, size_t, size_t,
-                         const QgemmParams&, int8_t*);
+                         const QgemmParams&, int8_t*, const ConvEpilogue*);
+using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
+                        bool, float*, size_t, size_t, size_t, size_t, float,
+                        float);
 
 /// The shared qconv fallback (defined in int8.cpp): copies the unfold of
 /// the padded images `x` into `scratch` as a row-major [s.k(), s.n()]
-/// panel, then runs `qgemm` over it — what every backend without a native
-/// qconv entry executes, and the seam the generic int8 backend resolves to
-/// when no gathering kernel is allowed.
+/// panel, then runs `qgemm` over it (and the epilogue over the result, when
+/// `ep` is set) — what every backend without a native qconv entry
+/// executes, and the seam the generic int8 backend resolves to when no
+/// gathering kernel is allowed.
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, int8_t* scratch);
+                  size_t m, const QgemmParams& p, int8_t* scratch,
+                  const ConvEpilogue* ep);
 
 /// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
 /// max_abs_f32 helpers. Defined in int8_dot.cpp (the -mavx2 TU);
@@ -234,6 +240,99 @@ inline void pad_planes(const float* src, size_t planes, size_t h, size_t w,
     }
     std::fill(dst, dst + pad * pw, fill);  // bottom border rows
     dst += pad * pw;
+  }
+}
+
+// --- Conv epilogue (backend.hpp ConvEpilogue) -------------------------------
+
+/// act(v) over rows [0, rows) x columns [0, cols) of `v` (row stride ldv)
+/// with act_inplace's exact float ops; ReLU, the hot case, stays inline.
+inline void act_rows(Act act, float* v, size_t ldv, size_t rows,
+                     size_t cols) {
+  if (act == Act::kNone) return;
+  for (size_t r = 0; r < rows; ++r, v += ldv) {
+    if (act != Act::kRelu) {
+      act_inplace(act, v, cols);
+      continue;
+    }
+    for (size_t j = 0; j < cols; ++j) v[j] = v[j] > 0.0f ? v[j] : 0.0f;
+  }
+}
+
+/// The epilogue store of one finished panel: all `rows` output rows,
+/// columns [j0, j0 + cols) of the product, whose values sit at `v` (row r
+/// at v + r * ldv). `plane` is out_h * out_w. Per element
+/// `v = src (+ bias) (+ residual)`, then the activation (ReLU inline); the
+/// residual may be `ep.out` itself, so each element reads it before the
+/// store.
+inline void store_panel(const ConvEpilogue& ep, size_t rows, size_t plane,
+                        const float* v, size_t ldv, size_t j0, size_t cols) {
+  const bool relu = ep.act == Act::kRelu;
+  // One run per image the panel's columns touch: a panel that straddles
+  // two images splits its store.
+  for (size_t t = 0; t < cols;) {
+    const size_t j = j0 + t, p = j % plane;
+    const size_t seg = std::min(cols - t, plane - p);
+    const size_t base = (j / plane) * rows * plane + p;
+    for (size_t r = 0; r < rows; ++r) {
+      const float* src = v + r * ldv + t;
+      float* dst = ep.out + base + r * plane;
+      const float* res =
+          ep.residual != nullptr ? ep.residual + base + r * plane : nullptr;
+      const float b = ep.bias != nullptr ? ep.bias[r] : 0.0f;
+      for (size_t i = 0; i < seg; ++i) {
+        float x = src[i];
+        if (ep.bias != nullptr) x = x + b;
+        if (res != nullptr) x = x + res[i];
+        if (relu) x = x > 0.0f ? x : 0.0f;
+        dst[i] = x;
+      }
+      if (!relu && ep.act != Act::kNone) act_inplace(ep.act, dst, seg);
+    }
+    t += seg;
+  }
+}
+
+/// The int8 expansion of one panel in its reference form: dst[o][j] (row
+/// stride ldd) = the fmaf chain over r in order, from +0, of
+/// (qw[o][r] * scale[o]) * v[r][j]. The vectorized drivers compute the
+/// same chain with vector FMA.
+inline void expand_fmaf(const ConvEpilogue& ep, size_t m, const float* v,
+                        size_t ldv, size_t cols, float* dst, size_t ldd) {
+  for (size_t o = 0; o < ep.co; ++o, dst += ldd) {
+    std::fill(dst, dst + cols, 0.0f);
+    for (size_t r = 0; r < m; ++r) {
+      const float w = static_cast<float>(ep.exp_qw[o * m + r]) *
+                      ep.exp_scales[o];
+      const float* vr = v + r * ldv;
+      for (size_t j = 0; j < cols; ++j) dst[j] = std::fmaf(w, vr[j], dst[j]);
+    }
+  }
+}
+
+/// Applies `ep` to a finished [m, s.n()] product at `c`, panel by panel
+/// (kernels::conv_epilogue). A float expansion runs `gemm` over each
+/// panel's column slice; an int8 one runs expand_fmaf.
+inline void finish_result(float* c, size_t ldc, size_t m, const ConvShape& s,
+                          const ConvEpilogue& ep, GemmFn gemm) {
+  const size_t n = s.n(), plane = s.out_h() * s.out_w();
+  thread_local std::vector<float> exp_tls;
+  exp_tls.resize(ep.co * kPanelCols);
+  float* const exp = exp_tls.data();
+  for (size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const size_t cols = std::min(kPanelCols, n - j0);
+    float* v = c + j0;
+    if (ep.co == 0) {
+      store_panel(ep, m, plane, v, ldc, j0, cols);
+      continue;
+    }
+    act_rows(ep.inner_act, v, ldc, m, cols);
+    if (ep.exp_qw != nullptr)
+      expand_fmaf(ep, m, v, ldc, cols, exp, kPanelCols);
+    else
+      gemm(ep.exp_w, m, false, v, ldc, false, exp, kPanelCols, ep.co, m,
+           cols, 1.0f, 0.0f);
+    store_panel(ep, ep.co, plane, exp, kPanelCols, j0, cols);
   }
 }
 

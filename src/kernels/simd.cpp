@@ -181,55 +181,80 @@ __attribute__((target("avx512f"), always_inline)) inline void store_row16(
   __builtin_memcpy(crow, &out, sizeof(out));
 }
 
-/// The 512-bit tile: C[0:pr, 16 cols] += alpha * A * bpanel for pr <= 8
-/// rows, read from two consecutive 4-row panels of the A pack (rows past pr
-/// are the pack's zero padding, computed and discarded). One zmm
-/// accumulator per row holds what micro_4x16p keeps in two ymm, and every
-/// lane sees the same expressions in the same order — `acc += a * b` per k
-/// step, then `c + alpha * acc` — so the compiler contracts both tiles into
-/// the same fused multiply-adds and the results are bit-equal. Named
-/// accumulators keep the sums in registers through the store; an array
-/// the k loop indexes went to the stack, zeroed there on every call.
-template <bool kFirst = false>
-__attribute__((target("avx512f"))) void micro_8x16z(
-    const float* apanel, size_t kb, const float* bpanel, float alpha,
-    float* c, size_t ldc, size_t pr) {
-  const float* a0 = apanel;            // rows 0-3
-  const float* a1 = apanel + kb * kMr;  // rows 4-7: the next panel
+/// The 512-bit tile: C[0:R, 16 cols] += alpha * A * bpanel for exactly R
+/// <= 8 rows, read from two consecutive 4-row panels of the A pack (the
+/// second only when R > 4). One zmm accumulator per row holds what
+/// micro_4x16p keeps in two ymm, and every lane sees the same expressions
+/// in the same order — `acc += a * b` per k step, then `c + alpha * acc` —
+/// so the compiler contracts both tiles into the same fused multiply-adds
+/// and the results are bit-equal. Named accumulators keep the sums in
+/// registers through the store; an array the k loop indexes went to the
+/// stack, zeroed there on every call.
+template <size_t R, bool kFirst>
+__attribute__((target("avx512f"))) void micro_zmm(const float* apanel,
+                                                  size_t kb,
+                                                  const float* bpanel,
+                                                  float alpha, float* c,
+                                                  size_t ldc) {
+  static_assert(R >= 1 && R <= 2 * kMr);
+  const float* a0 = apanel;  // rows 0-3
+  const float* a1 = R > kMr ? apanel + kb * kMr : apanel;  // rows 4-7
   v16 c0 = {}, c1 = {}, c2 = {}, c3 = {}, c4 = {}, c5 = {}, c6 = {}, c7 = {};
   for (size_t kk = 0; kk < kb; ++kk, a0 += kMr, a1 += kMr) {
     v16 b;
     __builtin_memcpy(&b, bpanel, sizeof(b));
     bpanel += kNr;
     c0 += a0[0] * b;
-    c1 += a0[1] * b;
-    c2 += a0[2] * b;
-    c3 += a0[3] * b;
-    c4 += a1[0] * b;
-    c5 += a1[1] * b;
-    c6 += a1[2] * b;
-    c7 += a1[3] * b;
+    if constexpr (R > 1) c1 += a0[1] * b;
+    if constexpr (R > 2) c2 += a0[2] * b;
+    if constexpr (R > 3) c3 += a0[3] * b;
+    if constexpr (R > 4) c4 += a1[0] * b;
+    if constexpr (R > 5) c5 += a1[1] * b;
+    if constexpr (R > 6) c6 += a1[2] * b;
+    if constexpr (R > 7) c7 += a1[3] * b;
   }
   const v16 rows[2 * kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  for (size_t r = 0; r < pr; ++r)
+  for (size_t r = 0; r < R; ++r)
     store_row16<kFirst>(c + r * ldc, alpha, rows[r]);
 }
+
+using ZmmTileFn = void (*)(const float*, size_t, const float*, float, float*,
+                           size_t);
+
+/// micro_zmm by row count: entry h runs exactly h rows (entry 0 unused).
+template <bool kFirst>
+constexpr ZmmTileFn kZmmTiles[2 * kMr + 1] = {
+    nullptr,
+    &micro_zmm<1, kFirst>,
+    &micro_zmm<2, kFirst>,
+    &micro_zmm<3, kFirst>,
+    &micro_zmm<4, kFirst>,
+    &micro_zmm<5, kFirst>,
+    &micro_zmm<6, kFirst>,
+    &micro_zmm<7, kFirst>,
+    &micro_zmm<8, kFirst>};
 #endif
 
 /// Runs one B panel (`cols` live columns) against the A rows [0, rows)
 /// packed at `apack` (kMr-row panels, kb * kMr floats apart), into the C
-/// rows at `c`. With `zmm`, full-width panel pairs run the 8x16 tile; a
-/// trailing odd panel and column tails run the 4x16 ones.
+/// rows at `c`. With `zmm`, full-width panels run 8-row 512-bit tiles and
+/// then one tile of exactly the remaining 1-7 rows; column tails run the
+/// 4x16 ones.
 template <bool kFirst = false>
 inline void sweep_panel(const float* apack, size_t rows, size_t kb,
                         const float* bpanel, size_t cols, float alpha,
                         float* c, size_t ldc, [[maybe_unused]] bool zmm) {
   size_t p = 0;
 #if defined(ALF_ZMM_TILE)
-  if (zmm && cols == kNr)
-    for (; p + kMr < rows; p += 2 * kMr)
-      micro_8x16z<kFirst>(apack + p * kb, kb, bpanel, alpha, c + p * ldc,
-                          ldc, std::min(2 * kMr, rows - p));
+  if (zmm && cols == kNr) {
+    for (; p + 2 * kMr <= rows; p += 2 * kMr)
+      micro_zmm<2 * kMr, kFirst>(apack + p * kb, kb, bpanel, alpha,
+                                 c + p * ldc, ldc);
+    if (p < rows)
+      kZmmTiles<kFirst>[rows - p](apack + p * kb, kb, bpanel, alpha,
+                                  c + p * ldc, ldc);
+    return;
+  }
 #endif
   for (; p < rows; p += kMr) {
     const size_t pr = std::min(kMr, rows - p);
@@ -375,9 +400,62 @@ void gather_block(const float* x, const detail::ConvPanel& pn,
 
 /// f32 conv over the implicit unfold of zero-padded images: byte for byte
 /// gemm_simd(a, lda, false, unfold(x), n, false, c, ldc, m, k, n, 1, 0).
+/// With an epilogue, each panel's [m x 16] result lands in an L1 buffer
+/// instead of C and is finished there (finish_panel below).
 void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
-               float* c, size_t ldc, size_t m) {
-  const size_t k = s.k(), n = s.n();
+               float* c, size_t ldc, size_t m, const ConvEpilogue* ep) {
+  const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
+  const bool zmm = detail::zmm_tile();
+  // The expansion computes what a separate 1x1 conv step over these same
+  // images would: gemm_simd's scalar body below its cutoff (decided on
+  // this call's n, as that step's call would), the micro-kernel over the
+  // packed expansion weights above it.
+  const size_t co = ep != nullptr ? ep->co : 0;
+  const bool exp_scalar =
+      co != 0 && (co * m * n < kScalarCutoffMadds || n < kNr / 2);
+  const size_t cor = (co + kMr - 1) / kMr * kMr;
+  thread_local std::vector<float> epack_tls;
+  float* epack = nullptr;
+  if (co != 0 && !exp_scalar) {
+    epack_tls.resize(cor * m);
+    epack = epack_tls.data();
+    for (size_t k0 = 0; k0 < m; k0 += kKc)
+      pack_a(ep->exp_w, m, false, 0, co, k0, std::min(m, k0 + kKc) - k0,
+             epack + k0 * cor);
+  }
+  // Finishes one panel whose conv result is `v` ([m][kNr], the layout the
+  // micro-kernel reads B in): inner activation and expansion into `exp`
+  // ([co][kNr]) when there is one, then the epilogue store.
+  const auto finish_panel = [=](float* v, float* exp, size_t j0,
+                                size_t cols) {
+    if (co == 0) {
+      detail::store_panel(*ep, m, plane, v, kNr, j0, cols);
+      return;
+    }
+    detail::act_rows(ep->inner_act, v, kNr, m, cols);
+    if (exp_scalar) {
+      detail::gemm_scalar(ep->exp_w, m, false, v, kNr, false, exp, kNr, co,
+                          m, cols, 1.0f, 0.0f);
+    } else {
+      for (size_t k0 = 0; k0 < m; k0 += kKc) {
+        const size_t kb = std::min(m, k0 + kKc) - k0;
+        if (k0 == 0)
+          sweep_panel<true>(epack, co, kb, v, cols, 1.0f, exp, kNr, zmm);
+        else
+          sweep_panel(epack + k0 * cor, co, kb, v + k0 * kNr, cols, 1.0f, exp,
+                      kNr, zmm);
+      }
+    }
+    detail::store_panel(*ep, co, plane, exp, kNr, j0, cols);
+  };
+  // Per-worker panel buffers of the epilogue: the conv result, then the
+  // expansion result.
+  const auto panel_buffers = [=] {
+    thread_local std::vector<float> buf_tls;
+    buf_tls.resize((m + co) * kNr);
+    return buf_tls.data();
+  };
+
   if (m * k * n < kScalarCutoffMadds || n < kNr / 2) {
     // gemm_simd sends these shapes to the scalar body; so does conv, over
     // the unfold materialized in kernel-local scratch.
@@ -386,6 +464,14 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
     detail::unfold_padded(x, s, col_tls.data());
     detail::gemm_scalar(a, lda, false, col_tls.data(), n, false, c, ldc, m, k,
                         n, 1.0f, 0.0f);
+    if (ep == nullptr) return;
+    float* const buf = panel_buffers();
+    for (size_t j0 = 0; j0 < n; j0 += kNr) {
+      const size_t cols = std::min(kNr, n - j0);
+      for (size_t r = 0; r < m; ++r)
+        std::memcpy(buf + r * kNr, c + r * ldc + j0, cols * sizeof(float));
+      finish_panel(buf, buf + m * kNr, j0, cols);
+    }
     return;
   }
   // A is packed once, k block by k block (block k0 at apack + k0 * mr);
@@ -403,13 +489,14 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
   size_t* const koff = koff_tls.data();
   detail::conv_tap_offsets(s, koff);
 
-  const bool zmm = detail::zmm_tile();
-
   const auto process_panels = [=](size_t p0, size_t p1) {
     alignas(64) float bblock[kKc * kNr];
+    float* const buf = ep != nullptr ? panel_buffers() : nullptr;
     for (size_t jp = p0; jp < p1; ++jp) {
       const size_t j0 = jp * kNr;
       const detail::ConvPanel pn = detail::map_panel(s, j0, n);
+      float* const cp = ep != nullptr ? buf : c + j0;
+      const size_t ldcp = ep != nullptr ? kNr : ldc;
       // One k block of the panel against every A panel; the first block
       // stores into C, the later ones add to it (see micro_4x16p).
       for (size_t k0 = 0; k0 < k; k0 += kKc) {
@@ -417,11 +504,12 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
         const float* ablock = apack + k0 * mr;
         gather_block(x, pn, koff + k0, kb, bblock);
         if (k0 == 0)
-          sweep_panel<true>(ablock, m, kb, bblock, pn.cols, 1.0f, c + j0, ldc,
+          sweep_panel<true>(ablock, m, kb, bblock, pn.cols, 1.0f, cp, ldcp,
                             zmm);
         else
-          sweep_panel(ablock, m, kb, bblock, pn.cols, 1.0f, c + j0, ldc, zmm);
+          sweep_panel(ablock, m, kb, bblock, pn.cols, 1.0f, cp, ldcp, zmm);
       }
+      if (ep != nullptr) finish_panel(buf, buf + m * kNr, j0, pn.cols);
     }
   };
   detail::partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);

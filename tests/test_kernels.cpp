@@ -214,14 +214,14 @@ TEST(KernelDispatch, FeatureMaskGatesAutoSelection) {
         << name;
 
   // With only AVX2+FMA allowed, the VNNI kernel stays forbidden but the
-  // AVX2 one (when this host registered it) becomes the best pick.
+  // AVX2 one (when this host registered it and ALF_CPU_DISABLE leaves both
+  // features it requires) becomes the best pick.
   kernels::set_cpu_feature_mask(kernels::kCpuAvx2 | kernels::kCpuFma);
   const kernels::KernelBackend* avx_best = kernels::best_quantized_backend();
   EXPECT_EQ(avx_best->required_features &
                 ~static_cast<uint32_t>(kernels::kCpuAvx2 | kernels::kCpuFma),
             0u);
-  if (kernels::find_backend("int8-avx2") != nullptr &&
-      (kernels::allowed_cpu_features() & kernels::kCpuAvx2) != 0u) {
+  if (mask_admits("int8-avx2")) {
     EXPECT_STREQ(avx_best->name, "int8-avx2");
   }
 
@@ -785,7 +785,8 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
             for (const TileMask& tm : masks) {
               const MaskScope scope(tm.mask);
               std::vector<float> got(m * ldc, -7.0f);
-              be->conv(a.data(), k, xpad.data(), s, got.data(), ldc, m);
+              be->conv(a.data(), k, xpad.data(), s, got.data(), ldc, m,
+                       nullptr);
               ASSERT_EQ(std::memcmp(ref.data(), got.data(),
                                     ref.size() * sizeof(float)),
                         0)
@@ -800,6 +801,296 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
       }
     }
   }
+}
+
+// --- Conv epilogues (backend.hpp ConvEpilogue) -----------------------------
+
+/// The epilogue's reference: out[img][r][p] = act(c[r][img*plane + p]
+/// (+ bias[r]) (+ res[img][r][p])) — a bias/activation store followed by
+/// a residual add step, element by element, in that order. `res` may be
+/// a copy of out's initial contents (the in-place case).
+void ref_epilogue(const std::vector<float>& c, size_t rows, size_t imgs,
+                  size_t plane, const float* bias, const float* res, Act act,
+                  float* out) {
+  const size_t n = imgs * plane;
+  for (size_t img = 0; img < imgs; ++img)
+    for (size_t r = 0; r < rows; ++r)
+      for (size_t p = 0; p < plane; ++p) {
+        const size_t at = (img * rows + r) * plane + p;
+        float v = c[r * n + img * plane + p];
+        if (bias != nullptr) v = v + bias[r];
+        if (res != nullptr) v = v + res[at];
+        if (act == Act::kRelu) v = v > 0.0f ? v : 0.0f;
+        out[at] = v;
+      }
+}
+
+/// One case of the epilogue tests: conv geometry, conv rows m, expansion
+/// rows co (0 = none), and what the epilogue adds.
+struct EpiCase {
+  size_t c, hw, k, s, pad;
+};
+
+/// The variants every (geometry, m, co, images) combination runs: bias on
+/// and off, ReLU and none (inner and outer), no residual, a separate one,
+/// and one updated in place.
+struct EpiVariant {
+  bool bias;
+  Act act, inner;
+  int residual;  // 0 none, 1 separate, 2 in place
+};
+constexpr EpiVariant kEpiVariants[] = {
+    {true, Act::kRelu, Act::kRelu, 0},
+    {false, Act::kNone, Act::kNone, 0},
+    {true, Act::kNone, Act::kRelu, 1},
+    {true, Act::kRelu, Act::kNone, 2},
+    {false, Act::kRelu, Act::kNone, 1}};
+
+/// Geometries: the fixture's three ALF stages (32x32x16, 16x16x32,
+/// 8x8x64), 7x7 and 5x5 maps whose panels straddle images, a strided
+/// conv, and a one-channel map small enough for simd's scalar path.
+constexpr EpiCase kEpiGeos[] = {{16, 32, 3, 1, 1}, {32, 16, 3, 1, 1},
+                                {64, 8, 3, 1, 1},  {8, 7, 3, 1, 1},
+                                {8, 5, 3, 1, 1},   {16, 16, 3, 2, 1},
+                                {1, 5, 3, 1, 1}};
+
+/// (m, co): the fixture's code widths against their expansions, and a
+/// plain conv without one.
+constexpr size_t kEpiRows[][2] = {{6, 16}, {11, 32}, {22, 64}, {13, 0}};
+
+kernels::ConvShape epi_shape(const EpiCase& geo, size_t imgs) {
+  kernels::ConvShape s;
+  s.in_c = geo.c;
+  s.in_h = s.in_w = geo.hw + 2 * geo.pad;
+  s.kernel = geo.k;
+  s.stride = geo.s;
+  s.images = imgs;
+  return s;
+}
+
+/// Runs a float conv the way the engine does for `be`: its conv entry, or
+/// the im2col branch (gemm over the unfold, then conv_epilogue).
+void float_conv(const kernels::KernelBackend* be, const float* a, size_t lda,
+                const float* x, const kernels::ConvShape& s, float* c,
+                size_t m, const kernels::ConvEpilogue* ep) {
+  if (be->conv != nullptr) {
+    be->conv(a, lda, x, s, c, s.n(), m, ep);
+    return;
+  }
+  std::vector<float> col(s.k() * s.n());
+  kernels::detail::unfold_padded(x, s, col.data());
+  be->gemm(a, lda, false, col.data(), s.n(), false, c, s.n(), m, s.k(),
+           s.n(), 1.0f, 0.0f);
+  if (ep != nullptr) kernels::conv_epilogue(be, c, s.n(), m, s, *ep);
+}
+
+TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
+  // A float conv with an epilogue equals the same backend's plain conv
+  // followed by the reference epilogue; with an expansion, the plain conv,
+  // its inner activation stored to NCHW, the backend's own 1x1 conv over
+  // that, then the reference epilogue — what a plan runs as separate steps.
+  // Byte for byte, under both tile masks, at 1 and 3 threads.
+  std::vector<const kernels::KernelBackend*> cands{kernels::scalar_backend()};
+  if (const kernels::KernelBackend* simd = kernels::find_backend("simd"))
+    cands.push_back(simd);
+  const std::vector<TileMask> masks = tile_masks();
+  Rng rng(71);
+  for (const EpiCase& geo : kEpiGeos) {
+    const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
+    const size_t k = g.col_rows(), plane = g.col_cols();
+    for (const auto& mc : kEpiRows) {
+      const size_t m = mc[0], co = mc[1], rows = co != 0 ? co : m;
+      const Tensor a = random2d(m, k, rng);
+      const Tensor ew = random2d(std::max<size_t>(co, 1), m, rng);
+      std::vector<float> bias(rows);
+      for (float& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+      for (const size_t imgs : {1, 3}) {
+        const kernels::ConvShape s = epi_shape(geo, imgs);
+        const size_t n = s.n();
+        std::vector<float> xpad(imgs * s.image_size(), 0.0f);
+        for (size_t j = 0; j < imgs; ++j)
+          for (size_t ch = 0; ch < geo.c; ++ch)
+            for (size_t y = 0; y < geo.hw; ++y)
+              for (size_t xx = 0; xx < geo.hw; ++xx)
+                xpad[j * s.image_size() +
+                     (ch * s.in_h + y + geo.pad) * s.in_w + xx + geo.pad] =
+                    static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<float> resid(imgs * rows * plane);
+        for (float& v : resid) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        kernels::ConvShape s1;  // the expansion as a 1x1 conv step
+        s1.in_c = m;
+        s1.in_h = g.out_h();
+        s1.in_w = g.out_w();
+        s1.images = imgs;
+        for (const EpiVariant& v : kEpiVariants) {
+          for (const kernels::KernelBackend* be : cands) {
+            for (const TileMask& tm : masks) {
+              const MaskScope scope(tm.mask);
+              for (const int threads : {1, 3}) {
+                set_parallel_threads(threads);
+                std::vector<float> c(m * n), c2(rows * n), code(m * n);
+                float_conv(be, a.data(), k, xpad.data(), s, c.data(), m,
+                           nullptr);
+                const std::vector<float>* fin = &c;
+                if (co != 0) {
+                  ref_epilogue(c, m, imgs, plane, nullptr, nullptr, v.inner,
+                               code.data());
+                  float_conv(be, ew.data(), m, code.data(), s1, c2.data(), co,
+                             nullptr);
+                  fin = &c2;
+                }
+                std::vector<float> want(rows * n);
+                ref_epilogue(*fin, rows, imgs, plane,
+                             v.bias ? bias.data() : nullptr,
+                             v.residual != 0 ? resid.data() : nullptr, v.act,
+                             want.data());
+
+                std::vector<float> got =
+                    v.residual == 2 ? resid : std::vector<float>(rows * n);
+                std::vector<float> scratch(m * n, -7.0f);
+                kernels::ConvEpilogue ep;
+                ep.out = got.data();
+                ep.bias = v.bias ? bias.data() : nullptr;
+                ep.residual = v.residual == 1   ? resid.data()
+                              : v.residual == 2 ? got.data()
+                                                : nullptr;
+                ep.act = v.act;
+                if (co != 0) {
+                  ep.co = co;
+                  ep.inner_act = v.inner;
+                  ep.exp_w = ew.data();
+                }
+                float_conv(be, a.data(), k, xpad.data(), s, scratch.data(), m,
+                           &ep);
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << be->name << " c=" << geo.c << " hw=" << geo.hw
+                    << " s=" << geo.s << " m=" << m << " co=" << co
+                    << " imgs=" << imgs << " bias=" << v.bias
+                    << " act=" << act_name(v.act)
+                    << " inner=" << act_name(v.inner)
+                    << " residual=" << v.residual << " tile=" << tm.name
+                    << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_parallel_threads(0);
+}
+
+TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
+  // Every qconv entry with an epilogue — int8-vnni, int8-avx2 and the
+  // unfold fallback — equals the plain qconv followed by the reference
+  // epilogue. An expansion multiplies the float conv result (after its
+  // inner activation; never quantized) by the dequantized weights, summed
+  // as an fmaf chain in r order from +0, so all entries agree bit for bit.
+  const kernels::KernelBackend fallback{
+      .name = "qconv-fallback",
+      .quantized_datapath = true,
+      .gemm = kernels::scalar_backend()->gemm,
+      .qgemm = kernels::best_quantized_backend()->qgemm};
+  std::vector<const kernels::KernelBackend*> cands{&fallback};
+  for (const std::string& name : kernels::backend_names()) {
+    const kernels::KernelBackend* be = kernels::find_backend(name);
+    if (be->quantized_datapath) cands.push_back(be);
+  }
+  const std::vector<TileMask> masks = tile_masks();
+  Rng rng(73);
+  for (const EpiCase& geo : kEpiGeos) {
+    const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
+    const size_t k = g.col_rows(), plane = g.col_cols();
+    for (const auto& mc : kEpiRows) {
+      const size_t m = mc[0], co = mc[1], rows = co != 0 ? co : m;
+      const auto a = random_i8(m * k, rng);
+      const auto eq = random_i8(std::max<size_t>(co, 1) * m, rng);
+      std::vector<float> as(m), es(std::max<size_t>(co, 1)), bias(rows);
+      for (size_t i = 0; i < m; ++i)
+        as[i] = 0.01f + 0.002f * static_cast<float>(i);
+      for (size_t o = 0; o < es.size(); ++o)
+        es[o] = 0.005f + 0.001f * static_cast<float>(o);
+      for (float& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+      for (const size_t imgs : {1, 3}) {
+        const kernels::ConvShape s = epi_shape(geo, imgs);
+        const size_t n = s.n();
+        std::vector<int8_t> xq(imgs * s.image_size());
+        for (int8_t& q : xq)
+          q = static_cast<int8_t>(static_cast<int>(rng.uniform(0.0, 255.0)) -
+                                  127);
+        std::vector<float> bs(n);
+        for (size_t j = 0; j < n; ++j)
+          bs[j] = 0.02f + 0.01f * static_cast<float>(j / plane);
+        kernels::QgemmParams p;
+        p.a_scales = as.data();
+        p.b_scales = bs.data();
+        p.b_zp = -127;
+        std::vector<float> resid(imgs * rows * plane);
+        for (float& v : resid) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<int8_t> scratch(s.k() * n);
+        std::vector<float> c(m * n);
+        kernels::qconv(kernels::int8_backend(), a.data(), k, xq.data(), s,
+                       c.data(), n, m, p, scratch.data());
+        for (const EpiVariant& v : kEpiVariants) {
+          std::vector<float> fin = c;
+          if (co != 0) {
+            kernels::detail::act_rows(v.inner, fin.data(), n, m, n);
+            std::vector<float> e(co * n, 0.0f);
+            for (size_t o = 0; o < co; ++o)
+              for (size_t r = 0; r < m; ++r) {
+                const float w = static_cast<float>(eq[o * m + r]) * es[o];
+                for (size_t j = 0; j < n; ++j)
+                  e[o * n + j] = std::fmaf(w, fin[r * n + j], e[o * n + j]);
+              }
+            fin = e;
+          }
+          std::vector<float> want(rows * n);
+          ref_epilogue(fin, rows, imgs, plane, v.bias ? bias.data() : nullptr,
+                       v.residual != 0 ? resid.data() : nullptr, v.act,
+                       want.data());
+          for (const kernels::KernelBackend* be : cands) {
+            for (const TileMask& tm : masks) {
+              const MaskScope scope(tm.mask);
+              for (const int threads : {1, 3}) {
+                set_parallel_threads(threads);
+                std::vector<float> got =
+                    v.residual == 2 ? resid : std::vector<float>(rows * n);
+                std::vector<float> cs(m * n, -7.0f);
+                kernels::ConvEpilogue ep;
+                ep.out = got.data();
+                ep.bias = v.bias ? bias.data() : nullptr;
+                ep.residual = v.residual == 1   ? resid.data()
+                              : v.residual == 2 ? got.data()
+                                                : nullptr;
+                ep.act = v.act;
+                if (co != 0) {
+                  ep.co = co;
+                  ep.inner_act = v.inner;
+                  ep.exp_qw = eq.data();
+                  ep.exp_scales = es.data();
+                }
+                kernels::qconv(be, a.data(), k, xq.data(), s, cs.data(), n, m,
+                               p, scratch.data(), &ep);
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << be->name << " c=" << geo.c << " hw=" << geo.hw
+                    << " s=" << geo.s << " m=" << m << " co=" << co
+                    << " imgs=" << imgs << " bias=" << v.bias
+                    << " act=" << act_name(v.act)
+                    << " inner=" << act_name(v.inner)
+                    << " residual=" << v.residual << " tile=" << tm.name
+                    << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_parallel_threads(0);
 }
 
 TEST(PackedInt8, RoundTripWithinHalfStep) {

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "alf/alf_conv.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "engine/exec_context.hpp"
@@ -118,6 +119,18 @@ bool bits_equal(const Tensor& a, const Tensor& b) {
 // Round trip
 // ---------------------------------------------------------------------------
 
+/// True when both plans fold the same steps into the same convs: folds are
+/// never serialized, so load must re-derive the compiled table.
+bool same_folds(const Plan& a, const Plan& b) {
+  if (a.folds().size() != b.folds().size()) return false;
+  for (size_t i = 0; i < a.folds().size(); ++i) {
+    const StepFold& x = a.folds()[i];
+    const StepFold& y = b.folds()[i];
+    if (x.exp != y.exp || x.add != y.add || x.folded != y.folded) return false;
+  }
+  return true;
+}
+
 TEST(PlanIo, RoundTripBitIdenticalAcrossBackendsAndThreads) {
   TempDir td;
   Rng rng(73);
@@ -140,6 +153,7 @@ TEST(PlanIo, RoundTripBitIdenticalAcrossBackendsAndThreads) {
     EXPECT_EQ(loaded->workspace_floats(), compiled->workspace_floats());
     EXPECT_EQ(loaded->steps().size(), compiled->steps().size());
     EXPECT_NO_THROW(loaded->verify());
+    EXPECT_TRUE(same_folds(*compiled, *loaded));
 
     // Every packed weight section is bit-exact — no re-quantize, no
     // re-pack, no re-fold happened on the load path.
@@ -190,6 +204,15 @@ TEST(PlanIo, RoundTripEveryZooModelFloatAndInt8) {
                                    mc, rng, standard_conv_maker(mc.init, &rng))});
   cases.push_back({"resnet18", build_resnet18(
                                    mc, rng, standard_conv_maker(mc.init, &rng))});
+  {
+    // ALF blocks lower to code conv + 1x1 expansion pairs, which fold.
+    std::vector<AlfConv*> blocks;
+    cases.push_back({"alf_resnet20",
+                     build_resnet20(mc, rng, make_alf_conv_maker(
+                                                 AlfConfig{}, &rng, &blocks))});
+    for (AlfConv* b : blocks)
+      for (size_t i = 0; i < b->mask().numel(); i += 3) b->mask().at(i) = 0.0f;
+  }
   const Tensor x = random_input({2, mc.in_channels, kHw, kHw}, rng);
   for (Case& c : cases) {
     warm_bn(*c.model, mc.in_channels, kHw, rng);
@@ -204,6 +227,7 @@ TEST(PlanIo, RoundTripEveryZooModelFloatAndInt8) {
       plan::save(*compiled, file.string());
       auto loaded = plan::load(file.string());
       EXPECT_NO_THROW(loaded->verify());
+      EXPECT_TRUE(same_folds(*compiled, *loaded));
       ExecContext a(compiled), b(loaded);
       EXPECT_TRUE(bits_equal(a.run(x), b.run(x)));
     }

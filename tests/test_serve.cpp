@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "alf/alf_conv.hpp"
 #include "bench_common.hpp"
 #include "core/asan.hpp"
 #include "core/check.hpp"
@@ -758,6 +759,40 @@ std::unique_ptr<Sequential> residual_model(Rng& rng) {
   return m;
 }
 
+/// residual_model's block with ALF convs in the body, and nothing after
+/// it. Each ALF conv lowers to a code conv plus a 1x1 expansion
+/// (sigma_inter ReLU between them), and the plan folds both expansions and
+/// the block's add into the code convs' epilogues: the code slots are
+/// never written, and the shortcut slot, which no later step reuses, dies
+/// inside the region right after the conv that reads it as the residual.
+std::unique_ptr<Sequential> alf_residual_model(Rng& rng) {
+  AlfConfig cfg;
+  cfg.sigma_inter = Act::kRelu;
+  auto m = std::make_unique<Sequential>("toy_alf_res");
+  m->emplace<Conv2d>("c1", kInC, 8, 3, 1, 1, Init::kHe, rng);
+  m->emplace<Activation>("c1_relu", Act::kRelu);
+  auto body = std::make_unique<Sequential>("blk_body");
+  auto* a1 = body->emplace<AlfConv>("blk1", 8, 8, 3, 1, 1, cfg, rng);
+  body->emplace<Activation>("blk1_relu", Act::kRelu);
+  auto* a2 = body->emplace<AlfConv>("blk2", 8, 8, 3, 1, 1, cfg, rng);
+  for (AlfConv* a : {a1, a2})
+    for (size_t i = 0; i < a->mask().numel(); i += 3) a->mask().at(i) = 0.0f;
+  m->emplace<ResidualBlock>("blk", std::move(body), nullptr);
+  return m;
+}
+
+/// Both poisoning fixtures: the plain residual block and the folded ALF
+/// one. Each plan holds exactly kPoisoningSlots activation slots: ping-pong
+/// plus one shortcut slot, and for ALF the shortcut, code and expanded
+/// slots.
+std::vector<std::unique_ptr<Sequential>> poisoning_models(Rng& rng) {
+  std::vector<std::unique_ptr<Sequential>> models;
+  models.push_back(residual_model(rng));
+  models.push_back(alf_residual_model(rng));
+  return models;
+}
+constexpr size_t kPoisoningSlots = 3;
+
 /// True when every shadow granule inside each image row of every slot is
 /// poisoned (the granules straddling two rows never are: two chunks may
 /// own the rows on either side).
@@ -777,38 +812,47 @@ bool row_interiors_poisoned(const Plan& plan, const ExecContext& ctx) {
 
 TEST(ExecContext, ArenaIsPoisonedBetweenRunsExactlyWhenInstrumented) {
   Rng rng(61);
-  auto model = residual_model(rng);
-  warm_bn(*model, rng);
-  set_parallel_threads(4);  // a multi-chunk grid: chunks retire slots
-  auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
-  set_parallel_threads(0);
-  ASSERT_GT(plan->chunks(), size_t{1});
-  ExecContext ctx(plan);
-  // Freshly constructed: every activation slot starts dead.
-  EXPECT_EQ(asan_is_poisoned(ctx.workspace_data()), asan_enabled());
+  for (const auto& model : poisoning_models(rng)) {
+    SCOPED_TRACE(model->name());
+    warm_bn(*model, rng);
+    set_parallel_threads(4);  // a multi-chunk grid: chunks retire slots
+    auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
+    set_parallel_threads(0);
+    ASSERT_GT(plan->chunks(), size_t{1});
+    ASSERT_EQ(plan->activation_slots(), kPoisoningSlots);
+    if (model->name() == "toy_alf_res") {
+      // Both expansions and the block's add run in conv epilogues.
+      size_t folded = 0;
+      for (const StepFold& f : plan->folds()) folded += f.folded ? 1 : 0;
+      EXPECT_EQ(folded, size_t{3});
+    }
+    ExecContext ctx(plan);
+    // Freshly constructed: every activation slot starts dead.
+    EXPECT_EQ(asan_is_poisoned(ctx.workspace_data()), asan_enabled());
 
-  Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
-  const Tensor got = ctx.run(x);
-  // Poisoning must be invisible in the results: a second context (and the
-  // reference Engine path) agrees bit-for-bit.
-  Engine ref = toy_engine(*model);
-  const Tensor want = ref.run(x);
-  for (size_t i = 0; i < want.numel(); ++i)
-    ASSERT_EQ(got.at(i), want.at(i)) << i;
-  // Between runs the whole slot region is dead again — first byte of
-  // every activation slot, not just the arena base, and every row each
-  // chunk re-poisoned when the slot's last toucher retired.
-  for (size_t s = 0; s < plan->activation_slots(); ++s)
-    EXPECT_EQ(
-        asan_is_poisoned(ctx.workspace_data() + s * plan->slot_stride()),
-        asan_enabled())
-        << "slot " << s + 1;
-  if (asan_enabled()) {
-    EXPECT_TRUE(row_interiors_poisoned(*plan, ctx));
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    const Tensor got = ctx.run(x);
+    // Poisoning must be invisible in the results: a second context (and
+    // the reference Engine path) agrees bit-for-bit.
+    Engine ref = toy_engine(*model);
+    const Tensor want = ref.run(x);
+    for (size_t i = 0; i < want.numel(); ++i)
+      ASSERT_EQ(got.at(i), want.at(i)) << i;
+    // Between runs the whole slot region is dead again — first byte of
+    // every activation slot, not just the arena base, and every row each
+    // chunk re-poisoned when the slot's last toucher retired.
+    for (size_t s = 0; s < plan->activation_slots(); ++s)
+      EXPECT_EQ(
+          asan_is_poisoned(ctx.workspace_data() + s * plan->slot_stride()),
+          asan_enabled())
+          << "slot " << s + 1;
+    if (asan_enabled()) {
+      EXPECT_TRUE(row_interiors_poisoned(*plan, ctx));
+    }
+    // The conv scratch past the slots is never poisoned (GEMMs may read
+    // their result region before first writing it).
+    EXPECT_FALSE(asan_is_poisoned(ctx.workspace_data() + plan->col_offset()));
   }
-  // The conv scratch past the slots is never poisoned (GEMMs may read
-  // their result region before first writing it).
-  EXPECT_FALSE(asan_is_poisoned(ctx.workspace_data() + plan->col_offset()));
 }
 
 using ExecContextDeathTest = ::testing::Test;
@@ -818,33 +862,36 @@ TEST(ExecContextDeathTest, DeadSlotReadFaultsUnderAsan) {
     GTEST_SKIP() << "arena poisoning is armed only in ASan builds";
   }
   Rng rng(62);
-  auto model = residual_model(rng);
-  set_parallel_threads(4);
-  auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
-  set_parallel_threads(0);
-  ASSERT_GT(plan->chunks(), size_t{1});
-  ASSERT_EQ(plan->activation_slots(), size_t{3});
-  ExecContext ctx(plan);
-  Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
-  (void)ctx.run(x);
-  // Every slot is dead after the run; touching one is exactly the bug the
-  // poisoning exists to catch, and must die with a use-after-poison
-  // report, not return stale activations — in the first chunk's rows and
-  // in the last chunk's, which another worker retired, and in the slot
-  // that died inside the per-image region as well as in those the head
-  // retired.
-  const size_t last_row = (kBatch - 1) * (plan->slot_stride() / kBatch);
-  for (size_t s = 0; s < plan->activation_slots(); ++s)
-    for (const size_t row_at : {size_t{0}, last_row + 2}) {
-      const size_t at = s * plan->slot_stride() + row_at;
-      EXPECT_DEATH(
-          {
-            volatile float stale = ctx.workspace_data()[at];
-            (void)stale;
-          },
-          "use-after-poison")
-          << "slot " << s + 1 << " float " << at;
-    }
+  for (const auto& model : poisoning_models(rng)) {
+    SCOPED_TRACE(model->name());
+    set_parallel_threads(4);
+    auto plan = Plan::compile(*model, kBatch, kInC, kHw, kHw);
+    set_parallel_threads(0);
+    ASSERT_GT(plan->chunks(), size_t{1});
+    ASSERT_EQ(plan->activation_slots(), kPoisoningSlots);
+    ExecContext ctx(plan);
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    (void)ctx.run(x);
+    // Every slot is dead after the run; touching one is exactly the bug
+    // the poisoning exists to catch, and must die with a use-after-poison
+    // report, not return stale activations — in the first chunk's rows
+    // and in the last chunk's, which another worker retired, and in the
+    // slot that died inside the per-image region as well as in those the
+    // head retired (and, in the ALF plan, in the code slots its folded
+    // expansions never wrote).
+    const size_t last_row = (kBatch - 1) * (plan->slot_stride() / kBatch);
+    for (size_t s = 0; s < plan->activation_slots(); ++s)
+      for (const size_t row_at : {size_t{0}, last_row + 2}) {
+        const size_t at = s * plan->slot_stride() + row_at;
+        EXPECT_DEATH(
+            {
+              volatile float stale = ctx.workspace_data()[at];
+              (void)stale;
+            },
+            "use-after-poison")
+            << "slot " << s + 1 << " float " << at;
+      }
+  }
 }
 
 TEST(ExecContext, OddSizedRowsRunCleanOnAMultiChunkGrid) {
