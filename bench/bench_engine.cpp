@@ -15,7 +15,6 @@
 #include "core/parallel.hpp"
 #include "engine/engine.hpp"
 #include "engine/plan_io.hpp"
-#include "tune/tuner.hpp"
 
 using namespace alf;
 using namespace alf::bench;
@@ -98,10 +97,6 @@ int main(int argc, char** argv) {
   if (hw_threads > 1) threads.push_back(hw_threads);
 
   BenchJson json("bench_engine", s.name);
-  // Every engine row below runs the heuristic (untuned) plan; the autotuned
-  // comparison carries its own rows. Stamped so a perf trajectory across
-  // PRs never mixes tuned and untuned numbers silently.
-  json.row("meta/tune").extra_str["tune_mode"] = "heuristic";
   Table table("Engine vs Sequential::forward (eval)");
   table.set_header({"model", "batch", "threads", "layers[ms]", "engine[ms]",
                     "speedup", "engine G madds/s"});
@@ -189,59 +184,6 @@ int main(int argc, char** argv) {
   std::error_code cleanup_ec;
   fs::remove_all(blob_dir, cleanup_ec);
   cold.print();
-
-  // --- Per-shape autotuner (src/tune/): tuned plan vs heuristic plan. ---
-  // Per zoo model x datapath at batch 32: compile once with the hand-written
-  // predicates, once under TuneMode::kCached (first model pays the
-  // microbenchmarks, later ones replay shared shapes), and race the two
-  // plans on identical input. The tuner's 3% hysteresis means the tuned
-  // plan can only confirm or beat the heuristic, never regress it — the
-  // speedup column is the acceptance record.
-  Table tuned_tab("Autotuned plan vs heuristic plan (batch 32)");
-  tuned_tab.set_header(
-      {"model", "dtype", "heuristic[ms]", "tuned[ms]", "speedup"});
-  const fs::path cache_file =
-      fs::temp_directory_path() / "alf_bench_engine_algo.cache";
-  std::error_code tune_ec;
-  fs::remove(cache_file, tune_ec);  // cold cache: measure, don't inherit
-  tune::set_reps(std::strcmp(s.name, "quick") == 0 ? 2 : 3);
-  for (auto& mut : models) {
-    Tensor x = random_input({32, mc.in_channels, s.hw, s.hw}, rng);
-    for (const char* backend : {"", "int8"}) {
-      const char* dtype = *backend ? "int8" : "f32";
-      EngineOptions heur_opts;
-      heur_opts.backend = backend;
-      heur_opts.bits = 8;
-      heur_opts.tune = TuneMode::kHeuristic;
-      EngineOptions tuned_opts = heur_opts;
-      tuned_opts.tune = TuneMode::kCached;
-      tuned_opts.algo_cache = cache_file.string();
-      Engine heur =
-          Engine::compile(*mut.model, 32, mc.in_channels, s.hw, s.hw,
-                          heur_opts);
-      Engine tuned =
-          Engine::compile(*mut.model, 32, mc.in_channels, s.hw, s.hw,
-                          tuned_opts);
-      Tensor out({32, heur.classes()});
-      heur.run(x, out);  // warmup both
-      tuned.run(x, out);
-      const double heur_ms = time_ms(reps, [&] { heur.run(x, out); });
-      const double tuned_ms = time_ms(reps, [&] { tuned.run(x, out); });
-      tuned_tab.add_row({mut.name, dtype, Table::fmt(heur_ms, 3),
-                         Table::fmt(tuned_ms, 3),
-                         Table::fmt(heur_ms / tuned_ms, 2)});
-      char row_name[96];
-      std::snprintf(row_name, sizeof(row_name), "tuned/%s_%s", mut.name,
-                    dtype);
-      BenchRow& row = json.row(row_name);
-      row.wall_ms = tuned_ms;
-      row.extra["heuristic_ms"] = heur_ms;
-      row.extra["speedup_vs_heuristic"] = heur_ms / tuned_ms;
-      row.extra_str["tune_mode"] = "cached";
-    }
-  }
-  fs::remove(cache_file, tune_ec);
-  tuned_tab.print();
 
   table.print();
   if (json.write(json_path)) {

@@ -24,7 +24,6 @@
 #include "hwmodel/mapper.hpp"
 #include "kernels/backend.hpp"
 #include "quant/quantize.hpp"
-#include "tune/tuner.hpp"
 
 using namespace alf;
 using namespace alf::bench;
@@ -49,19 +48,6 @@ struct Problem {
   const char* tag;
   size_t m, k, n;
 };
-
-/// Human-readable tag of one tuner candidate, e.g.
-/// "scalar/t0x256x256" — what the "winner" column reports.
-std::string describe_choice(const AlgoChoice& c) {
-  std::string out = c.backend.empty() ? std::string("default") : c.backend;
-  if (!c.tile.is_default()) {
-    char t[40];
-    std::snprintf(t, sizeof(t), "/t%ux%ux%u", c.tile.mc, c.tile.kc,
-                  c.tile.nc);
-    out += t;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -201,69 +187,6 @@ int main(int argc, char** argv) {
   }
   set_parallel_threads(0);
   table.print();
-
-  // --- 1b. Per-shape autotuner: tuned choice vs heuristic per conv shape. --
-  // The tuner's own microbenchmark (tune::measure_choice — forced
-  // single-layer compile + min-of-K forward passes) over the conv shapes
-  // the CIFAR zoo actually executes at this scale. The heuristic row is
-  // candidate 0 by construction; challengers must beat it by >3% to win,
-  // so tuned >= heuristic holds for every row.
-  {
-    struct ConvShape {
-      const char* tag;
-      size_t c, hw, k, stride, pad, o;
-      bool quant;
-    };
-    const size_t w = s.width;
-    const std::vector<ConvShape> shapes = {
-        {"conv3x3_in", 3, s.hw, 3, 1, 1, w, false},  // RGB stem conv
-        {"conv3x3_stage1", w, s.hw, 3, 1, 1, w, false},
-        {"conv3x3_down", w, s.hw, 3, 2, 1, 2 * w, false},
-        {"conv1x1_skip", w, s.hw, 1, 2, 0, 2 * w, false},
-        {"conv3x3_stage2", 2 * w, s.hw / 2, 3, 1, 1, 2 * w, false},
-        {"conv3x3_stage2_q8", 2 * w, s.hw / 2, 3, 1, 1, 2 * w, true},
-    };
-    tune::set_reps(quick ? 2 : 5);
-    Table ttab("autotuner: tuned vs heuristic per conv shape (batch 32)");
-    ttab.set_header(
-        {"shape", "heuristic[ms]", "tuned[ms]", "speedup", "winner"});
-    for (const ConvShape& cs : shapes) {
-      tune::TuneShape ts;
-      ts.is_conv = true;
-      ts.geom = ConvGeom{cs.c, cs.hw, cs.hw, cs.k, cs.stride, cs.pad};
-      ts.out_c = cs.o;
-      ts.quantized = cs.quant;
-      ts.qbits = 8;
-      ts.batch = 32;
-      ts.chunks = std::min<size_t>(
-          32, static_cast<size_t>(std::max(1, parallel_threads())));
-      ts.plan_backend = cs.quant ? "int8" : "";
-      const std::vector<AlgoChoice> cands = tune::candidates(ts);
-      const double heur_ms = tune::measure_choice(ts, cands[0]);
-      double best_ms = heur_ms;
-      AlgoChoice best = cands[0];
-      for (size_t ci = 1; ci < cands.size(); ++ci) {
-        const double ms = tune::measure_choice(ts, cands[ci]);
-        if (ms < best_ms * 0.97) {
-          best_ms = ms;
-          best = cands[ci];
-        }
-      }
-      const std::string winner =
-          best_ms == heur_ms ? "heuristic" : describe_choice(best);
-      ttab.add_row({cs.tag, Table::fmt(heur_ms, 3), Table::fmt(best_ms, 3),
-                    Table::fmt(heur_ms / best_ms, 2), winner});
-      char row_name[96];
-      std::snprintf(row_name, sizeof(row_name), "tune/%s", cs.tag);
-      BenchRow& row = json.row(row_name);
-      row.wall_ms = best_ms;
-      row.extra["heuristic_ms"] = heur_ms;
-      row.extra["speedup_vs_heuristic"] = heur_ms / best_ms;
-      row.extra["candidates"] = static_cast<double>(cands.size());
-      row.extra_str["winner"] = winner;
-    }
-    ttab.print();
-  }
 
   // --- 2. ALF-deployed ResNet-20: int8 engine vs float engine. ------------
   // The model is TRAINED (briefly, at bench scale) before comparing: top-1

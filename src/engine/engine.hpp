@@ -25,7 +25,7 @@
 // expansion and residual add it is followed by (Plan::folds()).
 // Activation slots are reused by a linear-scan register allocator
 // (ping-pong for straight-line stretches, a third slot across residual
-// shortcuts); per-chunk im2col scratch lives at the end of the arena so
+// shortcuts); per-chunk conv scratch lives at the end of the arena so
 // the batched conv steps never allocate.
 //
 // All kernels are the free functions the nn/ layers themselves forward
@@ -108,7 +108,7 @@ class Engine {
   size_t in_w() const { return plan_->in_w(); }
   /// Floats of one input image (= in_c * in_h * in_w).
   size_t image_floats() const { return plan_->image_floats(); }
-  /// Total arena floats (activation slots + im2col scratch).
+  /// Total arena floats (activation slots + conv scratch).
   size_t workspace_floats() const { return ctx_.workspace_floats(); }
   /// Arena base pointer; stable across run() calls (tests assert no growth).
   const float* workspace_data() const { return ctx_.workspace_data(); }

@@ -9,7 +9,6 @@
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "kernels/backend.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "quant/quantize.hpp"
@@ -142,11 +141,13 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
 void ExecContext::run_conv(size_t si, const float* in, float* out,
                            const float* residual, size_t imgs, size_t ci) {
   // The chunk's images sit back to back at `in`; chunk ci owns slice ci of
-  // every scratch region of THIS context. Every path computes the images
-  // side by side as one [Co, imgs*Ho*Wo] product whose epilogue stores it
-  // straight to NCHW; the result scratch is workspace for the paths that
-  // finish the whole product before storing it.
+  // every scratch region of THIS context. One call of the plan backend's
+  // conv entry (qconv on int8) computes the images side by side as one
+  // [Co, imgs*Ho*Wo] product whose epilogue stores it straight to NCHW;
+  // the result scratch is workspace for entries that finish the whole
+  // product before storing it.
   const Plan& p = *plan_;
+  const kernels::KernelBackend* be = p.backend();
   const Step& st = p.steps()[si];
   const StepFold& f = p.folds()[si];
   // The epilogue: the bias and activation of the conv that leaves the
@@ -172,7 +173,6 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
   const size_t ld = imgs * cols;
   const size_t rows = g.col_rows();
   float* res = workspace_.data() + p.result_offset() + ci * p.result_floats();
-  float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
   const kernels::ConvShape cs = conv_shape(g, imgs);
   if (st.quantized) {
     // Quantize each image ONCE, with its own max-abs scale, into a
@@ -203,27 +203,21 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
     params.a_scales = st.qw_scales.data();  // per-output-channel
     params.b_scales = bscales;              // per-image
     params.b_zp = zp;
-    kernels::qconv(st.be, st.qw.data(), rows, qimg, cs, res, ld, st.out_c,
-                   params, qws_.data() + ci * p.col_floats(), &ep);
-  } else if (st.gathered_conv()) {
-    // Each image is copied once into a zero-padded float buffer in the
-    // chunk's col slice (read in place from the activation slot when the
-    // conv has no padding); the backend's conv gathers B panels from it.
-    const float* x = in;
-    if (g.pad != 0) {
-      for (size_t j = 0; j < imgs; ++j)
-        kernels::pad_f32(in + j * st.in_sz, g.in_c, g.in_h, g.in_w, g.pad,
-                         col + j * cs.image_size());
-      x = col;
-    }
-    st.be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c, &ep);
-  } else {
-    for (size_t j = 0; j < imgs; ++j)
-      im2col_view(in + j * st.in_sz, g, col + j * cols, ld);
-    kernels::gemm_dispatch(st.be, st.tile, st.w.data(), rows, false, col, ld,
-                           false, res, ld, st.out_c, rows, ld, 1.0f, 0.0f);
-    kernels::conv_epilogue(st.be, res, ld, st.out_c, cs, ep);
+    be->qconv(st.qw.data(), rows, qimg, cs, res, ld, st.out_c, params, &ep);
+    return;
   }
+  // Each image is copied once into a zero-padded float buffer in the
+  // chunk's col slice (read in place from the activation slot when the
+  // conv has no padding); the conv entry reads B from it.
+  const float* x = in;
+  if (g.pad != 0) {
+    float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
+    for (size_t j = 0; j < imgs; ++j)
+      kernels::pad_f32(in + j * st.in_sz, g.in_c, g.in_h, g.in_w, g.pad,
+                       col + j * cs.image_size());
+    x = col;
+  }
+  be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c, &ep);
 }
 
 void ExecContext::run_linear(const Step& st, const float* src, float* dst,
@@ -231,7 +225,7 @@ void ExecContext::run_linear(const Step& st, const float* src, float* dst,
   if (!st.quantized) {
     linear_forward_view(src, n, st.in_features, st.w.data(), st.out_features,
                         st.bias.empty() ? nullptr : st.bias.data(), st.act,
-                        dst, st.be);
+                        dst, plan_->backend());
     return;
   }
   // Dynamic per-image input quantization into the int8 scratch (the conv
@@ -256,9 +250,9 @@ void ExecContext::run_linear(const Step& st, const float* src, float* dst,
   params.a_scales = ascales;              // per-image
   params.b_scales = st.qw_scales.data();  // per-output-feature
   params.a_zp = static_cast<int32_t>(zp);
-  st.be->qgemm(qws_.data(), st.in_features, st.qw.data(), st.out_features,
-               dst, st.out_features, n, st.in_features, st.out_features,
-               params);
+  plan_->backend()->qgemm(qws_.data(), st.in_features, st.qw.data(),
+                          st.out_features, dst, st.out_features, n,
+                          st.in_features, st.out_features, params);
   if (!st.bias.empty()) {
     const float* b = st.bias.data();
     for (size_t i = 0; i < n; ++i) {

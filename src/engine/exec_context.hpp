@@ -1,9 +1,9 @@
 // ExecContext: the mutable half of the compiled-model split (see plan.hpp).
 //
 // One ExecContext is everything a single in-flight batch needs that a Plan
-// deliberately does not own: the activation arena, the per-chunk im2col and
-// GEMM-result scratch, and (for quantized plans) the int8 activation and
-// per-image scale scratch. Construction is cheap — a handful of vector
+// deliberately does not own: the activation arena, the per-chunk
+// padded-image and conv-result scratch, and (for quantized plans) the int8
+// padded images, the linear head's int8 input and the per-image scales. Construction is cheap — a handful of vector
 // allocations sized by the Plan's layout, no weight copies — so a serving
 // worker pool hands one context per hosted plan to every worker and runs N
 // batches of the same compiled model concurrently.
@@ -74,7 +74,7 @@ class ExecContext {
   const Plan& plan() const { return *plan_; }
   const std::shared_ptr<const Plan>& plan_ptr() const { return plan_; }
 
-  /// Total arena floats (activation slots + im2col scratch).
+  /// Total arena floats (activation slots + conv scratch).
   size_t workspace_floats() const { return workspace_.size(); }
   /// Arena base pointer; stable across run() calls (tests assert no growth).
   const float* workspace_data() const { return workspace_.data(); }
@@ -96,7 +96,7 @@ class ExecContext {
   std::shared_ptr<const Plan> plan_;
   size_t head_ = 0;  ///< Plan::head(): first step of the batch-level head
   std::vector<float> workspace_;
-  std::vector<int8_t> qws_;  ///< int8 activation scratch (quantized plans)
+  std::vector<int8_t> qws_;  ///< int8 linear-head input (quantized plans)
   std::vector<float> qbs_;   ///< per-image column scales (one slice of
                              ///< Plan::qbs_stride() per chunk)
   /// Zero-point-padded int8 images of quantized conv chunks (one slice of

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "quant/quantize.hpp"
-#include "tune/tuner.hpp"
 
 namespace alf {
 
@@ -174,32 +172,7 @@ struct BuildStep {
   std::vector<float> qw_scales;
   int qbits = 8;
   bool in_nonneg = false;
-  // Per-step algorithm decision (tuner/forced/heuristic), applied by
-  // compile() and copied into the final Step.
-  const kernels::KernelBackend* be = nullptr;
-  kernels::TileParams tile;
 };
-
-/// How Plan::compile actually selects per-step algorithms once kDefault
-/// has been resolved: $ALF_TUNE ("off" / "cached" / "full"); unset or
-/// unrecognized keeps the hand-written heuristics.
-TuneMode resolve_tune_mode(TuneMode mode) {
-  if (mode != TuneMode::kDefault) return mode;
-  if (const char* env = std::getenv("ALF_TUNE"); env != nullptr) {
-    if (std::strcmp(env, "cached") == 0) return TuneMode::kCached;
-    if (std::strcmp(env, "full") == 0) return TuneMode::kFull;
-  }
-  return TuneMode::kHeuristic;
-}
-
-/// Whether a conv runs its step backend's gathered conv entry instead of
-/// the im2col branch: the one rule behind Step::gathered_conv(), the col
-/// scratch sizing and the tile application below.
-bool runs_gathered(OpKind kind, bool quantized,
-                   const kernels::KernelBackend* be) {
-  return kind == OpKind::kConv && !quantized && be != nullptr &&
-         be->conv != nullptr;
-}
 
 /// Walk state of Plan::compile. Activations are tracked as *virtual*
 /// buffers (one per producing step, plus id 0 = external input); a
@@ -491,7 +464,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   // ReLU/sigmoid, and max-pool / global-avg-pool / residual-add preserve
   // the property. Quantized steps use it to pick an asymmetric activation
   // grid; the pass is structural, so the choice never depends on data.
-  // (Runs before the tuner below: in_nonneg is part of the shape key.)
   {
     std::vector<bool> nonneg(cc.vnumel.size(), false);
     for (BuildStep& st : cc.steps) {
@@ -519,74 +491,9 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     }
   }
 
-  // The fixed batch partition (needed by the tuner's shape key and by the
-  // scratch sizing below).
+  // The fixed batch partition (needed by the scratch sizing below).
   const size_t nchunks = std::min<size_t>(
       batch, static_cast<size_t>(std::max(1, parallel_threads())));
-
-  // --- Per-step algorithm decisions. ---
-  // One AlgoChoice per step (non-GEMM steps keep the default). Priority:
-  // forced choices (tests, the tuner's own candidate compiles) > the
-  // tuner (kCached replays the persistent cache, measuring only missing
-  // shapes; kFull re-measures everything) > all-default, which the
-  // application passes below reproduce as the exact pre-tuner behavior.
-  const TuneMode mode = resolve_tune_mode(opts.tune);
-  std::vector<AlgoChoice> choices(cc.steps.size());
-  {
-    tune::AlgoCache* cache = nullptr;
-    size_t t = 0;  // index among conv/linear steps (force_choices indexing)
-    for (size_t i = 0; i < cc.steps.size(); ++i) {
-      const BuildStep& st = cc.steps[i];
-      if (st.kind != OpKind::kConv && st.kind != OpKind::kLinear) continue;
-      if (!opts.force_choices.empty()) {
-        choices[i] =
-            opts.force_choices[std::min(t, opts.force_choices.size() - 1)];
-      } else if (mode == TuneMode::kCached || mode == TuneMode::kFull) {
-        if (cache == nullptr) cache = &tune::cache_for(opts.algo_cache);
-        tune::TuneShape shape;
-        shape.is_conv = st.kind == OpKind::kConv;
-        shape.geom = st.geom;
-        shape.out_c = st.out_c;
-        shape.in_features = st.in_features;
-        shape.out_features = st.out_features;
-        shape.quantized = quantize;
-        shape.qbits = quantize ? opts.bits : 0;
-        shape.in_nonneg = st.in_nonneg;
-        shape.batch = batch;
-        shape.chunks = nchunks;
-        shape.plan_backend = backend->name;
-        choices[i] = tune::choose(shape, mode, *cache);
-      }
-      ++t;
-    }
-    if (cache != nullptr) cache->save();
-  }
-
-  // Apply each choice: per-step backend and tile. Every step carries a
-  // backend pointer (the plan backend when the choice leaves it open); a
-  // named backend must exist and share the plan's datapath — the packed
-  // weight panels have one ABI per datapath. Tiles only stick on backends
-  // exposing a tiled GEMM entry, and never on a gathered conv, which
-  // issues no GEMM.
-  for (size_t i = 0; i < cc.steps.size(); ++i) {
-    BuildStep& st = cc.steps[i];
-    st.be = backend;
-    if (st.kind != OpKind::kConv && st.kind != OpKind::kLinear) continue;
-    const AlgoChoice& ch = choices[i];
-    if (!ch.backend.empty()) {
-      const kernels::KernelBackend* b = kernels::find_backend(ch.backend);
-      ALF_CHECK(b != nullptr)
-          << "engine: step '" << st.name << "': unknown tuned backend '"
-          << ch.backend << "'";
-      ALF_CHECK(b->quantized_datapath == quantize)
-          << "engine: step '" << st.name << "': tuned backend '" << ch.backend
-          << "' is on the wrong datapath for this plan";
-      st.be = b;
-    }
-    if (st.be->gemm_tiled != nullptr &&
-        !runs_gathered(st.kind, quantize, st.be))
-      st.tile = ch.tile;
-  }
 
   // int8 lowering: export the (BN-folded) weights of every conv/linear
   // step as packed symmetric-int8 panels, calibrated per output channel
@@ -702,21 +609,19 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   for (size_t v = 1; v < nvirt; ++v) max_act = std::max(max_act, cc.vnumel[v]);
   plan->slot_stride_ = batch * max_act;
   plan->nchunks_ = nchunks;
-  // Convs compute a whole chunk of images as one product into a result
-  // scratch before the NCHW scatter, reading B from a col scratch: the
-  // chunk's zero-padded images for a gathered conv (nothing when it has no
-  // padding), its im2col unfold otherwise (conv_col_floats). Both regions
-  // are per-chunk slices at the arena tail, sized for the widest chunk any
-  // run cuts (n <= batch images over min(nchunks, n) chunks never exceed
-  // ceil(batch / nchunks) images).
+  // Convs compute a whole chunk of images as one product, with a result
+  // scratch as workspace for the conv entries that finish the product
+  // before storing it; a float conv reads B from a col scratch holding
+  // the chunk's zero-padded images (nothing when it has no padding:
+  // conv_col_floats). Both regions are per-chunk slices at the arena
+  // tail, sized for the widest chunk any run cuts (n <= batch images over
+  // min(nchunks, n) chunks never exceed ceil(batch / nchunks) images).
   const size_t chunk_imgs = (batch + nchunks - 1) / nchunks;
   size_t max_col = 0, max_res = 0;
   for (const BuildStep& st : cc.steps) {
     if (st.kind != OpKind::kConv) continue;
-    max_col = std::max(
-        max_col, conv_col_floats(st.geom,
-                                 runs_gathered(st.kind, st.quantized, st.be),
-                                 chunk_imgs));
+    if (!st.quantized)
+      max_col = std::max(max_col, conv_col_floats(st.geom, chunk_imgs));
     max_res = std::max(max_res, st.out_sz * chunk_imgs);
   }
   plan->col_sz_ = max_col;
@@ -724,18 +629,16 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   plan->col_off_ = plan->slots_ * plan->slot_stride_;
   plan->res_off_ = plan->col_off_ + plan->nchunks_ * plan->col_sz_;
 
-  // Quantized plans additionally size int8 activation scratch: per-chunk
-  // quantized-im2col slices (the col scratch geometry; the unfold qconv's
-  // shared fallback materializes) and, for linear steps, a
-  // whole-batch quantized-input region. Conv chunks and linear steps never
-  // overlap in time, so one buffer serves both. The qbs region carries the
+  // Quantized plans additionally size int8 activation scratch: the
+  // whole-batch quantized input of the linear head (quantized convs read
+  // the context's zero-point-padded images). The qbs region carries the
   // per-image column scales handed to the qgemm requantization.
   if (quantize) {
     size_t max_lin = 0;
     for (const BuildStep& st : cc.steps)
       if (st.kind == OpKind::kLinear)
         max_lin = std::max(max_lin, batch * st.in_features);
-    plan->qws_sz_ = std::max(plan->nchunks_ * plan->col_sz_, max_lin);
+    plan->qws_sz_ = max_lin;
     size_t max_cols = batch;  // linear steps use one scale per batch row
     for (const BuildStep& st : cc.steps)
       if (st.kind == OpKind::kConv)
@@ -824,8 +727,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     st.quantized = bs.quantized;
     st.qbits = bs.qbits;
     st.in_nonneg = bs.in_nonneg;
-    st.be = bs.be;
-    st.tile = bs.tile;
+    st.be = backend;
   }
   bind_weight_views(plan->steps_, plan->sections_, plan->arena_);
   plan->derive_folds();
@@ -837,8 +739,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   return plan;
 }
 
-bool Step::gathered_conv() const { return runs_gathered(kind, quantized, be); }
-
 bool Plan::read_later(const std::vector<Step>& steps, size_t slot,
                       size_t from) {
   for (size_t j = from; j < steps.size(); ++j) {
@@ -849,7 +749,7 @@ bool Plan::read_later(const std::vector<Step>& steps, size_t slot,
 }
 
 bool Plan::reads_input_in_place(const Step& st) {
-  return st.gathered_conv() && st.geom.pad == 0;
+  return st.kind == OpKind::kConv && !st.quantized && st.geom.pad == 0;
 }
 
 void Plan::derive_folds() {
@@ -865,7 +765,6 @@ void Plan::derive_folds() {
       if (e.kind == OpKind::kConv && e.geom.kernel == 1 &&
           e.geom.stride == 1 && e.geom.pad == 0 && e.in == s.out &&
           s.bias.empty() && !read_later(st, s.out, i + 2) &&
-          (s.quantized || s.be == e.be) &&
           !(e.out == s.in && reads_input_in_place(s))) {
         folds_[i].exp = i + 1;
         folds_[i + 1].folded = true;
@@ -895,8 +794,7 @@ size_t Plan::head() const {
   return i;
 }
 
-size_t Plan::conv_col_floats(const ConvGeom& g, bool gathered, size_t imgs) {
-  if (!gathered) return g.col_rows() * g.col_cols() * imgs;
+size_t Plan::conv_col_floats(const ConvGeom& g, size_t imgs) {
   if (g.pad == 0) return 0;
   return imgs * g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
 }
@@ -916,29 +814,14 @@ std::string Plan::str() const {
   s += line;
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& st = steps_[i];
-    // Per-step algorithm decision: backend (when it differs from the
-    // plan's) and tile blocking — the full choice a tuned plan (or a
-    // loaded blob) carries, so dumps diff meaningfully.
-    char algo[96] = "";
-    if (st.kind == OpKind::kConv || st.kind == OpKind::kLinear) {
-      size_t off = 0;
-      if (st.be != nullptr && st.be != backend_)
-        off += static_cast<size_t>(std::snprintf(
-            algo + off, sizeof(algo) - off, " be=%s", st.be->name));
-      if (!st.tile.is_default() && off < sizeof(algo))
-        std::snprintf(algo + off, sizeof(algo) - off, " tile=%ux%ux%u",
-                      st.tile.mc, st.tile.kc, st.tile.nc);
-    }
     char geom[144] = "";
     if (st.kind == OpKind::kConv) {
-      std::snprintf(geom, sizeof(geom), "  [%zux%zux%zu] %s%s", st.out_c,
+      std::snprintf(geom, sizeof(geom), "  [%zux%zux%zu]%s", st.out_c,
                     st.geom.out_h(), st.geom.out_w(),
-                    st.quantized ? "qgemm-int8"
-                                 : (st.gathered_conv() ? "gather" : "im2col"),
-                    algo);
+                    st.quantized ? " qgemm-int8" : "");
     } else if (st.kind == OpKind::kLinear) {
-      std::snprintf(geom, sizeof(geom), "  [%zu -> %zu]%s%s", st.in_features,
-                    st.out_features, st.quantized ? " qgemm-int8" : "", algo);
+      std::snprintf(geom, sizeof(geom), "  [%zu -> %zu]%s", st.in_features,
+                    st.out_features, st.quantized ? " qgemm-int8" : "");
     }
     // Folds: the host conv names the steps its epilogue also runs, each
     // folded step the conv that runs it.

@@ -1,7 +1,7 @@
 // Plan: the immutable half of the compiled-model split.
 //
 // Engine::compile used to weld what was compiled (steps, folded weights,
-// packed/int8 weight blobs, per-step choices, arena layout) to what runs
+// packed/int8 weight blobs, pinned backend, arena layout) to what runs
 // it (one mutable workspace arena). That limits a compiled model to one
 // in-flight batch. The split here mirrors the compiled-blob-vs-execution-
 // context separation every serious inference stack converges on:
@@ -11,7 +11,7 @@
 //                 number of ExecContexts (one per server worker) execute
 //                 it concurrently, race-free by construction because a
 //                 run only ever writes its own context.
-//   ExecContext — per-worker storage: arena, col/qgemm scratch
+//   ExecContext — per-worker storage: arena, padded-image/qgemm scratch
 //                 (exec_context.hpp).
 //   Engine      — thin compatibility facade owning one Plan + one
 //                 context (engine.hpp); pre-split call sites compile
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/tile.hpp"
 #include "nn/activations.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
@@ -128,33 +127,12 @@ enum class OpKind {
 /// Printable kind tag.
 const char* op_kind_name(OpKind kind);
 
-/// How Plan::compile selects per-step algorithms (kernel backend, tile
-/// parameters).
+/// What EngineOptions::tune selects. Plans have one way to pick their
+/// kernels — the plan backend runs every step — so kHeuristic is the only
+/// value; the type stays while the benchmark harness (bench_e2e/e2e.cpp)
+/// still assigns it.
 enum class TuneMode {
-  /// Resolve from the ALF_TUNE environment variable ("off" / "cached" /
-  /// "full"); unset or unrecognized means kHeuristic.
-  kDefault,
-  /// The hand-written predicates and the built-in blocking constants —
-  /// exactly the pre-tuner behavior, zero microbenchmark runs.
   kHeuristic,
-  /// Replay the persistent algo cache (src/tune/); shapes missing from the
-  /// cache are measured once, recorded, and the cache file rewritten.
-  kCached,
-  /// Re-measure every shape and update the cache (ignore stale winners).
-  kFull,
-};
-
-/// One per-GEMM-step algorithm decision: what the tuner records per shape,
-/// what the plan carries per step, and what a blob persists (plan_io.cpp).
-/// The all-default AlgoChoice reproduces the heuristic path exactly.
-struct AlgoChoice {
-  /// Per-step kernel backend name; "" = the plan's backend. Must share the
-  /// plan backend's datapath (float plans pick float backends, quantized
-  /// plans pick quantized ones — the packed panels have one ABI).
-  std::string backend;
-  /// f32 GEMM cache blocking; all-zero = the backend's built-in constants.
-  /// Only sticks where a GEMM consumes it: convs on the im2col branch.
-  kernels::TileParams tile;
 };
 
 /// One stateless kernel invocation. Weight fields are non-owning views
@@ -189,9 +167,9 @@ struct Step {
   /// Retired shift-GEMM strategy: always false and empty (Plan::verify
   /// rejects anything else). Kept declared for code that still reads them.
   /// Every conv computes all images of a batch chunk side by side as one
-  /// [Co, G*Ho*Wo] product whose epilogue stores each panel straight to
-  /// NCHW — gathered by the step backend's conv entry when it has one
-  /// (gathered_conv()), else over an im2col unfold in plan scratch.
+  /// [Co, G*Ho*Wo] product through the plan backend's conv (float) or
+  /// qconv (int8) entry, whose epilogue stores each panel straight to
+  /// NCHW.
   bool shift_gemm = false;
   TensorView w9;
 
@@ -217,16 +195,10 @@ struct Step {
   /// values that cannot occur.
   bool in_nonneg = false;
 
-  /// Per-step kernel backend (tuner- or blob-chosen; the plan backend when
-  /// untuned). Never null on conv/linear steps after compile()/load; other
-  /// kinds issue no GEMMs and leave it at the plan backend too.
+  /// Always Plan::backend() (Plan::verify rejects anything else); the run
+  /// loop dispatches through the plan. Kept while the benchmark harness
+  /// (bench_e2e/layers.cpp) still reads it.
   const kernels::KernelBackend* be = nullptr;
-  /// f32 GEMM cache blocking for this step (all-zero = backend defaults).
-  kernels::TileParams tile;
-
-  /// True for a float conv whose step backend has a conv entry: it runs
-  /// be->conv over padded images instead of the im2col branch.
-  bool gathered_conv() const;
 };
 
 /// What else a step runs (Plan::folds()). A conv finishes its output in
@@ -235,14 +207,13 @@ struct Step {
 ///   (a) `exp`: a 1x1/s1/p0 conv that alone reads this conv's output. This
 ///       conv has no bias; its activation becomes the epilogue's inner
 ///       activation, the expansion's bias and activation the epilogue's.
-///       On the float datapath both steps share a step backend.
 ///   (b) `add`: the residual add right after this conv (or after its
 ///       expansion) when that conv's activation is none. If the conv wrote
 ///       the block's body (add.out), the residual is add.in; if it is the
 ///       projection (its output add.in, which nothing else reads), it
 ///       writes add.out in place, with add.out as the residual.
 /// Neither fold lets the epilogue write the slot the conv is still reading
-/// (a float conv gathered straight from its unpadded input slot).
+/// (a float conv without padding reads its input slot in place).
 /// Folded steps keep their place in steps() — the hwmodel, the bench
 /// harness and the blob still see every layer — and are marked `folded`:
 /// the run loop skips them. The table is derived from the step list by one
@@ -279,19 +250,14 @@ struct EngineOptions {
   /// (Existing call sites designated-initialize the fields above by
   /// position; new fields go below this line.)
   std::string name;
-  /// Per-shape algorithm selection mode; kDefault reads $ALF_TUNE.
-  TuneMode tune = TuneMode::kDefault;
-  /// Algo-cache file for kCached/kFull; "" = $ALF_ALGO_CACHE, else the
-  /// built-in default path (tune/algo_cache.hpp).
-  std::string algo_cache;
-  /// Forced per-step choices (tests, the tuner's own candidate compiles):
-  /// the i-th conv/linear step takes force_choices[min(i, size-1)] and the
-  /// tuner is bypassed entirely. Empty = no forcing.
-  std::vector<AlgoChoice> force_choices;
+  /// No effect: kHeuristic is the only mode. Kept because the benchmark
+  /// harness (bench_e2e/e2e.cpp) assigns it.
+  TuneMode tune = TuneMode::kHeuristic;
 };
 
-/// Compiled model: flat step list, folded/packed weights, per-step choices,
-/// pinned kernel backend, and the arena layout every ExecContext allocates.
+/// Compiled model: flat step list, folded/packed weights, the pinned kernel
+/// backend every step runs on, and the arena layout every ExecContext
+/// allocates.
 /// Immutable after compile() and shared by const pointer: concurrent runs
 /// on distinct contexts never touch Plan state, so a ModelServer hosts one
 /// Plan under many workers with no copies and no locks.
@@ -339,12 +305,13 @@ class Plan {
   /// Total float arena of one context (activation slots + conv scratch).
   size_t workspace_floats() const { return res_off_ + nchunks_ * res_sz_; }
   size_t col_offset() const { return col_off_; }
-  /// Per-chunk col scratch: sized by conv_col_floats() over every conv.
+  /// Per-chunk col scratch: sized by conv_col_floats() over every float
+  /// conv (0 on quantized plans, whose padded images are int8).
   size_t col_floats() const { return col_sz_; }
-  /// Per-chunk result scratch: workspace for the conv paths that compute
-  /// a whole product before the epilogue stores it (the im2col branch, the
-  /// int8 unfold fallback, simd's small shapes). Gathering kernels store
-  /// straight to the activation slots and leave it untouched.
+  /// Per-chunk result scratch: workspace for the conv entries that compute
+  /// a whole product before the epilogue stores it (scalar's conv, the
+  /// int8 unfold, simd's small shapes). Gathering kernels store straight
+  /// to the activation slots and leave it untouched.
   size_t result_offset() const { return res_off_; }
   size_t result_floats() const { return res_sz_; }
   /// Fixed batch partition (chosen at compile for determinism). A run of
@@ -360,15 +327,13 @@ class Plan {
   /// step is a kLinear (compile() and verify() enforce this) that runs once
   /// over all rows of the batch.
   size_t head() const;
-  /// Per-chunk col scratch a conv of geometry `g` needs for `imgs` images:
-  /// its zero-padded images when the conv is gathered (none when it has no
-  /// padding — the activation slot is read in place), the full im2col
-  /// unfold otherwise (the float im2col branch; for quantized convs, the
-  /// int8 unfold fallback's byte slice of the qws scratch). Compile sizes
-  /// col_floats() by it and verify() checks every conv against it.
-  static size_t conv_col_floats(const ConvGeom& g, bool gathered,
-                                size_t imgs);
-  /// int8 activation scratch bytes of one context (0 on float plans).
+  /// Per-chunk col scratch a float conv of geometry `g` needs for `imgs`
+  /// images: its zero-padded images, none when it has no padding (the
+  /// activation slot is read in place). Compile sizes col_floats() by it
+  /// and verify() checks every float conv against it.
+  static size_t conv_col_floats(const ConvGeom& g, size_t imgs);
+  /// int8 activation scratch bytes of one context: the quantized input of
+  /// the widest linear head step over the whole batch (0 on float plans).
   size_t qws_bytes() const { return qws_sz_; }
   /// Per-image scale-slice stride of the qgemm scratch.
   size_t qbs_stride() const { return qbs_sz_; }
@@ -391,7 +356,8 @@ class Plan {
   /// arena bounds, def-before-use slot dataflow with per-step shape
   /// chaining, scratch sizing against every conv's chunk geometry, weight
   /// panel shapes, int8 steps carrying complete/finite scales, and that
-  /// the pinned backend is live in the kernel registry. Throws
+  /// the pinned backend is live in the kernel registry and runs every
+  /// step. Throws
   /// PlanVerifyError naming the first violated invariant. Runs
   /// automatically at the end of compile() in debug builds; tests call it
   /// directly (including against deliberately corrupted plans).
@@ -426,8 +392,8 @@ class Plan {
   static bool read_later(const std::vector<Step>& steps, size_t slot,
                          size_t from);
   /// True when a conv reads its input slot while its epilogue stores: a
-  /// float conv gathered straight from the slot. Every other conv path
-  /// first copies its input (padded, quantized or unfolded) to scratch.
+  /// float conv without padding, handed the slot itself. Every other conv
+  /// first copies its input (padded or quantized) to scratch.
   static bool reads_input_in_place(const Step& st);
 
   std::vector<Step> steps_;

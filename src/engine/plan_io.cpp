@@ -81,6 +81,14 @@ void PlanIo::save(const Plan& p, const std::string& path) {
   const std::vector<Step>& steps = p.steps_;
   const std::vector<WeightSection>& sections = p.sections_;
   ALF_CHECK(p.backend_ != nullptr);
+  // Every step record carries the backend name in a fixed field; a name
+  // that does not fit would be cut, and the blob could not be loaded.
+  const std::string backend = p.backend_->name;
+  if (backend.size() >= sizeof(StepRecord::backend_name))
+    io_fail(Code::kBackend,
+            "kernel backend name '" + backend + "' is longer than " +
+                std::to_string(sizeof(StepRecord::backend_name) - 1) +
+                " characters; a blob cannot record it");
 
   // Meta region: step records, then the name blob, then section records.
   std::string names;
@@ -111,14 +119,9 @@ void PlanIo::save(const Plan& p, const std::string& path) {
     r.qbits = st.qbits;
     r.quantized = st.quantized ? 1 : 0;
     r.in_nonneg = st.in_nonneg ? 1 : 0;
-    // The per-step algorithm choice (v2). The actual backend name is
-    // stored for every GEMM step — never the "" shorthand — so a blob is
-    // self-describing even if the plan-level default changes meaning.
-    if (st.be != nullptr)
-      copy_name(r.backend_name, sizeof(r.backend_name), st.be->name);
-    r.tile_mc = st.tile.mc;
-    r.tile_kc = st.tile.kc;
-    r.tile_nc = st.tile.nc;
+    // Reserved: every step runs on the plan backend, whose name each
+    // record repeats; the tile fields stay 0.
+    copy_name(r.backend_name, sizeof(r.backend_name), backend);
   }
   std::vector<SectionRecord> xrecs(sections.size());
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -145,13 +148,8 @@ void PlanIo::save(const Plan& p, const std::string& path) {
   hdr.header_bytes = sizeof(FileHeader);
   hdr.panel_layout = kernels::kPanelLayoutVersion;
   copy_name(hdr.model_name, sizeof(hdr.model_name), p.name_);
-  copy_name(hdr.backend_name, sizeof(hdr.backend_name), p.backend_->name);
-  // A tuned plan may route individual steps through backends wider than
-  // the plan's own, so the feature stamp is the union — a host must be
-  // able to execute EVERY step, not just the default dispatch.
+  copy_name(hdr.backend_name, sizeof(hdr.backend_name), backend);
   hdr.cpu_features = p.backend_->required_features;
-  for (const Step& st : steps)
-    if (st.be != nullptr) hdr.cpu_features |= st.be->required_features;
   hdr.quantized = p.quant_ ? 1 : 0;
   hdr.qbits = plan_qbits(p);
   hdr.batch = p.batch_;
@@ -307,9 +305,6 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
 
   // --- Step records -------------------------------------------------------
   std::vector<Step> steps(hdr.nsteps);
-  // Per-step backend names decode here but resolve below, after the
-  // plan-level backend (the registry and feature checks live there).
-  std::vector<std::string> step_backends(hdr.nsteps);
   const auto* srecs =
       reinterpret_cast<const StepRecord*>(blob + hdr.steps_off);
   const char* names = reinterpret_cast<const char*>(blob + hdr.names_off);
@@ -349,11 +344,15 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     s.qbits = r.qbits;
     s.quantized = r.quantized != 0;
     s.in_nonneg = r.in_nonneg != 0;
+    // Reserved fields: the record repeats the plan backend's name
+    // (compared below, once the header's name is resolved) and carries no
+    // tile.
     if (std::memchr(r.backend_name, 0, sizeof(r.backend_name)) == nullptr)
       io_fail(Code::kBadSection,
               "step " + std::to_string(i) + ": unterminated backend name");
-    step_backends[i] = r.backend_name;
-    s.tile = kernels::TileParams{r.tile_mc, r.tile_kc, r.tile_nc};
+    if (r.tile_mc != 0 || r.tile_kc != 0 || r.tile_nc != 0)
+      io_fail(Code::kBadSection,
+              "step " + std::to_string(i) + ": carries a retired tile choice");
   }
 
   // --- Section records: structural pass, then payload checksums ----------
@@ -416,29 +415,13 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
   if ((hdr.quantized != 0) != backend->quantized_datapath)
     io_fail(Code::kBadHeader,
             "quantized flag disagrees with the stamped backend");
-  // Per-step backends: every stamped name must be live in this registry
-  // and executable on this host (the header's cpu_features union already
-  // covered the features at save; re-check against the live registry so a
-  // renamed or unregistered backend fails typed, not at dispatch).
   for (size_t i = 0; i < steps.size(); ++i) {
-    Step& s = steps[i];
-    if (step_backends[i].empty()) {
-      s.be = backend;  // pre-tuner shorthand: the plan's own backend
-      continue;
-    }
-    const kernels::KernelBackend* be = kernels::find_backend(step_backends[i]);
-    if (be == nullptr)
-      io_fail(Code::kBackend, "step " + std::to_string(i) +
-                                  ": kernel backend '" + step_backends[i] +
-                                  "' is not registered in this build");
-    const uint32_t lacks =
-        be->required_features & ~kernels::allowed_cpu_features();
-    if (lacks != 0)
-      io_fail(Code::kCpuFeatures,
-              "step " + std::to_string(i) + ": backend '" + step_backends[i] +
-                  "' needs CPU features this host lacks (or has disabled): " +
-                  kernels::cpu_feature_names(lacks));
-    s.be = be;
+    if (std::strcmp(srecs[i].backend_name, backend->name) != 0)
+      io_fail(Code::kBadSection,
+              "step " + std::to_string(i) + ": names kernel backend '" +
+                  srecs[i].backend_name + "', not the plan's '" +
+                  backend->name + "'");
+    steps[i].be = backend;
   }
 
   // --- Assemble -----------------------------------------------------------

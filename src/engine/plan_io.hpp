@@ -1,7 +1,7 @@
 // Compiled-plan artifacts: alf::plan::save/load.
 //
 // A Plan is the expensive half of deployment — BN folding, MSE-clipped
-// per-channel quantization, panel packing, strategy choices. save() writes
+// per-channel quantization, panel packing. save() writes
 // the finished Plan as ONE versioned little-endian blob whose weight arena
 // sits page-aligned at the tail; load() is open + mmap + validate + view
 // fixup. No re-quantize, no re-pack, no re-fold: cold start is bounded by
@@ -24,8 +24,9 @@
 // -> header CRC -> file size vs header -> packing-geometry stamps
 // (kernels::kPanelLayoutVersion, kWeightAlign) -> region offsets -> meta
 // CRC (steps + names + sections) -> per-record structural
-// validation -> CPU-feature mask vs this host -> backend liveness ->
-// per-section payload CRCs -> Plan::verify() on the assembled plan.
+// validation -> per-section payload CRCs -> CPU-feature mask vs this
+// host -> backend liveness -> every step record naming that backend ->
+// Plan::verify() on the assembled plan.
 // Every rejection throws PlanIoError with a typed code.
 //
 // Mapping choice: PROT_READ + MAP_PRIVATE. A read-only private file
@@ -43,7 +44,10 @@
 // header stamp became reserved (written 0), its step flag must be 0, and
 // its weight-field code left the section table (renumbering the int8
 // fields — safe, because a panel layout v1 blob fails the panel stamp
-// before any record is read).
+// before any record is read). The per-step algorithm choice (backend
+// name and tile) was retired the same way: every step runs on the plan
+// backend, so each record repeats that backend's name and zero tile
+// fields, and load rejects anything else.
 #pragma once
 
 #include <cstddef>
@@ -72,7 +76,8 @@ class PlanIoError : public std::runtime_error {
     kBadCrc,       ///< header/meta/section checksum mismatch
     kBadSection,   ///< step/section record structurally invalid
     kCpuFeatures,  ///< blob needs CPU features this host lacks
-    kBackend,      ///< stamped kernel backend not in this registry
+    kBackend,      ///< stamped kernel backend not in this registry (or, at
+                   ///< save, a backend name too long to record)
   };
 
   PlanIoError(Code code, const std::string& what)
@@ -85,11 +90,10 @@ class PlanIoError : public std::runtime_error {
 };
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'P', 'L', 'A', 'N', '\0'};
-// v2: StepRecord grew the per-step algorithm choice (backend name, tile
-// blocking, and a chunk override that is retired and must now be 0) so
-// tuned plans replay their decisions on load with zero re-tuning. v1
-// blobs are rejected (reject-don't-migrate; blobs are cheap to regenerate
-// with alf_planc).
+// v2: StepRecord grew a per-step algorithm choice (backend name, tile
+// blocking, chunk override), all reserved now (see StepRecord). v1 blobs
+// are rejected (reject-don't-migrate; blobs are cheap to regenerate with
+// alf_planc).
 constexpr uint32_t kFormatVersion = 2;
 /// Arena file offset alignment: one page, so the mmap'd arena base meets
 /// kArenaAlign without copying.
@@ -144,11 +148,11 @@ struct StepRecord {
   int32_t qbits;
   uint8_t shift_gemm;  ///< retired strategy flag: 0, any other value rejected
   uint8_t quantized, in_nonneg, reserved0;
-  // v2: the step's algorithm choice. backend_name is NUL-terminated; ""
-  // means "the plan's backend". Tile fields of 0 select the backend's
-  // built-in blocking. `chunk` is the retired per-step chunk-grid
-  // override: save writes 0 and load rejects anything else (every step
-  // runs on the plan's one grid).
+  // v2 reserved fields of the retired per-step algorithm choice. Every
+  // step runs on the plan backend: save writes its name here
+  // (NUL-terminated, so a backend name must be under 16 characters) and
+  // zero tile and chunk fields, and load rejects any other name or a
+  // nonzero field (every step runs on the plan's one chunk grid).
   char backend_name[16];
   uint32_t tile_mc, tile_kc, tile_nc, chunk;
 };
@@ -177,7 +181,8 @@ void restamp_header(void* blob, size_t bytes);
 
 /// Serializes `plan` to `path` (written to a temp sibling, then renamed,
 /// so readers never see a half-written blob). Throws PlanIoError(kOpen)
-/// on filesystem failure.
+/// on filesystem failure, and PlanIoError(kBackend), before writing
+/// anything, when the plan backend's name does not fit a step record.
 void save(const Plan& plan, const std::string& path);
 
 /// Maps and validates a blob; returns the ready-to-run plan. The arena

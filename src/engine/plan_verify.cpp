@@ -22,10 +22,9 @@
 //      move at the compiled batch — which also keeps the chunk layout's
 //      per-chunk ranges inside the slot, since a chunk ending at image i1
 //      stays below i1 * (slot_stride_ / batch_); the col/result scratch
-//      offsets must tile the workspace exactly; every conv's col input
-//      (padded images when gathered, the unfold otherwise —
-//      Plan::conv_col_floats) and product must fit its per-chunk scratch
-//      slices. Only kLinear steps may follow the first kLinear: the
+//      offsets must tile the workspace exactly; every float conv's padded
+//      images (Plan::conv_col_floats) and every conv's product must fit
+//      their per-chunk scratch slices. Only kLinear steps may follow the first kLinear: the
 //      runtime runs everything before it per chunk and the head once over
 //      the whole batch.
 //   3. Weight panels. Float steps must carry a weight matrix of exactly
@@ -37,11 +36,11 @@
 //      in [2, 8] — and have released its float weights. Quantized plans
 //      must have sized the int8 scratch; float plans must carry none.
 //   5. Backend pinning. The plan's backend pointer must be live in the
-//      kernel registry under its own name, and the plan's quantized flag
-//      must match the backend's datapath.
+//      kernel registry under its own name, the plan's quantized flag must
+//      match the backend's datapath, and every step must run on it.
 //   6. Folds (StepFold). Every fold must be one the rules allow: an
 //      adjacent 1x1/s1/p0 expansion that alone reads a bias-free conv's
-//      output (same step backend on the float datapath), an adjacent add
+//      output, an adjacent add
 //      whose body or projection the conv produced with no activation, and
 //      no epilogue writing the slot its conv still reads. Each folded step
 //      is run by exactly one conv, and every step so marked is.
@@ -162,16 +161,13 @@ void Plan::verify() const {
           fail(tag(i, st) + ": in_sz disagrees with conv geometry");
         if (st.out_sz != st.out_c * g.out_h() * g.out_w())
           fail(tag(i, st) + ": out_sz disagrees with conv geometry");
-        // The whole-chunk col input and product must fit the per-chunk
-        // scratch slices.
-        if (conv_col_floats(g, st.gathered_conv(), chunk_imgs) > col_sz_)
-          fail(tag(i, st) + ": col input (" +
-               (st.gathered_conv() ? "padded images" : "im2col unfold") +
-               ") overflows the col scratch");
+        // The whole-chunk padded images (float) and product must fit the
+        // per-chunk scratch slices.
+        if (!st.quantized && conv_col_floats(g, chunk_imgs) > col_sz_)
+          fail(tag(i, st) +
+               ": col input (padded images) overflows the col scratch");
         if (st.out_sz * chunk_imgs > res_sz_)
           fail(tag(i, st) + ": GEMM result overflows the result scratch");
-        if (st.gathered_conv() && !st.tile.is_default())
-          fail(tag(i, st) + ": tuned tile on a gathered conv (no GEMM)");
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_c ||
              st.w.dim(1) != g.col_rows()))
@@ -261,21 +257,11 @@ void Plan::verify() const {
     if (!st.w9.empty())
       fail(tag(i, st) + ": carries a retired shift-GEMM weight pack");
 
-    // Per-step algorithm choice. Conv/linear steps dispatch their GEMMs
-    // through st.be, so it must be a live registry entry on the plan's
-    // datapath; a tuned tile needs a backend that can actually consume it.
-    if (lowerable) {
-      if (st.be == nullptr) fail(tag(i, st) + ": no step backend pinned");
-      if (kernels::find_backend(st.be->name) != st.be)
-        fail(tag(i, st) + ": step backend '" + st.be->name +
-             "' is not live in the kernel registry");
-      if (st.be->quantized_datapath != quant_)
-        fail(tag(i, st) + ": step backend '" + st.be->name +
-             "' is on the wrong datapath for this plan");
-    }
-    if (!st.tile.is_default() &&
-        (st.be == nullptr || st.be->gemm_tiled == nullptr))
-      fail(tag(i, st) + ": tuned tile on a backend without a tiled GEMM");
+    // One backend per plan: every step runs on the pinned one.
+    if (st.be != backend_)
+      fail(tag(i, st) + ": step backend '" +
+           (st.be != nullptr ? st.be->name : "(none)") +
+           "' is not the plan backend '" + backend_->name + "'");
 
     // Write: the output slot now holds this step's activation.
     slot[st.out] = SlotState{true, st.out_sz};
@@ -303,8 +289,6 @@ void Plan::verify() const {
         fail(tag(i, s) + ": folded expansion is not the only reader");
       if (!s.bias.empty())
         fail(tag(i, s) + ": folds an expansion after a biased conv");
-      if (!s.quantized && s.be != e.be)
-        fail(tag(i, s) + ": folds an expansion on another step backend");
       claimed[f.exp] = true;
       last = f.exp;
     }
@@ -342,8 +326,6 @@ void Plan::verify() const {
 
   // --- int8 scratch sizing ----------------------------------------------
   if (quant_) {
-    if (qws_sz_ < nchunks_ * col_sz_)
-      fail("int8 activation scratch smaller than the quantized unfold");
     for (const Step& st : steps_) {
       if (st.kind == OpKind::kLinear && qws_sz_ < batch_ * st.in_features)
         fail("int8 activation scratch smaller than a linear input panel");

@@ -77,6 +77,23 @@ uint32_t env_disabled_features() {
 /// Test-seam cap over detection; ~0u = no cap.
 std::atomic<uint32_t> g_feature_mask{~0u};
 
+/// Throws CheckError unless `be` has every entry its datapath runs: both
+/// GEMMs, and the conv entry the engine calls for every conv step (conv
+/// on float backends, qconv on quantized ones).
+void check_complete(const KernelBackend* be) {
+  ALF_CHECK(be != nullptr && be->name != nullptr && be->gemm != nullptr &&
+            be->qgemm != nullptr)
+      << "register_backend: incomplete backend";
+  if (be->quantized_datapath)
+    ALF_CHECK(be->qconv != nullptr)
+        << "register_backend: quantized backend '" << be->name
+        << "' has no qconv entry";
+  else
+    ALF_CHECK(be->conv != nullptr)
+        << "register_backend: float backend '" << be->name
+        << "' has no conv entry";
+}
+
 struct Registry {
   std::mutex m;
   std::vector<const KernelBackend*> backends;
@@ -88,13 +105,13 @@ struct Registry {
     // a function-local static. Registration is gated on the *detected*
     // CPU (the binary must be able to execute what it registers); the
     // feature mask only steers auto-selection.
-    backends.push_back(scalar_backend());
-    if (simd_backend() != nullptr) backends.push_back(simd_backend());
-    backends.push_back(int8_backend());
-    if (int8_avx2_backend() != nullptr)
-      backends.push_back(int8_avx2_backend());
-    if (int8_vnni_backend() != nullptr)
-      backends.push_back(int8_vnni_backend());
+    for (const KernelBackend* be :
+         {scalar_backend(), simd_backend(), int8_backend(),
+          int8_avx2_backend(), int8_vnni_backend()}) {
+      if (be == nullptr) continue;
+      check_complete(be);
+      backends.push_back(be);
+    }
   }
 };
 
@@ -162,9 +179,7 @@ std::string cpu_feature_names(uint32_t features) {
 }
 
 void register_backend(const KernelBackend* backend) {
-  ALF_CHECK(backend != nullptr && backend->name != nullptr &&
-            backend->gemm != nullptr && backend->qgemm != nullptr)
-      << "register_backend: incomplete backend";
+  check_complete(backend);
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.m);
   r.backends.push_back(backend);
@@ -210,11 +225,6 @@ void pad_f32(const float* src, size_t planes, size_t h, size_t w, size_t pad,
                      [](const float* s, float* d, size_t n) {
                        std::memcpy(d, s, n * sizeof(float));
                      });
-}
-
-void conv_epilogue(const KernelBackend* be, float* c, size_t ldc, size_t m,
-                   const ConvShape& s, const ConvEpilogue& ep) {
-  detail::finish_result(c, ldc, m, s, ep, be->gemm);
 }
 
 const KernelBackend* best_quantized_backend() {

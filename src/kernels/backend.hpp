@@ -13,25 +13,26 @@
 //            per-tensor scales and zero-points, int32 accumulation,
 //            requantized to float on store.
 //
-// plus two optional conv entries, one per datapath, each the same product
-// with B the implicit im2col unfold of padded images, packed straight from
-// the images (no unfold is materialized):
+// plus one conv entry per datapath, the same product with B the implicit
+// im2col unfold of padded images — the only way the engine runs a conv:
 //
 //   conv   — f32, over zero-padded float images; exactly gemm over the
-//            unfold. Backends without it leave the engine on its im2col
-//            branch (unfold into plan scratch, then gemm).
+//            unfold. Required on every float backend.
 //   qconv  — int8, over zero-point-padded images; exactly qgemm over the
-//            unfold. Backends without it run the shared fallback — unfold
-//            into caller scratch, then qgemm.
+//            unfold. Required on every quantized backend.
 //
-// Both conv entries take an optional ConvEpilogue: each 16-column panel of
-// the product is then finished while it is in L1 — an optional 1x1
-// expansion, bias, residual add and activation — and stored straight into
-// the NCHW activation, so no result matrix or scatter pass exists.
+// An entry may pack B panels straight from the images (simd, int8-avx2,
+// int8-vnni) or materialize the unfold in kernel-local scratch first
+// (scalar, the generic int8 fallback); the result is the same bytes.
+// Both entries take an optional ConvEpilogue: each 16-column panel of
+// the product is then finished — an optional 1x1 expansion, bias,
+// residual add and activation — and stored straight into the NCHW
+// activation, so no scatter pass exists.
 //
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
 //            registered, the portable fallback and the equivalence oracle.
+//            Its conv unfolds, then runs that kernel.
 //   simd   — explicitly vectorized 4x16 inner tile over portable GCC/Clang
 //            vector extensions (no intrinsics), 8x16 on 512-bit registers
 //            when the feature mask allows AVX-512F, with A-panel packing so
@@ -46,7 +47,8 @@
 // Selection: set_default_backend("name") wins, else the ALF_BACKEND
 // environment variable, else the best available (simd when usable, scalar
 // otherwise). Adding an ISA or dtype is a one-file drop-in: implement the
-// two entry points (conv/qconv optionally) and register_backend() it.
+// two GEMM entry points plus the conv entry of the backend's datapath
+// (conv for float, qconv for quantized) and register_backend() it.
 //
 // Every backend must be deterministic: for a fixed backend the result is
 // bit-identical for any thread count (accumulation order per C element
@@ -64,7 +66,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/tile.hpp"
 #include "nn/activations.hpp"
 
 namespace alf::kernels {
@@ -91,10 +92,9 @@ enum CpuFeature : uint32_t {
 /// ABI version of the packed weight-panel layouts every backend consumes:
 /// conv weights (float and int8) as [Co, Ci*K*K] rows, linear int8 panels
 /// as the transposed [in, out] B panel. Plan blobs stamp this
-/// (engine/plan_io.cpp) and so does the tuner's algo cache; bump it
-/// whenever a kernel changes what it expects packed, so stale blobs are
-/// rejected at load with a clear message instead of mis-read by the
-/// kernels.
+/// (engine/plan_io.cpp); bump it whenever a kernel changes what it expects
+/// packed, so stale blobs are rejected at load with a clear message
+/// instead of mis-read by the kernels.
 constexpr uint32_t kPanelLayoutVersion = 2;
 
 /// Features the host CPU can actually execute (cached cpuid probe; 0 on
@@ -196,9 +196,9 @@ struct ConvEpilogue {
   const float* exp_scales = nullptr;  ///< their per-row scales [co]
 };
 
-/// One kernel backend: a named pair of GEMM entry points (plus the
-/// optional conv entries). Instances are immutable statics with
-/// program lifetime; the registry stores pointers.
+/// One kernel backend: a named pair of GEMM entry points plus the conv
+/// entry of its datapath. Instances are immutable statics with program
+/// lifetime; the registry stores pointers.
 struct KernelBackend {
   const char* name;
 
@@ -230,80 +230,30 @@ struct KernelBackend {
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p);
 
-  /// Optional tile-parametrized variant of `gemm` (same contract) with the
-  /// cache blocking chosen per call; a zero TileParams field selects this
-  /// backend's default, so gemm_tiled(..., {}) == gemm(...). Null when the
-  /// backend's blocking is fixed (the int8 dot kernels have a hard panel
-  /// ABI, simd's float convs gather through `conv` instead of a GEMM) —
-  /// the tuner then only ever offers the default-tile candidate.
-  void (*gemm_tiled)(const float* a, size_t lda, bool trans_a, const float* b,
-                     size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
-                     size_t k, size_t n, float alpha, float beta,
-                     const TileParams& tile) = nullptr;
-
-  /// Optional quantized conv: exactly qgemm(a, lda, unfold(x), s.n(), c,
-  /// ldc, m, s.k(), s.n(), p) with the unfold of `x` per ConvShape, but B
-  /// panels (and column sums) are packed straight from the padded images.
-  /// `scratch` is caller-owned [s.k(), s.n()] int8 workspace for entries
-  /// that do materialize the unfold (the shared fallback); gathering
-  /// kernels ignore it. With `ep` non-null the product goes through the
-  /// epilogue instead of to C, and C ([m, s.n()] at ldc) is workspace the
-  /// entry may use. Null = run the fallback (see kernels::qconv).
+  /// Quantized conv, required when quantized_datapath is set: exactly
+  /// qgemm(a, lda, unfold(x), s.n(), c, ldc, m, s.k(), s.n(), p) with the
+  /// unfold of `x` per ConvShape. With `ep` non-null the product goes
+  /// through the epilogue instead of to C, and C ([m, s.n()] at ldc) is
+  /// workspace the entry may use.
   void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* scratch,
-                const ConvEpilogue* ep) = nullptr;
+                const QgemmParams& p, const ConvEpilogue* ep) = nullptr;
 
-  /// Optional f32 conv, the float twin of qconv: byte for byte
-  /// gemm(a, lda, false, unfold(x), s.n(), false, c, ldc, m, s.k(), s.n(),
-  /// 1, 0) with the unfold of the zero-padded float images `x` per
-  /// ConvShape, but B panels gathered straight from the images. A is the
-  /// [m, s.k()] row-major weight matrix. `ep` as for qconv. Null = the
-  /// engine keeps the conv on its im2col branch (unfold into plan scratch,
-  /// gemm, then conv_epilogue).
+  /// f32 conv, the float twin of qconv, required on float backends: byte
+  /// for byte gemm(a, lda, false, unfold(x), s.n(), false, c, ldc, m,
+  /// s.k(), s.n(), 1, 0) with the unfold of the zero-padded float images
+  /// `x` per ConvShape. A is the [m, s.k()] row-major weight matrix. `ep`
+  /// as for qconv.
   void (*conv)(const float* a, size_t lda, const float* x,
                const ConvShape& s, float* c, size_t ldc, size_t m,
                const ConvEpilogue* ep) = nullptr;
 };
 
-/// Applies `ep` to a finished [m, s.n()] conv product at `c` (ldc), panel
-/// by panel: the epilogue of every path that computes the whole product
-/// before storing it (the engine's im2col branch, the int8 unfold
-/// fallback). `c` is consumed (the inner activation runs in place). A float
-/// expansion runs be->gemm over each panel's column slice, which equals the
-/// full-width gemm when `be` orders each element's sum independently of n
-/// (scalar does; simd has a conv entry and finishes its own panels).
-void conv_epilogue(const KernelBackend* be, float* c, size_t ldc, size_t m,
-                   const ConvShape& s, const ConvEpilogue& ep);
-
-/// Runs one quantized conv through `be`: its qconv entry when it has one,
-/// else the shared fallback, which copies the unfold of `x` into `scratch`
-/// ([s.k(), s.n()] bytes), calls be->qgemm and then conv_epilogue when
-/// `ep` is set. Bit-identical either way.
-void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
-           const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-           size_t m, const QgemmParams& p, int8_t* scratch,
-           const ConvEpilogue* ep = nullptr);
-
-/// Routes one f32 GEMM through `be` with the tuned blocking `tile`: the
-/// tiled entry when the backend has one and the tile is non-default, the
-/// plain entry otherwise (so untuned plans keep the exact pre-tuner code
-/// path, constexpr blocking included).
-inline void gemm_dispatch(const KernelBackend* be, const TileParams& tile,
-                          const float* a, size_t lda, bool trans_a,
-                          const float* b, size_t ldb, bool trans_b, float* c,
-                          size_t ldc, size_t m, size_t k, size_t n,
-                          float alpha, float beta) {
-  if (be->gemm_tiled != nullptr && !tile.is_default())
-    be->gemm_tiled(a, lda, trans_a, b, ldb, trans_b, c, ldc, m, k, n, alpha,
-                   beta, tile);
-  else
-    be->gemm(a, lda, trans_a, b, ldb, trans_b, c, ldc, m, k, n, alpha, beta);
-}
-
 /// Registers a backend under backend->name (program-lifetime pointer).
 /// Later registrations of an existing name shadow earlier ones, so a test
-/// or plugin can override a built-in. Thread-safe.
+/// or plugin can override a built-in. Thread-safe. Throws CheckError for
+/// an incomplete backend: no gemm or qgemm, a float backend without conv,
+/// or a quantized one without qconv.
 void register_backend(const KernelBackend* backend);
 
 /// Looks up a backend by name; nullptr if absent. "scalar" and "int8" are

@@ -18,14 +18,16 @@
 // then the simd TU's wide instantiation of the portable body, then the
 // baseline instantiation — all bit-identical, so the pick only moves
 // speed. The same resolve step picks its qconv: the chosen kernel's
-// gathering entry when it has one, else the shared unfold fallback over
-// the resolved qgemm. The f32 gemm entry likewise forwards to the best
-// float backend so a plan compiled with a quantized backend still runs its
-// non-lowered steps (pooling epilogues, repair passes, any layer the
-// lowering keeps in float) at full speed. set_cpu_feature_mask() flushes
-// every cached pick via reset_int8_dispatch_cache().
+// gathering entry, or, when no dot-product kernel is allowed, the
+// unfolding qconv over the resolved qgemm. The f32 gemm entry likewise
+// forwards to the best float backend so a plan compiled with a quantized
+// backend still runs its non-lowered steps (pooling epilogues, repair
+// passes, any layer the lowering keeps in float) at full speed.
+// set_cpu_feature_mask() flushes every cached pick via
+// reset_int8_dispatch_cache().
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 #include "kernels/internal.hpp"
 
@@ -79,10 +81,13 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
 
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, int8_t* scratch,
-                  const ConvEpilogue* ep) {
-  unfold_padded(x, s, scratch);
-  qgemm(a, lda, scratch, s.n(), c, ldc, m, s.k(), s.n(), p);
+                  size_t m, const QgemmParams& p, const ConvEpilogue* ep) {
+  // Workers of qgemm reach this thread's unfold through the plain pointer
+  // it is handed (see qgemm_int8_body).
+  thread_local std::vector<int8_t> col_tls;
+  col_tls.resize(s.k() * s.n());
+  unfold_padded(x, s, col_tls.data());
+  qgemm(a, lda, col_tls.data(), s.n(), c, ldc, m, s.k(), s.n(), p);
   if (ep != nullptr) finish_result(c, ldc, m, s, *ep, nullptr);
 }
 
@@ -102,10 +107,8 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_generic(const int8_t* a, size_t lda, const int8_t* x,
                    const ConvShape& s, float* c, size_t ldc, size_t m,
-                   const QgemmParams& p, int8_t* scratch,
-                   const ConvEpilogue* ep) {
-  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, scratch,
-                       ep);
+                   const QgemmParams& p, const ConvEpilogue* ep) {
+  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, ep);
 }
 
 struct Resolved {
@@ -119,17 +122,18 @@ struct Resolved {
 Resolved resolve_quantized() {
   const KernelBackend* best = best_quantized_backend();
   detail::QgemmFn gemm;
-  detail::QconvFn conv = nullptr;
+  detail::QconvFn conv;
   if (best != int8_backend()) {
     gemm = best->qgemm;
     conv = best->qconv;
   } else {
     // No dot-product kernel allowed: the wide instantiation of the
-    // portable body still beats baseline codegen when usable.
+    // portable body still beats baseline codegen when usable, and the
+    // conv unfolds for it.
     const KernelBackend* simd = usable_simd();
     gemm = simd != nullptr ? simd->qgemm : &detail::qgemm_int8;
+    conv = &qconv_generic;
   }
-  if (conv == nullptr) conv = &qconv_generic;
   g_qconv.store(conv, std::memory_order_release);
   g_qgemm.store(gemm, std::memory_order_release);
   return {gemm, conv};
@@ -147,11 +151,10 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 /// qconv entry of the generic backend: resolve-once dispatch.
 void qconv_dispatch(const int8_t* a, size_t lda, const int8_t* x,
                     const ConvShape& s, float* c, size_t ldc, size_t m,
-                    const QgemmParams& p, int8_t* scratch,
-                    const ConvEpilogue* ep) {
+                    const QgemmParams& p, const ConvEpilogue* ep) {
   detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
   if (fn == nullptr) fn = resolve_quantized().qconv;
-  fn(a, lda, x, s, c, ldc, m, p, scratch, ep);
+  fn(a, lda, x, s, c, ldc, m, p, ep);
 }
 
 }  // namespace
@@ -163,16 +166,6 @@ const KernelBackend* int8_backend() {
                                 .qgemm = &qgemm_dispatch,
                                 .qconv = &qconv_dispatch};
   return &be;
-}
-
-void qconv(const KernelBackend* be, const int8_t* a, size_t lda,
-           const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-           size_t m, const QgemmParams& p, int8_t* scratch,
-           const ConvEpilogue* ep) {
-  if (be->qconv != nullptr)
-    be->qconv(a, lda, x, s, c, ldc, m, p, scratch, ep);
-  else
-    detail::qconv_unfold(be->qgemm, a, lda, x, s, c, ldc, m, p, scratch, ep);
 }
 
 namespace {

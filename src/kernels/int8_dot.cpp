@@ -645,8 +645,7 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* /*scratch*/,
-                const ConvEpilogue* ep) {
+                const QgemmParams& p, const ConvEpilogue* ep) {
   const size_t k = s.k();
   qconv_driver<2, int16_t, int16_t>(
       x, s, c, ldc, m, p, p.a_zp,
@@ -939,8 +938,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 
 void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
-                const QgemmParams& p, int8_t* /*scratch*/,
-                const ConvEpilogue* ep) {
+                const QgemmParams& p, const ConvEpilogue* ep) {
   const size_t k = s.k();
   // Same +128 A encoding as qgemm_vnni: azp_eff is never zero, so the
   // gather always accumulates column sums.

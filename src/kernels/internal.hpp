@@ -40,14 +40,6 @@ void gemm_scalar(const float* a, size_t lda, bool trans_a, const float* b,
                  size_t ldb, bool trans_b, float* c, size_t ldc, size_t m,
                  size_t k, size_t n, float alpha, float beta);
 
-/// The scalar kernel body with its (k, n) cache-block extents exposed —
-/// the seam behind the scalar backend's gemm_tiled entry. gemm_scalar is
-/// exactly this with the historical kBlockK/kBlockN constants.
-void gemm_scalar_blocked(const float* a, size_t lda, bool trans_a,
-                         const float* b, size_t ldb, bool trans_b, float* c,
-                         size_t ldc, size_t m, size_t k, size_t n, float alpha,
-                         float beta, size_t block_k, size_t block_n);
-
 /// f32 gemm entry shared by every quantized backend: forwards to the best
 /// float backend the feature mask allows (simd when usable, else scalar),
 /// so non-lowered steps of an int8 plan keep full float speed. Defined in
@@ -73,21 +65,20 @@ using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
                          const QgemmParams&);
 using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
                          const ConvShape&, float*, size_t, size_t,
-                         const QgemmParams&, int8_t*, const ConvEpilogue*);
+                         const QgemmParams&, const ConvEpilogue*);
 using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
                         bool, float*, size_t, size_t, size_t, size_t, float,
                         float);
 
-/// The shared qconv fallback (defined in int8.cpp): copies the unfold of
-/// the padded images `x` into `scratch` as a row-major [s.k(), s.n()]
-/// panel, then runs `qgemm` over it (and the epilogue over the result, when
-/// `ep` is set) — what every backend without a native qconv entry
-/// executes, and the seam the generic int8 backend resolves to when no
-/// gathering kernel is allowed.
+/// The unfolding qconv (defined in int8.cpp): copies the unfold of the
+/// padded images `x` into kernel-local scratch as a row-major
+/// [s.k(), s.n()] panel, then runs `qgemm` over it (and the epilogue over
+/// the result, when `ep` is set). The generic int8 backend's qconv when no
+/// gathering kernel is allowed, and the oracle the gathering ones are
+/// tested against.
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, int8_t* scratch,
-                  const ConvEpilogue* ep);
+                  size_t m, const QgemmParams& p, const ConvEpilogue* ep);
 
 /// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
 /// max_abs_f32 helpers. Defined in int8_dot.cpp (the -mavx2 TU);
@@ -310,9 +301,13 @@ inline void expand_fmaf(const ConvEpilogue& ep, size_t m, const float* v,
   }
 }
 
-/// Applies `ep` to a finished [m, s.n()] product at `c`, panel by panel
-/// (kernels::conv_epilogue). A float expansion runs `gemm` over each
-/// panel's column slice; an int8 one runs expand_fmaf.
+/// Applies `ep` to a finished [m, s.n()] product at `c`, panel by panel:
+/// the epilogue of the conv entries that compute the whole product before
+/// storing it (scalar's conv, qconv_unfold). `c` is consumed (the inner
+/// activation runs in place). A float expansion runs `gemm` over each
+/// panel's column slice, which equals the full-width gemm when `gemm`
+/// orders each element's sum independently of n (gemm_scalar does); an
+/// int8 one runs expand_fmaf.
 inline void finish_result(float* c, size_t ldc, size_t m, const ConvShape& s,
                           const ConvEpilogue& ep, GemmFn gemm) {
   const size_t n = s.n(), plane = s.out_h() * s.out_w();

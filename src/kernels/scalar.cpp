@@ -5,6 +5,7 @@
 // nothing better is available.
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "core/parallel.hpp"
 #include "kernels/internal.hpp"
@@ -22,15 +23,9 @@ constexpr size_t kBlockN = 512;
 
 namespace detail {
 
-/// The blocked kernel body with the (k, n) tile extents as parameters; the
-/// public gemm_scalar pins the historical constants, the tiled entry below
-/// substitutes tuner-chosen ones. The k-block grid stays global for any
-/// given block_k, so each (block_k, block_n) choice is individually
-/// deterministic across thread counts.
-void gemm_scalar_blocked(const float* pa, size_t lda, bool trans_a,
-                         const float* pb, size_t ldb, bool trans_b, float* pc,
-                         size_t ldc, size_t m, size_t k, size_t n, float alpha,
-                         float beta, size_t block_k, size_t block_n) {
+void gemm_scalar(const float* pa, size_t lda, bool trans_a, const float* pb,
+                 size_t ldb, bool trans_b, float* pc, size_t ldc, size_t m,
+                 size_t k, size_t n, float alpha, float beta) {
   // Each worker owns a contiguous block of C rows; inside a row-block the
   // (k, n) loop nest is tiled so the active B tile stays in cache. The
   // k-block grid is global (not per-thread), so every C element sees the
@@ -44,10 +39,10 @@ void gemm_scalar_blocked(const float* pa, size_t lda, bool trans_a,
         for (size_t j = 0; j < n; ++j) crow[j] *= beta;
       }
     }
-    for (size_t k0 = 0; k0 < k; k0 += block_k) {
-      const size_t k1 = std::min(k, k0 + block_k);
-      for (size_t j0 = 0; j0 < n; j0 += block_n) {
-        const size_t j1 = std::min(n, j0 + block_n);
+    for (size_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const size_t k1 = std::min(k, k0 + kBlockK);
+      for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
+        const size_t j1 = std::min(n, j0 + kBlockN);
         for (size_t i = r0; i < r1; ++i) {
           float* crow = pc + i * ldc;
           if (!trans_a && !trans_b) {
@@ -97,24 +92,26 @@ void gemm_scalar_blocked(const float* pa, size_t lda, bool trans_a,
   partition(m, k * n, process_rows);
 }
 
-void gemm_scalar(const float* pa, size_t lda, bool trans_a, const float* pb,
-                 size_t ldb, bool trans_b, float* pc, size_t ldc, size_t m,
-                 size_t k, size_t n, float alpha, float beta) {
-  gemm_scalar_blocked(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
-                      alpha, beta, kBlockK, kBlockN);
-}
-
 }  // namespace detail
 
 namespace {
 
-void gemm_scalar_tiled(const float* pa, size_t lda, bool trans_a,
-                       const float* pb, size_t ldb, bool trans_b, float* pc,
-                       size_t ldc, size_t m, size_t k, size_t n, float alpha,
-                       float beta, const TileParams& t) {
-  detail::gemm_scalar_blocked(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m,
-                              k, n, alpha, beta, t.kc != 0 ? t.kc : kBlockK,
-                              t.nc != 0 ? t.nc : kBlockN);
+/// The reference float conv: the implicit unfold of the padded images,
+/// materialized in kernel-local scratch, times A through gemm_scalar, then
+/// the epilogue over the finished product — the same ops as a separate
+/// unfold, gemm and epilogue pass, so the bytes are the same. Workers of
+/// gemm_scalar reach the caller's thread_local unfold through the plain
+/// pointer it is handed (see qgemm_int8_body).
+void conv_scalar(const float* a, size_t lda, const float* x,
+                 const ConvShape& s, float* c, size_t ldc, size_t m,
+                 const ConvEpilogue* ep) {
+  thread_local std::vector<float> col_tls;
+  col_tls.resize(s.k() * s.n());
+  detail::unfold_padded(x, s, col_tls.data());
+  detail::gemm_scalar(a, lda, false, col_tls.data(), s.n(), false, c, ldc, m,
+                      s.k(), s.n(), 1.0f, 0.0f);
+  if (ep != nullptr)
+    detail::finish_result(c, ldc, m, s, *ep, &detail::gemm_scalar);
 }
 
 }  // namespace
@@ -123,7 +120,7 @@ const KernelBackend* scalar_backend() {
   static const KernelBackend be{.name = "scalar",
                                 .gemm = &detail::gemm_scalar,
                                 .qgemm = &detail::qgemm_int8,
-                                .gemm_tiled = &gemm_scalar_tiled};
+                                .conv = &conv_scalar};
   return &be;
 }
 

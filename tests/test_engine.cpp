@@ -4,6 +4,7 @@
 // folding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -736,8 +737,8 @@ TEST(Engine, Int8OneConvPlanMatchesQconvOracle) {
   // A 7x7 map makes conv/qconv panels straddle images; a leading ReLU puts
   // an int8 conv on the asymmetric (zp = -levels) grid. The plan is
   // compiled for batch 32 on a multi-chunk grid and run at 1, 7 and 32
-  // images. Float plans ride along: the default backend (simd's gathered
-  // conv when the host has it) and scalar (the im2col branch) must match
+  // images. Float plans ride along: the default backend (simd's gathering
+  // conv when the host has it) and scalar (whose conv unfolds) must match
   // their backend's gemm over the unfold.
   for (const char* backend : {"int8", "", "scalar"}) {
     for (const bool relu_first : {false, true}) {
@@ -757,9 +758,6 @@ TEST(Engine, Int8OneConvPlanMatchesQconvOracle) {
       const Step& conv = plan->steps().back();
       ASSERT_EQ(conv.kind, OpKind::kConv);
       ASSERT_EQ(conv.quantized, plan->quantized());
-      if (std::string(backend) == "scalar") {
-        EXPECT_FALSE(conv.gathered_conv());
-      }
       EXPECT_EQ(conv.in_nonneg, relu_first);
       EXPECT_FALSE(conv.bias.empty());
       EXPECT_EQ(conv.act, Act::kRelu);
@@ -1083,9 +1081,8 @@ TEST(PlanVerify, RejectsArenaLayoutBreaks) {
 }
 
 TEST(PlanVerify, RejectsUndersizedColScratch) {
-  // Gathered convs need their padded images, im2col convs their unfold;
-  // a col slice too small for either is caught whichever path step 0
-  // (a padded 3x3 conv) takes.
+  // A float conv needs its padded images in the col slice; step 0 is a
+  // padded 3x3 conv.
   auto plan = verify_fixture();
   Plan& p = PlanTestPeer::mut(plan);
   PlanTestPeer::col_sz(p) = 0;
@@ -1125,15 +1122,58 @@ TEST(PlanVerify, RejectsRetiredShiftGemmPack) {
   expect_verify_rejects(plan, "retired shift-GEMM weight pack");
 }
 
-TEST(PlanVerify, RejectsTunedTileOnGatheredConv) {
-  const kernels::KernelBackend* simd = kernels::find_backend("simd");
-  if (simd == nullptr || simd->conv == nullptr)
-    GTEST_SKIP() << "no float backend with a conv entry on this host";
-  auto plan = verify_fixture("simd");
-  Step& st = PlanTestPeer::steps(PlanTestPeer::mut(plan))[0];
-  ASSERT_TRUE(st.gathered_conv());
-  st.tile = {64, 256, 256};
-  expect_verify_rejects(plan, "tuned tile on a gathered conv");
+TEST(PlanVerify, RejectsStepBackendOtherThanThePlans) {
+  // One backend per plan: a step pinned to any other backend is refused —
+  // a live one on the other datapath, one on the plan's own (simd in a
+  // scalar plan), or none — on a conv, a step that runs no GEMM and the
+  // linear head.
+  std::vector<const kernels::KernelBackend*> others{kernels::int8_backend(),
+                                                    nullptr};
+  if (const kernels::KernelBackend* simd = kernels::find_backend("simd"))
+    others.push_back(simd);
+  for (const kernels::KernelBackend* other : others) {
+    for (const OpKind kind : {OpKind::kConv, OpKind::kAdd, OpKind::kLinear}) {
+      auto plan = verify_fixture("scalar");
+      auto& steps = PlanTestPeer::steps(PlanTestPeer::mut(plan));
+      const auto st = std::find_if(steps.begin(), steps.end(),
+                                   [&](const Step& x) { return x.kind == kind; });
+      ASSERT_NE(st, steps.end());
+      ASSERT_EQ(st->be, plan->backend());
+      st->be = other;
+      expect_verify_rejects(plan, "is not the plan backend");
+    }
+  }
+}
+
+TEST(PlanScratch, SizedForTheConvEntryOfEachDatapath) {
+  // A float conv reads B from its padded images in the col slice (none
+  // when it has no padding); an int8 conv reads the context's int8 padded
+  // images, so an int8 plan sizes no col slice, and its int8 scratch is
+  // the linear head's quantized input alone. On 1 and 4 chunks.
+  for (const int threads : {1, 4}) {
+    set_parallel_threads(threads);
+    const auto q = verify_fixture("int8");
+    const auto f = verify_fixture();
+    set_parallel_threads(0);
+    ASSERT_TRUE(q->quantized());
+    ASSERT_FALSE(f->quantized());
+    EXPECT_EQ(q->chunks(), static_cast<size_t>(threads));
+    EXPECT_EQ(q->col_floats(), 0u);
+    ASSERT_LT(q->head(), q->steps().size());
+    EXPECT_EQ(q->qws_bytes(),
+              q->batch() * q->steps()[q->head()].in_features);
+    const size_t imgs = (f->batch() + f->chunks() - 1) / f->chunks();
+    size_t padded = 0;
+    for (const Step& st : f->steps()) {
+      const ConvGeom& g = st.geom;
+      if (st.kind == OpKind::kConv && g.pad != 0)
+        padded = std::max(padded, imgs * g.in_c * (g.in_h + 2 * g.pad) *
+                                      (g.in_w + 2 * g.pad));
+    }
+    EXPECT_GT(padded, 0u);
+    EXPECT_EQ(f->col_floats(), padded);
+    EXPECT_EQ(f->qws_bytes(), 0u);
+  }
 }
 
 TEST(PlanVerify, RejectsWrongWeightPanelShape) {
@@ -1269,17 +1309,6 @@ TEST(PlanVerify, RejectsInconsistentFoldTable) {
     auto& steps = PlanTestPeer::steps(PlanTestPeer::mut(plan));
     steps[fold_host(*plan, true) + 1].act = Act::kRelu;  // before the add
     expect_verify_rejects(plan, "folds an add after an activation");
-  }
-  {
-    auto plan = alf_verify_fixture();
-    auto& steps = PlanTestPeer::steps(PlanTestPeer::mut(plan));
-    Step& exp = steps[fold_host(*plan, false) + 1];
-    const kernels::KernelBackend* other =
-        exp.be == kernels::scalar_backend() ? kernels::find_backend("simd")
-                                            : kernels::scalar_backend();
-    if (other == nullptr) GTEST_SKIP() << "only one float backend";
-    exp.be = other;
-    expect_verify_rejects(plan, "expansion on another step backend");
   }
 }
 

@@ -109,10 +109,31 @@ TEST(KernelRegistry, RegisterAndFind) {
   static const kernels::KernelBackend custom{
       .name = "test-custom",
       .gemm = kernels::scalar_backend()->gemm,
-      .qgemm = kernels::scalar_backend()->qgemm};
+      .qgemm = kernels::scalar_backend()->qgemm,
+      .conv = kernels::scalar_backend()->conv};
   kernels::register_backend(&custom);
   EXPECT_EQ(kernels::find_backend("test-custom"), &custom);
   EXPECT_EQ(kernels::backend_names().back(), "test-custom");
+}
+
+TEST(KernelRegistry, RegisterRefusesABackendWithoutItsConvEntry) {
+  // The engine runs every conv through the backend's conv entry (qconv on
+  // a quantized datapath), so a backend without it cannot register.
+  static const kernels::KernelBackend no_conv{
+      .name = "test-no-conv",
+      .gemm = kernels::scalar_backend()->gemm,
+      .qgemm = kernels::scalar_backend()->qgemm};
+  EXPECT_THROW(kernels::register_backend(&no_conv), CheckError);
+  const kernels::KernelBackend* int8 = kernels::int8_backend();
+  static const kernels::KernelBackend no_qconv{
+      .name = "test-no-qconv",
+      .quantized_datapath = true,
+      .gemm = int8->gemm,
+      .qgemm = int8->qgemm,
+      .conv = kernels::scalar_backend()->conv};
+  EXPECT_THROW(kernels::register_backend(&no_qconv), CheckError);
+  EXPECT_EQ(kernels::find_backend("test-no-conv"), nullptr);
+  EXPECT_EQ(kernels::find_backend("test-no-qconv"), nullptr);
 }
 
 TEST(KernelRegistry, SetDefaultBackendOverridesAndResets) {
@@ -583,6 +604,25 @@ int8_t quantize_ref(float v, float inv, int32_t zp, int32_t levels) {
   return static_cast<int8_t>(std::min(levels, std::max(-levels, q)));
 }
 
+/// The unfolding qconv over the best allowed qgemm: what the generic int8
+/// backend's qconv runs when no dot-product kernel is allowed.
+void qconv_unfold_best(const int8_t* a, size_t lda, const int8_t* x,
+                       const kernels::ConvShape& s, float* c, size_t ldc,
+                       size_t m, const kernels::QgemmParams& p,
+                       const kernels::ConvEpilogue* ep) {
+  kernels::detail::qconv_unfold(kernels::best_quantized_backend()->qgemm, a,
+                                lda, x, s, c, ldc, m, p, ep);
+}
+
+/// A quantized backend whose qconv is qconv_unfold_best, so the unfold
+/// runs on hosts where the generic backend resolves to a gathering kernel.
+const kernels::KernelBackend kQconvUnfold{
+    .name = "qconv-unfold",
+    .quantized_datapath = true,
+    .gemm = &kernels::detail::gemm_scalar,
+    .qgemm = &kernels::detail::qgemm_int8,
+    .qconv = &qconv_unfold_best};
+
 TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
   // qconv packs B straight from zero-point-padded int8 images; the oracle
   // is the path it replaced: float im2col_view, per-image quantize, then
@@ -601,16 +641,11 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
                       {4, 32, 3, 2, 1}, {3, 32, 1, 2, 0}, {7, 8, 3, 2, 1},
                       {9, 8, 1, 2, 0},  {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
                       {64, 8, 3, 1, 1}};
-  const kernels::KernelBackend fallback{
-      .name = "qconv-fallback",
-      .quantized_datapath = true,
-      .gemm = kernels::scalar_backend()->gemm,
-      .qgemm = kernels::best_quantized_backend()->qgemm};
-  std::vector<const kernels::KernelBackend*> cands{&fallback};
+  std::vector<const kernels::KernelBackend*> cands{&kQconvUnfold};
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
     if (!be->quantized_datapath) continue;
-    EXPECT_NE(be->qconv, nullptr) << name << " has no native qconv";
+    EXPECT_NE(be->qconv, nullptr) << name << " has no qconv";
     cands.push_back(be);
   }
   // Every candidate runs under every tile mask, over the first 13 and the
@@ -688,7 +723,6 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
           std::vector<float> ref(m * ldc, -7.0f);
           kernels::detail::qgemm_int8(a.data(), k, qcol.data(), n, ref.data(),
                                       ldc, m, k, n, p);
-          std::vector<int8_t> scratch(k * n);
           for (const kernels::KernelBackend* be : cands) {
             for (const TileMask& tm : masks) {
               const MaskScope scope(tm.mask);
@@ -696,8 +730,8 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
                 for (const int threads : {1, 3}) {
                   set_parallel_threads(threads);
                   std::vector<float> got(rows * ldc, -7.0f);
-                  kernels::qconv(be, a.data(), k, xpad.data(), s, got.data(),
-                                 ldc, rows, p, scratch.data());
+                  be->qconv(a.data(), k, xpad.data(), s, got.data(), ldc,
+                            rows, p, nullptr);
                   ASSERT_EQ(std::memcmp(ref.data(), got.data(),
                                         got.size() * sizeof(float)),
                             0)
@@ -717,8 +751,9 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
 }
 
 TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
-  // A float conv entry gathers B panels from zero-padded images; it must
-  // equal the same backend's gemm over im2col_view's unfold byte for byte.
+  // Every float backend's conv entry (simd gathers B panels from the
+  // zero-padded images, scalar unfolds them first) must equal the same
+  // backend's gemm over im2col_view's unfold byte for byte.
   // The geometries cover every panel read: contiguous rows (3x3 s1 at
   // W=32/16, the 1x1 s1 ALF expansion), two halves (W=8), per-column
   // gathers (strided convs, 7x7 and 5x5 maps whose panels straddle
@@ -736,12 +771,11 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
   std::vector<const kernels::KernelBackend*> cands;
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
-    if (!be->quantized_datapath && be->conv != nullptr) cands.push_back(be);
+    if (be->quantized_datapath) continue;
+    EXPECT_NE(be->conv, nullptr) << name << " has no conv";
+    if (be->conv != nullptr) cands.push_back(be);
   }
-  if (const kernels::KernelBackend* simd = kernels::find_backend("simd")) {
-    EXPECT_NE(simd->conv, nullptr);
-  }
-  if (cands.empty()) GTEST_SKIP() << "no float backend has a conv entry";
+  ASSERT_FALSE(cands.empty());
   const std::vector<TileMask> masks = tile_masks();
   Rng rng(67);
   for (const Geo& geo : geos) {
@@ -868,22 +902,6 @@ kernels::ConvShape epi_shape(const EpiCase& geo, size_t imgs) {
   return s;
 }
 
-/// Runs a float conv the way the engine does for `be`: its conv entry, or
-/// the im2col branch (gemm over the unfold, then conv_epilogue).
-void float_conv(const kernels::KernelBackend* be, const float* a, size_t lda,
-                const float* x, const kernels::ConvShape& s, float* c,
-                size_t m, const kernels::ConvEpilogue* ep) {
-  if (be->conv != nullptr) {
-    be->conv(a, lda, x, s, c, s.n(), m, ep);
-    return;
-  }
-  std::vector<float> col(s.k() * s.n());
-  kernels::detail::unfold_padded(x, s, col.data());
-  be->gemm(a, lda, false, col.data(), s.n(), false, c, s.n(), m, s.k(),
-           s.n(), 1.0f, 0.0f);
-  if (ep != nullptr) kernels::conv_epilogue(be, c, s.n(), m, s, *ep);
-}
-
 TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
   // A float conv with an epilogue equals the same backend's plain conv
   // followed by the reference epilogue; with an expansion, the plain conv,
@@ -929,14 +947,14 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
               for (const int threads : {1, 3}) {
                 set_parallel_threads(threads);
                 std::vector<float> c(m * n), c2(rows * n), code(m * n);
-                float_conv(be, a.data(), k, xpad.data(), s, c.data(), m,
-                           nullptr);
+                be->conv(a.data(), k, xpad.data(), s, c.data(), n, m,
+                         nullptr);
                 const std::vector<float>* fin = &c;
                 if (co != 0) {
                   ref_epilogue(c, m, imgs, plane, nullptr, nullptr, v.inner,
                                code.data());
-                  float_conv(be, ew.data(), m, code.data(), s1, c2.data(), co,
-                             nullptr);
+                  be->conv(ew.data(), m, code.data(), s1, c2.data(), n, co,
+                           nullptr);
                   fin = &c2;
                 }
                 std::vector<float> want(rows * n);
@@ -960,8 +978,8 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
                   ep.inner_act = v.inner;
                   ep.exp_w = ew.data();
                 }
-                float_conv(be, a.data(), k, xpad.data(), s, scratch.data(), m,
-                           &ep);
+                be->conv(a.data(), k, xpad.data(), s, scratch.data(), n, m,
+                         &ep);
                 ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)
@@ -983,17 +1001,13 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
 }
 
 TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
-  // Every qconv entry with an epilogue — int8-vnni, int8-avx2 and the
-  // unfold fallback — equals the plain qconv followed by the reference
+  // Every qconv entry with an epilogue — int8-vnni, int8-avx2, the generic
+  // dispatcher and the unfold — equals the plain qconv followed by the
+  // reference
   // epilogue. An expansion multiplies the float conv result (after its
   // inner activation; never quantized) by the dequantized weights, summed
   // as an fmaf chain in r order from +0, so all entries agree bit for bit.
-  const kernels::KernelBackend fallback{
-      .name = "qconv-fallback",
-      .quantized_datapath = true,
-      .gemm = kernels::scalar_backend()->gemm,
-      .qgemm = kernels::best_quantized_backend()->qgemm};
-  std::vector<const kernels::KernelBackend*> cands{&fallback};
+  std::vector<const kernels::KernelBackend*> cands{&kQconvUnfold};
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
     if (be->quantized_datapath) cands.push_back(be);
@@ -1029,10 +1043,9 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
         p.b_zp = -127;
         std::vector<float> resid(imgs * rows * plane);
         for (float& v : resid) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        std::vector<int8_t> scratch(s.k() * n);
         std::vector<float> c(m * n);
-        kernels::qconv(kernels::int8_backend(), a.data(), k, xq.data(), s,
-                       c.data(), n, m, p, scratch.data());
+        kernels::int8_backend()->qconv(a.data(), k, xq.data(), s, c.data(), n,
+                                       m, p, nullptr);
         for (const EpiVariant& v : kEpiVariants) {
           std::vector<float> fin = c;
           if (co != 0) {
@@ -1071,8 +1084,7 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
                   ep.exp_qw = eq.data();
                   ep.exp_scales = es.data();
                 }
-                kernels::qconv(be, a.data(), k, xq.data(), s, cs.data(), n, m,
-                               p, scratch.data(), &ep);
+                be->qconv(a.data(), k, xq.data(), s, cs.data(), n, m, p, &ep);
                 ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)

@@ -416,15 +416,43 @@ TEST_F(PlanIoHostile, RejectsRetiredChunkOverride) {
                  /*restamp=*/true);
 }
 
-TEST_F(PlanIoHostile, RejectsUnknownStepBackendStamp) {
-  // v2: a step may pin its own backend (tuned plans). An unknown per-step
-  // name must be refused exactly like an unknown plan backend.
-  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
-                                                    header()->steps_off);
-  std::strncpy(steps[0].backend_name, "nosuch-backend",
-               sizeof(steps[0].backend_name) - 1);
-  expect_rejects("step_backend.plan", PlanIoError::Code::kBackend,
-                 /*restamp=*/true);
+TEST_F(PlanIoHostile, RejectsStepNamingAnotherBackend) {
+  // Every step runs on the plan backend, so each step record repeats its
+  // name. A record naming any other backend — registered in this build,
+  // on either datapath — is refused, as is an unknown or empty name.
+  std::vector<std::string> others = {"nosuch-backend", ""};
+  for (const std::string& name : kernels::backend_names())
+    if (name != "scalar") others.push_back(name);
+  const std::vector<uint8_t> pristine = image_;
+  for (const std::string& name : others) {
+    SCOPED_TRACE("step backend '" + name + "'");
+    image_ = pristine;
+    auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
+                                                      header()->steps_off);
+    ASSERT_STREQ(steps[0].backend_name, "scalar");
+    std::memset(steps[0].backend_name, 0, sizeof(steps[0].backend_name));
+    std::strncpy(steps[0].backend_name, name.c_str(),
+                 sizeof(steps[0].backend_name) - 1);
+    expect_rejects("step_backend.plan", PlanIoError::Code::kBadSection,
+                   /*restamp=*/true);
+  }
+}
+
+TEST_F(PlanIoHostile, RejectsRetiredTileChoice) {
+  // The tile fields are reserved: save writes 0, load refuses any other
+  // value instead of running the step with some other blocking.
+  const std::vector<uint8_t> pristine = image_;
+  for (int field = 0; field < 3; ++field) {
+    image_ = pristine;
+    auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
+                                                      header()->steps_off);
+    ASSERT_EQ(steps[0].tile_mc | steps[0].tile_kc | steps[0].tile_nc, 0u);
+    uint32_t* tile[] = {&steps[0].tile_mc, &steps[0].tile_kc,
+                        &steps[0].tile_nc};
+    *tile[field] = 256;
+    expect_rejects("tile.plan", PlanIoError::Code::kBadSection,
+                   /*restamp=*/true);
+  }
 }
 
 TEST_F(PlanIoHostile, RejectsUnterminatedStepBackendName) {
@@ -433,6 +461,42 @@ TEST_F(PlanIoHostile, RejectsUnterminatedStepBackendName) {
   std::memset(steps[0].backend_name, 'x', sizeof(steps[0].backend_name));
   expect_rejects("step_backend_nul.plan", PlanIoError::Code::kBadSection,
                  /*restamp=*/true);
+}
+
+/// Registers a copy of scalar whose name overflows the step records'
+/// backend field, compiles the fixture on it and saves it to `file`: 0
+/// when save throws PlanIoError(kBackend). Run in a child process, which
+/// keeps the registration away from the tests that save a plan on every
+/// registered backend.
+int save_on_long_backend_name(const fs::path& file) {
+  static const kernels::KernelBackend copy{
+      .name = "scalar-reference-copy",
+      .gemm = kernels::scalar_backend()->gemm,
+      .qgemm = kernels::scalar_backend()->qgemm,
+      .conv = kernels::scalar_backend()->conv};
+  static_assert(sizeof("scalar-reference-copy") >
+                sizeof(plan::StepRecord::backend_name));
+  kernels::register_backend(&copy);
+  InlineExecutionGuard inline_only;
+  auto p = compile_fixture(copy.name, "long_name");
+  try {
+    plan::save(*p, file.string());
+  } catch (const PlanIoError& e) {
+    return e.code() == PlanIoError::Code::kBackend ? 0 : 1;
+  }
+  return 1;
+}
+
+using PlanIoDeathTest = ::testing::Test;
+
+TEST(PlanIoDeathTest, SaveRefusesABackendNameAStepRecordCannotHold) {
+  // save must refuse before writing anything instead of cutting the name
+  // into a blob no build can load.
+  TempDir td;
+  const fs::path file = td.path / "long_name.plan";
+  EXPECT_EXIT(std::_Exit(save_on_long_backend_name(file)),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(fs::is_empty(td.path)) << "save left a file behind";
 }
 
 TEST_F(PlanIoHostile, RejectsMissingFile) {

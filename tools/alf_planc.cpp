@@ -28,7 +28,6 @@
 #include "engine/exec_context.hpp"
 #include "engine/plan_io.hpp"
 #include "models/zoo.hpp"
-#include "tune/tuner.hpp"
 
 using namespace alf;
 using namespace alf::bench;
@@ -50,8 +49,7 @@ struct ZooEntry {
                                        const ConvMaker&);
 };
 
-int compile_dir(const std::string& dir, const Scale& s, size_t batch,
-                bool tune) {
+int compile_dir(const std::string& dir, const Scale& s, size_t batch) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -87,10 +85,6 @@ int compile_dir(const std::string& dir, const Scale& s, size_t batch,
       opts.backend = backend;
       opts.bits = 8;
       opts.name = stem;
-      // --tune: per-shape autotuned plans. The winners persist in the algo
-      // cache AND in the blob itself (v2 StepRecord), so deploy hosts
-      // replay the decisions with zero microbenchmark runs.
-      if (tune) opts.tune = TuneMode::kCached;
       auto plan = Plan::compile(*model, batch, mc.in_channels, s.hw, s.hw,
                                 opts);
       const double compile_ms = ms_since(t0);
@@ -105,15 +99,6 @@ int compile_dir(const std::string& dir, const Scale& s, size_t batch,
     }
   }
   table.print();
-  if (tune) {
-    // Machine-readable for CI: a second --tune run against the same cache
-    // must report measured=0 (100% hit rate).
-    const tune::TuneStats st = tune::stats();
-    std::printf("tune_stats measured=%llu hits=%llu misses=%llu\n",
-                static_cast<unsigned long long>(st.measure_runs),
-                static_cast<unsigned long long>(st.cache_hits),
-                static_cast<unsigned long long>(st.cache_misses));
-  }
   return 0;
 }
 
@@ -170,9 +155,7 @@ int main(int argc, char** argv) {
   const Scale s = parse_scale(argc, argv);
   std::string out_dir, check;
   size_t batch = s.batch;
-  bool tune = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tune") == 0) tune = true;
     if (i + 1 >= argc) break;
     if (std::strcmp(argv[i], "--out") == 0) out_dir = argv[i + 1];
     if (std::strcmp(argv[i], "--check") == 0) check = argv[i + 1];
@@ -181,15 +164,12 @@ int main(int argc, char** argv) {
   }
   if (out_dir.empty() == check.empty()) {
     std::fprintf(stderr,
-                 "usage: alf_planc --out DIR [--quick|--full] [--batch N] "
-                 "[--tune]\n"
+                 "usage: alf_planc --out DIR [--quick|--full] [--batch N]\n"
                  "       alf_planc --check DIR\n");
     return 2;
   }
-  // --quick also shortens the microbenchmarks (2 reps instead of 3).
-  if (tune && std::strcmp(s.name, "quick") == 0) tune::set_reps(2);
   try {
-    return check.empty() ? compile_dir(out_dir, s, batch, tune)
+    return check.empty() ? compile_dir(out_dir, s, batch)
                          : check_dir(check);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "alf_planc: %s\n", e.what());

@@ -5,7 +5,7 @@
 // hash-balances connections, the mmap-loaded blobs keep one physical copy
 // of the weights across all shards.
 //
-//   alf_planc --quick --tune --out plans/
+//   alf_planc --quick --out plans/
 //   alf_served --plan-dir plans/ --port 7411 --shards 4 --workers 2
 //
 // The parent creates ALL listening sockets before forking (SO_REUSEPORT
