@@ -67,8 +67,8 @@ inline std::string json_escape(const std::string& s) {
 
 /// Nearest-rank percentile of the sample `v`, p in [0, 1]: the smallest
 /// element such that at least ceil(p * n) values are <= it (p = 0 gives the
-/// minimum, p = 1 the maximum). Shared by serve_latency and the serve load
-/// generator; takes the sample by value and sorts the copy.
+/// minimum, p = 1 the maximum). Used by the serve load generator; takes
+/// the sample by value and sorts the copy.
 inline double percentile(std::vector<double> v, double p) {
   ALF_CHECK(!v.empty()) << "percentile of an empty sample";
   ALF_CHECK(p >= 0.0 && p <= 1.0) << "p=" << p;
@@ -163,20 +163,6 @@ class BenchJson {
 inline std::string parse_json_path(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  return "";
-}
-
-/// Like parse_json_path, but also removes the flag pair from argv — needed
-/// by bench_micro, whose remaining flags go to google-benchmark.
-inline std::string take_json_flag(int& argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      std::string path = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      return path;
-    }
-  }
   return "";
 }
 

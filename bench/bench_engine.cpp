@@ -7,14 +7,20 @@
 // Writes BENCH_engine.json (default; override with --json <path>) so the
 // speedup is recorded per-PR. The acceptance bar for the engine refactor is
 // >= 1.5x over the layer tree on ResNet-20 at batch 32.
+//
+// It also times three substrates of the training and modeling side at fixed
+// shapes (micro/* rows): a 3x3 conv's backward pass, an ALF block's eval
+// forward, and the Eyeriss mapper's search over one layer.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
 #include "engine/plan_io.hpp"
+#include "hwmodel/mapper.hpp"
+#include "nn/conv2d.hpp"
 
 using namespace alf;
 using namespace alf::bench;
@@ -22,9 +28,9 @@ using namespace alf::bench;
 namespace {
 
 /// Multiply-adds of one image under the compiled plan (conv + linear).
-double plan_madds(const Engine& eng) {
+double plan_madds(const Plan& plan) {
   double madds = 0.0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan.steps()) {
     if (st.kind == OpKind::kConv)
       madds += static_cast<double>(st.w.dim(0)) * st.w.dim(1) *
                st.geom.col_cols();
@@ -107,18 +113,18 @@ int main(int argc, char** argv) {
       Tensor x = random_input({batch, mc.in_channels, s.hw, s.hw}, rng);
       for (const int t : threads) {
         set_parallel_threads(t);
-        Engine eng =
-            Engine::compile(*mut.model, batch, mc.in_channels, s.hw, s.hw);
-        Tensor out({batch, eng.classes()});
+        ExecContext ctx(
+            Plan::compile(*mut.model, batch, mc.in_channels, s.hw, s.hw));
+        Tensor out({batch, ctx.plan().classes()});
         // Untimed warmup round for both paths.
         mut.model->forward(x, false);
-        eng.run(x, out);
+        ctx.run(x, out);
         const double layers_ms =
             time_ms(reps, [&] { mut.model->forward(x, false); });
-        const double engine_ms = time_ms(reps, [&] { eng.run(x, out); });
+        const double engine_ms = time_ms(reps, [&] { ctx.run(x, out); });
         const double speedup = layers_ms / engine_ms;
-        const double gmadds =
-            plan_madds(eng) * static_cast<double>(batch) / (engine_ms * 1e6);
+        const double gmadds = plan_madds(ctx.plan()) *
+                              static_cast<double>(batch) / (engine_ms * 1e6);
         if (std::strcmp(mut.name, "resnet20") == 0 && batch == 32 &&
             t == hw_threads)
           resnet_b32_speedup = speedup;
@@ -184,6 +190,49 @@ int main(int argc, char** argv) {
   std::error_code cleanup_ec;
   fs::remove_all(blob_dir, cleanup_ec);
   cold.print();
+
+  // --- Substrates at fixed shapes, independent of the scale flag: a 16 ->
+  // 32 channel 3x3 conv over 4 16x16 images (backward pass after one
+  // training forward), the same layer as an ALF block (eval forward), and
+  // the mapper's search for that layer at batch 16. ---
+  Table micro("Substrates (micro/*)");
+  micro.set_header({"row", "wall[ms]"});
+  const auto record_micro = [&](const char* name, double ms) {
+    micro.add_row({name, Table::fmt(ms, 3)});
+    json.row(name).wall_ms = ms;
+  };
+  {
+    Rng mrng(4);
+    Conv2d conv("c", 16, 32, 3, 1, 1, Init::kHe, mrng);
+    Tensor x = random_input({4, 16, 16, 16}, mrng);
+    const Tensor y = conv.forward(x, /*train=*/true);
+    const Tensor g = random_input(y.shape(), mrng);
+    record_micro("micro/conv_backward", time_ms(reps, [&] {
+                   conv.zero_grad();
+                   conv.backward(g);
+                 }));
+  }
+  {
+    Rng mrng(5);
+    AlfConv block("b", 16, 32, 3, 1, 1, AlfConfig{}, mrng);
+    Tensor x = random_input({4, 16, 16, 16}, mrng);
+    record_micro("micro/alf_forward",
+                 time_ms(reps, [&] { block.forward(x, /*train=*/false); }));
+  }
+  {
+    ConvWorkload w;
+    w.name = "conv321";
+    w.r = w.s = 3;
+    w.p = w.q = 16;
+    w.c = 16;
+    w.m = 32;
+    w.n = 16;
+    const EyerissConfig arch;
+    const MapperConfig mcfg;
+    record_micro("micro/mapper_search",
+                 time_ms(reps, [&] { map_layer(w, arch, mcfg); }));
+  }
+  micro.print();
 
   table.print();
   if (json.write(json_path)) {

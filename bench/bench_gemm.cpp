@@ -20,7 +20,7 @@
 
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
 #include "hwmodel/mapper.hpp"
 #include "kernels/backend.hpp"
 #include "quant/quantize.hpp"
@@ -220,17 +220,18 @@ int main(int argc, char** argv) {
   std::vector<int> labels;
   ds.full_batch(x, labels);
 
-  Engine fp = Engine::compile(*model, batch, mc.in_channels, s.hw, s.hw);
-  Engine q8 = Engine::compile(*model, batch, mc.in_channels, s.hw, s.hw,
-                              {.backend = "int8", .bits = 8, .name = ""});
-  const size_t img_floats = fp.image_floats();
-  Tensor out_fp({images, fp.classes()});
-  Tensor out_q8({images, q8.classes()});
-  const auto replay = [&](Engine& eng, Tensor& out) {
+  ExecContext fp(Plan::compile(*model, batch, mc.in_channels, s.hw, s.hw));
+  ExecContext q8(Plan::compile(*model, batch, mc.in_channels, s.hw, s.hw,
+                               {.backend = "int8", .bits = 8, .name = ""}));
+  const size_t img_floats = fp.plan().image_floats();
+  const size_t classes = fp.plan().classes();
+  Tensor out_fp({images, classes});
+  Tensor out_q8({images, classes});
+  const auto replay = [&](ExecContext& ctx, Tensor& out) {
     for (size_t i0 = 0; i0 < images; i0 += batch) {
       const size_t n = std::min(batch, images - i0);
-      eng.run_rows(x.data() + i0 * img_floats, n,
-                   out.data() + i0 * eng.classes());
+      ctx.run_rows(x.data() + i0 * img_floats, n,
+                   out.data() + i0 * classes);
     }
   };
   replay(fp, out_fp);  // warm
@@ -240,7 +241,7 @@ int main(int argc, char** argv) {
   size_t agree = 0;
   for (size_t i = 0; i < images; ++i) {
     size_t af = 0, aq = 0;
-    for (size_t cls = 1; cls < fp.classes(); ++cls) {
+    for (size_t cls = 1; cls < classes; ++cls) {
       if (out_fp.at(i, cls) > out_fp.at(i, af)) af = cls;
       if (out_q8.at(i, cls) > out_q8.at(i, aq)) aq = cls;
     }

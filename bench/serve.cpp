@@ -6,9 +6,10 @@
 //
 //   layer-tree : the pre-engine baseline — every request runs its own
 //                Sequential::forward on a per-client model replica
-//   engine     : one shared BatchServer — mutex/CV queue, dynamic batching
-//                up to Engine::batch() images per tick, a single
-//                Engine::run_rows per dispatch
+//   engine     : one shared ModelServer hosting the float ResNet-20 on
+//                one worker — mutex/CV queue, dynamic batching up to
+//                Plan::batch() images per tick, a single
+//                ExecContext::run_rows per dispatch
 //   multi-model: one ModelServer hosting the float ResNet-20 AND its int8
 //                twin (two shared Plans, per-model queues, weighted
 //                scheduling at --weight-f32/--weight-int8, K workers each
@@ -68,7 +69,6 @@
 #include "kernels/backend.hpp"
 #include "net/server.hpp"
 #include "netload.hpp"
-#include "serve/batch_server.hpp"
 #include "serve/model_server.hpp"
 
 using namespace alf;
@@ -593,11 +593,12 @@ int main(int argc, char** argv) {
       plan, inputs_by_n,
       [&](size_t c, const Tensor& x) { replicas[c]->forward(x, false); });
 
-  // --- Engine path: shared BatchServer, dynamic batching. The float plan
-  // is created ONCE and shared with the multi-model path below (the whole
-  // point of the Plan/ExecContext split) — compiled from the model, or
-  // with --plan-dir loaded from its alf_planc blob. The compile runs (and
-  // is timed) either way, so the cold_start rows always have a baseline.
+  // --- Engine path: a one-model, one-worker ModelServer, dynamic
+  // batching. The float plan is created ONCE and shared with the
+  // multi-model path below (the whole point of the Plan/ExecContext
+  // split) — compiled from the model, or with --plan-dir loaded from its
+  // alf_planc blob. The compile runs (and is timed) either way, so the
+  // cold_start rows always have a baseline.
   const auto dur_ms = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
@@ -628,15 +629,15 @@ int main(int argc, char** argv) {
   double load_f32_ms = 0.0, blob_f32_kib = 0.0;
   if (!plan_dir.empty())
     fplan = load_blob("resnet20_f32", &load_f32_ms, &blob_f32_kib);
-  BatchServer::Config cfg;
-  cfg.max_wait_us = max_wait_us;
-  BatchServer server(fplan, cfg);
-  server.submit(inputs_by_n[1]).get();  // untimed warmup
-  const ServeStats warm = server.stats();
+  ModelServer server(ModelServer::Config{.workers = 1});
+  server.add_model(kF32, fplan, {.max_wait_us = max_wait_us});
+  server.start();
+  server.submit(kF32, inputs_by_n[1]).get();  // untimed warmup
+  const ServeStats warm = server.stats(kF32);
   const LoadResult engine = run_load(
       plan, inputs_by_n,
-      [&](size_t, const Tensor& x) { server.submit(x).get(); });
-  ServeStats st = server.stats();
+      [&](size_t, const Tensor& x) { server.submit(kF32, x).get(); });
+  ServeStats st = server.stats(kF32);
   server.stop();
   st.batches -= warm.batches;  // exclude the warmup dispatch
   st.requests -= warm.requests;
@@ -645,8 +646,6 @@ int main(int argc, char** argv) {
   // --- Multi-model path: ModelServer hosting the float net + its int8
   // twin on a shared worker pool (one ExecContext per worker per plan),
   // weighted scheduling between the two queues. ---
-  const char* kF32 = "resnet20_f32";
-  const char* kInt8 = "resnet20_int8";
   const auto t_cq = std::chrono::steady_clock::now();
   auto qplan = Plan::compile(*replicas[0], max_batch, mc.in_channels, s.hw,
                              s.hw, {.backend = "int8", .bits = 8, .name = ""});

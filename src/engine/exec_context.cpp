@@ -399,11 +399,10 @@ void ExecContext::run_rows(const float* x, size_t n, float* out) {
     });
   }
 
-  // The batch-level head runs once over all n rows: running it per chunk
-  // would let a chunk's row count pick a different GEMM path, and change
-  // float bits. Its input (or, with no head, the final activation) is
-  // packed in place to n dense rows first: chunk k's block moves from row
-  // k*chunk down to image k*chunk, never over a block not yet moved.
+  // The batch-level head runs once over all n rows: one GEMM per batch,
+  // not one per chunk. Its input (or, with no head, the final activation)
+  // is packed in place to n dense rows first: chunk k's block moves from
+  // row k*chunk down to image k*chunk, never over a block not yet moved.
   const bool has_head = head_ < steps.size();
   const size_t packed = has_head ? steps[head_].in : steps.back().out;
   if (packed != 0) {

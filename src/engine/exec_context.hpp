@@ -21,8 +21,9 @@
 // (Plan::slot_stride), so chunks running different steps never overlap,
 // even in a slot the allocator reuses for another activation size. The
 // batch-level head — the trailing kLinear steps — runs after the region,
-// once over all n rows packed densely: run per chunk, a small chunk could
-// take a different GEMM path and round differently.
+// once over all n rows packed densely: one GEMM per batch instead of one
+// per chunk. The float kernels are shape-invariant (kernels/backend.hpp),
+// so an image's logits are the same bits at every n and in every chunk.
 //
 // Concurrency contract: a context is single-threaded (one run at a time;
 // the run itself fans out over the process worker pool), but any number
@@ -30,8 +31,9 @@
 // — runs read the Plan and write only their own context, and the kernel
 // backends keep per-thread scratch only. Results are bit-identical across
 // contexts, thread counts, and batch packings: the chunk grid is frozen in
-// the Plan and every per-image quantization scale depends only on image
-// content.
+// the Plan, every float kernel computes an element the same way whatever
+// the product's shape, and every per-image quantization scale depends only
+// on image content.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,16 @@
 // Plan: the immutable half of the compiled-model split.
 //
-// Engine::compile used to weld what was compiled (steps, folded weights,
-// packed/int8 weight blobs, pinned backend, arena layout) to what runs
-// it (one mutable workspace arena). That limits a compiled model to one
-// in-flight batch. The split here mirrors the compiled-blob-vs-execution-
+// The training framework walks the Layer tree and allocates a fresh Tensor
+// per layer per call — right for autograd, wasteful for serving. A model
+// deployed for inference is instead compiled once, and run many times:
+//
+//   ExecContext ctx(Plan::compile(model, batch, in_c, h, w));
+//   ctx.run(x, logits);   // zero heap allocations per call
+//
+// What was compiled (steps, folded weights, packed/int8 weight blobs,
+// pinned backend, arena layout) is kept apart from what runs it (one
+// mutable workspace arena), so a compiled model is not limited to one
+// in-flight batch. The split mirrors the compiled-blob-vs-execution-
 // context separation every serious inference stack converges on:
 //
 //   Plan        — everything Plan::compile produced. Immutable after
@@ -12,10 +19,15 @@
 //                 it concurrently, race-free by construction because a
 //                 run only ever writes its own context.
 //   ExecContext — per-worker storage: arena, padded-image/qgemm scratch
-//                 (exec_context.hpp).
-//   Engine      — thin compatibility facade owning one Plan + one
-//                 context (engine.hpp); pre-split call sites compile
-//                 unchanged.
+//                 (exec_context.hpp). ctx.plan() is the plan it runs, and
+//                 ctx.plan_ptr() shares it with another context.
+//
+// Compilation walks the model (descending into Sequential and
+// ResidualBlock, and lowering AlfConv blocks to their deployed dense
+// code-conv + 1x1-expansion pair, Sec. III-C), folds inference-mode
+// BatchNorm into the preceding conv/linear weights and bias, fuses
+// trailing activations into the kernel epilogues, and binds every step to
+// a slot of one preallocated workspace arena.
 //
 // The Plan carries not just the step list but the arena *layout* (slot
 // count/stride, scratch offsets, the fixed chunk grid), so every context
@@ -310,8 +322,8 @@ class Plan {
   size_t col_floats() const { return col_sz_; }
   /// Per-chunk result scratch: workspace for the conv entries that compute
   /// a whole product before the epilogue stores it (scalar's conv, the
-  /// int8 unfold, simd's small shapes). Gathering kernels store straight
-  /// to the activation slots and leave it untouched.
+  /// int8 unfold). Gathering kernels store straight to the activation
+  /// slots and leave it untouched.
   size_t result_offset() const { return res_off_; }
   size_t result_floats() const { return res_sz_; }
   /// Fixed batch partition (chosen at compile for determinism). A run of

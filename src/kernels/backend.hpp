@@ -53,6 +53,13 @@
 // Every backend must be deterministic: for a fixed backend the result is
 // bit-identical for any thread count (accumulation order per C element
 // depends only on the k-block grid, never on the thread partition).
+// A float backend must also be shape-invariant: the bits of a C element of
+// gemm or conv depend only on its row of A, its column of B and k, never
+// on m, n or the thread count. No path may be picked by the product's
+// size, because a conv's n and the linear head's m grow with the images
+// batched together, and one image's logits must not depend on its
+// neighbours. (The int8 kernels' small-shape body is exact integer math,
+// so theirs is invisible.)
 //
 // Every backend must also be re-entrant: a multi-tenant server runs many
 // ExecContexts concurrently from different worker threads, so concurrent

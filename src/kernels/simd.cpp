@@ -69,10 +69,6 @@ constexpr size_t kMc = 64;   // rows packed per A block (~64KB with kKc)
 constexpr size_t kKc = 256;  // k extent of one block (global grid)
 constexpr size_t kNc = 256;  // cols per B block (kKc x kNc = 256KB in L2)
 
-// Below this many multiply-adds the packing overhead outweighs the wider
-// kernel; delegate to the scalar backend (also covers degenerate shapes).
-constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
-
 using detail::kMaddsPerWorker;
 static_assert(kNr == detail::kPanelCols, "conv gathers whole B panels");
 
@@ -269,16 +265,13 @@ inline void sweep_panel(const float* apack, size_t rows, size_t kb,
 
 /// The packed kernel: B packed once by the caller, rows partitioned over
 /// the workers, (kMc, kKc, kNc) cache blocking. The k-block grid is
-/// global, so results are bit-stable across thread counts.
+/// global, so results are bit-stable across thread counts. Every shape,
+/// however small, runs this path: a C element's bits then depend only on
+/// its row of A, its column of B and k (backend.hpp), so a row computes
+/// the same whatever rows share its product.
 void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
                size_t ldb, bool trans_b, float* pc, size_t ldc, size_t m,
                size_t k, size_t n, float alpha, float beta) {
-  if (m * k * n < kScalarCutoffMadds || n < kNr / 2 || k == 0) {
-    detail::gemm_scalar(pa, lda, trans_a, pb, ldb, trans_b, pc, ldc, m, k, n,
-                        alpha, beta);
-    return;
-  }
-
   const size_t madds_per_row = std::max<size_t>(1, k * n);
   const size_t min_rows = std::max<size_t>(1, kMaddsPerWorker / madds_per_row);
   const bool inline_run =
@@ -407,16 +400,12 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
   const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
   const bool zmm = detail::zmm_tile();
   // The expansion computes what a separate 1x1 conv step over these same
-  // images would: gemm_simd's scalar body below its cutoff (decided on
-  // this call's n, as that step's call would), the micro-kernel over the
-  // packed expansion weights above it.
+  // images would: the micro-kernel over the packed expansion weights.
   const size_t co = ep != nullptr ? ep->co : 0;
-  const bool exp_scalar =
-      co != 0 && (co * m * n < kScalarCutoffMadds || n < kNr / 2);
   const size_t cor = (co + kMr - 1) / kMr * kMr;
   thread_local std::vector<float> epack_tls;
   float* epack = nullptr;
-  if (co != 0 && !exp_scalar) {
+  if (co != 0) {
     epack_tls.resize(cor * m);
     epack = epack_tls.data();
     for (size_t k0 = 0; k0 < m; k0 += kKc)
@@ -433,18 +422,13 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
       return;
     }
     detail::act_rows(ep->inner_act, v, kNr, m, cols);
-    if (exp_scalar) {
-      detail::gemm_scalar(ep->exp_w, m, false, v, kNr, false, exp, kNr, co,
-                          m, cols, 1.0f, 0.0f);
-    } else {
-      for (size_t k0 = 0; k0 < m; k0 += kKc) {
-        const size_t kb = std::min(m, k0 + kKc) - k0;
-        if (k0 == 0)
-          sweep_panel<true>(epack, co, kb, v, cols, 1.0f, exp, kNr, zmm);
-        else
-          sweep_panel(epack + k0 * cor, co, kb, v + k0 * kNr, cols, 1.0f, exp,
-                      kNr, zmm);
-      }
+    for (size_t k0 = 0; k0 < m; k0 += kKc) {
+      const size_t kb = std::min(m, k0 + kKc) - k0;
+      if (k0 == 0)
+        sweep_panel<true>(epack, co, kb, v, cols, 1.0f, exp, kNr, zmm);
+      else
+        sweep_panel(epack + k0 * cor, co, kb, v + k0 * kNr, cols, 1.0f, exp,
+                    kNr, zmm);
     }
     detail::store_panel(*ep, co, plane, exp, kNr, j0, cols);
   };
@@ -456,24 +440,6 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
     return buf_tls.data();
   };
 
-  if (m * k * n < kScalarCutoffMadds || n < kNr / 2) {
-    // gemm_simd sends these shapes to the scalar body; so does conv, over
-    // the unfold materialized in kernel-local scratch.
-    thread_local std::vector<float> col_tls;
-    col_tls.resize(k * n);
-    detail::unfold_padded(x, s, col_tls.data());
-    detail::gemm_scalar(a, lda, false, col_tls.data(), n, false, c, ldc, m, k,
-                        n, 1.0f, 0.0f);
-    if (ep == nullptr) return;
-    float* const buf = panel_buffers();
-    for (size_t j0 = 0; j0 < n; j0 += kNr) {
-      const size_t cols = std::min(kNr, n - j0);
-      for (size_t r = 0; r < m; ++r)
-        std::memcpy(buf + r * kNr, c + r * ldc + j0, cols * sizeof(float));
-      finish_panel(buf, buf + m * kNr, j0, cols);
-    }
-    return;
-  }
   // A is packed once, k block by k block (block k0 at apack + k0 * mr);
   // workers reach the caller's thread_local scratch through plain pointers
   // (see qgemm_int8_body).

@@ -25,11 +25,12 @@
 // With workers > 1 each worker pins its engine runs inline
 // (InlineExecutionGuard), so K batches crunch on K cores concurrently
 // instead of serializing on the process worker pool; with workers == 1 the
-// single worker fans each batch out across the pool, matching the
-// pre-multi-tenant BatchServer. Either way results are bit-identical to a
-// direct single-threaded Engine::run of the same plan: chunk grids are
-// fixed at compile time, backends accumulate in thread-independent order,
-// and quantization scales are per-image.
+// single worker fans each batch out across the pool (a single-dispatcher
+// server, what one model needs). Either way results are bit-identical to a
+// direct single-threaded ExecContext run of the same plan, whatever
+// requests share a batch: chunk grids are fixed at compile time, the
+// float kernels compute each element alike at every product shape and
+// thread count, and quantization scales are per-image.
 //
 // LOCKING (machine-checked; see core/thread_annotations.hpp): all
 // queue/scheduler/dispatch state lives under the ONE annotated Mutex m_,
@@ -71,7 +72,8 @@ class ModelServer {
 
   struct Config {
     /// Workers in the shared pool. Each owns one ExecContext per hosted
-    /// plan; 1 reproduces the single-dispatcher BatchServer behavior.
+    /// plan; 1 is a single dispatcher that fans each batch out over the
+    /// process worker pool.
     size_t workers = 1;
     /// Start with dispatch paused (see pause()/resume()); used by tests
     /// and replay harnesses to stage backlogs deterministically.

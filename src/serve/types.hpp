@@ -10,7 +10,6 @@
 //                      of its own; runs under the server's mutex)
 //   scheduler.hpp    — weighted fair pick across backlogged models
 //   model_server.hpp — the registry + shared worker pool tying them together
-//   batch_server.hpp — the single-model facade (the pre-multi-tenant API)
 #pragma once
 
 #include <chrono>

@@ -36,8 +36,7 @@ void gemm_view(const float* a, size_t lda, bool trans_a, const float* b,
                size_t k, size_t n, float alpha = 1.0f, float beta = 0.0f);
 
 /// Reference GEMM: serial textbook triple loop, no blocking, no threading.
-/// Kept as the oracle for tests and the baseline for bench_micro; do not
-/// use on hot paths.
+/// Kept as the oracle for tests; do not use on hot paths.
 void gemm_naive(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
                 Tensor& c, float alpha = 1.0f, float beta = 0.0f);
 

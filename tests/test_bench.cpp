@@ -127,8 +127,8 @@ TEST(Percentile, RejectsEmptySamplesAndBadP) {
 TEST(Percentile, P999CollapsesToP99OnSmallSamples) {
   // Nearest rank: ceil(0.99 n) == ceil(0.999 n) for every n <= 99, so a
   // small latency sample CANNOT resolve p99.9 — it merely repeats p99.
-  // Guard the identity so reporting both on small runs (serve,
-  // serve_latency) stays honest rather than silently fabricating a tail.
+  // Guard the identity so reporting both on small runs (serve) stays
+  // honest rather than silently fabricating a tail.
   std::vector<double> v;
   for (int n = 1; n <= 99; ++n) {
     v.push_back(n);  // v = 1..n

@@ -16,7 +16,7 @@
 #include "alf/deploy.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
 #include "grad_check.hpp"
 #include "kernels/backend.hpp"
 #include "kernels/internal.hpp"
@@ -26,7 +26,7 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 
-// Heap instrumentation for Engine::run's zero-allocation contract. The
+// Heap instrumentation for ExecContext::run's zero-allocation contract. The
 // replacement operators serve the whole test binary; counting is gated so
 // only the probed region pays attention.
 namespace {
@@ -142,15 +142,16 @@ TEST(Engine, ResNet20MatchesLayerTree) {
   Tensor x = random_input({5, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
 
-  Engine eng = Engine::compile(*model, /*batch=*/8, mc.in_channels, kHw, kHw);
-  EXPECT_EQ(eng.classes(), mc.classes);
+  ExecContext ctx(
+      Plan::compile(*model, /*batch=*/8, mc.in_channels, kHw, kHw));
+  EXPECT_EQ(ctx.plan().classes(), mc.classes);
   Tensor out({5, mc.classes});
-  eng.run(x, out);
+  ctx.run(x, out);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   // BN is folded and every ReLU rides a kernel epilogue: the compiled plan
   // contains no standalone normalization or activation steps.
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : ctx.plan().steps()) {
     EXPECT_NE(st.kind, OpKind::kScaleShift) << st.name;
     EXPECT_NE(st.kind, OpKind::kActivation) << st.name;
   }
@@ -166,8 +167,8 @@ TEST(Engine, Plain20MatchesLayerTree) {
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
-  Tensor out = eng.run(x);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
+  Tensor out = ctx.run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 }
 
@@ -190,13 +191,14 @@ TEST(Engine, AlfDeployedModelMatchesEvalForward) {
 
   Tensor x = random_input({3, mc.in_channels, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = compile_deployed(*model, /*batch=*/4, mc.in_channels, kHw);
-  Tensor out = eng.run(x);
+  ExecContext ctx(
+      Plan::compile(*model, /*batch=*/4, mc.in_channels, kHw, kHw));
+  Tensor out = ctx.run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   // The plan contains the lowered dense pair per ALF block.
   size_t code_steps = 0, exp_steps = 0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : ctx.plan().steps()) {
     if (st.name.find("_code") != std::string::npos) ++code_steps;
     if (st.name.find("_exp") != std::string::npos) ++exp_steps;
   }
@@ -234,28 +236,28 @@ TEST(Engine, RepeatedRunsReuseArenaWithNoGrowth) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
 
-  const float* arena = eng.workspace_data();
-  const size_t floats = eng.workspace_floats();
+  const float* arena = ctx.workspace_data();
+  const size_t floats = ctx.workspace_floats();
   ASSERT_GT(floats, size_t{0});
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
-  Tensor first = eng.run(x);
+  Tensor first = ctx.run(x);
   for (int i = 0; i < 3; ++i) {
-    Tensor again = eng.run(x);
+    Tensor again = ctx.run(x);
     for (size_t j = 0; j < first.numel(); ++j)
       EXPECT_EQ(first.at(j), again.at(j));
-    EXPECT_EQ(eng.workspace_data(), arena);
-    EXPECT_EQ(eng.workspace_floats(), floats);
+    EXPECT_EQ(ctx.workspace_data(), arena);
+    EXPECT_EQ(ctx.workspace_floats(), floats);
   }
 }
 
 TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
-  // The Plan/ExecContext split: two engines built from ONE compiled plan
+  // The Plan/ExecContext split: two contexts built from ONE compiled plan
   // must (a) share the immutable plan object (same steps storage, no
   // weight duplication), (b) own distinct arenas, and (c) produce the
-  // same bits as the engine that compiled it.
+  // same bits as the context it was compiled for.
   Rng rng(45);
   ModelConfig mc;
   mc.base_width = 8;
@@ -263,14 +265,15 @@ TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
 
-  Engine original = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
-  Engine alias_a(original.plan());
-  Engine alias_b(original.plan());
-  EXPECT_EQ(&alias_a.steps(), &original.steps());  // shared, not copied
-  EXPECT_EQ(alias_a.plan().get(), alias_b.plan().get());
+  ExecContext original(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
+  ExecContext alias_a(original.plan_ptr());
+  ExecContext alias_b(original.plan_ptr());
+  // Shared, not copied.
+  EXPECT_EQ(&alias_a.plan().steps(), &original.plan().steps());
+  EXPECT_EQ(alias_a.plan_ptr().get(), alias_b.plan_ptr().get());
   EXPECT_NE(alias_a.workspace_data(), alias_b.workspace_data());
   EXPECT_EQ(alias_a.workspace_floats(), alias_b.workspace_floats());
-  EXPECT_EQ(alias_a.workspace_floats(), original.plan()->workspace_floats());
+  EXPECT_EQ(alias_a.workspace_floats(), original.plan().workspace_floats());
 
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
   const Tensor want = original.run(x);
@@ -283,8 +286,8 @@ TEST(Engine, SharedPlanAcrossEnginesIsBitIdenticalAndNotDuplicated) {
 }
 
 TEST(Engine, SharedPlanOutlivesTheCompilingEngine) {
-  // A served model's lifetime is the Plan's, not any one engine's: the
-  // compiling Engine may be destroyed while contexts on its plan live on.
+  // A served model's lifetime is the Plan's, not any one context's: the
+  // context it was compiled for may be destroyed while others live on.
   Rng rng(46);
   ModelConfig mc;
   mc.base_width = 8;
@@ -296,11 +299,10 @@ TEST(Engine, SharedPlanOutlivesTheCompilingEngine) {
   std::shared_ptr<const Plan> plan;
   Tensor want;
   {
-    Engine compiler_engine =
-        Engine::compile(*model, 2, mc.in_channels, kHw, kHw);
-    plan = compiler_engine.plan();
-    want = compiler_engine.run(x);
-  }  // compiling engine (and its context) destroyed here
+    ExecContext first(Plan::compile(*model, 2, mc.in_channels, kHw, kHw));
+    plan = first.plan_ptr();
+    want = first.run(x);
+  }  // the first context destroyed here
   ExecContext ctx(plan);
   const Tensor got = ctx.run(x);
   for (size_t i = 0; i < want.numel(); ++i) EXPECT_EQ(want.at(i), got.at(i));
@@ -313,19 +315,19 @@ TEST(Engine, SmallerBatchesRunOnTheSamePlan) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
-  Engine eng = Engine::compile(*model, 8, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 8, mc.in_channels, kHw, kHw));
 
   for (size_t n : {size_t{1}, size_t{3}, size_t{8}}) {
     Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
     const Tensor ref = model->forward(x, false);
-    EXPECT_LT(max_abs_diff(ref, eng.run(x)), kTol) << "batch " << n;
+    EXPECT_LT(max_abs_diff(ref, ctx.run(x)), kTol) << "batch " << n;
   }
   Tensor too_big = random_input({9, mc.in_channels, kHw, kHw}, rng);
-  EXPECT_THROW(eng.run(too_big), CheckError);
+  EXPECT_THROW(ctx.run(too_big), CheckError);
 }
 
 TEST(Engine, PartialBatchesBitIdenticalToExactlySizedPlan) {
-  // A partial batch on a big-batch plan (the BatchServer's steady state)
+  // A partial batch on a big-batch plan (a server's steady state)
   // must produce the same bits as a plan compiled exactly for that n, at
   // every n: the two plans cut the batch into different chunks and lay
   // them out at different rows of differently sized slots.
@@ -348,12 +350,11 @@ TEST(Engine, PartialBatchesBitIdenticalToExactlySizedPlan) {
 }
 
 TEST(Engine, LinearHeadRunsOnceOverAllRows) {
-  // The head runs after the per-image region, once over all n rows. At
-  // n = 7 on a 4-chunk grid the chunks hold 2, 2, 2 and 1 images; a head
-  // run per chunk would hand the backend 2-row products (2 x 64 x 10, under
-  // simd's scalar cutoff) instead of one 7-row product, and round
-  // differently. The head's input rows are what the same model without
-  // its Linear returns.
+  // The head runs after the per-image region, once over all n rows: at
+  // n = 7 on a 4-chunk grid, whose chunks hold 2, 2, 2 and 1 images, the
+  // logits are the backend's linear over the 7 packed rows, and the
+  // packing moved every chunk's rows into place. The head's input rows are
+  // what the same model without its Linear returns.
   const auto build = [](bool with_fc) {
     Rng rng(57);
     auto m = std::make_unique<Sequential>("head");
@@ -384,6 +385,42 @@ TEST(Engine, LinearHeadRunsOnceOverAllRows) {
   set_parallel_threads(0);
 }
 
+TEST(Engine, EveryImageLogitsEqualItsSingleImageRunAtEveryN) {
+  // An image's logits must not depend on the images batched with it: a
+  // server packs concurrent requests into one run. At every n in 1..16,
+  // each image's logits equal its own single-image run byte for byte, on a
+  // 4-chunk grid, dense and ALF, float and int8. Batch 16 matters: the
+  // float head's product (n x 32 x 10 here) and the chunks' conv products
+  // grow with n, so a kernel that picked its path by product size would
+  // switch paths, and rounding, within this range.
+  constexpr size_t kBatch = 16;
+  for (const bool alf : {false, true}) {
+    for (const char* backend : {"", "int8"}) {
+      Rng rng(91);
+      auto model = resnet20_for_test(alf, rng);
+      Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+      const auto plan = compile_at(*model, kBatch, 4,
+                                   {.backend = backend, .bits = 8, .name = ""});
+      ASSERT_EQ(plan->chunks(), size_t{4});
+      const size_t classes = plan->classes();
+      ExecContext ctx(plan);
+      std::vector<float> singles(kBatch * classes);
+      for (size_t i = 0; i < kBatch; ++i)
+        ctx.run_rows(x.data() + i * plan->image_floats(), 1,
+                     singles.data() + i * classes);
+      for (size_t n = 1; n <= kBatch; ++n) {
+        std::vector<float> got(n * classes);
+        ctx.run_rows(x.data(), n, got.data());
+        EXPECT_TRUE(same_bytes(
+            got, std::vector<float>(singles.begin(),
+                                    singles.begin() + n * classes)))
+            << "alf " << alf << " backend '" << backend << "' n " << n;
+      }
+    }
+  }
+  set_parallel_threads(0);
+}
+
 TEST(Engine, OnlyLinearLayersMayFollowTheHead) {
   // Everything after the first Linear runs once over the whole batch,
   // outside the per-chunk region, so compile refuses per-image layers
@@ -405,18 +442,19 @@ TEST(Engine, MisShapedOutputTensorFailsLoudly) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext ctx(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
+  const size_t classes = ctx.plan().classes();
   Tensor x = random_input({3, mc.in_channels, kHw, kHw}, rng);
 
-  Tensor wrong_rows({2, eng.classes()});
-  EXPECT_THROW(eng.run(x, wrong_rows), CheckError);
-  Tensor wrong_cols({3, eng.classes() + 1});
-  EXPECT_THROW(eng.run(x, wrong_cols), CheckError);
-  Tensor wrong_rank({3 * eng.classes()});
-  EXPECT_THROW(eng.run(x, wrong_rank), CheckError);
+  Tensor wrong_rows({2, classes});
+  EXPECT_THROW(ctx.run(x, wrong_rows), CheckError);
+  Tensor wrong_cols({3, classes + 1});
+  EXPECT_THROW(ctx.run(x, wrong_cols), CheckError);
+  Tensor wrong_rank({3 * classes});
+  EXPECT_THROW(ctx.run(x, wrong_rank), CheckError);
 
-  Tensor ok({3, eng.classes()});
-  EXPECT_NO_THROW(eng.run(x, ok));
+  Tensor ok({3, classes});
+  EXPECT_NO_THROW(ctx.run(x, ok));
 }
 
 TEST(Engine, BnFoldingMatchesUnfusedBn) {
@@ -463,12 +501,12 @@ TEST(Engine, MaxPoolAndScaleShiftStepsLower) {
 
   Tensor x = random_input({3, 3, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, false);
-  Engine eng = Engine::compile(*model, 3, 3, kHw, kHw);
-  Tensor out = eng.run(x);
+  ExecContext ctx(Plan::compile(*model, 3, 3, kHw, kHw));
+  Tensor out = ctx.run(x);
   EXPECT_LT(max_abs_diff(ref, out), kTol);
 
   bool has_scale_shift = false, has_maxpool = false;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : ctx.plan().steps()) {
     has_scale_shift |= st.kind == OpKind::kScaleShift;
     has_maxpool |= st.kind == OpKind::kMaxPool;
   }
@@ -493,10 +531,10 @@ TEST(Engine, PreActivationResidualBodyDoesNotFuseAcrossBlockInput) {
 
   Tensor x = random_input({2, 3, kHw, kHw}, rng);
   const Tensor ref = model->forward(x, /*train=*/false);
-  Engine eng = Engine::compile(*model, 2, 3, kHw, kHw);
-  // ref is [N, C, H, W]; the engine reports the final buffer as classes.
-  Tensor out({2, eng.classes()});
-  eng.run(x, out);
+  ExecContext ctx(Plan::compile(*model, 2, 3, kHw, kHw));
+  // ref is [N, C, H, W]; the plan reports the final buffer as classes.
+  Tensor out({2, ctx.plan().classes()});
+  ctx.run(x, out);
   float max_err = 0.0f;
   for (size_t i = 0; i < ref.numel(); ++i)
     max_err = std::max(max_err, std::abs(ref.at(i) - out.at(i)));
@@ -518,18 +556,18 @@ TEST(Engine, WarmRunsPerformZeroHeapAllocations) {
         Rng rng(42);
         auto model = resnet20_for_test(alf, rng);
         set_parallel_threads(threads);
-        Engine eng =
-            Engine::compile(*model, kBatch, kInC, kHw, kHw,
-                            {.backend = backend, .bits = 8, .name = ""});
-        ASSERT_EQ(eng.plan()->chunks(), static_cast<size_t>(threads));
+        ExecContext ctx(
+            Plan::compile(*model, kBatch, kInC, kHw, kHw,
+                          {.backend = backend, .bits = 8, .name = ""}));
+        ASSERT_EQ(ctx.plan().chunks(), static_cast<size_t>(threads));
         Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
-        Tensor out({kBatch, eng.classes()});
+        Tensor out({kBatch, ctx.plan().classes()});
         const int warm_runs = threads == 1 ? 1 : 20;
-        for (int warm = 0; warm < warm_runs; ++warm) eng.run(x, out);
+        for (int warm = 0; warm < warm_runs; ++warm) ctx.run(x, out);
 
         g_alloc_count.store(0);
         g_alloc_tracking.store(true);
-        eng.run(x, out);
+        ctx.run(x, out);
         g_alloc_tracking.store(false);
         EXPECT_EQ(g_alloc_count.load(), size_t{0})
             << "alf " << alf << " backend '" << backend << "' chunks "
@@ -546,11 +584,11 @@ TEST(Engine, PlanStrNamesEveryStep) {
   mc.base_width = 8;
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
-  Engine eng = Engine::compile(*model, 2, mc.in_channels, kHw, kHw);
-  const std::string plan = eng.plan_str();
-  EXPECT_NE(plan.find("conv1"), std::string::npos);
-  EXPECT_NE(plan.find("fc"), std::string::npos);
-  EXPECT_EQ(eng.steps().front().name.rfind("conv1", 0), size_t{0});
+  const auto plan = Plan::compile(*model, 2, mc.in_channels, kHw, kHw);
+  const std::string dump = plan->str();
+  EXPECT_NE(dump.find("conv1"), std::string::npos);
+  EXPECT_NE(dump.find("fc"), std::string::npos);
+  EXPECT_EQ(plan->steps().front().name.rfind("conv1", 0), size_t{0});
 }
 
 TEST(Engine, ExplicitBackendSelectionAtCompileTime) {
@@ -562,26 +600,26 @@ TEST(Engine, ExplicitBackendSelectionAtCompileTime) {
   warm_bn(*model, mc.in_channels, kHw, rng);
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
 
-  Engine scalar_eng =
-      Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                      {.backend = "scalar", .bits = 8, .name = ""});
-  EXPECT_STREQ(scalar_eng.backend_name(), "scalar");
-  EXPECT_FALSE(scalar_eng.quantized());
-  const Tensor ref = scalar_eng.run(x);
+  ExecContext scalar_ctx(
+      Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                    {.backend = "scalar", .bits = 8, .name = ""}));
+  EXPECT_STREQ(scalar_ctx.plan().backend_name(), "scalar");
+  EXPECT_FALSE(scalar_ctx.plan().quantized());
+  const Tensor ref = scalar_ctx.run(x);
 
   if (kernels::find_backend("simd") != nullptr) {
-    Engine simd_eng =
-        Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                        {.backend = "simd", .bits = 8, .name = ""});
-    EXPECT_STREQ(simd_eng.backend_name(), "simd");
-    const Tensor got = simd_eng.run(x);
+    ExecContext simd_ctx(
+        Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                      {.backend = "simd", .bits = 8, .name = ""}));
+    EXPECT_STREQ(simd_ctx.plan().backend_name(), "simd");
+    const Tensor got = simd_ctx.run(x);
     // Different float kernels, same math: agreement to a loose epsilon.
     EXPECT_LE(max_abs_diff(ref, got), 1e-3f);
   }
 
   EXPECT_THROW(
-      Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                      {.backend = "no-such-backend", .bits = 8, .name = ""}),
+      Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                    {.backend = "no-such-backend", .bits = 8, .name = ""}),
       CheckError);
 }
 
@@ -592,12 +630,12 @@ TEST(Engine, Int8PlanLowersConvAndLinearToQgemm) {
   mc.in_hw = kHw;
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
-  Engine eng = Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 8, .name = ""});
-  EXPECT_TRUE(eng.quantized());
-  EXPECT_STREQ(eng.backend_name(), "int8");
+  const auto plan = Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                                  {.backend = "int8", .bits = 8, .name = ""});
+  EXPECT_TRUE(plan->quantized());
+  EXPECT_STREQ(plan->backend_name(), "int8");
   size_t quantized_steps = 0;
-  for (const Step& st : eng.steps()) {
+  for (const Step& st : plan->steps()) {
     if (st.kind == OpKind::kConv || st.kind == OpKind::kLinear) {
       EXPECT_TRUE(st.quantized) << st.name;
       EXPECT_FALSE(st.shift_gemm) << st.name;  // im2col path only
@@ -616,7 +654,7 @@ TEST(Engine, Int8PlanLowersConvAndLinearToQgemm) {
     }
   }
   EXPECT_GE(quantized_steps, size_t{20});  // 19+ convs and the FC head
-  EXPECT_NE(eng.plan_str().find("qgemm-int8"), std::string::npos);
+  EXPECT_NE(plan->str().find("qgemm-int8"), std::string::npos);
 }
 
 TEST(Engine, Int8EngineAgreesWithFloatEngineOnTop1) {
@@ -629,15 +667,15 @@ TEST(Engine, Int8EngineAgreesWithFloatEngineOnTop1) {
   const size_t n = 32;
   Tensor x = random_input({n, mc.in_channels, kHw, kHw}, rng);
 
-  Engine fp = Engine::compile(*model, n, mc.in_channels, kHw, kHw);
-  Engine q8 = Engine::compile(*model, n, mc.in_channels, kHw, kHw,
-                              {.backend = "int8", .bits = 8, .name = ""});
+  ExecContext fp(Plan::compile(*model, n, mc.in_channels, kHw, kHw));
+  ExecContext q8(Plan::compile(*model, n, mc.in_channels, kHw, kHw,
+                               {.backend = "int8", .bits = 8, .name = ""}));
   const Tensor ref = fp.run(x);
   const Tensor got = q8.run(x);
   size_t agree = 0;
   for (size_t i = 0; i < n; ++i) {
     size_t ra = 0, ga = 0;
-    for (size_t c = 1; c < fp.classes(); ++c) {
+    for (size_t c = 1; c < fp.plan().classes(); ++c) {
       if (ref.at(i, c) > ref.at(i, ra)) ra = c;
       if (got.at(i, c) > got.at(i, ga)) ga = c;
     }
@@ -791,12 +829,12 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
   auto model = build_resnet20(mc, rng, standard_conv_maker(mc.init, &rng));
   warm_bn(*model, mc.in_channels, kHw, rng);
   Tensor x = random_input({4, mc.in_channels, kHw, kHw}, rng);
-  Engine fp = Engine::compile(*model, 4, mc.in_channels, kHw, kHw);
+  ExecContext fp(Plan::compile(*model, 4, mc.in_channels, kHw, kHw));
   const Tensor ref = fp.run(x);
   double err8 = 0.0, err4 = 0.0;
   for (const int bits : {8, 4}) {
-    Engine q = Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = bits, .name = ""});
+    ExecContext q(Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                                {.backend = "int8", .bits = bits, .name = ""}));
     const Tensor got = q.run(x);
     double err = 0.0;
     for (size_t i = 0; i < ref.numel(); ++i) {
@@ -807,8 +845,8 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
   }
   EXPECT_GT(err8, 0.0);   // a real integer datapath is not exact
   EXPECT_GT(err4, err8);  // and fewer bits hurt more (Table 3 direction)
-  EXPECT_THROW(Engine::compile(*model, 4, mc.in_channels, kHw, kHw,
-                               {.backend = "int8", .bits = 1, .name = ""}),
+  EXPECT_THROW(Plan::compile(*model, 4, mc.in_channels, kHw, kHw,
+                             {.backend = "int8", .bits = 1, .name = ""}),
                CheckError);
 }
 

@@ -512,9 +512,10 @@ TEST(QgemmBitIdentity, VectorBackendsMatchScalarOracle) {
   struct Shape {
     size_t m, k, n;
   };
-  // Mix of below-cutoff (delegates to scalar), odd, tile-aligned, and
-  // wide-N shapes; the larger ones exceed the scalar-delegation cutoff so
-  // the vector drivers genuinely run.
+  // Mix of shapes under the int8 kernels' cutoff (where they run the
+  // portable integer body, exact like their own), odd, tile-aligned, and
+  // wide-N shapes; the larger ones exceed that cutoff so the vector
+  // drivers genuinely run.
   const Shape shapes[] = {{1, 1, 1},    {3, 7, 5},     {5, 31, 47},
                           {17, 64, 129}, {8, 192, 512}, {4, 80, 2048}};
   const int32_t zps[][2] = {
@@ -757,9 +758,9 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
   // The geometries cover every panel read: contiguous rows (3x3 s1 at
   // W=32/16, the 1x1 s1 ALF expansion), two halves (W=8), per-column
   // gathers (strided convs, 7x7 and 5x5 maps whose panels straddle
-  // images), and a shape under the kernels' scalar cutoff. m = 6, 11 and
-  // 22 are the fixture's ALF code-conv row counts (none a multiple of the
-  // 4-row tile); m = 64 over the 64-channel map makes k = 576, three k
+  // images), and a one-channel 2x2 map, narrower than a panel. m = 6, 11
+  // and 22 are the fixture's ALF code-conv row counts (none a multiple of
+  // the 4-row tile); m = 64 over the 64-channel map makes k = 576, three k
   // blocks. C carries a poisoned gutter (ldc > n) no entry may touch.
   struct Geo {
     size_t c, hw, k, s, pad;
@@ -837,6 +838,142 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
   }
 }
 
+// --- Shape invariance (backend.hpp): a C element's bits depend only on its
+// row of A, its column of B and k, so an image's logits do not depend on
+// how many images share its batch. ---------------------------------------
+
+/// The registered backends whose datapath is float.
+std::vector<const kernels::KernelBackend*> float_backends() {
+  std::vector<const kernels::KernelBackend*> out;
+  for (const std::string& name : kernels::backend_names()) {
+    const kernels::KernelBackend* be = kernels::find_backend(name);
+    if (!be->quantized_datapath) out.push_back(be);
+  }
+  return out;
+}
+
+TEST(KernelInvariance, EveryFloatGemmRowEqualsItsOneRowProduct) {
+  // Each row of an m-row gemm equals that row's own 1-row product byte for
+  // byte, for m in 1..9: the linear head's m is the batch's image count.
+  // k = 64, n = 10 is the head of the paper-scale ResNet-20 fixture, k =
+  // 32 that of the test-scale one; op(B) transposed is how the head calls
+  // gemm. The rest are small and odd shapes, and one as wide as a panel.
+  struct Shape {
+    size_t k, n;
+    bool tb;
+  };
+  const Shape shapes[] = {{64, 10, true}, {64, 10, false}, {32, 10, true},
+                          {5, 3, false},  {130, 17, true}, {1, 40, false},
+                          {64, 1, true},  {27, 16, false}};
+  const std::vector<TileMask> masks = tile_masks();
+  Rng rng(73);
+  for (const Shape& sh : shapes) {
+    const Tensor b =
+        sh.tb ? random2d(sh.n, sh.k, rng) : random2d(sh.k, sh.n, rng);
+    for (size_t m = 1; m <= 9; ++m) {
+      const Tensor a = random2d(m, sh.k, rng);
+      for (const kernels::KernelBackend* be : float_backends()) {
+        for (const TileMask& tm : masks) {
+          const MaskScope scope(tm.mask);
+          const std::vector<float> all =
+              run_gemm(be, a, false, b, sh.tb, m, sh.k, sh.n);
+          for (size_t i = 0; i < m; ++i) {
+            Tensor row({1, sh.k});
+            std::memcpy(row.data(), a.data() + i * sh.k, sh.k * sizeof(float));
+            const std::vector<float> one =
+                run_gemm(be, row, false, b, sh.tb, 1, sh.k, sh.n);
+            ASSERT_EQ(std::memcmp(one.data(), all.data() + i * sh.n,
+                                  sh.n * sizeof(float)),
+                      0)
+                << be->name << " k=" << sh.k << " n=" << sh.n
+                << " tb=" << sh.tb << " m=" << m << " row " << i
+                << " tile=" << tm.name;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
+  // Each image of a 2-image conv equals its own 1-image conv byte for
+  // byte, stored to C, through a ReLU epilogue, and through an expansion
+  // epilogue: a conv's n is its chunk's image count times the output
+  // plane. The 2x2 and 3x3 output planes keep n under a 16-column panel
+  // at one image; the 8x8 map is a regular one.
+  struct Geo {
+    size_t c, hw;
+  };
+  const Geo geos[] = {{16, 2}, {16, 3}, {8, 8}};
+  // (m, co): conv rows against expansion rows, 0 = no expansion.
+  const size_t rows[][2] = {{4, 0}, {16, 0}, {4, 16}, {16, 16}};
+  const std::vector<TileMask> masks = tile_masks();
+  Rng rng(79);
+  for (const Geo& geo : geos) {
+    kernels::ConvShape s;
+    s.in_c = geo.c;
+    s.in_h = s.in_w = geo.hw + 2;  // 3x3, pad 1
+    s.kernel = 3;
+    const size_t k = s.k(), plane = s.out_h() * s.out_w();
+    std::vector<float> xpad(2 * s.image_size(), 0.0f);
+    for (size_t j = 0; j < 2; ++j)
+      for (size_t ch = 0; ch < geo.c; ++ch)
+        for (size_t y = 0; y < geo.hw; ++y)
+          for (size_t x = 0; x < geo.hw; ++x)
+            xpad[j * s.image_size() + (ch * s.in_h + y + 1) * s.in_w + x + 1] =
+                static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (const auto& mc : rows) {
+      const size_t m = mc[0], co = mc[1], out_rows = co != 0 ? co : m;
+      const Tensor a = random2d(m, k, rng);
+      const Tensor ew = random2d(std::max<size_t>(co, 1), m, rng);
+      // Runs the conv on `imgs` images from image `first`; returns them
+      // NCHW (C's columns regrouped per image when there is no epilogue).
+      const auto conv = [&](const kernels::KernelBackend* be, bool with_ep,
+                            size_t first, size_t imgs) {
+        kernels::ConvShape si = s;
+        si.images = imgs;
+        const size_t n = si.n();
+        std::vector<float> c(m * n), out(imgs * out_rows * plane);
+        kernels::ConvEpilogue ep;
+        ep.out = out.data();
+        ep.act = Act::kRelu;
+        if (co != 0) {
+          ep.co = co;
+          ep.inner_act = Act::kRelu;
+          ep.exp_w = ew.data();
+        }
+        be->conv(a.data(), k, xpad.data() + first * s.image_size(), si,
+                 c.data(), n, m, with_ep ? &ep : nullptr);
+        if (!with_ep)
+          for (size_t img = 0; img < imgs; ++img)
+            for (size_t r = 0; r < m; ++r)
+              std::memcpy(out.data() + (img * m + r) * plane,
+                          c.data() + r * n + img * plane,
+                          plane * sizeof(float));
+        return out;
+      };
+      for (const kernels::KernelBackend* be : float_backends()) {
+        for (const bool with_ep : {false, true}) {
+          if (co != 0 && !with_ep) continue;  // an expansion is an epilogue
+          for (const TileMask& tm : masks) {
+            const MaskScope scope(tm.mask);
+            const std::vector<float> both = conv(be, with_ep, 0, 2);
+            for (size_t j = 0; j < 2; ++j) {
+              const std::vector<float> one = conv(be, with_ep, j, 1);
+              ASSERT_EQ(std::memcmp(one.data(), both.data() + j * one.size(),
+                                    one.size() * sizeof(float)),
+                        0)
+                  << be->name << " c=" << geo.c << " hw=" << geo.hw
+                  << " m=" << m << " co=" << co << " epilogue=" << with_ep
+                  << " image " << j << " tile=" << tm.name;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Conv epilogues (backend.hpp ConvEpilogue) -----------------------------
 
 /// The epilogue's reference: out[img][r][p] = act(c[r][img*plane + p]
@@ -882,7 +1019,8 @@ constexpr EpiVariant kEpiVariants[] = {
 
 /// Geometries: the fixture's three ALF stages (32x32x16, 16x16x32,
 /// 8x8x64), 7x7 and 5x5 maps whose panels straddle images, a strided
-/// conv, and a one-channel map small enough for simd's scalar path.
+/// conv, and a one-channel map whose product is a few hundred
+/// multiply-adds.
 constexpr EpiCase kEpiGeos[] = {{16, 32, 3, 1, 1}, {32, 16, 3, 1, 1},
                                 {64, 8, 3, 1, 1},  {8, 7, 3, 1, 1},
                                 {8, 5, 3, 1, 1},   {16, 16, 3, 2, 1},

@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "core/check.hpp"
-#include "engine/engine.hpp"
+#include "engine/exec_context.hpp"
 #include "grad_check.hpp"
 #include "models/zoo.hpp"
 #include "net/client.hpp"
@@ -123,7 +123,7 @@ net::RequestHeader good_header(uint32_t rows, uint64_t seq,
 
 TEST(NetServer, RoundTripMatchesDirectExecution) {
   NetHarness h;
-  Engine ref(h.plan);
+  ExecContext ref(h.plan);
   Rng rng(72);
   const Tensor x = random_input({3, kInC, kHw, kHw}, rng);
   const Tensor want = ref.run(x);
@@ -142,7 +142,7 @@ TEST(NetServer, RoundTripMatchesDirectExecution) {
 
 TEST(NetServer, PipelinedRequestsAllAnsweredWhateverTheOrder) {
   NetHarness h;
-  Engine ref(h.plan);
+  ExecContext ref(h.plan);
   Rng rng(73);
   constexpr size_t kN = 20;
   std::map<uint64_t, Tensor> inputs;

@@ -132,14 +132,24 @@ bool same_folds(const Plan& a, const Plan& b) {
 }
 
 TEST(PlanIo, RoundTripBitIdenticalAcrossBackendsAndThreads) {
+  // A blob is saved on every registered backend. One whose backend needs a
+  // CPU feature the mask (ALF_CPU_DISABLE) takes away is refused at load
+  // with kCpuFeatures, by design; every other one round-trips.
   TempDir td;
   Rng rng(73);
   const Tensor x = random_input({4, 3, kHw, kHw}, rng);
+  size_t round_trips = 0;
   for (const std::string& be : kernels::backend_names()) {
     SCOPED_TRACE("backend=" + be);
     auto compiled = compile_fixture(be, "resnet20_" + be);
     const fs::path file = td.path / (be + ".plan");
     plan::save(*compiled, file.string());
+    if ((compiled->backend()->required_features &
+         ~kernels::allowed_cpu_features()) != 0) {
+      expect_load_rejects(file, PlanIoError::Code::kCpuFeatures, be.c_str());
+      continue;
+    }
+    ++round_trips;
     auto loaded = plan::load(file.string());
 
     // Load is mmap + fixup: the arena stays backed by the file mapping.
@@ -185,6 +195,7 @@ TEST(PlanIo, RoundTripBitIdenticalAcrossBackendsAndThreads) {
     }
     set_parallel_threads(0);
   }
+  EXPECT_GE(round_trips, size_t{2});  // scalar and int8 need no features
 }
 
 TEST(PlanIo, RoundTripEveryZooModelFloatAndInt8) {
