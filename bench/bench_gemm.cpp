@@ -3,9 +3,12 @@
 // Times the f32 GEMM of every registered float backend (scalar vs simd)
 // and the int8 qgemm across square (64..512) and conv-shaped (skinny-K,
 // wide-N) problems, single-threaded so the numbers are kernel quality, not
-// core count. Then compiles an ALF-deployed ResNet-20 twice — float and
-// backend="int8" — replays a 256-image synthetic batch through both, and
-// records the top-1 agreement plus the measured int8/f32 engine ratio.
+// core count. Next times each float backend's conv entry on one 8-image
+// chunk of the paper fixture's conv shapes (conv/* rows), the call one
+// engine worker makes per conv step. Then compiles an ALF-deployed
+// ResNet-20 twice — float and backend="int8" — replays a 256-image
+// synthetic batch through both, and records the top-1 agreement plus the
+// measured int8/f32 engine ratio.
 // Finally the measured ratio is wired next to the hwmodel's energy tables:
 // the same ResNet-20 conv stack mapped on the Eyeriss model at 16-bit and
 // int8 word widths (hwmodel/arch.hpp scaled_to_bits).
@@ -188,7 +191,69 @@ int main(int argc, char** argv) {
   set_parallel_threads(0);
   table.print();
 
-  // --- 2. ALF-deployed ResNet-20: int8 engine vs float engine. ------------
+  // --- 2. Float conv entries on one 8-image chunk, single-threaded. -------
+  // What one engine worker runs per conv step at batch 32 on 4 threads:
+  // be->conv over 8 zero-padded images of the paper fixture (3x3, pad 1),
+  // with the epilogue storing NCHW. Dense convs of the three stages,
+  // stage 2's stride-2 entry, and the ALF code convs (a third of the
+  // filters: 6, 11, 22) with their folded 1x1 expansion back to the stage
+  // width. Rows: conv/<in>-<out>@<map>[s2]/<backend>; the code convs are
+  // <in>-<code>-<out>@<map>, and their madds include the expansion.
+  struct ConvProblem {
+    const char* tag;
+    size_t ci, hw, stride, m, co;
+  };
+  const ConvProblem convs[] = {
+      {"16-16@32", 16, 32, 1, 16, 0},     {"32-32@16", 32, 16, 1, 32, 0},
+      {"64-64@8", 64, 8, 1, 64, 0},       {"16-32@32s2", 16, 32, 2, 32, 0},
+      {"16-6-16@32", 16, 32, 1, 6, 16},   {"32-11-32@16", 32, 16, 1, 11, 32},
+      {"64-22-64@8", 64, 8, 1, 22, 64},
+  };
+  const size_t conv_images = 8;
+  const size_t conv_reps = quick ? 5 : 25;
+  Table ctable("f32 conv entry, one 8-image chunk, single thread (best of "
+               "reps)");
+  ctable.set_header({"conv", "backend", "wall[ms]", "G madds/s"});
+  set_parallel_threads(1);
+  for (const ConvProblem& p : convs) {
+    kernels::ConvShape cs;
+    cs.in_c = p.ci;
+    cs.in_h = cs.in_w = p.hw + 2;
+    cs.kernel = 3;
+    cs.stride = p.stride;
+    cs.images = conv_images;
+    const size_t k = cs.k(), n = cs.n(), rows = p.co != 0 ? p.co : p.m;
+    const Tensor w = random_input({p.m, k}, rng);
+    const Tensor ew = random_input({std::max<size_t>(p.co, 1), p.m}, rng);
+    const Tensor x = random_input({conv_images * cs.image_size()}, rng);
+    std::vector<float> bias(rows, 0.01f), res(p.m * n),
+        out(conv_images * rows * cs.out_h() * cs.out_w());
+    kernels::ConvEpilogue ep;
+    ep.out = out.data();
+    ep.bias = bias.data();
+    ep.act = Act::kRelu;
+    ep.co = p.co;
+    ep.exp_w = p.co != 0 ? ew.data() : nullptr;
+    const double gmadds = static_cast<double>(n) * p.m * (k + p.co) / 1e9;
+    for (const std::string& name : kernels::backend_names()) {
+      const kernels::KernelBackend* be = kernels::find_backend(name);
+      if (be->quantized_datapath) continue;
+      const auto run = [&] {
+        be->conv(w.data(), k, x.data(), cs, res.data(), n, p.m, &ep);
+      };
+      run();  // warm the kernel's scratch
+      const double ms = time_ms(conv_reps, run);
+      ctable.add_row({p.tag, name, Table::fmt(ms, 3),
+                      Table::fmt(gmadds / (ms / 1e3), 2)});
+      BenchRow& row = json.row("conv/" + std::string(p.tag) + "/" + name);
+      row.wall_ms = ms;
+      row.gmadds_per_s = gmadds / (ms / 1e3);
+    }
+  }
+  set_parallel_threads(0);
+  ctable.print();
+
+  // --- 3. ALF-deployed ResNet-20: int8 engine vs float engine. ------------
   // The model is TRAINED (briefly, at bench scale) before comparing: top-1
   // agreement between a quantized and a float net is only meaningful when
   // the logits carry real class structure — an untrained net's argmax is a
@@ -272,7 +337,7 @@ int main(int argc, char** argv) {
   q8_row.extra["images"] = static_cast<double>(images);
   q8_row.extra_str["qgemm_backend"] = kernels::best_quantized_backend()->name;
 
-  // --- 3. Measured int8 timing wired into the hwmodel energy tables. ------
+  // --- 4. Measured int8 timing wired into the hwmodel energy tables. ------
   // The same conv stack costed on the Eyeriss model at 16-bit words and at
   // the int8 word width the engine just executed; the measured CPU ratio
   // rides along so the analytic and the measured speedups can be compared

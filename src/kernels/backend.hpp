@@ -21,9 +21,10 @@
 //   qconv  — int8, over zero-point-padded images; exactly qgemm over the
 //            unfold. Required on every quantized backend.
 //
-// An entry may pack B panels straight from the images (simd, int8-avx2,
-// int8-vnni) or materialize the unfold in kernel-local scratch first
-// (scalar, the generic int8 fallback); the result is the same bytes.
+// An entry may read B panels in place from the images (simd), pack them
+// straight from the images (int8-avx2, int8-vnni) or materialize the
+// unfold in kernel-local scratch first (scalar, the generic int8
+// fallback); the result is the same bytes.
 // Both entries take an optional ConvEpilogue: each 16-column panel of
 // the product is then finished — an optional 1x1 expansion, bias,
 // residual add and activation — and stored straight into the NCHW
@@ -37,7 +38,7 @@
 //            vector extensions (no intrinsics), 8x16 on 512-bit registers
 //            when the feature mask allows AVX-512F, with A-panel packing so
 //            the trans_a/trans_b variants read contiguously; its conv entry
-//            gathers B panels from the padded images. Compiled with
+//            reads B panels in place from the padded images. Compiled with
 //            wider vector ISA flags when CMake's ALF_SIMD is ON; selected
 //            at runtime only if the CPU supports what was compiled in.
 //   int8   — the quantized datapath: qgemm is the real kernel; its f32

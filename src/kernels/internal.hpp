@@ -134,7 +134,10 @@ inline void partition(size_t units, size_t madds_per_unit, const F& process) {
 
 /// How one kPanelCols-column panel of a conv's implicit unfold reads its
 /// rows: one contiguous run, two runs of half a panel each, one run at
-/// stride 2 (the int8 gather has a shuffle for it), or column by column.
+/// stride 2 (a load pair and a shuffle inside the run's span), or column
+/// by column. simd's float conv reads the first three in place from the
+/// images and gathers only kGather panels into an L1 block; the int8
+/// qconv drivers pack every panel, each mode with its own row load.
 enum class PanelMode { kGather, kContiguous, kHalves, kStride2 };
 
 /// Column map of one B panel: off[t] is the element offset (into the

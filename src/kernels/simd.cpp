@@ -1,17 +1,27 @@
-// The "simd" backend: explicitly vectorized GEMM with panel packing.
+// The "simd" backend: explicitly vectorized GEMM and conv over one family
+// of register tiles.
 //
-// The inner kernel is a 4x16 register tile — four C rows times two 8-float
-// vectors — expressed in portable GCC/Clang vector extensions (no
-// intrinsics): the k-loop broadcasts one packed A element per row and FMAs
-// it against two B vectors, keeping 8 vector accumulators live. When the
-// feature mask allows AVX-512F (detail::zmm_tile), full-width panels run
-// an 8x16 tile instead: two consecutive 4-row A panels against one 16-float
-// zmm of B, one zmm accumulator per row. It is the same vector-extension
-// code at twice the width, compiled under a per-function target attribute,
-// so each C element gets the same fused multiply-adds in the same order
-// and the two tiles agree byte for byte (test_kernels checks both).
+// The tiles are portable GCC/Clang vector extensions (no intrinsics). The
+// 4x16 tile holds four C rows times two 8-float vectors: the k-loop
+// broadcasts one packed A element per row and FMAs it against two B
+// vectors, keeping 8 vector accumulators live. When the feature mask
+// allows AVX-512F (detail::zmm_tile), a zmm tile runs instead: up to 8
+// rows (two consecutive 4-row A panels) against up to three 16-column B
+// panels, one zmm of B per panel and one zmm accumulator per row and
+// panel (at most 24). It is the same vector-extension code at twice the
+// width, compiled under a per-function target attribute, so each C
+// element gets the same fused multiply-adds in the same order — +0, then
+// `acc += a * b` per k step, then `c + alpha * acc` — and the two tiles
+// agree byte for byte (test_kernels checks both).
 //
-// Both operands are packed. op(B) is packed once per call (by the calling
+// Every tile reads B one way: row kk of panel p at base[p] + off[kk], as
+// one 16-float run, two 8-float runs (a two-half panel) or 31 floats at
+// stride 2 (two loads inside the span the columns cover, then a shuffle).
+// Packed B panels, gathered blocks and the conv's panel buffers are
+// 16-float runs with off[kk] = kk * 16, computed in the tile rather than
+// loaded (PanelMode::kGather in BPanels below).
+//
+// gemm packs both operands. op(B) is packed once per call (by the calling
 // thread, before the row partition) into kNr-column-interleaved panels —
 // each k step of a panel is one contiguous 64-byte line — which also
 // absorbs trans_b at pack time. A panels are packed per (row-block,
@@ -20,8 +30,7 @@
 // contiguously through the kernel. The sweep is blocked over columns
 // (kNc) and k (kKc) so the resident set — one kKc x kNc B block plus one
 // kMc x kKc A block — fits in L2 and each B panel is reused across the
-// full M sweep; without the column blocking, im2col conv shapes (n in the
-// thousands) re-stream all of B from memory once per row panel.
+// full M sweep.
 //
 // Blocking mirrors the scalar backend: a global k-block grid fixes the
 // accumulation order of every C element independent of the thread
@@ -30,26 +39,33 @@
 //
 // The conv entry runs the same product with B the implicit im2col unfold
 // of zero-padded images (kernels/backend.hpp ConvShape), without ever
-// materializing it: A is packed once per call, the column panels are the
-// parallel axis, and each worker gathers one kKc-deep block of one B panel
-// at a time straight from the images into an L1 buffer — a contiguous or
-// two-half load per row where the panel's columns allow, a per-column
-// gather otherwise (which also covers panels straddling two images) — and
-// sweeps every A panel against it with the same micro-kernel. Per C
-// element that is exactly gemm_simd's order (a register sum per kKc block,
-// added into zeroed C block by block — the first block adds to a +0.0
-// held in registers instead of a zeroed C), so conv equals gemm over the
-// materialized unfold byte for byte.
+// materializing it: A is packed once per call and the column panels are
+// the parallel axis. A panel whose columns form one run, two half runs or
+// one stride-2 run (detail::map_panel) is read in place: row kk starts at
+// the panel's first column plus the tap offset koff[kk], and no load
+// leaves the floats the panel's columns address. On the zmm tile one
+// sweep covers up to three consecutive panels read the same way, so a
+// 6-row ALF code conv keeps 18 accumulators in flight, not 6. Any other
+// panel (one straddling output rows at stride 2 or two images, or the
+// last, narrower one) is gathered column by column, one kKc-deep block at
+// a time, into an L1 buffer and read from there. Per C element that is
+// exactly gemm_simd's order (a register sum per kKc block, added into
+// zeroed C block by block), so conv equals gemm over the materialized
+// unfold byte for byte. A folded 1x1 expansion runs the same tiles over
+// the conv's panel buffers.
 //
 // Build/ISA: CMake's ALF_SIMD=ON compiles this file with wider vector
 // flags (-mavx2 -mfma) when the compiler supports them; simd_backend()
 // then gates registration on runtime CPU support, so a binary built on a
 // new machine still boots on an old one (the registry falls back to
-// "scalar"). The 8x16 tile exists only in that build, and only its
-// function carries AVX-512 (a target attribute, never a TU flag). Without
-// vector extensions (non-GCC/Clang) the backend is absent entirely.
+// "scalar"). The zmm tile exists only in that build, and only its
+// functions carry AVX-512 (a target attribute, never a TU flag). Without
+// vector extensions (non-GCC/Clang) the backend is absent entirely. The
+// helpers pass vectors by reference: at the baseline ISA a 256-bit vector
+// passed or returned by value changes the ABI (-Wpsabi).
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -63,24 +79,319 @@ namespace {
 
 typedef float v8 __attribute__((vector_size(32)));
 
-constexpr size_t kMr = 4;    // C rows per register tile
-constexpr size_t kNr = 16;   // C cols per register tile (two v8)
-constexpr size_t kMc = 64;   // rows packed per A block (~64KB with kKc)
-constexpr size_t kKc = 256;  // k extent of one block (global grid)
-constexpr size_t kNc = 256;  // cols per B block (kKc x kNc = 256KB in L2)
+constexpr size_t kMr = 4;     // C rows per 4x16 tile (one packed A panel)
+constexpr size_t kNr = 16;    // C cols per B panel (two v8, one zmm)
+constexpr size_t kMc = 64;    // rows packed per A block (~64KB with kKc)
+constexpr size_t kKc = 256;   // k extent of one block (global grid)
+constexpr size_t kNc = 256;   // cols per B block (kKc x kNc = 256KB in L2)
+constexpr size_t kGroup = 3;  // B panels one zmm sweep covers
 
 using detail::kMaddsPerWorker;
-static_assert(kNr == detail::kPanelCols, "conv gathers whole B panels");
+using detail::PanelMode;
+static_assert(kNr == detail::kPanelCols, "conv reads whole B panels");
 
-inline v8 loadu(const float* p) {
-  v8 v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
+inline void loadu(v8& v, const float* p) { __builtin_memcpy(&v, p, sizeof(v)); }
+
+inline void storeu(float* p, const v8& v) {
+  __builtin_memcpy(p, &v, sizeof(v));
 }
 
-inline void storeu(float* p, v8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
+/// B of one sweep: `np` consecutive 16-column panels read in `mode`; row
+/// kk of panel p starts at base[p] + row_offset(kk). kGather stands for a
+/// packed [kb][kNr] block (gemm's packed panels, the conv's gathered block
+/// and its panel buffers); kContiguous, kHalves and kStride2 for a panel
+/// read in place from the images through the tap offsets `off`, a
+/// two-half panel's columns 8-15 sitting half[p] floats after its
+/// columns 0-7.
+struct BPanels {
+  PanelMode mode = PanelMode::kGather;
+  size_t np = 1;
+  const size_t* off = nullptr;
+  const float* base[kGroup] = {};
+  size_t half[kGroup] = {};
+};
 
-inline v8 splat(float s) { return v8{s, s, s, s, s, s, s, s}; }
+/// Where row kk of a B panel starts, relative to its base (see BPanels).
+template <PanelMode Mode>
+inline size_t row_offset(const size_t* off, size_t kk) {
+  return Mode == PanelMode::kGather ? kk * kNr : off[kk];
+}
+
+/// C of one sweep: row r of panel p at c + p * pstep + r * ldc, of which
+/// the first `cols` columns are updated to c + alpha * acc. C holds its
+/// start value before the first k block (gemm: beta * C; the conv zeroes
+/// it). Every tile store is that one expression, with no branch on the
+/// block: the compiler then contracts it into one FMA on every tile,
+/// where with a second expression (a +0.0 first block) it may hoist
+/// `alpha * acc` out of both and round twice.
+struct CPanels {
+  float* c = nullptr;
+  size_t ldc = 0, pstep = 0, cols = kNr;
+  float alpha = 1.0f;
+};
+
+/// Loads one 16-column B row whose first column is at p, as two v8.
+template <PanelMode Mode>
+inline void load_row(const float* p, size_t half, v8& lo, v8& hi) {
+  if constexpr (Mode == PanelMode::kHalves) {
+    loadu(lo, p);
+    loadu(hi, p + half);
+  } else if constexpr (Mode == PanelMode::kStride2) {
+    // Columns at p + 2t: the even floats of [p, p + 16), then those of
+    // [p + 16, p + 31) read as [p + 16, p + 24) and [p + 23, p + 31), so
+    // nothing past the last column (p + 30) is loaded.
+    v8 a, b, c, d;
+    loadu(a, p);
+    loadu(b, p + 8);
+    loadu(c, p + 16);
+    loadu(d, p + 23);
+    lo = __builtin_shufflevector(a, b, 0, 2, 4, 6, 8, 10, 12, 14);
+    hi = __builtin_shufflevector(c, d, 0, 2, 4, 6, 9, 11, 13, 15);
+  } else {
+    loadu(lo, p);
+    loadu(hi, p + 8);
+  }
+}
+
+/// The column-tail store of one C row (cp.cols < kNr), from the row's
+/// sums spilled to `acc`. Out of line: only the last panel of a product
+/// can be narrower than kNr.
+__attribute__((noinline)) void store_tail(float* crow, const float* acc,
+                                          size_t cols, float alpha) {
+  for (size_t j = 0; j < cols; ++j) crow[j] = crow[j] + alpha * acc[j];
+}
+
+/// Stores one C row of a tile: crow = c + alpha * acc over the first
+/// `cols` columns (see CPanels).
+inline void store_row(float* crow, const v8& lo, const v8& hi,
+                      const CPanels& cp) {
+  if (cp.cols != kNr) {
+    float tmp[kNr];
+    storeu(tmp, lo);
+    storeu(tmp + 8, hi);
+    store_tail(crow, tmp, cp.cols, cp.alpha);
+    return;
+  }
+  v8 c0, c1;
+  loadu(c0, crow);
+  loadu(c1, crow + 8);
+  storeu(crow, c0 + cp.alpha * lo);
+  storeu(crow + 8, c1 + cp.alpha * hi);
+}
+
+/// The 4x16 tile: C rows [0, pr) of one B panel (base, half) += alpha *
+/// apanel * B over kb k steps. Computes all four rows of the packed A
+/// panel (short panels are zero-padded) and stores the live ones. Named
+/// accumulators, as in tile_zmm: an array indexed by the store's row
+/// count stays in memory through the k loop.
+template <PanelMode Mode>
+void tile_4x16(const float* apanel, size_t kb, const float* base,
+               size_t half, const size_t* off, const CPanels& cp, float* c,
+               size_t pr) {
+  v8 c00 = {}, c01 = {}, c10 = {}, c11 = {}, c20 = {}, c21 = {}, c30 = {},
+     c31 = {};
+  for (size_t kk = 0; kk < kb; ++kk) {
+    v8 b0, b1;
+    load_row<Mode>(base + row_offset<Mode>(off, kk), half, b0, b1);
+    const float* ap = apanel + kk * kMr;
+    c00 += ap[0] * b0;
+    c01 += ap[0] * b1;
+    c10 += ap[1] * b0;
+    c11 += ap[1] * b1;
+    c20 += ap[2] * b0;
+    c21 += ap[2] * b1;
+    c30 += ap[3] * b0;
+    c31 += ap[3] * b1;
+  }
+  const CPanels out = cp;  // a local copy: C's stores cannot alias it
+  store_row(c, c00, c01, out);
+  if (pr > 1) store_row(c + out.ldc, c10, c11, out);
+  if (pr > 2) store_row(c + 2 * out.ldc, c20, c21, out);
+  if (pr > 3) store_row(c + 3 * out.ldc, c30, c31, out);
+}
+
+#if defined(__AVX2__) && defined(__x86_64__)
+#define ALF_ZMM_TILE 1
+
+typedef float v16 __attribute__((vector_size(64)));
+
+/// Loads one 16-column B row whose first column is at p (see load_row).
+template <PanelMode Mode>
+__attribute__((target("avx512f"), always_inline)) inline void load_row16(
+    const float* p, size_t half, v16& b) {
+  if constexpr (Mode == PanelMode::kHalves) {
+    v8 lo, hi;
+    loadu(lo, p);
+    loadu(hi, p + half);
+    b = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                12, 13, 14, 15);
+  } else if constexpr (Mode == PanelMode::kStride2) {
+    // The even floats of [p, p + 16) and the odd ones of [p + 15, p + 31):
+    // both loads stay inside the span the columns cover.
+    v16 a, d;
+    __builtin_memcpy(&a, p, sizeof(a));
+    __builtin_memcpy(&d, p + 15, sizeof(d));
+    b = __builtin_shufflevector(a, d, 0, 2, 4, 6, 8, 10, 12, 14, 17, 19, 21,
+                                23, 25, 27, 29, 31);
+  } else {
+    __builtin_memcpy(&b, p, sizeof(b));
+  }
+}
+
+/// acc[p] += a * b[p] for the tile's P panels.
+template <size_t P>
+__attribute__((target("avx512f"), always_inline)) inline void fma_row(
+    float a, const v16& b0, const v16& b1, const v16& b2, v16& x0, v16& x1,
+    v16& x2) {
+  x0 += a * b0;
+  if constexpr (P > 1) x1 += a * b1;
+  if constexpr (P > 2) x2 += a * b2;
+}
+
+/// Stores one C row of the zmm tile (see store_row).
+__attribute__((target("avx512f"), always_inline)) inline void store_row16(
+    float* crow, const v16& acc, const CPanels& cp) {
+  if (cp.cols != kNr) {
+    float tmp[kNr];
+    __builtin_memcpy(tmp, &acc, sizeof(tmp));
+    store_tail(crow, tmp, cp.cols, cp.alpha);
+    return;
+  }
+  v16 c0;
+  __builtin_memcpy(&c0, crow, sizeof(c0));
+  const v16 out = c0 + cp.alpha * acc;
+  __builtin_memcpy(crow, &out, sizeof(out));
+}
+
+/// Stores one C row's accumulators of the tile's P panels (panel p at
+/// crow + p * cp.pstep).
+template <size_t P>
+__attribute__((target("avx512f"), always_inline)) inline void store_rows16(
+    float* crow, const CPanels& cp, const v16& x0, const v16& x1,
+    const v16& x2) {
+  store_row16(crow, x0, cp);
+  if constexpr (P > 1) store_row16(crow + cp.pstep, x1, cp);
+  if constexpr (P > 2) store_row16(crow + 2 * cp.pstep, x2, cp);
+}
+
+/// The zmm tile: C rows [0, R) of P consecutive B panels += alpha * A * B
+/// over kb k steps, A read from two consecutive 4-row panels of the pack
+/// (the second only when R > 4). Per k step one B load per panel and one
+/// A broadcast per row feed R * P accumulators — one per row and panel,
+/// each holding what tile_4x16 keeps in two ymm, with the same
+/// expressions in the same order, so the two tiles are bit-equal. Named
+/// accumulators keep the sums in registers through the store; an array
+/// went to the stack, zeroed there on every call.
+template <size_t R, size_t P, PanelMode Mode>
+__attribute__((target("avx512f"))) void tile_zmm(const float* apanel,
+                                                 size_t kb, const BPanels& b,
+                                                 const CPanels& cp,
+                                                 float* c) {
+  static_assert(R >= 1 && R <= 2 * kMr && P >= 1 && P <= kGroup);
+  const float* a0 = apanel;                                // rows 0-3
+  const float* a1 = R > kMr ? apanel + kb * kMr : apanel;  // rows 4-7
+  const size_t* off = b.off;
+  const float* const s0 = b.base[0];
+  const float* const s1 = b.base[P > 1 ? 1 : 0];
+  const float* const s2 = b.base[P > 2 ? 2 : 0];
+  const size_t h0 = b.half[0], h1 = b.half[P > 1 ? 1 : 0],
+               h2 = b.half[P > 2 ? 2 : 0];
+  v16 c00 = {}, c01 = {}, c02 = {}, c10 = {}, c11 = {}, c12 = {};
+  v16 c20 = {}, c21 = {}, c22 = {}, c30 = {}, c31 = {}, c32 = {};
+  v16 c40 = {}, c41 = {}, c42 = {}, c50 = {}, c51 = {}, c52 = {};
+  v16 c60 = {}, c61 = {}, c62 = {}, c70 = {}, c71 = {}, c72 = {};
+  for (size_t kk = 0; kk < kb; ++kk, a0 += kMr, a1 += kMr) {
+    const size_t o = row_offset<Mode>(off, kk);
+    v16 b0, b1 = {}, b2 = {};  // b1, b2 unread below P = 2, 3
+    load_row16<Mode>(s0 + o, h0, b0);
+    if constexpr (P > 1) load_row16<Mode>(s1 + o, h1, b1);
+    if constexpr (P > 2) load_row16<Mode>(s2 + o, h2, b2);
+    fma_row<P>(a0[0], b0, b1, b2, c00, c01, c02);
+    if constexpr (R > 1) fma_row<P>(a0[1], b0, b1, b2, c10, c11, c12);
+    if constexpr (R > 2) fma_row<P>(a0[2], b0, b1, b2, c20, c21, c22);
+    if constexpr (R > 3) fma_row<P>(a0[3], b0, b1, b2, c30, c31, c32);
+    if constexpr (R > 4) fma_row<P>(a1[0], b0, b1, b2, c40, c41, c42);
+    if constexpr (R > 5) fma_row<P>(a1[1], b0, b1, b2, c50, c51, c52);
+    if constexpr (R > 6) fma_row<P>(a1[2], b0, b1, b2, c60, c61, c62);
+    if constexpr (R > 7) fma_row<P>(a1[3], b0, b1, b2, c70, c71, c72);
+  }
+  const CPanels out = cp;  // a local copy: C's stores cannot alias it
+  const size_t ldc = out.ldc;
+  store_rows16<P>(c, out, c00, c01, c02);
+  if constexpr (R > 1) store_rows16<P>(c + ldc, out, c10, c11, c12);
+  if constexpr (R > 2) store_rows16<P>(c + 2 * ldc, out, c20, c21, c22);
+  if constexpr (R > 3) store_rows16<P>(c + 3 * ldc, out, c30, c31, c32);
+  if constexpr (R > 4) store_rows16<P>(c + 4 * ldc, out, c40, c41, c42);
+  if constexpr (R > 5) store_rows16<P>(c + 5 * ldc, out, c50, c51, c52);
+  if constexpr (R > 6) store_rows16<P>(c + 6 * ldc, out, c60, c61, c62);
+  if constexpr (R > 7) store_rows16<P>(c + 7 * ldc, out, c70, c71, c72);
+}
+
+using ZmmTileFn = void (*)(const float*, size_t, const BPanels&,
+                           const CPanels&, float*);
+
+/// tile_zmm by row count: entry h runs exactly h rows (entry 0 unused).
+template <size_t P, PanelMode Mode>
+constexpr ZmmTileFn kZmmTiles[2 * kMr + 1] = {
+    nullptr,
+    &tile_zmm<1, P, Mode>,
+    &tile_zmm<2, P, Mode>,
+    &tile_zmm<3, P, Mode>,
+    &tile_zmm<4, P, Mode>,
+    &tile_zmm<5, P, Mode>,
+    &tile_zmm<6, P, Mode>,
+    &tile_zmm<7, P, Mode>,
+    &tile_zmm<8, P, Mode>};
+
+/// 8-row tiles over the rows, then one tile of exactly the remaining 1-7.
+template <size_t P, PanelMode Mode>
+void sweep_zmm(const float* apack, size_t rows, size_t kb, const BPanels& b,
+               const CPanels& cp) {
+  size_t i = 0;
+  for (; i + 2 * kMr <= rows; i += 2 * kMr)
+    tile_zmm<2 * kMr, P, Mode>(apack + i * kb, kb, b, cp, cp.c + i * cp.ldc);
+  if (i < rows)
+    kZmmTiles<P, Mode>[rows - i](apack + i * kb, kb, b, cp,
+                                 cp.c + i * cp.ldc);
+}
+#endif
+
+/// Runs B's panels against the A rows [0, rows) packed at `apack` (kMr-row
+/// panels, kb * kMr floats apart) into C: with `zmm`, one zmm sweep over
+/// all of B's panels; else 4x16 tiles, one panel at a time.
+void sweep(const float* apack, size_t rows, size_t kb, const BPanels& b,
+           const CPanels& cp, [[maybe_unused]] bool zmm) {
+  const auto run = [&](auto mode) {
+    constexpr PanelMode M = decltype(mode)::value;
+#if defined(ALF_ZMM_TILE)
+    if (zmm) {
+      if (b.np == 1)
+        sweep_zmm<1, M>(apack, rows, kb, b, cp);
+      else if (b.np == 2)
+        sweep_zmm<2, M>(apack, rows, kb, b, cp);
+      else
+        sweep_zmm<3, M>(apack, rows, kb, b, cp);
+      return;
+    }
+#endif
+    for (size_t p = 0; p < b.np; ++p)
+      for (size_t i = 0; i < rows; i += kMr)
+        tile_4x16<M>(apack + i * kb, kb, b.base[p], b.half[p], b.off, cp,
+                     cp.c + p * cp.pstep + i * cp.ldc,
+                     std::min(kMr, rows - i));
+  };
+  using M = PanelMode;
+  switch (b.mode) {
+    case M::kGather:
+      return run(std::integral_constant<M, M::kGather>{});
+    case M::kContiguous:
+      return run(std::integral_constant<M, M::kContiguous>{});
+    case M::kHalves:
+      return run(std::integral_constant<M, M::kHalves>{});
+    case M::kStride2:
+      return run(std::integral_constant<M, M::kStride2>{});
+  }
+}
 
 /// Packs rows [i0, i0+rows) x k-range [k0, k0+kb) of op(A) into kMr-wide
 /// panels: dst panel p holds rows i0+p*kMr.., laid out [kk][r] so the
@@ -102,165 +413,19 @@ void pack_a(const float* a, size_t lda, bool trans_a, size_t i0, size_t rows,
   }
 }
 
-/// The register tile over packed panels: C[0:pr, 16 cols] += alpha *
-/// apanel * bpanel. `bpanel` walks one packed B panel — 16 contiguous
-/// floats (one cache line) per k step. kFirst marks C's first k block of
-/// a beta == 0 product: C is taken as +0.0 instead of loaded, the same
-/// `0.0f + alpha * acc` a zeroed C would give (the add is not folded away:
-/// the build honors signed zeros), so the conv entry skips zeroing C.
-template <bool kFirst = false>
-inline void micro_4x16p(const float* apanel, size_t kb, const float* bpanel,
-                        float alpha, float* c, size_t ldc, size_t pr) {
-  v8 acc[kMr][2] = {};
-  for (size_t kk = 0; kk < kb; ++kk) {
-    const v8 b0 = loadu(bpanel);
-    const v8 b1 = loadu(bpanel + 8);
-    bpanel += kNr;
-    const float* ap = apanel + kk * kMr;
-    for (size_t r = 0; r < kMr; ++r) {
-      const v8 av = splat(ap[r]);
-      acc[r][0] += av * b0;
-      acc[r][1] += av * b1;
-    }
-  }
-  const v8 va = splat(alpha);
-  for (size_t r = 0; r < pr; ++r) {
-    float* crow = c + r * ldc;
-    const v8 c0 = kFirst ? v8{} : loadu(crow);
-    const v8 c1 = kFirst ? v8{} : loadu(crow + 8);
-    storeu(crow, c0 + va * acc[r][0]);
-    storeu(crow + 8, c1 + va * acc[r][1]);
-  }
-}
-
-/// Column tail (n % 16): same vector accumulation over the zero-padded
-/// last panel, spilled to a stack row so only the live columns store.
-template <bool kFirst = false>
-inline void micro_4x16p_partial(const float* apanel, size_t kb,
-                                const float* bpanel, float alpha, float* c,
-                                size_t ldc, size_t pr, size_t cols) {
-  v8 acc[kMr][2] = {};
-  for (size_t kk = 0; kk < kb; ++kk) {
-    const v8 b0 = loadu(bpanel);
-    const v8 b1 = loadu(bpanel + 8);
-    bpanel += kNr;
-    const float* ap = apanel + kk * kMr;
-    for (size_t r = 0; r < kMr; ++r) {
-      const v8 av = splat(ap[r]);
-      acc[r][0] += av * b0;
-      acc[r][1] += av * b1;
-    }
-  }
-  float tmp[kNr];
-  for (size_t r = 0; r < pr; ++r) {
-    storeu(tmp, acc[r][0]);
-    storeu(tmp + 8, acc[r][1]);
-    float* crow = c + r * ldc;
-    for (size_t j = 0; j < cols; ++j)
-      crow[j] = (kFirst ? 0.0f : crow[j]) + alpha * tmp[j];
-  }
-}
-
-#if defined(__AVX2__) && defined(__x86_64__)
-#define ALF_ZMM_TILE 1
-
-typedef float v16 __attribute__((vector_size(64)));
-
-/// Stores one C row of the 512-bit tile: crow = c + alpha * acc, with c
-/// taken as +0.0 on the first k block (see micro_4x16p).
-template <bool kFirst>
-__attribute__((target("avx512f"), always_inline)) inline void store_row16(
-    float* crow, float alpha, v16 acc) {
-  v16 c0 = {};
-  if (!kFirst) __builtin_memcpy(&c0, crow, sizeof(c0));
-  const v16 out = c0 + alpha * acc;
-  __builtin_memcpy(crow, &out, sizeof(out));
-}
-
-/// The 512-bit tile: C[0:R, 16 cols] += alpha * A * bpanel for exactly R
-/// <= 8 rows, read from two consecutive 4-row panels of the A pack (the
-/// second only when R > 4). One zmm accumulator per row holds what
-/// micro_4x16p keeps in two ymm, and every lane sees the same expressions
-/// in the same order — `acc += a * b` per k step, then `c + alpha * acc` —
-/// so the compiler contracts both tiles into the same fused multiply-adds
-/// and the results are bit-equal. Named accumulators keep the sums in
-/// registers through the store; an array the k loop indexes went to the
-/// stack, zeroed there on every call.
-template <size_t R, bool kFirst>
-__attribute__((target("avx512f"))) void micro_zmm(const float* apanel,
-                                                  size_t kb,
-                                                  const float* bpanel,
-                                                  float alpha, float* c,
-                                                  size_t ldc) {
-  static_assert(R >= 1 && R <= 2 * kMr);
-  const float* a0 = apanel;  // rows 0-3
-  const float* a1 = R > kMr ? apanel + kb * kMr : apanel;  // rows 4-7
-  v16 c0 = {}, c1 = {}, c2 = {}, c3 = {}, c4 = {}, c5 = {}, c6 = {}, c7 = {};
-  for (size_t kk = 0; kk < kb; ++kk, a0 += kMr, a1 += kMr) {
-    v16 b;
-    __builtin_memcpy(&b, bpanel, sizeof(b));
-    bpanel += kNr;
-    c0 += a0[0] * b;
-    if constexpr (R > 1) c1 += a0[1] * b;
-    if constexpr (R > 2) c2 += a0[2] * b;
-    if constexpr (R > 3) c3 += a0[3] * b;
-    if constexpr (R > 4) c4 += a1[0] * b;
-    if constexpr (R > 5) c5 += a1[1] * b;
-    if constexpr (R > 6) c6 += a1[2] * b;
-    if constexpr (R > 7) c7 += a1[3] * b;
-  }
-  const v16 rows[2 * kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  for (size_t r = 0; r < R; ++r)
-    store_row16<kFirst>(c + r * ldc, alpha, rows[r]);
-}
-
-using ZmmTileFn = void (*)(const float*, size_t, const float*, float, float*,
-                           size_t);
-
-/// micro_zmm by row count: entry h runs exactly h rows (entry 0 unused).
-template <bool kFirst>
-constexpr ZmmTileFn kZmmTiles[2 * kMr + 1] = {
-    nullptr,
-    &micro_zmm<1, kFirst>,
-    &micro_zmm<2, kFirst>,
-    &micro_zmm<3, kFirst>,
-    &micro_zmm<4, kFirst>,
-    &micro_zmm<5, kFirst>,
-    &micro_zmm<6, kFirst>,
-    &micro_zmm<7, kFirst>,
-    &micro_zmm<8, kFirst>};
-#endif
-
-/// Runs one B panel (`cols` live columns) against the A rows [0, rows)
-/// packed at `apack` (kMr-row panels, kb * kMr floats apart), into the C
-/// rows at `c`. With `zmm`, full-width panels run 8-row 512-bit tiles and
-/// then one tile of exactly the remaining 1-7 rows; column tails run the
-/// 4x16 ones.
-template <bool kFirst = false>
+/// Runs one packed B panel (`cols` live columns) against the A rows [0,
+/// rows) packed at `apack` into the C rows at `c`: gemm's sweep.
 inline void sweep_panel(const float* apack, size_t rows, size_t kb,
                         const float* bpanel, size_t cols, float alpha,
-                        float* c, size_t ldc, [[maybe_unused]] bool zmm) {
-  size_t p = 0;
-#if defined(ALF_ZMM_TILE)
-  if (zmm && cols == kNr) {
-    for (; p + 2 * kMr <= rows; p += 2 * kMr)
-      micro_zmm<2 * kMr, kFirst>(apack + p * kb, kb, bpanel, alpha,
-                                 c + p * ldc, ldc);
-    if (p < rows)
-      kZmmTiles<kFirst>[rows - p](apack + p * kb, kb, bpanel, alpha,
-                                  c + p * ldc, ldc);
-    return;
-  }
-#endif
-  for (; p < rows; p += kMr) {
-    const size_t pr = std::min(kMr, rows - p);
-    if (cols == kNr)
-      micro_4x16p<kFirst>(apack + p * kb, kb, bpanel, alpha, c + p * ldc, ldc,
-                          pr);
-    else
-      micro_4x16p_partial<kFirst>(apack + p * kb, kb, bpanel, alpha,
-                                  c + p * ldc, ldc, pr, cols);
-  }
+                        float* c, size_t ldc, bool zmm) {
+  BPanels b;
+  b.base[0] = bpanel;
+  CPanels cp;
+  cp.c = c;
+  cp.ldc = ldc;
+  cp.cols = cols;
+  cp.alpha = alpha;
+  sweep(apack, rows, kb, b, cp, zmm);
 }
 
 /// The packed kernel: B packed once by the caller, rows partitioned over
@@ -360,47 +525,29 @@ void gemm_simd(const float* pa, size_t lda, bool trans_a, const float* pb,
 }
 
 /// Gathers rows [k0, k0 + kb) of one B panel of a conv's implicit unfold
-/// into `dst` ([kb][kNr], zero past the panel's last column) — the layout
-/// gemm_simd packs its B panels in.
+/// column by column into `dst` ([kb][kNr], zero past the panel's last
+/// column): the panels the tiles cannot read in place.
 void gather_block(const float* x, const detail::ConvPanel& pn,
                   const size_t* koff, size_t kb, float* dst) {
-  using detail::PanelMode;
-  switch (pn.mode) {
-    case PanelMode::kContiguous:
-      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
-        const float* p = x + koff[kk] + pn.off[0];
-        storeu(dst, loadu(p));
-        storeu(dst + 8, loadu(p + 8));
-      }
-      return;
-    case PanelMode::kHalves:
-      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
-        storeu(dst, loadu(x + koff[kk] + pn.off[0]));
-        storeu(dst + 8, loadu(x + koff[kk] + pn.off[8]));
-      }
-      return;
-    case PanelMode::kStride2:  // no float shuffle: gathered column by column
-    case PanelMode::kGather:
-      for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
-        const float* p = x + koff[kk];
-        size_t t = 0;
-        for (; t < pn.cols; ++t) dst[t] = p[pn.off[t]];
-        for (; t < kNr; ++t) dst[t] = 0.0f;
-      }
-      return;
+  for (size_t kk = 0; kk < kb; ++kk, dst += kNr) {
+    const float* p = x + koff[kk];
+    size_t t = 0;
+    for (; t < pn.cols; ++t) dst[t] = p[pn.off[t]];
+    for (; t < kNr; ++t) dst[t] = 0.0f;
   }
 }
 
 /// f32 conv over the implicit unfold of zero-padded images: byte for byte
 /// gemm_simd(a, lda, false, unfold(x), n, false, c, ldc, m, k, n, 1, 0).
 /// With an epilogue, each panel's [m x 16] result lands in an L1 buffer
-/// instead of C and is finished there (finish_panel below).
+/// instead of C and is finished there (finish below).
 void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
                float* c, size_t ldc, size_t m, const ConvEpilogue* ep) {
   const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
   const bool zmm = detail::zmm_tile();
+  const size_t group = zmm ? kGroup : 1;  // panels per sweep
   // The expansion computes what a separate 1x1 conv step over these same
-  // images would: the micro-kernel over the packed expansion weights.
+  // images would: the tiles over the packed expansion weights.
   const size_t co = ep != nullptr ? ep->co : 0;
   const size_t cor = (co + kMr - 1) / kMr * kMr;
   thread_local std::vector<float> epack_tls;
@@ -412,31 +559,41 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
       pack_a(ep->exp_w, m, false, 0, co, k0, std::min(m, k0 + kKc) - k0,
              epack + k0 * cor);
   }
-  // Finishes one panel whose conv result is `v` ([m][kNr], the layout the
-  // micro-kernel reads B in): inner activation and expansion into `exp`
-  // ([co][kNr]) when there is one, then the epilogue store.
-  const auto finish_panel = [=](float* v, float* exp, size_t j0,
-                                size_t cols) {
-    if (co == 0) {
-      detail::store_panel(*ep, m, plane, v, kNr, j0, cols);
-      return;
+  // Finishes `np` panels from column j0 whose conv results sit at `v`
+  // (panel p's [m][kNr] at v + p * m * kNr): inner activation and
+  // expansion into the buffers after the group's conv results, then the
+  // epilogue store.
+  const auto finish = [=](float* v, size_t np, size_t j0, size_t cols) {
+    const float* out = v;
+    size_t rows = m;
+    if (co != 0) {
+      float* const exp = v + group * m * kNr;
+      for (size_t p = 0; p < np; ++p)
+        detail::act_rows(ep->inner_act, v + p * m * kNr, kNr, m, cols);
+      BPanels b;
+      b.np = np;
+      CPanels cp;
+      cp.c = exp;
+      cp.ldc = kNr;
+      cp.pstep = co * kNr;
+      cp.cols = cols;
+      std::fill_n(exp, np * co * kNr, 0.0f);
+      for (size_t k0 = 0; k0 < m; k0 += kKc) {
+        for (size_t p = 0; p < np; ++p) b.base[p] = v + (p * m + k0) * kNr;
+        sweep(epack + k0 * cor, co, std::min(m, k0 + kKc) - k0, b, cp, zmm);
+      }
+      out = exp;
+      rows = co;
     }
-    detail::act_rows(ep->inner_act, v, kNr, m, cols);
-    for (size_t k0 = 0; k0 < m; k0 += kKc) {
-      const size_t kb = std::min(m, k0 + kKc) - k0;
-      if (k0 == 0)
-        sweep_panel<true>(epack, co, kb, v, cols, 1.0f, exp, kNr, zmm);
-      else
-        sweep_panel(epack + k0 * cor, co, kb, v + k0 * kNr, cols, 1.0f, exp,
-                    kNr, zmm);
-    }
-    detail::store_panel(*ep, co, plane, exp, kNr, j0, cols);
+    for (size_t p = 0; p < np; ++p)
+      detail::store_panel(*ep, rows, plane, out + p * rows * kNr, kNr,
+                          j0 + p * kNr, cols);
   };
-  // Per-worker panel buffers of the epilogue: the conv result, then the
-  // expansion result.
+  // Per-worker panel buffers of the epilogue: the group's conv results,
+  // then its expansion results.
   const auto panel_buffers = [=] {
     thread_local std::vector<float> buf_tls;
-    buf_tls.resize((m + co) * kNr);
+    buf_tls.resize(group * (m + co) * kNr);
     return buf_tls.data();
   };
 
@@ -458,24 +615,47 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
   const auto process_panels = [=](size_t p0, size_t p1) {
     alignas(64) float bblock[kKc * kNr];
     float* const buf = ep != nullptr ? panel_buffers() : nullptr;
-    for (size_t jp = p0; jp < p1; ++jp) {
+    for (size_t jp = p0; jp < p1;) {
       const size_t j0 = jp * kNr;
       const detail::ConvPanel pn = detail::map_panel(s, j0, n);
-      float* const cp = ep != nullptr ? buf : c + j0;
-      const size_t ldcp = ep != nullptr ? kNr : ldc;
-      // One k block of the panel against every A panel; the first block
-      // stores into C, the later ones add to it (see micro_4x16p).
+      const bool gather = pn.mode == PanelMode::kGather;
+      // In place, the panel joins the next ones read the same way.
+      BPanels b;
+      if (gather) {
+        b.base[0] = bblock;
+      } else {
+        b.mode = pn.mode;
+        for (detail::ConvPanel q = pn;;) {
+          b.base[b.np - 1] = x + q.off[0];
+          b.half[b.np - 1] = q.off[kNr / 2] - q.off[0];
+          if (b.np == group || jp + b.np == p1) break;
+          q = detail::map_panel(s, j0 + b.np * kNr, n);
+          if (q.mode != pn.mode) break;
+          ++b.np;
+        }
+      }
+      CPanels cp;
+      cp.c = ep != nullptr ? buf : c + j0;
+      cp.ldc = ep != nullptr ? kNr : ldc;
+      cp.pstep = ep != nullptr ? m * kNr : kNr;
+      cp.cols = pn.cols;
+      // Zero the panels' C, then add one k block of them against every A
+      // panel at a time (see CPanels).
+      if (ep != nullptr)
+        std::fill_n(buf, b.np * m * kNr, 0.0f);
+      else
+        for (size_t r = 0; r < m; ++r)
+          std::fill_n(c + r * ldc + j0, (b.np - 1) * kNr + pn.cols, 0.0f);
       for (size_t k0 = 0; k0 < k; k0 += kKc) {
         const size_t kb = std::min(k, k0 + kKc) - k0;
-        const float* ablock = apack + k0 * mr;
-        gather_block(x, pn, koff + k0, kb, bblock);
-        if (k0 == 0)
-          sweep_panel<true>(ablock, m, kb, bblock, pn.cols, 1.0f, cp, ldcp,
-                            zmm);
+        if (gather)
+          gather_block(x, pn, koff + k0, kb, bblock);
         else
-          sweep_panel(ablock, m, kb, bblock, pn.cols, 1.0f, cp, ldcp, zmm);
+          b.off = koff + k0;
+        sweep(apack + k0 * mr, m, kb, b, cp, zmm);
       }
-      if (ep != nullptr) finish_panel(buf, buf + m * kNr, j0, pn.cols);
+      if (ep != nullptr) finish(buf, b.np, j0, pn.cols);
+      jp += b.np;
     }
   };
   detail::partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);

@@ -752,23 +752,27 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
 }
 
 TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
-  // Every float backend's conv entry (simd gathers B panels from the
-  // zero-padded images, scalar unfolds them first) must equal the same
+  // Every float backend's conv entry (simd reads B panels in place from
+  // the zero-padded images, scalar unfolds them first) must equal the same
   // backend's gemm over im2col_view's unfold byte for byte.
   // The geometries cover every panel read: contiguous rows (3x3 s1 at
-  // W=32/16, the 1x1 s1 ALF expansion), two halves (W=8), per-column
-  // gathers (strided convs, 7x7 and 5x5 maps whose panels straddle
-  // images), and a one-channel 2x2 map, narrower than a panel. m = 6, 11
-  // and 22 are the fixture's ALF code-conv row counts (none a multiple of
-  // the 4-row tile); m = 64 over the 64-channel map makes k = 576, three k
-  // blocks. C carries a poisoned gutter (ldc > n) no entry may touch.
+  // W=32/16, the 1x1 s1 ALF expansion), two halves (W=8), one stride-2
+  // run (3x3 and 1x1 s2 onto 16-wide maps), rows alternating contiguous
+  // and two-half panels (W=24: simd's three-panel sweeps break on each
+  // mode change), per-column gathers (8-wide s2 maps, 7x7 and 5x5 maps
+  // whose panels straddle images), and a one-channel 2x2 map, narrower
+  // than a panel. m = 6, 11 and 22 are the fixture's ALF code-conv row
+  // counts (none a multiple of the 4-row tile); m = 1 and 3 run one short
+  // tile, 8 exactly one 8-row zmm tile, 9 that tile and a 1-row one; m =
+  // 64 over the 64-channel map makes k = 576, three k blocks. C carries a
+  // poisoned gutter (ldc > n) no entry may touch.
   struct Geo {
     size_t c, hw, k, s, pad;
   };
   const Geo geos[] = {{5, 32, 3, 1, 1}, {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
                       {4, 32, 3, 2, 1}, {7, 8, 3, 2, 1},  {3, 32, 1, 2, 0},
                       {11, 8, 1, 1, 0}, {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
-                      {1, 2, 3, 1, 1},  {64, 8, 3, 1, 1}};
+                      {1, 2, 3, 1, 1},  {64, 8, 3, 1, 1}, {3, 24, 3, 1, 1}};
   std::vector<const kernels::KernelBackend*> cands;
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
@@ -788,7 +792,7 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
     s.stride = geo.s;
     const size_t k = g.col_rows(), cols = g.col_cols();
     const size_t img_floats = geo.c * geo.hw * geo.hw;
-    for (const size_t m : {6, 11, 22, 64}) {
+    for (const size_t m : {1, 3, 6, 8, 9, 11, 22, 64}) {
       const Tensor a = random2d(m, k, rng);
       for (const size_t imgs : {1, 2, 5, 9}) {
         s.images = imgs;
@@ -896,17 +900,22 @@ TEST(KernelInvariance, EveryFloatGemmRowEqualsItsOneRowProduct) {
 }
 
 TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
-  // Each image of a 2-image conv equals its own 1-image conv byte for
-  // byte, stored to C, through a ReLU epilogue, and through an expansion
-  // epilogue: a conv's n is its chunk's image count times the output
-  // plane. The 2x2 and 3x3 output planes keep n under a 16-column panel
-  // at one image; the 8x8 map is a regular one.
+  // Each image of a 2- and a 5-image conv equals its own 1-image conv byte
+  // for byte, stored to C, through a ReLU epilogue, and through an
+  // expansion epilogue: a conv's n is its chunk's image count times the
+  // output plane. The 2x2 and 3x3 output planes keep n under a 16-column
+  // panel at one image; the 8x8 map is a regular one, whose 5 images make
+  // 20 panels: simd's three-panel sweeps then group an image's panels
+  // differently than its 1-image conv does, and end on a short group.
   struct Geo {
     size_t c, hw;
   };
   const Geo geos[] = {{16, 2}, {16, 3}, {8, 8}};
-  // (m, co): conv rows against expansion rows, 0 = no expansion.
-  const size_t rows[][2] = {{4, 0}, {16, 0}, {4, 16}, {16, 16}};
+  // (m, co): conv rows against expansion rows, 0 = no expansion; (6, 16)
+  // and (11, 32) are the fixture's code convs.
+  const size_t rows[][2] = {{4, 0},  {16, 0}, {4, 16},
+                            {16, 16}, {6, 16}, {11, 32}};
+  constexpr size_t kMaxImages = 5;
   const std::vector<TileMask> masks = tile_masks();
   Rng rng(79);
   for (const Geo& geo : geos) {
@@ -915,8 +924,8 @@ TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
     s.in_h = s.in_w = geo.hw + 2;  // 3x3, pad 1
     s.kernel = 3;
     const size_t k = s.k(), plane = s.out_h() * s.out_w();
-    std::vector<float> xpad(2 * s.image_size(), 0.0f);
-    for (size_t j = 0; j < 2; ++j)
+    std::vector<float> xpad(kMaxImages * s.image_size(), 0.0f);
+    for (size_t j = 0; j < kMaxImages; ++j)
       for (size_t ch = 0; ch < geo.c; ++ch)
         for (size_t y = 0; y < geo.hw; ++y)
           for (size_t x = 0; x < geo.hw; ++x)
@@ -957,15 +966,18 @@ TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
           if (co != 0 && !with_ep) continue;  // an expansion is an epilogue
           for (const TileMask& tm : masks) {
             const MaskScope scope(tm.mask);
-            const std::vector<float> both = conv(be, with_ep, 0, 2);
-            for (size_t j = 0; j < 2; ++j) {
-              const std::vector<float> one = conv(be, with_ep, j, 1);
-              ASSERT_EQ(std::memcmp(one.data(), both.data() + j * one.size(),
-                                    one.size() * sizeof(float)),
-                        0)
-                  << be->name << " c=" << geo.c << " hw=" << geo.hw
-                  << " m=" << m << " co=" << co << " epilogue=" << with_ep
-                  << " image " << j << " tile=" << tm.name;
+            for (const size_t imgs : {size_t{2}, kMaxImages}) {
+              const std::vector<float> all = conv(be, with_ep, 0, imgs);
+              for (size_t j = 0; j < imgs; ++j) {
+                const std::vector<float> one = conv(be, with_ep, j, 1);
+                ASSERT_EQ(std::memcmp(one.data(), all.data() + j * one.size(),
+                                      one.size() * sizeof(float)),
+                          0)
+                    << be->name << " c=" << geo.c << " hw=" << geo.hw
+                    << " m=" << m << " co=" << co << " epilogue=" << with_ep
+                    << " image " << j << " of " << imgs
+                    << " tile=" << tm.name;
+              }
             }
           }
         }
@@ -1060,7 +1072,9 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
       const Tensor ew = random2d(std::max<size_t>(co, 1), m, rng);
       std::vector<float> bias(rows);
       for (float& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-      for (const size_t imgs : {1, 3}) {
+      // At 2 images the fixture maps make 128, 32 and 8 panels, none a
+      // multiple of simd's three-panel sweep.
+      for (const size_t imgs : {1, 2, 3}) {
         const kernels::ConvShape s = epi_shape(geo, imgs);
         const size_t n = s.n();
         std::vector<float> xpad(imgs * s.image_size(), 0.0f);
