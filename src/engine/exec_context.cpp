@@ -100,17 +100,32 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
   const Plan& p = *plan_;
   workspace_.assign(p.workspace_floats(), 0.0f);
   head_ = p.head();
+  // The per-chunk scratch, sized here alone from the steps and the grid:
+  // one slice per chunk, for the widest chunk any run cuts (n <= batch
+  // images over min(chunks, n) chunks never exceed ceil(batch / chunks))
+  // and the widest conv. A float conv's padded images (none without
+  // padding: it reads its slot in place); an int8 conv's zero-point-padded
+  // images and one scale per GEMM column; the linear head's int8 input and
+  // one scale per batch row, both over the whole batch.
+  const size_t imgs = (p.batch() + p.chunks() - 1) / p.chunks();
+  size_t head_in = 0, scales = p.batch();
+  for (const Step& st : p.steps()) {
+    if (st.kind == OpKind::kLinear)
+      head_in = std::max(head_in, p.batch() * st.in_features);
+    if (st.kind != OpKind::kConv) continue;
+    const size_t padded = imgs * conv_shape(st.geom, 1).image_size();
+    if (st.quantized)
+      qimg_stride_ = std::max(qimg_stride_, padded);
+    else if (st.geom.pad != 0)
+      fimg_stride_ = std::max(fimg_stride_, padded);
+    scales = std::max(scales, imgs * st.geom.col_cols());
+  }
+  fimg_.assign(p.chunks() * fimg_stride_, 0.0f);
   if (p.quantized()) {
-    qws_.assign(p.qws_bytes(), 0);
-    qbs_.assign(p.qbs_floats(), 0.0f);
-    // One padded-image slice per chunk, sized for the widest chunk any
-    // run cuts and the widest quantized conv.
-    const size_t imgs = (p.batch() + p.chunks() - 1) / p.chunks();
-    for (const Step& st : p.steps())
-      if (st.kind == OpKind::kConv)
-        qimg_stride_ = std::max(qimg_stride_,
-                                imgs * conv_shape(st.geom, 1).image_size());
     qimg_.assign(p.chunks() * qimg_stride_, 0);
+    qws_.assign(head_in, 0);
+    qbs_stride_ = scales;
+    qbs_.assign(p.chunks() * qbs_stride_, 0.0f);
   }
   if constexpr (asan_enabled()) {
     // Arena-slot lifetime enforcement: record, per physical slot, the last
@@ -119,9 +134,7 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
     // chunk unpoisons the rows a step writes and re-poisons its own rows
     // of a slot the moment the slot's last toucher retires, so the arena
     // is fully poisoned between runs and a cross-lifetime read faults
-    // immediately. The conv scratch past the slots stays unpoisoned: GEMMs
-    // legitimately read their result region (beta accumulation) before
-    // first writing it.
+    // immediately.
     const auto& steps = p.steps();
     slot_last_touch_.assign(p.activation_slots() + 1, 0);
     for (size_t i = 0; i < steps.size(); ++i) {
@@ -143,9 +156,8 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
   // The chunk's images sit back to back at `in`; chunk ci owns slice ci of
   // every scratch region of THIS context. One call of the plan backend's
   // conv entry (qconv on int8) computes the images side by side as one
-  // [Co, imgs*Ho*Wo] product whose epilogue stores it straight to NCHW;
-  // the result scratch is workspace for entries that finish the whole
-  // product before storing it.
+  // [Co, imgs*Ho*Wo] product whose epilogue stores it straight to NCHW,
+  // so the call hands no C.
   const Plan& p = *plan_;
   const kernels::KernelBackend* be = p.backend();
   const Step& st = p.steps()[si];
@@ -170,9 +182,7 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
   }
   const ConvGeom& g = st.geom;
   const size_t cols = g.col_cols();
-  const size_t ld = imgs * cols;
   const size_t rows = g.col_rows();
-  float* res = workspace_.data() + p.result_offset() + ci * p.result_floats();
   const kernels::ConvShape cs = conv_shape(g, imgs);
   if (st.quantized) {
     // Quantize each image ONCE, with its own max-abs scale, into a
@@ -189,7 +199,7 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
     const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
     const int32_t zp = st.in_nonneg ? -levels : 0;
     int8_t* qimg = qimg_.data() + ci * qimg_stride_;
-    float* bscales = qbs_.data() + ci * p.qbs_stride();
+    float* bscales = qbs_.data() + ci * qbs_stride_;
     for (size_t j = 0; j < imgs; ++j) {
       const float* img = in + j * st.in_sz;
       const float amax = kernels::max_abs_f32(img, st.in_sz);
@@ -203,21 +213,22 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
     params.a_scales = st.qw_scales.data();  // per-output-channel
     params.b_scales = bscales;              // per-image
     params.b_zp = zp;
-    be->qconv(st.qw.data(), rows, qimg, cs, res, ld, st.out_c, params, &ep);
+    be->qconv(st.qw.data(), rows, qimg, cs, nullptr, 0, st.out_c, params,
+              &ep);
     return;
   }
   // Each image is copied once into a zero-padded float buffer in the
-  // chunk's col slice (read in place from the activation slot when the
-  // conv has no padding); the conv entry reads B from it.
+  // chunk's slice (read in place from the activation slot when the conv
+  // has no padding); the conv entry reads B from it.
   const float* x = in;
   if (g.pad != 0) {
-    float* col = workspace_.data() + p.col_offset() + ci * p.col_floats();
+    float* fimg = fimg_.data() + ci * fimg_stride_;
     for (size_t j = 0; j < imgs; ++j)
       kernels::pad_f32(in + j * st.in_sz, g.in_c, g.in_h, g.in_w, g.pad,
-                       col + j * cs.image_size());
-    x = col;
+                       fimg + j * cs.image_size());
+    x = fimg;
   }
-  be->conv(st.w.data(), rows, x, cs, res, ld, st.out_c, &ep);
+  be->conv(st.w.data(), rows, x, cs, nullptr, 0, st.out_c, &ep);
 }
 
 void ExecContext::run_linear(const Step& st, const float* src, float* dst,

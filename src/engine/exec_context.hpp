@@ -1,12 +1,15 @@
 // ExecContext: the mutable half of the compiled-model split (see plan.hpp).
 //
 // One ExecContext is everything a single in-flight batch needs that a Plan
-// deliberately does not own: the activation arena, the per-chunk
-// padded-image and conv-result scratch, and (for quantized plans) the int8
-// padded images, the linear head's int8 input and the per-image scales. Construction is cheap — a handful of vector
-// allocations sized by the Plan's layout, no weight copies — so a serving
-// worker pool hands one context per hosted plan to every worker and runs N
-// batches of the same compiled model concurrently.
+// deliberately does not own: the activation arena the steps address, and
+// the per-chunk scratch of the convs — the float padded images, or on
+// quantized plans the int8 padded images, the linear head's int8 input and
+// the per-image scales. The constructor alone sizes that scratch, from the
+// plan's steps, batch and chunk grid; neither the Plan nor its blob
+// records it. Construction is cheap — a handful of vector allocations, no
+// weight copies — so a serving worker pool hands one context per hosted
+// plan to every worker and runs N batches of the same compiled model
+// concurrently.
 //
 // Execution order: a run cuts its n images over the Plan's frozen chunk
 // grid once, and one parallel region hands each chunk to a worker, which
@@ -76,7 +79,8 @@ class ExecContext {
   const Plan& plan() const { return *plan_; }
   const std::shared_ptr<const Plan>& plan_ptr() const { return plan_; }
 
-  /// Total arena floats (activation slots + conv scratch).
+  /// Activation arena floats (Plan::workspace_floats(); the per-chunk
+  /// scratch is held apart from it).
   size_t workspace_floats() const { return workspace_.size(); }
   /// Arena base pointer; stable across run() calls (tests assert no growth).
   const float* workspace_data() const { return workspace_.data(); }
@@ -87,9 +91,10 @@ class ExecContext {
   void run_image_step(const Step& st, const float* src, float* dst,
                       size_t imgs);
   /// Runs conv step `si` and the steps folded into it on the `imgs` images
-  /// of chunk `ci`: read back to back from `in`, one product in chunk ci's
-  /// scratch slices, stored back to back to `out` by the kernel's epilogue
-  /// (`residual`: a folded add's other operand, or null).
+  /// of chunk `ci`: read back to back from `in` (padded, when the conv
+  /// pads or quantizes, into chunk ci's scratch slices), stored back to
+  /// back to `out` by the kernel's epilogue (`residual`: a folded add's
+  /// other operand, or null).
   void run_conv(size_t si, const float* in, float* out,
                 const float* residual, size_t imgs, size_t ci);
   /// Runs a kLinear step once over n dense rows.
@@ -97,14 +102,19 @@ class ExecContext {
 
   std::shared_ptr<const Plan> plan_;
   size_t head_ = 0;  ///< Plan::head(): first step of the batch-level head
-  std::vector<float> workspace_;
-  std::vector<int8_t> qws_;  ///< int8 linear-head input (quantized plans)
-  std::vector<float> qbs_;   ///< per-image column scales (one slice of
-                             ///< Plan::qbs_stride() per chunk)
+  std::vector<float> workspace_;  ///< the activation slots
+  /// Zero-padded float images of the padded float convs (one slice of
+  /// fimg_stride_ floats per chunk), what conv reads its B panels from.
+  std::vector<float> fimg_;
+  size_t fimg_stride_ = 0;
   /// Zero-point-padded int8 images of quantized conv chunks (one slice of
   /// qimg_stride_ bytes per chunk), what qconv packs its B panels from.
   std::vector<int8_t> qimg_;
   size_t qimg_stride_ = 0;
+  std::vector<float> qbs_;  ///< per-image column scales (one slice of
+                            ///< qbs_stride_ per chunk; the head uses all)
+  size_t qbs_stride_ = 0;
+  std::vector<int8_t> qws_;  ///< int8 linear-head input (quantized plans)
   /// ASan builds only (core/asan.hpp): index of the last step that reads
   /// or writes each arena slot (entry 0 = the external input, unused; the
   /// final step's output extends to steps().size() — the logit copy reads

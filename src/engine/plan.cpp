@@ -491,10 +491,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
     }
   }
 
-  // The fixed batch partition (needed by the scratch sizing below).
-  const size_t nchunks = std::min<size_t>(
-      batch, static_cast<size_t>(std::max(1, parallel_threads())));
-
   // int8 lowering: export the (BN-folded) weights of every conv/linear
   // step as packed symmetric-int8 panels, calibrated per output channel
   // (each row of W gets its own max-abs step size — BN folding scales rows
@@ -608,43 +604,9 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   size_t max_act = 0;
   for (size_t v = 1; v < nvirt; ++v) max_act = std::max(max_act, cc.vnumel[v]);
   plan->slot_stride_ = batch * max_act;
-  plan->nchunks_ = nchunks;
-  // Convs compute a whole chunk of images as one product, with a result
-  // scratch as workspace for the conv entries that finish the product
-  // before storing it; a float conv reads B from a col scratch holding
-  // the chunk's zero-padded images (nothing when it has no padding:
-  // conv_col_floats). Both regions are per-chunk slices at the arena
-  // tail, sized for the widest chunk any run cuts (n <= batch images over
-  // min(nchunks, n) chunks never exceed ceil(batch / nchunks) images).
-  const size_t chunk_imgs = (batch + nchunks - 1) / nchunks;
-  size_t max_col = 0, max_res = 0;
-  for (const BuildStep& st : cc.steps) {
-    if (st.kind != OpKind::kConv) continue;
-    if (!st.quantized)
-      max_col = std::max(max_col, conv_col_floats(st.geom, chunk_imgs));
-    max_res = std::max(max_res, st.out_sz * chunk_imgs);
-  }
-  plan->col_sz_ = max_col;
-  plan->res_sz_ = max_res;
-  plan->col_off_ = plan->slots_ * plan->slot_stride_;
-  plan->res_off_ = plan->col_off_ + plan->nchunks_ * plan->col_sz_;
-
-  // Quantized plans additionally size int8 activation scratch: the
-  // whole-batch quantized input of the linear head (quantized convs read
-  // the context's zero-point-padded images). The qbs region carries the
-  // per-image column scales handed to the qgemm requantization.
-  if (quantize) {
-    size_t max_lin = 0;
-    for (const BuildStep& st : cc.steps)
-      if (st.kind == OpKind::kLinear)
-        max_lin = std::max(max_lin, batch * st.in_features);
-    plan->qws_sz_ = max_lin;
-    size_t max_cols = batch;  // linear steps use one scale per batch row
-    for (const BuildStep& st : cc.steps)
-      if (st.kind == OpKind::kConv)
-        max_cols = std::max(max_cols, st.geom.col_cols() * chunk_imgs);
-    plan->qbs_sz_ = max_cols;
-  }
+  // The fixed batch partition every run cuts its images over.
+  plan->nchunks_ = std::min<size_t>(
+      batch, static_cast<size_t>(std::max(1, parallel_threads())));
 
   // Rebind steps from virtual buffers to arena slots (slot 0 = input x).
   for (BuildStep& st : cc.steps) {
@@ -794,11 +756,6 @@ size_t Plan::head() const {
   return i;
 }
 
-size_t Plan::conv_col_floats(const ConvGeom& g, size_t imgs) {
-  if (g.pad == 0) return 0;
-  return imgs * g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
-}
-
 const char* Plan::backend_name() const {
   return backend_ != nullptr ? backend_->name : "?";
 }
@@ -808,9 +765,9 @@ std::string Plan::str() const {
   char line[320];
   std::snprintf(line, sizeof(line),
                 "engine plan: %zu steps, %zu activation slots x %zu floats, "
-                "%zu x %zu col scratch (batch %zu, backend %s%s)\n",
-                steps_.size(), slots_, slot_stride_, nchunks_, col_sz_,
-                batch_, backend_name(), quant_ ? " quantized" : "");
+                "%zu chunks (batch %zu, backend %s%s)\n",
+                steps_.size(), slots_, slot_stride_, nchunks_, batch_,
+                backend_name(), quant_ ? " quantized" : "");
   s += line;
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& st = steps_[i];

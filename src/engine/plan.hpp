@@ -18,9 +18,10 @@
 //                 number of ExecContexts (one per server worker) execute
 //                 it concurrently, race-free by construction because a
 //                 run only ever writes its own context.
-//   ExecContext — per-worker storage: arena, padded-image/qgemm scratch
-//                 (exec_context.hpp). ctx.plan() is the plan it runs, and
-//                 ctx.plan_ptr() shares it with another context.
+//   ExecContext — per-worker storage: the activation arena and the
+//                 per-chunk scratch it sizes itself (exec_context.hpp).
+//                 ctx.plan() is the plan it runs, and ctx.plan_ptr()
+//                 shares it with another context.
 //
 // Compilation walks the model (descending into Sequential and
 // ResidualBlock, and lowering AlfConv blocks to their deployed dense
@@ -29,12 +30,15 @@
 // trailing activations into the kernel epilogues, and binds every step to
 // a slot of one preallocated workspace arena.
 //
-// The Plan carries not just the step list but the arena *layout* (slot
-// count/stride, scratch offsets, the fixed chunk grid), so every context
-// allocates exactly the same geometry and results are bit-identical
-// across contexts, workers, and thread counts. One grid serves the whole
-// plan: a run splits its batch over it once and each chunk carries its
-// images through every per-image step (exec_context.hpp).
+// The Plan carries not just the step list but what the steps address:
+// the arena *layout* (slot count and stride) and the fixed chunk grid, so
+// every context allocates exactly the same geometry and results are
+// bit-identical across contexts, workers, and thread counts. One grid
+// serves the whole plan: a run splits its batch over it once and each
+// chunk carries its images through every per-image step. The per-chunk
+// scratch those steps use (padded images, int8 inputs, scales) is no part
+// of the plan: each context sizes it from the steps and the grid
+// (exec_context.hpp).
 #pragma once
 
 #include <algorithm>
@@ -307,25 +311,17 @@ class Plan {
   /// True when conv/linear steps were lowered to the int8 qgemm datapath.
   bool quantized() const { return quant_; }
 
-  // --- Arena layout (what one ExecContext allocates) ------------------------
+  // --- Arena layout (what the steps address in one ExecContext) -------------
   size_t activation_slots() const { return slots_; }
   /// Floats per activation slot: batch() rows of slot_stride() / batch()
   /// floats, one per image. A chunk starting at image i0 keeps its images
   /// back to back from row i0, whatever size the slot's current
   /// activation has, so no two chunks ever share a float of a slot.
   size_t slot_stride() const { return slot_stride_; }
-  /// Total float arena of one context (activation slots + conv scratch).
-  size_t workspace_floats() const { return res_off_ + nchunks_ * res_sz_; }
-  size_t col_offset() const { return col_off_; }
-  /// Per-chunk col scratch: sized by conv_col_floats() over every float
-  /// conv (0 on quantized plans, whose padded images are int8).
-  size_t col_floats() const { return col_sz_; }
-  /// Per-chunk result scratch: workspace for the conv entries that compute
-  /// a whole product before the epilogue stores it (scalar's conv, the
-  /// int8 unfold). Gathering kernels store straight to the activation
-  /// slots and leave it untouched.
-  size_t result_offset() const { return res_off_; }
-  size_t result_floats() const { return res_sz_; }
+  /// Floats of one context's activation arena (slots x stride). The
+  /// per-chunk scratch a run also needs is the context's to size
+  /// (exec_context.hpp).
+  size_t workspace_floats() const { return slots_ * slot_stride_; }
   /// Fixed batch partition (chosen at compile for determinism). A run of
   /// n images cuts them into chunks of ceil(n / min(chunks(), n)) images
   /// (the last one may be shorter), and every per-image step runs on that
@@ -339,18 +335,6 @@ class Plan {
   /// step is a kLinear (compile() and verify() enforce this) that runs once
   /// over all rows of the batch.
   size_t head() const;
-  /// Per-chunk col scratch a float conv of geometry `g` needs for `imgs`
-  /// images: its zero-padded images, none when it has no padding (the
-  /// activation slot is read in place). Compile sizes col_floats() by it
-  /// and verify() checks every float conv against it.
-  static size_t conv_col_floats(const ConvGeom& g, size_t imgs);
-  /// int8 activation scratch bytes of one context: the quantized input of
-  /// the widest linear head step over the whole batch (0 on float plans).
-  size_t qws_bytes() const { return qws_sz_; }
-  /// Per-image scale-slice stride of the qgemm scratch.
-  size_t qbs_stride() const { return qbs_sz_; }
-  /// Total per-image scale scratch floats (0 on float plans).
-  size_t qbs_floats() const { return quant_ ? nchunks_ * qbs_sz_ : 0; }
 
   // --- Weight storage (what save/load serializes) ---------------------------
   /// The single arena holding every weight payload the steps view.
@@ -366,10 +350,9 @@ class Plan {
   /// Static validator (plan_verify.cpp): checks every invariant the
   /// execution layer assumes instead of re-checking — slot indices and
   /// arena bounds, def-before-use slot dataflow with per-step shape
-  /// chaining, scratch sizing against every conv's chunk geometry, weight
-  /// panel shapes, int8 steps carrying complete/finite scales, and that
-  /// the pinned backend is live in the kernel registry and runs every
-  /// step. Throws
+  /// chaining, weight panel shapes, int8 steps carrying complete/finite
+  /// scales, and that the pinned backend is live in the kernel registry
+  /// and runs every step. Throws
   /// PlanVerifyError naming the first violated invariant. Runs
   /// automatically at the end of compile() in debug builds; tests call it
   /// directly (including against deliberately corrupted plans).
@@ -421,13 +404,7 @@ class Plan {
   size_t classes_ = 0;
   size_t slots_ = 0;        ///< number of activation slots
   size_t slot_stride_ = 0;  ///< floats per activation slot
-  size_t col_off_ = 0;      ///< arena offset of the col scratch block
-  size_t col_sz_ = 0;       ///< floats per per-chunk col scratch slice
-  size_t res_off_ = 0;      ///< arena offset of the GEMM-result scratch
-  size_t res_sz_ = 0;       ///< floats per per-chunk result scratch slice
   size_t nchunks_ = 0;      ///< fixed batch partition (determinism)
-  size_t qws_sz_ = 0;       ///< int8 activation scratch bytes (quantized)
-  size_t qbs_sz_ = 0;       ///< floats per scale slice (max GEMM columns)
 };
 
 }  // namespace alf

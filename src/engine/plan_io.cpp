@@ -28,8 +28,8 @@ using Code = plan::PlanIoError::Code;
 // The CRCs are only well-defined if the records have no padding bytes and
 // every field sits at its natural offset; any drift is a format change and
 // must bump kFormatVersion, so make the compiler enforce the layout.
-static_assert(sizeof(FileHeader) == 328, "blob format change: bump version");
-static_assert(sizeof(StepRecord) == 176, "blob format change: bump version");
+static_assert(sizeof(FileHeader) == 272, "blob format change: bump version");
+static_assert(sizeof(StepRecord) == 144, "blob format change: bump version");
 static_assert(sizeof(SectionRecord) == 64, "blob format change: bump version");
 static_assert(std::has_unique_object_representations_v<FileHeader>);
 static_assert(std::has_unique_object_representations_v<StepRecord>);
@@ -56,12 +56,6 @@ struct Mapping {
   }
 };
 
-uint32_t plan_qbits(const Plan& p) {
-  for (const Step& st : p.steps())
-    if (st.quantized) return static_cast<uint32_t>(st.qbits);
-  return 0;
-}
-
 void copy_name(char* dst, size_t cap, const std::string& src) {
   std::memset(dst, 0, cap);
   const size_t n = std::min(src.size(), cap - 1);
@@ -81,13 +75,13 @@ void PlanIo::save(const Plan& p, const std::string& path) {
   const std::vector<Step>& steps = p.steps_;
   const std::vector<WeightSection>& sections = p.sections_;
   ALF_CHECK(p.backend_ != nullptr);
-  // Every step record carries the backend name in a fixed field; a name
-  // that does not fit would be cut, and the blob could not be loaded.
+  // The header carries the backend name in a fixed field; a name that
+  // does not fit would be cut, and the blob could not be loaded.
   const std::string backend = p.backend_->name;
-  if (backend.size() >= sizeof(StepRecord::backend_name))
+  if (backend.size() >= sizeof(FileHeader::backend_name))
     io_fail(Code::kBackend,
             "kernel backend name '" + backend + "' is longer than " +
-                std::to_string(sizeof(StepRecord::backend_name) - 1) +
+                std::to_string(sizeof(FileHeader::backend_name) - 1) +
                 " characters; a blob cannot record it");
 
   // Meta region: step records, then the name blob, then section records.
@@ -119,9 +113,6 @@ void PlanIo::save(const Plan& p, const std::string& path) {
     r.qbits = st.qbits;
     r.quantized = st.quantized ? 1 : 0;
     r.in_nonneg = st.in_nonneg ? 1 : 0;
-    // Reserved: every step runs on the plan backend, whose name each
-    // record repeats; the tile fields stay 0.
-    copy_name(r.backend_name, sizeof(r.backend_name), backend);
   }
   std::vector<SectionRecord> xrecs(sections.size());
   for (size_t i = 0; i < sections.size(); ++i) {
@@ -151,7 +142,6 @@ void PlanIo::save(const Plan& p, const std::string& path) {
   copy_name(hdr.backend_name, sizeof(hdr.backend_name), backend);
   hdr.cpu_features = p.backend_->required_features;
   hdr.quantized = p.quant_ ? 1 : 0;
-  hdr.qbits = plan_qbits(p);
   hdr.batch = p.batch_;
   hdr.in_c = p.in_c_;
   hdr.in_h = p.in_h_;
@@ -159,13 +149,7 @@ void PlanIo::save(const Plan& p, const std::string& path) {
   hdr.classes = p.classes_;
   hdr.slots = p.slots_;
   hdr.slot_stride = p.slot_stride_;
-  hdr.col_off = p.col_off_;
-  hdr.col_sz = p.col_sz_;
-  hdr.res_off = p.res_off_;
-  hdr.res_sz = p.res_sz_;
   hdr.nchunks = p.nchunks_;
-  hdr.qws_sz = p.qws_sz_;
-  hdr.qbs_sz = p.qbs_sz_;
   hdr.weight_align = static_cast<uint32_t>(kWeightAlign);
   hdr.nsteps = static_cast<uint32_t>(steps.size());
   hdr.nsections = static_cast<uint32_t>(sections.size());
@@ -259,17 +243,19 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     io_fail(Code::kBadMagic, "'" + path + "' is not a plan blob");
   if (hdr.endian != plan::kEndianTag)
     io_fail(Code::kBadHeader, "byte order differs from this host");
-  if (hdr.header_bytes != sizeof(FileHeader))
-    io_fail(Code::kBadHeader,
-            "header size " + std::to_string(hdr.header_bytes) +
-                " (this build expects " +
-                std::to_string(sizeof(FileHeader)) + ")");
+  // The version sits in the first 24 bytes every format shares, so an
+  // older blob is refused for its version before its header size is read.
   if (hdr.version != plan::kFormatVersion)
     io_fail(Code::kBadVersion,
             "format version " + std::to_string(hdr.version) +
                 " (this build reads version " +
                 std::to_string(plan::kFormatVersion) + "); recompile the "
                 "blob with alf_planc");
+  if (hdr.header_bytes != sizeof(FileHeader))
+    io_fail(Code::kBadHeader,
+            "header size " + std::to_string(hdr.header_bytes) +
+                " (this build expects " +
+                std::to_string(sizeof(FileHeader)) + ")");
   FileHeader crc_check = hdr;
   crc_check.header_crc = 0;
   if (plan::crc32(&crc_check, sizeof(crc_check)) != hdr.header_crc)
@@ -287,16 +273,23 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
   if (hdr.weight_align != kWeightAlign)
     io_fail(Code::kBadVersion, "packing-geometry stamp disagrees with this "
                                "build (weight_align)");
+  // Regions in file order, each bounded by the next before any sum is
+  // formed, so no forged 64-bit extent can wrap past a check. (The record
+  // counts are 32-bit, so their byte sizes cannot wrap.)
   const uint64_t steps_bytes = uint64_t{hdr.nsteps} * sizeof(StepRecord);
   const uint64_t sections_bytes =
       uint64_t{hdr.nsections} * sizeof(SectionRecord);
   if (hdr.nsteps == 0 || hdr.steps_off != sizeof(FileHeader) ||
       hdr.names_off != hdr.steps_off + steps_bytes ||
-      hdr.sections_off !=
-          ((hdr.names_off + hdr.names_bytes + 7) & ~uint64_t{7}) ||
-      hdr.sections_off + sections_bytes > hdr.arena_off ||
+      hdr.arena_off > hdr.file_bytes ||
+      hdr.arena_bytes != hdr.file_bytes - hdr.arena_off ||
       hdr.arena_off % plan::kBlobPageAlign != 0 ||
-      hdr.arena_off + hdr.arena_bytes != hdr.file_bytes)
+      hdr.sections_off > hdr.arena_off ||
+      sections_bytes > hdr.arena_off - hdr.sections_off ||
+      hdr.names_off > hdr.sections_off ||
+      hdr.names_bytes > hdr.sections_off - hdr.names_off ||
+      hdr.sections_off !=
+          ((hdr.names_off + hdr.names_bytes + 7) & ~uint64_t{7}))
     io_fail(Code::kBadHeader, "region offsets are inconsistent");
   if (plan::crc32(blob + sizeof(FileHeader),
                   static_cast<size_t>(hdr.arena_off) - sizeof(FileHeader)) !=
@@ -317,17 +310,10 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     if (r.act > static_cast<uint32_t>(Act::kSigmoid))
       io_fail(Code::kBadSection,
               "step " + std::to_string(i) + ": unknown activation");
-    if (r.name_off + r.name_len > hdr.names_bytes)
+    if (r.name_off > hdr.names_bytes ||
+        r.name_len > hdr.names_bytes - r.name_off)
       io_fail(Code::kBadSection,
               "step " + std::to_string(i) + ": name outside the name blob");
-    if (r.shift_gemm != 0)
-      io_fail(Code::kBadSection,
-              "step " + std::to_string(i) +
-                  ": selects the retired shift-GEMM strategy");
-    if (r.chunk != 0)
-      io_fail(Code::kBadSection,
-              "step " + std::to_string(i) +
-                  ": carries a retired per-step chunk-grid override");
     s.kind = static_cast<OpKind>(r.kind);
     s.act = static_cast<Act>(r.act);
     s.name.assign(names + r.name_off, static_cast<size_t>(r.name_len));
@@ -344,15 +330,6 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
     s.qbits = r.qbits;
     s.quantized = r.quantized != 0;
     s.in_nonneg = r.in_nonneg != 0;
-    // Reserved fields: the record repeats the plan backend's name
-    // (compared below, once the header's name is resolved) and carries no
-    // tile.
-    if (std::memchr(r.backend_name, 0, sizeof(r.backend_name)) == nullptr)
-      io_fail(Code::kBadSection,
-              "step " + std::to_string(i) + ": unterminated backend name");
-    if (r.tile_mc != 0 || r.tile_kc != 0 || r.tile_nc != 0)
-      io_fail(Code::kBadSection,
-              "step " + std::to_string(i) + ": carries a retired tile choice");
   }
 
   // --- Section records: structural pass, then payload checksums ----------
@@ -415,14 +392,7 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
   if ((hdr.quantized != 0) != backend->quantized_datapath)
     io_fail(Code::kBadHeader,
             "quantized flag disagrees with the stamped backend");
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (std::strcmp(srecs[i].backend_name, backend->name) != 0)
-      io_fail(Code::kBadSection,
-              "step " + std::to_string(i) + ": names kernel backend '" +
-                  srecs[i].backend_name + "', not the plan's '" +
-                  backend->name + "'");
-    steps[i].be = backend;
-  }
+  for (Step& s : steps) s.be = backend;
 
   // --- Assemble -----------------------------------------------------------
   std::shared_ptr<Plan> p(new Plan());
@@ -436,13 +406,7 @@ std::shared_ptr<const Plan> PlanIo::load(const std::string& path) {
   p->classes_ = hdr.classes;
   p->slots_ = hdr.slots;
   p->slot_stride_ = hdr.slot_stride;
-  p->col_off_ = hdr.col_off;
-  p->col_sz_ = hdr.col_sz;
-  p->res_off_ = hdr.res_off;
-  p->res_sz_ = hdr.res_sz;
   p->nchunks_ = hdr.nchunks;
-  p->qws_sz_ = hdr.qws_sz;
-  p->qbs_sz_ = hdr.qbs_sz;
   p->steps_ = std::move(steps);
   p->sections_ = std::move(sections);
   p->arena_ = WeightArena::adopt_mapping(

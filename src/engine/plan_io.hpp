@@ -10,8 +10,8 @@
 //
 // Blob layout (offsets in the header; all integers little-endian):
 //
-//   [0,          328)        FileHeader (fixed size, self-describing)
-//   [steps_off,  ...)        nsteps x StepRecord (fixed 176 B each)
+//   [0,          272)        FileHeader (fixed size, self-describing)
+//   [steps_off,  ...)        nsteps x StepRecord (fixed 144 B each)
 //   [names_off,  ...)        step-name string blob (StepRecord offsets)
 //   ...pad to 8...
 //   [sections_off, ...)      nsections x SectionRecord (fixed 64 B each,
@@ -19,14 +19,22 @@
 //   ...pad to 4096...
 //   [arena_off,  arena_off + arena_bytes)   the weight arena, verbatim
 //
+// The blob carries what the steps address — activation slots, slot stride
+// and the chunk grid — and no scratch size: every ExecContext sizes its
+// own scratch from the steps (exec_context.hpp).
+//
 // Integrity and compatibility are checked in this order, all before any
-// kernel touches data: magic -> endianness/header size -> format version
-// -> header CRC -> file size vs header -> packing-geometry stamps
-// (kernels::kPanelLayoutVersion, kWeightAlign) -> region offsets -> meta
-// CRC (steps + names + sections) -> per-record structural
-// validation -> per-section payload CRCs -> CPU-feature mask vs this
-// host -> backend liveness -> every step record naming that backend ->
-// Plan::verify() on the assembled plan.
+// kernel touches data: magic -> endianness -> format version (the first
+// 24 bytes, which every version shares, so an older blob is refused as
+// kBadVersion whatever its header size) -> header size -> header CRC ->
+// file size vs header -> packing-geometry stamps (kernels::
+// kPanelLayoutVersion, kWeightAlign) -> region offsets -> meta CRC
+// (steps + names + sections) -> per-record structural validation ->
+// per-section payload CRCs -> CPU-feature mask vs this host -> backend
+// liveness -> Plan::verify() on the assembled plan. Region, step-name and
+// section-payload extents are compared without wrapping (an offset is
+// bounded before anything is added to or subtracted from it), so a forged
+// 64-bit extent is refused instead of indexing outside the mapping.
 // Every rejection throws PlanIoError with a typed code.
 //
 // Mapping choice: PROT_READ + MAP_PRIVATE. A read-only private file
@@ -39,15 +47,8 @@
 // Versioning policy: kFormatVersion bumps on ANY layout change (no
 // in-place migration — blobs are cheap to regenerate with alf_planc);
 // kernels::kPanelLayoutVersion bumps when a kernel changes its packed
-// panel ABI, so stale blobs are rejected rather than mis-read. Panel
-// layout v2 retired the shift-GEMM strategy without a format change: its
-// header stamp became reserved (written 0), its step flag must be 0, and
-// its weight-field code left the section table (renumbering the int8
-// fields — safe, because a panel layout v1 blob fails the panel stamp
-// before any record is read). The per-step algorithm choice (backend
-// name and tile) was retired the same way: every step runs on the plan
-// backend, so each record repeats that backend's name and zero tile
-// fields, and load rejects anything else.
+// panel ABI, so stale blobs are rejected rather than mis-read. Every step
+// runs on the plan backend, which the header names once.
 #pragma once
 
 #include <cstddef>
@@ -90,11 +91,13 @@ class PlanIoError : public std::runtime_error {
 };
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'P', 'L', 'A', 'N', '\0'};
-// v2: StepRecord grew a per-step algorithm choice (backend name, tile
-// blocking, chunk override), all reserved now (see StepRecord). v1 blobs
-// are rejected (reject-don't-migrate; blobs are cheap to regenerate with
-// alf_planc).
-constexpr uint32_t kFormatVersion = 2;
+// v3: the header dropped the context-scratch sizes (ExecContext sizes its
+// scratch from the steps), the write-only qbits stamp and the retired
+// shift-GEMM stamp; step records dropped the retired shift-GEMM flag and
+// per-step algorithm choice (backend name, tile blocking, chunk
+// override). v1 and v2 blobs are rejected (reject-don't-migrate; blobs
+// are cheap to regenerate with alf_planc).
+constexpr uint32_t kFormatVersion = 3;
 /// Arena file offset alignment: one page, so the mmap'd arena base meets
 /// kArenaAlign without copying.
 constexpr uint64_t kBlobPageAlign = 4096;
@@ -104,7 +107,8 @@ constexpr uint32_t kEndianTag = 0x01020304;  ///< read back as written only on
 /// On-disk header. A packed POD with no padding bytes (statically
 /// asserted in plan_io.cpp) so the CRCs are well-defined; public —
 /// together with restamp_header — so hostile-blob tests and tools can
-/// forge headers without a private seam.
+/// forge headers without a private seam. The fields up to panel_layout
+/// (24 bytes) keep their place in every format version.
 struct FileHeader {
   char magic[8];
   uint32_t endian;        ///< kEndianTag
@@ -113,19 +117,16 @@ struct FileHeader {
   uint32_t panel_layout;  ///< kernels::kPanelLayoutVersion at save
   uint64_t file_bytes;    ///< total blob size
   char model_name[64];    ///< NUL-terminated, truncated if longer
-  char backend_name[32];  ///< kernel backend the plan is pinned to
+  char backend_name[32];  ///< kernel backend every step runs on
   uint32_t cpu_features;  ///< backend->required_features at save
   uint32_t quantized;
-  uint32_t qbits;         ///< grid width of lowered steps (0 on float plans)
-  uint32_t reserved1;     ///< 0 (was the shift-GEMM height stamp)
   uint64_t batch, in_c, in_h, in_w, classes;
-  // Arena layout (Plan's ExecContext geometry, verbatim).
-  uint64_t slots, slot_stride, col_off, col_sz, res_off, res_sz, nchunks,
-      qws_sz, qbs_sz;
+  // Arena layout and chunk grid (Plan's, verbatim).
+  uint64_t slots, slot_stride, nchunks;
   uint32_t weight_align;  ///< kWeightAlign at save
   uint32_t nsteps;
   uint32_t nsections;
-  uint32_t reserved0;
+  uint32_t reserved0;     ///< 0; keeps the offsets below 8-aligned
   uint64_t steps_off;
   uint64_t names_off;
   uint64_t names_bytes;
@@ -146,15 +147,8 @@ struct StepRecord {
   uint64_t name_off;   ///< into the names region
   uint64_t name_len;
   int32_t qbits;
-  uint8_t shift_gemm;  ///< retired strategy flag: 0, any other value rejected
-  uint8_t quantized, in_nonneg, reserved0;
-  // v2 reserved fields of the retired per-step algorithm choice. Every
-  // step runs on the plan backend: save writes its name here
-  // (NUL-terminated, so a backend name must be under 16 characters) and
-  // zero tile and chunk fields, and load rejects any other name or a
-  // nonzero field (every step runs on the plan's one chunk grid).
-  char backend_name[16];
-  uint32_t tile_mc, tile_kc, tile_nc, chunk;
+  uint8_t quantized, in_nonneg;
+  uint8_t reserved0[2];  ///< 0; explicit tail padding
 };
 
 /// One WeightSection plus the payload checksum.
@@ -182,7 +176,7 @@ void restamp_header(void* blob, size_t bytes);
 /// Serializes `plan` to `path` (written to a temp sibling, then renamed,
 /// so readers never see a half-written blob). Throws PlanIoError(kOpen)
 /// on filesystem failure, and PlanIoError(kBackend), before writing
-/// anything, when the plan backend's name does not fit a step record.
+/// anything, when the plan backend's name does not fit the header.
 void save(const Plan& plan, const std::string& path);
 
 /// Maps and validates a blob; returns the ready-to-run plan. The arena

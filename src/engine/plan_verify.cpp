@@ -21,20 +21,18 @@
 //   2. Arena geometry. slot_stride_ must cover every activation the steps
 //      move at the compiled batch — which also keeps the chunk layout's
 //      per-chunk ranges inside the slot, since a chunk ending at image i1
-//      stays below i1 * (slot_stride_ / batch_); the col/result scratch
-//      offsets must tile the workspace exactly; every float conv's padded
-//      images (Plan::conv_col_floats) and every conv's product must fit
-//      their per-chunk scratch slices. Only kLinear steps may follow the first kLinear: the
-//      runtime runs everything before it per chunk and the head once over
-//      the whole batch.
+//      stays below i1 * (slot_stride_ / batch_). Only kLinear steps may
+//      follow the first kLinear: the runtime runs everything before it
+//      per chunk and the head once over the whole batch. (The per-chunk
+//      scratch is no part of the plan: ExecContext sizes it from the
+//      steps this pass checks.)
 //   3. Weight panels. Float steps must carry a weight matrix of exactly
 //      the GEMM shape the kernel will read ([Co, Ci*K*K] conv rows,
 //      [out, in] linear). The retired shift-GEMM strategy stays off: no
 //      step may set shift_gemm or carry a w9 pack.
 //   4. int8 lowering. A quantized step must carry the full quantized
 //      panel, one finite positive scale per output channel, a grid width
-//      in [2, 8] — and have released its float weights. Quantized plans
-//      must have sized the int8 scratch; float plans must carry none.
+//      in [2, 8] — and have released its float weights.
 //   5. Backend pinning. The plan's backend pointer must be live in the
 //      kernel registry under its own name, the plan's quantized flag must
 //      match the backend's datapath, and every step must run on it.
@@ -96,12 +94,6 @@ void Plan::verify() const {
 
   // --- Arena layout arithmetic ------------------------------------------
   if (slots_ < 1) fail("plan has no activation slots");
-  if (col_off_ != slots_ * slot_stride_)
-    fail("col scratch offset does not abut the activation slots");
-  if (res_off_ != col_off_ + nchunks_ * col_sz_)
-    fail("result scratch offset does not abut the col scratch");
-  // Images in the widest chunk of any run: the per-chunk scratch bound.
-  const size_t chunk_imgs = (batch_ + nchunks_ - 1) / nchunks_;
   const size_t head_at = head();
 
   // --- Step replay -------------------------------------------------------
@@ -161,13 +153,6 @@ void Plan::verify() const {
           fail(tag(i, st) + ": in_sz disagrees with conv geometry");
         if (st.out_sz != st.out_c * g.out_h() * g.out_w())
           fail(tag(i, st) + ": out_sz disagrees with conv geometry");
-        // The whole-chunk padded images (float) and product must fit the
-        // per-chunk scratch slices.
-        if (!st.quantized && conv_col_floats(g, chunk_imgs) > col_sz_)
-          fail(tag(i, st) +
-               ": col input (padded images) overflows the col scratch");
-        if (st.out_sz * chunk_imgs > res_sz_)
-          fail(tag(i, st) + ": GEMM result overflows the result scratch");
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_c ||
              st.w.dim(1) != g.col_rows()))
@@ -323,21 +308,6 @@ void Plan::verify() const {
     fail("final step produces " + std::to_string(steps_.back().out_sz) +
          " features, plan advertises " + std::to_string(classes_) +
          " classes");
-
-  // --- int8 scratch sizing ----------------------------------------------
-  if (quant_) {
-    for (const Step& st : steps_) {
-      if (st.kind == OpKind::kLinear && qws_sz_ < batch_ * st.in_features)
-        fail("int8 activation scratch smaller than a linear input panel");
-      if (st.kind == OpKind::kConv &&
-          qbs_sz_ < st.geom.col_cols() * chunk_imgs)
-        fail("per-image scale scratch smaller than a conv's GEMM columns");
-    }
-    if (qbs_sz_ < batch_)
-      fail("per-image scale scratch smaller than the batch");
-  } else if (qws_sz_ != 0 || qbs_sz_ != 0) {
-    fail("float plan carries int8 scratch sizing");
-  }
 
   // --- Weight arena & section table --------------------------------------
   // Steps read weights through non-owning views; the authority on where

@@ -28,7 +28,7 @@
 // Both entries take an optional ConvEpilogue: each 16-column panel of
 // the product is then finished — an optional 1x1 expansion, bias,
 // residual add and activation — and stored straight into the NCHW
-// activation, so no scatter pass exists.
+// activation, so no scatter pass exists and the caller hands no C.
 //
 // Three implementations ship in-tree (see the matching .cpp files):
 //   scalar — the cache-blocked kernel the library grew up with; always
@@ -241,8 +241,10 @@ struct KernelBackend {
   /// Quantized conv, required when quantized_datapath is set: exactly
   /// qgemm(a, lda, unfold(x), s.n(), c, ldc, m, s.k(), s.n(), p) with the
   /// unfold of `x` per ConvShape. With `ep` non-null the product goes
-  /// through the epilogue instead of to C, and C ([m, s.n()] at ldc) is
-  /// workspace the entry may use.
+  /// through the epilogue instead of to C: callers then pass c = nullptr
+  /// and ldc = 0, and the entry must not touch them. An entry that
+  /// finishes the whole product before the epilogue (scalar's conv, the
+  /// int8 unfold) keeps it in its own thread_local scratch.
   void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) = nullptr;

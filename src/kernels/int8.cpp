@@ -82,11 +82,17 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, const ConvEpilogue* ep) {
-  // Workers of qgemm reach this thread's unfold through the plain pointer
-  // it is handed (see qgemm_int8_body).
+  // Workers of qgemm reach this thread's unfold and product through the
+  // plain pointers they are handed (see qgemm_int8_body).
   thread_local std::vector<int8_t> col_tls;
+  thread_local std::vector<float> res_tls;
   col_tls.resize(s.k() * s.n());
   unfold_padded(x, s, col_tls.data());
+  if (ep != nullptr) {
+    res_tls.resize(m * s.n());
+    c = res_tls.data();
+    ldc = s.n();
+  }
   qgemm(a, lda, col_tls.data(), s.n(), c, ldc, m, s.k(), s.n(), p);
   if (ep != nullptr) finish_result(c, ldc, m, s, *ep, nullptr);
 }

@@ -72,10 +72,10 @@ using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
 
 /// The unfolding qconv (defined in int8.cpp): copies the unfold of the
 /// padded images `x` into kernel-local scratch as a row-major
-/// [s.k(), s.n()] panel, then runs `qgemm` over it (and the epilogue over
-/// the result, when `ep` is set). The generic int8 backend's qconv when no
-/// gathering kernel is allowed, and the oracle the gathering ones are
-/// tested against.
+/// [s.k(), s.n()] panel, then runs `qgemm` over it into C — or, when `ep`
+/// is set, into kernel-local scratch the epilogue then finishes (C is not
+/// touched). The generic int8 backend's qconv when no gathering kernel is
+/// allowed, and the oracle the gathering ones are tested against.
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
                   const int8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, const ConvEpilogue* ep);
@@ -305,12 +305,12 @@ inline void expand_fmaf(const ConvEpilogue& ep, size_t m, const float* v,
 }
 
 /// Applies `ep` to a finished [m, s.n()] product at `c`, panel by panel:
-/// the epilogue of the conv entries that compute the whole product before
-/// storing it (scalar's conv, qconv_unfold). `c` is consumed (the inner
-/// activation runs in place). A float expansion runs `gemm` over each
-/// panel's column slice, which equals the full-width gemm when `gemm`
-/// orders each element's sum independently of n (gemm_scalar does); an
-/// int8 one runs expand_fmaf.
+/// the epilogue of the conv entries that compute the whole product into
+/// their own scratch before storing it (scalar's conv, qconv_unfold).
+/// `c` is consumed (the inner activation runs in place). A float
+/// expansion runs `gemm` over each panel's column slice, which equals the
+/// full-width gemm when `gemm` orders each element's sum independently of
+/// n (gemm_scalar does); an int8 one runs expand_fmaf.
 inline void finish_result(float* c, size_t ldc, size_t m, const ConvShape& s,
                           const ConvEpilogue& ep, GemmFn gemm) {
   const size_t n = s.n(), plane = s.out_h() * s.out_w();

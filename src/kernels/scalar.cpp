@@ -99,15 +99,21 @@ namespace {
 /// The reference float conv: the implicit unfold of the padded images,
 /// materialized in kernel-local scratch, times A through gemm_scalar, then
 /// the epilogue over the finished product — the same ops as a separate
-/// unfold, gemm and epilogue pass, so the bytes are the same. Workers of
-/// gemm_scalar reach the caller's thread_local unfold through the plain
-/// pointer it is handed (see qgemm_int8_body).
+/// unfold, gemm and epilogue pass, so the bytes are the same. With an
+/// epilogue the product lands in kernel-local scratch too, not in C.
+/// Workers of gemm_scalar reach the caller's thread_local buffers through
+/// the plain pointers they are handed (see qgemm_int8_body).
 void conv_scalar(const float* a, size_t lda, const float* x,
                  const ConvShape& s, float* c, size_t ldc, size_t m,
                  const ConvEpilogue* ep) {
-  thread_local std::vector<float> col_tls;
+  thread_local std::vector<float> col_tls, res_tls;
   col_tls.resize(s.k() * s.n());
   detail::unfold_padded(x, s, col_tls.data());
+  if (ep != nullptr) {
+    res_tls.resize(m * s.n());
+    c = res_tls.data();
+    ldc = s.n();
+  }
   detail::gemm_scalar(a, lda, false, col_tls.data(), s.n(), false, c, ldc, m,
                       s.k(), s.n(), 1.0f, 0.0f);
   if (ep != nullptr)

@@ -862,12 +862,7 @@ struct PlanTestPeer {
   static std::vector<Step>& steps(Plan& p) { return p.steps_; }
   static size_t& slots(Plan& p) { return p.slots_; }
   static size_t& slot_stride(Plan& p) { return p.slot_stride_; }
-  static size_t& col_off(Plan& p) { return p.col_off_; }
-  static size_t& col_sz(Plan& p) { return p.col_sz_; }
-  static size_t& res_off(Plan& p) { return p.res_off_; }
-  static size_t& res_sz(Plan& p) { return p.res_sz_; }
   static size_t& classes(Plan& p) { return p.classes_; }
-  static size_t& qws_sz(Plan& p) { return p.qws_sz_; }
   static bool& quantized(Plan& p) { return p.quant_; }
   static const kernels::KernelBackend*& backend(Plan& p) {
     return p.backend_;
@@ -1095,37 +1090,10 @@ TEST(PlanVerify, RejectsResidualAliasedOperands) {
 }
 
 TEST(PlanVerify, RejectsArenaLayoutBreaks) {
-  {
-    auto plan = verify_fixture();
-    PlanTestPeer::col_off(PlanTestPeer::mut(plan)) += 64;
-    expect_verify_rejects(plan, "does not abut");
-  }
-  {
-    auto plan = verify_fixture();
-    Plan& p = PlanTestPeer::mut(plan);
-    // Shrink every slot below one batch of the first activation, keeping
-    // the scratch offsets consistent so the stride check itself fires.
-    PlanTestPeer::slot_stride(p) = 1;
-    PlanTestPeer::col_off(p) = plan->activation_slots();
-    PlanTestPeer::res_off(p) =
-        plan->activation_slots() + plan->chunks() * plan->col_floats();
-    expect_verify_rejects(plan, "slot stride");
-  }
-  {
-    auto plan = verify_fixture();
-    PlanTestPeer::res_sz(PlanTestPeer::mut(plan)) = 0;
-    expect_verify_rejects(plan, "scratch");
-  }
-}
-
-TEST(PlanVerify, RejectsUndersizedColScratch) {
-  // A float conv needs its padded images in the col slice; step 0 is a
-  // padded 3x3 conv.
+  // Shrink every slot below one batch of the first activation.
   auto plan = verify_fixture();
-  Plan& p = PlanTestPeer::mut(plan);
-  PlanTestPeer::col_sz(p) = 0;
-  PlanTestPeer::res_off(p) = plan->col_offset();
-  expect_verify_rejects(plan, "col input");
+  PlanTestPeer::slot_stride(PlanTestPeer::mut(plan)) = 1;
+  expect_verify_rejects(plan, "slot stride");
 }
 
 TEST(PlanVerify, RejectsPerImageStepAfterLinearHead) {
@@ -1180,37 +1148,6 @@ TEST(PlanVerify, RejectsStepBackendOtherThanThePlans) {
       st->be = other;
       expect_verify_rejects(plan, "is not the plan backend");
     }
-  }
-}
-
-TEST(PlanScratch, SizedForTheConvEntryOfEachDatapath) {
-  // A float conv reads B from its padded images in the col slice (none
-  // when it has no padding); an int8 conv reads the context's int8 padded
-  // images, so an int8 plan sizes no col slice, and its int8 scratch is
-  // the linear head's quantized input alone. On 1 and 4 chunks.
-  for (const int threads : {1, 4}) {
-    set_parallel_threads(threads);
-    const auto q = verify_fixture("int8");
-    const auto f = verify_fixture();
-    set_parallel_threads(0);
-    ASSERT_TRUE(q->quantized());
-    ASSERT_FALSE(f->quantized());
-    EXPECT_EQ(q->chunks(), static_cast<size_t>(threads));
-    EXPECT_EQ(q->col_floats(), 0u);
-    ASSERT_LT(q->head(), q->steps().size());
-    EXPECT_EQ(q->qws_bytes(),
-              q->batch() * q->steps()[q->head()].in_features);
-    const size_t imgs = (f->batch() + f->chunks() - 1) / f->chunks();
-    size_t padded = 0;
-    for (const Step& st : f->steps()) {
-      const ConvGeom& g = st.geom;
-      if (st.kind == OpKind::kConv && g.pad != 0)
-        padded = std::max(padded, imgs * g.in_c * (g.in_h + 2 * g.pad) *
-                                      (g.in_w + 2 * g.pad));
-    }
-    EXPECT_GT(padded, 0u);
-    EXPECT_EQ(f->col_floats(), padded);
-    EXPECT_EQ(f->qws_bytes(), 0u);
   }
 }
 
@@ -1291,12 +1228,6 @@ TEST(PlanVerify, RejectsInt8RetainedFloatWeights) {
   // object before ever dereferencing it.
   st.w = TensorView(st.qw_scales.data(), {st.out_c, st.geom.col_rows()});
   expect_verify_rejects(plan, "not released");
-}
-
-TEST(PlanVerify, RejectsInt8UndersizedScratch) {
-  auto plan = verify_fixture("int8");
-  PlanTestPeer::qws_sz(PlanTestPeer::mut(plan)) = 1;
-  expect_verify_rejects(plan, "scratch");
 }
 
 TEST(PlanVerify, RejectsBadQuantBits) {

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.hpp"
@@ -942,7 +943,7 @@ TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
         kernels::ConvShape si = s;
         si.images = imgs;
         const size_t n = si.n();
-        std::vector<float> c(m * n), out(imgs * out_rows * plane);
+        std::vector<float> out(imgs * out_rows * plane);
         kernels::ConvEpilogue ep;
         ep.out = out.data();
         ep.act = Act::kRelu;
@@ -951,14 +952,17 @@ TEST(KernelInvariance, EveryFloatConvImageEqualsItsOneImageConv) {
           ep.inner_act = Act::kRelu;
           ep.exp_w = ew.data();
         }
-        be->conv(a.data(), k, xpad.data() + first * s.image_size(), si,
-                 c.data(), n, m, with_ep ? &ep : nullptr);
-        if (!with_ep)
-          for (size_t img = 0; img < imgs; ++img)
-            for (size_t r = 0; r < m; ++r)
-              std::memcpy(out.data() + (img * m + r) * plane,
-                          c.data() + r * n + img * plane,
-                          plane * sizeof(float));
+        const float* x = xpad.data() + first * s.image_size();
+        if (with_ep) {
+          be->conv(a.data(), k, x, si, nullptr, 0, m, &ep);
+          return out;
+        }
+        std::vector<float> c(m * n);
+        be->conv(a.data(), k, x, si, c.data(), n, m, nullptr);
+        for (size_t img = 0; img < imgs; ++img)
+          for (size_t r = 0; r < m; ++r)
+            std::memcpy(out.data() + (img * m + r) * plane,
+                        c.data() + r * n + img * plane, plane * sizeof(float));
         return out;
       };
       for (const kernels::KernelBackend* be : float_backends()) {
@@ -1053,11 +1057,15 @@ kernels::ConvShape epi_shape(const EpiCase& geo, size_t imgs) {
 }
 
 TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
-  // A float conv with an epilogue equals the same backend's plain conv
-  // followed by the reference epilogue; with an expansion, the plain conv,
-  // its inner activation stored to NCHW, the backend's own 1x1 conv over
-  // that, then the reference epilogue — what a plan runs as separate steps.
-  // Byte for byte, under both tile masks, at 1 and 3 threads.
+  // A float conv with an epilogue equals its two-step computation, built
+  // without the conv entry: the backend's gemm over the materialized
+  // unfold, then the reference epilogue; with an expansion, the inner
+  // activation over that [m, n] product and the backend's gemm of the
+  // expansion weights over it (what a separate 1x1 conv step computes)
+  // before the reference epilogue. backend.hpp promises both reference
+  // paths the conv entry's bytes. Byte for byte, under both tile masks, at
+  // 1 and 3 threads. On the 5x5 maps (264, 16) also runs: a folded
+  // expansion over two 256-deep k blocks of code rows.
   std::vector<const kernels::KernelBackend*> cands{kernels::scalar_backend()};
   if (const kernels::KernelBackend* simd = kernels::find_backend("simd"))
     cands.push_back(simd);
@@ -1066,8 +1074,11 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
   for (const EpiCase& geo : kEpiGeos) {
     const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
     const size_t k = g.col_rows(), plane = g.col_cols();
-    for (const auto& mc : kEpiRows) {
-      const size_t m = mc[0], co = mc[1], rows = co != 0 ? co : m;
+    std::vector<std::pair<size_t, size_t>> mcs;
+    for (const auto& mc : kEpiRows) mcs.emplace_back(mc[0], mc[1]);
+    if (geo.hw == 5) mcs.emplace_back(264, 16);
+    for (const auto& [m, co] : mcs) {
+      const size_t rows = co != 0 ? co : m;
       const Tensor a = random2d(m, k, rng);
       const Tensor ew = random2d(std::max<size_t>(co, 1), m, rng);
       std::vector<float> bias(rows);
@@ -1085,39 +1096,35 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
                 xpad[j * s.image_size() +
                      (ch * s.in_h + y + geo.pad) * s.in_w + xx + geo.pad] =
                     static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<float> col(k * n);
+        kernels::detail::unfold_padded(xpad.data(), s, col.data());
         std::vector<float> resid(imgs * rows * plane);
         for (float& v : resid) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        kernels::ConvShape s1;  // the expansion as a 1x1 conv step
-        s1.in_c = m;
-        s1.in_h = g.out_h();
-        s1.in_w = g.out_w();
-        s1.images = imgs;
-        for (const EpiVariant& v : kEpiVariants) {
-          for (const kernels::KernelBackend* be : cands) {
-            for (const TileMask& tm : masks) {
-              const MaskScope scope(tm.mask);
-              for (const int threads : {1, 3}) {
-                set_parallel_threads(threads);
-                std::vector<float> c(m * n), c2(rows * n), code(m * n);
-                be->conv(a.data(), k, xpad.data(), s, c.data(), n, m,
-                         nullptr);
-                const std::vector<float>* fin = &c;
+        for (const kernels::KernelBackend* be : cands) {
+          for (const TileMask& tm : masks) {
+            const MaskScope scope(tm.mask);
+            for (const int threads : {1, 3}) {
+              set_parallel_threads(threads);
+              std::vector<float> c(m * n);
+              be->gemm(a.data(), k, false, col.data(), n, false, c.data(), n,
+                       m, k, n, 1.0f, 0.0f);
+              for (const EpiVariant& v : kEpiVariants) {
+                std::vector<float> fin = c;
                 if (co != 0) {
-                  ref_epilogue(c, m, imgs, plane, nullptr, nullptr, v.inner,
-                               code.data());
-                  be->conv(ew.data(), m, code.data(), s1, c2.data(), n, co,
-                           nullptr);
-                  fin = &c2;
+                  kernels::detail::act_rows(v.inner, fin.data(), n, m, n);
+                  std::vector<float> e(co * n);
+                  be->gemm(ew.data(), m, false, fin.data(), n, false,
+                           e.data(), n, co, m, n, 1.0f, 0.0f);
+                  fin = std::move(e);
                 }
                 std::vector<float> want(rows * n);
-                ref_epilogue(*fin, rows, imgs, plane,
+                ref_epilogue(fin, rows, imgs, plane,
                              v.bias ? bias.data() : nullptr,
                              v.residual != 0 ? resid.data() : nullptr, v.act,
                              want.data());
 
                 std::vector<float> got =
                     v.residual == 2 ? resid : std::vector<float>(rows * n);
-                std::vector<float> scratch(m * n, -7.0f);
                 kernels::ConvEpilogue ep;
                 ep.out = got.data();
                 ep.bias = v.bias ? bias.data() : nullptr;
@@ -1130,8 +1137,7 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
                   ep.inner_act = v.inner;
                   ep.exp_w = ew.data();
                 }
-                be->conv(a.data(), k, xpad.data(), s, scratch.data(), n, m,
-                         &ep);
+                be->conv(a.data(), k, xpad.data(), s, nullptr, 0, m, &ep);
                 ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)
@@ -1222,7 +1228,6 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
                 set_parallel_threads(threads);
                 std::vector<float> got =
                     v.residual == 2 ? resid : std::vector<float>(rows * n);
-                std::vector<float> cs(m * n, -7.0f);
                 kernels::ConvEpilogue ep;
                 ep.out = got.data();
                 ep.bias = v.bias ? bias.data() : nullptr;
@@ -1236,7 +1241,7 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
                   ep.exp_qw = eq.data();
                   ep.exp_scales = es.data();
                 }
-                be->qconv(a.data(), k, xq.data(), s, cs.data(), n, m, p, &ep);
+                be->qconv(a.data(), k, xq.data(), s, nullptr, 0, m, p, &ep);
                 ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)

@@ -1,8 +1,8 @@
 // Plan artifacts (engine/plan_io.hpp): round-trip bit-identity across
 // every registered backend and thread count, typed rejection of hostile
-// blobs (truncation, flipped bytes, forged headers), and the fork-twice
-// smoke proving two processes serve bit-identical logits from one
-// read-only mapped blob directory.
+// blobs (truncation, flipped bytes, forged headers, 64-bit extents that
+// wrap), and the fork-twice smoke proving two processes serve
+// bit-identical logits from one read-only mapped blob directory.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -323,9 +323,21 @@ TEST_F(PlanIoHostile, RejectsBadMagic) {
 }
 
 TEST_F(PlanIoHostile, RejectsWrongFormatVersion) {
-  header()->version = plan::kFormatVersion + 17;
-  expect_rejects("version.plan", PlanIoError::Code::kBadVersion,
-                 /*restamp=*/true);
+  // A later version, and a v2-shaped header (v2's 328-byte header): the
+  // version sits in the 24 bytes every format shares and is checked
+  // before the header size, so both are kBadVersion.
+  const struct {
+    uint32_t version, header_bytes;
+  } cases[] = {{plan::kFormatVersion + 17, sizeof(FileHeader)}, {2, 328}};
+  const std::vector<uint8_t> pristine = image_;
+  for (const auto& c : cases) {
+    SCOPED_TRACE("version " + std::to_string(c.version));
+    image_ = pristine;
+    header()->version = c.version;
+    header()->header_bytes = c.header_bytes;
+    expect_rejects("version.plan", PlanIoError::Code::kBadVersion,
+                   /*restamp=*/true);
+  }
 }
 
 TEST_F(PlanIoHostile, RejectsWrongPanelLayoutStamp) {
@@ -402,91 +414,63 @@ TEST_F(PlanIoHostile, RejectsBogusStepRecord) {
                  /*restamp=*/true);
 }
 
-TEST_F(PlanIoHostile, RejectsRetiredShiftGemmStep) {
-  // A current-version blob (checksums intact) whose step selects the
-  // retired shift-GEMM strategy: the runtime has no such path, so the
-  // loader refuses it instead of running the step some other way.
-  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
-                                                    header()->steps_off);
-  ASSERT_EQ(steps[0].kind, static_cast<uint32_t>(OpKind::kConv));
-  steps[0].shift_gemm = 1;
-  expect_rejects("shift_gemm.plan", PlanIoError::Code::kBadSection,
+TEST_F(PlanIoHostile, RejectsArenaExtentWrappingToTheFileSize) {
+  // arena_off 1 GiB past the end of the file, with arena_bytes chosen so
+  // that arena_off + arena_bytes wraps to file_bytes. Only the header CRC
+  // is re-sealed (restamp_header refuses an arena past the image); the
+  // extent must be refused before the meta CRC reads up to arena_off.
+  FileHeader* h = header();
+  h->arena_off = (h->file_bytes + (uint64_t{1} << 30) + plan::kBlobPageAlign) &
+                 ~(plan::kBlobPageAlign - 1);
+  h->arena_bytes = h->file_bytes - h->arena_off;  // wraps
+  h->header_crc = 0;
+  h->header_crc = plan::crc32(h, sizeof(FileHeader));
+  expect_rejects("arena_wrap.plan", PlanIoError::Code::kBadHeader,
+                 /*restamp=*/false);
+}
+
+TEST_F(PlanIoHostile, RejectsNameRegionWrappingPastTheSections) {
+  // names_bytes = 2^64 - 8 puts sections_off, by its own formula, 8 bytes
+  // before the names; step 0's name then points 2^40 bytes in.
+  FileHeader* h = header();
+  h->names_bytes = ~uint64_t{0} - 7;
+  h->sections_off = (h->names_off + h->names_bytes + 7) & ~uint64_t{7};
+  auto* steps =
+      reinterpret_cast<plan::StepRecord*>(image_.data() + h->steps_off);
+  steps[0].name_off = uint64_t{1} << 40;
+  expect_rejects("names_wrap.plan", PlanIoError::Code::kBadHeader,
                  /*restamp=*/true);
 }
 
-TEST_F(PlanIoHostile, RejectsRetiredChunkOverride) {
-  // A current-version blob (checksums intact) whose step carries a
-  // per-step chunk-grid override: every step now runs on the plan's one
-  // grid, so the loader refuses the record instead of ignoring it.
-  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
-                                                    header()->steps_off);
-  ASSERT_EQ(steps[0].kind, static_cast<uint32_t>(OpKind::kConv));
-  ASSERT_EQ(steps[0].chunk, 0u);  // save writes the reserved field as 0
-  steps[0].chunk = 1;
-  expect_rejects("chunk.plan", PlanIoError::Code::kBadSection,
-                 /*restamp=*/true);
-}
-
-TEST_F(PlanIoHostile, RejectsStepNamingAnotherBackend) {
-  // Every step runs on the plan backend, so each step record repeats its
-  // name. A record naming any other backend — registered in this build,
-  // on either datapath — is refused, as is an unknown or empty name.
-  std::vector<std::string> others = {"nosuch-backend", ""};
-  for (const std::string& name : kernels::backend_names())
-    if (name != "scalar") others.push_back(name);
+TEST_F(PlanIoHostile, RejectsStepNameWrappingIntoTheNameRegion) {
+  // name_off + name_len wraps to 1: a 1 MiB name would be copied from
+  // before the mapping, and a 64 GiB one would fail to allocate.
   const std::vector<uint8_t> pristine = image_;
-  for (const std::string& name : others) {
-    SCOPED_TRACE("step backend '" + name + "'");
+  for (const int shift : {20, 36}) {
+    SCOPED_TRACE("name_len 2^" + std::to_string(shift) + " + 1");
     image_ = pristine;
     auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
                                                       header()->steps_off);
-    ASSERT_STREQ(steps[0].backend_name, "scalar");
-    std::memset(steps[0].backend_name, 0, sizeof(steps[0].backend_name));
-    std::strncpy(steps[0].backend_name, name.c_str(),
-                 sizeof(steps[0].backend_name) - 1);
-    expect_rejects("step_backend.plan", PlanIoError::Code::kBadSection,
+    steps[0].name_off = 0 - (uint64_t{1} << shift);
+    steps[0].name_len = (uint64_t{1} << shift) + 1;
+    expect_rejects("name_wrap.plan", PlanIoError::Code::kBadSection,
                    /*restamp=*/true);
   }
 }
 
-TEST_F(PlanIoHostile, RejectsRetiredTileChoice) {
-  // The tile fields are reserved: save writes 0, load refuses any other
-  // value instead of running the step with some other blocking.
-  const std::vector<uint8_t> pristine = image_;
-  for (int field = 0; field < 3; ++field) {
-    image_ = pristine;
-    auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
-                                                      header()->steps_off);
-    ASSERT_EQ(steps[0].tile_mc | steps[0].tile_kc | steps[0].tile_nc, 0u);
-    uint32_t* tile[] = {&steps[0].tile_mc, &steps[0].tile_kc,
-                        &steps[0].tile_nc};
-    *tile[field] = 256;
-    expect_rejects("tile.plan", PlanIoError::Code::kBadSection,
-                   /*restamp=*/true);
-  }
-}
-
-TEST_F(PlanIoHostile, RejectsUnterminatedStepBackendName) {
-  auto* steps = reinterpret_cast<plan::StepRecord*>(image_.data() +
-                                                    header()->steps_off);
-  std::memset(steps[0].backend_name, 'x', sizeof(steps[0].backend_name));
-  expect_rejects("step_backend_nul.plan", PlanIoError::Code::kBadSection,
-                 /*restamp=*/true);
-}
-
-/// Registers a copy of scalar whose name overflows the step records'
-/// backend field, compiles the fixture on it and saves it to `file`: 0
-/// when save throws PlanIoError(kBackend). Run in a child process, which
+/// Registers a copy of scalar whose name overflows the header's backend
+/// field, compiles the fixture on it and saves it to `file`: 0 when save
+/// throws PlanIoError(kBackend). Run in a child process, which
 /// keeps the registration away from the tests that save a plan on every
 /// registered backend.
 int save_on_long_backend_name(const fs::path& file) {
   static const kernels::KernelBackend copy{
-      .name = "scalar-reference-copy",
+      .name = "scalar-reference-copy-with-a-long-name",
       .gemm = kernels::scalar_backend()->gemm,
       .qgemm = kernels::scalar_backend()->qgemm,
       .conv = kernels::scalar_backend()->conv};
-  static_assert(sizeof("scalar-reference-copy") >
-                sizeof(plan::StepRecord::backend_name));
+  static_assert(sizeof("scalar-reference-copy-with-a-long-name") >
+                sizeof(FileHeader::backend_name));
   kernels::register_backend(&copy);
   InlineExecutionGuard inline_only;
   auto p = compile_fixture(copy.name, "long_name");
@@ -500,7 +484,7 @@ int save_on_long_backend_name(const fs::path& file) {
 
 using PlanIoDeathTest = ::testing::Test;
 
-TEST(PlanIoDeathTest, SaveRefusesABackendNameAStepRecordCannotHold) {
+TEST(PlanIoDeathTest, SaveRefusesABackendNameTheHeaderCannotHold) {
   // save must refuse before writing anything instead of cutting the name
   // into a blob no build can load.
   TempDir td;
