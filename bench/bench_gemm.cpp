@@ -5,7 +5,9 @@
 // wide-N) problems, single-threaded so the numbers are kernel quality, not
 // core count. Next times each float backend's conv entry on one 8-image
 // chunk of the paper fixture's conv shapes (conv/* rows), the call one
-// engine worker makes per conv step. Then compiles an ALF-deployed
+// engine worker makes per conv step, and each quantized backend's qconv
+// entry on the same shapes plus the 3-channel input conv (qconv/* rows,
+// with the engine's int8 epilogue). Then compiles an ALF-deployed
 // ResNet-20 twice — float and backend="int8" — replays a 256-image
 // synthetic batch through both, and records the top-1 agreement plus the
 // measured int8/f32 engine ratio.
@@ -252,6 +254,77 @@ int main(int argc, char** argv) {
   }
   set_parallel_threads(0);
   ctable.print();
+
+  // --- 2b. Quantized conv entries on the same chunk. ----------------------
+  // What one worker of an int8 plan runs per conv step: be->qconv over 8
+  // zero-point-padded u8 channel-quad images (quantize_pad_i8 of random
+  // activations on the post-ReLU grid, one scale per image) with the
+  // engine's epilogue — bias and ReLU, and on the code convs the int8
+  // expansion back to the stage width. The shapes of section 2 plus the
+  // 3-channel input conv. Rows: qconv/<shape>/<backend>.
+  std::vector<ConvProblem> qconvs(std::begin(convs), std::end(convs));
+  qconvs.push_back({"3-16@32", 3, 32, 1, 16, 0});
+  Table qtable("int8 qconv entry, one 8-image chunk, single thread (best of "
+               "reps)");
+  qtable.set_header({"conv", "backend", "wall[ms]", "G madds/s"});
+  set_parallel_threads(1);
+  for (const ConvProblem& p : qconvs) {
+    kernels::ConvShape cs;
+    cs.in_c = p.ci;
+    cs.in_h = cs.in_w = p.hw + 2;
+    cs.kernel = 3;
+    cs.stride = p.stride;
+    cs.images = conv_images;
+    const size_t k = cs.k(), n = cs.n(), rows = p.co != 0 ? p.co : p.m;
+    const size_t plane = cs.out_h() * cs.out_w();
+    const Tensor x = random_input({conv_images * p.ci * p.hw * p.hw}, rng);
+    std::vector<uint8_t> xq(conv_images * cs.qimage_size());
+    std::vector<float> bscales(n);
+    for (size_t j = 0; j < conv_images; ++j) {
+      const float* img = x.data() + j * p.ci * p.hw * p.hw;
+      const float scale =
+          std::max(kernels::max_abs_f32(img, p.ci * p.hw * p.hw), 1e-6f) /
+          254.0f;
+      std::fill_n(bscales.begin() + j * plane, plane, scale);
+      kernels::quantize_pad_i8(img, p.ci, p.hw, p.hw, 1, 1.0f / scale, -127,
+                               127, xq.data() + j * cs.qimage_size());
+    }
+    std::vector<int8_t> qw(p.m * k), eqw(std::max<size_t>(p.co, 1) * p.m);
+    for (int8_t& v : qw)
+      v = static_cast<int8_t>(std::lrint(rng.uniform(-127.0, 127.0)));
+    for (int8_t& v : eqw)
+      v = static_cast<int8_t>(std::lrint(rng.uniform(-127.0, 127.0)));
+    const std::vector<float> ascales(p.m, 0.01f), escales(eqw.size(), 0.01f);
+    std::vector<float> bias(rows, 0.01f), out(conv_images * rows * plane);
+    kernels::QgemmParams qp;
+    qp.a_scales = ascales.data();
+    qp.b_scales = bscales.data();
+    qp.b_zp = -127;
+    kernels::ConvEpilogue ep;
+    ep.out = out.data();
+    ep.bias = bias.data();
+    ep.act = Act::kRelu;
+    ep.co = p.co;
+    ep.exp_qw = p.co != 0 ? eqw.data() : nullptr;
+    ep.exp_scales = p.co != 0 ? escales.data() : nullptr;
+    const double gmadds = static_cast<double>(n) * p.m * (k + p.co) / 1e9;
+    for (const std::string& name : kernels::backend_names()) {
+      const kernels::KernelBackend* be = kernels::find_backend(name);
+      if (!be->quantized_datapath) continue;
+      const auto run = [&] {
+        be->qconv(qw.data(), k, xq.data(), cs, nullptr, 0, p.m, qp, &ep);
+      };
+      run();  // warm the kernel's scratch
+      const double ms = time_ms(conv_reps, run);
+      qtable.add_row({p.tag, name, Table::fmt(ms, 3),
+                      Table::fmt(gmadds / (ms / 1e3), 2)});
+      BenchRow& row = json.row("qconv/" + std::string(p.tag) + "/" + name);
+      row.wall_ms = ms;
+      row.gmadds_per_s = gmadds / (ms / 1e3);
+    }
+  }
+  set_parallel_threads(0);
+  qtable.print();
 
   // --- 3. ALF-deployed ResNet-20: int8 engine vs float engine. ------------
   // The model is TRAINED (briefly, at bench scale) before comparing: top-1

@@ -113,11 +113,11 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
     if (st.kind == OpKind::kLinear)
       head_in = std::max(head_in, p.batch() * st.in_features);
     if (st.kind != OpKind::kConv) continue;
-    const size_t padded = imgs * conv_shape(st.geom, 1).image_size();
+    const kernels::ConvShape one = conv_shape(st.geom, 1);
     if (st.quantized)
-      qimg_stride_ = std::max(qimg_stride_, padded);
+      qimg_stride_ = std::max(qimg_stride_, imgs * one.qimage_size());
     else if (st.geom.pad != 0)
-      fimg_stride_ = std::max(fimg_stride_, padded);
+      fimg_stride_ = std::max(fimg_stride_, imgs * one.image_size());
     scales = std::max(scales, imgs * st.geom.col_cols());
   }
   fimg_.assign(p.chunks() * fimg_stride_, 0.0f);
@@ -186,19 +186,20 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
   const kernels::ConvShape cs = conv_shape(g, imgs);
   if (st.quantized) {
     // Quantize each image ONCE, with its own max-abs scale, into a
-    // zero-point-padded int8 copy; qconv then packs the unfold's B panels
-    // straight from those bytes. The scales depend only on image content,
-    // so the result is independent of the thread count and the chunk
-    // grid. The image max bounds every unfold entry (each is a pixel or a
-    // padding zero; it exceeds the unfold's max only when stride > kernel
-    // skips pixels — still a valid, just coarser, grid).
+    // zero-point-padded u8 channel-quad copy (kernels::ConvShape); qconv
+    // reads the unfold's B panels straight from those bytes. The scales
+    // depend only on image content, so the result is independent of the
+    // thread count and the chunk grid. The image max bounds every unfold
+    // entry (each is a pixel or a padding zero; it exceeds the unfold's
+    // max only when stride > kernel skips pixels — still a valid, just
+    // coarser, grid).
     const int32_t levels = (1 << (st.qbits - 1)) - 1;
     // Provably non-negative inputs (post-ReLU) take the asymmetric grid:
     // zero-point at the bottom of the range, twice the resolution of the
     // symmetric grid on [0, max].
     const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
     const int32_t zp = st.in_nonneg ? -levels : 0;
-    int8_t* qimg = qimg_.data() + ci * qimg_stride_;
+    uint8_t* qimg = qimg_.data() + ci * qimg_stride_;
     float* bscales = qbs_.data() + ci * qbs_stride_;
     for (size_t j = 0; j < imgs; ++j) {
       const float* img = in + j * st.in_sz;
@@ -207,7 +208,7 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
       std::fill(bscales + j * cols, bscales + (j + 1) * cols, scale);
       kernels::quantize_pad_i8(img, g.in_c, g.in_h, g.in_w, g.pad,
                                1.0f / scale, zp, levels,
-                               qimg + j * cs.image_size());
+                               qimg + j * cs.qimage_size());
     }
     kernels::QgemmParams params;
     params.a_scales = st.qw_scales.data();  // per-output-channel

@@ -107,9 +107,10 @@ class ExecContext {
   /// fimg_stride_ floats per chunk), what conv reads its B panels from.
   std::vector<float> fimg_;
   size_t fimg_stride_ = 0;
-  /// Zero-point-padded int8 images of quantized conv chunks (one slice of
-  /// qimg_stride_ bytes per chunk), what qconv packs its B panels from.
-  std::vector<int8_t> qimg_;
+  /// Zero-point-padded u8 channel-quad images of quantized conv chunks
+  /// (one slice of qimg_stride_ bytes per chunk), what qconv reads its B
+  /// panels from.
+  std::vector<uint8_t> qimg_;
   size_t qimg_stride_ = 0;
   std::vector<float> qbs_;  ///< per-image column scales (one slice of
                             ///< qbs_stride_ per chunk; the head uses all)

@@ -249,6 +249,15 @@ class PlanVerifyError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// The one cap Plan::verify holds every buffer extent a plan implies to:
+/// the activation arena (slots x slot stride), each step's activations at
+/// the compiled batch, every geometry product, and what ExecContext sizes
+/// from the steps (padded images, column scales and the int8 head input
+/// of all chunks). Each is formed with overflow-checked multiplication
+/// and must stay at or below 2^40 elements, so no byte count (x 4) or sum
+/// of a few of them wraps 64 bits.
+constexpr size_t kMaxPlanElements = size_t{1} << 40;
+
 /// Compile-time options of a plan.
 struct EngineOptions {
   /// Kernel-backend name ("scalar" / "simd" / "int8" / a registered

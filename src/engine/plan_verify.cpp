@@ -25,7 +25,11 @@
 //      follow the first kLinear: the runtime runs everything before it
 //      per chunk and the head once over the whole batch. (The per-chunk
 //      scratch is no part of the plan: ExecContext sizes it from the
-//      steps this pass checks.)
+//      steps this pass checks.) Every extent the runtime multiplies out —
+//      the arena, batch activations, geometry products and that scratch —
+//      is formed with overflow-checked multiplication and held to
+//      kMaxPlanElements, so a loaded plan's 64-bit fields cannot wrap a
+//      size to something small.
 //   3. Weight panels. Float steps must carry a weight matrix of exactly
 //      the GEMM shape the kernel will read ([Co, Ci*K*K] conv rows,
 //      [out, in] linear). The retired shift-GEMM strategy stays off: no
@@ -44,6 +48,7 @@
 //      is run by exactly one conv, and every step so marked is.
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +76,18 @@ struct SlotState {
   size_t sz = 0;
 };
 
+/// The product of `factors`, or a failure naming `what` when it wraps or
+/// passes kMaxPlanElements (checked after every factor, so no partial
+/// product wraps either).
+size_t bounded(const std::string& what, std::initializer_list<size_t> factors) {
+  size_t r = 1;
+  for (const size_t f : factors)
+    if (__builtin_mul_overflow(r, f, &r) || r > kMaxPlanElements)
+      fail(what + " exceeds " + std::to_string(kMaxPlanElements) +
+           " elements");
+  return r;
+}
+
 }  // namespace
 
 void Plan::verify() const {
@@ -94,7 +111,14 @@ void Plan::verify() const {
 
   // --- Arena layout arithmetic ------------------------------------------
   if (slots_ < 1) fail("plan has no activation slots");
+  bounded("input image", {in_c_, in_h_, in_w_});
+  bounded("activation arena (slots x slot stride)", {slots_, slot_stride_});
   const size_t head_at = head();
+  // The widest chunk any run cuts (exec_context.cpp): what the per-chunk
+  // scratch is sized for, once per chunk. Each chunk's scale slice also
+  // holds at least one scale per batch row (the int8 head's).
+  const size_t chunk_imgs = (batch_ + nchunks_ - 1) / nchunks_;
+  bounded("per-chunk scales", {nchunks_, batch_});
 
   // --- Step replay -------------------------------------------------------
   // slot 0 is the external input; arena slots are 1..slots_.
@@ -137,9 +161,11 @@ void Plan::verify() const {
 
     // Arena coverage: every activation the step moves must fit its slot
     // at the compiled batch (slot 0 is the caller's buffer, not ours).
-    if (st.in != 0 && batch_ * st.in_sz > slot_stride_)
+    if (st.in != 0 && bounded(tag(i, st) + ": batch input",
+                              {batch_, st.in_sz}) > slot_stride_)
       fail(tag(i, st) + ": input activation overflows the slot stride");
-    if (batch_ * st.out_sz > slot_stride_)
+    if (bounded(tag(i, st) + ": batch output", {batch_, st.out_sz}) >
+        slot_stride_)
       fail(tag(i, st) + ": output activation overflows the slot stride");
 
     // Per-kind geometry and weight-panel shape.
@@ -147,12 +173,28 @@ void Plan::verify() const {
       case OpKind::kConv: {
         const ConvGeom& g = st.geom;
         if (g.kernel < 1 || g.stride < 1) fail(tag(i, st) + ": bad geometry");
-        if (g.in_h + 2 * g.pad < g.kernel || g.in_w + 2 * g.pad < g.kernel)
+        // Each extent alone is capped first, so the padded sums cannot
+        // wrap.
+        for (const size_t e : {g.in_h, g.in_w, g.pad})
+          bounded(tag(i, st) + ": conv extent", {e});
+        const size_t ph = g.in_h + 2 * g.pad, pw = g.in_w + 2 * g.pad;
+        if (ph < g.kernel || pw < g.kernel)
           fail(tag(i, st) + ": kernel larger than padded input");
-        if (st.in_sz != g.in_c * g.in_h * g.in_w)
+        if (st.in_sz != bounded(tag(i, st) + ": conv input",
+                                {g.in_c, g.in_h, g.in_w}))
           fail(tag(i, st) + ": in_sz disagrees with conv geometry");
-        if (st.out_sz != st.out_c * g.out_h() * g.out_w())
+        if (st.out_sz != bounded(tag(i, st) + ": conv output",
+                                 {st.out_c, g.out_h(), g.out_w()}))
           fail(tag(i, st) + ": out_sz disagrees with conv geometry");
+        bounded(tag(i, st) + ": weight matrix",
+                {st.out_c, g.in_c, g.kernel, g.kernel});
+        // ExecContext's scratch for this conv over all chunks: padded
+        // images (int8 ones round the channels up to quads) and one
+        // scale per GEMM column.
+        bounded(tag(i, st) + ": padded images",
+                {nchunks_, chunk_imgs, (g.in_c + 3) / 4 * 4, ph, pw});
+        bounded(tag(i, st) + ": column scales",
+                {nchunks_, chunk_imgs, g.out_h(), g.out_w()});
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_c ||
              st.w.dim(1) != g.col_rows()))
@@ -164,6 +206,10 @@ void Plan::verify() const {
       case OpKind::kLinear: {
         if (st.in_sz != st.in_features || st.out_sz != st.out_features)
           fail(tag(i, st) + ": in/out sizes disagree with features");
+        bounded(tag(i, st) + ": weight matrix",
+                {st.out_features, st.in_features});
+        // ExecContext's int8 head input: the whole batch's rows.
+        bounded(tag(i, st) + ": head input", {batch_, st.in_features});
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_features ||
              st.w.dim(1) != st.in_features))
@@ -176,13 +222,15 @@ void Plan::verify() const {
         if (st.window < 1 || st.geom.in_h % st.window != 0 ||
             st.geom.in_w % st.window != 0)
           fail(tag(i, st) + ": window does not tile the input map");
-        if (st.in_sz != st.geom.in_c * st.geom.in_h * st.geom.in_w ||
+        if (st.in_sz != bounded(tag(i, st) + ": pool input",
+                                {st.geom.in_c, st.geom.in_h, st.geom.in_w}) ||
             st.out_sz != st.in_sz / (st.window * st.window))
           fail(tag(i, st) + ": pooled sizes disagree with geometry");
         break;
       }
       case OpKind::kGlobalAvgPool: {
-        if (st.in_sz != st.geom.in_c * st.geom.in_h * st.geom.in_w ||
+        if (st.in_sz != bounded(tag(i, st) + ": pool input",
+                                {st.geom.in_c, st.geom.in_h, st.geom.in_w}) ||
             st.out_sz != st.geom.in_c)
           fail(tag(i, st) + ": pooled sizes disagree with geometry");
         break;
@@ -354,8 +402,9 @@ void Plan::verify() const {
       fail(stag + ": payload overflows the weight arena");
     if (sec.rank < 1 || sec.rank > TensorView::kMaxRank)
       fail(stag + ": rank outside [1, 3]");
-    uint64_t numel = 1;
-    for (uint32_t d = 0; d < sec.rank; ++d) numel *= sec.dims[d];
+    size_t numel = 1;
+    for (uint32_t d = 0; d < sec.rank; ++d)
+      numel = bounded(stag + ": dims", {numel, sec.dims[d]});
     if (numel * sec.elem_size != sec.bytes)
       fail(stag + ": byte count disagrees with dims");
     uint8_t& slot_bound =

@@ -18,11 +18,12 @@
 //
 //   conv   — f32, over zero-padded float images; exactly gemm over the
 //            unfold. Required on every float backend.
-//   qconv  — int8, over zero-point-padded images; exactly qgemm over the
-//            unfold. Required on every quantized backend.
+//   qconv  — int8, over zero-point-padded u8 channel-quad images (see
+//            ConvShape); exactly qgemm over the unfold. Required on every
+//            quantized backend.
 //
-// An entry may read B panels in place from the images (simd), pack them
-// straight from the images (int8-avx2, int8-vnni) or materialize the
+// An entry may read B panels in place from the images (simd, int8-vnni),
+// pack them straight from the images (int8-avx2) or materialize the
 // unfold in kernel-local scratch first (scalar, the generic int8
 // fallback); the result is the same bytes.
 // Both entries take an optional ConvEpilogue: each 16-column panel of
@@ -149,11 +150,20 @@ struct QgemmParams {
 };
 
 /// Geometry of one conv/qconv call: `images` images laid out back to
-/// back, each [in_c, in_h, in_w] where in_h/in_w are the *padded* extents
-/// (the caller writes the conv's zero padding explicitly — 0.0f for conv,
-/// zero-point bytes for qconv, so a pad tap reads quantize(0.0f) exactly
-/// like the float unfold's zero). The implicit B matrix is the im2col
-/// unfold of those images side by side:
+/// back, where in_h/in_w are the *padded* extents (the caller writes the
+/// conv's padding explicitly, so a pad tap reads quantize(0.0f) exactly
+/// like the float unfold's zero).
+///
+///   conv:  each image is [in_c][in_h][in_w] floats, 0.0f in the border.
+///   qconv: each image is [quads()][in_h][in_w][4] bytes: channel c sits
+///          in lane c % 4 of quad c / 4, and every byte is an int8-grid
+///          value q stored as the u8 q + 128. Border bytes and the lanes
+///          past in_c in the last quad hold b_zp + 128 (quantize(0.0f) on
+///          that grid); the pad lanes meet zero weights. qimage_size()
+///          bytes per image.
+///
+/// The implicit B matrix is the im2col unfold of those images side by
+/// side, in the int8 grid for qconv (each byte minus 128):
 /// B[(c*K + kh)*K + kw][img*out_h*out_w + oh*out_w + ow] =
 /// x[img][c][oh*stride + kh][ow*stride + kw].
 struct ConvShape {
@@ -165,8 +175,12 @@ struct ConvShape {
 
   size_t out_h() const { return (in_h - kernel) / stride + 1; }
   size_t out_w() const { return (in_w - kernel) / stride + 1; }
-  /// Elements of one padded image (bytes for qconv, floats for conv).
+  /// Floats of one padded conv image.
   size_t image_size() const { return in_c * in_h * in_w; }
+  /// Channel quads of one qconv image: in_c rounded up to groups of four.
+  size_t quads() const { return (in_c + 3) / 4; }
+  /// Bytes of one padded qconv image, [quads()][in_h][in_w][4].
+  size_t qimage_size() const { return quads() * in_h * in_w * 4; }
   /// Reduction length (rows of B).
   size_t k() const { return in_c * kernel * kernel; }
   /// Output columns (columns of B and C).
@@ -240,12 +254,18 @@ struct KernelBackend {
 
   /// Quantized conv, required when quantized_datapath is set: exactly
   /// qgemm(a, lda, unfold(x), s.n(), c, ldc, m, s.k(), s.n(), p) with the
-  /// unfold of `x` per ConvShape. With `ep` non-null the product goes
-  /// through the epilogue instead of to C: callers then pass c = nullptr
-  /// and ldc = 0, and the entry must not touch them. An entry that
-  /// finishes the whole product before the epilogue (scalar's conv, the
-  /// int8 unfold) keeps it in its own thread_local scratch.
-  void (*qconv)(const int8_t* a, size_t lda, const int8_t* x,
+  /// int8 unfold of the u8 channel-quad images `x` per ConvShape; A stays
+  /// the [m, s.k()] weight matrix in unfold order. With p.a_zp == 0 the
+  /// dot-product kernels take the images as vpdpbusd's unsigned operand
+  /// and fold the whole zero-point correction into one constant per row,
+  /// -(128 + b_zp) * rowsum(A), so they pack no B and sum no columns; a
+  /// call with a_zp != 0 (never issued by the engine) runs the unfold
+  /// (detail::qconv_unfold). With `ep` non-null the product goes through
+  /// the epilogue instead of to C: callers then pass c = nullptr and ldc
+  /// = 0, and the entry must not touch them. An entry that finishes the
+  /// whole product before the epilogue (scalar's conv, the int8 unfold)
+  /// keeps it in its own thread_local scratch.
+  void (*qconv)(const int8_t* a, size_t lda, const uint8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) = nullptr;
 
@@ -306,8 +326,9 @@ const KernelBackend* int8_backend();
 const KernelBackend* int8_avx2_backend();
 
 /// Register-tiled int8 qgemm over the vpdpbusd dot-product instruction
-/// (VEX AVX-VNNI or EVEX AVX512-VNNI+VL, whichever the CPU has). nullptr
-/// when the host supports neither encoding.
+/// (VEX AVX-VNNI when the feature mask allows it, else EVEX
+/// AVX512-VNNI+VL; picked per call). nullptr when the host supports
+/// neither encoding.
 const KernelBackend* int8_vnni_backend();
 
 /// The quantized backend auto-selection would hand the engine under the
@@ -328,12 +349,14 @@ const KernelBackend* best_quantized_backend();
 void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
                      int32_t zp, int32_t levels);
 
-/// The same quantization of `planes` [h, w] float planes into their
-/// zero-point-padded copy [planes, h + 2*pad, w + 2*pad]: every border
-/// byte is zp, i.e. quantize(0.0f) — what a qconv reads for a pad tap.
+/// The same quantization of `planes` [h, w] float planes into one padded
+/// qconv image (ConvShape): [ceil(planes / 4)][h + 2*pad][w + 2*pad][4]
+/// bytes, plane c in lane c % 4 of quad c / 4, each value stored as the u8
+/// q + 128. Every border byte and every lane past `planes` is zp + 128,
+/// i.e. quantize(0.0f) — what a qconv reads for a pad tap.
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
                      size_t pad, float inv, int32_t zp, int32_t levels,
-                     int8_t* dst);
+                     uint8_t* dst);
 
 /// Copies `planes` [h, w] float planes into their zero-padded copy
 /// [planes, h + 2*pad, w + 2*pad] — the images a conv entry gathers from.

@@ -80,14 +80,14 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
 }
 
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const int8_t* x, const ConvShape& s, float* c, size_t ldc,
+                  const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, const ConvEpilogue* ep) {
   // Workers of qgemm reach this thread's unfold and product through the
   // plain pointers they are handed (see qgemm_int8_body).
   thread_local std::vector<int8_t> col_tls;
   thread_local std::vector<float> res_tls;
   col_tls.resize(s.k() * s.n());
-  unfold_padded(x, s, col_tls.data());
+  unfold_quads(x, s, col_tls.data());
   if (ep != nullptr) {
     res_tls.resize(m * s.n());
     c = res_tls.data();
@@ -103,6 +103,18 @@ void reset_int8_dispatch_cache() {
   g_float_gemm.store(nullptr, std::memory_order_release);
 }
 
+void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
+                          size_t w, size_t pad, float inv, int32_t zp,
+                          int32_t levels, uint8_t* dst) {
+  const auto fill = static_cast<uint8_t>(zp + 128);
+  pad_quads(
+      src, planes, h, w, pad, fill, dst,
+      [&](const float* s, size_t plane, size_t lanes, uint8_t* d, size_t n) {
+        for (size_t x = 0; x < n; ++x, d += 4)
+          quantize_quad_pixel(s + x, plane, lanes, inv, zp, levels, fill, d);
+      });
+}
+
 }  // namespace detail
 
 namespace {
@@ -111,7 +123,7 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                     float* c, size_t ldc, size_t m, size_t k, size_t n,
                     const QgemmParams& p);
 
-void qconv_generic(const int8_t* a, size_t lda, const int8_t* x,
+void qconv_generic(const int8_t* a, size_t lda, const uint8_t* x,
                    const ConvShape& s, float* c, size_t ldc, size_t m,
                    const QgemmParams& p, const ConvEpilogue* ep) {
   detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, ep);
@@ -155,7 +167,7 @@ void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
 }
 
 /// qconv entry of the generic backend: resolve-once dispatch.
-void qconv_dispatch(const int8_t* a, size_t lda, const int8_t* x,
+void qconv_dispatch(const int8_t* a, size_t lda, const uint8_t* x,
                     const ConvShape& s, float* c, size_t ldc, size_t m,
                     const QgemmParams& p, const ConvEpilogue* ep) {
   detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
@@ -190,16 +202,6 @@ void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
   }
 }
 
-void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
-                          size_t w, size_t pad, float inv, int32_t zp,
-                          int32_t levels, int8_t* dst) {
-  detail::pad_planes(
-      src, planes, h, w, pad, static_cast<int8_t>(zp), dst,
-      [&](const float* s, int8_t* d, size_t n) {
-        quantize_row_i8_base(s, d, n, inv, zp, levels);
-      });
-}
-
 float max_abs_f32_base(const float* src, size_t n) {
   float m = 0.0f;
   for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(src[i]));
@@ -220,10 +222,10 @@ void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
 
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
                      size_t pad, float inv, int32_t zp, int32_t levels,
-                     int8_t* dst) {
+                     uint8_t* dst) {
   static const detail::QuantizePadFn fn =
       detail::quantize_pad_i8_vec() != nullptr ? detail::quantize_pad_i8_vec()
-                                               : &quantize_pad_i8_base;
+                                               : &detail::quantize_pad_i8_base;
   fn(src, planes, h, w, pad, inv, zp, levels, dst);
 }
 

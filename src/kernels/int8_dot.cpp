@@ -1,41 +1,45 @@
-// Register-tiled int8 qgemm kernels over x86 dot-product instructions:
+// Register-tiled int8 kernels over x86 dot-product instructions:
 //
 //   int8-avx2 — sign-extends A/B to int16 pairs at pack time and uses
 //               vpmaddwd (exact: s8-ranged products can never saturate the
 //               32-bit lanes, unlike vpmaddubsw whose 16-bit intermediate
 //               overflows at 255*127*2).
-//   int8-vnni — vpdpbusd, VEX (AVX-VNNI) or EVEX-256 (AVX512-VNNI+VL)
-//               encoding, whichever the CPU has. vpdpbusd is u8*s8, so A
-//               is packed as u8 = s8 + 128 (a byte XOR 0x80) and the shift
-//               is folded into the zero-point decomposition by using
-//               azp_eff = a_zp + 128 against the unsigned row sums.
+//   int8-vnni — vpdpbusd, u8 x s8 in four-byte groups, in the VEX
+//               (AVX-VNNI) or EVEX (AVX512-VNNI) encoding, picked per call
+//               from the feature mask.
 //
-// Both kernels share one structure: B is packed once per call (serially,
-// by the calling thread) into kNr-column-interleaved panels whose k groups
-// match the instruction's step (int16 pairs / byte quads), then the row
-// range is partitioned exactly like every other backend (rows are the only
-// parallel axis) and each worker packs its own A rows into kMr-row panels
-// and sweeps all B panels with an 8-accumulator 4x16 register tile.
-// int8-vnni also has an 8x16 tile over 512-bit vpdpbusd, which reads two
-// consecutive A panels against one B panel with one zmm accumulator per
-// row; it runs when the feature mask allows AVX-512F and AVX512-VNNI
-// (detail::zmm_tile), a trailing odd panel keeps the 4x16 tile, and both
-// store through store_tile. The packed layouts are the same for both.
+// qgemm (the linear head): B is packed once per call (serially, by the
+// calling thread) into kNr-column-interleaved panels whose k groups match
+// the instruction's step (int16 pairs / byte quads), then the row range is
+// partitioned like every other backend and each worker packs its own A
+// rows into kMr-row panels and sweeps all B panels with a 4x16 register
+// tile (int8-vnni: 8x16 on 512-bit registers when the mask allows
+// AVX-512F and AVX512-VNNI). vpdpbusd is u8*s8, so int8-vnni packs A as
+// u8 = s8 + 128 and folds the shift into the zero-point decomposition
+// (azp_eff = a_zp + 128), which needs B's column sums.
 //
-// Both also implement qconv, the same product with B the implicit unfold
-// of zero-point-padded int8 images: A is packed once, then the column
-// panels are the parallel axis — each worker gathers one B panel (and its
-// column sums) straight from the images into an L1-resident buffer and
-// sweeps every A panel against it, so the unfold never exists in memory.
-// The gather (one shared 16-column row loader) takes a single 16-byte load
-// when the panel's columns are consecutive bytes — stride 1 inside one
-// output row — two 8-byte loads for two such half-rows, one shuffle pair
-// for stride 2 inside one row, and a per-column byte gather otherwise
-// (which also covers panels straddling two images).
+// qconv (every conv) runs the same product with B the implicit unfold of
+// the u8 channel-quad images (backend.hpp ConvShape): one k group — four
+// channels of one tap — of 16 output columns is 16 dwords, so the images
+// are vpdpbusd's unsigned operand as they lie and the weights its signed
+// one. With a_zp == 0 the zero-point correction is one constant per row,
+// sum_k a*(b - b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), formed
+// when A is packed (k reordered to (c/4, kh, kw, c%4), zero weights on the
+// pad lanes), so no column sum exists. A is packed once per call; the
+// column panels are the parallel axis. int8-vnni reads each k group in
+// place: one 64-byte load for a contiguous panel, two 32-byte loads for a
+// two-half panel, two loads and a dword permute at stride 2; only a panel
+// of another shape is gathered, dword by dword, into an L1 block. Its zmm
+// tile runs 1-8 rows against up to three panels (up to 24 accumulators,
+// the shape of simd's tile_zmm), else a 4x16 ymm tile reads one panel at a
+// time. int8-avx2 builds its pair pack of each panel from the same loads.
+// With an epilogue each panel's rows land in an L1 buffer and are
+// finished there: inner activation, the int8 expansion (FMA on zmm or
+// ymm), the epilogue store. A qconv with a_zp != 0 runs the unfold.
 //
 // Bit-identity with the scalar oracle (qgemm_int8_body) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
-// integer, and store_tile() replicates the oracle's float expressions
+// integer, and every store replicates the oracle's float expressions
 // operation for operation. That also makes results independent of the
 // thread partition for free.
 //
@@ -44,8 +48,12 @@
 // per-function target attributes. Without it — or on non-x86 hosts — the
 // factories return nullptr and the generic int8 backend stays on the
 // portable body.
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "kernels/internal.hpp"
 
@@ -77,7 +85,8 @@ using detail::partition;
 
 constexpr size_t kMr = 4;   // register-tile rows
 constexpr size_t kNr = 16;  // register-tile columns (two ymm of int32)
-static_assert(kNr == detail::kPanelCols, "qconv gathers whole B panels");
+constexpr size_t kGroup = 3;  // B panels one zmm qconv sweep covers
+static_assert(kNr == detail::kPanelCols, "qconv reads whole B panels");
 /// Below this madd count the pack/correction overhead loses to the plain
 /// body; delegate there (bit-identical, so the cutoff is invisible).
 constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
@@ -171,128 +180,174 @@ inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
   }
 }
 
-/// An 8x16 register tile over two consecutive kMr-row panels of an A pack:
-/// (panel, panel stride, B panel, k groups, acc). It writes the two 4x16
-/// int32 tiles the 4x16 kernel would produce for those panels, back to back
-/// (integer sums are exact, so the order inside the tile never shows).
-template <typename TA, typename TB>
-using WideMicroFn = void (*)(const TA*, size_t, const TB*, size_t, int32_t*);
+// --- qconv over channel-quad images ----------------------------------------
 
-/// Runs `rpan` packed A row panels (`a_panel` elements apart) against one
-/// B panel over `kg` k groups and hands each 4x16 int32 tile to
-/// `store(rp, tile)`. With `wide` non-null, panel pairs run the 8x16 tile
-/// and a trailing odd panel runs `micro`.
-template <typename TA, typename TB, typename Micro, typename Store>
-inline void sweep_panels(const TA* apack, size_t a_panel, size_t rpan,
-                         const TB* bpanel, size_t kg, const Micro& micro,
-                         WideMicroFn<TA, TB> wide, const Store& store) {
-  alignas(64) int32_t acc[2 * kMr * kNr];
-  size_t rp = 0;
-  if (wide != nullptr)
-    for (; rp + 1 < rpan; rp += 2) {
-      wide(apack + rp * a_panel, a_panel, bpanel, kg, acc);
-      store(rp, acc);
-      store(rp + 1, acc + kMr * kNr);
-    }
-  for (; rp < rpan; ++rp) {
-    micro(apack + rp * a_panel, bpanel, kg, acc);
-    store(rp, acc);
+/// B of one qconv sweep: `np` consecutive 16-column panels of the
+/// implicit unfold read in `mode`. k group g of panel p — 16 columns x 4
+/// channel bytes, 64 bytes — starts at base[p] + off[g] (quad_tap_offsets,
+/// bytes); a two-half panel's columns 8-15 sit half[p] bytes after its
+/// columns 0-7. kGather stands for a gathered [kg][16]-dword block, group
+/// g at g * 64.
+struct QPanels {
+  PanelMode mode = PanelMode::kGather;
+  size_t np = 1;
+  const size_t* off = nullptr;
+  const uint8_t* base[kGroup] = {};
+  size_t half[kGroup] = {};
+};
+
+/// Where k group g of a B panel starts, relative to its base (QPanels).
+template <PanelMode Mode>
+inline size_t qrow_offset(const size_t* off, size_t g) {
+  return Mode == PanelMode::kGather ? g * 4 * kNr : off[g];
+}
+
+/// C of one qconv sweep and its requantizing store: row i of panel p at
+/// c + i * ldc + p * pstep, of which the first `cols` columns are written.
+/// Per element v = acc + corr[i] (the row's whole zero-point correction),
+/// then (sa * bs) * float(v) with sa the row's A scale and bs the column's
+/// B scale — qgemm_int8_body's expressions, or scale * float(v) with
+/// scale = sa * b_scale without per-column scales.
+struct QStore {
+  float* c = nullptr;
+  size_t ldc = 0, pstep = 0, cols = kNr;
+  const int32_t* corr = nullptr;
+  const float* a_scales = nullptr;  ///< per row, or null: a_scale
+  float a_scale = 1.0f;
+  const float* b_scales = nullptr;  ///< at panel 0's first column, or null
+  float b_scale = 1.0f;
+
+  float row_scale(size_t i) const {
+    return a_scales != nullptr ? a_scales[i] : a_scale;
+  }
+};
+
+/// Runs `f(std::integral_constant<PanelMode, mode>)`: the one switch from a
+/// panel's runtime mode to the tiles' compile-time one.
+template <typename F>
+inline void with_mode(PanelMode mode, const F& f) {
+  using M = PanelMode;
+  switch (mode) {
+    case M::kGather:
+      return f(std::integral_constant<M, M::kGather>{});
+    case M::kContiguous:
+      return f(std::integral_constant<M, M::kContiguous>{});
+    case M::kHalves:
+      return f(std::integral_constant<M, M::kHalves>{});
+    case M::kStride2:
+      return f(std::integral_constant<M, M::kStride2>{});
   }
 }
 
-// --- qconv B gather ----------------------------------------------------------
+inline __m256i load32(const uint8_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
-/// The shared 16-column gather: row `x` (images + the row's tap offset) of
-/// one panel as 16 bytes, zero past the panel's last column. Every load
+/// One k group of a B panel, whose column 0 is at p, as two ymm of 8
+/// columns each (dword t = column t's four channel bytes). Every load
 /// stays inside the bytes the panel's columns address.
 template <PanelMode Mode>
-inline __m128i gather_row16(const int8_t* x, const ConvPanel& pn) {
-  if constexpr (Mode == PanelMode::kContiguous) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + pn.off[0]));
-  } else if constexpr (Mode == PanelMode::kHalves) {
-    return _mm_unpacklo_epi64(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + pn.off[0])),
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + pn.off[8])));
+inline void load_qrow(const uint8_t* p, size_t half, __m256i& lo,
+                      __m256i& hi) {
+  if constexpr (Mode == PanelMode::kHalves) {
+    lo = load32(p);
+    hi = load32(p + half);
   } else if constexpr (Mode == PanelMode::kStride2) {
-    // Columns at off0 + 2t, t < 16: the even bytes of [off0, off0 + 16)
-    // and the odd bytes of [off0 + 15, off0 + 31) — both inside the
-    // 31-byte span the columns cover.
-    const int8_t* p = x + pn.off[0];
-    const __m128i even = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1,
-                                       -1, -1, -1, -1, -1);
-    const __m128i odd = _mm_setr_epi8(1, 3, 5, 7, 9, 11, 13, 15, -1, -1, -1,
-                                      -1, -1, -1, -1, -1);
-    const __m128i lo = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), even);
-    const __m128i hi = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 15)), odd);
-    return _mm_unpacklo_epi64(lo, hi);
+    // Columns at dwords 2t: the even dwords of [0, 16), then those of
+    // [16, 31) read as [16, 24) and [23, 31), so nothing past the last
+    // column (dword 30) is loaded.
+    const __m256i even = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    const __m256i odd = _mm256_setr_epi32(1, 3, 5, 7, 0, 2, 4, 6);
+    const __m256i a = _mm256_permutevar8x32_epi32(load32(p), even);
+    const __m256i b = _mm256_permutevar8x32_epi32(load32(p + 32), even);
+    const __m256i c = _mm256_permutevar8x32_epi32(load32(p + 64), even);
+    const __m256i d = _mm256_permutevar8x32_epi32(load32(p + 92), odd);
+    lo = _mm256_permute2x128_si256(a, b, 0x20);
+    hi = _mm256_permute2x128_si256(c, d, 0x20);
   } else {
-    alignas(16) int8_t tmp[kNr] = {};
-    for (size_t t = 0; t < pn.cols; ++t) tmp[t] = x[pn.off[t]];
-    return _mm_load_si128(reinterpret_cast<const __m128i*>(tmp));
+    lo = load32(p);
+    hi = load32(p + 32);
   }
 }
 
-/// Packs one B panel of G-row groups from the padded images: `emit` turns
-/// G gathered rows into the kernel's interleaved group layout at `dst`
-/// (G * kNr elements per group; rows past k are zero). When `colsum` is
-/// non-null it receives the panel's 16 column sums, accumulated from the
-/// same gathered rows (int16 lanes, widened every 256 rows — 256 int8
-/// values always fit an int16).
-template <PanelMode Mode, size_t G, typename T, typename Emit>
-void pack_conv_panel_mode(const int8_t* x, const ConvPanel& pn,
-                          const size_t* koff, size_t k, const Emit& emit,
-                          T* dst, int32_t* colsum) {
-  const size_t kg = (k + G - 1) / G;
-  __m256i s16 = _mm256_setzero_si256();
-  __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
-  const auto flush = [&] {
-    lo = _mm256_add_epi32(lo,
-                          _mm256_cvtepi16_epi32(_mm256_castsi256_si128(s16)));
-    hi = _mm256_add_epi32(
-        hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(s16, 1)));
-    s16 = _mm256_setzero_si256();
-  };
-  for (size_t q = 0; q < kg; ++q) {
-    __m128i rows[G];
-    for (size_t g = 0; g < G; ++g) {
-      const size_t kk = q * G + g;
-      rows[g] = kk < k ? gather_row16<Mode>(x + koff[kk], pn)
-                       : _mm_setzero_si128();
-      if (colsum != nullptr)
-        s16 = _mm256_add_epi16(s16, _mm256_cvtepi8_epi16(rows[g]));
+/// The column-tail store of one C row (cols < kNr) from its corrected
+/// sums: QStore's expressions element by element. Out of line: only the
+/// last panel of a product can be narrower than kNr.
+__attribute__((noinline)) void store_qtail(const QStore& st, size_t i,
+                                           size_t p, const int32_t* v) {
+  const float sa = st.row_scale(i);
+  const float scale = sa * st.b_scale;
+  float* crow = st.c + i * st.ldc + p * st.pstep;
+  for (size_t j = 0; j < st.cols; ++j)
+    crow[j] = st.b_scales == nullptr
+                  ? scale * static_cast<float>(v[j])
+                  : sa * st.b_scales[p * kNr + j] * static_cast<float>(v[j]);
+}
+
+/// Stores row i of panel p from its two ymm of raw sums (QStore).
+inline void store_qrow8(const QStore& st, size_t i, size_t p, __m256i lo,
+                        __m256i hi) {
+  const __m256i rc = _mm256_set1_epi32(st.corr[i]);
+  lo = _mm256_add_epi32(lo, rc);
+  hi = _mm256_add_epi32(hi, rc);
+  if (st.cols != kNr) {
+    alignas(32) int32_t v[kNr];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(v), lo);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(v + 8), hi);
+    store_qtail(st, i, p, v);
+    return;
+  }
+  const float sa = st.row_scale(i);
+  __m256 s0, s1;
+  if (st.b_scales == nullptr) {
+    s0 = s1 = _mm256_set1_ps(sa * st.b_scale);
+  } else {
+    const __m256 sav = _mm256_set1_ps(sa);
+    s0 = _mm256_mul_ps(sav, _mm256_loadu_ps(st.b_scales + p * kNr));
+    s1 = _mm256_mul_ps(sav, _mm256_loadu_ps(st.b_scales + p * kNr + 8));
+  }
+  float* crow = st.c + i * st.ldc + p * st.pstep;
+  _mm256_storeu_ps(crow, _mm256_mul_ps(s0, _mm256_cvtepi32_ps(lo)));
+  _mm256_storeu_ps(crow + 8, _mm256_mul_ps(s1, _mm256_cvtepi32_ps(hi)));
+}
+
+/// Gathers one B panel the tiles cannot read in place, dword by dword,
+/// into `dst` ([kg][16] dwords, zero past the panel's last column).
+void gather_qblock(const uint8_t* x, const ConvPanel& pn, const size_t* koff,
+                   size_t kg, uint8_t* dst) {
+  size_t col[kNr] = {};
+  for (size_t t = 0; t < pn.cols; ++t) col[t] = 4 * pn.off[t];
+  for (size_t g = 0; g < kg; ++g, dst += 4 * kNr) {
+    const uint8_t* p = x + koff[g];
+    size_t t = 0;
+    for (; t < pn.cols; ++t) std::memcpy(dst + 4 * t, p + col[t], 4);
+    for (; t < kNr; ++t) std::memset(dst + 4 * t, 0, 4);
+  }
+}
+
+/// The qconv A pack of both kernels: `emit(i, g, w)` receives row i's
+/// four weights of k group g = (q*K + kh)*K + kw — channels 4q..4q+3 at
+/// (kh, kw), zero past in_c — the images' (c/4, kh, kw, c%4) order, for
+/// g ascending. corr[i] gets the row's zero-point correction
+/// -(128 + b_zp) * rowsum.
+template <typename Emit>
+void pack_a_qconv(const int8_t* a, size_t lda, size_t m, const ConvShape& s,
+                  int32_t b_zp, int32_t* corr, const Emit& emit) {
+  const size_t taps = s.kernel * s.kernel;
+  for (size_t i = 0; i < m; ++i) {
+    const int8_t* arow = a + i * lda;
+    int32_t sum = 0;
+    for (size_t kk = 0; kk < s.k(); ++kk) sum += static_cast<int32_t>(arow[kk]);
+    corr[i] = -(128 + b_zp) * sum;
+    for (size_t q = 0, g = 0; q < s.quads(); ++q) {
+      const size_t lanes = std::min<size_t>(4, s.in_c - 4 * q);
+      const int8_t* src = arow + 4 * q * taps;
+      for (size_t t = 0; t < taps; ++t, ++g) {
+        int8_t w[4] = {};
+        for (size_t l = 0; l < lanes; ++l) w[l] = src[l * taps + t];
+        emit(i, g, w);
+      }
     }
-    emit(rows, dst + q * G * kNr);
-    if (colsum != nullptr && (q + 1) % (256 / G) == 0) flush();
-  }
-  if (colsum != nullptr) {
-    flush();
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum), lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + 8), hi);
-  }
-}
-
-template <size_t G, typename T, typename Emit>
-void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
-                     size_t k, const Emit& emit, T* dst, int32_t* colsum) {
-  switch (pn.mode) {
-    case PanelMode::kContiguous:
-      pack_conv_panel_mode<PanelMode::kContiguous, G>(x, pn, koff, k, emit,
-                                                      dst, colsum);
-      return;
-    case PanelMode::kHalves:
-      pack_conv_panel_mode<PanelMode::kHalves, G>(x, pn, koff, k, emit, dst,
-                                                  colsum);
-      return;
-    case PanelMode::kStride2:
-      pack_conv_panel_mode<PanelMode::kStride2, G>(x, pn, koff, k, emit, dst,
-                                                   colsum);
-      return;
-    case PanelMode::kGather:
-      pack_conv_panel_mode<PanelMode::kGather, G>(x, pn, koff, k, emit, dst,
-                                                  colsum);
-      return;
   }
 }
 
@@ -301,10 +356,10 @@ void pack_conv_panel(const int8_t* x, const ConvPanel& pn, const size_t* koff,
 /// all co rows and 16 columns ([m][kNr] in, [co][kNr] out). Four output
 /// rows run side by side; every element keeps expand_fmaf's chain, and a
 /// vector FMA rounds once like std::fmaf, so the two agree bit for bit.
-__attribute__((target("avx2,fma"))) void expand_fma(const float* wdeq,
-                                                    size_t co, size_t m,
-                                                    const float* v,
-                                                    float* exp) {
+__attribute__((target("avx2,fma"))) void expand_panel(const float* wdeq,
+                                                      size_t co, size_t m,
+                                                      const float* v,
+                                                      float* exp) {
   size_t o = 0;
   for (; o + kMr <= co; o += kMr) {
     __m256 acc[kMr][2];
@@ -336,46 +391,52 @@ __attribute__((target("avx2,fma"))) void expand_fma(const float* wdeq,
   }
 }
 
-/// The qconv driver shared by both kernels. `pack_a(r0, r1, dst, rowsum)`
-/// packs A rows into the kernel's kMr-row panels (row sums in the kernel's
-/// A encoding, when bzp != 0), `emit` one B group, and `micro` / `wide`
-/// (nullable) run the register tiles over `kg` groups (see sweep_panels).
-/// A is packed once by the caller; column panels are then partitioned
-/// across workers, each gathering its panel into a private buffer — the
-/// integer result of every C element is exact, so the partition never
-/// shows in the output. With an epilogue, store_tile writes each panel's
-/// rows to a private [m][kNr] buffer instead of C, which is then finished
-/// in L1: the inner activation and the FMA expansion when there is one,
-/// then the epilogue store.
-template <size_t G, typename TA, typename TB, typename PackA, typename Emit,
-          typename Micro>
-void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, int32_t azp_eff,
-                  const PackA& pack_a, const Emit& emit, const Micro& micro,
-                  WideMicroFn<TA, TB> wide, const ConvEpilogue* ep) {
-  const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
-  const int32_t bzp = p.b_zp;
-  const size_t kg = (k + G - 1) / G;
-  const size_t rpan = (m + kMr - 1) / kMr;
-  const size_t a_panel = kg * G * kMr;
-  const size_t b_panel = kg * G * kNr;
+/// The expansion of `np` panels (v's [m][kNr] results m * kNr floats
+/// apart, exp's [co][kNr] ones co * kNr apart), one at a time.
+void expand_fma(const float* wdeq, size_t co, size_t m, size_t np,
+                const float* v, float* exp) {
+  for (size_t q = 0; q < np; ++q)
+    expand_panel(wdeq, co, m, v + q * m * kNr, exp + q * co * kNr);
+}
+
+/// What a kernel's qconv hands qconv_run besides its sweep: the
+/// panels one sweep may cover, the expansion and the per-column gather.
+struct QconvTiles {
+  size_t group = 1;
+  void (*expand)(const float*, size_t, size_t, size_t, const float*,
+                 float*) = nullptr;
+  void (*gather)(const uint8_t*, const ConvPanel&, const size_t*, size_t,
+                 uint8_t*) = nullptr;
+};
+
+/// The qconv loop shared by both kernels (a_zp == 0). The caller has
+/// packed A in its kernel's layout and the per-row corrections `corr`;
+/// `sweep(b, st)` runs all m rows against B's panels into st. Column
+/// panels are the parallel axis: each worker walks its panels, joins up
+/// to `tiles.group` consecutive ones read in place the same way, gathers
+/// any other panel into an L1 block and — with an epilogue — finishes
+/// each panel's [m][kNr] result in L1: the inner activation, the
+/// expansion when there is one, then the epilogue store. Every C
+/// element's integer sum is exact, so neither the partition nor the
+/// grouping shows.
+template <typename Sweep>
+void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
+               size_t m, const QgemmParams& p, const int32_t* corr,
+               const ConvEpilogue* ep, const QconvTiles& tiles,
+               const Sweep& sweep) {
+  const size_t group = tiles.group;
+  const size_t kg = detail::quad_groups(s), n = s.n();
+  const size_t plane = s.out_h() * s.out_w();
+  // The images in channel-quad pixels: map_panel's offsets count those.
+  ConvShape px = s;
+  px.in_c = s.quads();
   // Caller-thread scratch reached by the workers through plain pointers
   // (see qgemm_int8_body); the caller blocks until they finish.
-  thread_local std::vector<TA> apack_tls;
-  thread_local std::vector<int32_t> rowsum_tls;
   thread_local std::vector<size_t> koff_tls;
   thread_local std::vector<float> wdeq_tls;
-  apack_tls.resize(rpan * a_panel);
-  TA* const apack = apack_tls.data();
-  int32_t* rowsum = nullptr;
-  if (bzp != 0) {
-    rowsum_tls.resize(m);
-    rowsum = rowsum_tls.data();
-  }
-  pack_a(size_t{0}, m, apack, rowsum);
-  koff_tls.resize(k);
+  koff_tls.resize(kg);
   size_t* const koff = koff_tls.data();
-  detail::conv_tap_offsets(s, koff);
+  detail::quad_tap_offsets(s, koff);
   // The expansion's dequantized weights, the same float(qw) * scale
   // product expand_fmaf forms.
   const size_t co = ep != nullptr ? ep->co : 0;
@@ -386,44 +447,69 @@ void qconv_driver(const int8_t* x, const ConvShape& s, float* c, size_t ldc,
       wdeq[o * m + r] =
           static_cast<float>(ep->exp_qw[o * m + r]) * ep->exp_scales[o];
 
-  const auto process_panels = [=, &emit, &micro](size_t p0, size_t p1) {
-    thread_local std::vector<TB> bpanel_tls;
-    thread_local std::vector<float> out_tls;
-    bpanel_tls.resize(b_panel);
-    TB* const bpanel = bpanel_tls.data();
+  const auto process_panels = [=, &sweep](size_t p0, size_t p1) {
+    thread_local std::vector<uint8_t> block_tls;
+    thread_local std::vector<float> buf_tls;
+    block_tls.resize(kg * 4 * kNr);
+    uint8_t* const block = block_tls.data();
     float* buf = nullptr;
     if (ep != nullptr) {
-      out_tls.resize((m + co) * kNr);
-      buf = out_tls.data();
+      buf_tls.resize(group * (m + co) * kNr);
+      buf = buf_tls.data();
     }
-    alignas(32) int32_t colsum[kNr] = {};
-    for (size_t jp = p0; jp < p1; ++jp) {
+    for (size_t jp = p0; jp < p1;) {
       const size_t j0 = jp * kNr;
-      const ConvPanel pn = detail::map_panel(s, j0, n);
-      pack_conv_panel<G>(x, pn, koff, k, emit, bpanel,
-                         azp_eff != 0 ? colsum : nullptr);
-      sweep_panels(apack, a_panel, rpan, bpanel, kg, micro, wide,
-                   [&](size_t rp, const int32_t* acc) {
-                     const size_t i0 = rp * kMr;
-                     store_tile(acc, i0, std::min(kMr, m - i0), j0, pn.cols,
-                                k, colsum,
-                                rowsum != nullptr ? rowsum + i0 : nullptr,
-                                azp_eff, bzp, p,
-                                buf != nullptr ? buf + i0 * kNr
-                                               : c + i0 * ldc + j0,
-                                buf != nullptr ? kNr : ldc);
-                   });
-      if (buf == nullptr) continue;
-      if (co == 0) {
-        detail::store_panel(*ep, m, plane, buf, kNr, j0, pn.cols);
-        continue;
+      const ConvPanel pn = detail::map_panel(px, j0, n);
+      QPanels b;
+      b.off = koff;
+      if (pn.mode == PanelMode::kGather) {
+        tiles.gather(x, pn, koff, kg, block);
+        b.base[0] = block;
+      } else {
+        // In place, the panel joins the next ones read the same way.
+        b.mode = pn.mode;
+        for (ConvPanel q = pn;;) {
+          b.base[b.np - 1] = x + 4 * q.off[0];
+          b.half[b.np - 1] = 4 * (q.off[kNr / 2] - q.off[0]);
+          if (b.np == group || jp + b.np == p1) break;
+          q = detail::map_panel(px, j0 + b.np * kNr, n);
+          if (q.mode != pn.mode) break;
+          ++b.np;
+        }
       }
-      detail::act_rows(ep->inner_act, buf, kNr, m, pn.cols);
-      expand_fma(wdeq, co, m, buf, buf + m * kNr);
-      detail::store_panel(*ep, co, plane, buf + m * kNr, kNr, j0, pn.cols);
+      QStore st;
+      st.c = buf != nullptr ? buf : c + j0;
+      st.ldc = buf != nullptr ? kNr : ldc;
+      st.pstep = buf != nullptr ? m * kNr : kNr;
+      st.cols = pn.cols;
+      st.corr = corr;
+      st.a_scales = p.a_scales;
+      st.a_scale = p.a_scale;
+      st.b_scales = p.b_scales != nullptr ? p.b_scales + j0 : nullptr;
+      st.b_scale = p.b_scale;
+      sweep(b, st);
+      if (buf != nullptr) {
+        // The group's results [np][m][kNr], expanded to [np][co][kNr]
+        // after them.
+        const float* out = buf;
+        size_t rows = m;
+        if (co != 0) {
+          for (size_t q = 0; q < b.np; ++q)
+            detail::act_rows(ep->inner_act, buf + q * m * kNr, kNr, m,
+                             pn.cols);
+          float* const e = buf + group * m * kNr;
+          tiles.expand(wdeq, co, m, b.np, buf, e);
+          out = e;
+          rows = co;
+        }
+        for (size_t q = 0; q < b.np; ++q)
+          detail::store_panel(*ep, rows, plane, out + q * rows * kNr, kNr,
+                              j0 + q * kNr, pn.cols);
+      }
+      jp += b.np;
     }
   };
-  partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
+  partition((n + kNr - 1) / kNr, m * s.k() * kNr, process_panels);
 }
 
 // --- AVX2 vpmaddwd kernel --------------------------------------------------
@@ -643,19 +729,78 @@ void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
   partition(m, k * n, process_rows);
 }
 
-void qconv_avx2(const int8_t* a, size_t lda, const int8_t* x,
+/// Packs one qconv B panel into the pair layout of qgemm_micro_avx2: each
+/// k group's channel lanes (0, 1) and (2, 3) become two [16 cols][2]
+/// int16 pair steps, zero-extended from the images' u8 bytes.
+template <PanelMode Mode>
+void pack_qpanel_pairs(const QPanels& b, size_t kg, int16_t* dst) {
+  // Per 128-bit lane (four columns): lanes 0, 1 / 2, 3 of each dword as
+  // two zero-extended words.
+  const __m256i p01 = _mm256_setr_epi8(0, -1, 1, -1, 4, -1, 5, -1, 8, -1, 9,
+                                       -1, 12, -1, 13, -1, 0, -1, 1, -1, 4,
+                                       -1, 5, -1, 8, -1, 9, -1, 12, -1, 13,
+                                       -1);
+  const __m256i p23 = _mm256_setr_epi8(2, -1, 3, -1, 6, -1, 7, -1, 10, -1,
+                                       11, -1, 14, -1, 15, -1, 2, -1, 3, -1,
+                                       6, -1, 7, -1, 10, -1, 11, -1, 14, -1,
+                                       15, -1);
+  __m256i* out = reinterpret_cast<__m256i*>(dst);
+  for (size_t g = 0; g < kg; ++g, out += 4) {
+    __m256i lo, hi;
+    load_qrow<Mode>(b.base[0] + qrow_offset<Mode>(b.off, g), b.half[0], lo,
+                    hi);
+    _mm256_storeu_si256(out, _mm256_shuffle_epi8(lo, p01));
+    _mm256_storeu_si256(out + 1, _mm256_shuffle_epi8(hi, p01));
+    _mm256_storeu_si256(out + 2, _mm256_shuffle_epi8(lo, p23));
+    _mm256_storeu_si256(out + 3, _mm256_shuffle_epi8(hi, p23));
+  }
+}
+
+void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) {
-  const size_t k = s.k();
-  qconv_driver<2, int16_t, int16_t>(
-      x, s, c, ldc, m, p, p.a_zp,
-      [&](size_t r0, size_t r1, int16_t* dst, int32_t* rowsum) {
-        pack_a_pairs(a, lda, r0, r1, k, dst, rowsum);
-      },
-      [](const __m128i* rows, int16_t* dst) {
-        pack_b_pair16(rows[0], rows[1], dst);
-      },
-      &qgemm_micro_avx2, WideMicroFn<int16_t, int16_t>{nullptr}, ep);
+  if (p.a_zp != 0) {
+    detail::qconv_unfold(&qgemm_avx2, a, lda, x, s, c, ldc, m, p, ep);
+    return;
+  }
+  // A as [m/4][2 kg][4 rows][2] int16 pairs, one pair step per two
+  // channel lanes of a k group.
+  const size_t kp = 2 * detail::quad_groups(s);
+  const size_t a_panel = kp * 2 * kMr;
+  thread_local std::vector<int16_t> apack_tls;
+  thread_local std::vector<int32_t> corr_tls;
+  apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
+  corr_tls.resize(m);
+  int16_t* const apack = apack_tls.data();
+  pack_a_qconv(a, lda, m, s, p.b_zp, corr_tls.data(),
+               [&](size_t i, size_t g, const int8_t* w) {
+                 int16_t* d = apack + i / kMr * a_panel + 2 * g * 2 * kMr +
+                              i % kMr * 2;
+                 d[0] = static_cast<int16_t>(w[0]);
+                 d[1] = static_cast<int16_t>(w[1]);
+                 d[2 * kMr] = static_cast<int16_t>(w[2]);
+                 d[2 * kMr + 1] = static_cast<int16_t>(w[3]);
+               });
+  qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
+            {.group = 1, .expand = &expand_fma, .gather = &gather_qblock},
+            [=](const QPanels& b, const QStore& st) {
+              thread_local std::vector<int16_t> bpanel_tls;
+              bpanel_tls.resize(kp * 2 * kNr);
+              int16_t* const bpanel = bpanel_tls.data();
+              with_mode(b.mode, [&](auto mode) {
+                pack_qpanel_pairs<decltype(mode)::value>(b, kp / 2, bpanel);
+              });
+              alignas(32) int32_t acc[kMr * kNr];
+              for (size_t i = 0; i < m; i += kMr) {
+                qgemm_micro_avx2(apack + i / kMr * a_panel, bpanel, kp, acc);
+                for (size_t r = 0; r < std::min(kMr, m - i); ++r)
+                  store_qrow8(st, i + r, 0,
+                              _mm256_load_si256(reinterpret_cast<__m256i*>(
+                                  acc + r * kNr)),
+                              _mm256_load_si256(reinterpret_cast<__m256i*>(
+                                  acc + r * kNr + 8)));
+              }
+            });
 }
 
 // --- Quantize helpers ------------------------------------------------------
@@ -717,11 +862,34 @@ void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
 
 void quantize_pad_i8_avx2(const float* src, size_t planes, size_t h,
                           size_t w, size_t pad, float inv, int32_t zp,
-                          int32_t levels, int8_t* dst) {
-  detail::pad_planes(
-      src, planes, h, w, pad, static_cast<int8_t>(zp), dst,
-      [&](const float* s, int8_t* d, size_t n) {
-        quantize_row_i8_avx2(s, d, n, inv, zp, levels);
+                          int32_t levels, uint8_t* dst) {
+  // quant_8 on the u8 grid: zp + 128, clamped to 128 +- levels, is the
+  // int8 value + 128 (every result fits one byte lane of a dword).
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256i vzp = _mm256_set1_epi32(zp + 128);
+  const __m256i vlo = _mm256_set1_epi32(128 - levels);
+  const __m256i vhi = _mm256_set1_epi32(128 + levels);
+  const auto fill = static_cast<uint8_t>(zp + 128);
+  const __m256i vfill = _mm256_set1_epi32(fill);
+  detail::pad_quads(
+      src, planes, h, w, pad, fill, dst,
+      [&](const float* s, size_t plane, size_t lanes, uint8_t* d, size_t n) {
+        size_t x = 0;
+        for (; x + 8 <= n; x += 8, d += 32) {
+          // Eight pixels of the quad: lane l of each dword from plane l.
+          const auto lane = [&](size_t l) {
+            return l < lanes ? quant_8(_mm256_loadu_ps(s + l * plane + x),
+                                       vinv, vzp, vlo, vhi)
+                             : vfill;
+          };
+          __m256i v = _mm256_or_si256(lane(0), _mm256_slli_epi32(lane(1), 8));
+          v = _mm256_or_si256(v, _mm256_slli_epi32(lane(2), 16));
+          v = _mm256_or_si256(v, _mm256_slli_epi32(lane(3), 24));
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(d), v);
+        }
+        for (; x < n; ++x, d += 4)
+          detail::quantize_quad_pixel(s + x, plane, lanes, inv, zp, levels,
+                                      fill, d);
       });
 }
 
@@ -758,22 +926,58 @@ float max_abs_f32_avx2(const float* src, size_t n) {
 using VnniMicroFn = void (*)(const uint8_t*, const int8_t*, size_t, int32_t*);
 
 #define ALF_VNNI_FN qgemm_micro_vnni_vex
+#define ALF_VNNI_QFN qconv_tile_vnni_vex
 #define ALF_VNNI_TARGET "avx2,avxvnni"
 #define ALF_VNNI_DPBUSD _mm256_dpbusd_avx_epi32
 #include "kernels/int8_dot_vnni.inc"
 
 #define ALF_VNNI_FN qgemm_micro_vnni_evex
+#define ALF_VNNI_QFN qconv_tile_vnni_evex
 #define ALF_VNNI_TARGET "avx2,avx512vnni,avx512vl"
 #define ALF_VNNI_DPBUSD _mm256_dpbusd_epi32
 #include "kernels/int8_dot_vnni.inc"
 
-/// The flavor the host can execute; VEX preferred (no EVEX prefix cost,
-/// and it is what AVX512-less client cores ship). Resolved once.
+/// The 256-bit encoding to run, picked per call like detail::zmm_tile:
+/// VEX (no EVEX prefix cost, and what AVX512-less client cores ship) when
+/// the feature mask allows AVX-VNNI or the host lacks the EVEX form, else
+/// EVEX-256. So ALF_CPU_DISABLE=avxvnni runs the EVEX tiles on a host that
+/// has both.
+bool vnni_vex() {
+  return (allowed_cpu_features() & kCpuAvxVnni) != 0 ||
+         (detected_cpu_features() & kCpuAvx512Vnni) == 0;
+}
+
 VnniMicroFn vnni_micro() {
-  static const VnniMicroFn fn =
-      (detected_cpu_features() & kCpuAvxVnni) != 0 ? &qgemm_micro_vnni_vex
-                                                   : &qgemm_micro_vnni_evex;
-  return fn;
+  return vnni_vex() ? &qgemm_micro_vnni_vex : &qgemm_micro_vnni_evex;
+}
+
+/// The 8x16 qgemm tile over two consecutive kMr-row panels of an A pack:
+/// (panel, panel stride, B panel, k groups, acc). It writes the two 4x16
+/// int32 tiles the 4x16 kernel would produce for those panels, back to back
+/// (integer sums are exact, so the order inside the tile never shows).
+using VnniWideFn = void (*)(const uint8_t*, size_t, const int8_t*, size_t,
+                            int32_t*);
+
+/// Runs `rpan` packed A row panels (`a_panel` bytes apart) against one
+/// B panel over `kq` k groups and hands each 4x16 int32 tile to
+/// `store(rp, tile)`. With `wide` non-null, panel pairs run the 8x16 tile
+/// and a trailing odd panel runs `micro`.
+template <typename Store>
+inline void sweep_panels(const uint8_t* apack, size_t a_panel, size_t rpan,
+                         const int8_t* bpanel, size_t kq, VnniMicroFn micro,
+                         VnniWideFn wide, const Store& store) {
+  alignas(64) int32_t acc[2 * kMr * kNr];
+  size_t rp = 0;
+  if (wide != nullptr)
+    for (; rp + 1 < rpan; rp += 2) {
+      wide(apack + rp * a_panel, a_panel, bpanel, kq, acc);
+      store(rp, acc);
+      store(rp + 1, acc + kMr * kNr);
+    }
+  for (; rp < rpan; ++rp) {
+    micro(apack + rp * a_panel, bpanel, kq, acc);
+    store(rp, acc);
+  }
 }
 
 /// The 8x16 tile over 512-bit vpdpbusd: one zmm accumulator per row, the
@@ -816,7 +1020,7 @@ __attribute__((target("avx512f,avx512vnni"))) void qgemm_micro_vnni_zmm(
 
 /// The 8x16 tile when the feature mask allows it (detail::zmm_tile, read
 /// per call), else null: the 4x16 kernel alone.
-WideMicroFn<uint8_t, int8_t> vnni_wide() {
+VnniWideFn vnni_wide() {
   return detail::zmm_tile(kCpuAvx512Vnni) ? &qgemm_micro_vnni_zmm : nullptr;
 }
 
@@ -864,7 +1068,7 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
     return;
   }
   const VnniMicroFn micro = vnni_micro();
-  const WideMicroFn<uint8_t, int8_t> wide = vnni_wide();
+  const VnniWideFn wide = vnni_wide();
   // A is packed unsigned (s8 + 128 == byte XOR 0x80), so the effective A
   // zero point is a_zp + 128 — never zero, so the column-sum correction is
   // always on. B stays signed; padding bytes are 0 on both sides, so
@@ -936,21 +1140,279 @@ void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
   partition(m, k * n, process_rows);
 }
 
-void qconv_vnni(const int8_t* a, size_t lda, const int8_t* x,
+// --- int8-vnni qconv ------------------------------------------------------
+
+/// One k group of a B panel, whose column 0 is at p, as one zmm of 16
+/// columns (see load_qrow).
+template <PanelMode Mode>
+__attribute__((target("avx512f"), always_inline)) inline __m512i load_qrow16(
+    const uint8_t* p, size_t half) {
+  if constexpr (Mode == PanelMode::kHalves) {
+    // The masked form: GCC 12's plain insert reads an undefined source.
+    const __m512i lo = _mm512_castsi256_si512(load32(p));
+    return _mm512_mask_inserti64x4(lo, 0xFF, lo, load32(p + half), 1);
+  } else if constexpr (Mode == PanelMode::kStride2) {
+    // The even dwords of [0, 16) and the odd ones of [15, 31): both loads
+    // stay inside the span the columns cover.
+    const __m512i idx = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 17, 19,
+                                          21, 23, 25, 27, 29, 31);
+    return _mm512_permutex2var_epi32(_mm512_loadu_si512(p), idx,
+                                     _mm512_loadu_si512(p + 60));
+  } else {
+    return _mm512_loadu_si512(p);
+  }
+}
+
+/// acc += u8 lanes of b . s8 lanes of w, four per dword (vpdpbusd). One
+/// instruction with the accumulator tied in place: with the intrinsic,
+/// GCC 12 copied each of the zmm tile's 24 accumulators to a scratch
+/// register and spilled it to the stack on every k group.
+__attribute__((target("avx512f,avx512vnni"), always_inline)) inline void
+dpbusd(__m512i& acc, const __m512i& b, const __m512i& w) {
+  asm("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(b), "v"(w));
+}
+
+/// acc[p] += image row b[p] (u8) . one row's four weights (s8) for the
+/// tile's P panels.
+template <size_t P>
+__attribute__((target("avx512f,avx512vnni"), always_inline)) inline void
+dp_row(const int8_t* a, const __m512i& b0, const __m512i& b1,
+       const __m512i& b2, __m512i& x0, __m512i& x1, __m512i& x2) {
+  const __m512i w = _mm512_set1_epi32(load_i32(a));
+  dpbusd(x0, b0, w);
+  if constexpr (P > 1) dpbusd(x1, b1, w);
+  if constexpr (P > 2) dpbusd(x2, b2, w);
+}
+
+/// Stores row i of panel p from its zmm of raw sums (QStore); a narrow
+/// panel masks its loads of B scales and its store.
+__attribute__((target("avx512f"), always_inline)) inline void store_qrow16(
+    const QStore& st, size_t i, size_t p, const __m512i& acc) {
+  const __m512i v = _mm512_add_epi32(acc, _mm512_set1_epi32(st.corr[i]));
+  const auto live = static_cast<__mmask16>((1u << st.cols) - 1);
+  const float sa = st.row_scale(i);
+  const __m512 s =
+      st.b_scales == nullptr
+          ? _mm512_set1_ps(sa * st.b_scale)
+          : _mm512_mul_ps(_mm512_set1_ps(sa),
+                          _mm512_maskz_loadu_ps(live, st.b_scales + p * kNr));
+  // The maskz form: GCC 12's plain conversion reads an undefined source
+  // and warns; dead lanes are never stored either way.
+  _mm512_mask_storeu_ps(st.c + i * st.ldc + p * st.pstep, live,
+                        _mm512_mul_ps(s, _mm512_maskz_cvtepi32_ps(live, v)));
+}
+
+/// Stores one row's accumulators of the tile's P panels.
+template <size_t P>
+__attribute__((target("avx512f"), always_inline)) inline void store_qrows16(
+    const QStore& st, size_t i, const __m512i& x0, const __m512i& x1,
+    const __m512i& x2) {
+  store_qrow16(st, i, 0, x0);
+  if constexpr (P > 1) store_qrow16(st, i, 1, x1);
+  if constexpr (P > 2) store_qrow16(st, i, 2, x2);
+}
+
+/// The zmm qconv tile: C rows [i0, i0 + R) of P consecutive B panels, A
+/// read from two consecutive 4-row panels of the pack at `apanel` (the
+/// second only when R > 4). Per k group one B load per panel and one
+/// weight broadcast per row feed R * P accumulators (at most 24). Named
+/// accumulators keep the sums in registers through the store.
+template <size_t R, size_t P, PanelMode Mode>
+__attribute__((target("avx512f,avx512vnni"))) void qtile_zmm(
+    const int8_t* apanel, size_t kg, const QPanels& b, const QStore& st,
+    size_t i0) {
+  static_assert(R >= 1 && R <= 2 * kMr && P >= 1 && P <= kGroup);
+  const int8_t* a0 = apanel;                                    // rows 0-3
+  const int8_t* a1 = R > kMr ? apanel + kg * 4 * kMr : apanel;  // rows 4-7
+  const size_t* off = b.off;
+  const uint8_t* const s0 = b.base[0];
+  const uint8_t* const s1 = b.base[P > 1 ? 1 : 0];
+  const uint8_t* const s2 = b.base[P > 2 ? 2 : 0];
+  const size_t h0 = b.half[0], h1 = b.half[P > 1 ? 1 : 0],
+               h2 = b.half[P > 2 ? 2 : 0];
+  const __m512i z = _mm512_setzero_si512();
+  __m512i c00 = z, c01 = z, c02 = z, c10 = z, c11 = z, c12 = z;
+  __m512i c20 = z, c21 = z, c22 = z, c30 = z, c31 = z, c32 = z;
+  __m512i c40 = z, c41 = z, c42 = z, c50 = z, c51 = z, c52 = z;
+  __m512i c60 = z, c61 = z, c62 = z, c70 = z, c71 = z, c72 = z;
+  for (size_t g = 0; g < kg; ++g, a0 += 4 * kMr, a1 += 4 * kMr) {
+    const size_t o = qrow_offset<Mode>(off, g);
+    const __m512i b0 = load_qrow16<Mode>(s0 + o, h0);
+    __m512i b1 = b0, b2 = b0;  // unread below P = 2, 3
+    if constexpr (P > 1) b1 = load_qrow16<Mode>(s1 + o, h1);
+    if constexpr (P > 2) b2 = load_qrow16<Mode>(s2 + o, h2);
+    dp_row<P>(a0, b0, b1, b2, c00, c01, c02);
+    if constexpr (R > 1) dp_row<P>(a0 + 4, b0, b1, b2, c10, c11, c12);
+    if constexpr (R > 2) dp_row<P>(a0 + 8, b0, b1, b2, c20, c21, c22);
+    if constexpr (R > 3) dp_row<P>(a0 + 12, b0, b1, b2, c30, c31, c32);
+    if constexpr (R > 4) dp_row<P>(a1, b0, b1, b2, c40, c41, c42);
+    if constexpr (R > 5) dp_row<P>(a1 + 4, b0, b1, b2, c50, c51, c52);
+    if constexpr (R > 6) dp_row<P>(a1 + 8, b0, b1, b2, c60, c61, c62);
+    if constexpr (R > 7) dp_row<P>(a1 + 12, b0, b1, b2, c70, c71, c72);
+  }
+  const QStore out = st;  // a local copy: C's stores cannot alias it
+  store_qrows16<P>(out, i0, c00, c01, c02);
+  if constexpr (R > 1) store_qrows16<P>(out, i0 + 1, c10, c11, c12);
+  if constexpr (R > 2) store_qrows16<P>(out, i0 + 2, c20, c21, c22);
+  if constexpr (R > 3) store_qrows16<P>(out, i0 + 3, c30, c31, c32);
+  if constexpr (R > 4) store_qrows16<P>(out, i0 + 4, c40, c41, c42);
+  if constexpr (R > 5) store_qrows16<P>(out, i0 + 5, c50, c51, c52);
+  if constexpr (R > 6) store_qrows16<P>(out, i0 + 6, c60, c61, c62);
+  if constexpr (R > 7) store_qrows16<P>(out, i0 + 7, c70, c71, c72);
+}
+
+using QTileFn = void (*)(const int8_t*, size_t, const QPanels&,
+                         const QStore&, size_t);
+
+/// qtile_zmm by row count: entry h runs exactly h rows (entry 0 unused).
+template <size_t P, PanelMode Mode>
+constexpr QTileFn kQTiles[2 * kMr + 1] = {
+    nullptr,
+    &qtile_zmm<1, P, Mode>,
+    &qtile_zmm<2, P, Mode>,
+    &qtile_zmm<3, P, Mode>,
+    &qtile_zmm<4, P, Mode>,
+    &qtile_zmm<5, P, Mode>,
+    &qtile_zmm<6, P, Mode>,
+    &qtile_zmm<7, P, Mode>,
+    &qtile_zmm<8, P, Mode>};
+
+/// 8-row tiles over the m rows, then one tile of exactly the remaining
+/// 1-7; A row i's panel starts at apack + i * kg * 4.
+template <size_t P, PanelMode Mode>
+void qsweep_zmm(const int8_t* apack, size_t m, size_t kg, const QPanels& b,
+                const QStore& st) {
+  size_t i = 0;
+  for (; i + 2 * kMr <= m; i += 2 * kMr)
+    qtile_zmm<2 * kMr, P, Mode>(apack + i * kg * 4, kg, b, st, i);
+  if (i < m) kQTiles<P, Mode>[m - i](apack + i * kg * 4, kg, b, st, i);
+}
+
+/// gather_qblock with one vpgatherdd per k group (column offsets as
+/// int32 lanes; a chunk too large for them takes the dword loop).
+__attribute__((target("avx512f"))) void gather_qblock_zmm(
+    const uint8_t* x, const ConvPanel& pn, const size_t* koff, size_t kg,
+    uint8_t* dst) {
+  if (pn.off[pn.cols - 1] > static_cast<size_t>(INT32_MAX)) {
+    gather_qblock(x, pn, koff, kg, dst);
+    return;
+  }
+  alignas(64) int32_t col[kNr] = {};
+  for (size_t t = 0; t < pn.cols; ++t)
+    col[t] = static_cast<int32_t>(pn.off[t]);
+  const __m512i idx = _mm512_load_si512(col);
+  const auto live = static_cast<__mmask16>((1u << pn.cols) - 1);
+  for (size_t g = 0; g < kg; ++g, dst += 4 * kNr)
+    _mm512_storeu_si512(dst, _mm512_mask_i32gather_epi32(
+                                 _mm512_setzero_si512(), live, idx,
+                                 x + koff[g], 4));
+}
+
+/// expand_panel on 512-bit registers over P panels at once: eight output
+/// rows side by side, one zmm of 16 columns per row and panel (up to 24
+/// accumulators), so each weight broadcast feeds P FMAs. Every element
+/// keeps expand_fmaf's chain.
+template <size_t P>
+__attribute__((target("avx512f"))) void expand_zmm(const float* wdeq,
+                                                  size_t co, size_t m,
+                                                  const float* v,
+                                                  float* exp) {
+  constexpr size_t kRows = 2 * kMr;
+  const size_t vs = m * kNr, es = co * kNr;
+  size_t o = 0;
+  for (; o + kRows <= co; o += kRows) {
+    __m512 acc[kRows][P];
+    for (size_t i = 0; i < kRows; ++i)
+      for (size_t q = 0; q < P; ++q) acc[i][q] = _mm512_setzero_ps();
+    for (size_t r = 0; r < m; ++r) {
+      __m512 vr[P];
+      for (size_t q = 0; q < P; ++q)
+        vr[q] = _mm512_loadu_ps(v + q * vs + r * kNr);
+      for (size_t i = 0; i < kRows; ++i) {
+        const __m512 w = _mm512_set1_ps(wdeq[(o + i) * m + r]);
+        for (size_t q = 0; q < P; ++q)
+          acc[i][q] = _mm512_fmadd_ps(w, vr[q], acc[i][q]);
+      }
+    }
+    for (size_t i = 0; i < kRows; ++i)
+      for (size_t q = 0; q < P; ++q)
+        _mm512_storeu_ps(exp + q * es + (o + i) * kNr, acc[i][q]);
+  }
+  for (; o < co; ++o) {
+    __m512 acc[P];
+    for (size_t q = 0; q < P; ++q) acc[q] = _mm512_setzero_ps();
+    for (size_t r = 0; r < m; ++r) {
+      const __m512 w = _mm512_set1_ps(wdeq[o * m + r]);
+      for (size_t q = 0; q < P; ++q)
+        acc[q] = _mm512_fmadd_ps(w, _mm512_loadu_ps(v + q * vs + r * kNr),
+                                 acc[q]);
+    }
+    for (size_t q = 0; q < P; ++q)
+      _mm512_storeu_ps(exp + q * es + o * kNr, acc[q]);
+  }
+}
+
+void expand_fma_zmm(const float* wdeq, size_t co, size_t m, size_t np,
+                    const float* v, float* exp) {
+  if (np == 1)
+    expand_zmm<1>(wdeq, co, m, v, exp);
+  else if (np == 2)
+    expand_zmm<2>(wdeq, co, m, v, exp);
+  else
+    expand_zmm<3>(wdeq, co, m, v, exp);
+}
+
+void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) {
-  const size_t k = s.k();
-  // Same +128 A encoding as qgemm_vnni: azp_eff is never zero, so the
-  // gather always accumulates column sums.
-  qconv_driver<4, uint8_t, int8_t>(
-      x, s, c, ldc, m, p, p.a_zp + 128,
-      [&](size_t r0, size_t r1, uint8_t* dst, int32_t* rowsum) {
-        pack_a_quads(a, lda, r0, r1, k, dst, rowsum);
-      },
-      [](const __m128i* rows, int8_t* dst) {
-        pack_b_quad16(rows[0], rows[1], rows[2], rows[3], dst);
-      },
-      vnni_micro(), vnni_wide(), ep);
+  if (p.a_zp != 0) {
+    detail::qconv_unfold(&qgemm_vnni, a, lda, x, s, c, ldc, m, p, ep);
+    return;
+  }
+  // A as [m/4][kg][4 rows][4] s8 weights: one dword per row and k group.
+  const size_t kg = detail::quad_groups(s);
+  const size_t a_panel = kg * 4 * kMr;
+  thread_local std::vector<int8_t> apack_tls;
+  thread_local std::vector<int32_t> corr_tls;
+  apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
+  corr_tls.resize(m);
+  int8_t* const apack = apack_tls.data();
+  pack_a_qconv(a, lda, m, s, p.b_zp, corr_tls.data(),
+               [&](size_t i, size_t g, const int8_t* w) {
+                 std::memcpy(apack + i / kMr * a_panel + g * 4 * kMr +
+                                 i % kMr * 4,
+                             w, 4);
+               });
+  if (detail::zmm_tile(kCpuAvx512Vnni)) {
+    qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
+              {.group = kGroup,
+               .expand = &expand_fma_zmm,
+               .gather = &gather_qblock_zmm},
+              [=](const QPanels& b, const QStore& st) {
+                with_mode(b.mode, [&](auto mode) {
+                  constexpr PanelMode M = decltype(mode)::value;
+                  if (b.np == 1)
+                    qsweep_zmm<1, M>(apack, m, kg, b, st);
+                  else if (b.np == 2)
+                    qsweep_zmm<2, M>(apack, m, kg, b, st);
+                  else
+                    qsweep_zmm<3, M>(apack, m, kg, b, st);
+                });
+              });
+    return;
+  }
+  const bool vex = vnni_vex();
+  qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
+            {.group = 1, .expand = &expand_fma, .gather = &gather_qblock},
+            [=](const QPanels& b, const QStore& st) {
+              with_mode(b.mode, [&](auto mode) {
+                constexpr PanelMode M = decltype(mode)::value;
+                for (size_t i = 0; i < m; i += kMr)
+                  (vex ? &qconv_tile_vnni_vex<M> : &qconv_tile_vnni_evex<M>)(
+                      apack + i / kMr * a_panel, kg, b.base[0], b.half[0],
+                      b.off, st, i, std::min(kMr, m - i), 0);
+              });
+            });
 }
 
 #endif  // ALF_INT8_VNNI

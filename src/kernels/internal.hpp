@@ -63,7 +63,7 @@ void reset_int8_dispatch_cache();
 using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
                          float*, size_t, size_t, size_t, size_t,
                          const QgemmParams&);
-using QconvFn = void (*)(const int8_t*, size_t, const int8_t*,
+using QconvFn = void (*)(const int8_t*, size_t, const uint8_t*,
                          const ConvShape&, float*, size_t, size_t,
                          const QgemmParams&, const ConvEpilogue*);
 using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
@@ -71,13 +71,14 @@ using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
                         float);
 
 /// The unfolding qconv (defined in int8.cpp): copies the unfold of the
-/// padded images `x` into kernel-local scratch as a row-major
-/// [s.k(), s.n()] panel, then runs `qgemm` over it into C — or, when `ep`
-/// is set, into kernel-local scratch the epilogue then finishes (C is not
-/// touched). The generic int8 backend's qconv when no gathering kernel is
-/// allowed, and the oracle the gathering ones are tested against.
+/// channel-quad images `x` into kernel-local scratch as a row-major
+/// [s.k(), s.n()] int8 panel (unfold_quads), then runs `qgemm` over it
+/// into C — or, when `ep` is set, into kernel-local scratch the epilogue
+/// then finishes (C is not touched). The generic int8 backend's qconv
+/// when no dot-product kernel is allowed, and the route of every qconv
+/// with a_zp != 0.
 void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const int8_t* x, const ConvShape& s, float* c, size_t ldc,
+                  const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
                   size_t m, const QgemmParams& p, const ConvEpilogue* ep);
 
 /// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
@@ -88,11 +89,18 @@ void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
 using QuantizeRowFn = void (*)(const float*, int8_t*, size_t, float,
                                int32_t, int32_t);
 using QuantizePadFn = void (*)(const float*, size_t, size_t, size_t, size_t,
-                               float, int32_t, int32_t, int8_t*);
+                               float, int32_t, int32_t, uint8_t*);
 using MaxAbsFn = float (*)(const float*, size_t);
 QuantizeRowFn quantize_row_i8_vec();
 QuantizePadFn quantize_pad_i8_vec();
 MaxAbsFn max_abs_f32_vec();
+
+/// The baseline body of quantize_pad_i8 (int8.cpp), what it runs on a
+/// CPU without AVX2; named so tests can hold both writers to one
+/// reference.
+void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
+                          size_t w, size_t pad, float inv, int32_t zp,
+                          int32_t levels, uint8_t* dst);
 
 namespace {
 
@@ -105,10 +113,10 @@ constexpr size_t kPanelCols = 16;
 /// over the pool: the per-worker floor every backend partitions by.
 constexpr size_t kMaddsPerWorker = size_t{1} << 16;
 
-/// The register-tile pick of `simd`'s float kernel and `int8-vnni`'s
-/// vpdpbusd kernel: true when the feature mask allows AVX-512F plus
-/// `extra` (AVX512-VNNI for int8), which runs the 8x16 zmm tile; false
-/// keeps the 4x16 ymm tile. Both tiles give every C element the same
+/// The register-tile pick of `simd`'s float kernels and `int8-vnni`'s
+/// vpdpbusd kernels: true when the feature mask allows AVX-512F plus
+/// `extra` (AVX512-VNNI for int8), which runs the zmm tiles; false keeps
+/// the 4x16 ymm tiles. Both tiles give every C element the same
 /// operations in the same order, so the pick only moves speed. Read on
 /// every kernel call and never cached, so ALF_CPU_DISABLE=avx512f and
 /// set_cpu_feature_mask() steer it.
@@ -135,14 +143,17 @@ inline void partition(size_t units, size_t madds_per_unit, const F& process) {
 /// How one kPanelCols-column panel of a conv's implicit unfold reads its
 /// rows: one contiguous run, two runs of half a panel each, one run at
 /// stride 2 (a load pair and a shuffle inside the run's span), or column
-/// by column. simd's float conv reads the first three in place from the
-/// images and gathers only kGather panels into an L1 block; the int8
-/// qconv drivers pack every panel, each mode with its own row load.
+/// by column. simd's float conv and int8-vnni's qconv read the first three
+/// in place from the images and gather only kGather panels into an L1
+/// block; int8-avx2 packs every panel into its pair layout through the
+/// same row loads.
 enum class PanelMode { kGather, kContiguous, kHalves, kStride2 };
 
 /// Column map of one B panel: off[t] is the element offset (into the
 /// padded images) of column t's (c, kh, kw) = (0, 0, 0) tap; row kk adds
-/// the tap offset koff[kk] (conv_tap_offsets) to every column.
+/// the tap offset koff[kk] (conv_tap_offsets) to every column. A qconv
+/// maps its panels in channel-quad pixels, through a shape whose in_c is
+/// s.quads() (one element per quad pixel).
 struct ConvPanel {
   size_t cols = 0;
   PanelMode mode = PanelMode::kGather;
@@ -191,6 +202,23 @@ inline void conv_tap_offsets(const ConvShape& s, size_t* koff) {
         koff[kk] = ch * s.in_h * s.in_w + kh * s.in_w + kw;
 }
 
+/// k groups of a qconv: one per (channel quad, kh, kw), four channels
+/// each (backend.hpp ConvShape).
+inline size_t quad_groups(const ConvShape& s) {
+  return s.quads() * s.kernel * s.kernel;
+}
+
+/// Byte offsets of a qconv's k groups: group g = (q*K + kh)*K + kw starts
+/// koff[g] bytes into one channel-quad image, so its 4 bytes for panel
+/// column t sit at x + 4 * off[t] + koff[g]. koff has quad_groups(s)
+/// entries.
+inline void quad_tap_offsets(const ConvShape& s, size_t* koff) {
+  for (size_t q = 0, g = 0; q < s.quads(); ++q)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, ++g)
+        koff[g] = 4 * ((q * s.in_h + kh) * s.in_w + kw);
+}
+
 /// Materializes the implicit unfold of the padded images `x` as a
 /// row-major [s.k(), s.n()] matrix at `dst` (what im2col_view writes for
 /// the unpadded images side by side).
@@ -217,10 +245,33 @@ inline void unfold_padded(const T* x, const ConvShape& s, T* dst) {
         }
 }
 
-/// Border loop of every padded image copy: `planes` [h, w] float planes
-/// into [planes, h + 2*pad, w + 2*pad] elements of T, where
-/// `row(src, dst, w)` converts one image row (a copy for pad_f32, a
-/// quantization for quantize_pad_i8) and every border element is `fill`.
+/// The same unfold of a qconv's channel-quad u8 images, back in the int8
+/// grid (each byte minus 128): row kk = (c*K + kh)*K + kw reads lane c % 4
+/// of quad c / 4. What the unfolding qconv multiplies.
+inline void unfold_quads(const uint8_t* x, const ConvShape& s, int8_t* dst) {
+  const size_t ho = s.out_h(), wo = s.out_w(), n = s.n();
+  const size_t img_cols = ho * wo;
+  int8_t* row = dst;
+  for (size_t ch = 0; ch < s.in_c; ++ch)
+    for (size_t kh = 0; kh < s.kernel; ++kh)
+      for (size_t kw = 0; kw < s.kernel; ++kw, row += n)
+        for (size_t img = 0; img < s.images; ++img) {
+          const uint8_t* src =
+              x + img * s.qimage_size() +
+              4 * (((ch / 4) * s.in_h + kh) * s.in_w + kw) + ch % 4;
+          int8_t* d = row + img * img_cols;
+          for (size_t oh = 0; oh < ho; ++oh, d += wo) {
+            const uint8_t* srow = src + 4 * oh * s.stride * s.in_w;
+            for (size_t ow = 0; ow < wo; ++ow)
+              d[ow] = static_cast<int8_t>(srow[4 * ow * s.stride] ^ 0x80u);
+          }
+        }
+}
+
+/// Border loop of the padded float image copy (pad_f32): `planes` [h, w]
+/// float planes into [planes, h + 2*pad, w + 2*pad] elements of T, where
+/// `row(src, dst, w)` converts one image row and every border element is
+/// `fill`.
 template <typename T, typename Row>
 inline void pad_planes(const float* src, size_t planes, size_t h, size_t w,
                        size_t pad, T fill, T* dst, const Row& row) {
@@ -231,6 +282,48 @@ inline void pad_planes(const float* src, size_t planes, size_t h, size_t w,
     for (size_t y = 0; y < h; ++y, src += w, dst += pw) {
       for (size_t i = 0; i < pad; ++i) dst[i] = dst[pad + w + i] = fill;
       row(src, dst + pad, w);
+    }
+    std::fill(dst, dst + pad * pw, fill);  // bottom border rows
+    dst += pad * pw;
+  }
+}
+
+/// One pixel of a qconv image row, byte by byte: lane l < lanes is the
+/// int8 quantization of s[l * plane] (rint, +zp, clamp) stored + 128, and
+/// every lane >= lanes is `fill`. The reference expression of both
+/// quantize_pad_i8 writers (the whole baseline one, the AVX2 one's tail).
+inline void quantize_quad_pixel(const float* s, size_t plane, size_t lanes,
+                                float inv, int32_t zp, int32_t levels,
+                                uint8_t fill, uint8_t* d) {
+  for (size_t l = 0; l < 4; ++l) {
+    if (l >= lanes) {
+      d[l] = fill;
+      continue;
+    }
+    int32_t v = static_cast<int32_t>(std::rintf(s[l * plane] * inv)) + zp;
+    v = std::min(levels, std::max(-levels, v));
+    d[l] = static_cast<uint8_t>(v + 128);
+  }
+}
+
+/// Border loop of the qconv images (backend.hpp ConvShape): `planes` [h,
+/// w] float planes into [ceil(planes / 4)][h + 2*pad][w + 2*pad][4] bytes,
+/// where `row(src, plane, lanes, dst, w)` writes one interior image row of
+/// one channel quad — lane l < lanes from the plane at src + l * plane,
+/// every lane >= lanes `fill` — and every border byte is `fill`.
+template <typename Row>
+inline void pad_quads(const float* src, size_t planes, size_t h, size_t w,
+                      size_t pad, uint8_t fill, uint8_t* dst,
+                      const Row& row) {
+  const size_t pw = 4 * (w + 2 * pad), plane = h * w;
+  for (size_t c = 0; c < planes; c += 4, src += 4 * plane) {
+    const size_t lanes = std::min<size_t>(4, planes - c);
+    std::fill(dst, dst + pad * pw, fill);  // top border rows
+    dst += pad * pw;
+    for (size_t y = 0; y < h; ++y, dst += pw) {
+      std::fill(dst, dst + 4 * pad, fill);
+      std::fill(dst + 4 * (pad + w), dst + pw, fill);
+      row(src + y * w, plane, lanes, dst + 4 * pad, w);
     }
     std::fill(dst, dst + pad * pw, fill);  // bottom border rows
     dst += pad * pw;

@@ -606,9 +606,81 @@ int8_t quantize_ref(float v, float inv, int32_t zp, int32_t levels) {
   return static_cast<int8_t>(std::min(levels, std::max(-levels, q)));
 }
 
+/// A qconv image (kernels::ConvShape) from its logical int8 bytes
+/// `planes` ([s.in_c][s.in_h][s.in_w], borders included): byte
+/// [c/4][y][x][c%4] is the value + 128, and every lane past in_c is `fill`.
+/// Written element by element, independent of the kernels' writers.
+std::vector<uint8_t> to_quads(const int8_t* planes, const kernels::ConvShape& s,
+                              uint8_t fill) {
+  std::vector<uint8_t> out(s.images * s.qimage_size(), fill);
+  const size_t plane = s.in_h * s.in_w;
+  for (size_t img = 0; img < s.images; ++img)
+    for (size_t c = 0; c < s.in_c; ++c)
+      for (size_t px = 0; px < plane; ++px)
+        out[img * s.qimage_size() + ((c / 4) * plane + px) * 4 + c % 4] =
+            static_cast<uint8_t>(
+                planes[(img * s.in_c + c) * plane + px] + 128);
+  return out;
+}
+
+TEST(QuantizePad, BothWritersMatchTheElementReference) {
+  // quantize_pad_i8's AVX2 writer (when this host runs it) and its
+  // baseline writer against one reference per byte: interior bytes are
+  // quantize_ref(v) + 128 at [c/4][y][x][c%4], border bytes and the lanes
+  // past in_c are zp + 128. Widths 13 and 8 cover the 8-pixel vector step
+  // and the scalar tail; the grid is 30% finer than the max-abs one, so
+  // the clamp fires.
+  std::vector<std::pair<const char*, kernels::detail::QuantizePadFn>> writers{
+      {"baseline", &kernels::detail::quantize_pad_i8_base}};
+  if (kernels::detail::quantize_pad_i8_vec() != nullptr)
+    writers.emplace_back("avx2", kernels::detail::quantize_pad_i8_vec());
+  Rng rng(83);
+  for (const size_t c : {3, 4, 5, 16}) {
+    for (const size_t w : {13, 8}) {
+      const size_t h = 3;
+      std::vector<float> src(c * h * w);
+      for (float& v : src) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+      for (const size_t pad : {0, 1}) {
+        for (const int bits : {8, 4}) {
+          for (const bool nonneg : {false, true}) {
+            const int32_t levels = (1 << (bits - 1)) - 1;
+            const int32_t zp = nonneg ? -levels : 0;
+            const float span =
+                static_cast<float>(nonneg ? 2 * levels : levels);
+            const float inv = 1.3f * span / 2.0f;
+            kernels::ConvShape s;
+            s.in_c = c;
+            s.in_h = h + 2 * pad;
+            s.in_w = w + 2 * pad;
+            std::vector<uint8_t> want(s.qimage_size(),
+                                      static_cast<uint8_t>(zp + 128));
+            for (size_t ch = 0; ch < c; ++ch)
+              for (size_t y = 0; y < h; ++y)
+                for (size_t x = 0; x < w; ++x)
+                  want[(((ch / 4) * s.in_h + y + pad) * s.in_w + x + pad) * 4 +
+                       ch % 4] = static_cast<uint8_t>(
+                      quantize_ref(src[(ch * h + y) * w + x], inv, zp,
+                                   levels) +
+                      128);
+            for (const auto& [name, fn] : writers) {
+              std::vector<uint8_t> got(s.qimage_size() + 1, 0xA5);
+              fn(src.data(), c, h, w, pad, inv, zp, levels, got.data());
+              EXPECT_EQ(got.back(), 0xA5) << name << " wrote past the image";
+              got.pop_back();
+              ASSERT_EQ(got, want)
+                  << name << " c=" << c << " w=" << w << " pad=" << pad
+                  << " bits=" << bits << " zp=" << zp;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The unfolding qconv over the best allowed qgemm: what the generic int8
 /// backend's qconv runs when no dot-product kernel is allowed.
-void qconv_unfold_best(const int8_t* a, size_t lda, const int8_t* x,
+void qconv_unfold_best(const int8_t* a, size_t lda, const uint8_t* x,
                        const kernels::ConvShape& s, float* c, size_t ldc,
                        size_t m, const kernels::QgemmParams& p,
                        const kernels::ConvEpilogue* ep) {
@@ -626,23 +698,26 @@ const kernels::KernelBackend kQconvUnfold{
     .qconv = &qconv_unfold_best};
 
 TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
-  // qconv packs B straight from zero-point-padded int8 images; the oracle
-  // is the path it replaced: float im2col_view, per-image quantize, then
-  // the scalar qgemm. Every panel gather mode is covered — contiguous
-  // (W=32, 16), two 8-wide halves (W=8 s1), stride 2 in one row (3x3 and
-  // 1x1 s2 onto 16-wide maps), per-column gathers (8-wide s2, 7x7 and 5x5
-  // maps whose panels straddle images) — at both activation grids, two
-  // bit widths, 1-9 images and two thread counts. The 64-channel case has
-  // k = 576 > 256 rows, and its all-zero second image makes every byte
-  // the zero point, so column sums overflow int16 unless widened in time.
-  // C carries a poisoned gutter (ldc > n) that no entry may touch.
+  // qconv reads B straight from zero-point-padded u8 channel-quad images;
+  // the oracle is the path it replaced: float im2col_view, per-image
+  // quantize, then the scalar qgemm. Every panel read is covered —
+  // contiguous (W=32, 16), two 8-wide halves (W=8 s1), stride 2 in one
+  // row (3x3 and 1x1 s2 onto 16-wide maps), per-column gathers (8-wide s2,
+  // 7x7 and 5x5 maps whose panels straddle images) — with 3-9 channels
+  // (a partial last quad, pad lanes included), the fixture's ALF code
+  // convs (16->6@32, 32->11@16, 64->22@8), at both activation grids, two
+  // bit widths, 1-9 images and two thread counts. The 1-, 2- and 5-image
+  // runs make panel counts that are not a multiple of int8-vnni's
+  // three-panel zmm sweep. The 4-bit case sets a_zp != 0, which every
+  // entry routes to the unfold. C carries a poisoned gutter (ldc > n) that
+  // no entry may touch.
   struct Geo {
     size_t c, hw, k, s, pad;
   };
-  const Geo geos[] = {{5, 32, 3, 1, 1}, {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
-                      {4, 32, 3, 2, 1}, {3, 32, 1, 2, 0}, {7, 8, 3, 2, 1},
-                      {9, 8, 1, 2, 0},  {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
-                      {64, 8, 3, 1, 1}};
+  const Geo geos[] = {{5, 32, 3, 1, 1},  {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
+                      {4, 32, 3, 2, 1},  {3, 32, 1, 2, 0}, {7, 8, 3, 2, 1},
+                      {9, 8, 1, 2, 0},   {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
+                      {64, 8, 3, 1, 1},  {16, 32, 3, 1, 1}, {32, 16, 3, 1, 1}};
   std::vector<const kernels::KernelBackend*> cands{&kQconvUnfold};
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
@@ -650,13 +725,15 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
     EXPECT_NE(be->qconv, nullptr) << name << " has no qconv";
     cands.push_back(be);
   }
-  // Every candidate runs under every tile mask, over the first 13 and the
-  // first 11 rows of A (the oracle's rows are independent). Neither is a
-  // multiple of the 4-row panel: 13 rows make four panels (the 8x16 tile's
-  // second pair has one live row), 11 rows three (a trailing odd panel).
+  // Every candidate runs under every tile mask over the first rows of A
+  // (the oracle's rows are independent): 22, 6 and 11 rows are the code
+  // convs' (none a multiple of the 4-row panel; 22 = two 8-row zmm tiles
+  // and a 6-row one), 13 and 9 put one and five rows in a last tile, 8 is
+  // one whole zmm tile and 1 a single row. One thread runs them all,
+  // three threads the widest and an odd one.
   const std::vector<TileMask> masks = tile_masks();
   Rng rng(59);
-  const size_t m = 13;
+  const size_t m = 22;
   for (const Geo& geo : geos) {
     const ConvGeom g{geo.c, geo.hw, geo.hw, geo.k, geo.s, geo.pad};
     kernels::ConvShape s;
@@ -669,7 +746,11 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
     std::vector<float> as(m);
     for (size_t i = 0; i < m; ++i)
       as[i] = 0.02f + 0.003f * static_cast<float>(i);
-    for (const size_t imgs : {1, 2, 5, 9}) {
+    // The code convs' maps are the largest: 1, 2 and 5 images suffice.
+    const std::vector<size_t> counts =
+        geo.c >= 16 && geo.hw >= 16 ? std::vector<size_t>{1, 2, 5}
+                                    : std::vector<size_t>{1, 2, 5, 9};
+    for (const size_t imgs : counts) {
       s.images = imgs;
       const size_t n = imgs * cols, ldc = n + 5;
       std::vector<float> x(imgs * g.in_c * g.in_h * g.in_w);
@@ -715,12 +796,14 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
                                   : static_cast<int8_t>(zp);
                 }
           }
+          const std::vector<uint8_t> xq =
+              to_quads(xpad.data(), s, static_cast<uint8_t>(zp + 128));
           kernels::QgemmParams p;
           p.a_scales = as.data();
           p.b_scales = bs.data();
           p.b_zp = zp;
-          // The engine's weights are symmetric; a weight zero point turns
-          // on int8-avx2's column sums, which only a_zp != 0 needs.
+          // The engine's weights are symmetric; a weight zero point sends
+          // every entry to the unfold, whose qgemm then sums columns.
           p.a_zp = bits == 4 ? 3 : 0;
           std::vector<float> ref(m * ldc, -7.0f);
           kernels::detail::qgemm_int8(a.data(), k, qcol.data(), n, ref.data(),
@@ -728,12 +811,15 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
           for (const kernels::KernelBackend* be : cands) {
             for (const TileMask& tm : masks) {
               const MaskScope scope(tm.mask);
-              for (const size_t rows : {m, m - 2}) {
-                for (const int threads : {1, 3}) {
-                  set_parallel_threads(threads);
+              for (const int threads : {1, 3}) {
+                set_parallel_threads(threads);
+                const std::vector<size_t> row_counts =
+                    threads == 1 ? std::vector<size_t>{22, 13, 11, 9, 8, 6, 1}
+                                 : std::vector<size_t>{22, 11};
+                for (const size_t rows : row_counts) {
                   std::vector<float> got(rows * ldc, -7.0f);
-                  be->qconv(a.data(), k, xpad.data(), s, got.data(), ldc,
-                            rows, p, nullptr);
+                  be->qconv(a.data(), k, xq.data(), s, got.data(), ldc, rows,
+                            p, nullptr);
                   ASSERT_EQ(std::memcmp(ref.data(), got.data(),
                                         got.size() * sizeof(float)),
                             0)
@@ -1160,11 +1246,12 @@ TEST(ConvEpilogue, FloatEntriesEqualTheirTwoStepComputation) {
 
 TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
   // Every qconv entry with an epilogue — int8-vnni, int8-avx2, the generic
-  // dispatcher and the unfold — equals the plain qconv followed by the
-  // reference
-  // epilogue. An expansion multiplies the float conv result (after its
-  // inner activation; never quantized) by the dequantized weights, summed
-  // as an fmaf chain in r order from +0, so all entries agree bit for bit.
+  // dispatcher and the unfold — equals its two-step computation, built
+  // without any qconv entry: the scalar qgemm over the unfold of the
+  // test's logical image bytes, then the reference epilogue. An expansion
+  // multiplies the float conv result (after its inner activation; never
+  // quantized) by the dequantized weights, summed as an fmaf chain in r
+  // order from +0, so all entries agree bit for bit.
   std::vector<const kernels::KernelBackend*> cands{&kQconvUnfold};
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
@@ -1188,10 +1275,13 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
       for (const size_t imgs : {1, 3}) {
         const kernels::ConvShape s = epi_shape(geo, imgs);
         const size_t n = s.n();
-        std::vector<int8_t> xq(imgs * s.image_size());
-        for (int8_t& q : xq)
+        // Logical int8 image bytes, borders included, and the u8
+        // channel-quad images the entries read.
+        std::vector<int8_t> xl(imgs * s.image_size());
+        for (int8_t& q : xl)
           q = static_cast<int8_t>(static_cast<int>(rng.uniform(0.0, 255.0)) -
                                   127);
+        const std::vector<uint8_t> xq = to_quads(xl.data(), s, 1);
         std::vector<float> bs(n);
         for (size_t j = 0; j < n; ++j)
           bs[j] = 0.02f + 0.01f * static_cast<float>(j / plane);
@@ -1201,9 +1291,11 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
         p.b_zp = -127;
         std::vector<float> resid(imgs * rows * plane);
         for (float& v : resid) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<int8_t> col(k * n);
+        kernels::detail::unfold_padded(xl.data(), s, col.data());
         std::vector<float> c(m * n);
-        kernels::int8_backend()->qconv(a.data(), k, xq.data(), s, c.data(), n,
-                                       m, p, nullptr);
+        kernels::detail::qgemm_int8(a.data(), k, col.data(), n, c.data(), n,
+                                    m, k, n, p);
         for (const EpiVariant& v : kEpiVariants) {
           std::vector<float> fin = c;
           if (co != 0) {

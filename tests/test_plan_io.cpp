@@ -458,6 +458,18 @@ TEST_F(PlanIoHostile, RejectsStepNameWrappingIntoTheNameRegion) {
   }
 }
 
+TEST_F(PlanIoHostile, RejectsAnArenaWhoseSizeWraps) {
+  // slots x slot_stride = 4 x 2^62 wraps 64 bits to 0: the context would
+  // allocate no arena and the first run would write through it. verify
+  // forms the product with overflow checks against kMaxPlanElements.
+  header()->slots = 4;
+  header()->slot_stride = uint64_t{1} << 62;
+  plan::restamp_header(image_.data(), image_.size());
+  const fs::path p = td_.path / "arena_size_wrap.plan";
+  write_file(p, image_);
+  EXPECT_THROW(plan::load(p.string()), PlanVerifyError);
+}
+
 /// Registers a copy of scalar whose name overflows the header's backend
 /// field, compiles the fixture on it and saves it to `file`: 0 when save
 /// throws PlanIoError(kBackend). Run in a child process, which
