@@ -23,19 +23,21 @@
 // channels of one tap — of 16 output columns is 16 dwords, so the images
 // are vpdpbusd's unsigned operand as they lie and the weights its signed
 // one. With a_zp == 0 the zero-point correction is one constant per row,
-// sum_k a*(b - b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), formed
-// when A is packed (k reordered to (c/4, kh, kw, c%4), zero weights on the
-// pad lanes), so no column sum exists. A is packed once per call; the
-// column panels are the parallel axis. int8-vnni reads each k group in
-// place: one 64-byte load for a contiguous panel, two 32-byte loads for a
-// two-half panel, two loads and a dword permute at stride 2; only a panel
-// of another shape is gathered, dword by dword, into an L1 block. Its zmm
-// tile runs 1-8 rows against up to three panels (up to 24 accumulators,
-// the shape of simd's tile_zmm), else a 4x16 ymm tile reads one panel at a
-// time. int8-avx2 builds its pair pack of each panel from the same loads.
-// With an epilogue each panel's rows land in an L1 buffer and are
-// finished there: inner activation, the int8 expansion (FMA on zmm or
-// ymm), the epilogue store. A qconv with a_zp != 0 runs the unfold.
+// sum_k a*(b - b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), the row
+// sums taken when A is packed (k reordered to (c/4, kh, kw, c%4), zero
+// weights on the pad lanes), so no column sum exists. A is packed once per
+// call; the column panels are the parallel axis. int8-vnni reads each k
+// group in place: one 64-byte load for a contiguous panel, two 32-byte
+// loads for a two-half panel, two loads and a dword permute at stride 2;
+// only a panel of another shape is gathered, dword by dword, into an L1
+// block. Its zmm tile runs 1-8 rows against up to three panels (up to 24
+// accumulators, the shape of simd's tile_zmm), else a 4x16 ymm tile reads
+// one panel at a time. int8-avx2 builds its pair pack of each panel from
+// the same loads. The 4x16 tiles store through qgemm's store_tile, the
+// zmm tile through a 16-lane copy of its expressions. With an epilogue
+// each panel's rows land in an L1 buffer and are finished there: inner
+// activation, the int8 expansion (FMA on zmm or ymm), the epilogue store.
+// A qconv with a_zp != 0 runs the unfold.
 //
 // Bit-identity with the scalar oracle (qgemm_int8_body) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
@@ -48,7 +50,6 @@
 // per-function target attributes. Without it — or on non-x86 hosts — the
 // factories return nullptr and the generic int8 backend stays on the
 // portable body.
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -202,25 +203,26 @@ inline size_t qrow_offset(const size_t* off, size_t g) {
   return Mode == PanelMode::kGather ? g * 4 * kNr : off[g];
 }
 
-/// C of one qconv sweep and its requantizing store: row i of panel p at
-/// c + i * ldc + p * pstep, of which the first `cols` columns are written.
-/// Per element v = acc + corr[i] (the row's whole zero-point correction),
-/// then (sa * bs) * float(v) with sa the row's A scale and bs the column's
-/// B scale — qgemm_int8_body's expressions, or scale * float(v) with
-/// scale = sa * b_scale without per-column scales.
+/// C of one qconv sweep: row i of panel p at c + i * ldc + p * pstep, of
+/// which the first `cols` columns are written; panel 0 is the product's
+/// columns from j0 on (their B scales). Per element v = acc - (128 + b_zp)
+/// * rowsum[i], the row's whole zero-point correction, then store_tile's
+/// float expressions.
 struct QStore {
   float* c = nullptr;
-  size_t ldc = 0, pstep = 0, cols = kNr;
-  const int32_t* corr = nullptr;
-  const float* a_scales = nullptr;  ///< per row, or null: a_scale
-  float a_scale = 1.0f;
-  const float* b_scales = nullptr;  ///< at panel 0's first column, or null
-  float b_scale = 1.0f;
-
-  float row_scale(size_t i) const {
-    return a_scales != nullptr ? a_scales[i] : a_scale;
-  }
+  size_t ldc = 0, pstep = 0, j0 = 0, cols = kNr;
+  const int32_t* rowsum = nullptr;  ///< A's row sums
+  QgemmParams p;
 };
+
+/// Stores one 4x16 tile of raw sums, C rows [i0, i0 + pr) of panel 0,
+/// through store_tile: the images' +128 and b_zp make up its bzp, and
+/// there is no column correction.
+inline void store_qtile(const QStore& st, size_t i0, size_t pr,
+                        const int32_t* acc) {
+  store_tile(acc, i0, pr, st.j0, st.cols, 0, nullptr, st.rowsum + i0, 0,
+             128 + st.p.b_zp, st.p, st.c + i0 * st.ldc, st.ldc);
+}
 
 /// Runs `f(std::integral_constant<PanelMode, mode>)`: the one switch from a
 /// panel's runtime mode to the tiles' compile-time one.
@@ -270,47 +272,6 @@ inline void load_qrow(const uint8_t* p, size_t half, __m256i& lo,
   }
 }
 
-/// The column-tail store of one C row (cols < kNr) from its corrected
-/// sums: QStore's expressions element by element. Out of line: only the
-/// last panel of a product can be narrower than kNr.
-__attribute__((noinline)) void store_qtail(const QStore& st, size_t i,
-                                           size_t p, const int32_t* v) {
-  const float sa = st.row_scale(i);
-  const float scale = sa * st.b_scale;
-  float* crow = st.c + i * st.ldc + p * st.pstep;
-  for (size_t j = 0; j < st.cols; ++j)
-    crow[j] = st.b_scales == nullptr
-                  ? scale * static_cast<float>(v[j])
-                  : sa * st.b_scales[p * kNr + j] * static_cast<float>(v[j]);
-}
-
-/// Stores row i of panel p from its two ymm of raw sums (QStore).
-inline void store_qrow8(const QStore& st, size_t i, size_t p, __m256i lo,
-                        __m256i hi) {
-  const __m256i rc = _mm256_set1_epi32(st.corr[i]);
-  lo = _mm256_add_epi32(lo, rc);
-  hi = _mm256_add_epi32(hi, rc);
-  if (st.cols != kNr) {
-    alignas(32) int32_t v[kNr];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(v), lo);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(v + 8), hi);
-    store_qtail(st, i, p, v);
-    return;
-  }
-  const float sa = st.row_scale(i);
-  __m256 s0, s1;
-  if (st.b_scales == nullptr) {
-    s0 = s1 = _mm256_set1_ps(sa * st.b_scale);
-  } else {
-    const __m256 sav = _mm256_set1_ps(sa);
-    s0 = _mm256_mul_ps(sav, _mm256_loadu_ps(st.b_scales + p * kNr));
-    s1 = _mm256_mul_ps(sav, _mm256_loadu_ps(st.b_scales + p * kNr + 8));
-  }
-  float* crow = st.c + i * st.ldc + p * st.pstep;
-  _mm256_storeu_ps(crow, _mm256_mul_ps(s0, _mm256_cvtepi32_ps(lo)));
-  _mm256_storeu_ps(crow + 8, _mm256_mul_ps(s1, _mm256_cvtepi32_ps(hi)));
-}
-
 /// Gathers one B panel the tiles cannot read in place, dword by dword,
 /// into `dst` ([kg][16] dwords, zero past the panel's last column).
 void gather_qblock(const uint8_t* x, const ConvPanel& pn, const size_t* koff,
@@ -328,17 +289,17 @@ void gather_qblock(const uint8_t* x, const ConvPanel& pn, const size_t* koff,
 /// The qconv A pack of both kernels: `emit(i, g, w)` receives row i's
 /// four weights of k group g = (q*K + kh)*K + kw — channels 4q..4q+3 at
 /// (kh, kw), zero past in_c — the images' (c/4, kh, kw, c%4) order, for
-/// g ascending. corr[i] gets the row's zero-point correction
-/// -(128 + b_zp) * rowsum.
+/// g ascending. rowsum[i] gets the row's sum, which its zero-point
+/// correction -(128 + b_zp) * rowsum scales (QStore).
 template <typename Emit>
 void pack_a_qconv(const int8_t* a, size_t lda, size_t m, const ConvShape& s,
-                  int32_t b_zp, int32_t* corr, const Emit& emit) {
+                  int32_t* rowsum, const Emit& emit) {
   const size_t taps = s.kernel * s.kernel;
   for (size_t i = 0; i < m; ++i) {
     const int8_t* arow = a + i * lda;
     int32_t sum = 0;
     for (size_t kk = 0; kk < s.k(); ++kk) sum += static_cast<int32_t>(arow[kk]);
-    corr[i] = -(128 + b_zp) * sum;
+    rowsum[i] = sum;
     for (size_t q = 0, g = 0; q < s.quads(); ++q) {
       const size_t lanes = std::min<size_t>(4, s.in_c - 4 * q);
       const int8_t* src = arow + 4 * q * taps;
@@ -400,17 +361,15 @@ void expand_fma(const float* wdeq, size_t co, size_t m, size_t np,
 }
 
 /// What a kernel's qconv hands qconv_run besides its sweep: the
-/// panels one sweep may cover, the expansion and the per-column gather.
+/// panels one sweep may cover and the expansion.
 struct QconvTiles {
   size_t group = 1;
   void (*expand)(const float*, size_t, size_t, size_t, const float*,
                  float*) = nullptr;
-  void (*gather)(const uint8_t*, const ConvPanel&, const size_t*, size_t,
-                 uint8_t*) = nullptr;
 };
 
 /// The qconv loop shared by both kernels (a_zp == 0). The caller has
-/// packed A in its kernel's layout and the per-row corrections `corr`;
+/// packed A in its kernel's layout and A's row sums `rowsum`;
 /// `sweep(b, st)` runs all m rows against B's panels into st. Column
 /// panels are the parallel axis: each worker walks its panels, joins up
 /// to `tiles.group` consecutive ones read in place the same way, gathers
@@ -421,7 +380,7 @@ struct QconvTiles {
 /// grouping shows.
 template <typename Sweep>
 void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
-               size_t m, const QgemmParams& p, const int32_t* corr,
+               size_t m, const QgemmParams& p, const int32_t* rowsum,
                const ConvEpilogue* ep, const QconvTiles& tiles,
                const Sweep& sweep) {
   const size_t group = tiles.group;
@@ -463,7 +422,7 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
       QPanels b;
       b.off = koff;
       if (pn.mode == PanelMode::kGather) {
-        tiles.gather(x, pn, koff, kg, block);
+        gather_qblock(x, pn, koff, kg, block);
         b.base[0] = block;
       } else {
         // In place, the panel joins the next ones read the same way.
@@ -481,12 +440,10 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
       st.c = buf != nullptr ? buf : c + j0;
       st.ldc = buf != nullptr ? kNr : ldc;
       st.pstep = buf != nullptr ? m * kNr : kNr;
+      st.j0 = j0;
       st.cols = pn.cols;
-      st.corr = corr;
-      st.a_scales = p.a_scales;
-      st.a_scale = p.a_scale;
-      st.b_scales = p.b_scales != nullptr ? p.b_scales + j0 : nullptr;
-      st.b_scale = p.b_scale;
+      st.rowsum = rowsum;
+      st.p = p;
       sweep(b, st);
       if (buf != nullptr) {
         // The group's results [np][m][kNr], expanded to [np][co][kNr]
@@ -768,11 +725,11 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
   const size_t kp = 2 * detail::quad_groups(s);
   const size_t a_panel = kp * 2 * kMr;
   thread_local std::vector<int16_t> apack_tls;
-  thread_local std::vector<int32_t> corr_tls;
+  thread_local std::vector<int32_t> rowsum_tls;
   apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
-  corr_tls.resize(m);
+  rowsum_tls.resize(m);
   int16_t* const apack = apack_tls.data();
-  pack_a_qconv(a, lda, m, s, p.b_zp, corr_tls.data(),
+  pack_a_qconv(a, lda, m, s, rowsum_tls.data(),
                [&](size_t i, size_t g, const int8_t* w) {
                  int16_t* d = apack + i / kMr * a_panel + 2 * g * 2 * kMr +
                               i % kMr * 2;
@@ -781,8 +738,8 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
                  d[2 * kMr] = static_cast<int16_t>(w[2]);
                  d[2 * kMr + 1] = static_cast<int16_t>(w[3]);
                });
-  qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
-            {.group = 1, .expand = &expand_fma, .gather = &gather_qblock},
+  qconv_run(x, s, c, ldc, m, p, rowsum_tls.data(), ep,
+            {.group = 1, .expand = &expand_fma},
             [=](const QPanels& b, const QStore& st) {
               thread_local std::vector<int16_t> bpanel_tls;
               bpanel_tls.resize(kp * 2 * kNr);
@@ -793,12 +750,7 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
               alignas(32) int32_t acc[kMr * kNr];
               for (size_t i = 0; i < m; i += kMr) {
                 qgemm_micro_avx2(apack + i / kMr * a_panel, bpanel, kp, acc);
-                for (size_t r = 0; r < std::min(kMr, m - i); ++r)
-                  store_qrow8(st, i + r, 0,
-                              _mm256_load_si256(reinterpret_cast<__m256i*>(
-                                  acc + r * kNr)),
-                              _mm256_load_si256(reinterpret_cast<__m256i*>(
-                                  acc + r * kNr + 8)));
+                store_qtile(st, i, std::min(kMr, m - i), acc);
               }
             });
 }
@@ -1184,32 +1136,39 @@ dp_row(const int8_t* a, const __m512i& b0, const __m512i& b1,
   if constexpr (P > 2) dpbusd(x2, b2, w);
 }
 
-/// Stores row i of panel p from its zmm of raw sums (QStore); a narrow
-/// panel masks its loads of B scales and its store.
+/// Stores row i of panel p from its zmm of raw sums (QStore), with
+/// store_tile's expressions: `corr` is the row's correction, `sa` its A
+/// scale. A narrow panel masks its loads of B scales and its store.
 __attribute__((target("avx512f"), always_inline)) inline void store_qrow16(
-    const QStore& st, size_t i, size_t p, const __m512i& acc) {
-  const __m512i v = _mm512_add_epi32(acc, _mm512_set1_epi32(st.corr[i]));
+    const QStore& st, size_t i, size_t p, const __m512i& acc,
+    const __m512i& corr, float sa) {
   const auto live = static_cast<__mmask16>((1u << st.cols) - 1);
-  const float sa = st.row_scale(i);
   const __m512 s =
-      st.b_scales == nullptr
-          ? _mm512_set1_ps(sa * st.b_scale)
+      st.p.b_scales == nullptr
+          ? _mm512_set1_ps(sa * st.p.b_scale)
           : _mm512_mul_ps(_mm512_set1_ps(sa),
-                          _mm512_maskz_loadu_ps(live, st.b_scales + p * kNr));
+                          _mm512_maskz_loadu_ps(
+                              live, st.p.b_scales + st.j0 + p * kNr));
   // The maskz form: GCC 12's plain conversion reads an undefined source
   // and warns; dead lanes are never stored either way.
-  _mm512_mask_storeu_ps(st.c + i * st.ldc + p * st.pstep, live,
-                        _mm512_mul_ps(s, _mm512_maskz_cvtepi32_ps(live, v)));
+  _mm512_mask_storeu_ps(
+      st.c + i * st.ldc + p * st.pstep, live,
+      _mm512_mul_ps(s, _mm512_maskz_cvtepi32_ps(
+                           live, _mm512_sub_epi32(acc, corr))));
 }
 
-/// Stores one row's accumulators of the tile's P panels.
+/// Stores one row's accumulators of the tile's P panels, reading the
+/// row's correction and A scale once: C's masked stores may alias them.
 template <size_t P>
 __attribute__((target("avx512f"), always_inline)) inline void store_qrows16(
     const QStore& st, size_t i, const __m512i& x0, const __m512i& x1,
     const __m512i& x2) {
-  store_qrow16(st, i, 0, x0);
-  if constexpr (P > 1) store_qrow16(st, i, 1, x1);
-  if constexpr (P > 2) store_qrow16(st, i, 2, x2);
+  const __m512i corr = _mm512_set1_epi32((128 + st.p.b_zp) * st.rowsum[i]);
+  const float sa =
+      st.p.a_scales != nullptr ? st.p.a_scales[i] : st.p.a_scale;
+  store_qrow16(st, i, 0, x0, corr, sa);
+  if constexpr (P > 1) store_qrow16(st, i, 1, x1, corr, sa);
+  if constexpr (P > 2) store_qrow16(st, i, 2, x2, corr, sa);
 }
 
 /// The zmm qconv tile: C rows [i0, i0 + R) of P consecutive B panels, A
@@ -1288,26 +1247,6 @@ void qsweep_zmm(const int8_t* apack, size_t m, size_t kg, const QPanels& b,
   if (i < m) kQTiles<P, Mode>[m - i](apack + i * kg * 4, kg, b, st, i);
 }
 
-/// gather_qblock with one vpgatherdd per k group (column offsets as
-/// int32 lanes; a chunk too large for them takes the dword loop).
-__attribute__((target("avx512f"))) void gather_qblock_zmm(
-    const uint8_t* x, const ConvPanel& pn, const size_t* koff, size_t kg,
-    uint8_t* dst) {
-  if (pn.off[pn.cols - 1] > static_cast<size_t>(INT32_MAX)) {
-    gather_qblock(x, pn, koff, kg, dst);
-    return;
-  }
-  alignas(64) int32_t col[kNr] = {};
-  for (size_t t = 0; t < pn.cols; ++t)
-    col[t] = static_cast<int32_t>(pn.off[t]);
-  const __m512i idx = _mm512_load_si512(col);
-  const auto live = static_cast<__mmask16>((1u << pn.cols) - 1);
-  for (size_t g = 0; g < kg; ++g, dst += 4 * kNr)
-    _mm512_storeu_si512(dst, _mm512_mask_i32gather_epi32(
-                                 _mm512_setzero_si512(), live, idx,
-                                 x + koff[g], 4));
-}
-
 /// expand_panel on 512-bit registers over P panels at once: eight output
 /// rows side by side, one zmm of 16 columns per row and panel (up to 24
 /// accumulators), so each weight broadcast feeds P FMAs. Every element
@@ -1373,21 +1312,19 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
   const size_t kg = detail::quad_groups(s);
   const size_t a_panel = kg * 4 * kMr;
   thread_local std::vector<int8_t> apack_tls;
-  thread_local std::vector<int32_t> corr_tls;
+  thread_local std::vector<int32_t> rowsum_tls;
   apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
-  corr_tls.resize(m);
+  rowsum_tls.resize(m);
   int8_t* const apack = apack_tls.data();
-  pack_a_qconv(a, lda, m, s, p.b_zp, corr_tls.data(),
+  pack_a_qconv(a, lda, m, s, rowsum_tls.data(),
                [&](size_t i, size_t g, const int8_t* w) {
                  std::memcpy(apack + i / kMr * a_panel + g * 4 * kMr +
                                  i % kMr * 4,
                              w, 4);
                });
   if (detail::zmm_tile(kCpuAvx512Vnni)) {
-    qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
-              {.group = kGroup,
-               .expand = &expand_fma_zmm,
-               .gather = &gather_qblock_zmm},
+    qconv_run(x, s, c, ldc, m, p, rowsum_tls.data(), ep,
+              {.group = kGroup, .expand = &expand_fma_zmm},
               [=](const QPanels& b, const QStore& st) {
                 with_mode(b.mode, [&](auto mode) {
                   constexpr PanelMode M = decltype(mode)::value;
@@ -1402,15 +1339,19 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
     return;
   }
   const bool vex = vnni_vex();
-  qconv_run(x, s, c, ldc, m, p, corr_tls.data(), ep,
-            {.group = 1, .expand = &expand_fma, .gather = &gather_qblock},
+  qconv_run(x, s, c, ldc, m, p, rowsum_tls.data(), ep,
+            {.group = 1, .expand = &expand_fma},
             [=](const QPanels& b, const QStore& st) {
               with_mode(b.mode, [&](auto mode) {
                 constexpr PanelMode M = decltype(mode)::value;
-                for (size_t i = 0; i < m; i += kMr)
-                  (vex ? &qconv_tile_vnni_vex<M> : &qconv_tile_vnni_evex<M>)(
-                      apack + i / kMr * a_panel, kg, b.base[0], b.half[0],
-                      b.off, st, i, std::min(kMr, m - i), 0);
+                const auto tile =
+                    vex ? &qconv_tile_vnni_vex<M> : &qconv_tile_vnni_evex<M>;
+                alignas(32) int32_t acc[kMr * kNr];
+                for (size_t i = 0; i < m; i += kMr) {
+                  tile(apack + i / kMr * a_panel, kg, b.base[0], b.half[0],
+                       b.off, acc);
+                  store_qtile(st, i, std::min(kMr, m - i), acc);
+                }
               });
             });
 }
