@@ -1,9 +1,9 @@
 // Kernel-backend microbenchmark + the PR's acceptance recorder.
 //
 // Times the f32 GEMM of every registered float backend (scalar vs simd)
-// and the int8 qgemm across square (64..512) and conv-shaped (skinny-K,
-// wide-N) problems, single-threaded so the numbers are kernel quality, not
-// core count. Next times each float backend's conv entry on one 8-image
+// and the portable int8 qgemm every backend shares across square
+// (64..512) and conv-shaped (skinny-K, wide-N) problems, single-threaded
+// so the numbers are kernel quality, not core count. Next times each float backend's conv entry on one 8-image
 // chunk of the paper fixture's conv shapes (conv/* rows), the call one
 // engine worker makes per conv step, and each quantized backend's qconv
 // entry on the same shapes plus the 3-channel input conv (qconv/* rows,
@@ -164,14 +164,9 @@ int main(int argc, char** argv) {
     };
     std::vector<Entry> entries = {{"scalar", scalar_ms}};
     if (simd != nullptr) entries.push_back({"simd", bench_f32(simd)});
+    // Every backend registers the one portable qgemm (the engine runs its
+    // int8 products through qconv), so one row times it.
     entries.push_back({"int8", bench_q8(int8)});
-    // The ISA-specific qgemm backends, when this host registered them —
-    // their rows make regressions attributable to one kernel rather than
-    // to whatever "int8" happened to dispatch to.
-    for (const char* qname : {"int8-avx2", "int8-vnni"}) {
-      const kernels::KernelBackend* qbe = kernels::find_backend(qname);
-      if (qbe != nullptr) entries.push_back({qname, bench_q8(qbe)});
-    }
 
     for (const Entry& e : entries) {
       const double speedup = scalar_ms / e.ms;

@@ -11,7 +11,6 @@
 #include "kernels/backend.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
-#include "quant/quantize.hpp"
 
 namespace alf {
 namespace {
@@ -79,6 +78,17 @@ void asan_rows(bool poison, const float* slot, size_t row, size_t lo,
   }
 }
 
+/// The qconv view of an int8 linear step over `rows` input rows: each row
+/// is a 1x1 image of in_features channels, so the product is one column
+/// per row.
+kernels::ConvShape head_shape(const Step& st, size_t rows) {
+  kernels::ConvShape s;
+  s.in_c = st.in_features;
+  s.in_h = s.in_w = 1;
+  s.images = rows;
+  return s;
+}
+
 /// The kernels' view of `imgs` images of one conv step, each padded by the
 /// conv's own padding (the caller writes the border explicitly).
 kernels::ConvShape conv_shape(const ConvGeom& g, size_t imgs) {
@@ -105,13 +115,15 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
   // images over min(chunks, n) chunks never exceed ceil(batch / chunks))
   // and the widest conv. A float conv's padded images (none without
   // padding: it reads its slot in place); an int8 conv's zero-point-padded
-  // images and one scale per GEMM column; the linear head's int8 input and
-  // one scale per batch row, both over the whole batch.
+  // images and one scale per GEMM column. The int8 linear head reuses both
+  // over the whole batch once the chunks are done: its rows as 1x1 images
+  // and one scale per row.
   const size_t imgs = (p.batch() + p.chunks() - 1) / p.chunks();
-  size_t head_in = 0, scales = p.batch();
+  size_t head_bytes = 0, scales = p.batch();
   for (const Step& st : p.steps()) {
     if (st.kind == OpKind::kLinear)
-      head_in = std::max(head_in, p.batch() * st.in_features);
+      head_bytes =
+          std::max(head_bytes, p.batch() * head_shape(st, 1).qimage_size());
     if (st.kind != OpKind::kConv) continue;
     const kernels::ConvShape one = conv_shape(st.geom, 1);
     if (st.quantized)
@@ -122,8 +134,7 @@ ExecContext::ExecContext(std::shared_ptr<const Plan> plan)
   }
   fimg_.assign(p.chunks() * fimg_stride_, 0.0f);
   if (p.quantized()) {
-    qimg_.assign(p.chunks() * qimg_stride_, 0);
-    qws_.assign(head_in, 0);
+    qimg_.assign(std::max(p.chunks() * qimg_stride_, head_bytes), 0);
     qbs_stride_ = scales;
     qbs_.assign(p.chunks() * qbs_stride_, 0.0f);
   }
@@ -240,39 +251,36 @@ void ExecContext::run_linear(const Step& st, const float* src, float* dst,
                         dst, plan_->backend());
     return;
   }
-  // Dynamic per-image input quantization into the int8 scratch (the conv
-  // chunks are done by the time the head runs, so the buffer is free),
-  // then qgemm against the pre-transposed weight panel. One scale per
-  // batch row keeps every image's grid tight.
-  const float levels = static_cast<float>((1 << (st.qbits - 1)) - 1);
-  const float span = st.in_nonneg ? 2.0f * levels : levels;
-  const float zp = st.in_nonneg ? -levels : 0.0f;
-  float* ascales = qbs_.data();
+  // Dynamic per-row input quantization: each row becomes a 1x1 u8 image
+  // of in_features channels in the int8 image scratch (the conv chunks are
+  // done by the time the head runs, so the whole buffer is free), with one
+  // scale per row, like a conv's images. One qconv of the [out, in]
+  // weights over those n images then stores the logits through its
+  // epilogue with the bias and activation: NCHW of [n][out][1x1] is the
+  // row-major [n, out] the head writes.
+  const int32_t levels = (1 << (st.qbits - 1)) - 1;
+  const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
+  const int32_t zp = st.in_nonneg ? -levels : 0;
+  const kernels::ConvShape cs = head_shape(st, n);
+  float* bscales = qbs_.data();
   for (size_t i = 0; i < n; ++i) {
     const float* row = src + i * st.in_features;
-    const float amax = max_abs_view(row, st.in_features);
+    const float amax = kernels::max_abs_f32(row, st.in_features);
     const float scale = amax > 0.0f ? amax / span : 1.0f;
-    ascales[i] = scale;
-    kernels::quantize_row_i8(row, qws_.data() + i * st.in_features,
-                             st.in_features, 1.0f / scale,
-                             static_cast<int32_t>(zp),
-                             static_cast<int32_t>(levels));
+    bscales[i] = scale;
+    kernels::quantize_pad_i8(row, st.in_features, 1, 1, 0, 1.0f / scale, zp,
+                             levels, qimg_.data() + i * cs.qimage_size());
   }
   kernels::QgemmParams params;
-  params.a_scales = ascales;              // per-image
-  params.b_scales = st.qw_scales.data();  // per-output-feature
-  params.a_zp = static_cast<int32_t>(zp);
-  plan_->backend()->qgemm(qws_.data(), st.in_features, st.qw.data(),
-                          st.out_features, dst, st.out_features, n,
-                          st.in_features, st.out_features, params);
-  if (!st.bias.empty()) {
-    const float* b = st.bias.data();
-    for (size_t i = 0; i < n; ++i) {
-      float* row = dst + i * st.out_features;
-      for (size_t j = 0; j < st.out_features; ++j) row[j] += b[j];
-    }
-  }
-  act_inplace(st.act, dst, n * st.out_features);
+  params.a_scales = st.qw_scales.data();  // per-output-feature
+  params.b_scales = bscales;              // per-row
+  params.b_zp = zp;
+  kernels::ConvEpilogue ep;
+  ep.out = dst;
+  ep.bias = st.bias.empty() ? nullptr : st.bias.data();
+  ep.act = st.act;
+  plan_->backend()->qconv(st.qw.data(), st.in_features, qimg_.data(), cs,
+                          nullptr, 0, st.out_features, params, &ep);
 }
 
 void ExecContext::run_image_step(const Step& st, const float* src, float* dst,

@@ -3,13 +3,13 @@
 // One ExecContext is everything a single in-flight batch needs that a Plan
 // deliberately does not own: the activation arena the steps address, and
 // the per-chunk scratch of the convs — the float padded images, or on
-// quantized plans the int8 padded images, the linear head's int8 input and
-// the per-image scales. The constructor alone sizes that scratch, from the
-// plan's steps, batch and chunk grid; neither the Plan nor its blob
-// records it. Construction is cheap — a handful of vector allocations, no
-// weight copies — so a serving worker pool hands one context per hosted
-// plan to every worker and runs N batches of the same compiled model
-// concurrently.
+// quantized plans the int8 padded images and the per-image scales, which
+// the int8 linear head reuses for its rows. The constructor alone sizes
+// that scratch, from the plan's steps, batch and chunk grid; neither the
+// Plan nor its blob records it. Construction is cheap — a handful of
+// vector allocations, no weight copies — so a serving worker pool hands
+// one context per hosted plan to every worker and runs N batches of the
+// same compiled model concurrently.
 //
 // Execution order: a run cuts its n images over the Plan's frozen chunk
 // grid once, and one parallel region hands each chunk to a worker, which
@@ -109,13 +109,13 @@ class ExecContext {
   size_t fimg_stride_ = 0;
   /// Zero-point-padded u8 channel-quad images of quantized conv chunks
   /// (one slice of qimg_stride_ bytes per chunk), what qconv reads its B
-  /// panels from.
+  /// panels from; after the chunks, the int8 head's rows as 1x1 images
+  /// (sized for batch() of them).
   std::vector<uint8_t> qimg_;
   size_t qimg_stride_ = 0;
   std::vector<float> qbs_;  ///< per-image column scales (one slice of
                             ///< qbs_stride_ per chunk; the head uses all)
   size_t qbs_stride_ = 0;
-  std::vector<int8_t> qws_;  ///< int8 linear-head input (quantized plans)
   /// ASan builds only (core/asan.hpp): index of the last step that reads
   /// or writes each arena slot (entry 0 = the external input, unused; the
   /// final step's output extends to steps().size() — the logit copy reads

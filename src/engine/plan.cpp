@@ -438,7 +438,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   ALF_CHECK(backend != nullptr)
       << "engine: unknown kernel backend '" << opts.backend << "'";
   // Selecting a quantized-datapath backend (explicitly or via ALF_BACKEND)
-  // lowers every conv/linear step to its qgemm.
+  // lowers every conv/linear step to its qconv.
   const bool quantize = backend->quantized_datapath;
   ALF_CHECK(!quantize || (opts.bits >= 2 && opts.bits <= 8))
       << "engine: int8 lowering bits=" << opts.bits;
@@ -495,9 +495,9 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   // step as packed symmetric-int8 panels, calibrated per output channel
   // (each row of W gets its own max-abs step size — BN folding scales rows
   // independently, so a per-tensor grid would waste its range on the
-  // largest channel). Convs keep the [Co, Ci*K*K] GEMM layout; linear
-  // weights transpose to the [in, out] B-panel layout the qgemm consumes
-  // (activations arrive as the A panel there).
+  // largest channel). Both keep their float layout — [Co, Ci*K*K] for a
+  // conv, [out, in] for a linear step — as the A of their qconv (the head
+  // runs as a 1x1 conv over 1x1 images).
   if (quantize) {
     const float levels = static_cast<float>((1 << (opts.bits - 1)) - 1);
     for (BuildStep& st : cc.steps) {
@@ -507,7 +507,6 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
       st.qbits = opts.bits;
       st.qw.resize(rows * cols);
       st.qw_scales.resize(rows);
-      std::vector<int8_t> qrow(cols);
       for (size_t o = 0; o < rows; ++o) {
         const float* wrow = st.w.data() + o * cols;
         const float wmax = max_abs_view(wrow, cols);
@@ -541,13 +540,7 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
           qp.scale = best_scale;
         }
         st.qw_scales[o] = qp.scale;
-        if (st.kind == OpKind::kConv) {
-          quantize_view(wrow, cols, qp, st.qw.data() + o * cols);
-        } else {
-          // Transposed pack: output feature o becomes column o.
-          quantize_view(wrow, cols, qp, qrow.data());
-          for (size_t j = 0; j < cols; ++j) st.qw[j * rows + o] = qrow[j];
-        }
+        quantize_view(wrow, cols, qp, st.qw.data() + o * cols);
       }
       // The float weights are dead from here on — the runtime reads only
       // qw/qw_scales (geometry lives in out_c/geom/in+out_features), and

@@ -190,16 +190,17 @@ struct Step {
   TensorView w9;
 
   /// int8 lowering (plans compiled with a quantized-datapath backend):
-  /// the step runs the backend's qgemm instead of a float GEMM. `qw` is
-  /// the pre-quantized weight panel — [Co, Ci*K*K] for kConv, the
-  /// transposed [in, out] B panel for kLinear — on the symmetric `qbits`
-  /// grid with one step size per output channel (`qw_scales`; BN folding
-  /// runs first and leaves rows with very different ranges, so per-tensor
-  /// weight calibration would burn most of the grid). Activations are
-  /// quantized per run into context scratch with one max-abs scale PER
-  /// IMAGE — the scales depend only on image content, never on the chunk
-  /// grid, which is what keeps quantized runs bit-identical across thread
-  /// counts and batch packings.
+  /// the step runs the backend's qconv instead of a float GEMM (a kLinear
+  /// step as a 1x1 conv over its rows). `qw` is the pre-quantized weight
+  /// panel — [Co, Ci*K*K] for kConv, [out, in] for kLinear, the qconv's A
+  /// either way — on the symmetric `qbits` grid with one step size per
+  /// output channel (`qw_scales`; BN folding runs first and leaves rows
+  /// with very different ranges, so per-tensor weight calibration would
+  /// burn most of the grid). Activations are quantized per run into
+  /// context scratch with one max-abs scale PER IMAGE (per row for
+  /// kLinear) — the scales depend only on image content, never on the
+  /// chunk grid, which is what keeps quantized runs bit-identical across
+  /// thread counts and batch packings.
   bool quantized = false;
   ConstSpan<int8_t> qw;
   ConstSpan<float> qw_scales;
@@ -317,7 +318,7 @@ class Plan {
   /// Kernel backend the plan was compiled against.
   const kernels::KernelBackend* backend() const { return backend_; }
   const char* backend_name() const;
-  /// True when conv/linear steps were lowered to the int8 qgemm datapath.
+  /// True when conv/linear steps were lowered to the int8 qconv datapath.
   bool quantized() const { return quant_; }
 
   // --- Arena layout (what the steps address in one ExecContext) -------------
@@ -406,7 +407,7 @@ class Plan {
   WeightArena arena_;                     ///< all weight payload bytes
   std::vector<WeightSection> sections_;   ///< arena layout of the payloads
   const kernels::KernelBackend* backend_ = nullptr;
-  bool quant_ = false;  ///< conv/linear steps lowered to qgemm
+  bool quant_ = false;  ///< conv/linear steps lowered to qconv
 
   size_t batch_ = 0;
   size_t in_c_ = 0, in_h_ = 0, in_w_ = 0;

@@ -208,8 +208,10 @@ void Plan::verify() const {
           fail(tag(i, st) + ": in/out sizes disagree with features");
         bounded(tag(i, st) + ": weight matrix",
                 {st.out_features, st.in_features});
-        // ExecContext's int8 head input: the whole batch's rows.
-        bounded(tag(i, st) + ": head input", {batch_, st.in_features});
+        // ExecContext's int8 head input: the whole batch's rows as 1x1
+        // channel-quad images.
+        bounded(tag(i, st) + ": head input",
+                {batch_, (st.in_features + 3) / 4 * 4});
         if (!st.quantized &&
             (st.w.rank() != 2 || st.w.dim(0) != st.out_features ||
              st.w.dim(1) != st.in_features))

@@ -11,7 +11,9 @@
 //            (the gemm_view shape: lda/ldb/ldc strides, trans flags).
 //   qgemm  — real int8 GEMM: pre-quantized A/B int8 panels with symmetric
 //            per-tensor scales and zero-points, int32 accumulation,
-//            requantized to float on store.
+//            requantized to float on store. One function for every
+//            backend (detail::qgemm_int8): the engine issues none, and it
+//            is the oracle every qconv equals.
 //
 // plus one conv entry per datapath, the same product with B the implicit
 // im2col unfold of padded images — the only way the engine runs a conv:
@@ -20,7 +22,8 @@
 //            unfold. Required on every float backend.
 //   qconv  — int8, over zero-point-padded u8 channel-quad images (see
 //            ConvShape); exactly qgemm over the unfold. Required on every
-//            quantized backend.
+//            quantized backend. The engine's int8 linear head runs
+//            through it too, as a 1x1 conv over 1x1 images (one per row).
 //
 // An entry may read B panels in place from the images (simd, int8-vnni),
 // pack them straight from the images (int8-avx2) or materialize the
@@ -42,9 +45,11 @@
 //            reads B panels in place from the padded images. Compiled with
 //            wider vector ISA flags when CMake's ALF_SIMD is ON; selected
 //            at runtime only if the CPU supports what was compiled in.
-//   int8   — the quantized datapath: qgemm is the real kernel; its f32
-//            gemm forwards to the best float backend so non-lowered steps
-//            (pool/add epilogues, odd layers) keep working.
+//   int8   — the quantized datapath: its qconv dispatches to the best
+//            allowed int8 conv kernel (int8-vnni, int8-avx2) or unfolds;
+//            its f32 gemm forwards to the best float backend so
+//            non-lowered steps (pool/add epilogues, odd layers) keep
+//            working.
 //
 // Selection: set_default_backend("name") wins, else the ALF_BACKEND
 // environment variable, else the best available (simd when usable, scalar
@@ -60,8 +65,8 @@
 // on m, n or the thread count. No path may be picked by the product's
 // size, because a conv's n and the linear head's m grow with the images
 // batched together, and one image's logits must not depend on its
-// neighbours. (The int8 kernels' small-shape body is exact integer math,
-// so theirs is invisible.)
+// neighbours. (Int8 sums are exact integers, so an int8 kernel's path
+// never shows in its bits.)
 //
 // Every backend must also be re-entrant: a multi-tenant server runs many
 // ExecContexts concurrently from different worker threads, so concurrent
@@ -99,12 +104,13 @@ enum CpuFeature : uint32_t {
 };
 
 /// ABI version of the packed weight-panel layouts every backend consumes:
-/// conv weights (float and int8) as [Co, Ci*K*K] rows, linear int8 panels
-/// as the transposed [in, out] B panel. Plan blobs stamp this
+/// conv weights (float and int8) as [Co, Ci*K*K] rows, and int8 linear
+/// weights as [out, in] rows, the A of the head's 1x1 qconv (version 2
+/// stored them transposed, [in, out]). Plan blobs stamp this
 /// (engine/plan_io.cpp); bump it whenever a kernel changes what it expects
 /// packed, so stale blobs are rejected at load with a clear message
 /// instead of mis-read by the kernels.
-constexpr uint32_t kPanelLayoutVersion = 2;
+constexpr uint32_t kPanelLayoutVersion = 3;
 
 /// Features the host CPU can actually execute (cached cpuid probe; 0 on
 /// non-x86 hosts).
@@ -130,13 +136,13 @@ void set_cpu_feature_mask(uint32_t mask);
 /// "avx2,fma,avxvnni"-style name list for a feature set (bench stamping).
 std::string cpu_feature_names(uint32_t features);
 
-/// Quantization metadata of one qgemm call. The in-tree scheme is
-/// symmetric (zero-points are 0); the zp fields exist so an asymmetric
-/// backend drops in without an interface change. Scales are per-tensor by
-/// default; the optional pointer fields refine them per output channel —
-/// per-row of A (how the engine quantizes BN-folded conv weights, whose
-/// rows carry very different ranges) or per-column of B (transposed linear
-/// weights). Requantization happens on store, so the integer accumulation
+/// Quantization metadata of one qgemm or qconv call. Weights are
+/// symmetric (a_zp = 0 on every engine call); b_zp is the activation
+/// grid's zero point (-levels on post-ReLU inputs). Scales are per-tensor
+/// by default; the optional pointer fields refine them — per row of A
+/// (how the engine quantizes BN-folded weights, whose rows carry very
+/// different ranges) or per column of B (the engine's per-image activation
+/// scales). Requantization happens on store, so the integer accumulation
 /// never sees scales.
 struct QgemmParams {
   float a_scale = 1.0f;  ///< float value of one integer step of A
@@ -225,8 +231,8 @@ struct KernelBackend {
   const char* name;
 
   /// True when this backend IS a quantized datapath: selecting it asks the
-  /// engine to lower conv/linear steps to qgemm. Keyed here (not on the
-  /// name) so an alternative quantized backend — e.g. a VNNI-class qgemm —
+  /// engine to lower conv/linear steps to qconv. Keyed here (not on the
+  /// name) so an alternative quantized backend — e.g. a VNNI-class qconv —
   /// registers under its own name and still triggers the lowering.
   bool quantized_datapath = false;
 
@@ -247,7 +253,10 @@ struct KernelBackend {
   /// lda, B a [K, N] row-major int8 panel with ldb (both pre-quantized by
   /// the caller; see quant/quantize.hpp). Accumulates
   /// sum_k (A[i,k] - a_zp) * (B[k,j] - b_zp) in int32 and stores
-  /// C[i,j] = acc * a_scale * b_scale as float (overwriting C).
+  /// C[i,j] = acc * a_scale * b_scale as float (overwriting C). Every
+  /// built-in backend registers the one portable kernel,
+  /// detail::qgemm_int8 (kernels/internal.hpp): the engine runs every int8
+  /// product through qconv, and qgemm is the oracle it equals.
   void (*qgemm)(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p);
@@ -313,19 +322,19 @@ const KernelBackend* scalar_backend();
 /// instruction set it was compiled for.
 const KernelBackend* simd_backend();
 
-/// Quantized backend: real int8 qgemm; f32 gemm forwards to the best float
-/// backend. Never nullptr. Its qgemm entry dispatches to the fastest
-/// registered quantized kernel the feature mask allows (int8-vnni →
-/// int8-avx2 → the auto-vectorized portable body), resolved once and
-/// cached.
+/// Quantized backend, never nullptr: qgemm is the portable
+/// detail::qgemm_int8, f32 gemm forwards to the best float backend, and
+/// qconv dispatches to the fastest registered quantized kernel the feature
+/// mask allows (int8-vnni → int8-avx2 → the unfold over qgemm_int8),
+/// resolved once and cached.
 const KernelBackend* int8_backend();
 
-/// Register-tiled int8 qgemm over AVX2 pmaddwd (sign-extended 16-bit
-/// pairs — exact, unlike pmaddubsw, which saturates). nullptr when the
-/// host CPU (or the build) lacks AVX2.
+/// Register-tiled int8 qconv over AVX2 pmaddwd (16-bit pairs — exact,
+/// unlike pmaddubsw, which saturates). nullptr when the host CPU (or the
+/// build) lacks AVX2.
 const KernelBackend* int8_avx2_backend();
 
-/// Register-tiled int8 qgemm over the vpdpbusd dot-product instruction
+/// Register-tiled int8 qconv over the vpdpbusd dot-product instruction
 /// (VEX AVX-VNNI when the feature mask allows it, else EVEX
 /// AVX512-VNNI+VL; picked per call). nullptr when the host supports
 /// neither encoding.
@@ -345,15 +354,13 @@ const KernelBackend* best_quantized_backend();
 // hardware implements), and the scalar fallback uses the identical
 // expression, so results never depend on which path ran.
 
-/// dst[i] = clamp(rint(src[i] * inv) + zp, -levels, levels) as int8.
-void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
-                     int32_t zp, int32_t levels);
-
-/// The same quantization of `planes` [h, w] float planes into one padded
-/// qconv image (ConvShape): [ceil(planes / 4)][h + 2*pad][w + 2*pad][4]
-/// bytes, plane c in lane c % 4 of quad c / 4, each value stored as the u8
-/// q + 128. Every border byte and every lane past `planes` is zp + 128,
-/// i.e. quantize(0.0f) — what a qconv reads for a pad tap.
+/// Quantizes `planes` [h, w] float planes into one padded qconv image
+/// (ConvShape): q = clamp(rint(v * inv) + zp, -levels, levels), in
+/// [ceil(planes / 4)][h + 2*pad][w + 2*pad][4] bytes, plane c in lane
+/// c % 4 of quad c / 4, each value stored as the u8 q + 128. Every border
+/// byte and every lane past `planes` is zp + 128, i.e. quantize(0.0f) —
+/// what a qconv reads for a pad tap. The linear head's rows go through it
+/// as 1x1 images of in_features planes.
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
                      size_t pad, float inv, int32_t zp, int32_t levels,
                      uint8_t* dst);

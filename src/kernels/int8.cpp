@@ -1,30 +1,29 @@
 // The generic "int8" backend: a real quantized GEMM, not fake-quant
 // floats, and the stable name scripts/plans can always select.
 //
-// qgemm multiplies pre-quantized int8 panels (symmetric per-tensor scheme;
-// see quant/quantize.hpp for the packing helpers) accumulating in int32
-// and requantizes to float on store: C[i,j] = a_scale * b_scale *
-// sum_k (A[i,k] - a_zp) * (B[k,j] - b_zp). Integer accumulation is exact,
-// so the result is independent of any blocking or thread partition by
-// construction — the determinism contract comes for free.
+// detail::qgemm_int8, defined here, is the library's one int8 GEMM: every
+// backend registers it as its qgemm entry, and the unfolding qconv
+// multiplies through it. It multiplies pre-quantized int8 panels
+// (symmetric per-tensor scheme; see quant/quantize.hpp for the packing
+// helpers) accumulating in int32 and requantizes to float on store:
+// C[i,j] = a_scale * b_scale * sum_k (A[i,k] - a_zp) * (B[k,j] - b_zp).
+// Integer accumulation is exact, so the result is independent of any
+// blocking or thread partition by construction — the determinism contract
+// comes for free.
 //
 // Overflow headroom: |a - zp|, |b - zp| <= 255, so the int32 accumulator
 // holds k up to ~2^15 exactly even in the asymmetric worst case; the
 // engine's largest reduction (Ci*K*K of a wide conv) is orders of
 // magnitude below that.
 //
-// Its qgemm entry is a dispatcher: it resolves (once, cached) the fastest
-// quantized kernel the feature mask allows — int8-vnni, then int8-avx2,
-// then the simd TU's wide instantiation of the portable body, then the
-// baseline instantiation — all bit-identical, so the pick only moves
-// speed. The same resolve step picks its qconv: the chosen kernel's
-// gathering entry, or, when no dot-product kernel is allowed, the
-// unfolding qconv over the resolved qgemm. The f32 gemm entry likewise
-// forwards to the best float backend so a plan compiled with a quantized
-// backend still runs its non-lowered steps (pooling epilogues, repair
-// passes, any layer the lowering keeps in float) at full speed.
-// set_cpu_feature_mask() flushes every cached pick via
-// reset_int8_dispatch_cache().
+// Its qconv entry is a dispatcher: it resolves (once, cached) the fastest
+// quantized conv the feature mask allows — int8-vnni's, then int8-avx2's,
+// both bit-identical — or, when no dot-product kernel is allowed, the
+// unfolding qconv. The f32 gemm entry likewise forwards to the best float
+// backend so a plan compiled with a quantized backend still runs its
+// non-lowered steps (pooling epilogues, repair passes, any layer the
+// lowering keeps in float) at full speed. set_cpu_feature_mask() flushes
+// every cached pick via reset_int8_dispatch_cache().
 #include <atomic>
 #include <cmath>
 #include <vector>
@@ -36,9 +35,9 @@ namespace alf::kernels {
 namespace {
 
 using detail::GemmFn;
+using QconvFn = decltype(KernelBackend::qconv);
 
-std::atomic<detail::QgemmFn> g_qgemm{nullptr};
-std::atomic<detail::QconvFn> g_qconv{nullptr};
+std::atomic<QconvFn> g_qconv{nullptr};
 std::atomic<GemmFn> g_float_gemm{nullptr};
 
 /// Same subset rule auto-selection uses in backend.cpp.
@@ -56,14 +55,104 @@ const KernelBackend* usable_simd() {
 
 namespace detail {
 
-// Baseline-ISA instantiation of the shared body; the simd backend carries
-// a second instantiation compiled with wider vector flags (identical
-// integer math, so the two are bit-equal). Every other quantized kernel
-// treats this as its oracle and small-shape fallback.
+// The one int8 GEMM: row-parallel (same per-worker floor as the float
+// backends), per-thread int32 accumulator row reused across calls.
+//
+// Zero points use the classic decomposition so the inner loop is always
+// the pure sum of raw products:
+//   sum_k (a-azp)(b-bzp)
+//     = sum_k a*b - bzp*rowsum(a)[i] - azp*colsum(b)[j] + k*azp*bzp,
+// with the row/column sums O(mk + kn) side passes folded into the store.
 void qgemm_int8(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p) {
-  qgemm_int8_body(a, lda, b, ldb, c, ldc, m, k, n, p);
+  const int32_t azp = p.a_zp, bzp = p.b_zp;
+  // Column sums of B are shared by every row; integer, so computing them
+  // up front (outside the row partition) keeps determinism trivial. The
+  // scratch is thread_local so steady-state calls never allocate (the
+  // engine's run path relies on that), but workers must reach the CALLER's
+  // buffer — a thread_local name inside the lambda would resolve to each
+  // worker's own (empty) instance — so the lambda captures a plain
+  // pointer. The caller blocks in parallel_for_chunked, so the buffer
+  // outlives every worker's use of it.
+  thread_local std::vector<int32_t> colsum_tls;
+  const int32_t* colsum = nullptr;
+  if (azp != 0) {
+    colsum_tls.resize(n);
+    int32_t* cs = colsum_tls.data();
+    std::memset(cs, 0, n * sizeof(int32_t));
+    for (size_t kk = 0; kk < k; ++kk) {
+      const int8_t* brow = b + kk * ldb;
+      for (size_t j = 0; j < n; ++j) cs[j] += static_cast<int32_t>(brow[j]);
+    }
+    colsum = cs;
+  }
+  const int32_t kzz = static_cast<int32_t>(k) * azp * bzp;
+
+  const auto process_rows = [&](size_t r0, size_t r1) {
+    thread_local std::vector<int32_t> acc;
+    acc.resize(n);
+    for (size_t i = r0; i < r1; ++i) {
+      std::memset(acc.data(), 0, n * sizeof(int32_t));
+      const int8_t* arow = a + i * lda;
+      int32_t* ap = acc.data();
+      int32_t rowsum = 0;
+      // Four k steps per accumulator pass: the loop is bound by acc[]
+      // load/add/store traffic, so amortizing it over four products is
+      // worth ~3x; zero A elements (pruned weights) skip in groups.
+      size_t kk = 0;
+      for (; kk + 4 <= k; kk += 4) {
+        const int32_t av0 = static_cast<int32_t>(arow[kk]);
+        const int32_t av1 = static_cast<int32_t>(arow[kk + 1]);
+        const int32_t av2 = static_cast<int32_t>(arow[kk + 2]);
+        const int32_t av3 = static_cast<int32_t>(arow[kk + 3]);
+        rowsum += av0 + av1 + av2 + av3;
+        if ((av0 | av1 | av2 | av3) == 0) continue;
+        const int8_t* b0 = b + kk * ldb;
+        const int8_t* b1 = b0 + ldb;
+        const int8_t* b2 = b1 + ldb;
+        const int8_t* b3 = b2 + ldb;
+        for (size_t j = 0; j < n; ++j)
+          ap[j] += av0 * static_cast<int32_t>(b0[j]) +
+                   av1 * static_cast<int32_t>(b1[j]) +
+                   av2 * static_cast<int32_t>(b2[j]) +
+                   av3 * static_cast<int32_t>(b3[j]);
+      }
+      for (; kk < k; ++kk) {
+        const int32_t av = static_cast<int32_t>(arow[kk]);
+        rowsum += av;
+        if (av == 0) continue;
+        const int8_t* brow = b + kk * ldb;
+        for (size_t j = 0; j < n; ++j)
+          ap[j] += av * static_cast<int32_t>(brow[j]);
+      }
+      // Fold the zero-point corrections into the accumulator, then
+      // requantize on store. Per-row A scales (per-output-channel weight
+      // quantization) and per-column B scales land here too — the integer
+      // accumulation never sees scales.
+      const int32_t row_corr = kzz - bzp * rowsum;
+      if (bzp != 0 || azp != 0) {
+        if (azp != 0) {
+          for (size_t j = 0; j < n; ++j)
+            ap[j] += row_corr - azp * colsum[j];
+        } else {
+          for (size_t j = 0; j < n; ++j) ap[j] += row_corr;
+        }
+      }
+      const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
+      float* crow = c + i * ldc;
+      if (p.b_scales == nullptr) {
+        const float scale = sa * p.b_scale;
+        for (size_t j = 0; j < n; ++j)
+          crow[j] = scale * static_cast<float>(ap[j]);
+      } else {
+        for (size_t j = 0; j < n; ++j)
+          crow[j] = sa * p.b_scales[j] * static_cast<float>(ap[j]);
+      }
+    }
+  };
+
+  partition(m, k * n, process_rows);
 }
 
 void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
@@ -79,11 +168,11 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
   fn(a, lda, trans_a, b, ldb, trans_b, c, ldc, m, k, n, alpha, beta);
 }
 
-void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, const ConvEpilogue* ep) {
-  // Workers of qgemm reach this thread's unfold and product through the
-  // plain pointers they are handed (see qgemm_int8_body).
+void qconv_unfold(const int8_t* a, size_t lda, const uint8_t* x,
+                  const ConvShape& s, float* c, size_t ldc, size_t m,
+                  const QgemmParams& p, const ConvEpilogue* ep) {
+  // Workers of qgemm_int8 reach this thread's unfold and product through
+  // the plain pointers they are handed (see qgemm_int8).
   thread_local std::vector<int8_t> col_tls;
   thread_local std::vector<float> res_tls;
   col_tls.resize(s.k() * s.n());
@@ -93,12 +182,11 @@ void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
     c = res_tls.data();
     ldc = s.n();
   }
-  qgemm(a, lda, col_tls.data(), s.n(), c, ldc, m, s.k(), s.n(), p);
+  qgemm_int8(a, lda, col_tls.data(), s.n(), c, ldc, m, s.k(), s.n(), p);
   if (ep != nullptr) finish_result(c, ldc, m, s, *ep, nullptr);
 }
 
 void reset_int8_dispatch_cache() {
-  g_qgemm.store(nullptr, std::memory_order_release);
   g_qconv.store(nullptr, std::memory_order_release);
   g_float_gemm.store(nullptr, std::memory_order_release);
 }
@@ -119,89 +207,25 @@ void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
 
 namespace {
 
-void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                    float* c, size_t ldc, size_t m, size_t k, size_t n,
-                    const QgemmParams& p);
-
-void qconv_generic(const int8_t* a, size_t lda, const uint8_t* x,
-                   const ConvShape& s, float* c, size_t ldc, size_t m,
-                   const QgemmParams& p, const ConvEpilogue* ep) {
-  detail::qconv_unfold(&qgemm_dispatch, a, lda, x, s, c, ldc, m, p, ep);
-}
-
-struct Resolved {
-  detail::QgemmFn qgemm;
-  detail::QconvFn qconv;
-};
-
-/// Resolves both quantized entries of the generic backend to the best
-/// allowed kernels, in one step so they always agree on the backend. A
-/// race on first use just resolves the same values twice.
-Resolved resolve_quantized() {
-  const KernelBackend* best = best_quantized_backend();
-  detail::QgemmFn gemm;
-  detail::QconvFn conv;
-  if (best != int8_backend()) {
-    gemm = best->qgemm;
-    conv = best->qconv;
-  } else {
-    // No dot-product kernel allowed: the wide instantiation of the
-    // portable body still beats baseline codegen when usable, and the
-    // conv unfolds for it.
-    const KernelBackend* simd = usable_simd();
-    gemm = simd != nullptr ? simd->qgemm : &detail::qgemm_int8;
-    conv = &qconv_generic;
-  }
-  g_qconv.store(conv, std::memory_order_release);
-  g_qgemm.store(gemm, std::memory_order_release);
-  return {gemm, conv};
-}
-
-/// qgemm entry of the generic backend: resolve-once dispatch.
-void qgemm_dispatch(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                    float* c, size_t ldc, size_t m, size_t k, size_t n,
-                    const QgemmParams& p) {
-  detail::QgemmFn fn = g_qgemm.load(std::memory_order_acquire);
-  if (fn == nullptr) fn = resolve_quantized().qgemm;
-  fn(a, lda, b, ldb, c, ldc, m, k, n, p);
-}
-
-/// qconv entry of the generic backend: resolve-once dispatch.
+/// qconv entry of the generic backend: resolve-once dispatch to the best
+/// allowed kernel's gathering qconv, or to the unfold when no dot-product
+/// kernel is allowed. A race on first use just resolves the same value
+/// twice.
 void qconv_dispatch(const int8_t* a, size_t lda, const uint8_t* x,
                     const ConvShape& s, float* c, size_t ldc, size_t m,
                     const QgemmParams& p, const ConvEpilogue* ep) {
-  detail::QconvFn fn = g_qconv.load(std::memory_order_acquire);
-  if (fn == nullptr) fn = resolve_quantized().qconv;
+  QconvFn fn = g_qconv.load(std::memory_order_acquire);
+  if (fn == nullptr) {
+    const KernelBackend* best = best_quantized_backend();
+    fn = best != int8_backend() ? best->qconv : &detail::qconv_unfold;
+    g_qconv.store(fn, std::memory_order_release);
+  }
   fn(a, lda, x, s, c, ldc, m, p, ep);
 }
 
-}  // namespace
-
-const KernelBackend* int8_backend() {
-  static const KernelBackend be{.name = "int8",
-                                .quantized_datapath = true,
-                                .gemm = &detail::gemm_forward_best_float,
-                                .qgemm = &qgemm_dispatch,
-                                .qconv = &qconv_dispatch};
-  return &be;
-}
-
-namespace {
-
-// Baseline bodies of the quantize helpers: the same expressions as the
-// AVX2 paths (rint-based rounding, order-free max), so they agree bit for
-// bit. Compiled in this TU (never with wide flags) so they execute on any
-// CPU.
-
-void quantize_row_i8_base(const float* src, int8_t* dst, size_t n, float inv,
-                          int32_t zp, int32_t levels) {
-  for (size_t i = 0; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv)) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
-}
-
+/// Baseline body of max_abs_f32: max is order-free, so it agrees with the
+/// AVX2 path bit for bit. Compiled in this TU (never with wide flags) so it
+/// executes on any CPU.
 float max_abs_f32_base(const float* src, size_t n) {
   float m = 0.0f;
   for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(src[i]));
@@ -210,14 +234,13 @@ float max_abs_f32_base(const float* src, size_t n) {
 
 }  // namespace
 
-void quantize_row_i8(const float* src, int8_t* dst, size_t n, float inv,
-                     int32_t zp, int32_t levels) {
-  // Pure element-wise work: the pick depends only on the detected CPU
-  // (never the feature mask — there is no selection semantics to test).
-  static const detail::QuantizeRowFn fn =
-      detail::quantize_row_i8_vec() != nullptr ? detail::quantize_row_i8_vec()
-                                               : &quantize_row_i8_base;
-  fn(src, dst, n, inv, zp, levels);
+const KernelBackend* int8_backend() {
+  static const KernelBackend be{.name = "int8",
+                                .quantized_datapath = true,
+                                .gemm = &detail::gemm_forward_best_float,
+                                .qgemm = &detail::qgemm_int8,
+                                .qconv = &qconv_dispatch};
+  return &be;
 }
 
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,

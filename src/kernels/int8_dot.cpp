@@ -1,45 +1,36 @@
-// Register-tiled int8 kernels over x86 dot-product instructions:
+// Register-tiled int8 conv kernels over x86 dot-product instructions:
 //
-//   int8-avx2 — sign-extends A/B to int16 pairs at pack time and uses
-//               vpmaddwd (exact: s8-ranged products can never saturate the
+//   int8-avx2 — widens both operands to int16 pairs at pack time and uses
+//               vpmaddwd (exact: s8 x u8 products can never saturate the
 //               32-bit lanes, unlike vpmaddubsw whose 16-bit intermediate
 //               overflows at 255*127*2).
 //   int8-vnni — vpdpbusd, u8 x s8 in four-byte groups, in the VEX
 //               (AVX-VNNI) or EVEX (AVX512-VNNI) encoding, picked per call
 //               from the feature mask.
 //
-// qgemm (the linear head): B is packed once per call (serially, by the
-// calling thread) into kNr-column-interleaved panels whose k groups match
-// the instruction's step (int16 pairs / byte quads), then the row range is
-// partitioned like every other backend and each worker packs its own A
-// rows into kMr-row panels and sweeps all B panels with a 4x16 register
-// tile (int8-vnni: 8x16 on 512-bit registers when the mask allows
-// AVX-512F and AVX512-VNNI). vpdpbusd is u8*s8, so int8-vnni packs A as
-// u8 = s8 + 128 and folds the shift into the zero-point decomposition
-// (azp_eff = a_zp + 128), which needs B's column sums.
+// Both run qconv, the product of every conv and of the linear head (a 1x1
+// conv over 1x1 images), with B the implicit unfold of the u8 channel-quad
+// images (backend.hpp ConvShape): one k group — four channels of one tap —
+// of 16 output columns is 16 dwords, so the images are vpdpbusd's
+// unsigned operand as they lie and the weights its signed one. With a_zp
+// == 0 the zero-point correction is one constant per row, sum_k a*(b -
+// b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), the row sums taken
+// when A is packed (k reordered to (c/4, kh, kw, c%4), zero weights on the
+// pad lanes), so no column sum exists. A is packed once per call; the
+// column panels are the parallel axis. int8-vnni reads each k group in
+// place: one 64-byte load for a contiguous panel, two 32-byte loads for a
+// two-half panel, two loads and a dword permute at stride 2; only a panel
+// of another shape is gathered, dword by dword, into an L1 block. Its zmm
+// tile runs 1-8 rows against up to three panels (up to 24 accumulators,
+// the shape of simd's tile_zmm), else a 4x16 ymm tile reads one panel at a
+// time. int8-avx2 builds its pair pack of each panel from the same loads.
+// The 4x16 tiles store through store_tile, the zmm tile through a 16-lane
+// copy of its expressions. With an epilogue each panel's rows land in an
+// L1 buffer and are finished there: inner activation, the int8 expansion
+// (FMA on zmm or ymm), the epilogue store. A qconv with a_zp != 0 runs the
+// unfold. Their qgemm entry is the portable detail::qgemm_int8.
 //
-// qconv (every conv) runs the same product with B the implicit unfold of
-// the u8 channel-quad images (backend.hpp ConvShape): one k group — four
-// channels of one tap — of 16 output columns is 16 dwords, so the images
-// are vpdpbusd's unsigned operand as they lie and the weights its signed
-// one. With a_zp == 0 the zero-point correction is one constant per row,
-// sum_k a*(b - b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), the row
-// sums taken when A is packed (k reordered to (c/4, kh, kw, c%4), zero
-// weights on the pad lanes), so no column sum exists. A is packed once per
-// call; the column panels are the parallel axis. int8-vnni reads each k
-// group in place: one 64-byte load for a contiguous panel, two 32-byte
-// loads for a two-half panel, two loads and a dword permute at stride 2;
-// only a panel of another shape is gathered, dword by dword, into an L1
-// block. Its zmm tile runs 1-8 rows against up to three panels (up to 24
-// accumulators, the shape of simd's tile_zmm), else a 4x16 ymm tile reads
-// one panel at a time. int8-avx2 builds its pair pack of each panel from
-// the same loads. The 4x16 tiles store through qgemm's store_tile, the
-// zmm tile through a 16-lane copy of its expressions. With an epilogue
-// each panel's rows land in an L1 buffer and are finished there: inner
-// activation, the int8 expansion (FMA on zmm or ymm), the epilogue store.
-// A qconv with a_zp != 0 runs the unfold.
-//
-// Bit-identity with the scalar oracle (qgemm_int8_body) is structural:
+// Bit-identity with the scalar oracle (detail::qgemm_int8) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
 // integer, and every store replicates the oracle's float expressions
 // operation for operation. That also makes results independent of the
@@ -48,8 +39,8 @@
 // This TU is compiled with -mavx2 when CMake's ALF_SIMD is ON (see
 // set_source_files_properties); the VNNI and AVX-512 kernels carry
 // per-function target attributes. Without it — or on non-x86 hosts — the
-// factories return nullptr and the generic int8 backend stays on the
-// portable body.
+// factories return nullptr and the generic int8 backend's qconv stays on
+// the unfold.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -88,97 +79,11 @@ constexpr size_t kMr = 4;   // register-tile rows
 constexpr size_t kNr = 16;  // register-tile columns (two ymm of int32)
 constexpr size_t kGroup = 3;  // B panels one zmm qconv sweep covers
 static_assert(kNr == detail::kPanelCols, "qconv reads whole B panels");
-/// Below this madd count the pack/correction overhead loses to the plain
-/// body; delegate there (bit-identical, so the cutoff is invisible).
-constexpr size_t kScalarCutoffMadds = size_t{1} << 12;
 
 inline int32_t load_i32(const void* p) {
   int32_t v = 0;
   std::memcpy(&v, p, sizeof v);
   return v;
-}
-
-/// Applies the zero-point corrections to one kMr x kNr integer tile and
-/// requantizes into C. The float expressions below must stay operation-
-/// for-operation identical to qgemm_int8_body's store loop — that is what
-/// makes every backend bit-identical.
-///
-/// `acc` holds the raw dot products Σ_k a'[i,k]*b[k,j] (a' being whatever
-/// encoding the kernel packed: signed for avx2, +128-shifted unsigned for
-/// vnni). `azp_eff` is the zero point in that same encoding and `rowsum`
-/// (nullable when bzp == 0) the per-row sums of a', indexed from the tile's
-/// first row. `colsum` (nullable when azp_eff == 0) likewise, indexed from
-/// the tile's first column. `ctile` is where the tile's element (i0, j0)
-/// goes; its rows are ldc floats apart.
-inline void store_tile(const int32_t* acc, size_t i0, size_t pr, size_t j0,
-                       size_t cols, size_t k, const int32_t* colsum,
-                       const int32_t* rowsum, int32_t azp_eff, int32_t bzp,
-                       const QgemmParams& p, float* ctile, size_t ldc) {
-  const int32_t kzz = static_cast<int32_t>(k) * azp_eff * bzp;
-  if (cols == kNr) {
-    // Full tile: the whole epilogue in two ymm per row. The integer
-    // corrections are exact either way and the float ops below pair up
-    // 1:1 (same association) with the scalar branch, so both store
-    // bit-identical values.
-    __m256i corr0 = _mm256_setzero_si256();
-    __m256i corr1 = _mm256_setzero_si256();
-    if (azp_eff != 0) {
-      const __m256i az = _mm256_set1_epi32(azp_eff);
-      corr0 = _mm256_mullo_epi32(
-          az, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum)));
-      corr1 = _mm256_mullo_epi32(
-          az,
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(colsum + 8)));
-    }
-    __m256 bs0 = _mm256_setzero_ps(), bs1 = _mm256_setzero_ps();
-    if (p.b_scales != nullptr) {
-      bs0 = _mm256_loadu_ps(p.b_scales + j0);
-      bs1 = _mm256_loadu_ps(p.b_scales + j0 + 8);
-    }
-    for (size_t r = 0; r < pr; ++r) {
-      const size_t i = i0 + r;
-      const int32_t row_corr =
-          kzz - (rowsum != nullptr ? bzp * rowsum[r] : 0);
-      const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
-      const int32_t* arow = acc + r * kNr;
-      const __m256i rc = _mm256_set1_epi32(row_corr);
-      __m256i v0 = _mm256_add_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow)), rc);
-      __m256i v1 = _mm256_add_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + 8)),
-          rc);
-      v0 = _mm256_sub_epi32(v0, corr0);
-      v1 = _mm256_sub_epi32(v1, corr1);
-      __m256 s0, s1;
-      if (p.b_scales == nullptr) {
-        s0 = s1 = _mm256_set1_ps(sa * p.b_scale);
-      } else {
-        const __m256 sav = _mm256_set1_ps(sa);
-        s0 = _mm256_mul_ps(sav, bs0);
-        s1 = _mm256_mul_ps(sav, bs1);
-      }
-      float* crow = ctile + r * ldc;
-      _mm256_storeu_ps(crow, _mm256_mul_ps(s0, _mm256_cvtepi32_ps(v0)));
-      _mm256_storeu_ps(crow + 8,
-                       _mm256_mul_ps(s1, _mm256_cvtepi32_ps(v1)));
-    }
-    return;
-  }
-  for (size_t r = 0; r < pr; ++r) {
-    const size_t i = i0 + r;
-    const int32_t row_corr = kzz - (rowsum != nullptr ? bzp * rowsum[r] : 0);
-    const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
-    const float scale = sa * p.b_scale;
-    float* crow = ctile + r * ldc;
-    const int32_t* arow = acc + r * kNr;
-    for (size_t j = 0; j < cols; ++j) {
-      int32_t v = arow[j] + row_corr;
-      if (azp_eff != 0) v -= azp_eff * colsum[j];
-      crow[j] = p.b_scales == nullptr
-                    ? scale * static_cast<float>(v)
-                    : sa * p.b_scales[j0 + j] * static_cast<float>(v);
-    }
-  }
 }
 
 // --- qconv over channel-quad images ----------------------------------------
@@ -215,13 +120,64 @@ struct QStore {
   QgemmParams p;
 };
 
-/// Stores one 4x16 tile of raw sums, C rows [i0, i0 + pr) of panel 0,
-/// through store_tile: the images' +128 and b_zp make up its bzp, and
-/// there is no column correction.
-inline void store_qtile(const QStore& st, size_t i0, size_t pr,
-                        const int32_t* acc) {
-  store_tile(acc, i0, pr, st.j0, st.cols, 0, nullptr, st.rowsum + i0, 0,
-             128 + st.p.b_zp, st.p, st.c + i0 * st.ldc, st.ldc);
+/// Stores one 4x16 tile of raw sums ([4 rows][16 cols] at `acc`), C rows
+/// [i0, i0 + pr) of panel 0, with QStore's correction. The float
+/// expressions below must stay operation-for-operation identical to
+/// detail::qgemm_int8's store loop — that is what makes every backend
+/// bit-identical.
+inline void store_tile(const QStore& st, size_t i0, size_t pr,
+                       const int32_t* acc) {
+  const QgemmParams& p = st.p;
+  const int32_t bzp = 128 + p.b_zp;
+  if (st.cols == kNr) {
+    // Full tile: the whole epilogue in two ymm per row. The integer
+    // correction is exact either way and the float ops below pair up 1:1
+    // (same association) with the narrow branch, so both store
+    // bit-identical values.
+    __m256 bs0 = _mm256_setzero_ps(), bs1 = _mm256_setzero_ps();
+    if (p.b_scales != nullptr) {
+      bs0 = _mm256_loadu_ps(p.b_scales + st.j0);
+      bs1 = _mm256_loadu_ps(p.b_scales + st.j0 + 8);
+    }
+    for (size_t r = 0; r < pr; ++r) {
+      const size_t i = i0 + r;
+      const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
+      const int32_t* arow = acc + r * kNr;
+      const __m256i rc = _mm256_set1_epi32(-bzp * st.rowsum[i]);
+      const __m256i v0 = _mm256_add_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow)), rc);
+      const __m256i v1 = _mm256_add_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + 8)),
+          rc);
+      __m256 s0, s1;
+      if (p.b_scales == nullptr) {
+        s0 = s1 = _mm256_set1_ps(sa * p.b_scale);
+      } else {
+        const __m256 sav = _mm256_set1_ps(sa);
+        s0 = _mm256_mul_ps(sav, bs0);
+        s1 = _mm256_mul_ps(sav, bs1);
+      }
+      float* crow = st.c + i * st.ldc;
+      _mm256_storeu_ps(crow, _mm256_mul_ps(s0, _mm256_cvtepi32_ps(v0)));
+      _mm256_storeu_ps(crow + 8,
+                       _mm256_mul_ps(s1, _mm256_cvtepi32_ps(v1)));
+    }
+    return;
+  }
+  for (size_t r = 0; r < pr; ++r) {
+    const size_t i = i0 + r;
+    const int32_t row_corr = -bzp * st.rowsum[i];
+    const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
+    const float scale = sa * p.b_scale;
+    float* crow = st.c + i * st.ldc;
+    const int32_t* arow = acc + r * kNr;
+    for (size_t j = 0; j < st.cols; ++j) {
+      const int32_t v = arow[j] + row_corr;
+      crow[j] = p.b_scales == nullptr
+                    ? scale * static_cast<float>(v)
+                    : sa * p.b_scales[st.j0 + j] * static_cast<float>(v);
+    }
+  }
 }
 
 /// Runs `f(std::integral_constant<PanelMode, mode>)`: the one switch from a
@@ -390,7 +346,7 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
   ConvShape px = s;
   px.in_c = s.quads();
   // Caller-thread scratch reached by the workers through plain pointers
-  // (see qgemm_int8_body); the caller blocks until they finish.
+  // (see detail::qgemm_int8); the caller blocks until they finish.
   thread_local std::vector<size_t> koff_tls;
   thread_local std::vector<float> wdeq_tls;
   koff_tls.resize(kg);
@@ -474,9 +430,10 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
 /// 4x16 tile over int16 pairs: `ap` is [k/2][4 rows][2 k] int16, `bp` is
 /// [k/2][16 cols][2 k] int16 (64 bytes — a cache line — per pair step).
 /// vpmaddwd multiplies the (k0,k1) pair against each column's matching pair
-/// and adds horizontally into the int32 lane; s8-ranged operands keep
-/// every intermediate far from the lane limits, so accumulation is exact.
-void qgemm_micro_avx2(const int16_t* ap, const int16_t* bp, size_t kp,
+/// and adds horizontally into the int32 lane; s8 weights against u8 image
+/// bytes keep every intermediate far from the lane limits, so accumulation
+/// is exact.
+void qconv_tile_avx2(const int16_t* ap, const int16_t* bp, size_t kp,
                       int32_t* acc) {
   __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
   __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
@@ -512,181 +469,7 @@ void qgemm_micro_avx2(const int16_t* ap, const int16_t* bp, size_t kp,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 56), c31);
 }
 
-/// colsum[j] = sum over k of B[kk][j], vectorized 16 columns at a time
-/// with the accumulators held in registers across the whole k sweep.
-inline void colsum_s8(const int8_t* b, size_t ldb, size_t k, size_t n,
-                      int32_t* colsum) {
-  size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256i lo = _mm256_setzero_si256();
-    __m256i hi = _mm256_setzero_si256();
-    for (size_t kk = 0; kk < k; ++kk) {
-      const __m256i v16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + kk * ldb + j)));
-      lo = _mm256_add_epi32(
-          lo, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v16)));
-      hi = _mm256_add_epi32(
-          hi, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(v16, 1)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + j), lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + j + 8), hi);
-  }
-  for (; j < n; ++j) {
-    int32_t s = 0;
-    for (size_t kk = 0; kk < k; ++kk)
-      s += static_cast<int32_t>(b[kk * ldb + j]);
-    colsum[j] = s;
-  }
-}
-
-inline __m128i load16(const int8_t* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-/// Packs one full 2-k x 16-col B tile into the [16 cols][2 k] int16 pair
-/// layout: sign-extend both rows, interleave words, then fix the lane
-/// order (unpack interleaves per 128-bit lane).
-inline void pack_b_pair16(__m128i r0, __m128i r1, int16_t* dst) {
-  const __m256i a = _mm256_cvtepi8_epi16(r0);
-  const __m256i b = _mm256_cvtepi8_epi16(r1);
-  const __m256i lo = _mm256_unpacklo_epi16(a, b);
-  const __m256i hi = _mm256_unpackhi_epi16(a, b);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                      _mm256_permute2x128_si256(lo, hi, 0x20));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 16),
-                      _mm256_permute2x128_si256(lo, hi, 0x31));
-}
-
-/// Packs one full 4-k x 16-col B tile into the [16 cols][4 k] byte-quad
-/// layout — a 4x16 byte transpose in two unpack stages.
-inline void pack_b_quad16(__m128i a, __m128i b, __m128i c, __m128i d,
-                          int8_t* dst) {
-  const __m128i ab_lo = _mm_unpacklo_epi8(a, b);  // a0 b0 a1 b1 .. (cols 0-7)
-  const __m128i ab_hi = _mm_unpackhi_epi8(a, b);  // cols 8-15
-  const __m128i cd_lo = _mm_unpacklo_epi8(c, d);
-  const __m128i cd_hi = _mm_unpackhi_epi8(c, d);
-  __m128i* out = reinterpret_cast<__m128i*>(dst);
-  _mm_storeu_si128(out + 0, _mm_unpacklo_epi16(ab_lo, cd_lo));  // cols 0-3
-  _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(ab_lo, cd_lo));  // cols 4-7
-  _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(ab_hi, cd_hi));  // cols 8-11
-  _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(ab_hi, cd_hi));  // 12-15
-}
-
-/// Packs A rows [r0, r1) into kMr-row panels of [k/2][kMr rows][2 k]
-/// int16 (zero-padded past k and past r1), and — when `rowsum` is
-/// non-null — their signed row sums, indexed from r0.
-void pack_a_pairs(const int8_t* a, size_t lda, size_t r0, size_t r1,
-                  size_t k, int16_t* apack, int32_t* rowsum) {
-  const size_t kp = (k + 1) / 2;
-  const size_t rpan = (r1 - r0 + kMr - 1) / kMr;
-  for (size_t rp = 0; rp < rpan; ++rp) {
-    int16_t* panel = apack + rp * kp * 2 * kMr;
-    const size_t i0 = r0 + rp * kMr;
-    const size_t pr = std::min(kMr, r1 - i0);
-    for (size_t q = 0; q < kp; ++q) {
-      const size_t k0 = 2 * q;
-      const size_t ks = std::min<size_t>(2, k - k0);
-      int16_t* dst = panel + q * (2 * kMr);
-      std::memset(dst, 0, 2 * kMr * sizeof(int16_t));
-      for (size_t r = 0; r < pr; ++r) {
-        const int8_t* arow = a + (i0 + r) * lda + k0;
-        for (size_t s = 0; s < ks; ++s)
-          dst[r * 2 + s] = static_cast<int16_t>(arow[s]);
-      }
-    }
-    if (rowsum != nullptr) {
-      for (size_t r = 0; r < pr; ++r) {
-        const int8_t* arow = a + (i0 + r) * lda;
-        int32_t s = 0;
-        for (size_t kk = 0; kk < k; ++kk) s += static_cast<int32_t>(arow[kk]);
-        rowsum[i0 - r0 + r] = s;
-      }
-    }
-  }
-}
-
-void qgemm_avx2(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                float* c, size_t ldc, size_t m, size_t k, size_t n,
-                const QgemmParams& p) {
-  if (m * k * n < kScalarCutoffMadds) {
-    detail::qgemm_int8(a, lda, b, ldb, c, ldc, m, k, n, p);
-    return;
-  }
-  const int32_t azp = p.a_zp, bzp = p.b_zp;
-  const size_t kp = (k + 1) / 2;
-  const size_t npan = (n + kNr - 1) / kNr;
-  const size_t b_panel_words = kp * 2 * kNr;
-  // Pack op-ready B panels once, shared read-only across the row
-  // partition (the caller blocks in parallel_for_chunked, so the
-  // thread_local buffers outlive every worker's use of them).
-  thread_local std::vector<int16_t> bpack_tls;
-  thread_local std::vector<int32_t> colsum_tls;
-  bpack_tls.resize(npan * b_panel_words);
-  int16_t* const bpack = bpack_tls.data();
-  int32_t* colsum = nullptr;
-  if (azp != 0) {
-    colsum_tls.resize(n);
-    colsum = colsum_tls.data();
-    colsum_s8(b, ldb, k, n, colsum);
-  }
-  for (size_t jp = 0; jp < npan; ++jp) {
-    int16_t* panel = bpack + jp * b_panel_words;
-    const size_t j0 = jp * kNr;
-    const size_t cols = std::min(kNr, n - j0);
-    for (size_t q = 0; q < kp; ++q) {
-      const size_t k0 = 2 * q;
-      const size_t ks = std::min<size_t>(2, k - k0);
-      int16_t* dst = panel + q * (2 * kNr);
-      if (cols == kNr && ks == 2) {
-        // Full tile: vector transpose (16-byte loads stay in bounds —
-        // j0 + kNr <= n <= ldb).
-        const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_pair16(load16(brow), load16(brow + ldb), dst);
-        continue;
-      }
-      std::memset(dst, 0, 2 * kNr * sizeof(int16_t));
-      for (size_t s = 0; s < ks; ++s) {
-        const int8_t* brow = b + (k0 + s) * ldb + j0;
-        for (size_t cc = 0; cc < cols; ++cc)
-          dst[cc * 2 + s] = static_cast<int16_t>(brow[cc]);
-      }
-    }
-  }
-
-  const auto process_rows = [=](size_t r0, size_t r1) {
-    thread_local std::vector<int16_t> apack_tls;
-    thread_local std::vector<int32_t> rowsum_tls;
-    const size_t rows = r1 - r0;
-    const size_t rpan = (rows + kMr - 1) / kMr;
-    const size_t a_panel_words = kp * 2 * kMr;
-    apack_tls.resize(rpan * a_panel_words);
-    int16_t* const apack = apack_tls.data();
-    int32_t* rowsum = nullptr;
-    if (bzp != 0) {
-      rowsum_tls.resize(rows);
-      rowsum = rowsum_tls.data();
-    }
-    pack_a_pairs(a, lda, r0, r1, k, apack, rowsum);
-    alignas(32) int32_t acc[kMr * kNr];
-    for (size_t jp = 0; jp < npan; ++jp) {
-      const size_t j0 = jp * kNr;
-      const size_t cols = std::min(kNr, n - j0);
-      const int16_t* bpanel = bpack + jp * b_panel_words;
-      for (size_t rp = 0; rp < rpan; ++rp) {
-        const size_t i0 = r0 + rp * kMr;
-        const size_t pr = std::min(kMr, r1 - i0);
-        qgemm_micro_avx2(apack + rp * a_panel_words, bpanel, kp, acc);
-        store_tile(acc, i0, pr, j0, cols, k,
-                   colsum != nullptr ? colsum + j0 : nullptr,
-                   rowsum != nullptr ? rowsum + (i0 - r0) : nullptr, azp, bzp,
-                   p, c + i0 * ldc + j0, ldc);
-      }
-    }
-  };
-  partition(m, k * n, process_rows);
-}
-
-/// Packs one qconv B panel into the pair layout of qgemm_micro_avx2: each
+/// Packs one qconv B panel into the pair layout of qconv_tile_avx2: each
 /// k group's channel lanes (0, 1) and (2, 3) become two [16 cols][2]
 /// int16 pair steps, zero-extended from the images' u8 bytes.
 template <PanelMode Mode>
@@ -717,7 +500,7 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) {
   if (p.a_zp != 0) {
-    detail::qconv_unfold(&qgemm_avx2, a, lda, x, s, c, ldc, m, p, ep);
+    detail::qconv_unfold(a, lda, x, s, c, ldc, m, p, ep);
     return;
   }
   // A as [m/4][2 kg][4 rows][2] int16 pairs, one pair step per two
@@ -749,26 +532,13 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
               });
               alignas(32) int32_t acc[kMr * kNr];
               for (size_t i = 0; i < m; i += kMr) {
-                qgemm_micro_avx2(apack + i / kMr * a_panel, bpanel, kp, acc);
-                store_qtile(st, i, std::min(kMr, m - i), acc);
+                qconv_tile_avx2(apack + i / kMr * a_panel, bpanel, kp, acc);
+                store_tile(st, i, std::min(kMr, m - i), acc);
               }
             });
 }
 
 // --- Quantize helpers ------------------------------------------------------
-
-/// Narrows two ymm of clamped int32 (16 lanes, in order) to 16 int8.
-/// packs_epi32/16 interleave per 128-bit lane, hence the qword shuffle;
-/// saturation never fires — the inputs are pre-clamped to ±levels.
-inline void store_16xi8(__m256i a, __m256i b, int8_t* dst) {
-  __m256i w = _mm256_packs_epi32(a, b);   // [a0-3 b0-3 | a4-7 b4-7] words
-  w = _mm256_permute4x64_epi64(w, 0xD8);  // [a0-7 | b0-7] words
-  const __m256i bytes = _mm256_packs_epi16(w, w);
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
-                   _mm256_castsi256_si128(bytes));
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + 8),
-                   _mm256_extracti128_si256(bytes, 1));
-}
 
 inline __m256i quant_8(__m256 v, __m256 vinv, __m256i vzp, __m256i vlo,
                        __m256i vhi) {
@@ -778,38 +548,6 @@ inline __m256i quant_8(__m256 v, __m256 vinv, __m256i vzp, __m256i vlo,
   __m256i q = _mm256_cvtps_epi32(_mm256_mul_ps(v, vinv));
   q = _mm256_add_epi32(q, vzp);
   return _mm256_min_epi32(_mm256_max_epi32(q, vlo), vhi);
-}
-
-void quantize_row_i8_avx2(const float* src, int8_t* dst, size_t n, float inv,
-                          int32_t zp, int32_t levels) {
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256i vzp = _mm256_set1_epi32(zp);
-  const __m256i vlo = _mm256_set1_epi32(-levels);
-  const __m256i vhi = _mm256_set1_epi32(levels);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i a =
-        quant_8(_mm256_loadu_ps(src + i), vinv, vzp, vlo, vhi);
-    const __m256i b =
-        quant_8(_mm256_loadu_ps(src + i + 8), vinv, vzp, vlo, vhi);
-    store_16xi8(a, b, dst + i);
-  }
-  if (i + 8 <= n) {
-    // Half step: the engine quantizes image rows, and 8-wide maps would
-    // otherwise fall entirely to the scalar tail.
-    const __m256i a =
-        quant_8(_mm256_loadu_ps(src + i), vinv, vzp, vlo, vhi);
-    __m256i w = _mm256_packs_epi32(a, a);
-    w = _mm256_permute4x64_epi64(w, 0xD8);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
-                     _mm256_castsi256_si128(_mm256_packs_epi16(w, w)));
-    i += 8;
-  }
-  for (; i < n; ++i) {
-    int32_t v = static_cast<int32_t>(std::rintf(src[i] * inv)) + zp;
-    v = std::min(levels, std::max(-levels, v));
-    dst[i] = static_cast<int8_t>(v);
-  }
 }
 
 void quantize_pad_i8_avx2(const float* src, size_t planes, size_t h,
@@ -875,15 +613,11 @@ float max_abs_f32_avx2(const float* src, size_t n) {
 
 #if defined(ALF_INT8_VNNI)
 
-using VnniMicroFn = void (*)(const uint8_t*, const int8_t*, size_t, int32_t*);
-
-#define ALF_VNNI_FN qgemm_micro_vnni_vex
 #define ALF_VNNI_QFN qconv_tile_vnni_vex
 #define ALF_VNNI_TARGET "avx2,avxvnni"
 #define ALF_VNNI_DPBUSD _mm256_dpbusd_avx_epi32
 #include "kernels/int8_dot_vnni.inc"
 
-#define ALF_VNNI_FN qgemm_micro_vnni_evex
 #define ALF_VNNI_QFN qconv_tile_vnni_evex
 #define ALF_VNNI_TARGET "avx2,avx512vnni,avx512vl"
 #define ALF_VNNI_DPBUSD _mm256_dpbusd_epi32
@@ -897,199 +631,6 @@ using VnniMicroFn = void (*)(const uint8_t*, const int8_t*, size_t, int32_t*);
 bool vnni_vex() {
   return (allowed_cpu_features() & kCpuAvxVnni) != 0 ||
          (detected_cpu_features() & kCpuAvx512Vnni) == 0;
-}
-
-VnniMicroFn vnni_micro() {
-  return vnni_vex() ? &qgemm_micro_vnni_vex : &qgemm_micro_vnni_evex;
-}
-
-/// The 8x16 qgemm tile over two consecutive kMr-row panels of an A pack:
-/// (panel, panel stride, B panel, k groups, acc). It writes the two 4x16
-/// int32 tiles the 4x16 kernel would produce for those panels, back to back
-/// (integer sums are exact, so the order inside the tile never shows).
-using VnniWideFn = void (*)(const uint8_t*, size_t, const int8_t*, size_t,
-                            int32_t*);
-
-/// Runs `rpan` packed A row panels (`a_panel` bytes apart) against one
-/// B panel over `kq` k groups and hands each 4x16 int32 tile to
-/// `store(rp, tile)`. With `wide` non-null, panel pairs run the 8x16 tile
-/// and a trailing odd panel runs `micro`.
-template <typename Store>
-inline void sweep_panels(const uint8_t* apack, size_t a_panel, size_t rpan,
-                         const int8_t* bpanel, size_t kq, VnniMicroFn micro,
-                         VnniWideFn wide, const Store& store) {
-  alignas(64) int32_t acc[2 * kMr * kNr];
-  size_t rp = 0;
-  if (wide != nullptr)
-    for (; rp + 1 < rpan; rp += 2) {
-      wide(apack + rp * a_panel, a_panel, bpanel, kq, acc);
-      store(rp, acc);
-      store(rp + 1, acc + kMr * kNr);
-    }
-  for (; rp < rpan; ++rp) {
-    micro(apack + rp * a_panel, bpanel, kq, acc);
-    store(rp, acc);
-  }
-}
-
-/// The 8x16 tile over 512-bit vpdpbusd: one zmm accumulator per row, the
-/// two ymm of a 4x16 row in one register. `ap` is the first of two
-/// consecutive A panels (`a_panel` bytes apart), `bp` the same packed B
-/// panel the 4x16 kernels read — each 64-byte quad group is one zmm of
-/// 16 columns x 4 k. `acc` receives rows 0-3 then rows 4-7, each in the
-/// 4x16 kernels' [4 rows][16 cols] layout.
-__attribute__((target("avx512f,avx512vnni"))) void qgemm_micro_vnni_zmm(
-    const uint8_t* ap, size_t a_panel, const int8_t* bp, size_t kq,
-    int32_t* acc) {
-  const uint8_t* ap1 = ap + a_panel;
-  __m512i c0 = _mm512_setzero_si512(), c1 = _mm512_setzero_si512();
-  __m512i c2 = _mm512_setzero_si512(), c3 = _mm512_setzero_si512();
-  __m512i c4 = _mm512_setzero_si512(), c5 = _mm512_setzero_si512();
-  __m512i c6 = _mm512_setzero_si512(), c7 = _mm512_setzero_si512();
-  for (size_t q = 0; q < kq; ++q) {
-    const __m512i b = _mm512_loadu_si512(bp);
-    bp += 64;
-    c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(load_i32(ap)), b);
-    c1 = _mm512_dpbusd_epi32(c1, _mm512_set1_epi32(load_i32(ap + 4)), b);
-    c2 = _mm512_dpbusd_epi32(c2, _mm512_set1_epi32(load_i32(ap + 8)), b);
-    c3 = _mm512_dpbusd_epi32(c3, _mm512_set1_epi32(load_i32(ap + 12)), b);
-    c4 = _mm512_dpbusd_epi32(c4, _mm512_set1_epi32(load_i32(ap1)), b);
-    c5 = _mm512_dpbusd_epi32(c5, _mm512_set1_epi32(load_i32(ap1 + 4)), b);
-    c6 = _mm512_dpbusd_epi32(c6, _mm512_set1_epi32(load_i32(ap1 + 8)), b);
-    c7 = _mm512_dpbusd_epi32(c7, _mm512_set1_epi32(load_i32(ap1 + 12)), b);
-    ap += 16;
-    ap1 += 16;
-  }
-  _mm512_storeu_si512(acc + 0, c0);
-  _mm512_storeu_si512(acc + 16, c1);
-  _mm512_storeu_si512(acc + 32, c2);
-  _mm512_storeu_si512(acc + 48, c3);
-  _mm512_storeu_si512(acc + 64, c4);
-  _mm512_storeu_si512(acc + 80, c5);
-  _mm512_storeu_si512(acc + 96, c6);
-  _mm512_storeu_si512(acc + 112, c7);
-}
-
-/// The 8x16 tile when the feature mask allows it (detail::zmm_tile, read
-/// per call), else null: the 4x16 kernel alone.
-VnniWideFn vnni_wide() {
-  return detail::zmm_tile(kCpuAvx512Vnni) ? &qgemm_micro_vnni_zmm : nullptr;
-}
-
-/// Packs A rows [r0, r1) into kMr-row panels of [k/4][kMr rows][4 k]
-/// unsigned bytes (s8 + 128, zero-padded past k and past r1), and — when
-/// `rowsum` is non-null — the row sums of that unsigned encoding, indexed
-/// from r0.
-void pack_a_quads(const int8_t* a, size_t lda, size_t r0, size_t r1,
-                  size_t k, uint8_t* apack, int32_t* rowsum) {
-  const size_t kq = (k + 3) / 4;
-  const size_t rpan = (r1 - r0 + kMr - 1) / kMr;
-  for (size_t rp = 0; rp < rpan; ++rp) {
-    uint8_t* panel = apack + rp * kq * 4 * kMr;
-    const size_t i0 = r0 + rp * kMr;
-    const size_t pr = std::min(kMr, r1 - i0);
-    for (size_t q = 0; q < kq; ++q) {
-      const size_t k0 = 4 * q;
-      const size_t ks = std::min<size_t>(4, k - k0);
-      uint8_t* dst = panel + q * (4 * kMr);
-      std::memset(dst, 0, 4 * kMr);
-      for (size_t r = 0; r < pr; ++r) {
-        const int8_t* arow = a + (i0 + r) * lda + k0;
-        for (size_t s = 0; s < ks; ++s)
-          dst[r * 4 + s] =
-              static_cast<uint8_t>(static_cast<uint8_t>(arow[s]) ^ 0x80u);
-      }
-    }
-    if (rowsum != nullptr) {
-      for (size_t r = 0; r < pr; ++r) {
-        const int8_t* arow = a + (i0 + r) * lda;
-        int32_t s = 0;
-        for (size_t kk = 0; kk < k; ++kk) s += static_cast<int32_t>(arow[kk]);
-        // Row sum of the *unsigned* packed row: signed sum + 128k.
-        rowsum[i0 - r0 + r] = s + 128 * static_cast<int32_t>(k);
-      }
-    }
-  }
-}
-
-void qgemm_vnni(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                float* c, size_t ldc, size_t m, size_t k, size_t n,
-                const QgemmParams& p) {
-  if (m * k * n < kScalarCutoffMadds) {
-    detail::qgemm_int8(a, lda, b, ldb, c, ldc, m, k, n, p);
-    return;
-  }
-  const VnniMicroFn micro = vnni_micro();
-  const VnniWideFn wide = vnni_wide();
-  // A is packed unsigned (s8 + 128 == byte XOR 0x80), so the effective A
-  // zero point is a_zp + 128 — never zero, so the column-sum correction is
-  // always on. B stays signed; padding bytes are 0 on both sides, so
-  // padded k positions contribute 0 to every accumulator.
-  const int32_t azp_eff = p.a_zp + 128;
-  const int32_t bzp = p.b_zp;
-  const size_t kq = (k + 3) / 4;
-  const size_t npan = (n + kNr - 1) / kNr;
-  const size_t b_panel_bytes = kq * 4 * kNr;
-  thread_local std::vector<int8_t> bpack_tls;
-  thread_local std::vector<int32_t> colsum_tls;
-  bpack_tls.resize(npan * b_panel_bytes);
-  colsum_tls.resize(n);
-  int8_t* const bpack = bpack_tls.data();
-  int32_t* const colsum = colsum_tls.data();
-  colsum_s8(b, ldb, k, n, colsum);
-  for (size_t jp = 0; jp < npan; ++jp) {
-    int8_t* panel = bpack + jp * b_panel_bytes;
-    const size_t j0 = jp * kNr;
-    const size_t cols = std::min(kNr, n - j0);
-    for (size_t q = 0; q < kq; ++q) {
-      const size_t k0 = 4 * q;
-      const size_t ks = std::min<size_t>(4, k - k0);
-      int8_t* dst = panel + q * (4 * kNr);
-      if (cols == kNr && ks == 4) {
-        // Full tile: 4x16 byte transpose (16-byte loads stay in bounds —
-        // j0 + kNr <= n <= ldb).
-        const int8_t* brow = b + k0 * ldb + j0;
-        pack_b_quad16(load16(brow), load16(brow + ldb), load16(brow + 2 * ldb),
-                      load16(brow + 3 * ldb), dst);
-        continue;
-      }
-      std::memset(dst, 0, 4 * kNr);
-      for (size_t s = 0; s < ks; ++s) {
-        const int8_t* brow = b + (k0 + s) * ldb + j0;
-        for (size_t cc = 0; cc < cols; ++cc) dst[cc * 4 + s] = brow[cc];
-      }
-    }
-  }
-
-  const auto process_rows = [=](size_t r0, size_t r1) {
-    thread_local std::vector<uint8_t> apack_tls;
-    thread_local std::vector<int32_t> rowsum_tls;
-    const size_t rows = r1 - r0;
-    const size_t rpan = (rows + kMr - 1) / kMr;
-    const size_t a_panel_bytes = kq * 4 * kMr;
-    apack_tls.resize(rpan * a_panel_bytes);
-    uint8_t* const apack = apack_tls.data();
-    int32_t* rowsum = nullptr;
-    if (bzp != 0) {
-      rowsum_tls.resize(rows);
-      rowsum = rowsum_tls.data();
-    }
-    pack_a_quads(a, lda, r0, r1, k, apack, rowsum);
-    for (size_t jp = 0; jp < npan; ++jp) {
-      const size_t j0 = jp * kNr;
-      const size_t cols = std::min(kNr, n - j0);
-      sweep_panels(apack, a_panel_bytes, rpan, bpack + jp * b_panel_bytes, kq,
-                   micro, wide, [&](size_t rp, const int32_t* acc) {
-                     const size_t i0 = r0 + rp * kMr;
-                     store_tile(acc, i0, std::min(kMr, r1 - i0), j0, cols, k,
-                                colsum + j0,
-                                rowsum != nullptr ? rowsum + (i0 - r0)
-                                                  : nullptr,
-                                azp_eff, bzp, p, c + i0 * ldc + j0, ldc);
-                   });
-    }
-  };
-  partition(m, k * n, process_rows);
 }
 
 // --- int8-vnni qconv ------------------------------------------------------
@@ -1305,7 +846,7 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
                 const ConvShape& s, float* c, size_t ldc, size_t m,
                 const QgemmParams& p, const ConvEpilogue* ep) {
   if (p.a_zp != 0) {
-    detail::qconv_unfold(&qgemm_vnni, a, lda, x, s, c, ldc, m, p, ep);
+    detail::qconv_unfold(a, lda, x, s, c, ldc, m, p, ep);
     return;
   }
   // A as [m/4][kg][4 rows][4] s8 weights: one dword per row and k group.
@@ -1350,7 +891,7 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
                 for (size_t i = 0; i < m; i += kMr) {
                   tile(apack + i / kMr * a_panel, kg, b.base[0], b.half[0],
                        b.off, acc);
-                  store_qtile(st, i, std::min(kMr, m - i), acc);
+                  store_tile(st, i, std::min(kMr, m - i), acc);
                 }
               });
             });
@@ -1363,14 +904,6 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
 #endif  // ALF_INT8_DOT
 
 namespace detail {
-
-QuantizeRowFn quantize_row_i8_vec() {
-#if defined(ALF_INT8_DOT)
-  if ((detected_cpu_features() & kCpuAvx2) != 0)
-    return &quantize_row_i8_avx2;
-#endif
-  return nullptr;
-}
 
 QuantizePadFn quantize_pad_i8_vec() {
 #if defined(ALF_INT8_DOT)
@@ -1400,7 +933,7 @@ const KernelBackend* int8_avx2_backend() {
         .quantized_datapath = true,
         .required_features = kNeeds,
         .gemm = &detail::gemm_forward_best_float,
-        .qgemm = &qgemm_avx2,
+        .qgemm = &detail::qgemm_int8,
         .qconv = &qconv_avx2,
     };
     return &be;
@@ -1420,7 +953,7 @@ const KernelBackend* int8_vnni_backend() {
                                  ? static_cast<uint32_t>(kCpuAvxVnni)
                                  : static_cast<uint32_t>(kCpuAvx512Vnni),
         .gemm = &detail::gemm_forward_best_float,
-        .qgemm = &qgemm_vnni,
+        .qgemm = &detail::qgemm_int8,
         .qconv = &qconv_vnni,
     };
     return &be;

@@ -24,12 +24,12 @@
 
 namespace alf::kernels::detail {
 
-/// The int8 GEMM kernel entry shared by every built-in backend: k-blocked,
-/// int32 accumulation, requantize-to-float store. Defined in int8.cpp at
-/// the baseline ISA; simd.cpp compiles the same body (qgemm_int8_body
-/// below) with wider vector flags and the int8 backend picks the fastest
-/// usable variant at registration. Integer accumulation is exact, so every
-/// variant produces bit-identical floats for any thread count.
+/// The one int8 GEMM (defined in int8.cpp at the baseline ISA): k-blocked,
+/// int32 accumulation, requantize-to-float store. Every built-in backend
+/// registers it as its qgemm entry, the unfolding qconv multiplies
+/// through it, and every qconv kernel's store replicates its float
+/// expressions. Integer accumulation is exact, so it is bit-identical for
+/// any thread count.
 void qgemm_int8(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
                 float* c, size_t ldc, size_t m, size_t k, size_t n,
                 const QgemmParams& p);
@@ -50,48 +50,35 @@ void gemm_forward_best_float(const float* a, size_t lda, bool trans_a,
                              size_t n, float alpha, float beta);
 
 /// Flushes the cached kernel picks of the generic "int8" backend (best
-/// qgemm and qconv variants + best float forward). Called by
-/// set_cpu_feature_mask so dispatch re-resolves under the new mask.
-/// Defined in int8.cpp.
+/// qconv + best float forward). Called by set_cpu_feature_mask so dispatch
+/// re-resolves under the new mask. Defined in int8.cpp.
 void reset_int8_dispatch_cache();
 
-/// The vectorized int8 qgemm kernels (defined in int8_dot.cpp, compiled
-/// with wide vector-ISA flags; both are bit-identical to qgemm_int8_body —
-/// integer accumulation is exact, and the requantizing store replicates
-/// the oracle's float expression order). Null on hosts or builds without
-/// the ISA; backed by the "int8-avx2" / "int8-vnni" backends.
-using QgemmFn = void (*)(const int8_t*, size_t, const int8_t*, size_t,
-                         float*, size_t, size_t, size_t, size_t,
-                         const QgemmParams&);
-using QconvFn = void (*)(const int8_t*, size_t, const uint8_t*,
-                         const ConvShape&, float*, size_t, size_t,
-                         const QgemmParams&, const ConvEpilogue*);
+/// An f32 gemm entry: the generic int8 backend's cached float forward,
+/// and the expansion finish_result runs.
 using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
                         bool, float*, size_t, size_t, size_t, size_t, float,
                         float);
 
 /// The unfolding qconv (defined in int8.cpp): copies the unfold of the
 /// channel-quad images `x` into kernel-local scratch as a row-major
-/// [s.k(), s.n()] int8 panel (unfold_quads), then runs `qgemm` over it
+/// [s.k(), s.n()] int8 panel (unfold_quads), then runs qgemm_int8 over it
 /// into C — or, when `ep` is set, into kernel-local scratch the epilogue
 /// then finishes (C is not touched). The generic int8 backend's qconv
 /// when no dot-product kernel is allowed, and the route of every qconv
 /// with a_zp != 0.
-void qconv_unfold(QgemmFn qgemm, const int8_t* a, size_t lda,
-                  const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
-                  size_t m, const QgemmParams& p, const ConvEpilogue* ep);
+void qconv_unfold(const int8_t* a, size_t lda, const uint8_t* x,
+                  const ConvShape& s, float* c, size_t ldc, size_t m,
+                  const QgemmParams& p, const ConvEpilogue* ep);
 
-/// Vectorized bodies of the public quantize_row_i8 / quantize_pad_i8 /
-/// max_abs_f32 helpers. Defined in int8_dot.cpp (the -mavx2 TU);
-/// the getters return nullptr when the build or the detected CPU lacks
-/// AVX2, and int8.cpp substitutes its baseline loops — same expressions,
-/// so both paths agree bit for bit.
-using QuantizeRowFn = void (*)(const float*, int8_t*, size_t, float,
-                               int32_t, int32_t);
+/// Vectorized bodies of the public quantize_pad_i8 / max_abs_f32
+/// helpers. Defined in int8_dot.cpp (the -mavx2 TU); the getters return
+/// nullptr when the build or the detected CPU lacks AVX2, and int8.cpp
+/// substitutes its baseline loops — same expressions, so both paths agree
+/// bit for bit.
 using QuantizePadFn = void (*)(const float*, size_t, size_t, size_t, size_t,
                                float, int32_t, int32_t, uint8_t*);
 using MaxAbsFn = float (*)(const float*, size_t);
-QuantizeRowFn quantize_row_i8_vec();
 QuantizePadFn quantize_pad_i8_vec();
 MaxAbsFn max_abs_f32_vec();
 
@@ -425,108 +412,6 @@ inline void finish_result(float* c, size_t ldc, size_t m, const ConvShape& s,
            cols, 1.0f, 0.0f);
     store_panel(ep, ep.co, plane, exp, kPanelCols, j0, cols);
   }
-}
-
-/// Body of the int8 GEMM, compiled into each backend TU that uses it under
-/// that TU's ISA flags (internal linkage, see the rule at the top).
-/// Row-parallel (same per-worker floor as the float backends); per-thread
-/// int32 accumulator row reused across calls.
-///
-/// Zero points use the classic decomposition so the inner loop is always
-/// the pure sum of raw products:
-///   sum_k (a-azp)(b-bzp)
-///     = sum_k a*b - bzp*rowsum(a)[i] - azp*colsum(b)[j] + k*azp*bzp,
-/// with the row/column sums O(mk + kn) side passes folded into the store.
-inline void qgemm_int8_body(const int8_t* a, size_t lda, const int8_t* b,
-                            size_t ldb, float* c, size_t ldc, size_t m,
-                            size_t k, size_t n, const QgemmParams& p) {
-  const int32_t azp = p.a_zp, bzp = p.b_zp;
-  // Column sums of B are shared by every row; integer, so computing them
-  // up front (outside the row partition) keeps determinism trivial. The
-  // scratch is thread_local so steady-state calls never allocate (the
-  // engine's run path relies on that), but workers must reach the CALLER's
-  // buffer — a thread_local name inside the lambda would resolve to each
-  // worker's own (empty) instance — so the lambda captures a plain
-  // pointer. The caller blocks in parallel_for_chunked, so the buffer
-  // outlives every worker's use of it.
-  thread_local std::vector<int32_t> colsum_tls;
-  const int32_t* colsum = nullptr;
-  if (azp != 0) {
-    colsum_tls.resize(n);
-    int32_t* cs = colsum_tls.data();
-    std::memset(cs, 0, n * sizeof(int32_t));
-    for (size_t kk = 0; kk < k; ++kk) {
-      const int8_t* brow = b + kk * ldb;
-      for (size_t j = 0; j < n; ++j) cs[j] += static_cast<int32_t>(brow[j]);
-    }
-    colsum = cs;
-  }
-  const int32_t kzz = static_cast<int32_t>(k) * azp * bzp;
-
-  const auto process_rows = [&](size_t r0, size_t r1) {
-    thread_local std::vector<int32_t> acc;
-    acc.resize(n);
-    for (size_t i = r0; i < r1; ++i) {
-      std::memset(acc.data(), 0, n * sizeof(int32_t));
-      const int8_t* arow = a + i * lda;
-      int32_t* ap = acc.data();
-      int32_t rowsum = 0;
-      // Four k steps per accumulator pass: the loop is bound by acc[]
-      // load/add/store traffic, so amortizing it over four products is
-      // worth ~3x; zero A elements (pruned weights) skip in groups.
-      size_t kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        const int32_t av0 = static_cast<int32_t>(arow[kk]);
-        const int32_t av1 = static_cast<int32_t>(arow[kk + 1]);
-        const int32_t av2 = static_cast<int32_t>(arow[kk + 2]);
-        const int32_t av3 = static_cast<int32_t>(arow[kk + 3]);
-        rowsum += av0 + av1 + av2 + av3;
-        if ((av0 | av1 | av2 | av3) == 0) continue;
-        const int8_t* b0 = b + kk * ldb;
-        const int8_t* b1 = b0 + ldb;
-        const int8_t* b2 = b1 + ldb;
-        const int8_t* b3 = b2 + ldb;
-        for (size_t j = 0; j < n; ++j)
-          ap[j] += av0 * static_cast<int32_t>(b0[j]) +
-                   av1 * static_cast<int32_t>(b1[j]) +
-                   av2 * static_cast<int32_t>(b2[j]) +
-                   av3 * static_cast<int32_t>(b3[j]);
-      }
-      for (; kk < k; ++kk) {
-        const int32_t av = static_cast<int32_t>(arow[kk]);
-        rowsum += av;
-        if (av == 0) continue;
-        const int8_t* brow = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j)
-          ap[j] += av * static_cast<int32_t>(brow[j]);
-      }
-      // Fold the zero-point corrections into the accumulator, then
-      // requantize on store. Per-row A scales (per-output-channel weight
-      // quantization) and per-column B scales land here too — the integer
-      // accumulation never sees scales.
-      const int32_t row_corr = kzz - bzp * rowsum;
-      if (bzp != 0 || azp != 0) {
-        if (azp != 0) {
-          for (size_t j = 0; j < n; ++j)
-            ap[j] += row_corr - azp * colsum[j];
-        } else {
-          for (size_t j = 0; j < n; ++j) ap[j] += row_corr;
-        }
-      }
-      const float sa = p.a_scales != nullptr ? p.a_scales[i] : p.a_scale;
-      float* crow = c + i * ldc;
-      if (p.b_scales == nullptr) {
-        const float scale = sa * p.b_scale;
-        for (size_t j = 0; j < n; ++j)
-          crow[j] = scale * static_cast<float>(ap[j]);
-      } else {
-        for (size_t j = 0; j < n; ++j)
-          crow[j] = sa * p.b_scales[j] * static_cast<float>(ap[j]);
-      }
-    }
-  };
-
-  partition(m, k * n, process_rows);
 }
 
 }  // namespace

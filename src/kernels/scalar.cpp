@@ -102,7 +102,7 @@ namespace {
 /// unfold, gemm and epilogue pass, so the bytes are the same. With an
 /// epilogue the product lands in kernel-local scratch too, not in C.
 /// Workers of gemm_scalar reach the caller's thread_local buffers through
-/// the plain pointers they are handed (see qgemm_int8_body).
+/// the plain pointers they are handed (see detail::qgemm_int8).
 void conv_scalar(const float* a, size_t lda, const float* x,
                  const ConvShape& s, float* c, size_t ldc, size_t m,
                  const ConvEpilogue* ep) {

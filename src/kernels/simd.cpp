@@ -599,7 +599,7 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
 
   // A is packed once, k block by k block (block k0 at apack + k0 * mr);
   // workers reach the caller's thread_local scratch through plain pointers
-  // (see qgemm_int8_body).
+  // (see detail::qgemm_int8).
   const size_t mr = (m + kMr - 1) / kMr * kMr;
   thread_local std::vector<float> apack_tls;
   thread_local std::vector<size_t> koff_tls;
@@ -661,15 +661,6 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
   detail::partition((n + kNr - 1) / kNr, m * k * kNr, process_panels);
 }
 
-/// The shared int8 body instantiated under this file's (possibly wider)
-/// ISA flags — same exact integer math as detail::qgemm_int8, usually
-/// auto-vectorized much harder.
-void qgemm_simd(const int8_t* a, size_t lda, const int8_t* b, size_t ldb,
-                float* c, size_t ldc, size_t m, size_t k, size_t n,
-                const QgemmParams& p) {
-  detail::qgemm_int8_body(a, lda, b, ldb, c, ldc, m, k, n, p);
-}
-
 /// True when the host CPU can execute the ISA this file was compiled for.
 bool cpu_supported() {
 #if defined(__AVX2__) && defined(__x86_64__)
@@ -688,7 +679,7 @@ const KernelBackend* simd_backend() {
                                 .required_features = kCpuAvx2 | kCpuFma,
 #endif
                                 .gemm = &gemm_simd,
-                                .qgemm = &qgemm_simd,
+                                .qgemm = &detail::qgemm_int8,
                                 .conv = &conv_simd};
   return &be;
 }

@@ -385,6 +385,83 @@ TEST(Engine, LinearHeadRunsOnceOverAllRows) {
   set_parallel_threads(0);
 }
 
+TEST(Engine, Int8LinearHeadMatchesQgemmOverItsQuantizedRows) {
+  // The int8 twin of LinearHeadRunsOnceOverAllRows. The engine runs the
+  // head as one qconv of its [out, in] weights over the rows as 1x1
+  // images; the reference uses no qconv: the int8 body plan's rows, each
+  // quantized with its own max-abs scale by the engine's rint/zp/clamp
+  // expression, the scalar qgemm with those rows as A (a_zp = the grid's
+  // zero point) and the transposed weights as B, then bias and
+  // activation. With the ReLU the head's input is provably non-negative
+  // (zp = -levels); without it the grid is symmetric (zp = 0). n = 7 and 8
+  // on a 4-chunk grid, on 1 and 4 threads.
+  const auto build = [](bool relu, bool with_fc) {
+    Rng rng(57);
+    auto m = std::make_unique<Sequential>("head");
+    m->emplace<Conv2d>("conv", kInC, 64, 3, 1, 1, Init::kHe, rng);
+    if (relu) m->emplace<Activation>("relu", Act::kRelu);
+    m->emplace<GlobalAvgPool>("gap");
+    m->emplace<Flatten>("flatten");
+    if (with_fc) m->emplace<Linear>("fc", 64, 10, Init::kHe, rng);
+    return m;
+  };
+  const EngineOptions int8 = {.backend = "int8", .bits = 8, .name = ""};
+  constexpr size_t kBatch = 8, kFeat = 64;
+  for (const bool relu : {true, false}) {
+    Rng rng(58);
+    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+    const auto full = compile_at(*build(relu, true), kBatch, 4, int8);
+    const auto body = compile_at(*build(relu, false), kBatch, 4, int8);
+    ASSERT_EQ(full->chunks(), size_t{4});
+    const Step& fc = full->steps().back();
+    ASSERT_EQ(fc.kind, OpKind::kLinear);
+    ASSERT_TRUE(fc.quantized);
+    ASSERT_EQ(fc.in_features, kFeat);
+    EXPECT_EQ(fc.in_nonneg, relu);
+    const size_t out = fc.out_features;
+    const int32_t levels = (1 << (fc.qbits - 1)) - 1;
+    const float span = static_cast<float>(relu ? 2 * levels : levels);
+    const int32_t zp = relu ? -levels : 0;
+    std::vector<int8_t> wt(kFeat * out);  // qw [out, in] as B [in, out]
+    for (size_t o = 0; o < out; ++o)
+      for (size_t j = 0; j < kFeat; ++j) wt[j * out + o] = fc.qw[o * kFeat + j];
+    for (const size_t n : {size_t{7}, size_t{8}}) {
+      const std::vector<float> rows = run_n(body, x, n, 4);
+      ASSERT_EQ(rows.size(), n * kFeat);
+      std::vector<int8_t> qa(n * kFeat);
+      std::vector<float> as(n);
+      for (size_t i = 0; i < n; ++i) {
+        const float* r = rows.data() + i * kFeat;
+        float amax = 0.0f;
+        for (size_t j = 0; j < kFeat; ++j)
+          amax = std::max(amax, std::fabs(r[j]));
+        as[i] = amax > 0.0f ? amax / span : 1.0f;
+        const float inv = 1.0f / as[i];
+        for (size_t j = 0; j < kFeat; ++j) {
+          const int32_t q = static_cast<int32_t>(std::rintf(r[j] * inv)) + zp;
+          qa[i * kFeat + j] =
+              static_cast<int8_t>(std::min(levels, std::max(-levels, q)));
+        }
+      }
+      kernels::QgemmParams p;
+      p.a_scales = as.data();
+      p.b_scales = fc.qw_scales.data();
+      p.a_zp = zp;
+      std::vector<float> want(n * out);
+      kernels::detail::qgemm_int8(qa.data(), kFeat, wt.data(), out,
+                                  want.data(), out, n, kFeat, out, p);
+      if (!fc.bias.empty())
+        for (size_t i = 0; i < n; ++i)
+          for (size_t o = 0; o < out; ++o) want[i * out + o] += fc.bias.at(o);
+      act_inplace(fc.act, want.data(), want.size());
+      for (const int threads : {1, 4})
+        EXPECT_TRUE(same_bytes(run_n(full, x, n, threads), want))
+            << "relu " << relu << " n " << n << " threads " << threads;
+    }
+  }
+  set_parallel_threads(0);
+}
+
 TEST(Engine, EveryImageLogitsEqualItsSingleImageRunAtEveryN) {
   // An image's logits must not depend on the images batched with it: a
   // server packs concurrent requests into one run. At every n in 1..16,

@@ -501,31 +501,29 @@ std::vector<int8_t> random_i8(size_t numel, Rng& rng) {
 }
 
 TEST(QgemmBitIdentity, VectorBackendsMatchScalarOracle) {
-  // The ISA backends must reproduce the scalar qgemm oracle bit for bit:
-  // integer accumulation is exact and the float store pairs its multiplies
-  // 1:1 with the scalar epilogue. Covers zero-point combinations, odd
-  // shapes (nothing aligned to the 4x16 register tile), per-channel
-  // scales, and a strided C; memcmp over the full strided buffer also
-  // proves the kernels never write the ldc padding.
+  // Every registered backend's qgemm must reproduce the scalar qgemm
+  // oracle bit for bit (today they all register the one portable kernel;
+  // a backend that brings its own stays held to it): integer accumulation
+  // is exact and the float store pairs its multiplies 1:1 with the scalar
+  // epilogue. Covers zero-point combinations, odd shapes (nothing aligned
+  // to a 4x16 register tile), per-channel scales, and a strided C; memcmp
+  // over the full strided buffer also proves the kernels never write the
+  // ldc padding.
   Rng rng(41);
   const kernels::KernelBackend* oracle = kernels::find_backend("scalar");
   ASSERT_NE(oracle, nullptr);
   struct Shape {
     size_t m, k, n;
   };
-  // Mix of shapes under the int8 kernels' cutoff (where they run the
-  // portable integer body, exact like their own), odd, tile-aligned, and
-  // wide-N shapes; the larger ones exceed that cutoff so the vector
-  // drivers genuinely run.
+  // Tiny, odd, tile-aligned and wide-N shapes.
   const Shape shapes[] = {{1, 1, 1},    {3, 7, 5},     {5, 31, 47},
                           {17, 64, 129}, {8, 192, 512}, {4, 80, 2048}};
   const int32_t zps[][2] = {
       {0, 0}, {-127, 0}, {0, -127}, {-127, -127}, {5, -3}};
-  // int8-vnni runs under every tile mask (8x16 zmm and 4x16 ymm tiles).
+  // Every backend runs under every tile mask.
   const std::vector<TileMask> masks = tile_masks();
-  for (const char* name : {"int8-avx2", "int8-vnni"}) {
+  for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
-    if (be == nullptr) continue;  // host lacks the ISA; registration skipped
     for (const Shape& sh : shapes) {
       const auto a = random_i8(sh.m * sh.k, rng);
       const auto b = random_i8(sh.k * sh.n, rng);
@@ -678,24 +676,16 @@ TEST(QuantizePad, BothWritersMatchTheElementReference) {
   }
 }
 
-/// The unfolding qconv over the best allowed qgemm: what the generic int8
-/// backend's qconv runs when no dot-product kernel is allowed.
-void qconv_unfold_best(const int8_t* a, size_t lda, const uint8_t* x,
-                       const kernels::ConvShape& s, float* c, size_t ldc,
-                       size_t m, const kernels::QgemmParams& p,
-                       const kernels::ConvEpilogue* ep) {
-  kernels::detail::qconv_unfold(kernels::best_quantized_backend()->qgemm, a,
-                                lda, x, s, c, ldc, m, p, ep);
-}
-
-/// A quantized backend whose qconv is qconv_unfold_best, so the unfold
-/// runs on hosts where the generic backend resolves to a gathering kernel.
+/// A quantized backend whose qconv is the unfold (what the generic int8
+/// backend's qconv runs when no dot-product kernel is allowed), so the
+/// unfold runs on hosts where the generic backend resolves to a gathering
+/// kernel.
 const kernels::KernelBackend kQconvUnfold{
     .name = "qconv-unfold",
     .quantized_datapath = true,
     .gemm = &kernels::detail::gemm_scalar,
     .qgemm = &kernels::detail::qgemm_int8,
-    .qconv = &qconv_unfold_best};
+    .qconv = &kernels::detail::qconv_unfold};
 
 TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
   // qconv reads B straight from zero-point-padded u8 channel-quad images;
@@ -708,16 +698,21 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
   // convs (16->6@32, 32->11@16, 64->22@8), at both activation grids, two
   // bit widths, 1-9 images and two thread counts. The 1-, 2- and 5-image
   // runs make panel counts that are not a multiple of int8-vnni's
-  // three-panel zmm sweep. The 4-bit case sets a_zp != 0, which every
-  // entry routes to the unfold. C carries a poisoned gutter (ldc > n) that
-  // no entry may touch.
+  // three-panel zmm sweep. The linear head's geometry — 1x1 kernels on 1x1
+  // maps, one column per image — runs at 3, 8 and 64 channels, whose
+  // panels are contiguous, stride 2 and gathered, at 1, 16, 17 and 33
+  // images: a narrow panel, a full one, and several with a narrow last.
+  // The 4-bit case sets a_zp != 0, which every entry routes to the
+  // unfold. C carries a poisoned gutter (ldc > n) that no entry may
+  // touch.
   struct Geo {
     size_t c, hw, k, s, pad;
   };
   const Geo geos[] = {{5, 32, 3, 1, 1},  {6, 16, 3, 1, 1}, {6, 8, 3, 1, 1},
                       {4, 32, 3, 2, 1},  {3, 32, 1, 2, 0}, {7, 8, 3, 2, 1},
                       {9, 8, 1, 2, 0},   {4, 7, 3, 1, 1},  {5, 5, 3, 1, 1},
-                      {64, 8, 3, 1, 1},  {16, 32, 3, 1, 1}, {32, 16, 3, 1, 1}};
+                      {64, 8, 3, 1, 1},  {16, 32, 3, 1, 1}, {32, 16, 3, 1, 1},
+                      {3, 1, 1, 1, 0},   {8, 1, 1, 1, 0},  {64, 1, 1, 1, 0}};
   std::vector<const kernels::KernelBackend*> cands{&kQconvUnfold};
   for (const std::string& name : kernels::backend_names()) {
     const kernels::KernelBackend* be = kernels::find_backend(name);
@@ -748,8 +743,9 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
       as[i] = 0.02f + 0.003f * static_cast<float>(i);
     // The code convs' maps are the largest: 1, 2 and 5 images suffice.
     const std::vector<size_t> counts =
-        geo.c >= 16 && geo.hw >= 16 ? std::vector<size_t>{1, 2, 5}
-                                    : std::vector<size_t>{1, 2, 5, 9};
+        geo.hw == 1                   ? std::vector<size_t>{1, 16, 17, 33}
+        : geo.c >= 16 && geo.hw >= 16 ? std::vector<size_t>{1, 2, 5}
+                                      : std::vector<size_t>{1, 2, 5, 9};
     for (const size_t imgs : counts) {
       s.images = imgs;
       const size_t n = imgs * cols, ldc = n + 5;

@@ -341,9 +341,18 @@ TEST_F(PlanIoHostile, RejectsWrongFormatVersion) {
 }
 
 TEST_F(PlanIoHostile, RejectsWrongPanelLayoutStamp) {
-  header()->panel_layout = kernels::kPanelLayoutVersion + 1;
-  expect_rejects("panel.plan", PlanIoError::Code::kBadVersion,
-                 /*restamp=*/true);
+  // A later layout, the previous one, and version 2 by name, which
+  // stored int8 linear weights transposed ([in, out]): the kernels would
+  // mis-read a blob of any of them, so each is refused.
+  const std::vector<uint8_t> pristine = image_;
+  for (const uint32_t stamp : {kernels::kPanelLayoutVersion + 1,
+                               kernels::kPanelLayoutVersion - 1, 2u}) {
+    SCOPED_TRACE("panel layout " + std::to_string(stamp));
+    image_ = pristine;
+    header()->panel_layout = stamp;
+    expect_rejects("panel.plan", PlanIoError::Code::kBadVersion,
+                   /*restamp=*/true);
+  }
 }
 
 TEST_F(PlanIoHostile, RejectsWrongGeometryStamp) {
