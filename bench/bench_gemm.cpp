@@ -284,11 +284,15 @@ int main(int argc, char** argv) {
       kernels::quantize_pad_i8(img, p.ci, p.hw, p.hw, 1, 1.0f / scale, -127,
                                127, xq.data() + j * cs.qimage_size());
     }
-    std::vector<int8_t> qw(p.m * k), eqw(std::max<size_t>(p.co, 1) * p.m);
-    for (int8_t& v : qw)
+    // Weights as the plan stores them: qconv's A in the images' k order
+    // ([m, qk]), the expansion's rows ceil(m/4)*4 bytes apart.
+    std::vector<int8_t> wk(p.m * k), qw(p.m * cs.qk());
+    std::vector<int8_t> eqw(std::max<size_t>(p.co, 1) * ((p.m + 3) / 4 * 4));
+    for (int8_t& v : wk)
       v = static_cast<int8_t>(std::lrint(rng.uniform(-127.0, 127.0)));
     for (int8_t& v : eqw)
       v = static_cast<int8_t>(std::lrint(rng.uniform(-127.0, 127.0)));
+    kernels::reorder_qconv_weights(wk.data(), p.m, cs, qw.data());
     const std::vector<float> ascales(p.m, 0.01f), escales(eqw.size(), 0.01f);
     std::vector<float> bias(rows, 0.01f), out(conv_images * rows * plane);
     kernels::QgemmParams qp;
@@ -307,7 +311,8 @@ int main(int argc, char** argv) {
       const kernels::KernelBackend* be = kernels::find_backend(name);
       if (!be->quantized_datapath) continue;
       const auto run = [&] {
-        be->qconv(qw.data(), k, xq.data(), cs, nullptr, 0, p.m, qp, &ep);
+        be->qconv(qw.data(), cs.qk(), xq.data(), cs, nullptr, 0, p.m, qp,
+                  &ep);
       };
       run();  // warm the kernel's scratch
       const double ms = time_ms(conv_reps, run);

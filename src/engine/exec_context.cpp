@@ -225,8 +225,8 @@ void ExecContext::run_conv(size_t si, const float* in, float* out,
     params.a_scales = st.qw_scales.data();  // per-output-channel
     params.b_scales = bscales;              // per-image
     params.b_zp = zp;
-    be->qconv(st.qw.data(), rows, qimg, cs, nullptr, 0, st.out_c, params,
-              &ep);
+    be->qconv(st.qw.data(), st.qw_row(), qimg, cs, nullptr, 0, st.out_c,
+              params, &ep);
     return;
   }
   // Each image is copied once into a zero-padded float buffer in the
@@ -279,7 +279,7 @@ void ExecContext::run_linear(const Step& st, const float* src, float* dst,
   ep.out = dst;
   ep.bias = st.bias.empty() ? nullptr : st.bias.data();
   ep.act = st.act;
-  plan_->backend()->qconv(st.qw.data(), st.in_features, qimg_.data(), cs,
+  plan_->backend()->qconv(st.qw.data(), st.qw_row(), qimg_.data(), cs,
                           nullptr, 0, st.out_features, params, &ep);
 }
 

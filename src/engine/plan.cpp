@@ -492,20 +492,23 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
   }
 
   // int8 lowering: export the (BN-folded) weights of every conv/linear
-  // step as packed symmetric-int8 panels, calibrated per output channel
-  // (each row of W gets its own max-abs step size — BN folding scales rows
+  // step as symmetric-int8 rows, calibrated per output channel (each row
+  // of W gets its own max-abs step size — BN folding scales rows
   // independently, so a per-tensor grid would waste its range on the
-  // largest channel). Both keep their float layout — [Co, Ci*K*K] for a
-  // conv, [out, in] for a linear step — as the A of their qconv (the head
-  // runs as a 1x1 conv over 1x1 images).
+  // largest channel). Each is stored as the A of its qconv, which the
+  // kernels read in place: [Co, Step::qw_row()] rows in the images' k
+  // order (c/4, kh, kw, c%4), zero on the pad lanes
+  // (kernels::reorder_qconv_weights; the head runs as a 1x1 conv over 1x1
+  // images).
   if (quantize) {
     const float levels = static_cast<float>((1 << (opts.bits - 1)) - 1);
+    std::vector<int8_t> rowq;  // one step's rows in unfold order
     for (BuildStep& st : cc.steps) {
       if (st.kind != OpKind::kConv && st.kind != OpKind::kLinear) continue;
       const size_t rows = st.w.dim(0), cols = st.w.dim(1);
       st.quantized = true;
       st.qbits = opts.bits;
-      st.qw.resize(rows * cols);
+      rowq.resize(rows * cols);
       st.qw_scales.resize(rows);
       for (size_t o = 0; o < rows; ++o) {
         const float* wrow = st.w.data() + o * cols;
@@ -540,8 +543,13 @@ std::shared_ptr<const Plan> Plan::compile(const Sequential& model,
           qp.scale = best_scale;
         }
         st.qw_scales[o] = qp.scale;
-        quantize_view(wrow, cols, qp, st.qw.data() + o * cols);
+        quantize_view(wrow, cols, qp, rowq.data() + o * cols);
       }
+      kernels::ConvShape qs;
+      qs.in_c = st.kind == OpKind::kConv ? st.geom.in_c : st.in_features;
+      qs.kernel = st.kind == OpKind::kConv ? st.geom.kernel : 1;
+      st.qw.resize(rows * qs.qk());
+      kernels::reorder_qconv_weights(rowq.data(), rows, qs, st.qw.data());
       // The float weights are dead from here on — the runtime reads only
       // qw/qw_scales (geometry lives in out_c/geom/in+out_features), and
       // keeping them would hand every deployed int8 plan 4 bytes of unused
@@ -741,6 +749,12 @@ void Plan::derive_folds() {
     }
     i = folds_[i].add != 0 ? folds_[i].add : last;
   }
+}
+
+size_t Step::qw_row() const {
+  const bool conv = kind == OpKind::kConv;
+  const size_t k = conv ? geom.kernel : 1;
+  return ((conv ? geom.in_c : in_features) + 3) / 4 * 4 * k * k;
 }
 
 size_t Plan::head() const {

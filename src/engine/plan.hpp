@@ -189,22 +189,26 @@ struct Step {
   bool shift_gemm = false;
   TensorView w9;
 
-  /// int8 lowering (plans compiled with a quantized-datapath backend):
-  /// the step runs the backend's qconv instead of a float GEMM (a kLinear
-  /// step as a 1x1 conv over its rows). `qw` is the pre-quantized weight
-  /// panel — [Co, Ci*K*K] for kConv, [out, in] for kLinear, the qconv's A
-  /// either way — on the symmetric `qbits` grid with one step size per
-  /// output channel (`qw_scales`; BN folding runs first and leaves rows
-  /// with very different ranges, so per-tensor weight calibration would
-  /// burn most of the grid). Activations are quantized per run into
-  /// context scratch with one max-abs scale PER IMAGE (per row for
-  /// kLinear) — the scales depend only on image content, never on the
-  /// chunk grid, which is what keeps quantized runs bit-identical across
-  /// thread counts and batch packings.
+  /// int8 lowering (plans compiled with a quantized-datapath backend): the step
+  /// runs the backend's qconv instead of a float GEMM (a kLinear step as a 1x1
+  /// conv over its rows). `qw` is the pre-quantized weight matrix as the
+  /// qconv's A, which the kernels read in place: [Co, qw_row()] rows in the
+  /// images' k order (c/4, kh, kw, c%4), zero on the pad lanes past Ci
+  /// (kernels::kPanelLayoutVersion 4; a kLinear step is [out, ceil(in/4)*4]) —
+  /// on the symmetric `qbits` grid with one step size per output channel
+  /// (`qw_scales`; BN folding runs first and leaves rows with very different
+  /// ranges, so per-tensor weight calibration would burn most of the grid).
+  /// Activations are quantized per run into context scratch with one max-abs
+  /// scale PER IMAGE (per row for kLinear) — the scales depend only on image
+  /// content, never on the chunk grid, which is what keeps quantized runs
+  /// bit-identical across thread counts and batch packings.
   bool quantized = false;
   ConstSpan<int8_t> qw;
   ConstSpan<float> qw_scales;
   int qbits = 8;
+  /// Bytes of one row of `qw`, kernels::ConvShape::qk() of the step:
+  /// ceil(Ci/4)*4*K*K for kConv, ceil(in/4)*4 for kLinear.
+  size_t qw_row() const;
   /// Compile-time proof that this step's input activation is non-negative
   /// (produced through a ReLU/sigmoid chain). Quantized steps then use an
   /// asymmetric activation grid (zero-point at the bottom of the int8

@@ -35,8 +35,10 @@
 //      [out, in] linear). The retired shift-GEMM strategy stays off: no
 //      step may set shift_gemm or carry a w9 pack.
 //   4. int8 lowering. A quantized step must carry the full quantized
-//      panel, one finite positive scale per output channel, a grid width
-//      in [2, 8] — and have released its float weights.
+//      panel as its qconv's A — [Co, qw_row()] in the images' k order with
+//      every pad lane zero, since the kernels read it in place — one
+//      finite positive scale per output channel, a grid width in [2, 8],
+//      and have released its float weights.
 //   5. Backend pinning. The plan's backend pointer must be live in the
 //      kernel registry under its own name, the plan's quantized flag must
 //      match the backend's datapath, and every step must run on it.
@@ -268,14 +270,29 @@ void Plan::verify() const {
     if (st.quantized) {
       if (st.qbits < 2 || st.qbits > 8)
         fail(tag(i, st) + ": quantization grid outside [2, 8] bits");
+      // qconv's A, read in place by the kernels: rows of qw_row() bytes
+      // in the images' k order (c/4, kh, kw, c%4), every pad lane past Ci
+      // zero (the vpdpbusd tiles multiply those lanes against the images'
+      // pad bytes as they lie).
       const size_t rows =
           st.kind == OpKind::kConv ? st.out_c : st.out_features;
-      const size_t cols =
-          st.kind == OpKind::kConv ? st.geom.col_rows() : st.in_features;
-      if (st.qw.size() != rows * cols)
+      const size_t in_c =
+          st.kind == OpKind::kConv ? st.geom.in_c : st.in_features;
+      const size_t row = st.qw_row(), groups = row / 4;
+      if (st.qw.size() != rows * row)
         fail(tag(i, st) + ": quantized panel has " +
              std::to_string(st.qw.size()) + " weights, geometry needs " +
-             std::to_string(rows * cols));
+             std::to_string(rows) + " x " + std::to_string(row));
+      // The pad lanes: lanes in_c % 4..3 of the last quad's K*K groups.
+      const size_t quads = (in_c + 3) / 4;
+      const size_t taps = quads != 0 ? groups / quads : 0;
+      if (in_c % 4 != 0)
+        for (size_t o = 0; o < rows; ++o)
+          for (size_t g = groups - taps; g < groups; ++g)
+            for (size_t l = in_c % 4; l < 4; ++l)
+              if (st.qw[o * row + 4 * g + l] != 0)
+                fail(tag(i, st) + ": non-zero weight on a pad lane of row " +
+                     std::to_string(o));
       if (st.qw_scales.size() != rows)
         fail(tag(i, st) + ": expected one weight scale per output channel");
       for (const float s : st.qw_scales)

@@ -28,7 +28,11 @@
 // An entry may read B panels in place from the images (simd, int8-vnni),
 // pack them straight from the images (int8-avx2) or materialize the
 // unfold in kernel-local scratch first (scalar, the generic int8
-// fallback); the result is the same bytes.
+// fallback); the result is the same bytes. The vector entries read A,
+// the weights, in the order Plan::compile stores them
+// (kPanelLayoutVersion), so no conv call reorders them: simd and
+// int8-vnni read them in place, int8-avx2 sign-extends them to int16 once
+// per call.
 // Both entries take an optional ConvEpilogue: each 16-column panel of
 // the product is then finished — an optional 1x1 expansion, bias,
 // residual add and activation — and stored straight into the NCHW
@@ -40,11 +44,12 @@
 //            Its conv unfolds, then runs that kernel.
 //   simd   — explicitly vectorized 4x16 inner tile over portable GCC/Clang
 //            vector extensions (no intrinsics), 8x16 on 512-bit registers
-//            when the feature mask allows AVX-512F, with A-panel packing so
-//            the trans_a/trans_b variants read contiguously; its conv entry
-//            reads B panels in place from the padded images. Compiled with
-//            wider vector ISA flags when CMake's ALF_SIMD is ON; selected
-//            at runtime only if the CPU supports what was compiled in.
+//            when the feature mask allows AVX-512F; gemm packs both
+//            operands so the trans_a/trans_b variants read contiguously,
+//            and the conv entry reads A's rows and B's panels in place.
+//            Compiled with wider vector ISA flags when CMake's ALF_SIMD is
+//            ON; selected at runtime only if the CPU supports what was
+//            compiled in.
 //   int8   — the quantized datapath: its qconv dispatches to the best
 //            allowed int8 conv kernel (int8-vnni, int8-avx2) or unfolds;
 //            its f32 gemm forwards to the best float backend so
@@ -103,14 +108,18 @@ enum CpuFeature : uint32_t {
   kCpuAvx512f = 1u << 4,      ///< 512-bit registers (the zmm register tiles)
 };
 
-/// ABI version of the packed weight-panel layouts every backend consumes:
-/// conv weights (float and int8) as [Co, Ci*K*K] rows, and int8 linear
-/// weights as [out, in] rows, the A of the head's 1x1 qconv (version 2
-/// stored them transposed, [in, out]). Plan blobs stamp this
-/// (engine/plan_io.cpp); bump it whenever a kernel changes what it expects
-/// packed, so stale blobs are rejected at load with a clear message
+/// ABI version of the weight layouts every backend reads in place: float
+/// conv weights as [Co, Ci*K*K] rows in unfold order (c, kh, kw); int8
+/// conv and linear weights as qconv's A, [Co, ConvShape::qk()] rows in
+/// the images' k order (c/4, kh, kw, c%4) with zero weights on the pad
+/// lanes past Ci (reorder_qconv_weights). The int8 head's A is [out,
+/// ceil(in/4)*4] (a 1x1 conv over 1x1 images), and so is a folded int8
+/// expansion's. Version 2 stored the head transposed ([in, out]),
+/// version 3 int8 A in (c, kh, kw) order. Plan blobs stamp this
+/// (engine/plan_io.cpp); bump it whenever a kernel changes what it
+/// expects, so stale blobs are rejected at load with a clear message
 /// instead of mis-read by the kernels.
-constexpr uint32_t kPanelLayoutVersion = 3;
+constexpr uint32_t kPanelLayoutVersion = 4;
 
 /// Features the host CPU can actually execute (cached cpuid probe; 0 on
 /// non-x86 hosts).
@@ -189,6 +198,9 @@ struct ConvShape {
   size_t qimage_size() const { return quads() * in_h * in_w * 4; }
   /// Reduction length (rows of B).
   size_t k() const { return in_c * kernel * kernel; }
+  /// Bytes of one row of a qconv's A: the reduction in the images' k
+  /// order (c/4, kh, kw, c%4), pad lanes included — four per k group.
+  size_t qk() const { return quads() * kernel * kernel * 4; }
   /// Output columns (columns of B and C).
   size_t n() const { return images * out_h() * out_w(); }
 };
@@ -201,14 +213,22 @@ struct ConvShape {
 /// bias/activation epilogue followed by a residual add step, so a plan
 /// that folds them computes the same bits. A panel that straddles two
 /// images splits its store. `residual` has out's layout and may be out
-/// itself (each element is read before it is written).
+/// itself (each element is read before it is written). The vector entries
+/// (simd, int8-vnni, int8-avx2) store each row segment of a panel with
+/// two 8-lane loads, adds, maxes and stores (masked for a segment
+/// narrower than the panel); ReLU is max(v, +0) with +0 as the second
+/// operand, which gives NaN and -0 exactly what `v > 0 ? v : 0` gives
+/// them, so every entry stores the bytes of the scalar loop
+/// (detail::store_panel).
 ///
 /// With `co` != 0 the conv's m result rows first pass through `inner_act`
 /// and a 1x1 expansion to co rows, and bias/residual/act/out refer to
 /// those co rows:
 ///   - float (`exp_w`, [co, m] row-major): the backend's own GEMM over the
 ///     activated result, exactly what a separate 1x1 conv step computes;
-///   - int8 (`exp_qw` [co, m] with per-row `exp_scales`): the float result
+///   - int8 (`exp_qw` [co, ceil(m/4)*4], row o's weight r at
+///     o * ceil(m/4)*4 + r — the 1x1 step's qconv A, whose pad lanes are
+///     never read here — with per-row `exp_scales`): the float result
 ///     (never quantized) times the dequantized weights qw[o][r]*scale[o],
 ///     summed as an fmaf chain in r order from +0 — bit-identical across
 ///     every int8 kernel.
@@ -220,7 +240,7 @@ struct ConvEpilogue {
   size_t co = 0;                    ///< expansion rows; 0 = no expansion
   Act inner_act = Act::kNone;       ///< on the conv result, before expanding
   const float* exp_w = nullptr;     ///< float expansion weights [co, m]
-  const int8_t* exp_qw = nullptr;   ///< int8 expansion weights [co, m]
+  const int8_t* exp_qw = nullptr;   ///< int8 expansion weights [co, m4]
   const float* exp_scales = nullptr;  ///< their per-row scales [co]
 };
 
@@ -262,13 +282,19 @@ struct KernelBackend {
                 const QgemmParams& p);
 
   /// Quantized conv, required when quantized_datapath is set: exactly
-  /// qgemm(a, lda, unfold(x), s.n(), c, ldc, m, s.k(), s.n(), p) with the
-  /// int8 unfold of the u8 channel-quad images `x` per ConvShape; A stays
-  /// the [m, s.k()] weight matrix in unfold order. With p.a_zp == 0 the
-  /// dot-product kernels take the images as vpdpbusd's unsigned operand
-  /// and fold the whole zero-point correction into one constant per row,
-  /// -(128 + b_zp) * rowsum(A), so they pack no B and sum no columns; a
-  /// call with a_zp != 0 (never issued by the engine) runs the unfold
+  /// qgemm(a, lda, unfold(x), s.n(), c, ldc, m, s.qk(), s.n(), p) with the
+  /// int8 unfold of the u8 channel-quad images `x` per ConvShape taken in
+  /// the images' k order: row (g, l) of k group g = (c/4, kh, kw) reads
+  /// lane l. A is [m, s.qk()] in that order (reorder_qconv_weights), with
+  /// zero weights on the pad lanes past in_c, and no entry reorders it
+  /// (int8-vnni reads it in place, int8-avx2 sign-extends its rows to int16
+  /// per call). Since pad lanes and border taps hold b_zp, the product
+  /// equals qgemm over the (c, kh, kw) unfold with A in that order. With
+  /// p.a_zp == 0 the dot-product kernels take the images as vpdpbusd's
+  /// unsigned operand and fold the whole zero-point correction into one
+  /// constant per row, -(128 + b_zp) * rowsum(A), the row sums a vector
+  /// reduction per call, so they pack no B and sum no columns; a call with
+  /// a_zp != 0 (never issued by the engine) runs the unfold
   /// (detail::qconv_unfold). With `ep` non-null the product goes through
   /// the epilogue instead of to C: callers then pass c = nullptr and ldc
   /// = 0, and the entry must not touch them. An entry that finishes the
@@ -281,8 +307,9 @@ struct KernelBackend {
   /// f32 conv, the float twin of qconv, required on float backends: byte
   /// for byte gemm(a, lda, false, unfold(x), s.n(), false, c, ldc, m,
   /// s.k(), s.n(), 1, 0) with the unfold of the zero-padded float images
-  /// `x` per ConvShape. A is the [m, s.k()] row-major weight matrix. `ep`
-  /// as for qconv.
+  /// `x` per ConvShape. A is the [m, s.k()] row-major weight matrix, read
+  /// in place by the vector entries; no entry reads a row past m. `ep` as
+  /// for qconv.
   void (*conv)(const float* a, size_t lda, const float* x,
                const ConvShape& s, float* c, size_t ldc, size_t m,
                const ConvEpilogue* ep) = nullptr;
@@ -364,6 +391,14 @@ const KernelBackend* best_quantized_backend();
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,
                      size_t pad, float inv, int32_t zp, int32_t levels,
                      uint8_t* dst);
+
+/// Reorders m rows of int8 conv weights from unfold order (c, kh, kw),
+/// row i at src + i * s.k(), into qconv's A (see KernelBackend::qconv):
+/// m rows of s.qk() bytes at dst, k order (c/4, kh, kw, c%4), the pad
+/// lanes past in_c zero. What Plan::compile stores for every int8 step
+/// (a linear step as a 1x1 conv of in_features channels).
+void reorder_qconv_weights(const int8_t* src, size_t m, const ConvShape& s,
+                           int8_t* dst);
 
 /// Copies `planes` [h, w] float planes into their zero-padded copy
 /// [planes, h + 2*pad, w + 2*pad] — the images a conv entry gathers from.

@@ -173,16 +173,18 @@ void qconv_unfold(const int8_t* a, size_t lda, const uint8_t* x,
                   const QgemmParams& p, const ConvEpilogue* ep) {
   // Workers of qgemm_int8 reach this thread's unfold and product through
   // the plain pointers they are handed (see qgemm_int8).
+  // A and the unfold share the images' k order (c/4, kh, kw, c%4): s.qk()
+  // rows, the pad lanes' zero weights against their b_zp bytes.
   thread_local std::vector<int8_t> col_tls;
   thread_local std::vector<float> res_tls;
-  col_tls.resize(s.k() * s.n());
+  col_tls.resize(s.qk() * s.n());
   unfold_quads(x, s, col_tls.data());
   if (ep != nullptr) {
     res_tls.resize(m * s.n());
     c = res_tls.data();
     ldc = s.n();
   }
-  qgemm_int8(a, lda, col_tls.data(), s.n(), c, ldc, m, s.k(), s.n(), p);
+  qgemm_int8(a, lda, col_tls.data(), s.n(), c, ldc, m, s.qk(), s.n(), p);
   if (ep != nullptr) finish_result(c, ldc, m, s, *ep, nullptr);
 }
 
@@ -241,6 +243,20 @@ const KernelBackend* int8_backend() {
                                 .qgemm = &detail::qgemm_int8,
                                 .qconv = &qconv_dispatch};
   return &be;
+}
+
+void reorder_qconv_weights(const int8_t* src, size_t m, const ConvShape& s,
+                           int8_t* dst) {
+  const size_t taps = s.kernel * s.kernel;
+  for (size_t i = 0; i < m; ++i, src += s.k()) {
+    int8_t* d = dst + i * s.qk();
+    for (size_t q = 0; q < s.quads(); ++q)
+      for (size_t t = 0; t < taps; ++t, d += 4)
+        for (size_t l = 0; l < 4; ++l) {
+          const size_t ch = 4 * q + l;
+          d[l] = ch < s.in_c ? src[ch * taps + t] : int8_t{0};
+        }
+  }
 }
 
 void quantize_pad_i8(const float* src, size_t planes, size_t h, size_t w,

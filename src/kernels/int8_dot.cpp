@@ -1,7 +1,6 @@
 // Register-tiled int8 conv kernels over x86 dot-product instructions:
 //
-//   int8-avx2 — widens both operands to int16 pairs at pack time and uses
-//               vpmaddwd (exact: s8 x u8 products can never saturate the
+//   int8-avx2 — widens both operands to int16 pairs and uses vpmaddwd (exact: s8 x u8 products can never saturate the
 //               32-bit lanes, unlike vpmaddubsw whose 16-bit intermediate
 //               overflows at 255*127*2).
 //   int8-vnni — vpdpbusd, u8 x s8 in four-byte groups, in the VEX
@@ -12,11 +11,16 @@
 // conv over 1x1 images), with B the implicit unfold of the u8 channel-quad
 // images (backend.hpp ConvShape): one k group — four channels of one tap —
 // of 16 output columns is 16 dwords, so the images are vpdpbusd's
-// unsigned operand as they lie and the weights its signed one. With a_zp
-// == 0 the zero-point correction is one constant per row, sum_k a*(b -
-// b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), the row sums taken
-// when A is packed (k reordered to (c/4, kh, kw, c%4), zero weights on the
-// pad lanes), so no column sum exists. A is packed once per call; the
+// unsigned operand as they lie and the weights its signed one. A, the
+// weights, comes in the same order: Plan::compile stores it in the
+// images' k order (c/4, kh, kw, c%4) with zero weights on the pad lanes
+// (kPanelLayoutVersion 4), so row i's four weights of k group g are the
+// dword at a + i * lda + 4g and no call reorders it. int8-vnni reads it in
+// place; int8-avx2 sign-extends its rows to int16 once per call
+// (widen_rows), since widening in the tile cost more than that pass. With
+// a_zp == 0 the zero-point correction is one constant per row, sum_k a*(b
+// - b_zp) = sum_k a*(b + 128) - (128 + b_zp)*rowsum(a), the row sums a
+// vector reduction per call (qconv_rowsums), so no column sum exists. The
 // column panels are the parallel axis. int8-vnni reads each k group in
 // place: one 64-byte load for a contiguous panel, two 32-byte loads for a
 // two-half panel, two loads and a dword permute at stride 2; only a panel
@@ -24,11 +28,13 @@
 // tile runs 1-8 rows against up to three panels (up to 24 accumulators,
 // the shape of simd's tile_zmm), else a 4x16 ymm tile reads one panel at a
 // time. int8-avx2 builds its pair pack of each panel from the same loads.
-// The 4x16 tiles store through store_tile, the zmm tile through a 16-lane
-// copy of its expressions. With an epilogue each panel's rows land in an
-// L1 buffer and are finished there: inner activation, the int8 expansion
-// (FMA on zmm or ymm), the epilogue store. A qconv with a_zp != 0 runs the
-// unfold. Their qgemm entry is the portable detail::qgemm_int8.
+// A short 4x16 tile repeats row 0 for its missing rows, so no tile reads a
+// row past m. The 4x16 tiles store through store_tile, the zmm tile
+// through a 16-lane copy of its expressions. With an epilogue each panel's
+// rows land in an L1 buffer and are finished there: inner activation, the
+// int8 expansion (FMA on zmm or ymm), the vector epilogue store
+// (detail::store_panel_isa). A qconv with a_zp != 0 runs the unfold. Their
+// qgemm entry is the portable detail::qgemm_int8.
 //
 // Bit-identity with the scalar oracle (detail::qgemm_int8) is structural:
 // integer accumulation is exact in any order, zero-point corrections are
@@ -242,29 +248,38 @@ void gather_qblock(const uint8_t* x, const ConvPanel& pn, const size_t* koff,
   }
 }
 
-/// The qconv A pack of both kernels: `emit(i, g, w)` receives row i's
-/// four weights of k group g = (q*K + kh)*K + kw — channels 4q..4q+3 at
-/// (kh, kw), zero past in_c — the images' (c/4, kh, kw, c%4) order, for
-/// g ascending. rowsum[i] gets the row's sum, which its zero-point
-/// correction -(128 + b_zp) * rowsum scales (QStore).
-template <typename Emit>
-void pack_a_qconv(const int8_t* a, size_t lda, size_t m, const ConvShape& s,
-                  int32_t* rowsum, const Emit& emit) {
-  const size_t taps = s.kernel * s.kernel;
+/// rowsum[i] = the sum of row i's `len` int8 weights at a + i * lda
+/// (len a multiple of 4: whole k groups): the zero-point correction's
+/// factor (QStore). A vector reduction, 32 weights per step and the last
+/// whole dwords through a masked load; vpmaddubsw against ones cannot
+/// saturate (two s8 per word).
+void qconv_rowsums(const int8_t* a, size_t lda, size_t m, size_t len,
+                   int32_t* rowsum) {
+  const __m256i ones8 = _mm256_set1_epi8(1), ones16 = _mm256_set1_epi16(1);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const auto sum4 = [&](__m256i v) {
+    return _mm256_madd_epi16(_mm256_maddubs_epi16(ones8, v), ones16);
+  };
   for (size_t i = 0; i < m; ++i) {
-    const int8_t* arow = a + i * lda;
-    int32_t sum = 0;
-    for (size_t kk = 0; kk < s.k(); ++kk) sum += static_cast<int32_t>(arow[kk]);
-    rowsum[i] = sum;
-    for (size_t q = 0, g = 0; q < s.quads(); ++q) {
-      const size_t lanes = std::min<size_t>(4, s.in_c - 4 * q);
-      const int8_t* src = arow + 4 * q * taps;
-      for (size_t t = 0; t < taps; ++t, ++g) {
-        int8_t w[4] = {};
-        for (size_t l = 0; l < lanes; ++l) w[l] = src[l * taps + t];
-        emit(i, g, w);
-      }
+    const int8_t* row = a + i * lda;
+    __m256i acc = _mm256_setzero_si256();
+    size_t kk = 0;
+    for (; kk + 32 <= len; kk += 32)
+      acc = _mm256_add_epi32(
+          acc, sum4(_mm256_loadu_si256(
+                   reinterpret_cast<const __m256i*>(row + kk))));
+    if (kk < len) {
+      const __m256i live = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>((len - kk) / 4)), lane);
+      acc = _mm256_add_epi32(
+          acc, sum4(_mm256_maskload_epi32(
+                   reinterpret_cast<const int*>(row + kk), live)));
     }
+    __m128i h = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
+    h = _mm_add_epi32(h, _mm_shuffle_epi32(h, 0x4E));
+    h = _mm_add_epi32(h, _mm_shuffle_epi32(h, 0xB1));
+    rowsum[i] = _mm_cvtsi128_si32(h);
   }
 }
 
@@ -325,8 +340,8 @@ struct QconvTiles {
 };
 
 /// The qconv loop shared by both kernels (a_zp == 0). The caller has
-/// packed A in its kernel's layout and A's row sums `rowsum`;
-/// `sweep(b, st)` runs all m rows against B's panels into st. Column
+/// summed A's rows into `rowsum`; `sweep(b, st)` runs all m rows against
+/// B's panels into st. Column
 /// panels are the parallel axis: each worker walks its panels, joins up
 /// to `tiles.group` consecutive ones read in place the same way, gathers
 /// any other panel into an L1 block and — with an epilogue — finishes
@@ -355,12 +370,13 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
   // The expansion's dequantized weights, the same float(qw) * scale
   // product expand_fmaf forms.
   const size_t co = ep != nullptr ? ep->co : 0;
+  const size_t ldq = detail::exp_qw_stride(m);
   wdeq_tls.resize(co * m);
   float* const wdeq = wdeq_tls.data();
   for (size_t o = 0; o < co; ++o)
     for (size_t r = 0; r < m; ++r)
       wdeq[o * m + r] =
-          static_cast<float>(ep->exp_qw[o * m + r]) * ep->exp_scales[o];
+          static_cast<float>(ep->exp_qw[o * ldq + r]) * ep->exp_scales[o];
 
   const auto process_panels = [=, &sweep](size_t p0, size_t p1) {
     thread_local std::vector<uint8_t> block_tls;
@@ -416,8 +432,8 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
           rows = co;
         }
         for (size_t q = 0; q < b.np; ++q)
-          detail::store_panel(*ep, rows, plane, out + q * rows * kNr, kNr,
-                              j0 + q * kNr, pn.cols);
+          detail::store_panel_isa(*ep, rows, plane, out + q * rows * kNr, kNr,
+                                  j0 + q * kNr, pn.cols);
       }
       jp += b.np;
     }
@@ -427,37 +443,59 @@ void qconv_run(const uint8_t* x, const ConvShape& s, float* c, size_t ldc,
 
 // --- AVX2 vpmaddwd kernel --------------------------------------------------
 
-/// 4x16 tile over int16 pairs: `ap` is [k/2][4 rows][2 k] int16, `bp` is
-/// [k/2][16 cols][2 k] int16 (64 bytes — a cache line — per pair step).
-/// vpmaddwd multiplies the (k0,k1) pair against each column's matching pair
-/// and adds horizontally into the int32 lane; s8 weights against u8 image
-/// bytes keep every intermediate far from the lane limits, so accumulation
-/// is exact.
-void qconv_tile_avx2(const int16_t* ap, const int16_t* bp, size_t kp,
-                      int32_t* acc) {
+/// A's rows as int16: row i's len weights at a + i * lda, sign-extended
+/// in their own order into dst + i * len (len a multiple of 4). Pair step
+/// q of a row — k group q/2's lanes (0, 1) for even q, (2, 3) for odd —
+/// is then the dword at row + 2q, what qconv_tile_avx2 broadcasts.
+void widen_rows(const int8_t* a, size_t lda, size_t m, size_t len,
+                int16_t* dst) {
+  for (size_t i = 0; i < m; ++i, dst += len) {
+    const int8_t* row = a + i * lda;
+    size_t kk = 0;
+    for (; kk + 16 <= len; kk += 16)
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(dst + kk),
+          _mm256_cvtepi8_epi16(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + kk))));
+    for (; kk < len; ++kk) dst[kk] = row[kk];
+  }
+}
+
+/// 4x16 tile over int16 pairs: `a` is A's rows widened (widen_rows, lda
+/// int16 apart; a row past pr repeats row 0), `bp` is [kp][16 cols][2]
+/// int16 (pack_qpanel_pairs, 64 bytes — a cache line — per pair step).
+/// vpmaddwd multiplies each row's pair against each column's matching
+/// pair and adds horizontally into the int32 lane; s8 weights against u8
+/// image bytes keep every intermediate far from the lane limits, so
+/// accumulation is exact. Raw sums go to `acc` as [4 rows][16 cols]
+/// (store_tile's layout).
+void qconv_tile_avx2(const int16_t* a, size_t lda, size_t pr,
+                     const int16_t* bp, size_t kp, int32_t* acc) {
+  const int16_t* const a0 = a;
+  const int16_t* const a1 = pr > 1 ? a + lda : a;
+  const int16_t* const a2 = pr > 2 ? a + 2 * lda : a;
+  const int16_t* const a3 = pr > 3 ? a + 3 * lda : a;
   __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
   __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
   __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
   __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
-  for (size_t q = 0; q < kp; ++q) {
+  for (size_t q = 0; q < kp; ++q, bp += 32) {
     const __m256i b0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
     const __m256i b1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + 16));
-    bp += 32;
-    __m256i va = _mm256_set1_epi32(load_i32(ap));
+    __m256i va = _mm256_set1_epi32(load_i32(a0 + 2 * q));
     c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(va, b0));
     c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(va, b1));
-    va = _mm256_set1_epi32(load_i32(ap + 2));
+    va = _mm256_set1_epi32(load_i32(a1 + 2 * q));
     c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(va, b0));
     c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(va, b1));
-    va = _mm256_set1_epi32(load_i32(ap + 4));
+    va = _mm256_set1_epi32(load_i32(a2 + 2 * q));
     c20 = _mm256_add_epi32(c20, _mm256_madd_epi16(va, b0));
     c21 = _mm256_add_epi32(c21, _mm256_madd_epi16(va, b1));
-    va = _mm256_set1_epi32(load_i32(ap + 6));
+    va = _mm256_set1_epi32(load_i32(a3 + 2 * q));
     c30 = _mm256_add_epi32(c30, _mm256_madd_epi16(va, b0));
     c31 = _mm256_add_epi32(c31, _mm256_madd_epi16(va, b1));
-    ap += 8;
   }
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0), c00);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 8), c01);
@@ -503,24 +541,17 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
     detail::qconv_unfold(a, lda, x, s, c, ldc, m, p, ep);
     return;
   }
-  // A as [m/4][2 kg][4 rows][2] int16 pairs, one pair step per two
-  // channel lanes of a k group.
-  const size_t kp = 2 * detail::quad_groups(s);
-  const size_t a_panel = kp * 2 * kMr;
-  thread_local std::vector<int16_t> apack_tls;
+  // A's rows widened once per call, in their own order (one pair step per
+  // two channel lanes of a k group): vpmaddwd needs int16 weights, and
+  // widening them in the tile cost the int8 models 5-21%.
+  const size_t qk = s.qk(), kp = 2 * detail::quad_groups(s);
+  thread_local std::vector<int16_t> wide_tls;
   thread_local std::vector<int32_t> rowsum_tls;
-  apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
+  wide_tls.resize(m * qk);
   rowsum_tls.resize(m);
-  int16_t* const apack = apack_tls.data();
-  pack_a_qconv(a, lda, m, s, rowsum_tls.data(),
-               [&](size_t i, size_t g, const int8_t* w) {
-                 int16_t* d = apack + i / kMr * a_panel + 2 * g * 2 * kMr +
-                              i % kMr * 2;
-                 d[0] = static_cast<int16_t>(w[0]);
-                 d[1] = static_cast<int16_t>(w[1]);
-                 d[2 * kMr] = static_cast<int16_t>(w[2]);
-                 d[2 * kMr + 1] = static_cast<int16_t>(w[3]);
-               });
+  const int16_t* const wide = wide_tls.data();
+  widen_rows(a, lda, m, qk, wide_tls.data());
+  qconv_rowsums(a, lda, m, qk, rowsum_tls.data());
   qconv_run(x, s, c, ldc, m, p, rowsum_tls.data(), ep,
             {.group = 1, .expand = &expand_fma},
             [=](const QPanels& b, const QStore& st) {
@@ -532,8 +563,9 @@ void qconv_avx2(const int8_t* a, size_t lda, const uint8_t* x,
               });
               alignas(32) int32_t acc[kMr * kNr];
               for (size_t i = 0; i < m; i += kMr) {
-                qconv_tile_avx2(apack + i / kMr * a_panel, bpanel, kp, acc);
-                store_tile(st, i, std::min(kMr, m - i), acc);
+                const size_t pr = std::min(kMr, m - i);
+                qconv_tile_avx2(wide + i * qk, qk, pr, bpanel, kp, acc);
+                store_tile(st, i, pr, acc);
               }
             });
 }
@@ -560,6 +592,25 @@ void quantize_pad_i8_avx2(const float* src, size_t planes, size_t h,
   const __m256i vlo = _mm256_set1_epi32(128 - levels);
   const __m256i vhi = _mm256_set1_epi32(128 + levels);
   const auto fill = static_cast<uint8_t>(zp + 128);
+  if (h * w == 1 && pad == 0) {
+    // 1x1 images (the int8 head's rows): the planes are contiguous floats
+    // and their quads contiguous dwords, so eight planes — two quads —
+    // quantize as one vector, narrowed by two packs (the values lie in
+    // [128 - levels, 128 + levels], so neither saturates).
+    size_t c = 0;
+    for (; c + 8 <= planes; c += 8) {
+      __m256i q = quant_8(_mm256_loadu_ps(src + c), vinv, vzp, vlo, vhi);
+      q = _mm256_packus_epi16(_mm256_packus_epi32(q, q), q);
+      const int32_t lo = _mm256_cvtsi256_si32(q);
+      const int32_t hi = _mm_cvtsi128_si32(_mm256_extracti128_si256(q, 1));
+      std::memcpy(dst + c, &lo, 4);
+      std::memcpy(dst + c + 4, &hi, 4);
+    }
+    for (; c < planes; c += 4)
+      detail::quantize_quad_pixel(src + c, 1, std::min<size_t>(4, planes - c),
+                                  inv, zp, levels, fill, dst + c);
+    return;
+  }
   const __m256i vfill = _mm256_set1_epi32(fill);
   detail::pad_quads(
       src, planes, h, w, pad, fill, dst,
@@ -712,18 +763,25 @@ __attribute__((target("avx512f"), always_inline)) inline void store_qrows16(
   if constexpr (P > 2) store_qrow16(st, i, 2, x2, corr, sa);
 }
 
-/// The zmm qconv tile: C rows [i0, i0 + R) of P consecutive B panels, A
-/// read from two consecutive 4-row panels of the pack at `apanel` (the
-/// second only when R > 4). Per k group one B load per panel and one
-/// weight broadcast per row feed R * P accumulators (at most 24). Named
-/// accumulators keep the sums in registers through the store.
+/// The zmm qconv tile: C rows [i0, i0 + R) of P consecutive B panels, A's
+/// rows read in place (row r's k group g is the dword at a + r * lda +
+/// 4g). Per k group one B load per panel and one weight broadcast per row
+/// feed R * P accumulators (at most 24). Named accumulators keep the sums
+/// in registers through the store.
 template <size_t R, size_t P, PanelMode Mode>
 __attribute__((target("avx512f,avx512vnni"))) void qtile_zmm(
-    const int8_t* apanel, size_t kg, const QPanels& b, const QStore& st,
-    size_t i0) {
+    const int8_t* a, size_t lda, size_t kg, const QPanels& b,
+    const QStore& st, size_t i0) {
   static_assert(R >= 1 && R <= 2 * kMr && P >= 1 && P <= kGroup);
-  const int8_t* a0 = apanel;                                    // rows 0-3
-  const int8_t* a1 = R > kMr ? apanel + kg * 4 * kMr : apanel;  // rows 4-7
+  // Row r of A; row 0 stands in for the rows past R, which are never read.
+  const int8_t* const a0 = a;
+  const int8_t* const a1 = R > 1 ? a + lda : a;
+  const int8_t* const a2 = R > 2 ? a + 2 * lda : a;
+  const int8_t* const a3 = R > 3 ? a + 3 * lda : a;
+  const int8_t* const a4 = R > 4 ? a + 4 * lda : a;
+  const int8_t* const a5 = R > 5 ? a + 5 * lda : a;
+  const int8_t* const a6 = R > 6 ? a + 6 * lda : a;
+  const int8_t* const a7 = R > 7 ? a + 7 * lda : a;
   const size_t* off = b.off;
   const uint8_t* const s0 = b.base[0];
   const uint8_t* const s1 = b.base[P > 1 ? 1 : 0];
@@ -735,20 +793,20 @@ __attribute__((target("avx512f,avx512vnni"))) void qtile_zmm(
   __m512i c20 = z, c21 = z, c22 = z, c30 = z, c31 = z, c32 = z;
   __m512i c40 = z, c41 = z, c42 = z, c50 = z, c51 = z, c52 = z;
   __m512i c60 = z, c61 = z, c62 = z, c70 = z, c71 = z, c72 = z;
-  for (size_t g = 0; g < kg; ++g, a0 += 4 * kMr, a1 += 4 * kMr) {
-    const size_t o = qrow_offset<Mode>(off, g);
+  for (size_t g = 0; g < kg; ++g) {
+    const size_t o = qrow_offset<Mode>(off, g), w = 4 * g;
     const __m512i b0 = load_qrow16<Mode>(s0 + o, h0);
     __m512i b1 = b0, b2 = b0;  // unread below P = 2, 3
     if constexpr (P > 1) b1 = load_qrow16<Mode>(s1 + o, h1);
     if constexpr (P > 2) b2 = load_qrow16<Mode>(s2 + o, h2);
-    dp_row<P>(a0, b0, b1, b2, c00, c01, c02);
-    if constexpr (R > 1) dp_row<P>(a0 + 4, b0, b1, b2, c10, c11, c12);
-    if constexpr (R > 2) dp_row<P>(a0 + 8, b0, b1, b2, c20, c21, c22);
-    if constexpr (R > 3) dp_row<P>(a0 + 12, b0, b1, b2, c30, c31, c32);
-    if constexpr (R > 4) dp_row<P>(a1, b0, b1, b2, c40, c41, c42);
-    if constexpr (R > 5) dp_row<P>(a1 + 4, b0, b1, b2, c50, c51, c52);
-    if constexpr (R > 6) dp_row<P>(a1 + 8, b0, b1, b2, c60, c61, c62);
-    if constexpr (R > 7) dp_row<P>(a1 + 12, b0, b1, b2, c70, c71, c72);
+    dp_row<P>(a0 + w, b0, b1, b2, c00, c01, c02);
+    if constexpr (R > 1) dp_row<P>(a1 + w, b0, b1, b2, c10, c11, c12);
+    if constexpr (R > 2) dp_row<P>(a2 + w, b0, b1, b2, c20, c21, c22);
+    if constexpr (R > 3) dp_row<P>(a3 + w, b0, b1, b2, c30, c31, c32);
+    if constexpr (R > 4) dp_row<P>(a4 + w, b0, b1, b2, c40, c41, c42);
+    if constexpr (R > 5) dp_row<P>(a5 + w, b0, b1, b2, c50, c51, c52);
+    if constexpr (R > 6) dp_row<P>(a6 + w, b0, b1, b2, c60, c61, c62);
+    if constexpr (R > 7) dp_row<P>(a7 + w, b0, b1, b2, c70, c71, c72);
   }
   const QStore out = st;  // a local copy: C's stores cannot alias it
   store_qrows16<P>(out, i0, c00, c01, c02);
@@ -761,7 +819,7 @@ __attribute__((target("avx512f,avx512vnni"))) void qtile_zmm(
   if constexpr (R > 7) store_qrows16<P>(out, i0 + 7, c70, c71, c72);
 }
 
-using QTileFn = void (*)(const int8_t*, size_t, const QPanels&,
+using QTileFn = void (*)(const int8_t*, size_t, size_t, const QPanels&,
                          const QStore&, size_t);
 
 /// qtile_zmm by row count: entry h runs exactly h rows (entry 0 unused).
@@ -777,15 +835,15 @@ constexpr QTileFn kQTiles[2 * kMr + 1] = {
     &qtile_zmm<7, P, Mode>,
     &qtile_zmm<8, P, Mode>};
 
-/// 8-row tiles over the m rows, then one tile of exactly the remaining
-/// 1-7; A row i's panel starts at apack + i * kg * 4.
+/// 8-row tiles over the m rows of A (row i at a + i * lda), then one tile
+/// of exactly the remaining 1-7.
 template <size_t P, PanelMode Mode>
-void qsweep_zmm(const int8_t* apack, size_t m, size_t kg, const QPanels& b,
-                const QStore& st) {
+void qsweep_zmm(const int8_t* a, size_t lda, size_t m, size_t kg,
+                const QPanels& b, const QStore& st) {
   size_t i = 0;
   for (; i + 2 * kMr <= m; i += 2 * kMr)
-    qtile_zmm<2 * kMr, P, Mode>(apack + i * kg * 4, kg, b, st, i);
-  if (i < m) kQTiles<P, Mode>[m - i](apack + i * kg * 4, kg, b, st, i);
+    qtile_zmm<2 * kMr, P, Mode>(a + i * lda, lda, kg, b, st, i);
+  if (i < m) kQTiles<P, Mode>[m - i](a + i * lda, lda, kg, b, st, i);
 }
 
 /// expand_panel on 512-bit registers over P panels at once: eight output
@@ -849,20 +907,10 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
     detail::qconv_unfold(a, lda, x, s, c, ldc, m, p, ep);
     return;
   }
-  // A as [m/4][kg][4 rows][4] s8 weights: one dword per row and k group.
   const size_t kg = detail::quad_groups(s);
-  const size_t a_panel = kg * 4 * kMr;
-  thread_local std::vector<int8_t> apack_tls;
   thread_local std::vector<int32_t> rowsum_tls;
-  apack_tls.assign((m + kMr - 1) / kMr * a_panel, 0);
   rowsum_tls.resize(m);
-  int8_t* const apack = apack_tls.data();
-  pack_a_qconv(a, lda, m, s, rowsum_tls.data(),
-               [&](size_t i, size_t g, const int8_t* w) {
-                 std::memcpy(apack + i / kMr * a_panel + g * 4 * kMr +
-                                 i % kMr * 4,
-                             w, 4);
-               });
+  qconv_rowsums(a, lda, m, s.qk(), rowsum_tls.data());
   if (detail::zmm_tile(kCpuAvx512Vnni)) {
     qconv_run(x, s, c, ldc, m, p, rowsum_tls.data(), ep,
               {.group = kGroup, .expand = &expand_fma_zmm},
@@ -870,11 +918,11 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
                 with_mode(b.mode, [&](auto mode) {
                   constexpr PanelMode M = decltype(mode)::value;
                   if (b.np == 1)
-                    qsweep_zmm<1, M>(apack, m, kg, b, st);
+                    qsweep_zmm<1, M>(a, lda, m, kg, b, st);
                   else if (b.np == 2)
-                    qsweep_zmm<2, M>(apack, m, kg, b, st);
+                    qsweep_zmm<2, M>(a, lda, m, kg, b, st);
                   else
-                    qsweep_zmm<3, M>(apack, m, kg, b, st);
+                    qsweep_zmm<3, M>(a, lda, m, kg, b, st);
                 });
               });
     return;
@@ -889,9 +937,10 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
                     vex ? &qconv_tile_vnni_vex<M> : &qconv_tile_vnni_evex<M>;
                 alignas(32) int32_t acc[kMr * kNr];
                 for (size_t i = 0; i < m; i += kMr) {
-                  tile(apack + i / kMr * a_panel, kg, b.base[0], b.half[0],
-                       b.off, acc);
-                  store_tile(st, i, std::min(kMr, m - i), acc);
+                  const size_t pr = std::min(kMr, m - i);
+                  tile(a + i * lda, lda, pr, kg, b.base[0], b.half[0], b.off,
+                       acc);
+                  store_tile(st, i, pr, acc);
                 }
               });
             });
@@ -904,6 +953,13 @@ void qconv_vnni(const int8_t* a, size_t lda, const uint8_t* x,
 #endif  // ALF_INT8_DOT
 
 namespace detail {
+
+StorePanelFn store_panel_vec() {
+#if defined(ALF_INT8_DOT)
+  if ((detected_cpu_features() & kCpuAvx2) != 0) return &store_panel_avx2;
+#endif
+  return nullptr;
+}
 
 QuantizePadFn quantize_pad_i8_vec() {
 #if defined(ALF_INT8_DOT)

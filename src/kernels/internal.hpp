@@ -22,6 +22,14 @@
 #include "core/parallel.hpp"
 #include "kernels/backend.hpp"
 
+#if defined(__AVX2__) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+// The vector body of the epilogue store (store_panel_avx2 below); only
+// the -mavx2 TUs (simd.cpp, int8_dot.cpp) see it.
+#define ALF_STORE_VEC 1
+#include <immintrin.h>
+#endif
+
 namespace alf::kernels::detail {
 
 /// The one int8 GEMM (defined in int8.cpp at the baseline ISA): k-blocked,
@@ -62,7 +70,8 @@ using GemmFn = void (*)(const float*, size_t, bool, const float*, size_t,
 
 /// The unfolding qconv (defined in int8.cpp): copies the unfold of the
 /// channel-quad images `x` into kernel-local scratch as a row-major
-/// [s.k(), s.n()] int8 panel (unfold_quads), then runs qgemm_int8 over it
+/// [s.qk(), s.n()] int8 panel in A's k order (unfold_quads), then runs
+/// qgemm_int8 over it
 /// into C — or, when `ep` is set, into kernel-local scratch the epilogue
 /// then finishes (C is not touched). The generic int8 backend's qconv
 /// when no dot-product kernel is allowed, and the route of every qconv
@@ -88,6 +97,16 @@ MaxAbsFn max_abs_f32_vec();
 void quantize_pad_i8_base(const float* src, size_t planes, size_t h,
                           size_t w, size_t pad, float inv, int32_t zp,
                           int32_t levels, uint8_t* dst);
+
+/// The epilogue store of one finished panel (store_panel's signature).
+using StorePanelFn = void (*)(const ConvEpilogue&, size_t, size_t,
+                              const float*, size_t, size_t, size_t);
+
+/// The vector body of store_panel the vector conv entries run
+/// (store_panel_avx2). Defined in int8_dot.cpp (the -mavx2 TU); nullptr
+/// when the build or the detected CPU lacks AVX2. Exposed so tests can
+/// hold it to the scalar store_panel.
+StorePanelFn store_panel_vec();
 
 namespace {
 
@@ -232,27 +251,29 @@ inline void unfold_padded(const T* x, const ConvShape& s, T* dst) {
         }
 }
 
-/// The same unfold of a qconv's channel-quad u8 images, back in the int8
-/// grid (each byte minus 128): row kk = (c*K + kh)*K + kw reads lane c % 4
-/// of quad c / 4. What the unfolding qconv multiplies.
+/// The unfold of a qconv's channel-quad u8 images in their own k order,
+/// back in the int8 grid (each byte minus 128): a row-major [s.qk(),
+/// s.n()] matrix whose row 4g + l reads lane l of k group g = (q*K +
+/// kh)*K + kw, pad lanes included — the order of qconv's A, so qgemm
+/// over it is the qconv. What the unfolding qconv multiplies.
 inline void unfold_quads(const uint8_t* x, const ConvShape& s, int8_t* dst) {
   const size_t ho = s.out_h(), wo = s.out_w(), n = s.n();
   const size_t img_cols = ho * wo;
   int8_t* row = dst;
-  for (size_t ch = 0; ch < s.in_c; ++ch)
+  for (size_t q = 0; q < s.quads(); ++q)
     for (size_t kh = 0; kh < s.kernel; ++kh)
-      for (size_t kw = 0; kw < s.kernel; ++kw, row += n)
-        for (size_t img = 0; img < s.images; ++img) {
-          const uint8_t* src =
-              x + img * s.qimage_size() +
-              4 * (((ch / 4) * s.in_h + kh) * s.in_w + kw) + ch % 4;
-          int8_t* d = row + img * img_cols;
-          for (size_t oh = 0; oh < ho; ++oh, d += wo) {
-            const uint8_t* srow = src + 4 * oh * s.stride * s.in_w;
-            for (size_t ow = 0; ow < wo; ++ow)
-              d[ow] = static_cast<int8_t>(srow[4 * ow * s.stride] ^ 0x80u);
+      for (size_t kw = 0; kw < s.kernel; ++kw)
+        for (size_t l = 0; l < 4; ++l, row += n)
+          for (size_t img = 0; img < s.images; ++img) {
+            const uint8_t* src = x + img * s.qimage_size() +
+                                 4 * ((q * s.in_h + kh) * s.in_w + kw) + l;
+            int8_t* d = row + img * img_cols;
+            for (size_t oh = 0; oh < ho; ++oh, d += wo) {
+              const uint8_t* srow = src + 4 * oh * s.stride * s.in_w;
+              for (size_t ow = 0; ow < wo; ++ow)
+                d[ow] = static_cast<int8_t>(srow[4 * ow * s.stride] ^ 0x80u);
+            }
           }
-        }
 }
 
 /// Border loop of the padded float image copy (pad_f32): `planes` [h, w]
@@ -367,16 +388,97 @@ inline void store_panel(const ConvEpilogue& ep, size_t rows, size_t plane,
   }
 }
 
+#if defined(ALF_STORE_VEC)
+/// store_panel on two 8-lane halves: each row segment (at most one
+/// panel, 16 columns) is loaded, gets the bias and residual adds and
+/// max(v, +0) for ReLU, and is stored, in store_panel's order; masked
+/// loads and stores (vmaskmovps) for a segment narrower than a panel,
+/// plain ones for a whole one. maxps returns its second operand unless the
+/// first is greater, so a NaN or -0 sum stores +0, exactly as `v > 0 ? v
+/// : 0` does; other activations run act_inplace over the stored segment,
+/// as there.
+inline void store_panel_avx2(const ConvEpilogue& ep, size_t rows,
+                             size_t plane, const float* v, size_t ldv,
+                             size_t j0, size_t cols) {
+  const Act act = ep.act;
+  const float* const bias = ep.bias;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 zero = _mm256_setzero_ps();
+  for (size_t t = 0; t < cols;) {
+    const size_t j = j0 + t, img = j / plane, p = j - img * plane;
+    const size_t seg = std::min(cols - t, plane - p);
+    const bool whole = seg == 2 * 8;
+    const auto n = static_cast<int>(seg);
+    const __m256i m0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane);
+    const __m256i m1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(n - 8), lane);
+    const auto load = [&](const float* q, __m256& lo, __m256& hi) {
+      lo = whole ? _mm256_loadu_ps(q) : _mm256_maskload_ps(q, m0);
+      hi = whole ? _mm256_loadu_ps(q + 8) : _mm256_maskload_ps(q + 8, m1);
+    };
+    const size_t base = img * rows * plane + p;
+    float* dst = ep.out + base;
+    const float* res = ep.residual != nullptr ? ep.residual + base : nullptr;
+    const float* src = v + t;
+    for (size_t r = 0; r < rows; ++r, src += ldv, dst += plane) {
+      __m256 x0, x1;
+      load(src, x0, x1);
+      if (bias != nullptr) {
+        const __m256 b = _mm256_set1_ps(bias[r]);
+        x0 = _mm256_add_ps(x0, b);
+        x1 = _mm256_add_ps(x1, b);
+      }
+      if (res != nullptr) {
+        __m256 r0, r1;
+        load(res, r0, r1);
+        x0 = _mm256_add_ps(x0, r0);
+        x1 = _mm256_add_ps(x1, r1);
+        res += plane;
+      }
+      if (act == Act::kRelu) {
+        x0 = _mm256_max_ps(x0, zero);
+        x1 = _mm256_max_ps(x1, zero);
+      }
+      if (whole) {
+        _mm256_storeu_ps(dst, x0);
+        _mm256_storeu_ps(dst + 8, x1);
+      } else {
+        _mm256_maskstore_ps(dst, m0, x0);
+        _mm256_maskstore_ps(dst + 8, m1, x1);
+      }
+      if (act != Act::kRelu && act != Act::kNone) act_inplace(act, dst, seg);
+    }
+    t += seg;
+  }
+}
+#endif
+
+/// The epilogue store of a vector conv entry: store_panel_avx2, or the
+/// scalar store_panel in a build without AVX2.
+inline void store_panel_isa(const ConvEpilogue& ep, size_t rows,
+                            size_t plane, const float* v, size_t ldv,
+                            size_t j0, size_t cols) {
+#if defined(ALF_STORE_VEC)
+  store_panel_avx2(ep, rows, plane, v, ldv, j0, cols);
+#else
+  store_panel(ep, rows, plane, v, ldv, j0, cols);
+#endif
+}
+
+/// Row stride of a folded int8 expansion's weights over m code rows:
+/// the 1x1 step's qconv A, ceil(m/4)*4 bytes per row (ConvEpilogue).
+inline size_t exp_qw_stride(size_t m) { return (m + 3) / 4 * 4; }
+
 /// The int8 expansion of one panel in its reference form: dst[o][j] (row
 /// stride ldd) = the fmaf chain over r in order, from +0, of
 /// (qw[o][r] * scale[o]) * v[r][j]. The vectorized drivers compute the
 /// same chain with vector FMA.
 inline void expand_fmaf(const ConvEpilogue& ep, size_t m, const float* v,
                         size_t ldv, size_t cols, float* dst, size_t ldd) {
+  const size_t ldq = exp_qw_stride(m);
   for (size_t o = 0; o < ep.co; ++o, dst += ldd) {
     std::fill(dst, dst + cols, 0.0f);
     for (size_t r = 0; r < m; ++r) {
-      const float w = static_cast<float>(ep.exp_qw[o * m + r]) *
+      const float w = static_cast<float>(ep.exp_qw[o * ldq + r]) *
                       ep.exp_scales[o];
       const float* vr = v + r * ldv;
       for (size_t j = 0; j < cols; ++j) dst[j] = std::fmaf(w, vr[j], dst[j]);

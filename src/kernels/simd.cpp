@@ -1,18 +1,19 @@
 // The "simd" backend: explicitly vectorized GEMM and conv over one family
 // of register tiles.
 //
-// The tiles are portable GCC/Clang vector extensions (no intrinsics). The
-// 4x16 tile holds four C rows times two 8-float vectors: the k-loop
-// broadcasts one packed A element per row and FMAs it against two B
-// vectors, keeping 8 vector accumulators live. When the feature mask
-// allows AVX-512F (detail::zmm_tile), a zmm tile runs instead: up to 8
-// rows (two consecutive 4-row A panels) against up to three 16-column B
-// panels, one zmm of B per panel and one zmm accumulator per row and
-// panel (at most 24). It is the same vector-extension code at twice the
-// width, compiled under a per-function target attribute, so each C
-// element gets the same fused multiply-adds in the same order — +0, then
-// `acc += a * b` per k step, then `c + alpha * acc` — and the two tiles
-// agree byte for byte (test_kernels checks both).
+// The tiles are portable GCC/Clang vector extensions (no intrinsics; the
+// epilogue store, detail::store_panel_isa, uses them). The 4x16 tile holds four
+// C rows times two 8-float vectors: the k-loop broadcasts one A element per row
+// and FMAs it against two B vectors, keeping 8 vector accumulators live. When
+// the feature mask allows AVX-512F (detail::zmm_tile), a zmm tile runs instead:
+// up to 8 rows against up to three 16-column B panels, one zmm of B per panel
+// and one zmm accumulator per row and panel (at most 24). The tiles read A in
+// one of two layouts (a_row): the conv's [m, k] weight rows in place, or
+// gemm's kMr-row packed panels. The zmm tile is the same vector-extension
+// code at twice the width, compiled under a per-function target attribute, so
+// each C element gets the same fused multiply-adds in the same order — +0, then
+// `acc += a * b` per k step, then `c + alpha * acc` — and the two tiles agree
+// byte for byte (test_kernels checks both).
 //
 // Every tile reads B one way: row kk of panel p at base[p] + off[kk], as
 // one 16-float run, two 8-float runs (a two-half panel) or 31 floats at
@@ -30,29 +31,32 @@
 // contiguously through the kernel. The sweep is blocked over columns
 // (kNc) and k (kKc) so the resident set — one kKc x kNc B block plus one
 // kMc x kKc A block — fits in L2 and each B panel is reused across the
-// full M sweep.
+// full M sweep. (The conv reads its weights in place instead; reading
+// gemm's A in place measured 4-14% slower on 256^3-512^3 products, 35%
+// with trans_a.)
 //
 // Blocking mirrors the scalar backend: a global k-block grid fixes the
 // accumulation order of every C element independent of the thread
 // partition, so results are bit-identical for any thread count. The row
 // range is the only parallel axis.
 //
-// The conv entry runs the same product with B the implicit im2col unfold
-// of zero-padded images (kernels/backend.hpp ConvShape), without ever
-// materializing it: A is packed once per call and the column panels are
-// the parallel axis. A panel whose columns form one run, two half runs or
-// one stride-2 run (detail::map_panel) is read in place: row kk starts at
-// the panel's first column plus the tap offset koff[kk], and no load
-// leaves the floats the panel's columns address. On the zmm tile one
-// sweep covers up to three consecutive panels read the same way, so a
-// 6-row ALF code conv keeps 18 accumulators in flight, not 6. Any other
-// panel (one straddling output rows at stride 2 or two images, or the
-// last, narrower one) is gathered column by column, one kKc-deep block at
-// a time, into an L1 buffer and read from there. Per C element that is
-// exactly gemm_simd's order (a register sum per kKc block, added into
-// zeroed C block by block), so conv equals gemm over the materialized
-// unfold byte for byte. A folded 1x1 expansion runs the same tiles over
-// the conv's panel buffers.
+// The conv entry runs the same product with B the implicit im2col unfold of
+// zero-padded images (kernels/backend.hpp ConvShape), without ever
+// materializing it: the tiles read the [m, k] weight rows in place (no row past
+// m: a short 4x16 tile repeats row 0 and discards it) and the column panels are
+// the parallel axis. A panel whose columns form one run, two half runs or one
+// stride-2 run (detail::map_panel) is read in place: row kk starts at the
+// panel's first column plus the tap offset koff[kk], and no load leaves the
+// floats the panel's columns address. On the zmm tile one sweep covers up to
+// three consecutive panels read the same way, so a 6-row ALF code conv keeps 18
+// accumulators in flight, not 6. Any other panel (one straddling output rows at
+// stride 2 or two images, or the last, narrower one) is gathered column by
+// column, one kKc-deep block at a time, into an L1 buffer and read from there.
+// Per C element that is exactly gemm_simd's order (a register sum per kKc
+// block, added into zeroed C block by block), so conv equals gemm over the
+// materialized unfold byte for byte. A folded 1x1 expansion runs the same tiles
+// over the conv's panel buffers, reading its [co, m] weights in place, and the
+// epilogue stores each panel through the vector store.
 //
 // Build/ISA: CMake's ALF_SIMD=ON compiles this file with wider vector
 // flags (-mavx2 -mfma) when the compiler supports them; simd_backend()
@@ -115,6 +119,15 @@ struct BPanels {
 template <PanelMode Mode>
 inline size_t row_offset(const size_t* off, size_t kk) {
   return Mode == PanelMode::kGather ? kk * kNr : off[kk];
+}
+
+/// Where row r of an A block starts; its element kk is at [kk * Step].
+/// Step 1: the rows in place, row r at a + r * lda (the conv's weights).
+/// Step kMr: gemm's packed block, kMr-row panels lda floats apart, each
+/// laid out [kk][kMr] (row r at a + (r / kMr) * lda + r % kMr).
+template <size_t Step>
+inline const float* a_row(const float* a, size_t lda, size_t r) {
+  return a + (r / Step) * lda + r % Step;
 }
 
 /// C of one sweep: row r of panel p at c + p * pstep + r * ldc, of which
@@ -180,28 +193,32 @@ inline void store_row(float* crow, const v8& lo, const v8& hi,
 }
 
 /// The 4x16 tile: C rows [0, pr) of one B panel (base, half) += alpha *
-/// apanel * B over kb k steps. Computes all four rows of the packed A
-/// panel (short panels are zero-padded) and stores the live ones. Named
-/// accumulators, as in tile_zmm: an array indexed by the store's row
-/// count stays in memory through the k loop.
-template <PanelMode Mode>
-void tile_4x16(const float* apanel, size_t kb, const float* base,
+/// A * B over kb k steps, A's rows per a_row<Step>. Computes four rows
+/// and stores the live ones; a row past pr repeats row 0, so no read
+/// leaves A's pr rows. Named accumulators, as in tile_zmm: an array
+/// indexed by the store's row count stays in memory through the k loop.
+template <PanelMode Mode, size_t Step>
+void tile_4x16(const float* a, size_t lda, size_t kb, const float* base,
                size_t half, const size_t* off, const CPanels& cp, float* c,
                size_t pr) {
+  const float* const a0 = a;
+  const float* const a1 = pr > 1 ? a_row<Step>(a, lda, 1) : a;
+  const float* const a2 = pr > 2 ? a_row<Step>(a, lda, 2) : a;
+  const float* const a3 = pr > 3 ? a_row<Step>(a, lda, 3) : a;
   v8 c00 = {}, c01 = {}, c10 = {}, c11 = {}, c20 = {}, c21 = {}, c30 = {},
      c31 = {};
   for (size_t kk = 0; kk < kb; ++kk) {
     v8 b0, b1;
     load_row<Mode>(base + row_offset<Mode>(off, kk), half, b0, b1);
-    const float* ap = apanel + kk * kMr;
-    c00 += ap[0] * b0;
-    c01 += ap[0] * b1;
-    c10 += ap[1] * b0;
-    c11 += ap[1] * b1;
-    c20 += ap[2] * b0;
-    c21 += ap[2] * b1;
-    c30 += ap[3] * b0;
-    c31 += ap[3] * b1;
+    const size_t ka = kk * Step;
+    c00 += a0[ka] * b0;
+    c01 += a0[ka] * b1;
+    c10 += a1[ka] * b0;
+    c11 += a1[ka] * b1;
+    c20 += a2[ka] * b0;
+    c21 += a2[ka] * b1;
+    c30 += a3[ka] * b0;
+    c31 += a3[ka] * b1;
   }
   const CPanels out = cp;  // a local copy: C's stores cannot alias it
   store_row(c, c00, c01, out);
@@ -275,21 +292,27 @@ __attribute__((target("avx512f"), always_inline)) inline void store_rows16(
 }
 
 /// The zmm tile: C rows [0, R) of P consecutive B panels += alpha * A * B
-/// over kb k steps, A read from two consecutive 4-row panels of the pack
-/// (the second only when R > 4). Per k step one B load per panel and one
-/// A broadcast per row feed R * P accumulators — one per row and panel,
-/// each holding what tile_4x16 keeps in two ymm, with the same
-/// expressions in the same order, so the two tiles are bit-equal. Named
-/// accumulators keep the sums in registers through the store; an array
-/// went to the stack, zeroed there on every call.
-template <size_t R, size_t P, PanelMode Mode>
-__attribute__((target("avx512f"))) void tile_zmm(const float* apanel,
+/// over kb k steps, A's rows per a_row<Step>. Per k step one B load per
+/// panel and one A broadcast per row feed R * P accumulators — one per
+/// row and panel, each holding what tile_4x16 keeps in two ymm, with the
+/// same expressions in the same order, so the two tiles are bit-equal.
+/// Named accumulators keep the sums in registers through the store; an
+/// array went to the stack, zeroed there on every call.
+template <size_t R, size_t P, PanelMode Mode, size_t Step>
+__attribute__((target("avx512f"))) void tile_zmm(const float* a, size_t lda,
                                                  size_t kb, const BPanels& b,
                                                  const CPanels& cp,
                                                  float* c) {
   static_assert(R >= 1 && R <= 2 * kMr && P >= 1 && P <= kGroup);
-  const float* a0 = apanel;                                // rows 0-3
-  const float* a1 = R > kMr ? apanel + kb * kMr : apanel;  // rows 4-7
+  // Row r of A; row 0 stands in for the rows past R, which are never read.
+  const float* const a0 = a;
+  const float* const a1 = R > 1 ? a_row<Step>(a, lda, 1) : a;
+  const float* const a2 = R > 2 ? a_row<Step>(a, lda, 2) : a;
+  const float* const a3 = R > 3 ? a_row<Step>(a, lda, 3) : a;
+  const float* const a4 = R > 4 ? a_row<Step>(a, lda, 4) : a;
+  const float* const a5 = R > 5 ? a_row<Step>(a, lda, 5) : a;
+  const float* const a6 = R > 6 ? a_row<Step>(a, lda, 6) : a;
+  const float* const a7 = R > 7 ? a_row<Step>(a, lda, 7) : a;
   const size_t* off = b.off;
   const float* const s0 = b.base[0];
   const float* const s1 = b.base[P > 1 ? 1 : 0];
@@ -300,20 +323,20 @@ __attribute__((target("avx512f"))) void tile_zmm(const float* apanel,
   v16 c20 = {}, c21 = {}, c22 = {}, c30 = {}, c31 = {}, c32 = {};
   v16 c40 = {}, c41 = {}, c42 = {}, c50 = {}, c51 = {}, c52 = {};
   v16 c60 = {}, c61 = {}, c62 = {}, c70 = {}, c71 = {}, c72 = {};
-  for (size_t kk = 0; kk < kb; ++kk, a0 += kMr, a1 += kMr) {
-    const size_t o = row_offset<Mode>(off, kk);
+  for (size_t kk = 0; kk < kb; ++kk) {
+    const size_t o = row_offset<Mode>(off, kk), ka = kk * Step;
     v16 b0, b1 = {}, b2 = {};  // b1, b2 unread below P = 2, 3
     load_row16<Mode>(s0 + o, h0, b0);
     if constexpr (P > 1) load_row16<Mode>(s1 + o, h1, b1);
     if constexpr (P > 2) load_row16<Mode>(s2 + o, h2, b2);
-    fma_row<P>(a0[0], b0, b1, b2, c00, c01, c02);
-    if constexpr (R > 1) fma_row<P>(a0[1], b0, b1, b2, c10, c11, c12);
-    if constexpr (R > 2) fma_row<P>(a0[2], b0, b1, b2, c20, c21, c22);
-    if constexpr (R > 3) fma_row<P>(a0[3], b0, b1, b2, c30, c31, c32);
-    if constexpr (R > 4) fma_row<P>(a1[0], b0, b1, b2, c40, c41, c42);
-    if constexpr (R > 5) fma_row<P>(a1[1], b0, b1, b2, c50, c51, c52);
-    if constexpr (R > 6) fma_row<P>(a1[2], b0, b1, b2, c60, c61, c62);
-    if constexpr (R > 7) fma_row<P>(a1[3], b0, b1, b2, c70, c71, c72);
+    fma_row<P>(a0[ka], b0, b1, b2, c00, c01, c02);
+    if constexpr (R > 1) fma_row<P>(a1[ka], b0, b1, b2, c10, c11, c12);
+    if constexpr (R > 2) fma_row<P>(a2[ka], b0, b1, b2, c20, c21, c22);
+    if constexpr (R > 3) fma_row<P>(a3[ka], b0, b1, b2, c30, c31, c32);
+    if constexpr (R > 4) fma_row<P>(a4[ka], b0, b1, b2, c40, c41, c42);
+    if constexpr (R > 5) fma_row<P>(a5[ka], b0, b1, b2, c50, c51, c52);
+    if constexpr (R > 6) fma_row<P>(a6[ka], b0, b1, b2, c60, c61, c62);
+    if constexpr (R > 7) fma_row<P>(a7[ka], b0, b1, b2, c70, c71, c72);
   }
   const CPanels out = cp;  // a local copy: C's stores cannot alias it
   const size_t ldc = out.ldc;
@@ -327,58 +350,68 @@ __attribute__((target("avx512f"))) void tile_zmm(const float* apanel,
   if constexpr (R > 7) store_rows16<P>(c + 7 * ldc, out, c70, c71, c72);
 }
 
-using ZmmTileFn = void (*)(const float*, size_t, const BPanels&,
+using ZmmTileFn = void (*)(const float*, size_t, size_t, const BPanels&,
                            const CPanels&, float*);
 
 /// tile_zmm by row count: entry h runs exactly h rows (entry 0 unused).
-template <size_t P, PanelMode Mode>
+template <size_t P, PanelMode Mode, size_t Step>
 constexpr ZmmTileFn kZmmTiles[2 * kMr + 1] = {
     nullptr,
-    &tile_zmm<1, P, Mode>,
-    &tile_zmm<2, P, Mode>,
-    &tile_zmm<3, P, Mode>,
-    &tile_zmm<4, P, Mode>,
-    &tile_zmm<5, P, Mode>,
-    &tile_zmm<6, P, Mode>,
-    &tile_zmm<7, P, Mode>,
-    &tile_zmm<8, P, Mode>};
+    &tile_zmm<1, P, Mode, Step>,
+    &tile_zmm<2, P, Mode, Step>,
+    &tile_zmm<3, P, Mode, Step>,
+    &tile_zmm<4, P, Mode, Step>,
+    &tile_zmm<5, P, Mode, Step>,
+    &tile_zmm<6, P, Mode, Step>,
+    &tile_zmm<7, P, Mode, Step>,
+    &tile_zmm<8, P, Mode, Step>};
 
 /// 8-row tiles over the rows, then one tile of exactly the remaining 1-7.
-template <size_t P, PanelMode Mode>
-void sweep_zmm(const float* apack, size_t rows, size_t kb, const BPanels& b,
-               const CPanels& cp) {
+template <size_t P, PanelMode Mode, size_t Step>
+void sweep_zmm(const float* a, size_t lda, size_t rows, size_t kb,
+               const BPanels& b, const CPanels& cp) {
   size_t i = 0;
   for (; i + 2 * kMr <= rows; i += 2 * kMr)
-    tile_zmm<2 * kMr, P, Mode>(apack + i * kb, kb, b, cp, cp.c + i * cp.ldc);
+    tile_zmm<2 * kMr, P, Mode, Step>(a_row<Step>(a, lda, i), lda, kb, b, cp,
+                                     cp.c + i * cp.ldc);
   if (i < rows)
-    kZmmTiles<P, Mode>[rows - i](apack + i * kb, kb, b, cp,
-                                 cp.c + i * cp.ldc);
+    kZmmTiles<P, Mode, Step>[rows - i](a_row<Step>(a, lda, i), lda, kb, b,
+                                       cp, cp.c + i * cp.ldc);
 }
 #endif
 
-/// Runs B's panels against the A rows [0, rows) packed at `apack` (kMr-row
-/// panels, kb * kMr floats apart) into C: with `zmm`, one zmm sweep over
-/// all of B's panels; else 4x16 tiles, one panel at a time.
-void sweep(const float* apack, size_t rows, size_t kb, const BPanels& b,
-           const CPanels& cp, [[maybe_unused]] bool zmm) {
-  const auto run = [&](auto mode) {
-    constexpr PanelMode M = decltype(mode)::value;
+/// Runs B's panels against the A rows [0, rows) (a_row<Step>) over kb k
+/// steps into C: with `zmm`, one zmm sweep over all of B's panels; else
+/// 4x16 tiles, one panel at a time.
+template <size_t Step, PanelMode M>
+void sweep_mode(const float* a, size_t lda, size_t rows, size_t kb,
+                const BPanels& b, const CPanels& cp,
+                [[maybe_unused]] bool zmm) {
 #if defined(ALF_ZMM_TILE)
-    if (zmm) {
-      if (b.np == 1)
-        sweep_zmm<1, M>(apack, rows, kb, b, cp);
-      else if (b.np == 2)
-        sweep_zmm<2, M>(apack, rows, kb, b, cp);
-      else
-        sweep_zmm<3, M>(apack, rows, kb, b, cp);
-      return;
-    }
+  if (zmm) {
+    if (b.np == 1)
+      sweep_zmm<1, M, Step>(a, lda, rows, kb, b, cp);
+    else if (b.np == 2)
+      sweep_zmm<2, M, Step>(a, lda, rows, kb, b, cp);
+    else
+      sweep_zmm<3, M, Step>(a, lda, rows, kb, b, cp);
+    return;
+  }
 #endif
-    for (size_t p = 0; p < b.np; ++p)
-      for (size_t i = 0; i < rows; i += kMr)
-        tile_4x16<M>(apack + i * kb, kb, b.base[p], b.half[p], b.off, cp,
-                     cp.c + p * cp.pstep + i * cp.ldc,
-                     std::min(kMr, rows - i));
+  for (size_t p = 0; p < b.np; ++p)
+    for (size_t i = 0; i < rows; i += kMr)
+      tile_4x16<M, Step>(a_row<Step>(a, lda, i), lda, kb, b.base[p],
+                         b.half[p], b.off, cp,
+                         cp.c + p * cp.pstep + i * cp.ldc,
+                         std::min(kMr, rows - i));
+}
+
+/// sweep_mode over the conv's A rows in place (row r at a + r * lda), in
+/// B's panel mode.
+void sweep(const float* a, size_t lda, size_t rows, size_t kb,
+           const BPanels& b, const CPanels& cp, bool zmm) {
+  const auto run = [&](auto mode) {
+    sweep_mode<1, decltype(mode)::value>(a, lda, rows, kb, b, cp, zmm);
   };
   using M = PanelMode;
   switch (b.mode) {
@@ -395,8 +428,9 @@ void sweep(const float* apack, size_t rows, size_t kb, const BPanels& b,
 
 /// Packs rows [i0, i0+rows) x k-range [k0, k0+kb) of op(A) into kMr-wide
 /// panels: dst panel p holds rows i0+p*kMr.., laid out [kk][r] so the
-/// microkernel reads one contiguous kMr group per k step. Short panels are
-/// zero-padded (the padded lanes are computed and discarded).
+/// microkernel reads one contiguous kMr group per k step (a_row<kMr>).
+/// Short panels are zero-padded (the padded lanes are computed and
+/// discarded).
 void pack_a(const float* a, size_t lda, bool trans_a, size_t i0, size_t rows,
             size_t k0, size_t kb, float* dst) {
   for (size_t p = 0; p < rows; p += kMr) {
@@ -414,7 +448,7 @@ void pack_a(const float* a, size_t lda, bool trans_a, size_t i0, size_t rows,
 }
 
 /// Runs one packed B panel (`cols` live columns) against the A rows [0,
-/// rows) packed at `apack` into the C rows at `c`: gemm's sweep.
+/// rows) packed at `apack` (pack_a) into the C rows at `c`: gemm's sweep.
 inline void sweep_panel(const float* apack, size_t rows, size_t kb,
                         const float* bpanel, size_t cols, float alpha,
                         float* c, size_t ldc, bool zmm) {
@@ -425,7 +459,7 @@ inline void sweep_panel(const float* apack, size_t rows, size_t kb,
   cp.ldc = ldc;
   cp.cols = cols;
   cp.alpha = alpha;
-  sweep(apack, rows, kb, b, cp, zmm);
+  sweep_mode<kMr, PanelMode::kGather>(apack, kb * kMr, rows, kb, b, cp, zmm);
 }
 
 /// The packed kernel: B packed once by the caller, rows partitioned over
@@ -538,27 +572,18 @@ void gather_block(const float* x, const detail::ConvPanel& pn,
 }
 
 /// f32 conv over the implicit unfold of zero-padded images: byte for byte
-/// gemm_simd(a, lda, false, unfold(x), n, false, c, ldc, m, k, n, 1, 0).
-/// With an epilogue, each panel's [m x 16] result lands in an L1 buffer
-/// instead of C and is finished there (finish below).
+/// gemm_simd(a, lda, false, unfold(x), n, false, c, ldc, m, k, n, 1, 0),
+/// A's rows read in place. With an epilogue, each panel's [m x 16] result
+/// lands in an L1 buffer instead of C and is finished there (finish
+/// below).
 void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
                float* c, size_t ldc, size_t m, const ConvEpilogue* ep) {
   const size_t k = s.k(), n = s.n(), plane = s.out_h() * s.out_w();
   const bool zmm = detail::zmm_tile();
   const size_t group = zmm ? kGroup : 1;  // panels per sweep
   // The expansion computes what a separate 1x1 conv step over these same
-  // images would: the tiles over the packed expansion weights.
+  // images would: the tiles over the [co, m] expansion weights in place.
   const size_t co = ep != nullptr ? ep->co : 0;
-  const size_t cor = (co + kMr - 1) / kMr * kMr;
-  thread_local std::vector<float> epack_tls;
-  float* epack = nullptr;
-  if (co != 0) {
-    epack_tls.resize(cor * m);
-    epack = epack_tls.data();
-    for (size_t k0 = 0; k0 < m; k0 += kKc)
-      pack_a(ep->exp_w, m, false, 0, co, k0, std::min(m, k0 + kKc) - k0,
-             epack + k0 * cor);
-  }
   // Finishes `np` panels from column j0 whose conv results sit at `v`
   // (panel p's [m][kNr] at v + p * m * kNr): inner activation and
   // expansion into the buffers after the group's conv results, then the
@@ -580,14 +605,14 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
       std::fill_n(exp, np * co * kNr, 0.0f);
       for (size_t k0 = 0; k0 < m; k0 += kKc) {
         for (size_t p = 0; p < np; ++p) b.base[p] = v + (p * m + k0) * kNr;
-        sweep(epack + k0 * cor, co, std::min(m, k0 + kKc) - k0, b, cp, zmm);
+        sweep(ep->exp_w + k0, m, co, std::min(m, k0 + kKc) - k0, b, cp, zmm);
       }
       out = exp;
       rows = co;
     }
     for (size_t p = 0; p < np; ++p)
-      detail::store_panel(*ep, rows, plane, out + p * rows * kNr, kNr,
-                          j0 + p * kNr, cols);
+      detail::store_panel_isa(*ep, rows, plane, out + p * rows * kNr, kNr,
+                              j0 + p * kNr, cols);
   };
   // Per-worker panel buffers of the epilogue: the group's conv results,
   // then its expansion results.
@@ -597,18 +622,10 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
     return buf_tls.data();
   };
 
-  // A is packed once, k block by k block (block k0 at apack + k0 * mr);
-  // workers reach the caller's thread_local scratch through plain pointers
-  // (see detail::qgemm_int8).
-  const size_t mr = (m + kMr - 1) / kMr * kMr;
-  thread_local std::vector<float> apack_tls;
+  // Workers reach the caller's thread_local tap offsets through a plain
+  // pointer (see detail::qgemm_int8).
   thread_local std::vector<size_t> koff_tls;
-  apack_tls.resize(mr * k);
   koff_tls.resize(k);
-  float* const apack = apack_tls.data();
-  for (size_t k0 = 0; k0 < k; k0 += kKc)
-    pack_a(a, lda, false, 0, m, k0, std::min(k, k0 + kKc) - k0,
-           apack + k0 * mr);
   size_t* const koff = koff_tls.data();
   detail::conv_tap_offsets(s, koff);
 
@@ -652,7 +669,7 @@ void conv_simd(const float* a, size_t lda, const float* x, const ConvShape& s,
           gather_block(x, pn, koff + k0, kb, bblock);
         else
           b.off = koff + k0;
-        sweep(apack + k0 * mr, m, kb, b, cp, zmm);
+        sweep(a + k0, lda, m, kb, b, cp, zmm);
       }
       if (ep != nullptr) finish(buf, b.np, j0, pn.cols);
       jp += b.np;

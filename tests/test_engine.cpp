@@ -53,6 +53,34 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace alf {
+
+/// Test-only friend of Plan (declared in plan.hpp): corruption fixtures
+/// need a mutable view of a compiled plan's internals to prove verify()
+/// rejects each broken invariant, and grid tests a grid compile does not
+/// pick. Nothing outside the tests defines this.
+struct PlanTestPeer {
+  static Plan& mut(const std::shared_ptr<const Plan>& p) {
+    return const_cast<Plan&>(*p);
+  }
+  static std::vector<Step>& steps(Plan& p) { return p.steps_; }
+  static size_t& slots(Plan& p) { return p.slots_; }
+  static size_t& slot_stride(Plan& p) { return p.slot_stride_; }
+  static size_t& classes(Plan& p) { return p.classes_; }
+  static bool& quantized(Plan& p) { return p.quant_; }
+  static const kernels::KernelBackend*& backend(Plan& p) {
+    return p.backend_;
+  }
+  static std::vector<StepFold>& folds(Plan& p) { return p.folds_; }
+  /// The chunk grid: a test sets a grid compile does not pick (chunks
+  /// finer than the thread count).
+  static size_t& chunks(Plan& p) { return p.nchunks_; }
+  /// Runs every step on its own again: the plan as it ran before convs
+  /// folded their successors into their epilogues.
+  static void clear_folds(Plan& p) {
+    p.folds_.assign(p.steps_.size(), StepFold{});
+  }
+};
+
 namespace {
 
 using testing::random_input;
@@ -207,24 +235,34 @@ TEST(Engine, AlfDeployedModelMatchesEvalForward) {
 }
 
 TEST(Engine, BitIdenticalAcrossThreadCounts) {
-  // A plan compiled at 4 threads cuts every batch into chunks that run
-  // concurrently, each through every step; at 1 thread the same chunks
-  // run one after another. A plan compiled at 1 thread has a single chunk.
-  // All must produce the same bits, at every n and on dense and ALF plans.
-  constexpr size_t kBatch = 6;
+  // A plan cuts every batch into chunks that run concurrently, each
+  // through every step; at 1 thread the same chunks run one after
+  // another. Grids finer than the thread count — 16 chunks of 2 images
+  // and 32 of one image at batch 32, set through the peer on a plan
+  // compiled at 4 threads — run at 1, 3 and 4 threads and must give the
+  // bits of the one-chunk plan compiled at 1 thread, at every n, on dense
+  // and ALF plans, float and int8.
+  constexpr size_t kBatch = 32;
   for (const bool alf : {false, true}) {
-    Rng rng(34);
-    auto model = resnet20_for_test(alf, rng);
-    Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
-    const auto plan4 = compile_at(*model, kBatch, 4);
-    const auto plan1 = compile_at(*model, kBatch, 1);
-    ASSERT_GT(plan4->chunks(), size_t{1});
-    for (size_t n = 1; n <= kBatch; ++n) {
-      const std::vector<float> want = run_n(plan4, x, n, 4);
-      EXPECT_TRUE(same_bytes(run_n(plan4, x, n, 1), want))
-          << "alf " << alf << " n " << n;
-      EXPECT_TRUE(same_bytes(run_n(plan1, x, n, 4), want))
-          << "alf " << alf << " n " << n;
+    for (const char* backend : {"", "int8"}) {
+      Rng rng(34);
+      auto model = resnet20_for_test(alf, rng);
+      Tensor x = random_input({kBatch, kInC, kHw, kHw}, rng);
+      const EngineOptions opts = {.backend = backend, .bits = 8, .name = ""};
+      const auto one = compile_at(*model, kBatch, 1, opts);
+      ASSERT_EQ(one->chunks(), size_t{1});
+      const auto plan16 = compile_at(*model, kBatch, 4, opts);
+      const auto plan32 = compile_at(*model, kBatch, 4, opts);
+      PlanTestPeer::chunks(PlanTestPeer::mut(plan16)) = 16;
+      PlanTestPeer::chunks(PlanTestPeer::mut(plan32)) = kBatch;
+      for (size_t n = 1; n <= kBatch; ++n) {
+        const std::vector<float> want = run_n(one, x, n, 1);
+        for (const int threads : {1, 3, 4})
+          for (const auto& plan : {plan16, plan32})
+            EXPECT_TRUE(same_bytes(run_n(plan, x, n, threads), want))
+                << "alf " << alf << " backend '" << backend << "' chunks "
+                << plan->chunks() << " threads " << threads << " n " << n;
+      }
     }
   }
   set_parallel_threads(0);
@@ -422,9 +460,11 @@ TEST(Engine, Int8LinearHeadMatchesQgemmOverItsQuantizedRows) {
     const int32_t levels = (1 << (fc.qbits - 1)) - 1;
     const float span = static_cast<float>(relu ? 2 * levels : levels);
     const int32_t zp = relu ? -levels : 0;
-    std::vector<int8_t> wt(kFeat * out);  // qw [out, in] as B [in, out]
+    // qw [out, ceil(in/4)*4] as B [in, out].
+    std::vector<int8_t> wt(kFeat * out);
     for (size_t o = 0; o < out; ++o)
-      for (size_t j = 0; j < kFeat; ++j) wt[j * out + o] = fc.qw[o * kFeat + j];
+      for (size_t j = 0; j < kFeat; ++j)
+        wt[j * out + o] = fc.qw[o * fc.qw_row() + j];
     for (const size_t n : {size_t{7}, size_t{8}}) {
       const std::vector<float> rows = run_n(body, x, n, 4);
       ASSERT_EQ(rows.size(), n * kFeat);
@@ -718,9 +758,8 @@ TEST(Engine, Int8PlanLowersConvAndLinearToQgemm) {
       EXPECT_FALSE(st.shift_gemm) << st.name;  // im2col path only
       const size_t rows = st.kind == OpKind::kConv ? st.out_c
                                                    : st.out_features;
-      const size_t cols = st.kind == OpKind::kConv ? st.geom.col_rows()
-                                                   : st.in_features;
-      EXPECT_EQ(st.qw.size(), rows * cols) << st.name;
+      // qconv's A: the k order (c/4, kh, kw, c%4), pad lanes included.
+      EXPECT_EQ(st.qw.size(), rows * st.qw_row()) << st.name;
       ASSERT_EQ(st.qw_scales.size(), rows) << st.name;
       for (const float sc : st.qw_scales) EXPECT_GT(sc, 0.0f) << st.name;
       // The float weights are released — the plan carries int8 only.
@@ -790,12 +829,27 @@ TEST(Engine, Int8EngineBitIdenticalAcrossThreadCounts) {
   set_parallel_threads(0);
 }
 
+/// An int8 step's weights back in unfold order ([Co, Ci*K*K], k = (c, kh,
+/// kw)) from the plan's qconv A (Step::qw: k order (c/4, kh, kw, c%4)).
+std::vector<int8_t> unfold_order_weights(const Step& st) {
+  const size_t taps = st.geom.kernel * st.geom.kernel, ci = st.geom.in_c;
+  std::vector<int8_t> w(st.out_c * ci * taps);
+  for (size_t o = 0; o < st.out_c; ++o)
+    for (size_t c = 0; c < ci; ++c)
+      for (size_t t = 0; t < taps; ++t)
+        w[(o * ci + c) * taps + t] =
+            st.qw[o * st.qw_row() + ((c / 4) * taps + t) * 4 + c % 4];
+  return w;
+}
+
 /// The quantized conv the engine replaced, computed the slow way: float
 /// im2col of each image, per-image max-abs quantization of the unfold, the
-/// scalar qgemm oracle, then bias + activation — NCHW [n, Co, Ho, Wo].
+/// scalar qgemm oracle over the weights in unfold order, then bias +
+/// activation — NCHW [n, Co, Ho, Wo].
 std::vector<float> int8_conv_oracle(const Step& st, const float* x, size_t n) {
   const ConvGeom& g = st.geom;
   const size_t k = g.col_rows(), cols = g.col_cols();
+  const std::vector<int8_t> w = unfold_order_weights(st);
   const int32_t levels = (1 << (st.qbits - 1)) - 1;
   const float span = static_cast<float>(st.in_nonneg ? 2 * levels : levels);
   const int32_t zp = st.in_nonneg ? -levels : 0;
@@ -819,7 +873,7 @@ std::vector<float> int8_conv_oracle(const Step& st, const float* x, size_t n) {
     p.b_scales = bs.data();
     p.b_zp = zp;
     float* y = out.data() + i * st.out_sz;
-    kernels::detail::qgemm_int8(st.qw.data(), k, qcol.data(), cols, y, cols,
+    kernels::detail::qgemm_int8(w.data(), k, qcol.data(), cols, y, cols,
                                 st.out_c, k, cols, p);
     bias_act_inplace(y, st.out_c, cols,
                      st.bias.empty() ? nullptr : st.bias.data(), st.act);
@@ -926,33 +980,6 @@ TEST(Engine, NarrowBitWidthsDegradeGracefully) {
                              {.backend = "int8", .bits = 1, .name = ""}),
                CheckError);
 }
-
-}  // namespace
-
-/// Test-only friend of Plan (declared in plan.hpp): corruption fixtures
-/// need a mutable view of a compiled plan's internals to prove verify()
-/// rejects each broken invariant. Nothing outside the tests defines this.
-struct PlanTestPeer {
-  static Plan& mut(const std::shared_ptr<const Plan>& p) {
-    return const_cast<Plan&>(*p);
-  }
-  static std::vector<Step>& steps(Plan& p) { return p.steps_; }
-  static size_t& slots(Plan& p) { return p.slots_; }
-  static size_t& slot_stride(Plan& p) { return p.slot_stride_; }
-  static size_t& classes(Plan& p) { return p.classes_; }
-  static bool& quantized(Plan& p) { return p.quant_; }
-  static const kernels::KernelBackend*& backend(Plan& p) {
-    return p.backend_;
-  }
-  static std::vector<StepFold>& folds(Plan& p) { return p.folds_; }
-  /// Runs every step on its own again: the plan as it ran before convs
-  /// folded their successors into their epilogues.
-  static void clear_folds(Plan& p) {
-    p.folds_.assign(p.steps_.size(), StepFold{});
-  }
-};
-
-namespace {
 
 /// One compiled ResNet-20 fixture per corruption case (the mutations are
 /// destructive, so every case starts from a fresh compile).
@@ -1294,6 +1321,29 @@ TEST(PlanVerify, RejectsInt8TruncatedPanel) {
   ASSERT_TRUE(st.quantized);
   st.qw = ConstSpan<int8_t>(st.qw.data(), st.qw.size() - 1);
   expect_verify_rejects(plan, "panel");
+}
+
+TEST(PlanVerify, RejectsInt8PanelNotInQconvOrder) {
+  // The int8 kernels read qw in place as qconv's A: [Co, qw_row()] in the
+  // images' k order with every pad lane zero. The fixture's first conv
+  // has 3 input channels, so lane 3 of its one quad is a pad lane.
+  {
+    auto plan = verify_fixture("int8");
+    Step& st = PlanTestPeer::steps(PlanTestPeer::mut(plan))[0];
+    ASSERT_EQ(st.geom.in_c, size_t{3});
+    ASSERT_EQ(st.qw_row(), size_t{4 * 9});
+    std::vector<int8_t> forged(st.qw.data(), st.qw.data() + st.qw.size());
+    forged[st.qw_row() + 4 * 5 + 3] = 1;  // row 1, tap 5, pad lane 3
+    st.qw = ConstSpan<int8_t>(forged.data(), forged.size());
+    expect_verify_rejects(plan, "pad lane");
+  }
+  {
+    // The (c, kh, kw) panel of layout 3: Co x 27 bytes, not Co x 36.
+    auto plan = verify_fixture("int8");
+    Step& st = PlanTestPeer::steps(PlanTestPeer::mut(plan))[0];
+    st.qw = ConstSpan<int8_t>(st.qw.data(), st.out_c * st.geom.col_rows());
+    expect_verify_rejects(plan, "quantized panel");
+  }
 }
 
 TEST(PlanVerify, RejectsInt8RetainedFloatWeights) {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -627,53 +628,71 @@ TEST(QuantizePad, BothWritersMatchTheElementReference) {
   // quantize_ref(v) + 128 at [c/4][y][x][c%4], border bytes and the lanes
   // past in_c are zp + 128. Widths 13 and 8 cover the 8-pixel vector step
   // and the scalar tail; the grid is 30% finer than the max-abs one, so
-  // the clamp fires.
+  // the clamp fires. 1x1 images (the int8 head's rows) take the AVX2
+  // writer's path over contiguous planes: 64 channels are eight 8-plane
+  // steps, 13 one step and a partial quad, 3 and 5 only the tail.
   std::vector<std::pair<const char*, kernels::detail::QuantizePadFn>> writers{
       {"baseline", &kernels::detail::quantize_pad_i8_base}};
   if (kernels::detail::quantize_pad_i8_vec() != nullptr)
     writers.emplace_back("avx2", kernels::detail::quantize_pad_i8_vec());
   Rng rng(83);
-  for (const size_t c : {3, 4, 5, 16}) {
-    for (const size_t w : {13, 8}) {
-      const size_t h = 3;
-      std::vector<float> src(c * h * w);
-      for (float& v : src) v = static_cast<float>(rng.uniform(-2.0, 2.0));
-      for (const size_t pad : {0, 1}) {
-        for (const int bits : {8, 4}) {
-          for (const bool nonneg : {false, true}) {
-            const int32_t levels = (1 << (bits - 1)) - 1;
-            const int32_t zp = nonneg ? -levels : 0;
-            const float span =
-                static_cast<float>(nonneg ? 2 * levels : levels);
-            const float inv = 1.3f * span / 2.0f;
-            kernels::ConvShape s;
-            s.in_c = c;
-            s.in_h = h + 2 * pad;
-            s.in_w = w + 2 * pad;
-            std::vector<uint8_t> want(s.qimage_size(),
-                                      static_cast<uint8_t>(zp + 128));
-            for (size_t ch = 0; ch < c; ++ch)
-              for (size_t y = 0; y < h; ++y)
-                for (size_t x = 0; x < w; ++x)
-                  want[(((ch / 4) * s.in_h + y + pad) * s.in_w + x + pad) * 4 +
-                       ch % 4] = static_cast<uint8_t>(
-                      quantize_ref(src[(ch * h + y) * w + x], inv, zp,
-                                   levels) +
-                      128);
-            for (const auto& [name, fn] : writers) {
-              std::vector<uint8_t> got(s.qimage_size() + 1, 0xA5);
-              fn(src.data(), c, h, w, pad, inv, zp, levels, got.data());
-              EXPECT_EQ(got.back(), 0xA5) << name << " wrote past the image";
-              got.pop_back();
-              ASSERT_EQ(got, want)
-                  << name << " c=" << c << " w=" << w << " pad=" << pad
-                  << " bits=" << bits << " zp=" << zp;
-            }
+  struct Geo {
+    size_t c, h, w;
+  };
+  std::vector<Geo> geos;
+  for (const size_t c : {3, 4, 5, 16})
+    for (const size_t w : {13, 8}) geos.push_back({c, 3, w});
+  for (const size_t c : {3, 5, 13, 64}) geos.push_back({c, 1, 1});
+  for (const Geo& geo : geos) {
+    const size_t c = geo.c, h = geo.h, w = geo.w;
+    std::vector<float> src(c * h * w);
+    for (float& v : src) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    for (const size_t pad : {0, 1}) {
+      for (const int bits : {8, 4}) {
+        for (const bool nonneg : {false, true}) {
+          const int32_t levels = (1 << (bits - 1)) - 1;
+          const int32_t zp = nonneg ? -levels : 0;
+          const float span =
+              static_cast<float>(nonneg ? 2 * levels : levels);
+          const float inv = 1.3f * span / 2.0f;
+          kernels::ConvShape s;
+          s.in_c = c;
+          s.in_h = h + 2 * pad;
+          s.in_w = w + 2 * pad;
+          std::vector<uint8_t> want(s.qimage_size(),
+                                    static_cast<uint8_t>(zp + 128));
+          for (size_t ch = 0; ch < c; ++ch)
+            for (size_t y = 0; y < h; ++y)
+              for (size_t x = 0; x < w; ++x)
+                want[(((ch / 4) * s.in_h + y + pad) * s.in_w + x + pad) * 4 +
+                     ch % 4] = static_cast<uint8_t>(
+                    quantize_ref(src[(ch * h + y) * w + x], inv, zp,
+                                 levels) +
+                    128);
+          for (const auto& [name, fn] : writers) {
+            std::vector<uint8_t> got(s.qimage_size() + 1, 0xA5);
+            fn(src.data(), c, h, w, pad, inv, zp, levels, got.data());
+            EXPECT_EQ(got.back(), 0xA5) << name << " wrote past the image";
+            got.pop_back();
+            ASSERT_EQ(got, want)
+                << name << " c=" << c << " w=" << w << " pad=" << pad
+                << " bits=" << bits << " zp=" << zp;
           }
         }
       }
     }
   }
+}
+
+/// qconv's A (backend.hpp KernelBackend::qconv) for the first m rows of
+/// the unfold-order weights `a`: reordered into the images' k order, in a
+/// buffer of exactly m rows, so an entry that reads past the last row
+/// faults under ASan.
+std::vector<int8_t> qconv_a(const std::vector<int8_t>& a, size_t m,
+                            const kernels::ConvShape& s) {
+  std::vector<int8_t> q(m * s.qk());
+  kernels::reorder_qconv_weights(a.data(), m, s, q.data());
+  return q;
 }
 
 /// A quantized backend whose qconv is the unfold (what the generic int8
@@ -721,11 +740,13 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
     cands.push_back(be);
   }
   // Every candidate runs under every tile mask over the first rows of A
-  // (the oracle's rows are independent): 22, 6 and 11 rows are the code
-  // convs' (none a multiple of the 4-row panel; 22 = two 8-row zmm tiles
-  // and a 6-row one), 13 and 9 put one and five rows in a last tile, 8 is
-  // one whole zmm tile and 1 a single row. One thread runs them all,
-  // three threads the widest and an odd one.
+  // (the oracle's rows are independent), each reordered into qconv's A in
+  // a buffer of exactly that many rows (qconv_a): 22, 6 and 11 rows are
+  // the code convs' (none a multiple of the 4-row panel; 22 = two 8-row
+  // zmm tiles and a 6-row one), 9 puts one row in a last tile, 5 one row
+  // past a 4-row ymm tile, 3 a short ymm tile and 1 a single row. One
+  // thread runs them all, three threads the widest and an odd one. The
+  // oracle multiplies A in unfold order against the (c, kh, kw) unfold.
   const std::vector<TileMask> masks = tile_masks();
   Rng rng(59);
   const size_t m = 22;
@@ -810,12 +831,13 @@ TEST(QconvBitIdentity, EveryQuantizedBackendAndFallbackMatchOracle) {
               for (const int threads : {1, 3}) {
                 set_parallel_threads(threads);
                 const std::vector<size_t> row_counts =
-                    threads == 1 ? std::vector<size_t>{22, 13, 11, 9, 8, 6, 1}
+                    threads == 1 ? std::vector<size_t>{1, 3, 5, 6, 9, 11, 22}
                                  : std::vector<size_t>{22, 11};
                 for (const size_t rows : row_counts) {
+                  const std::vector<int8_t> aq = qconv_a(a, rows, s);
                   std::vector<float> got(rows * ldc, -7.0f);
-                  be->qconv(a.data(), k, xq.data(), s, got.data(), ldc, rows,
-                            p, nullptr);
+                  be->qconv(aq.data(), s.qk(), xq.data(), s, got.data(), ldc,
+                            rows, p, nullptr);
                   ASSERT_EQ(std::memcmp(ref.data(), got.data(),
                                         got.size() * sizeof(float)),
                             0)
@@ -846,9 +868,11 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
   // whose panels straddle images), and a one-channel 2x2 map, narrower
   // than a panel. m = 6, 11 and 22 are the fixture's ALF code-conv row
   // counts (none a multiple of the 4-row tile); m = 1 and 3 run one short
-  // tile, 8 exactly one 8-row zmm tile, 9 that tile and a 1-row one; m =
-  // 64 over the 64-channel map makes k = 576, three k blocks. C carries a
-  // poisoned gutter (ldc > n) no entry may touch.
+  // tile, 5 a whole one and a 1-row one, 8 exactly one 8-row zmm tile, 9
+  // that tile and a 1-row one; m = 64 over the 64-channel map makes k =
+  // 576, three k blocks. A is allocated at exactly m rows, so a tile that
+  // reads past the last one faults under ASan. C carries a poisoned
+  // gutter (ldc > n) no entry may touch.
   struct Geo {
     size_t c, hw, k, s, pad;
   };
@@ -875,7 +899,7 @@ TEST(ConvBitIdentity, EveryFloatConvMatchesItsGemmOverTheUnfold) {
     s.stride = geo.s;
     const size_t k = g.col_rows(), cols = g.col_cols();
     const size_t img_floats = geo.c * geo.hw * geo.hw;
-    for (const size_t m : {1, 3, 6, 8, 9, 11, 22, 64}) {
+    for (const size_t m : {1, 3, 5, 6, 8, 9, 11, 22, 64}) {
       const Tensor a = random2d(m, k, rng);
       for (const size_t imgs : {1, 2, 5, 9}) {
         s.images = imgs;
@@ -1262,6 +1286,12 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
       const size_t m = mc[0], co = mc[1], rows = co != 0 ? co : m;
       const auto a = random_i8(m * k, rng);
       const auto eq = random_i8(std::max<size_t>(co, 1) * m, rng);
+      // The expansion's weights as a 1x1 step's qconv A holds them: rows
+      // ceil(m/4)*4 apart, the pad lanes poisoned (no entry reads them).
+      const size_t m4 = (m + 3) / 4 * 4;
+      std::vector<int8_t> eq4(std::max<size_t>(co, 1) * m4, int8_t{-99});
+      for (size_t o = 0; o < co; ++o)
+        std::memcpy(eq4.data() + o * m4, eq.data() + o * m, m);
       std::vector<float> as(m), es(std::max<size_t>(co, 1)), bias(rows);
       for (size_t i = 0; i < m; ++i)
         as[i] = 0.01f + 0.002f * static_cast<float>(i);
@@ -1271,6 +1301,7 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
       for (const size_t imgs : {1, 3}) {
         const kernels::ConvShape s = epi_shape(geo, imgs);
         const size_t n = s.n();
+        const std::vector<int8_t> aq = qconv_a(a, m, s);
         // Logical int8 image bytes, borders included, and the u8
         // channel-quad images the entries read.
         std::vector<int8_t> xl(imgs * s.image_size());
@@ -1326,10 +1357,11 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
                 if (co != 0) {
                   ep.co = co;
                   ep.inner_act = v.inner;
-                  ep.exp_qw = eq.data();
+                  ep.exp_qw = eq4.data();
                   ep.exp_scales = es.data();
                 }
-                be->qconv(a.data(), k, xq.data(), s, nullptr, 0, m, p, &ep);
+                be->qconv(aq.data(), s.qk(), xq.data(), s, nullptr, 0, m, p,
+                          &ep);
                 ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)
@@ -1348,6 +1380,58 @@ TEST(ConvEpilogue, Int8EntriesAgreeWithTheReferenceEpilogue) {
     }
   }
   set_parallel_threads(0);
+}
+
+TEST(ConvEpilogue, VectorStoreEqualsTheScalarStore) {
+  // The epilogue store's vector body (detail::store_panel_vec, AVX2)
+  // against the scalar store_panel, byte for byte, panel by panel: every activation, bias on and off, no
+  // residual, a separate one, and out itself. The products hold NaN (both
+  // signs), +-0, +-inf, a denormal and ordinary values; the residual and
+  // bias hold +-0 and +-inf too (no NaN: with two NaN operands the
+  // payload a sum keeps is the compiler's pick). Three images of a 5x5 map
+  // make 75 columns: panels that straddle images and a last one 11 wide.
+  using kernels::detail::StorePanelFn;
+  const StorePanelFn vec = kernels::detail::store_panel_vec();
+  if (vec == nullptr) GTEST_SKIP() << "no vector store body on this host";
+  constexpr size_t kRows = 5, kImgs = 3, kPlane = 25, kN = kImgs * kPlane;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan,  -nan, 0.0f,  -0.0f,  inf,
+                            -inf, 1e-41f, 1.5f, -2.25f, 0.75f};
+  const float addends[] = {0.0f, -0.0f, inf, -inf, 0.5f, -1.75f, 3.0f};
+  std::vector<float> c(kRows * kN), res(kImgs * kRows * kPlane),
+      bias(kRows);
+  for (size_t i = 0; i < c.size(); ++i) c[i] = specials[(i * 7) % 10];
+  for (size_t i = 0; i < res.size(); ++i) res[i] = addends[(i * 3) % 7];
+  for (size_t r = 0; r < kRows; ++r) bias[r] = addends[(r + 2) % 7];
+  const auto store = [&](StorePanelFn fn, Act act, bool with_bias,
+                         int residual) {
+    std::vector<float> out =
+        residual == 2 ? res : std::vector<float>(res.size(), 7.0f);
+    kernels::ConvEpilogue ep;
+    ep.out = out.data();
+    ep.bias = with_bias ? bias.data() : nullptr;
+    ep.residual = residual == 1   ? res.data()
+                  : residual == 2 ? out.data()
+                                  : nullptr;
+    ep.act = act;
+    for (size_t j0 = 0; j0 < kN; j0 += kernels::detail::kPanelCols)
+      fn(ep, kRows, kPlane, c.data() + j0, kN, j0,
+         std::min(kernels::detail::kPanelCols, kN - j0));
+    return out;
+  };
+  for (const Act act : {Act::kNone, Act::kRelu, Act::kTanh, Act::kSigmoid})
+    for (const bool with_bias : {false, true})
+      for (const int residual : {0, 1, 2}) {
+        const std::vector<float> want = store(
+            &kernels::detail::store_panel, act, with_bias, residual);
+        const std::vector<float> got = store(vec, act, with_bias, residual);
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "act=" << act_name(act) << " bias=" << with_bias
+            << " residual=" << residual;
+      }
 }
 
 TEST(PackedInt8, RoundTripWithinHalfStep) {

@@ -341,12 +341,14 @@ TEST_F(PlanIoHostile, RejectsWrongFormatVersion) {
 }
 
 TEST_F(PlanIoHostile, RejectsWrongPanelLayoutStamp) {
-  // A later layout, the previous one, and version 2 by name, which
-  // stored int8 linear weights transposed ([in, out]): the kernels would
-  // mis-read a blob of any of them, so each is refused.
+  // A later layout, the previous one, version 2 by name, which stored
+  // int8 linear weights transposed ([in, out]), and version 3 by name,
+  // which stored int8 A in (c, kh, kw) order where the kernels now read
+  // (c/4, kh, kw, c%4) in place: the kernels would mis-read a blob of any
+  // of them, so each is refused.
   const std::vector<uint8_t> pristine = image_;
   for (const uint32_t stamp : {kernels::kPanelLayoutVersion + 1,
-                               kernels::kPanelLayoutVersion - 1, 2u}) {
+                               kernels::kPanelLayoutVersion - 1, 2u, 3u}) {
     SCOPED_TRACE("panel layout " + std::to_string(stamp));
     image_ = pristine;
     header()->panel_layout = stamp;
